@@ -136,6 +136,39 @@ def active_transmitter(schedule: TdmaSchedule, time: float,
     return int(position // schedule.slot_length) % schedule.transmitter_count
 
 
+def _place_by_slices(out, received, offset_samples, slot_start,
+                     slot_samples, period_samples, burst_offset_samples,
+                     leak_gain):
+    """Add one drift-free transmitter's bursts and leakage to out.
+
+    Sample k is perceived at k + offset_samples, so the slot repeats at
+    capture samples slot_start - offset_samples (mod period_samples).
+    Each sample gets the same single addend as the per-sample mapping of
+    compose_received, so the two agree bit for bit.
+    """
+    n = len(out)
+    if leak_gain > 0.0:
+        # tiled[k] == received[(k + offset_samples) % len(received)]
+        tiled = np.resize(np.roll(received, -offset_samples), n)
+    first = (slot_start - offset_samples) % period_samples
+    if first + slot_samples > period_samples:
+        first -= period_samples  # a slot straddles sample 0
+    idle_from = 0
+    for slot_lo in range(first, n, period_samples):
+        lo = max(slot_lo, 0)
+        hi = min(slot_lo + slot_samples, n)
+        burst_lo = slot_lo + burst_offset_samples
+        a = max(lo, burst_lo)
+        b = min(hi, burst_lo + len(received))
+        if b > a:
+            out[a:b] += received[a - burst_lo:b - burst_lo]
+        if leak_gain > 0.0 and lo > idle_from:
+            out[idle_from:lo] += leak_gain * tiled[idle_from:lo]
+        idle_from = hi
+    if leak_gain > 0.0 and n > idle_from:
+        out[idle_from:] += leak_gain * tiled[idle_from:]
+
+
 def compose_received(scene, schedule: TdmaSchedule,
                      leakage: LeakageModel | None = None,
                      burst_offset_samples: int = 0,
@@ -149,12 +182,18 @@ def compose_received(scene, schedule: TdmaSchedule,
     else it contributes an attenuated, periodically tiled copy — the
     correlated leakage that creates the near-far problem. All slot
     bookkeeping is done in integer samples so identical scenes compose
-    bit-identically.
+    bit-identically. A drift-free clock places the burst and leakage by
+    slices; a drifting one maps every sample through its clock.
     """
     if leakage is None:
         leakage = LeakageModel()
     if not scene:
         raise ValueError("scene must contain at least one transmitter")
+    if len(scene) > schedule.transmitter_count:
+        raise ValueError(
+            f"scene has {len(scene)} transmitters but the schedule only "
+            f"{schedule.transmitter_count} slots"
+        )
     rate = scene[0].waveform.sample_rate
     origin = scene[0].waveform.origin_time
     for tx in scene:
@@ -166,12 +205,18 @@ def compose_received(scene, schedule: TdmaSchedule,
     n = int(round(duration * rate))
     slot_samples = int(round(schedule.slot_length * rate))
     period_samples = slot_samples * schedule.transmitter_count
-    sample_index = np.arange(n)
 
     out = np.zeros(n, dtype=np.complex128)
     for i, tx in enumerate(scene):
         received = apply_channel(tx.waveform, tx.channel).samples
         offset_samples = int(round(tx.clock.perceived(0.0) * rate))
+        leak_gain = leakage.gain(tx.park_mode)
+        if tx.clock.drift == 0:
+            _place_by_slices(out, received, offset_samples, i * slot_samples,
+                             slot_samples, period_samples,
+                             burst_offset_samples, leak_gain)
+            continue
+        sample_index = np.arange(n)
         drift_samples = np.rint(tx.clock.drift * sample_index).astype(np.int64)
         perceived = sample_index + offset_samples + drift_samples
         position = perceived % period_samples
@@ -182,7 +227,6 @@ def compose_received(scene, schedule: TdmaSchedule,
         valid = active & (burst_index >= 0) & (burst_index < len(received))
         out[valid] += received[burst_index[valid]]
 
-        leak_gain = leakage.gain(tx.park_mode)
         if leak_gain > 0.0:
             idle = ~active
             out[idle] += leak_gain * received[perceived[idle] % len(received)]

@@ -10,6 +10,7 @@ not achieve the full period.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,13 @@ class ChipSequence:
     @property
     def degree(self) -> int:
         return (self.period_length + 1).bit_length() - 1
+
+    @cached_property
+    def conj_spectrum(self) -> np.ndarray:
+        """conj(fft(chips)), the correlator's reference side, computed once."""
+        spectrum = np.conj(np.fft.fft(self.chips))
+        spectrum.flags.writeable = False
+        return spectrum
 
 
 @dataclass(frozen=True)
@@ -148,7 +156,7 @@ def circular_correlate(reference: ChipSequence, observed) -> CorrelationProfile:
         raise ValueError(
             f"observed length {observed.shape} does not match period {n}"
         )
-    spectrum = np.conj(np.fft.fft(reference.chips)) * np.fft.fft(observed)
+    spectrum = reference.conj_spectrum * np.fft.fft(observed)
     values = np.fft.ifft(spectrum) / n
     return CorrelationProfile(values=values, normalization=1.0 / n)
 

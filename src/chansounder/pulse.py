@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from chansounder import _kernels
 from chansounder.exceptions import NoSignalError
@@ -202,21 +203,50 @@ def modulate(chips: ChipSequence, repetitions: int, taps: FilterTaps,
     return shape_symbols(train, taps, chip_period)
 
 
-def _matched_filter(signal: BasebandSignal, taps: FilterTaps):
-    """Matched-filter and locate the index of t = 0 on the symbol grid.
-
-    Captures are dense, where np.convolve outruns the sparse-skipping
-    kernel (see benchmarks/bench_kernels.py), so it is used directly.
-    """
+def _origin_index(signal: BasebandSignal, taps: FilterTaps) -> int:
+    """Index of t = 0 on the symbol grid of the full matched-filter output."""
     if len(signal) < len(taps.coefficients):
         raise ValueError(
             f"signal of {len(signal)} samples is shorter than the "
             f"{len(taps.coefficients)}-tap filter span"
         )
-    filtered = np.convolve(signal.samples, taps.coefficients)
     half = (len(taps.coefficients) - 1) / 2
-    origin_index = int(round(-signal.origin_time * signal.sample_rate + half))
-    return filtered, origin_index
+    return int(round(-signal.origin_time * signal.sample_rate + half))
+
+
+def _matched_filter(signal: BasebandSignal, taps: FilterTaps,
+                    start: int, stop: int, step: int = 1) -> np.ndarray:
+    """np.convolve(signal.samples, taps.coefficients)[start:stop:step],
+    computing only those outputs.
+
+    A decimating FIR (Crochiere & Rabiner, Multirate Digital Signal
+    Processing, 1983): the receiver reads one output per symbol, so only
+    those are formed. Each interior output is a (1, L) @ (L, 1) matmul of
+    a strided window of the capture against the reversed taps; numpy
+    evaluates it with the same dtype dot that np.convolve calls per
+    output, so values equal the full convolution bit for bit. The at most
+    L - 1 outputs at each end, where the taps overhang the capture, come
+    from np.convolve of the L-sample end pieces. Requires
+    0 <= start and stop <= len(signal) + L - 1.
+    """
+    x = np.ascontiguousarray(signal.samples)
+    h = taps.coefficients
+    span = len(h)
+    index = np.arange(start, stop, step)
+    lo = int(np.searchsorted(index, span - 1))
+    hi = int(np.searchsorted(index, len(x) - 1, side="right"))
+    out = np.empty(len(index), dtype=np.complex128)
+    if lo > 0:
+        out[:lo] = np.convolve(x[:span], h)[index[:lo]]
+    if hi < len(index):
+        out[hi:] = np.convolve(x[-span:], h)[index[hi:] - (len(x) - span)]
+    if hi > lo:
+        first = index[lo] - (span - 1)
+        last = index[hi - 1] - (span - 1)
+        windows = sliding_window_view(x, span)[first:last + 1:step]
+        h_rev = h[::-1].astype(np.complex128)
+        out[lo:hi] = np.matmul(windows[:, None, :], h_rev[:, None])[:, 0, 0]
+    return out
 
 
 def recover_symbols(signal: BasebandSignal, taps: FilterTaps,
@@ -230,11 +260,11 @@ def recover_symbols(signal: BasebandSignal, taps: FilterTaps,
     sps = taps.samples_per_symbol
     if not 0 <= phase < sps:
         raise ValueError(f"phase must be in [0, {sps})")
-    filtered, origin_index = _matched_filter(signal, taps)
-    first = origin_index + phase
+    first = _origin_index(signal, taps) + phase
     if first < 0:
         first += ((-first + sps - 1) // sps) * sps
-    return filtered[first::sps]
+    full_length = len(signal) + len(taps.coefficients) - 1
+    return _matched_filter(signal, taps, first, full_length, sps)
 
 
 def estimate_timing_phase(signal: BasebandSignal, chips: ChipSequence,
@@ -252,16 +282,18 @@ def estimate_timing_phase(signal: BasebandSignal, chips: ChipSequence,
         raise NoSignalError("capture is all zero; no timing phase exists")
     sps = taps.samples_per_symbol
     n = chips.period_length
-    filtered, origin_index = _matched_filter(signal, taps)
+    # the sps phases of one chip period are sps * n contiguous outputs;
+    # row k of the (n, sps) reshape is symbol k at every phase
+    start = _origin_index(signal, taps) + skip_symbols * sps
+    stop = start + sps * n
+    if start < 0 or stop > len(signal) + len(taps.coefficients) - 1:
+        raise ValueError(
+            "signal does not contain a full chip period at every phase"
+        )
+    windows = _matched_filter(signal, taps, start, stop).reshape(n, sps)
     scores = np.empty(sps, dtype=np.float64)
     for phase in range(sps):
-        start = origin_index + phase + skip_symbols * sps
-        window = filtered[start::sps][:n]
-        if len(window) < n:
-            raise ValueError(
-                "signal does not contain a full chip period at every phase"
-            )
-        profile = circular_correlate(chips, window)
+        profile = circular_correlate(chips, windows[:, phase])
         scores[phase] = float(np.sum(np.abs(profile.values) ** 2))
     return int(np.argmax(scores))
 

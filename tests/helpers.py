@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from chansounder import channel as ch
-from chansounder import pulse
+from chansounder import pulse, sliding
 from chansounder.pn import circular_correlate
 
 
@@ -51,3 +51,24 @@ def random_planted_channel(rng, chip_period, max_taps=8, max_span=50,
     phases = rng.uniform(0.0, 2.0 * np.pi, size=tap_count)
     gains = amplitudes * np.exp(1j * phases)
     return ch.MultipathChannel(gains=gains, delays=lags * chip_period), lags
+
+
+def oracle_measure_sliding(capture, chips, taps, config, settle_periods=1):
+    """measure_sliding on one full np.convolve matched filter per segment.
+
+    The pre-decimation receive chain, kept as the reference that the
+    decimating filter in pulse must match bit for bit.
+    """
+    sps, n = taps.samples_per_symbol, chips.period_length
+    filtered = np.convolve(capture.samples, taps.coefficients)
+    half = (len(taps.coefficients) - 1) / 2
+    origin = int(round(-capture.origin_time * capture.sample_rate + half))
+    assert origin >= 0
+    start = origin + settle_periods * n * sps
+    scores = [np.sum(np.abs(circular_correlate(
+        chips, filtered[start + phase::sps][:n]).values) ** 2)
+        for phase in range(sps)]
+    symbols = filtered[origin + int(np.argmax(scores))::sps]
+    skip = settle_periods * n
+    return sliding.sound(symbols[skip:skip + config.averaging_periods * n],
+                         chips, config)

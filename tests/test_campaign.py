@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from chansounder import campaign as cp
-from chansounder import multitx
+from chansounder import multitx, sliding
 from chansounder.channel import EnvironmentModel
+from chansounder.exceptions import NoSignalError
+
+from helpers import oracle_measure_sliding
 
 
 def small_environment(**overrides):
@@ -270,3 +273,50 @@ def test_leakage_settings_roundtrip(tmp_path):
     assert loaded.leakage.parked_leakage_db == math.inf
     assert loaded.leakage.inband_null_leakage_db == 25.0
     assert loaded.park_mode == multitx.PARK_IN_BAND
+
+
+def test_receive_chain_matches_full_convolution_oracle(monkeypatch):
+    # five criterion-9 locations with clock offsets, in-band leakage and
+    # noise: every segment's profile must equal, bit for bit, the one from
+    # a chain that matched-filters with a full np.convolve
+    scenario = cp.Scenario(
+        mode="sliding",
+        transmitters=(cp.Transmitter("tx1", (2.0, 2.0, 1.1)),
+                      cp.Transmitter("tx2", (19.0, 6.0, 2.4)),
+                      cp.Transmitter("tx3", (36.0, 2.0, 1.2))),
+        receiver_path=tuple((float(x), 2.0, 1.2) for x in range(1, 40, 8)),
+        environment=EnvironmentModel(reference_loss_db=40.0,
+                                     path_loss_exponent=2.8,
+                                     delay_spread_scale_s=9e-8,
+                                     tap_count_range=(3, 6),
+                                     wall_loss_db=3.0, wall_grid_spacing_m=6.0),
+        master_seed=42,
+        clocks=cp.ClockSetup(offset_std_s=0.3e-6),
+        leakage=multitx.LeakageModel(inband_null_leakage_db=30.0),
+        park_mode=multitx.PARK_IN_BAND, noise_power_dbfs=-85.0)
+    measure = sliding.measure_sliding
+    outcomes = []
+
+    def checked(segment, chips, taps, config):
+        try:
+            expected = oracle_measure_sliding(segment, chips, taps, config)
+        except NoSignalError:
+            expected = None
+        try:
+            got = measure(segment, chips, taps, config)
+        except NoSignalError:
+            assert expected is None
+            outcomes.append(None)
+            raise
+        assert expected is not None
+        assert np.array_equal(got.lags, expected.lags)
+        assert np.array_equal(got.gains, expected.gains)
+        assert got.wideband_path_loss_db == expected.wideband_path_loss_db
+        assert got.rms_delay_spread == expected.rms_delay_spread
+        outcomes.append(got)
+        return got
+
+    monkeypatch.setattr(sliding, "measure_sliding", checked)
+    records = cp.run_campaign(scenario)
+    assert len(outcomes) == len(records) == 15
+    assert sum(o is not None for o in outcomes) >= 10

@@ -236,6 +236,51 @@ def test_leakage_monotonicity(tdma_setup, chips10, rrc_taps):
     assert errors[0] > errors[-1]
 
 
+def test_compose_rejects_scene_larger_than_schedule():
+    schedule = multitx.build_schedule(2, 0.1)
+    burst = pulse.BasebandSignal(np.ones(50), 1000.0)
+    scene = [multitx.SceneTransmitter(burst, flat_channel())] * 3
+    with pytest.raises(ValueError, match="slots"):
+        multitx.compose_received(scene, schedule)
+
+
+@pytest.mark.parametrize("leak_db", [math.inf, 30.0])
+def test_slice_placement_matches_per_sample_mapping(leak_db):
+    # a drift that rounds to zero at every sample sends compose_received
+    # down its per-sample mapping while placing samples exactly where a
+    # drift-free clock puts them; the two must agree bit for bit
+    rate, slot = 1000.0, 100
+    schedule = multitx.build_schedule(3, slot / rate)
+    leakage = multitx.LeakageModel(parked_leakage_db=math.inf,
+                                   inband_null_leakage_db=leak_db)
+    rng = np.random.default_rng(17)
+    period = 3 * slot
+    shifts = [0, 3, -3, 7, -11, slot, -slot + 5, 2 * slot - 2, -4 * slot - 1,
+              period, 5 * period + 13]
+    for burst_len, burst_offset in ((60, 20), (95, 30), (130, 10), (40, -5)):
+        for duration in (period, 2.37 * period, 0.6 * period):
+            offsets = rng.choice(shifts, size=3)
+            scenes = []
+            for drift in (0.0, 1e-12):
+                scene = []
+                for i, shift in enumerate(offsets):
+                    rng_tx = np.random.default_rng(i)
+                    waveform = pulse.BasebandSignal(
+                        rng_tx.normal(size=burst_len)
+                        + 1j * rng_tx.normal(size=burst_len), rate)
+                    clock = multitx.ClockModel(offset=shift / rate, drift=drift)
+                    scene.append(multitx.SceneTransmitter(
+                        waveform, flat_channel(6.0 * i), multitx.PARK_IN_BAND,
+                        clock))
+                scenes.append(scene)
+            sliced, mapped = (multitx.compose_received(
+                scene, schedule, leakage=leakage,
+                burst_offset_samples=burst_offset,
+                duration=duration / rate) for scene in scenes)
+            assert np.array_equal(sliced.samples, mapped.samples), \
+                (burst_len, burst_offset, duration, offsets)
+
+
 def test_frequency_plan_default_capacity():
     capacity = multitx.frame_capacity(150e3, 1e6)
     assert capacity in (5, 6)

@@ -190,3 +190,10 @@ def test_chip_sequence_invariants():
     with pytest.raises(ValueError, match="balanced"):
         pn.ChipSequence(chips=np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0, -1.0]),
                         period_length=7)
+
+
+def test_reference_spectrum_is_cached_and_read_only(chips10):
+    spectrum = chips10.conj_spectrum
+    assert spectrum is chips10.conj_spectrum
+    assert np.array_equal(spectrum, np.conj(np.fft.fft(chips10.chips)))
+    assert not spectrum.flags.writeable

@@ -210,3 +210,38 @@ def test_iq_file_roundtrip(tmp_path, chips10, rrc_taps):
     assert loaded.origin_time == signal.origin_time
     # float32 storage quantizes
     npt.assert_allclose(loaded.samples, signal.samples, atol=1e-6)
+
+
+def test_timing_phase_rejects_window_before_capture(chips10, rrc_taps):
+    # sample 0 sits 1500 chips after t = 0, so the timing window starts
+    # at a negative index; it must not wrap to the capture's tail
+    base = pulse.modulate(chips10, 4, rrc_taps)
+    early = pulse.BasebandSignal(np.tile(base.samples, 3), base.sample_rate,
+                                 origin_time=1500 * 60e-9)
+    with pytest.raises(ValueError, match="full chip period"):
+        pulse.estimate_timing_phase(early, chips10, rrc_taps)
+
+
+@pytest.mark.parametrize("span,sps", [(12, 4), (4, 2), (6, 3)])
+def test_matched_filter_equals_full_convolution_bit_for_bit(span, sps):
+    # the decimating filter must reproduce np.convolve exactly, not to a
+    # tolerance: campaign output bytes depend on it
+    taps = pulse.design_rrc(0.35, span, sps)
+    length = len(taps.coefficients)
+    rng = np.random.default_rng(span * 10 + sps)
+    for size in (length, length + 1, 2 * length - 1, 2 * length, 3 * length + 5, 700):
+        x = rng.normal(size=size) + 1j * rng.normal(size=size)
+        signal = pulse.BasebandSignal(x, 1e6)
+        full = np.convolve(x, taps.coefficients)
+        total = len(full)
+        windows = [(0, total), (0, length - 1), (length - 2, length + 3),
+                   (total - length, total), (total - 1, total),
+                   (size - 2, size + 2)]
+        for _ in range(6):
+            lo = int(rng.integers(0, total))
+            windows.append((lo, int(rng.integers(lo, total + 1))))
+        for start, stop in windows:
+            for step in range(1, sps + 1):
+                got = pulse._matched_filter(signal, taps, start, stop, step)
+                assert np.array_equal(got, full[start:stop:step]), \
+                    (size, start, stop, step)
