@@ -74,6 +74,7 @@ from chansounder.sweep import (
     PhaseNoiseSkirt,
     SweepPlan,
     bin_power,
+    bin_powers,
     generate_tone,
     mean_wideband_path_loss,
     sweep_sound,

@@ -279,19 +279,16 @@ def _run_frequency(scenario: Scenario) -> list:
         for frame_index, plan in enumerate(plans):
             members = [k for k, (frame, _) in enumerate(assignment)
                        if frame == frame_index]
+            tones = [float(plan.tone_offsets[assignment[k][1]]) for k in members]
             for step in range(plan.step_count):
-                entries = [
-                    (float(plan.tone_offsets[assignment[k][1]]), channels[k])
-                    for k in members
-                ]
+                entries = [(tone, channels[k]) for tone, k in zip(tones, members)]
                 capture = sweep.compose_sweep_capture(
                     entries, plan, step,
                     noise_power_dbfs=scenario.noise_power_dbfs,
                     seed=derive_seed(scenario.master_seed, "cap",
                                      loc_index, frame_index, step))
-                for k in members:
-                    tone = float(plan.tone_offsets[assignment[k][1]])
-                    power = sweep.bin_power(capture, plan, tone)
+                powers = sweep.bin_powers(capture, plan, tones)
+                for k, power in zip(members, powers):
                     tx_power = scenario.transmitters[k].tx_power_db
                     loss = (tx_power - 10.0 * math.log10(power)
                             if power > 0.0 else None)

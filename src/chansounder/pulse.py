@@ -315,10 +315,20 @@ def write_iq(signal: BasebandSignal, path) -> None:
 
 
 def read_iq(path) -> BasebandSignal:
-    """Read a waveform written by write_iq."""
+    """Read a waveform written by write_iq, checked against its sidecar."""
     path = Path(path)
     sidecar = json.loads(Path(str(path) + ".json").read_text())
+    if sidecar["format"] != "cf32_le":
+        raise ValueError(f"{path}: sidecar format {sidecar['format']!r} "
+                         f"is not supported, only 'cf32_le'")
     raw = np.fromfile(path, dtype="<f4")
+    if len(raw) % 2:
+        raise ValueError(f"{path}: odd float count {len(raw)}, "
+                         f"not whole cf32_le I/Q pairs")
+    if sidecar["sample_count"] != len(raw) // 2:
+        raise ValueError(f"{path}: sidecar sample_count "
+                         f"{sidecar['sample_count']} does not match the "
+                         f"{len(raw) // 2} samples in the file")
     samples = raw[0::2].astype(np.float64) + 1j * raw[1::2].astype(np.float64)
     return BasebandSignal(samples=samples,
                           sample_rate=float(sidecar["sample_rate_hz"]),

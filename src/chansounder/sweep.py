@@ -9,6 +9,7 @@ orthogonal; off-grid offsets are rejected outright.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -159,8 +160,14 @@ def bin_power(capture: BasebandSignal, plan: SweepPlan, tone_offset: float) -> f
     tone periods for bin-centered tones) and returns |X[bin]|^2 / L^2.
     Negative offsets wrap to the upper bins.
     """
-    if not np.any(np.abs(plan.tone_offsets - tone_offset) < 1e-9):
-        raise ValueError(f"tone offset {tone_offset} Hz is not part of the plan")
+    return bin_powers(capture, plan, [tone_offset])[0]
+
+
+def bin_powers(capture: BasebandSignal, plan: SweepPlan, tone_offsets) -> list:
+    """bin_power for several tones of one capture from a single FFT."""
+    for tone_offset in tone_offsets:
+        if not np.any(np.abs(plan.tone_offsets - tone_offset) < 1e-9):
+            raise ValueError(f"tone offset {tone_offset} Hz is not part of the plan")
     length = plan.fft_length
     if len(capture) < length:
         raise ValueError(
@@ -168,8 +175,17 @@ def bin_power(capture: BasebandSignal, plan: SweepPlan, tone_offset: float) -> f
             f"FFT length {length}"
         )
     spectrum = np.fft.fft(capture.samples[:length])
-    magnitude = abs(spectrum[plan.bin_index(tone_offset)])
-    return (magnitude / length) ** 2
+    return [(abs(spectrum[plan.bin_index(tone_offset)]) / length) ** 2
+            for tone_offset in tone_offsets]
+
+
+@functools.lru_cache(maxsize=16, typed=True)
+def _unit_tone(tone_offset: float, n: int, sample_rate: float) -> np.ndarray:
+    """Read-only exp(j*2*pi*tone_offset*t) over n samples, computed once."""
+    t = np.arange(n) / sample_rate
+    tone = np.exp(2j * np.pi * tone_offset * t)
+    tone.flags.writeable = False
+    return tone
 
 
 def received_tone(channel: MultipathChannel, carrier: float, tone_offset: float,
@@ -179,14 +195,17 @@ def received_tone(channel: MultipathChannel, carrier: float, tone_offset: float,
     Each tap contributes a copy of the tone scaled by its gain and
     rotated by the carrier-plus-offset phase its delay accumulates; the
     per-tap sum is the time-domain equivalent of multiplying by the
-    channel transfer value at carrier + offset.
+    channel transfer value at carrier + offset. The unit tone itself is
+    computed once per (offset, length, rate) and shared, read-only, by
+    every tap, step and location; the taps are still summed one by one
+    in the same order, so the samples are bit-identical to evaluating
+    the tone inside the loop.
     """
     n = int(round(plan.step_duration * plan.sample_rate))
-    t = np.arange(n) / plan.sample_rate
+    tone = _unit_tone(tone_offset, n, plan.sample_rate)
     acc = np.zeros(n, dtype=np.complex128)
     for gain, delay in zip(channel.gains, channel.delays):
-        acc += gain * np.exp(-2j * np.pi * (carrier + tone_offset) * delay) \
-            * np.exp(2j * np.pi * tone_offset * t)
+        acc += gain * np.exp(-2j * np.pi * (carrier + tone_offset) * delay) * tone
     return amplitude * acc
 
 
@@ -220,7 +239,9 @@ def compose_sweep_capture(entries, plan: SweepPlan, step: int,
     difference between transmitters lives in the channel gains.
     """
     n = int(round(plan.step_duration * plan.sample_rate))
-    rng = np.random.default_rng(seed)
+    # the generator is seeded only when something draws from it; its
+    # first draw is the same either way
+    rng = None
     acc = np.zeros(n, dtype=np.complex128)
     carrier = float(plan.carrier_list[step])
     for tone_offset, chan in entries:
@@ -229,8 +250,12 @@ def compose_sweep_capture(entries, plan: SweepPlan, step: int,
             tone_power = abs(
                 np.sum(chan.gains * np.exp(-2j * np.pi * (carrier + tone_offset) * chan.delays))
             ) ** 2
+            if rng is None:
+                rng = np.random.default_rng(seed)
             acc += _skirt_noise(plan, tone_offset, tone_power, skirt, rng)
     if noise_power_dbfs is not None and noise_power_dbfs != -math.inf:
+        if rng is None:
+            rng = np.random.default_rng(seed)
         sigma = math.sqrt(10.0 ** (noise_power_dbfs / 10.0) / 2.0)
         acc += rng.normal(scale=sigma, size=n) + 1j * rng.normal(scale=sigma, size=n)
     return BasebandSignal(samples=acc, sample_rate=plan.sample_rate)

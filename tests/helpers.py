@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from chansounder import channel as ch
-from chansounder import pulse, sliding
+from chansounder import pulse, sliding, sweep
 from chansounder.pn import circular_correlate
 
 
@@ -72,3 +72,48 @@ def oracle_measure_sliding(capture, chips, taps, config, settle_periods=1):
     skip = settle_periods * n
     return sliding.sound(symbols[skip:skip + config.averaging_periods * n],
                          chips, config)
+
+
+def oracle_received_tone(channel, carrier, tone_offset, plan, amplitude):
+    """received_tone with the unit tone re-evaluated for every tap."""
+    n = int(round(plan.step_duration * plan.sample_rate))
+    t = np.arange(n) / plan.sample_rate
+    acc = np.zeros(n, dtype=np.complex128)
+    for gain, delay in zip(channel.gains, channel.delays):
+        acc += gain * np.exp(-2j * np.pi * (carrier + tone_offset) * delay) \
+            * np.exp(2j * np.pi * tone_offset * t)
+    return amplitude * acc
+
+
+def oracle_bin_powers(capture, plan, tone_offsets):
+    """One FFT per tone: the reference for bin_powers' shared spectrum."""
+    length = plan.fft_length
+    return [(abs(np.fft.fft(capture.samples[:length])[plan.bin_index(f)])
+             / length) ** 2 for f in tone_offsets]
+
+
+def oracle_compose_sweep_capture(entries, plan, step, skirt=None,
+                                 noise_power_dbfs=None, seed=0):
+    """compose_sweep_capture seeding its generator up front, every time."""
+    n = int(round(plan.step_duration * plan.sample_rate))
+    rng = np.random.default_rng(seed)
+    acc = np.zeros(n, dtype=np.complex128)
+    carrier = float(plan.carrier_list[step])
+    for tone_offset, chan in entries:
+        acc += oracle_received_tone(chan, carrier, tone_offset, plan, 1.0)
+        if skirt is not None:
+            tone_power = abs(np.sum(chan.gains * np.exp(
+                -2j * np.pi * (carrier + tone_offset) * chan.delays))) ** 2
+            acc += sweep._skirt_noise(plan, tone_offset, tone_power, skirt, rng)
+    if noise_power_dbfs is not None and noise_power_dbfs != -math.inf:
+        sigma = math.sqrt(10.0 ** (noise_power_dbfs / 10.0) / 2.0)
+        acc += rng.normal(scale=sigma, size=n) + 1j * rng.normal(scale=sigma, size=n)
+    return pulse.BasebandSignal(samples=acc, sample_rate=plan.sample_rate)
+
+
+def use_oracle_sweep(monkeypatch):
+    """Swap the sweep kernels for the per-tap, per-tone, eager-RNG oracles."""
+    monkeypatch.setattr(sweep, "received_tone", oracle_received_tone)
+    monkeypatch.setattr(sweep, "bin_powers", oracle_bin_powers)
+    monkeypatch.setattr(sweep, "compose_sweep_capture",
+                        oracle_compose_sweep_capture)

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from chansounder import campaign as cp
-from chansounder import multitx, sliding
+from chansounder import multitx, sliding, sweep
 from chansounder.channel import EnvironmentModel
 from chansounder.exceptions import NoSignalError
 
-from helpers import oracle_measure_sliding
+from helpers import oracle_measure_sliding, use_oracle_sweep
 
 
 def small_environment(**overrides):
@@ -249,6 +249,36 @@ def test_frequency_mode_spills_into_extra_frames():
     assert len(set(tones.values())) < len(many)  # frames reuse tone slots
     for record in records:
         assert len(record.narrowband_losses_db) == 10
+
+
+def test_frequency_chain_matches_per_tap_oracle(monkeypatch):
+    # three transmitters behind a 300 kHz guard band fill two frames, with
+    # noise on: records must equal, byte for byte, those of a chain that
+    # evaluates the tone per tap, takes one FFT per tone and seeds its
+    # generator up front
+    three = (cp.Transmitter("tx1", (0.0, 0.0, 1.8)),
+             cp.Transmitter("tx2", (30.0, 20.0, 3.7)),
+             cp.Transmitter("tx3", (15.0, 30.0, 2.0), tx_power_db=-3.0))
+    scenario = small_scenario(
+        mode="frequency", locations=4, transmitters=three,
+        environment=small_environment(delay_spread_scale_s=2.5e-7,
+                                      tap_count_range=(1, 8)),
+        frequency=cp.FrequencySetup(guard_band_hz=300e3),
+        noise_power_dbfs=-90.0)
+    plans, _ = cp._frequency_plans(scenario)
+    assert len(plans) == 2
+    got = [json.dumps(cp.record_to_json(r)) for r in cp.run_campaign(scenario)]
+    use_oracle_sweep(monkeypatch)
+    want = [json.dumps(cp.record_to_json(r)) for r in cp.run_campaign(scenario)]
+    assert got == want
+
+
+def test_cold_frequency_campaign_computes_each_tone_once():
+    sweep._unit_tone.cache_clear()
+    records = cp.run_campaign(small_scenario(mode="frequency", locations=3))
+    info = sweep._unit_tone.cache_info()
+    assert info.misses == len({r.tone_offset_hz for r in records}) == 2
+    assert info.hits > 0
 
 
 def test_fixture_scenarios_load(tmp_path):

@@ -72,7 +72,8 @@ def test_sound_sliding_roundtrip(tmp_path, capsys, chips10, rrc_taps,
         -10 * np.log10(1.0 + 0.25**2), abs=0.05)
 
 
-def test_sound_freq_roundtrip(tmp_path, capsys):
+def sweep_capture_files(tmp_path):
+    """A default plan and one flat-channel capture file per carrier step."""
     plan = sweep.default_sweep_plan()
     plan_path = tmp_path / "plan.json"
     sweep.save_plan(plan, plan_path)
@@ -84,7 +85,11 @@ def test_sound_freq_roundtrip(tmp_path, capsys):
         path = tmp_path / f"step{step}.iq"
         pulse.write_iq(capture, path)
         capture_paths.append(str(path))
+    return plan_path, capture_paths
 
+
+def test_sound_freq_roundtrip(tmp_path, capsys):
+    plan_path, capture_paths = sweep_capture_files(tmp_path)
     code, _, err = run_cli(capsys, "sound-freq", "--plan", str(plan_path),
                            "--out-dir", str(tmp_path), *capture_paths)
     assert code == 0, err
@@ -103,6 +108,18 @@ def test_sound_freq_wrong_capture_count(tmp_path, capsys):
                            "--out-dir", str(tmp_path), "only_one.iq")
     assert code == 2
     assert "per carrier step" in err
+
+
+def test_sound_freq_rejects_contradicting_sidecar(tmp_path, capsys):
+    plan_path, capture_paths = sweep_capture_files(tmp_path)
+    sidecar = tmp_path / "step3.iq.json"
+    doc = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps(dict(doc, format="ci16_le")))
+
+    code, _, err = run_cli(capsys, "sound-freq", "--plan", str(plan_path),
+                           "--out-dir", str(tmp_path), *capture_paths)
+    assert code == 2
+    assert "format" in err and len(err.strip().splitlines()) == 1
 
 
 def scenario_file(tmp_path, locations=2):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -210,6 +211,35 @@ def test_iq_file_roundtrip(tmp_path, chips10, rrc_taps):
     assert loaded.origin_time == signal.origin_time
     # float32 storage quantizes
     npt.assert_allclose(loaded.samples, signal.samples, atol=1e-6)
+
+
+def _iq_with_sidecar(tmp_path, floats, **sidecar_overrides):
+    """A raw float32 file plus a sidecar that may contradict it."""
+    target = tmp_path / "capture.iq"
+    np.arange(floats, dtype="<f4").tofile(target)
+    sidecar = {"format": "cf32_le", "sample_rate_hz": 1e6,
+               "origin_time_s": 0.0, "sample_count": floats // 2}
+    sidecar.update(sidecar_overrides)
+    (tmp_path / "capture.iq.json").write_text(json.dumps(sidecar))
+    return target
+
+
+def test_read_iq_rejects_other_format(tmp_path):
+    target = _iq_with_sidecar(tmp_path, 20, format="ci16_le")
+    with pytest.raises(ValueError, match="format"):
+        pulse.read_iq(target)
+
+
+def test_read_iq_rejects_sample_count_mismatch(tmp_path):
+    target = _iq_with_sidecar(tmp_path, 20, sample_count=99)
+    with pytest.raises(ValueError, match="sample_count"):
+        pulse.read_iq(target)
+
+
+def test_read_iq_rejects_odd_float_count(tmp_path):
+    target = _iq_with_sidecar(tmp_path, 21, sample_count=10)
+    with pytest.raises(ValueError, match="odd"):
+        pulse.read_iq(target)
 
 
 def test_timing_phase_rejects_window_before_capture(chips10, rrc_taps):

@@ -6,6 +6,8 @@ from chansounder import channel as ch
 from chansounder import sweep
 from chansounder.pulse import BasebandSignal
 
+from helpers import oracle_bin_powers, oracle_received_tone, use_oracle_sweep
+
 
 def dft_bin_oracle(samples, length, bin_index):
     """Bin power straight from the DFT definition."""
@@ -220,6 +222,80 @@ def test_phase_noise_skirt_leaks_into_neighborhood(plan):
     assert 1e-8 < neighbor < 1e-4
     own = sweep.bin_power(capture, both, f1)
     assert own == pytest.approx(1.0, abs=5e-3)
+
+
+def random_sweep_channel(rng, max_taps=8):
+    taps = int(rng.integers(1, max_taps + 1))
+    delays = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1e-6, taps - 1))])
+    gains = rng.uniform(0.01, 1.0, taps) * np.exp(2j * np.pi * rng.uniform(size=taps))
+    return ch.MultipathChannel(gains=gains, delays=delays)
+
+
+def test_received_tone_bit_exact_against_per_tap_oracle(plan):
+    short = sweep.SweepPlan(plan.carrier_list, [-40 * 2e6 / 2048], 3e-3, 2e6,
+                            2048, plan.guard_band)
+    rng = np.random.default_rng(2024)
+    for p in (plan, short):
+        bin_width = p.sample_rate / p.fft_length
+        for k in (1, -1, 37, -410, 1500, -1999):
+            tone = k * bin_width
+            for carrier in (700e6, 2.4e9, 5.8e9):
+                chan = random_sweep_channel(rng)
+                amplitude = float(rng.uniform(0.1, 3.0))
+                got = sweep.received_tone(chan, carrier, tone, p, amplitude)
+                want = oracle_received_tone(chan, carrier, tone, p, amplitude)
+                assert np.array_equal(got, want)
+
+
+def test_bin_powers_equal_per_tone_bin_power(plan):
+    bin_width = plan.sample_rate / plan.fft_length
+    tones = [k * bin_width for k in (-700, 102, 500)]
+    three = sweep.SweepPlan(plan.carrier_list, tones, plan.step_duration,
+                            plan.sample_rate, plan.fft_length, plan.guard_band)
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        samples = rng.normal(size=5000) + 1j * rng.normal(size=5000)
+        capture = BasebandSignal(samples=samples, sample_rate=plan.sample_rate)
+        got = sweep.bin_powers(capture, three, tones)
+        assert got == [sweep.bin_power(capture, three, f) for f in tones]
+        assert got == oracle_bin_powers(capture, three, tones)
+    with pytest.raises(ValueError, match="not part of the plan"):
+        sweep.bin_powers(capture, three, [tones[0], 12345.0])
+
+
+def test_unit_tone_is_cached_read_only(plan):
+    tone = sweep._unit_tone(float(plan.tone_offsets[0]), 5000, plan.sample_rate)
+    assert tone is sweep._unit_tone(float(plan.tone_offsets[0]), 5000,
+                                    plan.sample_rate)
+    assert not tone.flags.writeable
+    with pytest.raises(ValueError):
+        tone[0] = 0.0
+    assert sweep._unit_tone.cache_info().maxsize is not None
+
+
+def test_sweep_sound_with_skirt_and_noise_matches_oracle(plan, monkeypatch):
+    bin_width = plan.sample_rate / plan.fft_length
+    two = sweep.SweepPlan(plan.carrier_list, [-300 * bin_width, 600 * bin_width],
+                          plan.step_duration, plan.sample_rate,
+                          plan.fft_length, plan.guard_band)
+    rng = np.random.default_rng(31)
+    channels = [random_sweep_channel(rng) for _ in range(two.step_count)]
+    skirt = sweep.PhaseNoiseSkirt(ref_offset_hz=1e3, ref_level_dbc=70.0,
+                                  slope_db_per_decade=20.0)
+
+    def sound_all():
+        return [sweep.sweep_sound(channels, two, 3.0, "tx",
+                                  tone_offset=float(tone), seed=17,
+                                  **kwargs).per_carrier_loss_db
+                for kwargs in (dict(skirt=skirt, noise_power_dbfs=-60.0),
+                               dict(skirt=skirt),
+                               dict(noise_power_dbfs=-60.0), {})
+                for tone in two.tone_offsets]
+
+    got = sound_all()
+    use_oracle_sweep(monkeypatch)
+    for mine, oracle in zip(got, sound_all(), strict=True):
+        assert np.array_equal(mine, oracle)
 
 
 def test_losses_json_roundtrip():
