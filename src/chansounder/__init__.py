@@ -8,7 +8,6 @@ TDMA slots or tone-frequency plans, and scripted campaigns turn receiver
 paths into per-location measurement records and heat-map exports.
 """
 
-from chansounder._kernels import BACKEND as KERNEL_BACKEND
 from chansounder.campaign import (
     MeasurementRecord,
     Scenario,
@@ -44,7 +43,6 @@ from chansounder.pn import (
     ChipSequence,
     CorrelationProfile,
     circular_correlate,
-    circular_correlate_direct,
     generate_glfsr,
     load_chips,
     periodic_chip,

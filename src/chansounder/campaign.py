@@ -12,9 +12,12 @@ sub-scenarios reproduce their slice of the full run exactly.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
+import types
+import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -87,8 +90,8 @@ class ClockSetup:
 @dataclass(frozen=True)
 class Scenario:
     mode: str
-    transmitters: tuple
-    receiver_path: tuple
+    transmitters: tuple[Transmitter, ...]
+    receiver_path: tuple[tuple, ...]
     environment: EnvironmentModel
     master_seed: int = 0
     sliding: SlidingSetup = field(default_factory=SlidingSetup)
@@ -410,157 +413,100 @@ def export_heatmap(records, transmitter_id: str, path) -> None:
         raise OSError(f"cannot write heat map to {path}: {exc}") from exc
 
 
-def _require(doc: dict, key: str, context: str):
-    if key not in doc:
-        raise ValueError(f"{context}{key}: required field is missing")
-    return doc[key]
+# Where the scenario file differs from the dataclass fields: these keys
+# are renamed, these fields store infinity as null, park_mode sits inside
+# the leakage block, and tuples are stored as lists.
+_JSON_NAMES = {"position": "position_m", "receiver_path": "receiver_path_m"}
+_INF_AS_NULL = {"parked_leakage_db"}
+
+
+def _to_json(value):
+    if dataclasses.is_dataclass(value):
+        doc = {}
+        for f in dataclasses.fields(value):
+            item = getattr(value, f.name)
+            if f.name in _INF_AS_NULL and item == math.inf:
+                item = None
+            doc[_JSON_NAMES.get(f.name, f.name)] = _to_json(item)
+        return doc
+    if isinstance(value, tuple):
+        return [_to_json(item) for item in value]
+    return value
+
+
+def _from_json(kind, value, path: str):
+    """Convert a JSON value to the annotated type, naming path on errors."""
+    if typing.get_origin(kind) in (typing.Union, types.UnionType):
+        if value is None:
+            return None
+        kind = next(a for a in typing.get_args(kind) if a is not type(None))
+    if dataclasses.is_dataclass(kind):
+        return _dataclass_from_json(kind, value, path)
+    if kind is tuple or typing.get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{path}: expected a list, got {value!r}")
+        if kind is tuple:
+            return tuple(value)
+        item_kind = typing.get_args(kind)[0]
+        return tuple(_from_json(item_kind, item, f"{path}[{i}]")
+                     for i, item in enumerate(value))
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: expected {kind.__name__}, got {value!r}") from None
+
+
+def _dataclass_from_json(kind, doc, path: str):
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected an object, got {doc!r}")
+    prefix = f"{path}." if path else ""
+    fields = {_JSON_NAMES.get(f.name, f.name): f for f in dataclasses.fields(kind)}
+    for key in doc:
+        if key not in fields:
+            raise ValueError(f"{prefix}{key}: unknown field")
+    hints = typing.get_type_hints(kind)
+    kwargs = {}
+    for key, f in fields.items():
+        if key not in doc:
+            if (f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING):
+                raise ValueError(f"{prefix}{key}: required field is missing")
+        elif f.name in _INF_AS_NULL and doc[key] is None:
+            kwargs[f.name] = math.inf
+        else:
+            kwargs[f.name] = _from_json(hints[f.name], doc[key], prefix + key)
+    try:
+        return kind(**kwargs)
+    except ValueError as exc:
+        if not path:
+            raise
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def scenario_from_json(doc: dict) -> Scenario:
-    mode = _require(doc, "mode", "")
-    txs = []
-    for i, tx_doc in enumerate(_require(doc, "transmitters", "")):
-        context = f"transmitters[{i}]."
-        txs.append(Transmitter(
-            id=str(_require(tx_doc, "id", context)),
-            position=tuple(_require(tx_doc, "position_m", context)),
-            tx_power_db=float(tx_doc.get("tx_power_db", 0.0)),
-            antenna_height_note=tx_doc.get("antenna_height_note")))
-    path = tuple(tuple(p) for p in _require(doc, "receiver_path_m", ""))
-
-    env_doc = _require(doc, "environment", "")
-    try:
-        environment = EnvironmentModel(
-            reference_loss_db=float(_require(env_doc, "reference_loss_db", "environment.")),
-            path_loss_exponent=float(_require(env_doc, "path_loss_exponent", "environment.")),
-            reference_distance_m=float(env_doc.get("reference_distance_m", 1.0)),
-            delay_spread_scale_s=float(env_doc.get("delay_spread_scale_s", 0.0)),
-            tap_count_range=tuple(env_doc.get("tap_count_range", (1, 1))),
-            wall_loss_db=float(env_doc.get("wall_loss_db", 0.0)),
-            wall_grid_spacing_m=env_doc.get("wall_grid_spacing_m"),
-            rng_seed=int(env_doc.get("rng_seed", 0)))
-    except ValueError as exc:
-        raise ValueError(f"environment: {exc}") from exc
-
-    kwargs = {}
-    if "sliding" in doc:
-        s = doc["sliding"]
-        kwargs["sliding"] = SlidingSetup(
-            chip_period_s=float(s.get("chip_period_s", 60e-9)),
-            pn_degree=int(s.get("pn_degree", 10)),
-            polynomial=s.get("polynomial"),
-            averaging_periods=int(s.get("averaging_periods", 10)),
-            detection_threshold_db=float(s.get("detection_threshold_db", 30.0)),
-            rolloff=float(s.get("rolloff", 0.35)),
-            span_symbols=int(s.get("span_symbols", 12)),
-            samples_per_symbol=int(s.get("samples_per_symbol", 4)))
-    if "frequency" in doc:
-        f = doc["frequency"]
-        kwargs["frequency"] = FrequencySetup(
-            carriers_hz=tuple(f.get("carriers_hz",
-                                    FrequencySetup().carriers_hz)),
-            sample_rate_hz=float(f.get("sample_rate_hz", 1e6)),
-            fft_length=int(f.get("fft_length", 4096)),
-            guard_band_hz=float(f.get("guard_band_hz", 25e3)),
-            step_duration_s=float(f.get("step_duration_s", 5e-3)),
-            tone_offsets_hz=(tuple(f["tone_offsets_hz"])
-                             if f.get("tone_offsets_hz") is not None else None))
-    if "schedule" in doc:
-        s = doc["schedule"]
-        kwargs["schedule"] = ScheduleSetup(
-            slot_length_s=s.get("slot_length_s"),
-            guard_fraction=float(s.get("guard_fraction", 0.05)))
-    if "clocks" in doc:
-        c = doc["clocks"]
-        kwargs["clocks"] = ClockSetup(
-            tx_offsets_s=(tuple(c["tx_offsets_s"])
-                          if c.get("tx_offsets_s") is not None else None),
-            offset_std_s=float(c.get("offset_std_s", 0.0)),
-            rx_offset_s=float(c.get("rx_offset_s", 0.0)))
-    if "leakage" in doc:
-        l = doc["leakage"]
-        parked = l.get("parked_leakage_db")
-        kwargs["leakage"] = multitx.LeakageModel(
-            parked_leakage_db=math.inf if parked is None else float(parked),
-            inband_null_leakage_db=float(l.get("inband_null_leakage_db", 30.0)))
-        kwargs["park_mode"] = l.get("park_mode", multitx.PARK_OFF_BAND)
-    if doc.get("noise_power_dbfs") is not None:
-        kwargs["noise_power_dbfs"] = float(doc["noise_power_dbfs"])
-    if doc.get("geo") is not None:
-        kwargs["geo"] = tuple(doc["geo"])
-
-    return Scenario(
-        mode=mode, transmitters=tuple(txs), receiver_path=path,
-        environment=environment, master_seed=int(doc.get("master_seed", 0)),
-        **kwargs)
+    if not isinstance(doc, dict):
+        raise ValueError(f"scenario: expected an object, got {doc!r}")
+    doc = dict(doc)
+    if "schema_version" not in doc:
+        raise ValueError("schema_version: required field is missing")
+    version = doc.pop("schema_version")
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"schema_version: unsupported version {version!r} "
+                         f"(expected {SCHEMA_VERSION})")
+    if "park_mode" in doc:
+        raise ValueError("park_mode: unknown field (it belongs in leakage)")
+    leakage = doc.get("leakage")
+    if isinstance(leakage, dict) and "park_mode" in leakage:
+        doc["leakage"] = dict(leakage)
+        doc["park_mode"] = doc["leakage"].pop("park_mode")
+    return _dataclass_from_json(Scenario, doc, "")
 
 
 def scenario_to_json(scenario: Scenario) -> dict:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "mode": scenario.mode,
-        "master_seed": scenario.master_seed,
-        "transmitters": [
-            {
-                "id": tx.id,
-                "position_m": list(tx.position),
-                "tx_power_db": tx.tx_power_db,
-                "antenna_height_note": tx.antenna_height_note,
-            }
-            for tx in scenario.transmitters
-        ],
-        "receiver_path_m": [list(p) for p in scenario.receiver_path],
-        "environment": {
-            "reference_loss_db": scenario.environment.reference_loss_db,
-            "path_loss_exponent": scenario.environment.path_loss_exponent,
-            "reference_distance_m": scenario.environment.reference_distance_m,
-            "delay_spread_scale_s": scenario.environment.delay_spread_scale_s,
-            "tap_count_range": list(scenario.environment.tap_count_range),
-            "wall_loss_db": scenario.environment.wall_loss_db,
-            "wall_grid_spacing_m": scenario.environment.wall_grid_spacing_m,
-            "rng_seed": scenario.environment.rng_seed,
-        },
-        "sliding": {
-            "chip_period_s": scenario.sliding.chip_period_s,
-            "pn_degree": scenario.sliding.pn_degree,
-            "polynomial": scenario.sliding.polynomial,
-            "averaging_periods": scenario.sliding.averaging_periods,
-            "detection_threshold_db": scenario.sliding.detection_threshold_db,
-            "rolloff": scenario.sliding.rolloff,
-            "span_symbols": scenario.sliding.span_symbols,
-            "samples_per_symbol": scenario.sliding.samples_per_symbol,
-        },
-        "frequency": {
-            "carriers_hz": list(scenario.frequency.carriers_hz),
-            "sample_rate_hz": scenario.frequency.sample_rate_hz,
-            "fft_length": scenario.frequency.fft_length,
-            "guard_band_hz": scenario.frequency.guard_band_hz,
-            "step_duration_s": scenario.frequency.step_duration_s,
-            "tone_offsets_hz": (list(scenario.frequency.tone_offsets_hz)
-                                if scenario.frequency.tone_offsets_hz is not None
-                                else None),
-        },
-        "schedule": {
-            "slot_length_s": scenario.schedule.slot_length_s,
-            "guard_fraction": scenario.schedule.guard_fraction,
-        },
-        "clocks": {
-            "tx_offsets_s": (list(scenario.clocks.tx_offsets_s)
-                             if scenario.clocks.tx_offsets_s is not None else None),
-            "offset_std_s": scenario.clocks.offset_std_s,
-            "rx_offset_s": scenario.clocks.rx_offset_s,
-        },
-        "leakage": {
-            "parked_leakage_db": (None
-                                  if scenario.leakage.parked_leakage_db == math.inf
-                                  else scenario.leakage.parked_leakage_db),
-            "inband_null_leakage_db": scenario.leakage.inband_null_leakage_db,
-            "park_mode": scenario.park_mode,
-        },
-        "noise_power_dbfs": scenario.noise_power_dbfs,
-        "geo": list(scenario.geo) if scenario.geo is not None else None,
-    }
-    return doc
+    doc = _to_json(scenario)
+    doc["leakage"]["park_mode"] = doc.pop("park_mode")
+    return {"schema_version": SCHEMA_VERSION, "mode": doc.pop("mode"),
+            "master_seed": doc.pop("master_seed"), **doc}
 
 
 def load_scenario(path) -> Scenario:

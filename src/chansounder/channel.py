@@ -62,7 +62,6 @@ class EnvironmentModel:
     tap_count_range: tuple = (1, 1)
     wall_loss_db: float = 0.0
     wall_grid_spacing_m: float | None = None
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.path_loss_exponent <= 0:

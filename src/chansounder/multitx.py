@@ -31,15 +31,12 @@ class TdmaSchedule:
 
     slot_length: float
     transmitter_count: int
-    total_periods: int = 1
 
     def __post_init__(self):
         if self.slot_length <= 0:
             raise ValueError("slot_length must be positive")
         if self.transmitter_count < 1:
             raise ValueError("transmitter_count must be >= 1")
-        if self.total_periods < 1:
-            raise ValueError("total_periods must be >= 1")
 
     @property
     def period(self) -> float:
@@ -52,16 +49,10 @@ class TdmaSchedule:
 
 @dataclass(frozen=True)
 class ClockModel:
-    """Per-node clock error: fixed offset, linear drift, trigger jitter."""
+    """Per-node clock error: fixed offset and linear drift."""
 
     offset: float = 0.0
     drift: float = 0.0
-    jitter_std: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.jitter_std < 0:
-            raise ValueError("jitter_std must be nonnegative")
 
     def perceived(self, true_time: float) -> float:
         return true_time + self.offset + self.drift * true_time
@@ -71,11 +62,10 @@ NTP_OFFSET_STD = 5e-3    # typical spread of NTP-disciplined laptop clocks
 GPS_OFFSET_STD = 100e-9  # typical spread of GPS-disciplined radio clocks
 
 
-def draw_clock(offset_std: float, seed: int, jitter_std: float = 0.0) -> ClockModel:
+def draw_clock(offset_std: float, seed: int) -> ClockModel:
     """Draw a node clock with a Gaussian offset of the given spread."""
     rng = np.random.default_rng(seed)
-    return ClockModel(offset=float(rng.normal(scale=offset_std)) if offset_std > 0 else 0.0,
-                      jitter_std=jitter_std, seed=seed)
+    return ClockModel(offset=float(rng.normal(scale=offset_std)) if offset_std > 0 else 0.0)
 
 
 @dataclass(frozen=True)
@@ -119,11 +109,9 @@ class SegmentedCapture:
     misaligned: bool
 
 
-def build_schedule(transmitter_count: int, slot_length: float,
-                   total_periods: int = 1) -> TdmaSchedule:
+def build_schedule(transmitter_count: int, slot_length: float) -> TdmaSchedule:
     return TdmaSchedule(slot_length=slot_length,
-                        transmitter_count=transmitter_count,
-                        total_periods=total_periods)
+                        transmitter_count=transmitter_count)
 
 
 def active_transmitter(schedule: TdmaSchedule, time: float,
@@ -267,7 +255,6 @@ def guard_core_power_ratio(signal: BasebandSignal, schedule: TdmaSchedule,
 
 
 def segment_capture(signal: BasebandSignal, schedule: TdmaSchedule,
-                    capture_start: float = 0.0,
                     guard_fraction: float = 0.05,
                     trim_samples: int | None = None) -> SegmentedCapture:
     """Split one TDMA period into per-transmitter segments.
@@ -285,9 +272,6 @@ def segment_capture(signal: BasebandSignal, schedule: TdmaSchedule,
             f"capture of {len(signal)} samples is shorter than one TDMA "
             f"period ({period_samples} samples)"
         )
-    boundary = capture_start / schedule.period
-    if abs(boundary - round(boundary)) > 1e-9:
-        raise ValueError("capture_start must be a multiple of the TDMA period")
     if trim_samples is None:
         trim_samples = int(guard_fraction * slot_samples)
     if 2 * trim_samples >= slot_samples:
@@ -365,8 +349,3 @@ def build_frequency_plan(transmitter_count: int, guard_band: float,
             guard_band=guard_band,
         ))
     return plans
-
-
-def frame_capacity(guard_band: float, sample_rate: float) -> int:
-    """Transmitters per time frame for a given guard band."""
-    return int(math.floor((sample_rate - guard_band) / guard_band))

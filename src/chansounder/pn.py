@@ -15,8 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from chansounder import _kernels
-
 # Primitive feedback polynomials (bit i = coefficient of x^i). The degree-10
 # default is x^10 + x^3 + 1; any primitive polynomial gives the same
 # autocorrelation, fixing one keeps generated files stable.
@@ -128,7 +126,17 @@ def generate_glfsr(degree: int = 10, polynomial: int | None = None,
     # Folding the x^degree..x^1 terms down one bit gives the state mask for
     # the right-shift Galois update.
     mask = polynomial >> 1
-    bits, period = _kernels.glfsr_bits(mask, seed_state, n)
+    bits = np.empty(n, dtype=np.uint8)
+    state = seed_state
+    period = 0
+    for i in range(n):
+        out = state & 1
+        bits[i] = out
+        state >>= 1
+        if out:
+            state ^= mask
+        if period == 0 and state == seed_state:
+            period = i + 1
     if period != n:
         raise ValueError(
             f"polynomial 0x{polynomial:x} is not primitive: register period "
@@ -148,7 +156,7 @@ def circular_correlate(reference: ChipSequence, observed) -> CorrelationProfile:
 
     values[n] = (1/N) * sum_m reference[m] * observed[(m + n) mod N], so an
     observation that is the reference delayed by d chips peaks at lag d.
-    Computed via FFT; see circular_correlate_direct for the direct route.
+    Computed via FFT against the reference's cached spectrum.
     """
     n = reference.period_length
     observed = np.asarray(observed, dtype=np.complex128)
@@ -158,18 +166,6 @@ def circular_correlate(reference: ChipSequence, observed) -> CorrelationProfile:
         )
     spectrum = reference.conj_spectrum * np.fft.fft(observed)
     values = np.fft.ifft(spectrum) / n
-    return CorrelationProfile(values=values, normalization=1.0 / n)
-
-
-def circular_correlate_direct(reference: ChipSequence, observed) -> CorrelationProfile:
-    """Direct O(N^2) evaluation of the same correlation (slow reference path)."""
-    n = reference.period_length
-    observed = np.asarray(observed, dtype=np.complex128)
-    if observed.shape != (n,):
-        raise ValueError(
-            f"observed length {observed.shape} does not match period {n}"
-        )
-    values = _kernels.circular_correlate_direct(reference.chips, observed)
     return CorrelationProfile(values=values, normalization=1.0 / n)
 
 

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from chansounder import _kernels
 from chansounder.exceptions import NoSignalError
 from chansounder.pn import ChipSequence, circular_correlate
 
@@ -184,7 +183,7 @@ def shape_symbols(symbols, taps: FilterTaps,
     sample_rate = sps / chip_period
     upsampled = np.zeros(len(symbols) * sps, dtype=np.complex128)
     upsampled[::sps] = symbols
-    samples = _kernels.fir_filter(upsampled, taps.coefficients)
+    samples = np.convolve(upsampled, taps.coefficients)
     delay = (len(taps.coefficients) - 1) // 2
     return BasebandSignal(samples=samples, sample_rate=sample_rate,
                           origin_time=-delay / sample_rate)

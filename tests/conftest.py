@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from chansounder import pn, pulse, sliding
+
+# property tests draw the same examples on every run, so Tier-1 stays
+# reproducible; no example database is kept between runs
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,12 @@
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chansounder import campaign as cp
 from chansounder import multitx, sliding, sweep
@@ -69,6 +73,127 @@ def test_scenario_load_reports_field_paths(tmp_path):
     broken.write_text("{not json")
     with pytest.raises(ValueError, match="JSON"):
         cp.load_scenario(broken)
+
+
+def mutated_doc(where, key, value):
+    doc = cp.scenario_to_json(small_scenario())
+    target = doc
+    for step in where:
+        target = target[step]
+    target[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("where, key, name", [
+    pytest.param(*case, id=case[-1]) for case in [
+        (("sliding",), "averging_periods", "sliding.averging_periods"),
+        (("environment",), "rng_seed", "environment.rng_seed"),
+        (("transmitters", 1), "power_db", "transmitters[1].power_db"),
+        (("leakage",), "parked_db", "leakage.parked_db"),
+        ((), "park_mode", "park_mode"),
+        ((), "seed", "seed")]
+])
+def test_scenario_load_rejects_unknown_fields(where, key, name):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)}: unknown field"):
+        cp.scenario_from_json(mutated_doc(where, key, 3))
+
+
+def test_scenario_load_rejects_other_schema_versions():
+    for version in (99, 0, "1", None):
+        with pytest.raises(ValueError, match="^schema_version: unsupported"):
+            cp.scenario_from_json(mutated_doc((), "schema_version", version))
+    doc = cp.scenario_to_json(small_scenario())
+    del doc["schema_version"]
+    with pytest.raises(ValueError, match="^schema_version: required"):
+        cp.scenario_from_json(doc)
+
+
+@pytest.mark.parametrize("where, key, value, name", [
+    pytest.param(*case, id=f"{case[-1]}={case[2]!r}") for case in [
+        (("transmitters", 0), "tx_power_db", None, "transmitters[0].tx_power_db"),
+        (("transmitters", 0), "tx_power_db", "loud", "transmitters[0].tx_power_db"),
+        ((), "receiver_path_m", [[1.0, 2.0, 0.0], 5], "receiver_path_m[1]"),
+        (("transmitters", 1), "position_m", "here", "transmitters[1].position_m"),
+        (("sliding",), "pn_degree", [10], "sliding.pn_degree"),
+        ((), "environment", [], "environment")]
+])
+def test_scenario_load_names_badly_typed_fields(where, key, value, name):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)}: expected"):
+        cp.scenario_from_json(mutated_doc(where, key, value))
+
+
+SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")),
+                         ids=lambda path: path.name)
+def test_bundled_scenario_saves_back_byte_for_byte(path, tmp_path):
+    target = tmp_path / path.name
+    cp.save_scenario(cp.load_scenario(path), target)
+    assert target.read_bytes() == path.read_bytes()
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+nonnegative = st.floats(min_value=0.0, allow_infinity=False)
+positive = st.floats(min_value=1e-12, allow_infinity=False)
+point = st.tuples(finite, finite, finite)
+floats = st.lists(finite, max_size=4).map(tuple)
+
+
+@st.composite
+def scenarios(draw):
+    ids = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1,
+                        max_size=4, unique=True))
+    transmitters = tuple(
+        cp.Transmitter(tx_id, draw(point), draw(finite),
+                       draw(st.none() | st.text(max_size=12)))
+        for tx_id in ids)
+    path = tuple(draw(st.lists(point, min_size=1, max_size=4)))
+    low = draw(st.integers(1, 6))
+    environment = EnvironmentModel(
+        draw(finite), draw(positive), draw(positive), draw(nonnegative),
+        (low, draw(st.integers(low, 9))), draw(nonnegative),
+        draw(st.none() | positive))
+    blocks = {
+        "sliding": st.builds(
+            cp.SlidingSetup, positive, st.integers(2, 12),
+            st.none() | st.integers(0, 1 << 13), st.integers(1, 20), finite,
+            nonnegative, st.integers(1, 16), st.integers(1, 8)),
+        "frequency": st.builds(
+            cp.FrequencySetup, floats, positive, st.integers(1, 1 << 16),
+            positive, positive, st.none() | floats),
+        "schedule": st.builds(cp.ScheduleSetup, st.none() | positive,
+                              nonnegative),
+        "clocks": st.builds(cp.ClockSetup, st.none() | floats, nonnegative,
+                            finite),
+        "leakage": st.builds(multitx.LeakageModel,
+                             st.just(math.inf) | nonnegative, nonnegative),
+        "park_mode": st.sampled_from([multitx.PARK_OFF_BAND,
+                                      multitx.PARK_IN_BAND]),
+        "noise_power_dbfs": st.none() | finite,
+        "geo": st.none() | st.lists(st.none() | st.text(max_size=6) | finite,
+                                    min_size=len(path),
+                                    max_size=len(path)).map(tuple),
+    }
+    # each optional block is either drawn or left at its default
+    chosen = draw(st.sets(st.sampled_from(sorted(blocks))))
+    return cp.Scenario(
+        mode=draw(st.sampled_from([cp.MODE_SLIDING, cp.MODE_FREQUENCY])),
+        transmitters=transmitters, receiver_path=path,
+        environment=environment, master_seed=draw(st.integers(0, 2**63 - 1)),
+        **{name: draw(blocks[name]) for name in chosen})
+
+
+@given(scenarios())
+def test_scenario_json_roundtrip_property(scenario):
+    doc = json.loads(json.dumps(cp.scenario_to_json(scenario), allow_nan=False))
+    assert cp.scenario_from_json(doc) == scenario
+    # a block left at its defaults may be omitted from the file
+    for name in ("sliding", "frequency", "schedule", "clocks"):
+        block = getattr(scenario, name)
+        if block == type(block)():
+            del doc[name]
+    assert cp.scenario_from_json(doc) == scenario
 
 
 def test_record_count_and_ordering():
@@ -282,8 +407,7 @@ def test_cold_frequency_campaign_computes_each_tone_once():
 
 
 def test_fixture_scenarios_load(tmp_path):
-    import pathlib
-    root = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+    root = SCENARIO_DIR
     indoor = cp.load_scenario(root / "indoor_wing_sliding.json")
     assert indoor.mode == "sliding"
     assert len(indoor.transmitters) == 3

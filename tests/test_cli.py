@@ -183,3 +183,23 @@ def test_validate_missing_file(tmp_path, capsys):
                            "--out-dir", str(tmp_path))
     assert code == 2
     assert "missing.json" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "campaign"])
+@pytest.mark.parametrize("where, key, value, name", [
+    pytest.param("sliding", "averging_periods", 3, "sliding.averging_periods",
+                 id="typo"),
+    pytest.param(None, "schema_version", 99, "schema_version", id="version"),
+])
+def test_strict_scenario_schema_exits_2(tmp_path, capsys, command, where,
+                                        key, value, name):
+    doc = json.loads(scenario_file(tmp_path).read_text())
+    (doc[where] if where else doc)[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, command, "--scenario", str(bad),
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert f"{name}: " in err
+    assert not (tmp_path / "out" / "records.jsonl").exists()
