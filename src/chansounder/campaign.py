@@ -106,6 +106,9 @@ class Scenario:
     def __post_init__(self):
         if self.mode not in (MODE_SLIDING, MODE_FREQUENCY):
             raise ValueError(f"mode: unknown mode {self.mode!r}")
+        if self.park_mode not in (multitx.PARK_OFF_BAND, multitx.PARK_IN_BAND):
+            raise ValueError(
+                f"leakage.park_mode: unknown park mode {self.park_mode!r}")
         if len(self.transmitters) < 1:
             raise ValueError("transmitters: at least one transmitter required")
         if len(self.receiver_path) < 1:
@@ -450,10 +453,17 @@ def _from_json(kind, value, path: str):
         item_kind = typing.get_args(kind)[0]
         return tuple(_from_json(item_kind, item, f"{path}[{i}]")
                      for i, item in enumerate(value))
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{path}: expected {kind.__name__}, got {value!r}") from None
+    # exact JSON types: no rounding, no bools as numbers, no numbers or
+    # nulls as strings
+    if not isinstance(value, bool):
+        if kind is float and isinstance(value, (int, float)):
+            try:
+                return float(value)
+            except OverflowError:
+                raise ValueError(f"{path}: number too large for a float") from None
+        if kind in (int, str) and isinstance(value, kind):
+            return value
+    raise ValueError(f"{path}: expected {kind.__name__}, got {value!r}")
 
 
 def _dataclass_from_json(kind, doc, path: str):

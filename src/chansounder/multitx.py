@@ -136,8 +136,7 @@ def _place_by_slices(out, received, offset_samples, slot_start,
     """
     n = len(out)
     if leak_gain > 0.0:
-        # tiled[k] == received[(k + offset_samples) % len(received)]
-        tiled = np.resize(np.roll(received, -offset_samples), n)
+        scaled = leak_gain * received
     first = (slot_start - offset_samples) % period_samples
     if first + slot_samples > period_samples:
         first -= period_samples  # a slot straddles sample 0
@@ -150,11 +149,23 @@ def _place_by_slices(out, received, offset_samples, slot_start,
         b = min(hi, burst_lo + len(received))
         if b > a:
             out[a:b] += received[a - burst_lo:b - burst_lo]
-        if leak_gain > 0.0 and lo > idle_from:
-            out[idle_from:lo] += leak_gain * tiled[idle_from:lo]
+        if leak_gain > 0.0:
+            _add_wrapped(out, scaled, idle_from, lo, offset_samples)
         idle_from = hi
-    if leak_gain > 0.0 and n > idle_from:
-        out[idle_from:] += leak_gain * tiled[idle_from:]
+    if leak_gain > 0.0:
+        _add_wrapped(out, scaled, idle_from, n, offset_samples)
+
+
+def _add_wrapped(out, scaled, lo, hi, offset_samples):
+    """out[k] += scaled[(k + offset_samples) % len(scaled)] for lo <= k < hi,
+    one contiguous slice per wrap of scaled."""
+    length = len(scaled)
+    k = lo
+    while k < hi:
+        j = (k + offset_samples) % length
+        m = min(hi - k, length - j)
+        out[k:k + m] += scaled[j:j + m]
+        k += m
 
 
 def compose_received(scene, schedule: TdmaSchedule,
@@ -170,8 +181,12 @@ def compose_received(scene, schedule: TdmaSchedule,
     else it contributes an attenuated, periodically tiled copy — the
     correlated leakage that creates the near-far problem. All slot
     bookkeeping is done in integer samples so identical scenes compose
-    bit-identically. A drift-free clock places the burst and leakage by
-    slices; a drifting one maps every sample through its clock.
+    bit-identically. A drift-free clock places the burst by slices and
+    the leakage from one leak-scaled copy of the received waveform, added
+    in wrapped slices, so no capture-length tile is built; a drifting
+    clock maps every sample through its clock. Noise, when asked for, is
+    drawn from a generator seeded with seed, in-phase rail first, and
+    added to each rail in place.
     """
     if leakage is None:
         leakage = LeakageModel()
@@ -222,7 +237,8 @@ def compose_received(scene, schedule: TdmaSchedule,
     if noise_power_dbfs is not None and noise_power_dbfs != -math.inf:
         rng = np.random.default_rng(seed)
         sigma = math.sqrt(10.0 ** (noise_power_dbfs / 10.0) / 2.0)
-        out += rng.normal(scale=sigma, size=n) + 1j * rng.normal(scale=sigma, size=n)
+        out.real += rng.normal(scale=sigma, size=n)
+        out.imag += rng.normal(scale=sigma, size=n)
     return BasebandSignal(samples=out, sample_rate=rate, origin_time=origin)
 
 

@@ -62,6 +62,18 @@ class ChipSequence:
             raise ValueError(
                 f"sequence is not balanced: {positives} x +1 vs {negatives} x -1"
             )
+        # A two-valued periodic autocorrelation (N at lag 0, -1 elsewhere)
+        # is a flat power spectrum: |C_k|^2 = N + 1 at every k != 0. Any
+        # other balanced +-1 sequence moves some |C_k|^2 by more than 1
+        # (Parseval over its integer autocorrelation error), while FFT
+        # rounding stays far below 0.5.
+        power = np.abs(self.conj_spectrum[1:]) ** 2
+        error = float(np.max(np.abs(power - n_plus_1)))
+        if error > 0.5:
+            raise ValueError(
+                f"periodic autocorrelation is not two-valued (N at lag 0, -1 "
+                f"elsewhere): |C_k|^2 strays {error:.3g} from N + 1 = {n_plus_1}"
+            )
 
     @property
     def degree(self) -> int:
@@ -77,7 +89,8 @@ class ChipSequence:
 
 @dataclass(frozen=True)
 class CorrelationProfile:
-    """Normalized circular correlation values over one period of lags."""
+    """Normalized circular correlation values over one period of lags,
+    one row per observation when a stack was correlated."""
 
     values: np.ndarray
     normalization: float = field(default=0.0)
@@ -157,10 +170,16 @@ def circular_correlate(reference: ChipSequence, observed) -> CorrelationProfile:
     values[n] = (1/N) * sum_m reference[m] * observed[(m + n) mod N], so an
     observation that is the reference delayed by d chips peaks at lag d.
     Computed via FFT against the reference's cached spectrum.
+
+    observed may also be a (k, N) stack: every row is correlated by the
+    same one forward and one inverse FFT, and values[i] equals, bit for
+    bit, the correlation of row i alone. The stack is copied to C order
+    first, because the FFT keeps the strides of its input and the
+    profile's values must be contiguous along the lag axis.
     """
     n = reference.period_length
-    observed = np.asarray(observed, dtype=np.complex128)
-    if observed.shape != (n,):
+    observed = np.ascontiguousarray(observed, dtype=np.complex128)
+    if observed.ndim not in (1, 2) or observed.shape[-1] != n:
         raise ValueError(
             f"observed length {observed.shape} does not match period {n}"
         )

@@ -249,21 +249,31 @@ def _matched_filter(signal: BasebandSignal, taps: FilterTaps,
 
 
 def recover_symbols(signal: BasebandSignal, taps: FilterTaps,
-                    phase: int) -> np.ndarray:
+                    phase: int, skip_symbols: int = 0,
+                    count: int | None = None) -> np.ndarray:
     """Matched-filter and decimate to symbol rate at a given sample phase.
 
     For a noiseless channel whose tap delays are whole symbol periods the
     output at the correct phase is the symbol stream convolved with the
-    channel's symbol-spaced impulse response.
+    channel's symbol-spaced impulse response. The stream starts at the
+    first symbol at or after t = 0 and runs to the end of the filter
+    tail; only its slice [skip_symbols : skip_symbols + count] is
+    filtered and returned (all of the rest when count is None), clamped
+    to the stream's length like any slice.
     """
     sps = taps.samples_per_symbol
     if not 0 <= phase < sps:
         raise ValueError(f"phase must be in [0, {sps})")
+    if skip_symbols < 0 or (count is not None and count < 0):
+        raise ValueError("skip_symbols and count must be nonnegative")
     first = _origin_index(signal, taps) + phase
     if first < 0:
         first += ((-first + sps - 1) // sps) * sps
-    full_length = len(signal) + len(taps.coefficients) - 1
-    return _matched_filter(signal, taps, first, full_length, sps)
+    stop = len(signal) + len(taps.coefficients) - 1
+    start = first + skip_symbols * sps
+    if count is not None:
+        stop = min(stop, start + count * sps)
+    return _matched_filter(signal, taps, start, stop, sps)
 
 
 def estimate_timing_phase(signal: BasebandSignal, chips: ChipSequence,
@@ -290,11 +300,19 @@ def estimate_timing_phase(signal: BasebandSignal, chips: ChipSequence,
             "signal does not contain a full chip period at every phase"
         )
     windows = _matched_filter(signal, taps, start, stop).reshape(n, sps)
-    scores = np.empty(sps, dtype=np.float64)
-    for phase in range(sps):
-        profile = circular_correlate(chips, windows[:, phase])
-        scores[phase] = float(np.sum(np.abs(profile.values) ** 2))
-    return int(np.argmax(scores))
+    return int(np.argmax(_phase_energies(chips, windows.T)))
+
+
+def _phase_energies(chips: ChipSequence, phases: np.ndarray) -> np.ndarray:
+    """Correlation-profile energy of each row of a (sps, N) phase stack.
+
+    One stacked correlation serves every phase. Each row's energy is its
+    own 1-D np.sum, the reduction the per-phase search used: on a stack
+    that is not C-ordered, np.sum(..., axis=-1) rounds differently in the
+    last bits and could flip a near-tie.
+    """
+    power = np.abs(circular_correlate(chips, phases).values) ** 2
+    return np.array([np.sum(row) for row in power])
 
 
 def write_iq(signal: BasebandSignal, path) -> None:

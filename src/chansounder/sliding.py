@@ -211,8 +211,8 @@ def measure_sliding(capture: BasebandSignal, chips: ChipSequence,
     skip = settle_periods * n
     if phase is None:
         phase = estimate_timing_phase(capture, chips, taps, skip_symbols=skip)
-    symbols = recover_symbols(capture, taps, phase)
-    window = symbols[skip: skip + config.averaging_periods * n]
+    window = recover_symbols(capture, taps, phase, skip_symbols=skip,
+                             count=config.averaging_periods * n)
     return sound(window, chips, config)
 
 

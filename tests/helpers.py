@@ -117,3 +117,64 @@ def use_oracle_sweep(monkeypatch):
     monkeypatch.setattr(sweep, "bin_powers", oracle_bin_powers)
     monkeypatch.setattr(sweep, "compose_sweep_capture",
                         oracle_compose_sweep_capture)
+
+
+def oracle_compose_received(scene, schedule, leakage, burst_offset_samples=0,
+                            duration=None, noise_power_dbfs=None, seed=0):
+    """compose_received with a capture-length leakage tile per drift-free
+    transmitter and complex A + 1j * B noise: the earlier composition that
+    the wrapped-slice leakage and per-rail noise must match byte for byte.
+    """
+    rate = scene[0].waveform.sample_rate
+    if duration is None:
+        duration = schedule.period
+    n = int(round(duration * rate))
+    slot = int(round(schedule.slot_length * rate))
+    period = slot * schedule.transmitter_count
+    out = np.zeros(n, dtype=np.complex128)
+    for i, tx in enumerate(scene):
+        received = ch.apply_channel(tx.waveform, tx.channel).samples
+        offset = int(round(tx.clock.perceived(0.0) * rate))
+        leak_gain = leakage.gain(tx.park_mode)
+        if tx.clock.drift == 0:
+            if leak_gain > 0.0:
+                tiled = np.resize(np.roll(received, -offset), n)
+            first = (i * slot - offset) % period
+            if first + slot > period:
+                first -= period
+            idle_from = 0
+            for slot_lo in range(first, n, period):
+                lo, hi = max(slot_lo, 0), min(slot_lo + slot, n)
+                burst_lo = slot_lo + burst_offset_samples
+                a, b = max(lo, burst_lo), min(hi, burst_lo + len(received))
+                if b > a:
+                    out[a:b] += received[a - burst_lo:b - burst_lo]
+                if leak_gain > 0.0 and lo > idle_from:
+                    out[idle_from:lo] += leak_gain * tiled[idle_from:lo]
+                idle_from = hi
+            if leak_gain > 0.0 and n > idle_from:
+                out[idle_from:] += leak_gain * tiled[idle_from:]
+            continue
+        index = np.arange(n)
+        perceived = index + offset + np.rint(tx.clock.drift * index).astype(np.int64)
+        local = perceived % period - i * slot
+        active = (local >= 0) & (local < slot)
+        burst_index = local - burst_offset_samples
+        valid = active & (burst_index >= 0) & (burst_index < len(received))
+        out[valid] += received[burst_index[valid]]
+        if leak_gain > 0.0:
+            out[~active] += leak_gain * received[perceived[~active] % len(received)]
+    if noise_power_dbfs is not None and noise_power_dbfs != -math.inf:
+        rng = np.random.default_rng(seed)
+        sigma = math.sqrt(10.0 ** (noise_power_dbfs / 10.0) / 2.0)
+        out += rng.normal(scale=sigma, size=n) + 1j * rng.normal(scale=sigma, size=n)
+    return pulse.BasebandSignal(samples=out, sample_rate=rate,
+                                origin_time=scene[0].waveform.origin_time)
+
+
+def oracle_phase_energies(chips, windows):
+    """Profile energy per phase column of an (N, sps) window block, one
+    1-D correlation per phase: the timing search before stacking."""
+    return np.array([float(np.sum(np.abs(circular_correlate(
+        chips, windows[:, phase]).values) ** 2))
+        for phase in range(windows.shape[1])])

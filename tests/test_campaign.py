@@ -2,10 +2,11 @@ import json
 import math
 import pathlib
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chansounder import campaign as cp
@@ -48,6 +49,9 @@ def test_scenario_validation_messages():
                                      cp.Transmitter("a", (1, 1, 1))))
     with pytest.raises(ValueError, match="geo"):
         small_scenario(geo=("p1",))
+    with pytest.raises(ValueError, match=r"^leakage\.park_mode: unknown park "
+                                         r"mode 'sideways'$"):
+        small_scenario(park_mode="sideways")
 
 
 def test_scenario_json_roundtrip(tmp_path):
@@ -115,11 +119,27 @@ def test_scenario_load_rejects_other_schema_versions():
         ((), "receiver_path_m", [[1.0, 2.0, 0.0], 5], "receiver_path_m[1]"),
         (("transmitters", 1), "position_m", "here", "transmitters[1].position_m"),
         (("sliding",), "pn_degree", [10], "sliding.pn_degree"),
-        ((), "environment", [], "environment")]
+        ((), "environment", [], "environment"),
+        # no rounding, no bools as numbers, no numbers or nulls as strings
+        (("sliding",), "pn_degree", 10.7, "sliding.pn_degree"),
+        (("sliding",), "averaging_periods", True, "sliding.averaging_periods"),
+        (("transmitters", 0), "id", None, "transmitters[0].id"),
+        (("transmitters", 0), "tx_power_db", "3", "transmitters[0].tx_power_db"),
+        (("transmitters", 1), "tx_power_db", False, "transmitters[1].tx_power_db"),
+        ((), "master_seed", 7.0, "master_seed")]
 ])
 def test_scenario_load_names_badly_typed_fields(where, key, value, name):
     with pytest.raises(ValueError, match=rf"^{re.escape(name)}: expected"):
         cp.scenario_from_json(mutated_doc(where, key, value))
+
+
+def test_scenario_load_takes_whole_numbers_as_floats():
+    doc = mutated_doc(("transmitters", 0), "tx_power_db", 3)
+    assert cp.scenario_from_json(doc).transmitters[0].tx_power_db == 3.0
+    with pytest.raises(ValueError, match=r"^transmitters\[0\]\.tx_power_db: "
+                                         r"number too large"):
+        cp.scenario_from_json(
+            mutated_doc(("transmitters", 0), "tx_power_db", 10 ** 400))
 
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -248,6 +268,26 @@ def test_single_tx_subscenario_is_bit_identical():
         alone = cp.run_campaign(sub)
         matched = [r for r in full if r.transmitter_id == keep.id]
         assert [cp.record_to_json(r) for r in matched] \
+            == [cp.record_to_json(r) for r in alone]
+
+
+@given(seed=st.integers(0, 2**32), tx_count=st.integers(2, 3),
+       locations=st.integers(1, 2))
+@settings(max_examples=10)
+def test_multi_tx_records_equal_single_tx_subscenarios_property(
+        seed, tx_count, locations):
+    # off-band parking, zero clock offsets and no noise: each transmitter
+    # owns its slot alone, so its records cannot depend on the others
+    sites = ((2.0, 2.0, 1.1), (19.0, 6.0, 2.4), (36.0, 2.0, 1.2))
+    transmitters = tuple(cp.Transmitter(f"tx{k + 1}", sites[k],
+                                        tx_power_db=-3.0 * k)
+                         for k in range(tx_count))
+    scenario = small_scenario(locations=locations, transmitters=transmitters,
+                              master_seed=seed)
+    full = [cp.record_to_json(r) for r in cp.run_campaign(scenario)]
+    for tx in transmitters:
+        alone = cp.run_campaign(replace(scenario, transmitters=(tx,)))
+        assert [doc for doc in full if doc["transmitter_id"] == tx.id] \
             == [cp.record_to_json(r) for r in alone]
 
 

@@ -190,6 +190,8 @@ def test_validate_missing_file(tmp_path, capsys):
     pytest.param("sliding", "averging_periods", 3, "sliding.averging_periods",
                  id="typo"),
     pytest.param(None, "schema_version", 99, "schema_version", id="version"),
+    pytest.param("leakage", "park_mode", "sideways", "leakage.park_mode",
+                 id="park_mode"),
 ])
 def test_strict_scenario_schema_exits_2(tmp_path, capsys, command, where,
                                         key, value, name):

@@ -7,6 +7,8 @@ import pytest
 from chansounder import channel as ch
 from chansounder import multitx, pulse, sliding
 
+from helpers import oracle_compose_received
+
 
 @pytest.fixture(scope="module")
 def tdma_setup(request):
@@ -275,6 +277,43 @@ def test_slice_placement_matches_per_sample_mapping(leak_db):
                 duration=duration / rate) for scene in scenes)
             assert np.array_equal(sliced.samples, mapped.samples), \
                 (burst_len, burst_offset, duration, offsets)
+
+
+def test_compose_matches_tiled_leakage_and_complex_noise_oracle():
+    # wrapped-slice leakage and per-rail noise must reproduce the capture
+    # of a full-length leakage tile plus A + 1j * B noise byte for byte
+    rate, slot = 1000.0, 100
+    schedule = multitx.build_schedule(3, slot / rate)
+    period = 3 * slot
+    rng = np.random.default_rng(23)
+    cases = 0
+    for leak_db in (math.inf, 30.0, 0.0):
+        leakage = multitx.LeakageModel(parked_leakage_db=math.inf,
+                                       inband_null_leakage_db=leak_db)
+        for drift in (0.0, 3e-3):
+            for noise in (None, -math.inf, -20.0):
+                for burst_len, duration in ((60, period), (95, 2.37 * period),
+                                            (130, 0.6 * period),
+                                            (700, 1.5 * period)):
+                    shifts = rng.integers(-4 * period, 4 * period, size=3)
+                    scene = []
+                    for i, shift in enumerate(shifts):
+                        samples = rng.normal(size=burst_len) \
+                            + 1j * rng.normal(size=burst_len)
+                        clock = multitx.ClockModel(offset=int(shift) / rate,
+                                                   drift=drift)
+                        scene.append(multitx.SceneTransmitter(
+                            pulse.BasebandSignal(samples, rate),
+                            flat_channel(6.0 * i), multitx.PARK_IN_BAND, clock))
+                    kwargs = dict(leakage=leakage, burst_offset_samples=20,
+                                  duration=duration / rate,
+                                  noise_power_dbfs=noise, seed=cases)
+                    got = multitx.compose_received(scene, schedule, **kwargs)
+                    expected = oracle_compose_received(scene, schedule, **kwargs)
+                    assert got.samples.tobytes() == expected.samples.tobytes(), \
+                        (leak_db, drift, noise, burst_len, duration, shifts)
+                    cases += 1
+    assert cases == 72
 
 
 def test_frequency_plan_default_capacity():

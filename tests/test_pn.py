@@ -139,6 +139,21 @@ def test_correlate_length_mismatch(chips10):
         pn.circular_correlate(chips10, np.ones(1022))
     with pytest.raises(ValueError, match="length"):
         pn.circular_correlate(chips10, np.ones(100))
+    with pytest.raises(ValueError, match="length"):
+        pn.circular_correlate(chips10, np.ones((4, 1022)))
+    with pytest.raises(ValueError, match="length"):
+        pn.circular_correlate(chips10, np.ones((2, 2, 1023)))
+
+
+def test_stacked_correlation_equals_row_wise_bit_for_bit(chips10, rng):
+    block = rng.normal(size=(1023, 5)) + 1j * rng.normal(size=(1023, 5))
+    # a C-ordered stack and a transposed (Fortran-ordered) view of one
+    for stack in (np.ascontiguousarray(block.T), block.T):
+        values = pn.circular_correlate(chips10, stack).values
+        assert values.shape == (5, 1023)
+        for row, got in zip(stack, values):
+            expected = pn.circular_correlate(chips10, row).values
+            assert got.tobytes() == expected.tobytes()
 
 
 def test_correlate_linearity(chips10, rng):
@@ -190,6 +205,20 @@ def test_chip_sequence_invariants():
     with pytest.raises(ValueError, match="balanced"):
         pn.ChipSequence(chips=np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0, -1.0]),
                         period_length=7)
+
+
+def test_chips_without_two_valued_autocorrelation_rejected(tmp_path):
+    # balanced, but its periodic autocorrelation is [7, 3, -1, -5, -5, -1, 3]
+    target = tmp_path / "chips.txt"
+    target.write_text("1\n1\n1\n1\n-1\n-1\n-1\n")
+    with pytest.raises(ValueError, match="^periodic autocorrelation is not "
+                                        "two-valued") as caught:
+        pn.load_chips(target)
+    assert "\n" not in str(caught.value)
+    # every rotation and the reversal of an m-sequence still pass
+    seq = pn.generate_glfsr(5)
+    for chips in (np.roll(seq.chips, 9), seq.chips[::-1]):
+        pn.ChipSequence(chips=chips, period_length=31)
 
 
 def test_reference_spectrum_is_cached_and_read_only(chips10):

@@ -8,6 +8,8 @@ import pytest
 from chansounder import pulse
 from chansounder.exceptions import NoSignalError
 
+from helpers import oracle_phase_energies
+
 
 def reference_rrc(rolloff, span, sps):
     """Closed-form oracle, written from the textbook formula."""
@@ -155,6 +157,46 @@ def test_recover_too_short(rrc_taps):
     good = pulse.BasebandSignal(np.zeros(4096), 1e6)
     with pytest.raises(ValueError, match="phase"):
         pulse.recover_symbols(good, rrc_taps, 4)
+
+
+def test_recover_window_is_a_slice_of_the_full_stream(rrc_taps):
+    # skip_symbols/count filter only the requested window; it must equal
+    # the same slice of the full decimated stream, also where the window
+    # runs past a short capture's end and is clamped
+    rng = np.random.default_rng(5)
+    span = len(rrc_taps.coefficients)
+    for size in (span, span + 3, 300, 1000):
+        samples = rng.normal(size=size) + 1j * rng.normal(size=size)
+        for origin in (0.0, -7e-6, 3e-6):
+            signal = pulse.BasebandSignal(samples, 1e6, origin)
+            for phase in range(4):
+                full = pulse.recover_symbols(signal, rrc_taps, phase)
+                for skip in (0, 1, 5, len(full) - 3, len(full), len(full) + 9):
+                    for count in (None, 0, 1, 40, len(full) + 5):
+                        got = pulse.recover_symbols(signal, rrc_taps, phase,
+                                                    skip_symbols=skip,
+                                                    count=count)
+                        stop = None if count is None else skip + count
+                        assert got.tobytes() == full[skip:stop].tobytes(), \
+                            (size, origin, phase, skip, count)
+    with pytest.raises(ValueError, match="nonnegative"):
+        pulse.recover_symbols(signal, rrc_taps, 0, skip_symbols=-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        pulse.recover_symbols(signal, rrc_taps, 0, count=-1)
+
+
+def test_stacked_phase_energies_match_per_phase_correlation(chips10):
+    # the timing search correlates all phases as one stack; every phase's
+    # energy must equal, bit for bit, its own 1-D correlation and 1-D sum.
+    # The stack arrives transposed (Fortran order), where a row-wise
+    # np.sum(axis=-1) rounds differently and a non-contiguous FFT result
+    # fails the profile's finiteness check
+    rng = np.random.default_rng(300)
+    for trial in range(300):
+        windows = rng.normal(size=(1023, 4)) + 1j * rng.normal(size=(1023, 4))
+        windows *= 10.0 ** rng.uniform(-6, 3)
+        got = pulse._phase_energies(chips10, windows.T)
+        assert got.tobytes() == oracle_phase_energies(chips10, windows).tobytes()
 
 
 @pytest.mark.parametrize("planted", [0, 1, 2, 3])
