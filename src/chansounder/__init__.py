@@ -22,7 +22,6 @@ from chansounder.campaign import (
 from chansounder.channel import (
     EnvironmentModel,
     MultipathChannel,
-    add_awgn,
     apply_channel,
     frequency_response,
     synthesize_channel,
@@ -33,7 +32,6 @@ from chansounder.multitx import (
     LeakageModel,
     SceneTransmitter,
     TdmaSchedule,
-    active_transmitter,
     build_frequency_plan,
     build_schedule,
     compose_received,
@@ -68,6 +66,7 @@ from chansounder.sliding import (
     wideband_path_loss,
 )
 from chansounder.sweep import (
+    FrequencySetup,
     NarrowbandLossSet,
     PhaseNoiseSkirt,
     SweepPlan,

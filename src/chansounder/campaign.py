@@ -12,22 +12,18 @@ sub-scenarios reproduce their slice of the full run exactly.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import json
 import math
-import types
-import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from chansounder import multitx, sliding, sweep
+from chansounder import multitx, schema, sliding, sweep
 from chansounder.channel import EnvironmentModel, synthesize_channel
 from chansounder.exceptions import NoSignalError
-from chansounder.pn import generate_glfsr
-from chansounder.pulse import BasebandSignal, design_rrc, modulate
+from chansounder.pulse import BasebandSignal, modulate
 
 SCHEMA_VERSION = 1
 MODE_SLIDING = "sliding"
@@ -47,31 +43,9 @@ def derive_seed(master_seed: int, *parts) -> int:
 @dataclass(frozen=True)
 class Transmitter:
     id: str
-    position: tuple
+    position: tuple[float, ...]
     tx_power_db: float = 0.0
     antenna_height_note: str | None = None
-
-
-@dataclass(frozen=True)
-class SlidingSetup:
-    chip_period_s: float = 60e-9
-    pn_degree: int = 10
-    polynomial: int | None = None
-    averaging_periods: int = 10
-    detection_threshold_db: float = 30.0
-    rolloff: float = 0.35
-    span_symbols: int = 12
-    samples_per_symbol: int = 4
-
-
-@dataclass(frozen=True)
-class FrequencySetup:
-    carriers_hz: tuple = tuple(700e6 + 2e6 * k for k in range(10))
-    sample_rate_hz: float = 1e6
-    fft_length: int = 4096
-    guard_band_hz: float = 25e3
-    step_duration_s: float = 5e-3
-    tone_offsets_hz: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -79,10 +53,16 @@ class ScheduleSetup:
     slot_length_s: float | None = None  # None: smallest slot fitting the burst
     guard_fraction: float = 0.05
 
+    def __post_init__(self):
+        if self.slot_length_s is not None and self.slot_length_s <= 0:
+            raise ValueError("slot_length_s: must be positive")
+        if not 0.0 <= self.guard_fraction < 0.5:
+            raise ValueError("guard_fraction: must be in [0, 0.5)")
+
 
 @dataclass(frozen=True)
 class ClockSetup:
-    tx_offsets_s: tuple | None = None  # explicit per-transmitter offsets
+    tx_offsets_s: tuple[float, ...] | None = None  # explicit per-transmitter offsets
     offset_std_s: float = 0.0          # else drawn per node from this spread
     rx_offset_s: float = 0.0
 
@@ -91,11 +71,11 @@ class ClockSetup:
 class Scenario:
     mode: str
     transmitters: tuple[Transmitter, ...]
-    receiver_path: tuple[tuple, ...]
+    receiver_path: tuple[tuple[float, ...], ...]
     environment: EnvironmentModel
     master_seed: int = 0
-    sliding: SlidingSetup = field(default_factory=SlidingSetup)
-    frequency: FrequencySetup = field(default_factory=FrequencySetup)
+    sliding: sliding.SounderConfig = field(default_factory=sliding.SounderConfig)
+    frequency: sweep.FrequencySetup = field(default_factory=sweep.FrequencySetup)
     schedule: ScheduleSetup = field(default_factory=ScheduleSetup)
     clocks: ClockSetup = field(default_factory=ClockSetup)
     leakage: multitx.LeakageModel = field(default_factory=multitx.LeakageModel)
@@ -118,6 +98,16 @@ class Scenario:
             raise ValueError("transmitters: ids must be unique")
         if self.geo is not None and len(self.geo) != len(self.receiver_path):
             raise ValueError("geo: must align one-to-one with receiver_path")
+        # every position has as many coordinates, 2 or 3, as the first
+        dimension = len(self.transmitters[0].position)
+        expected = dimension if dimension in (2, 3) else "2 or 3"
+        named = [(f"transmitters[{k}].position_m", tx.position)
+                 for k, tx in enumerate(self.transmitters)]
+        for name, position in named + [(f"receiver_path_m[{k}]", position)
+                                       for k, position in enumerate(self.receiver_path)]:
+            if len(position) != expected:
+                raise ValueError(f"{name}: expected {expected} coordinates like "
+                                 f"transmitters[0].position_m, got {len(position)}")
 
 
 @dataclass(frozen=True)
@@ -136,10 +126,10 @@ class MeasurementRecord:
     flags: tuple = ()
 
 
-def _sliding_geometry(setup: SlidingSetup, schedule: ScheduleSetup,
+def _sliding_geometry(config: sliding.SounderConfig, schedule: ScheduleSetup,
                       burst_samples: int, sample_rate: float):
     """Slot and guard sizes in samples, both multiples of one symbol."""
-    sps = setup.samples_per_symbol
+    sps = config.samples_per_symbol
     if schedule.slot_length_s is None:
         fraction = schedule.guard_fraction
         slot = math.ceil(burst_samples / (1.0 - 2.0 * fraction) / sps) * sps
@@ -176,29 +166,34 @@ def _tx_clock_offsets(scenario: Scenario) -> list:
     return [off - clocks.rx_offset_s for off in offsets]
 
 
-def _run_sliding(scenario: Scenario) -> list:
-    setup = scenario.sliding
-    chips = generate_glfsr(setup.pn_degree, setup.polynomial)
-    taps = design_rrc(setup.rolloff, setup.span_symbols, setup.samples_per_symbol)
-    config = sliding.SounderConfig(
-        chip_period=setup.chip_period_s,
-        pn_degree=setup.pn_degree,
-        averaging_periods=setup.averaging_periods,
-        detection_threshold_db=setup.detection_threshold_db,
-    )
-    burst = modulate(chips, setup.averaging_periods + 2, taps, setup.chip_period_s)
+def _prepare_sliding(scenario: Scenario) -> tuple:
+    """Chips, taps, per-transmitter waveforms, TDMA schedule, guard size
+    in samples and clock offsets."""
+    config = scenario.sliding
+    try:
+        chips, taps = sliding.reference(config)
+    except ValueError as exc:
+        raise schema.nested("sliding", sliding.SounderConfig, exc) from None
+    burst = modulate(chips, config.averaging_periods + 2, taps,
+                     config.chip_period_s)
     sample_rate = burst.sample_rate
     slot_samples, guard_samples = _sliding_geometry(
-        setup, scenario.schedule, len(burst), sample_rate)
+        config, scenario.schedule, len(burst), sample_rate)
     schedule = multitx.build_schedule(len(scenario.transmitters),
                                       slot_samples / sample_rate)
-    offsets = _tx_clock_offsets(scenario)
     waveforms = [
         BasebandSignal(samples=burst.samples * 10.0 ** (tx.tx_power_db / 20.0),
                        sample_rate=sample_rate, origin_time=burst.origin_time)
         for tx in scenario.transmitters
     ]
+    return (chips, taps, waveforms, schedule, guard_samples,
+            _tx_clock_offsets(scenario))
 
+
+def _run_sliding(scenario: Scenario) -> list:
+    config = scenario.sliding
+    chips, taps, waveforms, schedule, guard_samples, offsets = \
+        _prepare_sliding(scenario)
     records = []
     for loc_index, position in enumerate(scenario.receiver_path):
         geo = scenario.geo[loc_index] if scenario.geo is not None else None
@@ -209,7 +204,7 @@ def _run_sliding(scenario: Scenario) -> list:
             seeds.append(seed)
             chan, _ = synthesize_channel(scenario.environment, tx.position,
                                          position, seed,
-                                         delay_grid_s=setup.chip_period_s)
+                                         delay_grid_s=config.chip_period_s)
             scene.append(multitx.SceneTransmitter(
                 waveform=waveform, channel=chan, park_mode=scenario.park_mode,
                 clock=multitx.ClockModel(offset=offset)))
@@ -223,9 +218,9 @@ def _run_sliding(scenario: Scenario) -> list:
         location_flags = (FLAG_MISALIGNED,) if segmented.misaligned else ()
         for tx, segment, seed in zip(scenario.transmitters,
                                      segmented.segments, seeds):
-            tx_config = replace(config, tx_power_db=tx.tx_power_db)
             try:
-                profile = sliding.measure_sliding(segment, chips, taps, tx_config)
+                profile = sliding.measure_sliding(segment, chips, taps, config,
+                                                  tx.tx_power_db)
                 records.append(MeasurementRecord(
                     location_index=loc_index, position=tuple(position),
                     transmitter_id=tx.id, mode=MODE_SLIDING,
@@ -242,33 +237,28 @@ def _run_sliding(scenario: Scenario) -> list:
     return records
 
 
-def _frequency_plans(scenario: Scenario) -> tuple:
+def _prepare_frequency(scenario: Scenario) -> tuple:
     """Sweep plans plus the (frame, tone) assignment per transmitter."""
-    setup = scenario.frequency
     count = len(scenario.transmitters)
-    if setup.tone_offsets_hz is not None:
-        if len(setup.tone_offsets_hz) != count:
-            raise ValueError("frequency.tone_offsets_hz: one tone per transmitter")
-        plan = sweep.SweepPlan(
-            carrier_list=np.asarray(setup.carriers_hz, dtype=np.float64),
-            tone_offsets=np.asarray(setup.tone_offsets_hz, dtype=np.float64),
-            step_duration=setup.step_duration_s,
-            sample_rate=setup.sample_rate_hz,
-            fft_length=setup.fft_length,
-            guard_band=setup.guard_band_hz)
-        plans = [plan]
-        assignment = [(0, k) for k in range(count)]
-    else:
-        plans = multitx.build_frequency_plan(
-            count, setup.guard_band_hz, setup.sample_rate_hz,
-            setup.fft_length, setup.carriers_hz, setup.step_duration_s)
-        capacity = len(plans[0].tone_offsets)
-        assignment = [(k // capacity, k % capacity) for k in range(count)]
-    return plans, assignment
+    try:
+        plans = multitx.build_frequency_plan(scenario.frequency, count)
+    except ValueError as exc:
+        raise schema.nested("frequency", sweep.FrequencySetup, exc) from None
+    capacity = len(plans[0].tone_offsets)
+    return plans, [(k // capacity, k % capacity) for k in range(count)]
+
+
+def prepare(scenario: Scenario):
+    """Everything a campaign derives from its scenario before the first
+    location: chips, taps, slot geometry and clock offsets, or the sweep
+    plans. Raises ValueError naming the dotted field at fault."""
+    if scenario.mode == MODE_SLIDING:
+        return _prepare_sliding(scenario)
+    return _prepare_frequency(scenario)
 
 
 def _run_frequency(scenario: Scenario) -> list:
-    plans, assignment = _frequency_plans(scenario)
+    plans, assignment = _prepare_frequency(scenario)
     records = []
     for loc_index, position in enumerate(scenario.receiver_path):
         geo = scenario.geo[loc_index] if scenario.geo is not None else None
@@ -416,83 +406,6 @@ def export_heatmap(records, transmitter_id: str, path) -> None:
         raise OSError(f"cannot write heat map to {path}: {exc}") from exc
 
 
-# Where the scenario file differs from the dataclass fields: these keys
-# are renamed, these fields store infinity as null, park_mode sits inside
-# the leakage block, and tuples are stored as lists.
-_JSON_NAMES = {"position": "position_m", "receiver_path": "receiver_path_m"}
-_INF_AS_NULL = {"parked_leakage_db"}
-
-
-def _to_json(value):
-    if dataclasses.is_dataclass(value):
-        doc = {}
-        for f in dataclasses.fields(value):
-            item = getattr(value, f.name)
-            if f.name in _INF_AS_NULL and item == math.inf:
-                item = None
-            doc[_JSON_NAMES.get(f.name, f.name)] = _to_json(item)
-        return doc
-    if isinstance(value, tuple):
-        return [_to_json(item) for item in value]
-    return value
-
-
-def _from_json(kind, value, path: str):
-    """Convert a JSON value to the annotated type, naming path on errors."""
-    if typing.get_origin(kind) in (typing.Union, types.UnionType):
-        if value is None:
-            return None
-        kind = next(a for a in typing.get_args(kind) if a is not type(None))
-    if dataclasses.is_dataclass(kind):
-        return _dataclass_from_json(kind, value, path)
-    if kind is tuple or typing.get_origin(kind) is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(f"{path}: expected a list, got {value!r}")
-        if kind is tuple:
-            return tuple(value)
-        item_kind = typing.get_args(kind)[0]
-        return tuple(_from_json(item_kind, item, f"{path}[{i}]")
-                     for i, item in enumerate(value))
-    # exact JSON types: no rounding, no bools as numbers, no numbers or
-    # nulls as strings
-    if not isinstance(value, bool):
-        if kind is float and isinstance(value, (int, float)):
-            try:
-                return float(value)
-            except OverflowError:
-                raise ValueError(f"{path}: number too large for a float") from None
-        if kind in (int, str) and isinstance(value, kind):
-            return value
-    raise ValueError(f"{path}: expected {kind.__name__}, got {value!r}")
-
-
-def _dataclass_from_json(kind, doc, path: str):
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected an object, got {doc!r}")
-    prefix = f"{path}." if path else ""
-    fields = {_JSON_NAMES.get(f.name, f.name): f for f in dataclasses.fields(kind)}
-    for key in doc:
-        if key not in fields:
-            raise ValueError(f"{prefix}{key}: unknown field")
-    hints = typing.get_type_hints(kind)
-    kwargs = {}
-    for key, f in fields.items():
-        if key not in doc:
-            if (f.default is dataclasses.MISSING
-                    and f.default_factory is dataclasses.MISSING):
-                raise ValueError(f"{prefix}{key}: required field is missing")
-        elif f.name in _INF_AS_NULL and doc[key] is None:
-            kwargs[f.name] = math.inf
-        else:
-            kwargs[f.name] = _from_json(hints[f.name], doc[key], prefix + key)
-    try:
-        return kind(**kwargs)
-    except ValueError as exc:
-        if not path:
-            raise
-        raise ValueError(f"{path}: {exc}") from exc
-
-
 def scenario_from_json(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ValueError(f"scenario: expected an object, got {doc!r}")
@@ -509,25 +422,18 @@ def scenario_from_json(doc: dict) -> Scenario:
     if isinstance(leakage, dict) and "park_mode" in leakage:
         doc["leakage"] = dict(leakage)
         doc["park_mode"] = doc["leakage"].pop("park_mode")
-    return _dataclass_from_json(Scenario, doc, "")
+    return schema.from_json(Scenario, doc)
 
 
 def scenario_to_json(scenario: Scenario) -> dict:
-    doc = _to_json(scenario)
+    doc = schema.to_json(scenario)
     doc["leakage"]["park_mode"] = doc.pop("park_mode")
     return {"schema_version": SCHEMA_VERSION, "mode": doc.pop("mode"),
             "master_seed": doc.pop("master_seed"), **doc}
 
 
 def load_scenario(path) -> Scenario:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise OSError(f"cannot read scenario from {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    return scenario_from_json(doc)
+    return scenario_from_json(schema.read_json(path))
 
 
 def save_scenario(scenario: Scenario, path) -> None:

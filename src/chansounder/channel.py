@@ -10,10 +10,8 @@ oracle for the frequency-domain sounder.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -59,22 +57,22 @@ class EnvironmentModel:
     path_loss_exponent: float
     reference_distance_m: float = 1.0
     delay_spread_scale_s: float = 0.0
-    tap_count_range: tuple = (1, 1)
+    tap_count_range: tuple[int, int] = (1, 1)
     wall_loss_db: float = 0.0
     wall_grid_spacing_m: float | None = None
 
     def __post_init__(self):
         if self.path_loss_exponent <= 0:
-            raise ValueError("path_loss_exponent must be positive")
+            raise ValueError("path_loss_exponent: must be positive")
         if self.reference_distance_m <= 0:
-            raise ValueError("reference_distance_m must be positive")
+            raise ValueError("reference_distance_m: must be positive")
         if self.delay_spread_scale_s < 0:
-            raise ValueError("delay_spread_scale_s must be nonnegative")
+            raise ValueError("delay_spread_scale_s: must be nonnegative")
         lo, hi = self.tap_count_range
         if not (1 <= lo <= hi):
-            raise ValueError(f"bad tap_count_range {self.tap_count_range}")
+            raise ValueError(f"tap_count_range: bad range {self.tap_count_range}")
         if self.wall_loss_db < 0:
-            raise ValueError("wall_loss_db must be nonnegative")
+            raise ValueError("wall_loss_db: must be nonnegative")
 
 
 def apply_channel(signal: BasebandSignal, channel: MultipathChannel) -> BasebandSignal:
@@ -97,24 +95,6 @@ def apply_channel(signal: BasebandSignal, channel: MultipathChannel) -> Baseband
     for gain, shift in zip(channel.gains, shifts):
         out[shift:shift + len(signal)] += gain * signal.samples
     return BasebandSignal(samples=out, sample_rate=signal.sample_rate,
-                          origin_time=signal.origin_time)
-
-
-def add_awgn(signal: BasebandSignal, noise_power_dbfs: float,
-             seed: int) -> BasebandSignal:
-    """Add circularly symmetric complex Gaussian noise.
-
-    noise_power_dbfs is the total noise variance in dB; -inf leaves the
-    signal untouched. Deterministic for a fixed seed.
-    """
-    if noise_power_dbfs == -math.inf:
-        return signal
-    rng = np.random.default_rng(seed)
-    sigma = math.sqrt(10.0 ** (noise_power_dbfs / 10.0) / 2.0)
-    noise = rng.normal(scale=sigma, size=len(signal)) \
-        + 1j * rng.normal(scale=sigma, size=len(signal))
-    return BasebandSignal(samples=signal.samples + noise,
-                          sample_rate=signal.sample_rate,
                           origin_time=signal.origin_time)
 
 
@@ -181,24 +161,3 @@ def synthesize_channel(env: EnvironmentModel, tx_position, rx_position,
     phases = rng.uniform(0.0, 2.0 * np.pi, tap_count)
     gains = np.sqrt(powers) * np.exp(1j * phases)
     return MultipathChannel(gains=gains, delays=delays), loss_db
-
-
-def channel_to_json(channel: MultipathChannel) -> list:
-    return [
-        {"gain_re": float(g.real), "gain_im": float(g.imag), "delay_s": float(d)}
-        for g, d in zip(channel.gains, channel.delays)
-    ]
-
-
-def channel_from_json(taps: list) -> MultipathChannel:
-    gains = [complex(t["gain_re"], t["gain_im"]) for t in taps]
-    delays = [t["delay_s"] for t in taps]
-    return MultipathChannel(gains=np.array(gains), delays=np.array(delays))
-
-
-def save_channel(channel: MultipathChannel, path) -> None:
-    Path(path).write_text(json.dumps(channel_to_json(channel), indent=2) + "\n")
-
-
-def load_channel(path) -> MultipathChannel:
-    return channel_from_json(json.loads(Path(path).read_text()))

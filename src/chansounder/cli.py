@@ -9,13 +9,14 @@ final stdout line is a machine-readable status object.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 from pathlib import Path
 
-from chansounder import campaign, pn, pulse, sliding, sweep
+from chansounder import campaign, multitx, pn, pulse, schema, sliding, sweep
 from chansounder.exceptions import NoSignalError
 
 
@@ -44,15 +45,13 @@ def _cmd_gen_pn(args) -> dict:
 
 def _cmd_sound_sliding(args) -> dict:
     capture = pulse.read_iq(args.capture)
-    polynomial = int(args.polynomial, 0) if args.polynomial else None
-    chips = pn.generate_glfsr(args.degree, polynomial)
-    taps = pulse.design_rrc(args.rolloff, args.span, args.sps)
-    config = sliding.SounderConfig(
-        chip_period=args.chip_period, pn_degree=args.degree,
-        averaging_periods=args.periods,
-        detection_threshold_db=args.threshold_db,
-        tx_power_db=args.tx_power_db)
+    settings = {f.name: getattr(args, f.name)
+                for f in dataclasses.fields(sliding.SounderConfig)}
+    settings["polynomial"] = int(args.polynomial, 0) if args.polynomial else None
+    config = sliding.SounderConfig(**settings)
+    chips, taps = sliding.reference(config)
     profile = sliding.measure_sliding(capture, chips, taps, config,
+                                      args.tx_power_db,
                                       settle_periods=args.settle_periods)
     target = _out_dir(args) / args.name
     target.write_text(json.dumps(sliding.profile_to_json(profile), indent=2) + "\n")
@@ -62,7 +61,10 @@ def _cmd_sound_sliding(args) -> dict:
 
 
 def _cmd_sound_freq(args) -> dict:
-    plan = sweep.load_plan(args.plan)
+    setup = schema.load(sweep.FrequencySetup, args.plan)
+    tones = setup.tone_offsets_hz
+    plan = multitx.build_frequency_plan(
+        setup, len(tones) if tones is not None else 1)[0]
     if len(args.captures) != plan.step_count:
         raise ValueError(
             f"need one capture per carrier step ({plan.step_count}), "
@@ -101,9 +103,7 @@ def _cmd_campaign(args) -> dict:
 
 def _cmd_validate(args) -> dict:
     scenario = campaign.load_scenario(args.scenario)
-    # frequency plans carry extra constraints checked at construction
-    if scenario.mode == campaign.MODE_FREQUENCY:
-        campaign._frequency_plans(scenario)
+    campaign.prepare(scenario)
     return {"outputs": [], "valid": True,
             "mode": scenario.mode,
             "transmitters": len(scenario.transmitters),
@@ -132,15 +132,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sound-sliding", parents=[common], help="delay profile from one I/Q capture")
     s.add_argument("--capture", required=True)
-    s.add_argument("--degree", type=int, default=10)
-    s.add_argument("--polynomial", default=None)
-    s.add_argument("--chip-period", type=float, default=60e-9)
-    s.add_argument("--rolloff", type=float, default=0.35)
-    s.add_argument("--span", type=int, default=12)
-    s.add_argument("--sps", type=int, default=4)
-    s.add_argument("--periods", type=int, default=10)
+    # one flag per SounderConfig field, defaulting to the field's default
+    config = sliding.SounderConfig()
+    for flag, name, kind in (
+            ("--degree", "pn_degree", int), ("--polynomial", "polynomial", str),
+            ("--chip-period", "chip_period_s", float), ("--rolloff", "rolloff", float),
+            ("--span", "span_symbols", int), ("--sps", "samples_per_symbol", int),
+            ("--periods", "averaging_periods", int),
+            ("--threshold-db", "detection_threshold_db", float)):
+        s.add_argument(flag, dest=name, type=kind, default=getattr(config, name))
     s.add_argument("--settle-periods", type=int, default=1)
-    s.add_argument("--threshold-db", type=float, default=30.0)
     s.add_argument("--tx-power-db", type=float, default=0.0)
     s.add_argument("--name", default="profile.json")
     s.set_defaults(handler=_cmd_sound_sliding)

@@ -18,7 +18,7 @@ import numpy as np
 
 from chansounder.channel import MultipathChannel, apply_channel
 from chansounder.pulse import BasebandSignal
-from chansounder.sweep import SweepPlan
+from chansounder.sweep import FrequencySetup, SweepPlan
 
 PARK_OFF_BAND = "off_band"
 PARK_IN_BAND = "in_band"
@@ -49,13 +49,9 @@ class TdmaSchedule:
 
 @dataclass(frozen=True)
 class ClockModel:
-    """Per-node clock error: fixed offset and linear drift."""
+    """Per-node clock error: a fixed offset in seconds."""
 
     offset: float = 0.0
-    drift: float = 0.0
-
-    def perceived(self, true_time: float) -> float:
-        return true_time + self.offset + self.drift * true_time
 
 
 NTP_OFFSET_STD = 5e-3    # typical spread of NTP-disciplined laptop clocks
@@ -114,25 +110,15 @@ def build_schedule(transmitter_count: int, slot_length: float) -> TdmaSchedule:
                         transmitter_count=transmitter_count)
 
 
-def active_transmitter(schedule: TdmaSchedule, time: float,
-                       clock_offset: float = 0.0) -> int:
-    """Index of the transmitter owning the slot at the perceived time."""
-    if time < 0:
-        raise ValueError("time must be nonnegative")
-    perceived = time + clock_offset
-    position = perceived % schedule.period
-    return int(position // schedule.slot_length) % schedule.transmitter_count
-
-
 def _place_by_slices(out, received, offset_samples, slot_start,
                      slot_samples, period_samples, burst_offset_samples,
                      leak_gain):
-    """Add one drift-free transmitter's bursts and leakage to out.
+    """Add one transmitter's bursts and leakage to out.
 
     Sample k is perceived at k + offset_samples, so the slot repeats at
     capture samples slot_start - offset_samples (mod period_samples).
-    Each sample gets the same single addend as the per-sample mapping of
-    compose_received, so the two agree bit for bit.
+    Each sample gets the same single addend as mapping every sample
+    through its perceived slot position would give it, bit for bit.
     """
     n = len(out)
     if leak_gain > 0.0:
@@ -181,10 +167,9 @@ def compose_received(scene, schedule: TdmaSchedule,
     else it contributes an attenuated, periodically tiled copy — the
     correlated leakage that creates the near-far problem. All slot
     bookkeeping is done in integer samples so identical scenes compose
-    bit-identically. A drift-free clock places the burst by slices and
-    the leakage from one leak-scaled copy of the received waveform, added
-    in wrapped slices, so no capture-length tile is built; a drifting
-    clock maps every sample through its clock. Noise, when asked for, is
+    bit-identically. Bursts are placed by slices and the leakage from one
+    leak-scaled copy of the received waveform, added in wrapped slices,
+    so no capture-length tile is built. Noise, when asked for, is
     drawn from a generator seeded with seed, in-phase rail first, and
     added to each rail in place.
     """
@@ -212,27 +197,9 @@ def compose_received(scene, schedule: TdmaSchedule,
     out = np.zeros(n, dtype=np.complex128)
     for i, tx in enumerate(scene):
         received = apply_channel(tx.waveform, tx.channel).samples
-        offset_samples = int(round(tx.clock.perceived(0.0) * rate))
-        leak_gain = leakage.gain(tx.park_mode)
-        if tx.clock.drift == 0:
-            _place_by_slices(out, received, offset_samples, i * slot_samples,
-                             slot_samples, period_samples,
-                             burst_offset_samples, leak_gain)
-            continue
-        sample_index = np.arange(n)
-        drift_samples = np.rint(tx.clock.drift * sample_index).astype(np.int64)
-        perceived = sample_index + offset_samples + drift_samples
-        position = perceived % period_samples
-        local = position - i * slot_samples
-        active = (local >= 0) & (local < slot_samples)
-
-        burst_index = local - burst_offset_samples
-        valid = active & (burst_index >= 0) & (burst_index < len(received))
-        out[valid] += received[burst_index[valid]]
-
-        if leak_gain > 0.0:
-            idle = ~active
-            out[idle] += leak_gain * received[perceived[idle] % len(received)]
+        _place_by_slices(out, received, int(round(tx.clock.offset * rate)),
+                         i * slot_samples, slot_samples, period_samples,
+                         burst_offset_samples, leakage.gain(tx.park_mode))
 
     if noise_power_dbfs is not None and noise_power_dbfs != -math.inf:
         rng = np.random.default_rng(seed)
@@ -309,23 +276,34 @@ def segment_capture(signal: BasebandSignal, schedule: TdmaSchedule,
     )
 
 
-def build_frequency_plan(transmitter_count: int, guard_band: float,
-                         sample_rate: float, fft_length: int,
-                         carriers, step_duration: float,
-                         tone_spacing: float | None = None,
-                         max_frames: int | None = None) -> list[SweepPlan]:
-    """Assign bin-centered tone offsets to transmitters, frame by frame.
+def build_frequency_plan(setup: FrequencySetup,
+                         transmitter_count: int) -> list[SweepPlan]:
+    """Turn a frequency block into sweep plans, one per time frame.
 
-    Tones are packed from the bottom of the Nyquist band with at least a
-    guard band between neighbors. When the count exceeds one frame's
-    capacity the surplus rolls into additional time frames (separation in
-    both time and frequency). Raises when the capacity is zero or the
-    frame budget is exceeded, naming the computed capacity.
+    Explicit tone_offsets_hz give one frame with one tone per
+    transmitter. Otherwise bin-centered tones are packed from the bottom
+    of the Nyquist band with at least a guard band between neighbors;
+    when the count exceeds one frame's capacity the surplus rolls into
+    additional time frames (separation in both time and frequency).
+    Transmitter k gets tone k % capacity of frame k // capacity, where
+    capacity is the first frame's tone count. Raises when the capacity
+    is zero, naming it.
     """
     if transmitter_count < 1:
         raise ValueError("transmitter_count must be >= 1")
+    carriers = np.asarray(setup.carriers_hz, dtype=np.float64)
+    sample_rate, fft_length = setup.sample_rate_hz, setup.fft_length
+    guard_band = setup.guard_band_hz
+    if setup.tone_offsets_hz is not None:
+        if len(setup.tone_offsets_hz) != transmitter_count:
+            raise ValueError("tone_offsets_hz: one tone per transmitter")
+        return [SweepPlan(
+            carrier_list=carriers,
+            tone_offsets=np.asarray(setup.tone_offsets_hz, dtype=np.float64),
+            step_duration=setup.step_duration_s, sample_rate=sample_rate,
+            fft_length=fft_length, guard_band=guard_band)]
     if guard_band <= 0:
-        raise ValueError("guard_band must be positive")
+        raise ValueError("guard_band_hz: must be positive")
     capacity = int(math.floor((sample_rate - guard_band) / guard_band))
     if capacity < 1:
         raise ValueError(
@@ -334,8 +312,7 @@ def build_frequency_plan(transmitter_count: int, guard_band: float,
         )
 
     bin_width = sample_rate / fft_length
-    spacing = max(guard_band, tone_spacing or 0.0)
-    spacing = math.ceil(spacing / bin_width - 1e-9) * bin_width
+    spacing = math.ceil(guard_band / bin_width - 1e-9) * bin_width
     start = math.ceil((-sample_rate / 2.0 + guard_band) / bin_width) * bin_width
     # how many tones actually fit between start and the Nyquist edge
     fit = int(math.floor((sample_rate / 2.0 - bin_width - start) / spacing)) + 1
@@ -345,21 +322,14 @@ def build_frequency_plan(transmitter_count: int, guard_band: float,
             f"no tone fits the {sample_rate} Hz band with guard {guard_band} Hz"
         )
 
-    frames_needed = math.ceil(transmitter_count / capacity)
-    if max_frames is not None and frames_needed > max_frames:
-        raise ValueError(
-            f"{transmitter_count} transmitters exceed {max_frames} frame(s) "
-            f"at {capacity} tones per frame"
-        )
     offsets = start + spacing * np.arange(min(transmitter_count, capacity))
     plans = []
-    for frame in range(frames_needed):
-        lo = frame * capacity
-        count = min(capacity, transmitter_count - lo)
+    for frame in range(math.ceil(transmitter_count / capacity)):
+        count = min(capacity, transmitter_count - frame * capacity)
         plans.append(SweepPlan(
-            carrier_list=np.asarray(carriers, dtype=np.float64),
+            carrier_list=carriers,
             tone_offsets=offsets[:count],
-            step_duration=step_duration,
+            step_duration=setup.step_duration_s,
             sample_rate=sample_rate,
             fft_length=fft_length,
             guard_band=guard_band,

@@ -8,7 +8,6 @@ the samples-per-symbol grid, which is exact at simulation scale.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,6 +15,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from chansounder import schema
 from chansounder.exceptions import NoSignalError
 from chansounder.pn import ChipSequence, circular_correlate
 
@@ -23,6 +23,7 @@ DEFAULT_ROLLOFF = 0.35
 DEFAULT_SPAN_SYMBOLS = 12
 DEFAULT_SAMPLES_PER_SYMBOL = 4
 DEFAULT_CHIP_PERIOD = 60e-9
+IQ_FORMAT = "cf32_le"
 
 
 @dataclass(frozen=True)
@@ -158,11 +159,11 @@ def design_rrc(rolloff: float = DEFAULT_ROLLOFF,
             closed-form samples.
     """
     if not 0.0 < rolloff <= 1.0:
-        raise ValueError("rolloff must be in (0, 1]")
+        raise ValueError("rolloff: must be in (0, 1]")
     if span_symbols < 4 or span_symbols % 2 != 0:
-        raise ValueError("span_symbols must be an even integer >= 4")
+        raise ValueError("span_symbols: must be an even integer >= 4")
     if samples_per_symbol < 2:
-        raise ValueError("samples_per_symbol must be >= 2")
+        raise ValueError("samples_per_symbol: must be >= 2")
 
     h = _rrc_closed_form(rolloff, span_symbols, samples_per_symbol)
     if nyquist_correction:
@@ -315,6 +316,23 @@ def _phase_energies(chips: ChipSequence, phases: np.ndarray) -> np.ndarray:
     return np.array([np.sum(row) for row in power])
 
 
+@dataclass(frozen=True)
+class IqSidecar:
+    """The JSON sidecar that describes a raw I/Q capture file."""
+
+    format: str
+    sample_rate_hz: float
+    origin_time_s: float
+    sample_count: int
+
+    def __post_init__(self):
+        if self.format != IQ_FORMAT:
+            raise ValueError(f"format: {self.format!r} is not supported, "
+                             f"only {IQ_FORMAT!r}")
+        if self.sample_rate_hz <= 0:
+            raise ValueError("sample_rate_hz: must be positive")
+
+
 def write_iq(signal: BasebandSignal, path) -> None:
     """Write interleaved little-endian float32 I/Q plus a JSON sidecar."""
     path = Path(path)
@@ -322,31 +340,29 @@ def write_iq(signal: BasebandSignal, path) -> None:
     interleaved[0::2] = signal.samples.real
     interleaved[1::2] = signal.samples.imag
     interleaved.tofile(path)
-    sidecar = {
-        "format": "cf32_le",
-        "sample_rate_hz": signal.sample_rate,
-        "origin_time_s": signal.origin_time,
-        "sample_count": len(signal),
-    }
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    schema.save(IqSidecar(format=IQ_FORMAT, sample_rate_hz=signal.sample_rate,
+                          origin_time_s=signal.origin_time,
+                          sample_count=len(signal)),
+                str(path) + ".json")
 
 
 def read_iq(path) -> BasebandSignal:
-    """Read a waveform written by write_iq, checked against its sidecar."""
+    """Read a waveform written by write_iq, checked against its strictly
+    loaded sidecar."""
     path = Path(path)
-    sidecar = json.loads(Path(str(path) + ".json").read_text())
-    if sidecar["format"] != "cf32_le":
-        raise ValueError(f"{path}: sidecar format {sidecar['format']!r} "
-                         f"is not supported, only 'cf32_le'")
+    sidecar_path = str(path) + ".json"
+    try:
+        sidecar = schema.load(IqSidecar, sidecar_path)
+    except ValueError as exc:
+        raise ValueError(f"{sidecar_path}: {exc}") from None
     raw = np.fromfile(path, dtype="<f4")
     if len(raw) % 2:
         raise ValueError(f"{path}: odd float count {len(raw)}, "
                          f"not whole cf32_le I/Q pairs")
-    if sidecar["sample_count"] != len(raw) // 2:
+    if sidecar.sample_count != len(raw) // 2:
         raise ValueError(f"{path}: sidecar sample_count "
-                         f"{sidecar['sample_count']} does not match the "
+                         f"{sidecar.sample_count} does not match the "
                          f"{len(raw) // 2} samples in the file")
     samples = raw[0::2].astype(np.float64) + 1j * raw[1::2].astype(np.float64)
-    return BasebandSignal(samples=samples,
-                          sample_rate=float(sidecar["sample_rate_hz"]),
-                          origin_time=float(sidecar["origin_time_s"]))
+    return BasebandSignal(samples=samples, sample_rate=sidecar.sample_rate_hz,
+                          origin_time=sidecar.origin_time_s)

@@ -1,0 +1,136 @@
+"""Strict JSON mapping of the frozen dataclasses behind every input file.
+
+Scenarios, sweep plans and I/Q sidecars are read through one recursive
+loader over dataclasses.fields and the type hints. It rejects unknown
+keys, missing required fields and values that would need guessing (10.7
+for an int, true for a number, null for a string), and every error is a
+one-line ValueError that starts with the dotted path of the field.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import math
+import types
+import typing
+from pathlib import Path
+
+# Where the files differ from the dataclass fields: these keys are
+# renamed, these fields store infinity as null, and tuples are lists.
+_JSON_NAMES = {"position": "position_m", "receiver_path": "receiver_path_m"}
+_INF_AS_NULL = {"parked_leakage_db"}
+
+
+def to_json(value):
+    """The JSON document of a dataclass, field by field, in field order."""
+    if dataclasses.is_dataclass(value):
+        doc = {}
+        for f in dataclasses.fields(value):
+            item = getattr(value, f.name)
+            if f.name in _INF_AS_NULL and item == math.inf:
+                item = None
+            doc[_JSON_NAMES.get(f.name, f.name)] = to_json(item)
+        return doc
+    if isinstance(value, tuple):
+        return [to_json(item) for item in value]
+    return value
+
+
+def from_json(kind, value, path: str = ""):
+    """Convert a JSON value to the annotated type, naming path on errors."""
+    if typing.get_origin(kind) in (typing.Union, types.UnionType):
+        if value is None:
+            return None
+        kind = next(a for a in typing.get_args(kind) if a is not type(None))
+    if dataclasses.is_dataclass(kind):
+        return _dataclass_from_json(kind, value, path)
+    if kind is tuple or typing.get_origin(kind) is tuple:
+        return _tuple_from_json(kind, value, path)
+    # exact JSON types: no rounding, no bools as numbers, no numbers or
+    # nulls as strings
+    if not isinstance(value, bool):
+        if kind is float and isinstance(value, (int, float)):
+            try:
+                return float(value)
+            except OverflowError:
+                raise ValueError(f"{path}: number too large for a float") from None
+        if kind in (int, str) and isinstance(value, kind):
+            return value
+    raise ValueError(f"{path}: expected {kind.__name__}, got {value!r}")
+
+
+def _tuple_from_json(kind, value, path: str) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{path}: expected a list, got {value!r}")
+    items = typing.get_args(kind)
+    if not items:  # a bare tuple passes its items through
+        return tuple(value)
+    if len(items) == 2 and items[1] is Ellipsis:
+        items = (items[0],) * len(value)
+    elif len(value) != len(items):
+        raise ValueError(f"{path}: expected {len(items)} items, got {len(value)}")
+    return tuple(from_json(item_kind, item, f"{path}[{i}]")
+                 for i, (item_kind, item) in enumerate(zip(items, value)))
+
+
+def _dataclass_from_json(kind, doc, path: str):
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path or kind.__name__}: expected an object, got {doc!r}")
+    prefix = f"{path}." if path else ""
+    fields = {_JSON_NAMES.get(f.name, f.name): f for f in dataclasses.fields(kind)}
+    for key in doc:
+        if key not in fields:
+            raise ValueError(f"{prefix}{key}: unknown field")
+    hints = typing.get_type_hints(kind)
+    kwargs = {}
+    for key, f in fields.items():
+        if key not in doc:
+            if (f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING):
+                raise ValueError(f"{prefix}{key}: required field is missing")
+        elif f.name in _INF_AS_NULL and doc[key] is None:
+            kwargs[f.name] = math.inf
+        else:
+            kwargs[f.name] = from_json(hints[f.name], doc[key], prefix + key)
+    try:
+        return kind(**kwargs)
+    except ValueError as exc:
+        raise nested(path, kind, exc) from exc
+
+
+def nested(path: str, kind, exc: ValueError) -> ValueError:
+    """exc from a check of a kind object found at path, as one line.
+
+    A message that starts with a field of kind ("rolloff: ...") extends
+    the dotted path; any other message follows the path.
+    """
+    message = str(exc)
+    if not path:
+        return ValueError(message)
+    names = {_JSON_NAMES.get(f.name, f.name) for f in dataclasses.fields(kind)}
+    if message.split(":")[0].split("[")[0] in names:
+        return ValueError(f"{path}.{message}")
+    return ValueError(f"{path}: {message}")
+
+
+def read_json(path):
+    """The decoded JSON document of a file, with one-line errors."""
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def load(kind, path):
+    """Read a file holding one kind document, strictly."""
+    return from_json(kind, read_json(path))
+
+
+def save(value, path) -> None:
+    Path(path).write_text(json.dumps(to_json(value), indent=2) + "\n")

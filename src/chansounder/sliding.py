@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from chansounder.exceptions import NoSignalError
-from chansounder.pn import ChipSequence, circular_correlate
+from chansounder.pn import MAX_DEGREE, ChipSequence, circular_correlate, generate_glfsr
 from chansounder.pulse import (
     BasebandSignal,
     FilterTaps,
+    design_rrc,
     estimate_timing_phase,
     recover_symbols,
 )
@@ -28,21 +29,46 @@ DETECTION_SIGMA_FACTOR = 5.0
 
 @dataclass(frozen=True)
 class SounderConfig:
-    """Sliding-correlator receiver settings."""
+    """Sliding-correlator settings, shared by transmitter and receiver:
+    the scenario file's sliding block, field for field.
 
-    chip_period: float = 60e-9
+    The PN chips and the RRC taps follow from the config through
+    reference(), which also checks the polynomial and the pulse fields.
+    """
+
+    chip_period_s: float = 60e-9
     pn_degree: int = 10
+    polynomial: int | None = None
     averaging_periods: int = 10
     detection_threshold_db: float = 30.0
-    tx_power_db: float = 0.0
+    rolloff: float = 0.35
+    span_symbols: int = 12
+    samples_per_symbol: int = 4
 
     def __post_init__(self):
-        if self.chip_period <= 0:
-            raise ValueError("chip_period must be positive")
+        if self.chip_period_s <= 0:
+            raise ValueError("chip_period_s: must be positive")
+        if not 2 <= self.pn_degree <= MAX_DEGREE:
+            raise ValueError(f"pn_degree: must be in [2, {MAX_DEGREE}]")
         if self.averaging_periods < 1:
-            raise ValueError("averaging_periods must be >= 1")
+            raise ValueError("averaging_periods: must be >= 1")
         if self.detection_threshold_db <= 0:
-            raise ValueError("detection_threshold_db must be positive")
+            raise ValueError("detection_threshold_db: must be positive")
+
+
+def reference(config: SounderConfig) -> tuple[ChipSequence, FilterTaps]:
+    """The PN chip sequence and the RRC taps that config names.
+
+    A ValueError starts with the config field at fault: design_rrc's
+    arguments carry the field names, and the degree is checked already,
+    so a sequence that cannot be generated is the polynomial's fault.
+    """
+    try:
+        chips = generate_glfsr(config.pn_degree, config.polynomial)
+    except ValueError as exc:
+        raise ValueError(f"polynomial: {exc}") from None
+    return chips, design_rrc(config.rolloff, config.span_symbols,
+                             config.samples_per_symbol)
 
 
 @dataclass(frozen=True)
@@ -152,14 +178,17 @@ def _rotate_to_first_arrival(lags: np.ndarray, period: int) -> np.ndarray:
     return lags[(int(np.argmax(gaps)) + 1) % len(lags)]
 
 
-def sound(symbols, chips: ChipSequence, config: SounderConfig) -> DelayProfile:
+def sound(symbols, chips: ChipSequence, config: SounderConfig,
+          tx_power_db: float = 0.0) -> DelayProfile:
     """Estimate the delay profile from symbol-rate capture samples.
 
     Averages M consecutive chip periods coherently, correlates once (the
     two commute), removes the exactly computable -1/N sidelobe bias, and
     keeps every lag whose magnitude clears both the relative detection
     threshold and five empirical off-peak standard deviations. Lags are
-    reported relative to the first arrival.
+    reported relative to the first arrival. The wideband path loss is
+    tx_power_db, the transmitter's power in dB, minus the total tap
+    power.
 
     Raises NoSignalError when no lag rises above the detection floor.
     """
@@ -190,18 +219,19 @@ def sound(symbols, chips: ChipSequence, config: SounderConfig) -> DelayProfile:
     return DelayProfile(
         lags=lags,
         gains=gains,
-        chip_period=config.chip_period,
-        wideband_path_loss_db=wideband_path_loss(gains, config.tx_power_db),
-        rms_delay_spread=rms_delay_spread(lags, gains, config.chip_period),
+        chip_period=config.chip_period_s,
+        wideband_path_loss_db=wideband_path_loss(gains, tx_power_db),
+        rms_delay_spread=rms_delay_spread(lags, gains, config.chip_period_s),
     )
 
 
 def measure_sliding(capture: BasebandSignal, chips: ChipSequence,
                     taps: FilterTaps, config: SounderConfig,
-                    settle_periods: int = 1,
+                    tx_power_db: float = 0.0, settle_periods: int = 1,
                     phase: int | None = None) -> DelayProfile:
     """Full receive chain: timing phase search, matched filtering,
-    symbol recovery, then sound().
+    symbol recovery, then sound() with the transmitter's power
+    tx_power_db (dB).
 
     The capture must hold settle_periods + averaging_periods chip periods
     of shaped waveform; the leading settle keeps filter ramp-in out of
@@ -213,7 +243,7 @@ def measure_sliding(capture: BasebandSignal, chips: ChipSequence,
         phase = estimate_timing_phase(capture, chips, taps, skip_symbols=skip)
     window = recover_symbols(capture, taps, phase, skip_symbols=skip,
                              count=config.averaging_periods * n)
-    return sound(window, chips, config)
+    return sound(window, chips, config, tx_power_db)
 
 
 def profile_to_json(profile: DelayProfile) -> dict:

@@ -10,27 +10,35 @@ orthogonal; off-grid offsets are rejected outright.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from chansounder.channel import MultipathChannel
 from chansounder.pulse import BasebandSignal
 
-DEFAULT_SAMPLE_RATE = 1e6
-DEFAULT_FFT_LENGTH = 4096
-DEFAULT_GUARD_BAND = 25e3
-DEFAULT_CARRIER_SPACING = 2e6
-DEFAULT_CARRIER_COUNT = 10
-DEFAULT_CARRIER_START = 700e6
+@dataclass(frozen=True)
+class FrequencySetup:
+    """Stepped-frequency settings: a scenario's frequency block, and on its
+    own the sweep plan file that sound-freq reads.
+
+    tone_offsets_hz names one tone per transmitter; left None, the tones
+    are packed automatically (multitx.build_frequency_plan).
+    """
+
+    carriers_hz: tuple[float, ...] = tuple(700e6 + 2e6 * k for k in range(10))
+    sample_rate_hz: float = 1e6
+    fft_length: int = 4096
+    guard_band_hz: float = 25e3
+    step_duration_s: float = 5e-3
+    tone_offsets_hz: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """Carrier list plus tone assignment for one synchronized sweep."""
+    """Carrier list plus tone assignment for one synchronized sweep frame,
+    derived from a FrequencySetup."""
 
     carrier_list: np.ndarray
     tone_offsets: np.ndarray
@@ -122,22 +130,6 @@ class PhaseNoiseSkirt:
         offset = np.maximum(np.abs(offset_hz), 1e-3)
         return -(self.ref_level_dbc
                  + self.slope_db_per_decade * np.log10(offset / self.ref_offset_hz))
-
-
-def default_sweep_plan(tone_offsets=None) -> SweepPlan:
-    """Ten carriers at 2 MHz spacing with simulation-friendly defaults."""
-    carriers = DEFAULT_CARRIER_START + DEFAULT_CARRIER_SPACING * np.arange(DEFAULT_CARRIER_COUNT)
-    bin_width = DEFAULT_SAMPLE_RATE / DEFAULT_FFT_LENGTH
-    if tone_offsets is None:
-        tone_offsets = [round(100e3 / bin_width) * bin_width]
-    return SweepPlan(
-        carrier_list=carriers,
-        tone_offsets=np.asarray(tone_offsets, dtype=np.float64),
-        step_duration=5e-3,
-        sample_rate=DEFAULT_SAMPLE_RATE,
-        fft_length=DEFAULT_FFT_LENGTH,
-        guard_band=DEFAULT_GUARD_BAND,
-    )
 
 
 def generate_tone(offset: float, duration: float, sample_rate: float,
@@ -335,33 +327,3 @@ def losses_from_json(doc: dict) -> NarrowbandLossSet:
         transmitter_id=doc["transmitter_id"],
         tone_offset=float(doc["tone_offset_hz"]),
     )
-
-
-def plan_to_json(plan: SweepPlan) -> dict:
-    return {
-        "carriers_hz": [float(c) for c in plan.carrier_list],
-        "tone_offsets_hz": [float(f) for f in plan.tone_offsets],
-        "step_duration_s": plan.step_duration,
-        "sample_rate_hz": plan.sample_rate,
-        "fft_length": plan.fft_length,
-        "guard_band_hz": plan.guard_band,
-    }
-
-
-def plan_from_json(doc: dict) -> SweepPlan:
-    return SweepPlan(
-        carrier_list=np.asarray(doc["carriers_hz"], dtype=np.float64),
-        tone_offsets=np.asarray(doc["tone_offsets_hz"], dtype=np.float64),
-        step_duration=float(doc["step_duration_s"]),
-        sample_rate=float(doc["sample_rate_hz"]),
-        fft_length=int(doc["fft_length"]),
-        guard_band=float(doc["guard_band_hz"]),
-    )
-
-
-def save_plan(plan: SweepPlan, path) -> None:
-    Path(path).write_text(json.dumps(plan_to_json(plan), indent=2) + "\n")
-
-
-def load_plan(path) -> SweepPlan:
-    return plan_from_json(json.loads(Path(path).read_text()))

@@ -5,15 +5,31 @@ import math
 import numpy as np
 
 from chansounder import channel as ch
-from chansounder import pulse, sliding, sweep
+from chansounder import multitx, pulse, sliding, sweep
 from chansounder.pn import circular_correlate
 
 
 def planted_capture(chips, taps, channel, config, extra_periods=2):
     """Transmit, apply a planted channel, and return the capture."""
     tx = pulse.modulate(chips, config.averaging_periods + extra_periods,
-                        taps, config.chip_period)
+                        taps, config.chip_period_s)
     return ch.apply_channel(tx, channel)
+
+
+def add_noise(signal, noise_power_dbfs, seed):
+    """signal plus the capture noise that compose_received draws: one
+    transmitter owns the whole capture through a unit channel."""
+    schedule = multitx.build_schedule(1, len(signal) / signal.sample_rate)
+    unit = ch.MultipathChannel(gains=[1.0], delays=[0.0])
+    return multitx.compose_received([multitx.SceneTransmitter(signal, unit)],
+                                    schedule, noise_power_dbfs=noise_power_dbfs,
+                                    seed=seed)
+
+
+def default_plan():
+    """The default frequency block with one tone 410 bins above DC."""
+    setup = sweep.FrequencySetup(tone_offsets_hz=(410 * 1e6 / 4096,))
+    return multitx.build_frequency_plan(setup, 1)[0]
 
 
 def measured_correlation_gain(chips, periods, seed, symbol_snr_db=0.0):
@@ -53,7 +69,8 @@ def random_planted_channel(rng, chip_period, max_taps=8, max_span=50,
     return ch.MultipathChannel(gains=gains, delays=lags * chip_period), lags
 
 
-def oracle_measure_sliding(capture, chips, taps, config, settle_periods=1):
+def oracle_measure_sliding(capture, chips, taps, config, tx_power_db=0.0,
+                           settle_periods=1):
     """measure_sliding on one full np.convolve matched filter per segment.
 
     The pre-decimation receive chain, kept as the reference that the
@@ -71,7 +88,7 @@ def oracle_measure_sliding(capture, chips, taps, config, settle_periods=1):
     symbols = filtered[origin + int(np.argmax(scores))::sps]
     skip = settle_periods * n
     return sliding.sound(symbols[skip:skip + config.averaging_periods * n],
-                         chips, config)
+                         chips, config, tx_power_db)
 
 
 def oracle_received_tone(channel, carrier, tone_offset, plan, amplitude):
@@ -121,9 +138,9 @@ def use_oracle_sweep(monkeypatch):
 
 def oracle_compose_received(scene, schedule, leakage, burst_offset_samples=0,
                             duration=None, noise_power_dbfs=None, seed=0):
-    """compose_received with a capture-length leakage tile per drift-free
-    transmitter and complex A + 1j * B noise: the earlier composition that
-    the wrapped-slice leakage and per-rail noise must match byte for byte.
+    """compose_received with a capture-length leakage tile per transmitter
+    and complex A + 1j * B noise: the earlier composition that the
+    wrapped-slice leakage and per-rail noise must match byte for byte.
     """
     rate = scene[0].waveform.sample_rate
     if duration is None:
@@ -134,40 +151,55 @@ def oracle_compose_received(scene, schedule, leakage, burst_offset_samples=0,
     out = np.zeros(n, dtype=np.complex128)
     for i, tx in enumerate(scene):
         received = ch.apply_channel(tx.waveform, tx.channel).samples
-        offset = int(round(tx.clock.perceived(0.0) * rate))
+        offset = int(round(tx.clock.offset * rate))
         leak_gain = leakage.gain(tx.park_mode)
-        if tx.clock.drift == 0:
-            if leak_gain > 0.0:
-                tiled = np.resize(np.roll(received, -offset), n)
-            first = (i * slot - offset) % period
-            if first + slot > period:
-                first -= period
-            idle_from = 0
-            for slot_lo in range(first, n, period):
-                lo, hi = max(slot_lo, 0), min(slot_lo + slot, n)
-                burst_lo = slot_lo + burst_offset_samples
-                a, b = max(lo, burst_lo), min(hi, burst_lo + len(received))
-                if b > a:
-                    out[a:b] += received[a - burst_lo:b - burst_lo]
-                if leak_gain > 0.0 and lo > idle_from:
-                    out[idle_from:lo] += leak_gain * tiled[idle_from:lo]
-                idle_from = hi
-            if leak_gain > 0.0 and n > idle_from:
-                out[idle_from:] += leak_gain * tiled[idle_from:]
-            continue
-        index = np.arange(n)
-        perceived = index + offset + np.rint(tx.clock.drift * index).astype(np.int64)
+        if leak_gain > 0.0:
+            tiled = np.resize(np.roll(received, -offset), n)
+        first = (i * slot - offset) % period
+        if first + slot > period:
+            first -= period
+        idle_from = 0
+        for slot_lo in range(first, n, period):
+            lo, hi = max(slot_lo, 0), min(slot_lo + slot, n)
+            burst_lo = slot_lo + burst_offset_samples
+            a, b = max(lo, burst_lo), min(hi, burst_lo + len(received))
+            if b > a:
+                out[a:b] += received[a - burst_lo:b - burst_lo]
+            if leak_gain > 0.0 and lo > idle_from:
+                out[idle_from:lo] += leak_gain * tiled[idle_from:lo]
+            idle_from = hi
+        if leak_gain > 0.0 and n > idle_from:
+            out[idle_from:] += leak_gain * tiled[idle_from:]
+    if noise_power_dbfs is not None and noise_power_dbfs != -math.inf:
+        rng = np.random.default_rng(seed)
+        sigma = math.sqrt(10.0 ** (noise_power_dbfs / 10.0) / 2.0)
+        out += rng.normal(scale=sigma, size=n) + 1j * rng.normal(scale=sigma, size=n)
+    return pulse.BasebandSignal(samples=out, sample_rate=rate,
+                                origin_time=scene[0].waveform.origin_time)
+
+
+def per_sample_compose(scene, schedule, leakage, burst_offset_samples=0,
+                       duration=None):
+    """Noise-free compose_received that maps every sample through its
+    perceived slot position: the reference for slice placement."""
+    rate = scene[0].waveform.sample_rate
+    if duration is None:
+        duration = schedule.period
+    n = int(round(duration * rate))
+    slot = int(round(schedule.slot_length * rate))
+    period = slot * schedule.transmitter_count
+    out = np.zeros(n, dtype=np.complex128)
+    for i, tx in enumerate(scene):
+        received = ch.apply_channel(tx.waveform, tx.channel).samples
+        perceived = np.arange(n) + int(round(tx.clock.offset * rate))
         local = perceived % period - i * slot
         active = (local >= 0) & (local < slot)
         burst_index = local - burst_offset_samples
         valid = active & (burst_index >= 0) & (burst_index < len(received))
         out[valid] += received[burst_index[valid]]
+        leak_gain = leakage.gain(tx.park_mode)
         if leak_gain > 0.0:
             out[~active] += leak_gain * received[perceived[~active] % len(received)]
-    if noise_power_dbfs is not None and noise_power_dbfs != -math.inf:
-        rng = np.random.default_rng(seed)
-        sigma = math.sqrt(10.0 ** (noise_power_dbfs / 10.0) / 2.0)
-        out += rng.normal(scale=sigma, size=n) + 1j * rng.normal(scale=sigma, size=n)
     return pulse.BasebandSignal(samples=out, sample_rate=rate,
                                 origin_time=scene[0].waveform.origin_time)
 

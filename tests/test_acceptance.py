@@ -18,6 +18,8 @@ from chansounder import multitx, sliding, sweep
 from chansounder.channel import EnvironmentModel
 from chansounder.pn import circular_correlate
 from helpers import (
+    add_noise,
+    default_plan,
     measured_correlation_gain,
     planted_capture,
     random_planted_channel,
@@ -129,7 +131,7 @@ def test_criterion_05_rms_delay_spread_oracles():
 
 def test_criterion_06_frequency_oracle_agreement():
     start = time.perf_counter()
-    plan = sweep.default_sweep_plan()
+    plan = default_plan()
     tone = float(plan.tone_offsets[0])
     worst = 0.0
     for seed in range(100):
@@ -154,7 +156,7 @@ def test_criterion_06_frequency_oracle_agreement():
 
 def test_criterion_07_frequency_selectivity_contrast():
     start = time.perf_counter()
-    plan = sweep.default_sweep_plan()
+    plan = default_plan()
     tone = float(plan.tone_offsets[0])
     near = ch.MultipathChannel(gains=[10 ** (-60 / 20.0)], delays=[0.0])
     far = ch.MultipathChannel(
@@ -299,12 +301,12 @@ def test_criterion_10_determinism(tmp_path, chips10, rrc_taps):
     rng = np.random.default_rng(5)
     planted, _ = random_planted_channel(rng, CHIP_PERIOD)
     capture = planted_capture(chips10, rrc_taps, planted, config)
-    noisy = ch.add_awgn(capture, -30.0, seed=77)
+    noisy = add_noise(capture, -30.0, seed=77)
     one = sliding.measure_sliding(noisy, chips10, rrc_taps, config)
     rng = np.random.default_rng(5)
     planted_again, _ = random_planted_channel(rng, CHIP_PERIOD)
     capture_again = planted_capture(chips10, rrc_taps, planted_again, config)
-    noisy_again = ch.add_awgn(capture_again, -30.0, seed=77)
+    noisy_again = add_noise(capture_again, -30.0, seed=77)
     two = sliding.measure_sliding(noisy_again, chips10, rrc_taps, config)
     assert sliding.profile_to_json(one) == sliding.profile_to_json(two)
 
@@ -328,7 +330,7 @@ def test_criterion_10_determinism(tmp_path, chips10, rrc_taps):
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     # frequency sweep: bit-identical loss sets
-    plan = sweep.default_sweep_plan()
+    plan = default_plan()
     chan = ch.MultipathChannel(gains=[1.0, 0.5], delays=[0.0, 300e-9])
     losses_one = sweep.sweep_sound([chan] * plan.step_count, plan, 0.0, "tx",
                                    noise_power_dbfs=-50.0, seed=4)

@@ -126,11 +126,29 @@ def test_scenario_load_rejects_other_schema_versions():
         (("transmitters", 0), "id", None, "transmitters[0].id"),
         (("transmitters", 0), "tx_power_db", "3", "transmitters[0].tx_power_db"),
         (("transmitters", 1), "tx_power_db", False, "transmitters[1].tx_power_db"),
-        ((), "master_seed", 7.0, "master_seed")]
+        ((), "master_seed", 7.0, "master_seed"),
+        # tuple items are checked one by one, and fixed-length tuples by length
+        (("environment",), "tap_count_range", [3, 4, 6],
+         "environment.tap_count_range")]
 ])
 def test_scenario_load_names_badly_typed_fields(where, key, value, name):
     with pytest.raises(ValueError, match=rf"^{re.escape(name)}: expected"):
         cp.scenario_from_json(mutated_doc(where, key, value))
+
+
+def test_scenario_positions_share_one_dimension():
+    flat = small_scenario(
+        transmitters=(cp.Transmitter("tx1", (0.0, 0.0)),
+                      cp.Transmitter("tx2", (20.0, 10.0))),
+        receiver_path=((2.0, 3.0), (3.5, 3.0)))
+    assert [cp.record_to_json(r)["z_m"] for r in cp.run_campaign(flat)] \
+        == [0.0] * 4
+    with pytest.raises(ValueError, match=r"^receiver_path_m\[1\]: expected 2"):
+        small_scenario(transmitters=flat.transmitters,
+                       receiver_path=((2.0, 3.0), (3.5, 3.0, 1.0)))
+    with pytest.raises(ValueError, match=r"^transmitters\[0\]\.position_m: "
+                                         r"expected 2 or 3"):
+        small_scenario(transmitters=(cp.Transmitter("tx1", (0.0,)),))
 
 
 def test_scenario_load_takes_whole_numbers_as_floats():
@@ -176,14 +194,14 @@ def scenarios(draw):
         draw(st.none() | positive))
     blocks = {
         "sliding": st.builds(
-            cp.SlidingSetup, positive, st.integers(2, 12),
-            st.none() | st.integers(0, 1 << 13), st.integers(1, 20), finite,
+            sliding.SounderConfig, positive, st.integers(2, 12),
+            st.none() | st.integers(0, 1 << 13), st.integers(1, 20), positive,
             nonnegative, st.integers(1, 16), st.integers(1, 8)),
         "frequency": st.builds(
-            cp.FrequencySetup, floats, positive, st.integers(1, 1 << 16),
+            sweep.FrequencySetup, floats, positive, st.integers(1, 1 << 16),
             positive, positive, st.none() | floats),
         "schedule": st.builds(cp.ScheduleSetup, st.none() | positive,
-                              nonnegative),
+                              st.floats(0.0, 0.5, exclude_max=True)),
         "clocks": st.builds(cp.ClockSetup, st.none() | floats, nonnegative,
                             finite),
         "leakage": st.builds(multitx.LeakageModel,
@@ -407,7 +425,7 @@ def test_frequency_mode_spills_into_extra_frames():
                  for i in range(8))
     scenario = small_scenario(
         mode="frequency", locations=2, transmitters=many,
-        frequency=cp.FrequencySetup(guard_band_hz=140e3))
+        frequency=sweep.FrequencySetup(guard_band_hz=140e3))
     records = cp.run_campaign(scenario)
     assert len(records) == 16
     tones = {r.transmitter_id: r.tone_offset_hz for r in records}
@@ -428,9 +446,9 @@ def test_frequency_chain_matches_per_tap_oracle(monkeypatch):
         mode="frequency", locations=4, transmitters=three,
         environment=small_environment(delay_spread_scale_s=2.5e-7,
                                       tap_count_range=(1, 8)),
-        frequency=cp.FrequencySetup(guard_band_hz=300e3),
+        frequency=sweep.FrequencySetup(guard_band_hz=300e3),
         noise_power_dbfs=-90.0)
-    plans, _ = cp._frequency_plans(scenario)
+    plans, _ = cp.prepare(scenario)
     assert len(plans) == 2
     got = [json.dumps(cp.record_to_json(r)) for r in cp.run_campaign(scenario)]
     use_oracle_sweep(monkeypatch)
@@ -491,13 +509,14 @@ def test_receive_chain_matches_full_convolution_oracle(monkeypatch):
     measure = sliding.measure_sliding
     outcomes = []
 
-    def checked(segment, chips, taps, config):
+    def checked(segment, chips, taps, config, tx_power_db):
         try:
-            expected = oracle_measure_sliding(segment, chips, taps, config)
+            expected = oracle_measure_sliding(segment, chips, taps, config,
+                                              tx_power_db)
         except NoSignalError:
             expected = None
         try:
-            got = measure(segment, chips, taps, config)
+            got = measure(segment, chips, taps, config, tx_power_db)
         except NoSignalError:
             assert expected is None
             outcomes.append(None)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 
 from chansounder import campaign as cp
 from chansounder import channel as ch
-from chansounder import pulse, sweep
+from chansounder import multitx, pulse, schema, sliding, sweep
 from chansounder.channel import EnvironmentModel
-from chansounder.cli import main
+from chansounder.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -55,8 +56,8 @@ def test_out_dir_from_environment(tmp_path, capsys, monkeypatch):
 def test_sound_sliding_roundtrip(tmp_path, capsys, chips10, rrc_taps,
                                  sounder_config):
     planted = ch.MultipathChannel(
-        gains=[1.0, 0.25], delays=[0.0, 3 * sounder_config.chip_period])
-    tx = pulse.modulate(chips10, 12, rrc_taps, sounder_config.chip_period)
+        gains=[1.0, 0.25], delays=[0.0, 3 * sounder_config.chip_period_s])
+    tx = pulse.modulate(chips10, 12, rrc_taps, sounder_config.chip_period_s)
     capture = ch.apply_channel(tx, planted)
     capture_path = tmp_path / "capture.iq"
     pulse.write_iq(capture, capture_path)
@@ -73,10 +74,11 @@ def test_sound_sliding_roundtrip(tmp_path, capsys, chips10, rrc_taps,
 
 
 def sweep_capture_files(tmp_path):
-    """A default plan and one flat-channel capture file per carrier step."""
-    plan = sweep.default_sweep_plan()
+    """A default plan file and one flat-channel capture file per carrier
+    step."""
     plan_path = tmp_path / "plan.json"
-    sweep.save_plan(plan, plan_path)
+    schema.save(sweep.FrequencySetup(), plan_path)
+    plan = multitx.build_frequency_plan(sweep.FrequencySetup(), 1)[0]
     chan = ch.MultipathChannel(gains=[0.5], delays=[0.0])
     capture_paths = []
     for step in range(plan.step_count):
@@ -103,7 +105,7 @@ def test_sound_freq_roundtrip(tmp_path, capsys):
 
 def test_sound_freq_wrong_capture_count(tmp_path, capsys):
     plan_path = tmp_path / "plan.json"
-    sweep.save_plan(sweep.default_sweep_plan(), plan_path)
+    schema.save(sweep.FrequencySetup(), plan_path)
     code, _, err = run_cli(capsys, "sound-freq", "--plan", str(plan_path),
                            "--out-dir", str(tmp_path), "only_one.iq")
     assert code == 2
@@ -192,16 +194,88 @@ def test_validate_missing_file(tmp_path, capsys):
     pytest.param(None, "schema_version", 99, "schema_version", id="version"),
     pytest.param("leakage", "park_mode", "sideways", "leakage.park_mode",
                  id="park_mode"),
+    # values in range of their type but not of the sounder
+    *[pytest.param(*case, id=f"{case[-1]}={case[2]!r}") for case in [
+        ("sliding", "averaging_periods", 0, "sliding.averaging_periods"),
+        ("sliding", "rolloff", 1.5, "sliding.rolloff"),
+        ("sliding", "chip_period_s", -6e-8, "sliding.chip_period_s"),
+        ("sliding", "detection_threshold_db", 0.0,
+         "sliding.detection_threshold_db"),
+        ("sliding", "span_symbols", 5, "sliding.span_symbols"),
+        ("sliding", "samples_per_symbol", 1, "sliding.samples_per_symbol"),
+        ("sliding", "pn_degree", 40, "sliding.pn_degree"),
+        ("sliding", "polynomial", 3, "sliding.polynomial"),
+        ("schedule", "guard_fraction", 0.5, "schedule.guard_fraction"),
+        ("schedule", "guard_fraction", 0.6, "schedule.guard_fraction"),
+        ("schedule", "guard_fraction", -0.1, "schedule.guard_fraction"),
+        ("schedule", "slot_length_s", 0.0, "schedule.slot_length_s"),
+        ("clocks", "tx_offsets_s", [True, False], "clocks.tx_offsets_s[0]"),
+        ("environment", "tap_count_range", [3.5, 6],
+         "environment.tap_count_range[0]"),
+        ("transmitters", "position_m", ["a", "b", "c"],
+         "transmitters[0].position_m[0]"),
+        (None, "receiver_path_m", [[2.0, 3.0, 1.2], [3.0, 3.0]],
+         "receiver_path_m[1]")]],
 ])
 def test_strict_scenario_schema_exits_2(tmp_path, capsys, command, where,
                                         key, value, name):
     doc = json.loads(scenario_file(tmp_path).read_text())
-    (doc[where] if where else doc)[key] = value
+    target = doc[where] if where else doc
+    (target[0] if where == "transmitters" else target)[key] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, command, "--scenario", str(bad),
                            "--out-dir", str(tmp_path / "out"))
     assert code == 2
     assert len(err.strip().splitlines()) == 1
-    assert f"{name}: " in err
+    assert err.startswith(f"ValueError: {name}: ")
     assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
+def test_sound_freq_rejects_misspelt_plan_file(tmp_path, capsys):
+    plan_path, capture_paths = sweep_capture_files(tmp_path)
+    doc = json.loads(plan_path.read_text())
+    plan_path.write_text(json.dumps(dict(doc, fft_lenght=8192,
+                                         fft_length=4096.7)))
+    code, _, err = run_cli(capsys, "sound-freq", "--plan", str(plan_path),
+                           "--out-dir", str(tmp_path), *capture_paths)
+    assert code == 2
+    assert err.strip() == "ValueError: fft_lenght: unknown field"
+    del doc["fft_length"]
+    plan_path.write_text(json.dumps(dict(doc, fft_length=4096.7)))
+    code, _, err = run_cli(capsys, "sound-freq", "--plan", str(plan_path),
+                           "--out-dir", str(tmp_path), *capture_paths)
+    assert code == 2
+    assert err.startswith("ValueError: fft_length: expected int")
+
+
+@pytest.mark.parametrize("change, name", [
+    ({"format": None}, "format: required field is missing"),
+    ({"sampel_rate_hz": 1e6}, "sampel_rate_hz: unknown field"),
+    ({"sample_rate_hz": "1e6"}, "sample_rate_hz: expected float"),
+    ({"sample_count": 8.0}, "sample_count: expected int"),
+], ids=["no-format", "misspelt", "rate-as-text", "count-as-float"])
+def test_strict_sidecar_exits_2(tmp_path, capsys, change, name):
+    plan_path, capture_paths = sweep_capture_files(tmp_path)
+    sidecar = tmp_path / "step3.iq.json"
+    doc = json.loads(sidecar.read_text())
+    doc.update(change)
+    doc = {key: value for key, value in doc.items() if value is not None}
+    sidecar.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "sound-freq", "--plan", str(plan_path),
+                           "--out-dir", str(tmp_path), *capture_paths)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert f"step3.iq.json: {name}" in err
+    code, _, err = run_cli(capsys, "sound-sliding", "--capture",
+                           str(tmp_path / "step3.iq"), "--out-dir",
+                           str(tmp_path))
+    assert code == 2
+    assert f"step3.iq.json: {name}" in err
+
+
+def test_sound_sliding_defaults_are_the_config_defaults():
+    args = build_parser().parse_args(["sound-sliding", "--capture", "x.iq"])
+    settings = {f.name: getattr(args, f.name)
+                for f in dataclasses.fields(sliding.SounderConfig)}
+    assert sliding.SounderConfig(**settings) == sliding.SounderConfig()

@@ -1,13 +1,17 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chansounder import channel as ch
-from chansounder import multitx, pulse, sliding
+from chansounder import multitx, pulse, schema, sliding, sweep
 
-from helpers import oracle_compose_received
+from helpers import oracle_compose_received, per_sample_compose
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +21,7 @@ def tdma_setup(request):
     rrc_taps = request.getfixturevalue("rrc_taps")
     config = sliding.SounderConfig()
     burst = pulse.modulate(chips10, config.averaging_periods + 2, rrc_taps,
-                           config.chip_period)
+                           config.chip_period_s)
     sps = rrc_taps.samples_per_symbol
     slot_samples = math.ceil(len(burst) / 0.9 / sps) * sps
     guard = ((slot_samples - len(burst)) // 2) // sps * sps
@@ -38,8 +42,9 @@ def test_schedule_slot_ownership():
 
 def test_single_transmitter_owns_everything():
     schedule = multitx.build_schedule(1, 2.0)
-    for t in (0.0, 0.5, 1.9, 7.3):
-        assert multitx.active_transmitter(schedule, t) == 0
+    for period_index in range(4):
+        assert schedule.slot_interval(0, period_index) \
+            == (2.0 * period_index, 2.0 * period_index + 2.0)
 
 
 def test_slot_tiling_partitions_each_period():
@@ -51,20 +56,6 @@ def test_slot_tiling_partitions_each_period():
             assert hi1 == lo2
         assert edges[0][0] == period_index * schedule.period
         assert edges[-1][1] == (period_index + 1) * schedule.period
-
-
-def test_active_transmitter_examples():
-    schedule = multitx.build_schedule(3, 1.0)
-    assert multitx.active_transmitter(schedule, 0.0) == 0
-    assert multitx.active_transmitter(schedule, 1.5) == 1
-    assert multitx.active_transmitter(schedule, 3.5) == 0  # second period
-    # one whole slot of clock offset shifts the segmentation by one slot
-    for t in np.linspace(0.0, 2.9, 13):
-        plain = multitx.active_transmitter(schedule, t)
-        skewed = multitx.active_transmitter(schedule, t, clock_offset=1.0)
-        assert skewed == (plain + 1) % 3
-    with pytest.raises(ValueError, match="nonnegative"):
-        multitx.active_transmitter(schedule, -1.0)
 
 
 def test_draw_clock_spreads_and_determinism():
@@ -147,7 +138,7 @@ def test_small_clock_offset_keeps_sounding_bit_identical(tdma_setup, chips10,
                                                          rrc_taps):
     burst, guard, schedule, config = tdma_setup
     rate = burst.sample_rate
-    chan = ch.MultipathChannel(gains=[1.0, 0.3], delays=[0.0, 2 * config.chip_period])
+    chan = ch.MultipathChannel(gains=[1.0, 0.3], delays=[0.0, 2 * config.chip_period_s])
 
     def profile_with_offset(offset_samples):
         clock = multitx.ClockModel(offset=offset_samples / rate)
@@ -244,9 +235,8 @@ def test_compose_rejects_scene_larger_than_schedule():
 
 @pytest.mark.parametrize("leak_db", [math.inf, 30.0])
 def test_slice_placement_matches_per_sample_mapping(leak_db):
-    # a drift that rounds to zero at every sample sends compose_received
-    # down its per-sample mapping while placing samples exactly where a
-    # drift-free clock puts them; the two must agree bit for bit
+    # slice placement must agree bit for bit with mapping every sample
+    # through its perceived slot position
     rate, slot = 1000.0, 100
     schedule = multitx.build_schedule(3, slot / rate)
     leakage = multitx.LeakageModel(parked_leakage_db=math.inf,
@@ -258,23 +248,19 @@ def test_slice_placement_matches_per_sample_mapping(leak_db):
     for burst_len, burst_offset in ((60, 20), (95, 30), (130, 10), (40, -5)):
         for duration in (period, 2.37 * period, 0.6 * period):
             offsets = rng.choice(shifts, size=3)
-            scenes = []
-            for drift in (0.0, 1e-12):
-                scene = []
-                for i, shift in enumerate(offsets):
-                    rng_tx = np.random.default_rng(i)
-                    waveform = pulse.BasebandSignal(
-                        rng_tx.normal(size=burst_len)
-                        + 1j * rng_tx.normal(size=burst_len), rate)
-                    clock = multitx.ClockModel(offset=shift / rate, drift=drift)
-                    scene.append(multitx.SceneTransmitter(
-                        waveform, flat_channel(6.0 * i), multitx.PARK_IN_BAND,
-                        clock))
-                scenes.append(scene)
-            sliced, mapped = (multitx.compose_received(
-                scene, schedule, leakage=leakage,
-                burst_offset_samples=burst_offset,
-                duration=duration / rate) for scene in scenes)
+            scene = []
+            for i, shift in enumerate(offsets):
+                rng_tx = np.random.default_rng(i)
+                waveform = pulse.BasebandSignal(
+                    rng_tx.normal(size=burst_len)
+                    + 1j * rng_tx.normal(size=burst_len), rate)
+                scene.append(multitx.SceneTransmitter(
+                    waveform, flat_channel(6.0 * i), multitx.PARK_IN_BAND,
+                    multitx.ClockModel(offset=shift / rate)))
+            kwargs = dict(leakage=leakage, burst_offset_samples=burst_offset,
+                          duration=duration / rate)
+            sliced = multitx.compose_received(scene, schedule, **kwargs)
+            mapped = per_sample_compose(scene, schedule, **kwargs)
             assert np.array_equal(sliced.samples, mapped.samples), \
                 (burst_len, burst_offset, duration, offsets)
 
@@ -290,68 +276,70 @@ def test_compose_matches_tiled_leakage_and_complex_noise_oracle():
     for leak_db in (math.inf, 30.0, 0.0):
         leakage = multitx.LeakageModel(parked_leakage_db=math.inf,
                                        inband_null_leakage_db=leak_db)
-        for drift in (0.0, 3e-3):
-            for noise in (None, -math.inf, -20.0):
-                for burst_len, duration in ((60, period), (95, 2.37 * period),
-                                            (130, 0.6 * period),
-                                            (700, 1.5 * period)):
-                    shifts = rng.integers(-4 * period, 4 * period, size=3)
-                    scene = []
-                    for i, shift in enumerate(shifts):
-                        samples = rng.normal(size=burst_len) \
-                            + 1j * rng.normal(size=burst_len)
-                        clock = multitx.ClockModel(offset=int(shift) / rate,
-                                                   drift=drift)
-                        scene.append(multitx.SceneTransmitter(
-                            pulse.BasebandSignal(samples, rate),
-                            flat_channel(6.0 * i), multitx.PARK_IN_BAND, clock))
-                    kwargs = dict(leakage=leakage, burst_offset_samples=20,
-                                  duration=duration / rate,
-                                  noise_power_dbfs=noise, seed=cases)
-                    got = multitx.compose_received(scene, schedule, **kwargs)
-                    expected = oracle_compose_received(scene, schedule, **kwargs)
-                    assert got.samples.tobytes() == expected.samples.tobytes(), \
-                        (leak_db, drift, noise, burst_len, duration, shifts)
-                    cases += 1
-    assert cases == 72
+        for noise in (None, -math.inf, -20.0):
+            for burst_len, duration in ((60, period), (95, 2.37 * period),
+                                        (130, 0.6 * period),
+                                        (700, 1.5 * period)):
+                shifts = rng.integers(-4 * period, 4 * period, size=3)
+                scene = []
+                for i, shift in enumerate(shifts):
+                    samples = rng.normal(size=burst_len) \
+                        + 1j * rng.normal(size=burst_len)
+                    clock = multitx.ClockModel(offset=int(shift) / rate)
+                    scene.append(multitx.SceneTransmitter(
+                        pulse.BasebandSignal(samples, rate),
+                        flat_channel(6.0 * i), multitx.PARK_IN_BAND, clock))
+                kwargs = dict(leakage=leakage, burst_offset_samples=20,
+                              duration=duration / rate,
+                              noise_power_dbfs=noise, seed=cases)
+                got = multitx.compose_received(scene, schedule, **kwargs)
+                expected = oracle_compose_received(scene, schedule, **kwargs)
+                assert got.samples.tobytes() == expected.samples.tobytes(), \
+                    (leak_db, noise, burst_len, duration, shifts)
+                cases += 1
+    assert cases == 36
+
+
+def frequency_setup(guard_band_hz, carrier_count=1, **overrides):
+    return sweep.FrequencySetup(
+        carriers_hz=tuple(700e6 + 2e6 * k for k in range(carrier_count)),
+        guard_band_hz=guard_band_hz, **overrides)
 
 
 def test_frequency_plan_default_capacity():
     capacity = len(multitx.build_frequency_plan(
-        100, 150e3, 1e6, 4096, [700e6], 5e-3)[0].tone_offsets)
+        frequency_setup(150e3), 100)[0].tone_offsets)
     assert capacity in (5, 6)
-    plans = multitx.build_frequency_plan(
-        capacity, 150e3, 1e6, 4096, [700e6 + 2e6 * k for k in range(10)], 5e-3)
+    plans = multitx.build_frequency_plan(frequency_setup(150e3, 10), capacity)
     assert len(plans) == 1
     assert len(plans[0].tone_offsets) == capacity
 
 
 def test_frequency_plan_single_transmitter():
-    plans = multitx.build_frequency_plan(
-        1, 25e3, 1e6, 4096, [700e6, 702e6], 5e-3)
+    plans = multitx.build_frequency_plan(frequency_setup(25e3, 2), 1)
     assert len(plans) == 1
     assert len(plans[0].tone_offsets) == 1
 
 
 def test_frequency_plan_multi_frame():
     # capacity 6 at 140 kHz guard in a 1 MHz band: 12 transmitters need 2 frames
-    plans = multitx.build_frequency_plan(
-        12, 140e3, 1e6, 4096, [700e6 + 2e6 * k for k in range(10)], 5e-3)
+    plans = multitx.build_frequency_plan(frequency_setup(140e3, 10), 12)
     assert len(plans) == 2
     assert [len(p.tone_offsets) for p in plans] == [6, 6]
 
 
 def test_frequency_plan_infeasible():
     with pytest.raises(ValueError, match="capacity"):
-        multitx.build_frequency_plan(2, 2e6, 1e6, 4096, [700e6], 5e-3)
-    with pytest.raises(ValueError, match="frame"):
-        multitx.build_frequency_plan(12, 140e3, 1e6, 4096, [700e6], 5e-3,
-                                     max_frames=1)
+        multitx.build_frequency_plan(frequency_setup(2e6), 2)
+    with pytest.raises(ValueError, match="^guard_band_hz: must be positive"):
+        multitx.build_frequency_plan(frequency_setup(0.0), 2)
+    explicit = frequency_setup(25e3, tone_offsets_hz=(0.0, 1e5))
+    with pytest.raises(ValueError, match="^tone_offsets_hz: one tone per"):
+        multitx.build_frequency_plan(explicit, 3)
 
 
 def test_frequency_plan_emits_valid_plans():
-    plans = multitx.build_frequency_plan(
-        4, 100e3, 1e6, 4096, [700e6 + 2e6 * k for k in range(10)], 5e-3)
+    plans = multitx.build_frequency_plan(frequency_setup(100e3, 10), 4)
     plan = plans[0]
     bin_width = plan.sample_rate / plan.fft_length
     for tone in plan.tone_offsets:
@@ -359,3 +347,47 @@ def test_frequency_plan_emits_valid_plans():
         assert abs(tone / bin_width - round(tone / bin_width)) < 1e-6
     spacing = np.diff(np.sort(plan.tone_offsets))
     assert np.all(spacing >= plan.guard_band - 1e-9)
+
+
+@st.composite
+def frequency_blocks(draw):
+    sample_rate = draw(st.sampled_from([250e3, 1e6, 2.5e6]))
+    fft_length = draw(st.sampled_from([64, 256, 1000, 4096]))
+    bin_width = sample_rate / fft_length
+    return sweep.FrequencySetup(
+        carriers_hz=tuple(700e6 + 2e6 * k for k in range(draw(st.integers(1, 4)))),
+        sample_rate_hz=sample_rate, fft_length=fft_length,
+        guard_band_hz=draw(st.floats(0.5 * bin_width, 0.6 * sample_rate)),
+        step_duration_s=fft_length / sample_rate * draw(st.integers(1, 3)))
+
+
+@given(setup=frequency_blocks(), count=st.integers(1, 40))
+def test_frequency_plan_packing_property(setup, count):
+    try:
+        plans = multitx.build_frequency_plan(setup, count)
+    except ValueError as exc:
+        # only a guard band too wide for the band leaves no tone
+        assert "capacity 0" in str(exc) or "no tone fits" in str(exc)
+        assert setup.guard_band_hz > setup.sample_rate_hz / 2
+        return
+    capacity = len(plans[0].tone_offsets)
+    assert len(plans) == math.ceil(count / capacity)
+    assert [len(p.tone_offsets) for p in plans[:-1]] == [capacity] * (len(plans) - 1)
+    assert sum(len(p.tone_offsets) for p in plans) == count
+    bin_width = setup.sample_rate_hz / setup.fft_length
+    for plan in plans:
+        tones = plan.tone_offsets
+        bins = tones / bin_width
+        assert np.all(np.abs(bins - np.round(bins)) < 1e-6)
+        assert np.all(np.abs(tones) < setup.sample_rate_hz / 2)
+        assert np.all(np.diff(tones) >= setup.guard_band_hz - 1e-6)
+        npt.assert_array_equal(plan.carrier_list, setup.carriers_hz)
+    # the block round-trips through the strict loader, with the tones
+    # left to the packer and with the packed tones written out
+    explicit = replace(setup, tone_offsets_hz=tuple(float(f) for f in plans[0].tone_offsets))
+    for block in (setup, explicit):
+        doc = json.loads(json.dumps(schema.to_json(block)))
+        assert schema.from_json(sweep.FrequencySetup, doc, "frequency") == block
+    again = multitx.build_frequency_plan(explicit, capacity)
+    assert len(again) == 1
+    npt.assert_array_equal(again[0].tone_offsets, plans[0].tone_offsets)

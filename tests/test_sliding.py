@@ -9,11 +9,11 @@ from chansounder import pulse, sliding
 from chansounder.exceptions import NoSignalError
 
 
-from helpers import measured_correlation_gain, planted_capture
+from helpers import add_noise, measured_correlation_gain, planted_capture
 
 
 def test_planted_three_tap_channel(chips10, rrc_taps, sounder_config):
-    period = sounder_config.chip_period
+    period = sounder_config.chip_period_s
     planted = ch.MultipathChannel(
         gains=[1.0, 0.5 * np.exp(1j * np.pi / 4), 0.1],
         delays=[0.0, 2 * period, 5 * period])
@@ -29,7 +29,7 @@ def test_adjacent_near_equal_taps(chips10, rrc_taps):
     # spurious lags across the profile
     config = sliding.SounderConfig(averaging_periods=2,
                                    detection_threshold_db=50.0)
-    period = config.chip_period
+    period = config.chip_period_s
     planted = ch.MultipathChannel(
         gains=[0.071462 + 0.040996j, -0.147009 - 0.113625j,
                -0.071428 - 0.997446j, 0.223418 - 0.627187j],
@@ -88,7 +88,7 @@ def test_rms_delay_spread_exponential_closed_form():
 
 
 def test_scale_equivariance(chips10, rrc_taps, sounder_config):
-    period = sounder_config.chip_period
+    period = sounder_config.chip_period_s
     planted = ch.MultipathChannel(gains=[1.0, 0.4j], delays=[0.0, 3 * period])
     capture = planted_capture(chips10, rrc_taps, planted, sounder_config)
     base = sliding.measure_sliding(capture, chips10, rrc_taps, sounder_config)
@@ -105,7 +105,7 @@ def test_scale_equivariance(chips10, rrc_taps, sounder_config):
 
 
 def test_sound_deterministic(chips10, rrc_taps, sounder_config):
-    period = sounder_config.chip_period
+    period = sounder_config.chip_period_s
     planted = ch.MultipathChannel(gains=[1.0, 0.2], delays=[0.0, 4 * period])
     capture = planted_capture(chips10, rrc_taps, planted, sounder_config)
     symbols = pulse.recover_symbols(capture, rrc_taps, 0)[1023:]
@@ -135,7 +135,7 @@ def test_sound_all_zero_raises(chips10, sounder_config):
 
 def test_dynamic_range_60_db(chips10, rrc_taps):
     config = sliding.SounderConfig(detection_threshold_db=70.0)
-    period = config.chip_period
+    period = config.chip_period_s
     weak = 1e-3  # 60 dB below the strong tap
     planted = ch.MultipathChannel(gains=[1.0, weak], delays=[0.0, 7 * period])
     capture = planted_capture(chips10, rrc_taps, planted, config)
@@ -151,7 +151,7 @@ def test_environment_roundtrip_path_loss(chips10, rrc_taps, sounder_config):
                               tap_count_range=(2, 5))
     planted, truth = ch.synthesize_channel(
         env, (0, 0, 0), (6.0, 2.0, 1.0), seed=33,
-        delay_grid_s=sounder_config.chip_period)
+        delay_grid_s=sounder_config.chip_period_s)
     config = sliding.SounderConfig(detection_threshold_db=60.0)
     capture = planted_capture(chips10, rrc_taps, planted, config)
     profile = sliding.measure_sliding(capture, chips10, rrc_taps, config)
@@ -169,10 +169,10 @@ def test_processing_gain_statistic(chips10):
 def test_sound_detection_survives_noise(chips10, rrc_taps):
     # the full receive path keeps working at moderate symbol SNR
     config = sliding.SounderConfig(detection_threshold_db=20.0)
-    period = config.chip_period
+    period = config.chip_period_s
     planted = ch.MultipathChannel(gains=[1.0, 0.5], delays=[0.0, 4 * period])
     capture = planted_capture(chips10, rrc_taps, planted, config)
-    noisy = ch.add_awgn(capture, -10.0, seed=3)
+    noisy = add_noise(capture, -10.0, seed=3)
     profile = sliding.measure_sliding(noisy, chips10, rrc_taps, config)
     npt.assert_array_equal(profile.lags, [0, 4])
     npt.assert_allclose(np.abs(profile.gains), [1.0, 0.5], rtol=0.05)
@@ -191,7 +191,7 @@ def test_delay_profile_invariants():
 
 
 def test_profile_json_roundtrip(chips10, rrc_taps, sounder_config):
-    period = sounder_config.chip_period
+    period = sounder_config.chip_period_s
     planted = ch.MultipathChannel(gains=[1.0, 0.3 - 0.1j],
                                   delays=[0.0, 2 * period])
     capture = planted_capture(chips10, rrc_taps, planted, sounder_config)

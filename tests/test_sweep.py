@@ -3,10 +3,15 @@ import numpy.testing as npt
 import pytest
 
 from chansounder import channel as ch
-from chansounder import sweep
+from chansounder import schema, sweep
 from chansounder.pulse import BasebandSignal
 
-from helpers import oracle_bin_powers, oracle_received_tone, use_oracle_sweep
+from helpers import (
+    default_plan,
+    oracle_bin_powers,
+    oracle_received_tone,
+    use_oracle_sweep,
+)
 
 
 def dft_bin_oracle(samples, length, bin_index):
@@ -18,7 +23,7 @@ def dft_bin_oracle(samples, length, bin_index):
 
 @pytest.fixture(scope="module")
 def plan():
-    return sweep.default_sweep_plan()
+    return default_plan()
 
 
 def test_tone_dc():
@@ -309,10 +314,13 @@ def test_losses_json_roundtrip():
 
 
 def test_plan_json_roundtrip(tmp_path, plan):
+    # a plan file is a frequency block; the plan is derived from it
+    setup = sweep.FrequencySetup(tone_offsets_hz=tuple(plan.tone_offsets))
     target = tmp_path / "plan.json"
-    sweep.save_plan(plan, target)
-    loaded = sweep.load_plan(target)
-    npt.assert_array_equal(loaded.carrier_list, plan.carrier_list)
-    npt.assert_array_equal(loaded.tone_offsets, plan.tone_offsets)
+    schema.save(setup, target)
+    loaded = schema.load(sweep.FrequencySetup, target)
+    assert loaded == setup
+    npt.assert_array_equal(default_plan().carrier_list, plan.carrier_list)
+    npt.assert_array_equal(loaded.tone_offsets_hz, plan.tone_offsets)
     assert loaded.fft_length == plan.fft_length
-    assert loaded.guard_band == plan.guard_band
+    assert loaded.guard_band_hz == plan.guard_band
