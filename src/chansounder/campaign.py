@@ -6,7 +6,8 @@ transmitter) pair, composes the multi-transmitter received signal, runs
 the mode's sounder, and emits one record per pair in deterministic
 location-major order. All randomness is derived from the master seed, a
 location index, and the transmitter id, so single-transmitter
-sub-scenarios reproduce their slice of the full run exactly.
+sub-scenarios reproduce their slice of the full run exactly, and so do
+contiguous blocks of locations run in forked processes.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ import csv
 import hashlib
 import json
 import math
+import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -190,12 +195,12 @@ def _prepare_sliding(scenario: Scenario) -> tuple:
             _tx_clock_offsets(scenario))
 
 
-def _run_sliding(scenario: Scenario) -> list:
+def _run_sliding(scenario: Scenario, prepared: tuple, locations: range) -> list:
     config = scenario.sliding
-    chips, taps, waveforms, schedule, guard_samples, offsets = \
-        _prepare_sliding(scenario)
+    chips, taps, waveforms, schedule, guard_samples, offsets = prepared
     records = []
-    for loc_index, position in enumerate(scenario.receiver_path):
+    for loc_index in locations:
+        position = scenario.receiver_path[loc_index]
         geo = scenario.geo[loc_index] if scenario.geo is not None else None
         scene = []
         seeds = []
@@ -257,10 +262,11 @@ def prepare(scenario: Scenario):
     return _prepare_frequency(scenario)
 
 
-def _run_frequency(scenario: Scenario) -> list:
-    plans, assignment = _prepare_frequency(scenario)
+def _run_frequency(scenario: Scenario, prepared: tuple, locations: range) -> list:
+    plans, assignment = prepared
     records = []
-    for loc_index, position in enumerate(scenario.receiver_path):
+    for loc_index in locations:
+        position = scenario.receiver_path[loc_index]
         geo = scenario.geo[loc_index] if scenario.geo is not None else None
         channels = []
         seeds = []
@@ -312,13 +318,91 @@ def _run_frequency(scenario: Scenario) -> list:
     return records
 
 
-def run_campaign(scenario: Scenario, seed_override: int | None = None) -> list:
-    """Run the scenario and return records in location-major order."""
+def _fork_block(run_block, scenario: Scenario, prepared: tuple,
+                locations: range) -> tuple:
+    """Run one location block in a forked child, which inherits the
+    prepared state and pickles its records, or the exception that
+    stopped it, into a pipe. Returns (pid, read end of the pipe)."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            try:
+                outcome = (True, run_block(scenario, prepared, locations))
+            except BaseException as exc:
+                outcome = (False, exc)
+            data = pickle.dumps(outcome)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)  # never the parent's exit path
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _receive_block(read_fd: int, locations: range) -> list:
+    """A child's records, unpickled as they stream in, or its exception
+    raised here."""
+    with os.fdopen(read_fd, "rb", closefd=False) as pipe:
+        try:
+            ok, value = pickle.load(pipe)
+        except EOFError:
+            raise ChildProcessError(
+                f"the worker for locations {locations.start}-"
+                f"{locations.stop - 1} ended without sending its records") from None
+    if not ok:
+        raise value
+    return value
+
+
+def run_campaign(scenario: Scenario, seed_override: int | None = None,
+                 workers: int = 1) -> list:
+    """Run the scenario and return records in location-major order.
+
+    The receiver path is cut into ``workers`` contiguous location blocks
+    (at most one per location). This process prepares the scenario once
+    and runs the first block; a forked child runs each other block, and
+    its records are read back in block order. Seeds depend only on the
+    master seed, location and transmitter, so the records are identical
+    at any worker count. Off Linux the whole path runs here: forking
+    after numpy has started its BLAS threads is checked only on Linux
+    (macOS's Accelerate is not fork-safe).
+    """
+    if workers < 1:
+        raise ValueError("workers: must be at least 1")
     if seed_override is not None:
         scenario = replace(scenario, master_seed=seed_override)
-    if scenario.mode == MODE_SLIDING:
-        return _run_sliding(scenario)
-    return _run_frequency(scenario)
+    prepared = prepare(scenario)
+    run_block = _run_sliding if scenario.mode == MODE_SLIDING else _run_frequency
+    count = len(scenario.receiver_path)
+    if not sys.platform.startswith("linux"):
+        workers = 1
+    workers = min(workers, count)
+    bounds = [count * k // workers for k in range(workers + 1)]
+    blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    children = []
+    try:
+        for block in blocks[1:]:
+            children.append(_fork_block(run_block, scenario, prepared, block))
+        records = run_block(scenario, prepared, blocks[0])
+        for (_, read_fd), block in zip(children, blocks[1:]):
+            records += _receive_block(read_fd, block)
+        return records
+    except BaseException:
+        for pid, _ in children:  # no child outlives a failed campaign
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read_fd in children:
+            os.close(read_fd)
+            os.waitpid(pid, 0)
 
 
 def record_to_json(record: MeasurementRecord) -> dict:

@@ -89,7 +89,8 @@ def _cmd_sound_freq(args) -> dict:
 
 def _cmd_campaign(args) -> dict:
     scenario = campaign.load_scenario(args.scenario)
-    records = campaign.run_campaign(scenario, seed_override=args.seed)
+    records = campaign.run_campaign(scenario, seed_override=args.seed,
+                                    workers=_campaign_workers())
     out = _out_dir(args)
     records_path = out / "records.jsonl"
     campaign.export_records(records, records_path)
@@ -108,6 +109,23 @@ def _cmd_validate(args) -> dict:
             "mode": scenario.mode,
             "transmitters": len(scenario.transmitters),
             "locations": len(scenario.receiver_path)}
+
+
+# The most campaign processes that were measured (on 2 CPUs). Each one
+# adds its own memory (about 40 MB on sliding-c9) and its own BLAS
+# pool, and the CPU affinity ignores cgroup CPU quotas, so more than
+# this is not used until it has been measured.
+_MAX_CAMPAIGN_WORKERS = 2
+
+
+def _campaign_workers() -> int:
+    """Processes for a campaign: the CPUs this process may run on, at
+    most _MAX_CAMPAIGN_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_CAMPAIGN_WORKERS)
 
 
 def build_parser() -> argparse.ArgumentParser:

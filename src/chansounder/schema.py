@@ -2,9 +2,10 @@
 
 Scenarios, sweep plans and I/Q sidecars are read through one recursive
 loader over dataclasses.fields and the type hints. It rejects unknown
-keys, missing required fields and values that would need guessing (10.7
-for an int, true for a number, null for a string), and every error is a
-one-line ValueError that starts with the dotted path of the field.
+keys, missing required fields, values that would need guessing (10.7
+for an int, true for a number, null for a string) and JSON's NaN and
+Infinity, and every error is a one-line ValueError that starts with the
+dotted path of the field.
 """
 
 from __future__ import annotations
@@ -17,9 +18,12 @@ import typing
 from pathlib import Path
 
 # Where the files differ from the dataclass fields: these keys are
-# renamed, these fields store infinity as null, and tuples are lists.
+# renamed, these fields store infinity as null, these take the
+# -Infinity that json writes for -inf (every other number must be
+# finite), and tuples are lists.
 _JSON_NAMES = {"position": "position_m", "receiver_path": "receiver_path_m"}
 _INF_AS_NULL = {"parked_leakage_db"}
+_MINUS_INF_ALLOWED = {"noise_power_dbfs"}
 
 
 def to_json(value):
@@ -52,9 +56,12 @@ def from_json(kind, value, path: str = ""):
     if not isinstance(value, bool):
         if kind is float and isinstance(value, (int, float)):
             try:
-                return float(value)
+                number = float(value)
             except OverflowError:
                 raise ValueError(f"{path}: number too large for a float") from None
+            if not math.isfinite(number):
+                raise ValueError(f"{path}: must be finite, got {value!r}")
+            return number
         if kind in (int, str) and isinstance(value, kind):
             return value
     raise ValueError(f"{path}: expected {kind.__name__}, got {value!r}")
@@ -91,6 +98,8 @@ def _dataclass_from_json(kind, doc, path: str):
                 raise ValueError(f"{prefix}{key}: required field is missing")
         elif f.name in _INF_AS_NULL and doc[key] is None:
             kwargs[f.name] = math.inf
+        elif f.name in _MINUS_INF_ALLOWED and doc[key] == -math.inf:
+            kwargs[f.name] = -math.inf
         else:
             kwargs[f.name] = from_json(hints[f.name], doc[key], prefix + key)
     try:

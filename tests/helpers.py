@@ -1,9 +1,12 @@
 """Shared helpers for the module and acceptance test suites."""
 
 import math
+import os
 
 import numpy as np
+import pytest
 
+from chansounder import campaign
 from chansounder import channel as ch
 from chansounder import multitx, pulse, sliding, sweep
 from chansounder.pn import circular_correlate
@@ -24,6 +27,42 @@ def add_noise(signal, noise_power_dbfs, seed):
     return multitx.compose_received([multitx.SceneTransmitter(signal, unit)],
                                     schedule, noise_power_dbfs=noise_power_dbfs,
                                     seed=seed)
+
+
+def assert_no_child_left():
+    """No forked worker of this process is left running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def failing_channel_draw(monkeypatch, position, error):
+    """Make campaign channel draws raise error at one receiver position,
+    in this process and in every worker forked after this call."""
+    draw = campaign.synthesize_channel
+
+    def synthesize(environment, tx_position, rx_position, *args, **kwargs):
+        if tuple(rx_position) == tuple(position):
+            raise error
+        return draw(environment, tx_position, rx_position, *args, **kwargs)
+
+    monkeypatch.setattr(campaign, "synthesize_channel", synthesize)
+
+
+def oracle_guard_core_power_ratio(signal, schedule, trim_samples):
+    """guard_core_power_ratio with np.mean(np.abs(x) ** 2) per region."""
+    if trim_samples < 1:
+        return 0.0
+    slot_samples = int(round(schedule.slot_length * signal.sample_rate))
+    guard_power = core_power = 0.0
+    for i in range(schedule.transmitter_count):
+        lo = i * slot_samples
+        hi = lo + slot_samples
+        head = np.mean(np.abs(signal.samples[lo:lo + trim_samples]) ** 2)
+        tail = np.mean(np.abs(signal.samples[hi - trim_samples:hi]) ** 2)
+        core = np.mean(np.abs(signal.samples[lo + trim_samples:hi - trim_samples]) ** 2)
+        guard_power = max(guard_power, head, tail)
+        core_power = max(core_power, core)
+    return 0.0 if core_power == 0.0 else float(guard_power / core_power)
 
 
 def default_plan():

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import pathlib
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +16,8 @@ from chansounder import multitx, sliding, sweep
 from chansounder.channel import EnvironmentModel
 from chansounder.exceptions import NoSignalError
 
-from helpers import oracle_measure_sliding, use_oracle_sweep
+from helpers import (assert_no_child_left, failing_channel_draw,
+                     oracle_measure_sliding, use_oracle_sweep)
 
 
 def small_environment(**overrides):
@@ -253,6 +256,84 @@ def test_campaign_determinism():
     assert one == two
 
 
+# five locations, so worker counts 2, 3 and 8 cut the path unevenly: a
+# sliding scenario with clock offsets, in-band leakage, noise and a
+# distant transmitter that is lost (no_signal) at the last location, and
+# a two-frame frequency scenario with noise
+SHARDED = {
+    "sliding": small_scenario(
+        locations=5, clocks=cp.ClockSetup(offset_std_s=0.3e-6),
+        transmitters=(cp.Transmitter("tx1", (0.0, 0.0, 1.0)),
+                      cp.Transmitter("tx2", (20.0, 10.0, 2.0)),
+                      cp.Transmitter("far", (4000.0, 3.0, 1.2))),
+        leakage=multitx.LeakageModel(inband_null_leakage_db=30.0),
+        park_mode=multitx.PARK_IN_BAND, noise_power_dbfs=-85.0),
+    "frequency": small_scenario(
+        mode="frequency", locations=5,
+        transmitters=(cp.Transmitter("tx1", (0.0, 0.0, 1.8)),
+                      cp.Transmitter("tx2", (30.0, 20.0, 3.7)),
+                      cp.Transmitter("tx3", (15.0, 30.0, 2.0))),
+        frequency=sweep.FrequencySetup(guard_band_hz=300e3),
+        noise_power_dbfs=-90.0),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SHARDED))
+def test_sharded_campaign_matches_serial(mode):
+    scenario = SHARDED[mode]
+    serial = [json.dumps(cp.record_to_json(r)) for r in cp.run_campaign(scenario)]
+    assert len(serial) == 5 * len(scenario.transmitters)
+    for workers in (2, 3, 8):
+        sharded = cp.run_campaign(scenario, workers=workers)
+        assert [json.dumps(cp.record_to_json(r)) for r in sharded] == serial
+        assert_no_child_left()
+
+
+def test_campaign_runs_in_process_off_linux(monkeypatch):
+    scenario = SHARDED["sliding"]
+    serial = [cp.record_to_json(r) for r in cp.run_campaign(scenario)]
+    monkeypatch.setattr(sys, "platform", "darwin")
+    monkeypatch.delattr(os, "fork")  # a fork attempt would now fail
+    assert [cp.record_to_json(r) for r in cp.run_campaign(scenario, workers=3)] \
+        == serial
+
+
+def test_campaign_rejects_fewer_than_one_worker():
+    with pytest.raises(ValueError, match="^workers: must be at least 1$"):
+        cp.run_campaign(SHARDED["sliding"], workers=0)
+
+
+class Halt(BaseException):
+    """Stands in for an interrupt that no handler may swallow."""
+
+
+@pytest.mark.parametrize("location, error", [
+    (0, ValueError("environment: no channel here")),   # this process's block
+    (4, ValueError("environment: no channel here")),   # the last worker's
+    (0, Halt("stopped at the first location")),
+])
+def test_failed_sharded_campaign_raises_and_leaves_no_child(
+        monkeypatch, location, error):
+    scenario = SHARDED["sliding"]
+    failing_channel_draw(monkeypatch, scenario.receiver_path[location], error)
+    with pytest.raises(type(error), match=str(error)):
+        cp.run_campaign(scenario, workers=3)
+    assert_no_child_left()
+
+
+def test_worker_that_sends_nothing_is_named(monkeypatch):
+    class Unpicklable(ValueError):
+        """Local to this test, so a worker cannot pickle it back."""
+
+    scenario = SHARDED["sliding"]
+    failing_channel_draw(monkeypatch, scenario.receiver_path[4],
+                         Unpicklable("lost"))
+    with pytest.raises(ChildProcessError, match="^the worker for locations "
+                       "2-4 ended without sending its records$"):
+        cp.run_campaign(scenario, workers=2)
+    assert_no_child_left()
+
+
 def test_seed_override_changes_output():
     scenario = small_scenario(locations=2)
     base = cp.run_campaign(scenario)
@@ -472,6 +553,15 @@ def test_fixture_scenarios_load(tmp_path):
     outdoor = cp.load_scenario(root / "courtyard_frequency.json")
     assert outdoor.mode == "frequency"
     assert len(outdoor.transmitters) == 2
+
+
+def test_silent_noise_floor_roundtrips(tmp_path):
+    # json writes -inf as -Infinity, the one non-finite number it loads
+    scenario = small_scenario(noise_power_dbfs=-math.inf)
+    target = tmp_path / "scenario.json"
+    cp.save_scenario(scenario, target)
+    assert '"noise_power_dbfs": -Infinity' in target.read_text()
+    assert cp.load_scenario(target) == scenario
 
 
 def test_leakage_settings_roundtrip(tmp_path):

@@ -1,14 +1,18 @@
 import dataclasses
 import json
+import math
+import os
 
 import numpy as np
 import pytest
 
 from chansounder import campaign as cp
 from chansounder import channel as ch
-from chansounder import multitx, pulse, schema, sliding, sweep
+from chansounder import cli, multitx, pulse, schema, sliding, sweep
 from chansounder.channel import EnvironmentModel
 from chansounder.cli import build_parser, main
+
+from helpers import assert_no_child_left, failing_channel_draw
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +161,70 @@ def test_campaign_and_reproducibility(tmp_path, capsys):
     assert produced == sorted(names)
 
 
+def sharded_scenario_file(tmp_path, mode):
+    """Five locations of a sliding scenario with clock offsets, in-band
+    leakage and noise, or of a noisy frequency scenario."""
+    scenario = cp.load_scenario(scenario_file(tmp_path, locations=5))
+    if mode == "sliding":
+        scenario = dataclasses.replace(
+            scenario, clocks=cp.ClockSetup(offset_std_s=0.3e-6),
+            leakage=multitx.LeakageModel(inband_null_leakage_db=30.0),
+            park_mode=multitx.PARK_IN_BAND, noise_power_dbfs=-85.0)
+    else:
+        scenario = dataclasses.replace(scenario, mode="frequency",
+                                       noise_power_dbfs=-90.0)
+    path = tmp_path / f"{mode}.json"
+    cp.save_scenario(scenario, path)
+    return path
+
+
+@pytest.mark.parametrize("mode", ["sliding", "frequency"])
+def test_campaign_outputs_identical_at_any_worker_count(tmp_path, capsys,
+                                                        monkeypatch, mode):
+    scenario_path = sharded_scenario_file(tmp_path, mode)
+    outputs = {}
+    for workers in (1, 2, 3, 7):
+        monkeypatch.setattr(cli, "_campaign_workers", lambda: workers)
+        out = tmp_path / f"workers{workers}"
+        code, _, err = run_cli(capsys, "campaign", "--scenario",
+                               str(scenario_path), "--out-dir", str(out))
+        assert code == 0, err
+        outputs[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert_no_child_left()
+    assert sorted(outputs[1]) == ["heatmap_tx1.csv", "heatmap_tx2.csv",
+                                  "records.jsonl"]
+    for workers, files in outputs.items():
+        assert files == outputs[1], workers
+
+
+def test_worker_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    scenario_path = sharded_scenario_file(tmp_path, "sliding")
+    last = cp.load_scenario(scenario_path).receiver_path[-1]
+    failing_channel_draw(monkeypatch, last,
+                         ValueError("environment: no channel at the last location"))
+    monkeypatch.setattr(cli, "_campaign_workers", lambda: 2)
+    code, _, err = run_cli(capsys, "campaign", "--scenario", str(scenario_path),
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert err == "ValueError: environment: no channel at the last location\n"
+    assert not (tmp_path / "out" / "records.jsonl").exists()
+    assert_no_child_left()
+
+
+def test_campaign_workers_follow_the_cpus_up_to_two(monkeypatch):
+    # two is the most campaign processes measured; more CPUs add none
+    for cpus, workers in ((1, 1), (2, 2), (64, 2)):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, cpus=cpus: set(range(cpus)),
+                            raising=False)
+        assert cli._campaign_workers() == workers
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # count unknown
+    assert cli._campaign_workers() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert cli._campaign_workers() == 2
+
+
 def test_validate_good_scenario(tmp_path, capsys):
     scenario_path = scenario_file(tmp_path)
     code, out, _ = run_cli(capsys, "validate", "--scenario",
@@ -215,7 +283,21 @@ def test_validate_missing_file(tmp_path, capsys):
         ("transmitters", "position_m", ["a", "b", "c"],
          "transmitters[0].position_m[0]"),
         (None, "receiver_path_m", [[2.0, 3.0, 1.2], [3.0, 3.0]],
-         "receiver_path_m[1]")]],
+         "receiver_path_m[1]"),
+        ("leakage", "parked_leakage_db", -1.0, "leakage.parked_leakage_db"),
+        ("leakage", "inband_null_leakage_db", -1.0,
+         "leakage.inband_null_leakage_db"),
+        # JSON's NaN and Infinity literals, which range checks let through
+        ("sliding", "chip_period_s", math.nan, "sliding.chip_period_s"),
+        ("sliding", "chip_period_s", math.inf, "sliding.chip_period_s"),
+        ("sliding", "detection_threshold_db", math.nan,
+         "sliding.detection_threshold_db"),
+        ("sliding", "detection_threshold_db", -math.inf,
+         "sliding.detection_threshold_db"),
+        ("environment", "path_loss_exponent", math.nan,
+         "environment.path_loss_exponent"),
+        (None, "noise_power_dbfs", math.nan, "noise_power_dbfs"),
+        (None, "noise_power_dbfs", math.inf, "noise_power_dbfs")]],
 ])
 def test_strict_scenario_schema_exits_2(tmp_path, capsys, command, where,
                                         key, value, name):

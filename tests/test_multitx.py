@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from chansounder import channel as ch
 from chansounder import multitx, pulse, schema, sliding, sweep
 
-from helpers import oracle_compose_received, per_sample_compose
+from helpers import (oracle_compose_received, oracle_guard_core_power_ratio,
+                     per_sample_compose)
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +174,34 @@ def test_gross_clock_offset_raises_flag(tdma_setup):
     segmented = multitx.segment_capture(capture, schedule, trim_samples=guard)
     assert segmented.misaligned
     assert segmented.guard_core_ratio > 0.25
+
+
+def test_guard_core_power_ratio_matches_mean_of_squares(tdma_setup):
+    # random slot counts, slot lengths, trims and per-sample levels, plus
+    # a real capture whose bursts spill into the guards
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(300):
+        count = int(rng.integers(1, 7))
+        slot = int(rng.integers(3, 500))
+        trim = int(rng.integers(0, (slot + 1) // 2))
+        n = count * slot
+        samples = ((rng.normal(size=n) + 1j * rng.normal(size=n))
+                   * 10.0 ** rng.uniform(-4, 2, size=n))
+        cases.append((pulse.BasebandSignal(samples=samples, sample_rate=1e6),
+                      multitx.build_schedule(count, slot / 1e6), trim))
+    burst, guard, schedule, _ = tdma_setup
+    clock = multitx.ClockModel(offset=1.5 * schedule.slot_length)
+    scene = [multitx.SceneTransmitter(burst, flat_channel(6.0 * k), clock=clock)
+             for k in range(3)]
+    cases.append((multitx.compose_received(scene, schedule,
+                                           burst_offset_samples=guard),
+                  schedule, guard))
+    for signal, schedule, trim in cases:
+        want = oracle_guard_core_power_ratio(signal, schedule, trim)
+        got = multitx.guard_core_power_ratio(signal, schedule, trim)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert want > 0.25  # the spilled capture is misaligned either way
 
 
 def test_near_far_failure_and_mitigation(tdma_setup, chips10, rrc_taps):
