@@ -101,8 +101,10 @@ class Scenario:
         ids = [tx.id for tx in self.transmitters]
         if len(set(ids)) != len(ids):
             raise ValueError("transmitters: ids must be unique")
-        if self.geo is not None and len(self.geo) != len(self.receiver_path):
-            raise ValueError("geo: must align one-to-one with receiver_path")
+        if self.geo is not None:
+            if len(self.geo) != len(self.receiver_path):
+                raise ValueError("geo: must align one-to-one with receiver_path")
+            schema.check_finite(self.geo, "geo")
         # every position has as many coordinates, 2 or 3, as the first
         dimension = len(self.transmitters[0].position)
         expected = dimension if dimension in (2, 3) else "2 or 3"

@@ -89,8 +89,7 @@ class ChipSequence:
 
 @dataclass(frozen=True)
 class CorrelationProfile:
-    """Normalized circular correlation values over one period of lags,
-    one row per observation when a stack was correlated."""
+    """Normalized circular correlation values over one period of lags."""
 
     values: np.ndarray
     normalization: float = field(default=0.0)
@@ -170,18 +169,14 @@ def circular_correlate(reference: ChipSequence, observed) -> CorrelationProfile:
     values[n] = (1/N) * sum_m reference[m] * observed[(m + n) mod N], so an
     observation that is the reference delayed by d chips peaks at lag d.
     Computed via FFT against the reference's cached spectrum.
-
-    observed may also be a (k, N) stack: every row is correlated by the
-    same one forward and one inverse FFT, and values[i] equals, bit for
-    bit, the correlation of row i alone. The stack is copied to C order
-    first, because the FFT keeps the strides of its input and the
-    profile's values must be contiguous along the lag axis.
     """
     n = reference.period_length
-    observed = np.ascontiguousarray(observed, dtype=np.complex128)
-    if observed.ndim not in (1, 2) or observed.shape[-1] != n:
+    observed = np.asarray(observed, dtype=np.complex128)
+    if observed.ndim != 1:
+        raise ValueError(f"observed must be 1-D, got shape {observed.shape}")
+    if len(observed) != n:
         raise ValueError(
-            f"observed length {observed.shape} does not match period {n}"
+            f"observed length {len(observed)} does not match period {n}"
         )
     spectrum = reference.conj_spectrum * np.fft.fft(observed)
     values = np.fft.ifft(spectrum) / n

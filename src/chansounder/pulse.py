@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from chansounder import schema
 from chansounder.exceptions import NoSignalError
-from chansounder.pn import ChipSequence, circular_correlate
+from chansounder.pn import ChipSequence
 
 DEFAULT_ROLLOFF = 0.35
 DEFAULT_SPAN_SYMBOLS = 12
@@ -287,6 +287,14 @@ def estimate_timing_phase(signal: BasebandSignal, chips: ChipSequence,
     pulse), and unlike the bare peak magnitude it cannot be fooled by
     adjacent taps whose mis-sampled tails add up. Ties break toward the
     smallest phase.
+
+    No correlation is formed. By Parseval, the profile energy of a phase's
+    N outputs y is sum_k |C_k|^2 |Y_k|^2 / N^3, with C the chip spectrum
+    and Y the spectrum of y. ChipSequence accepts only balanced sequences
+    whose periodic autocorrelation is two-valued, so |C_0|^2 = 1 and
+    |C_k|^2 = N + 1 for every k != 0, exactly, and the energy is
+    ((N + 1) * sum|y|^2 - |sum y|^2) / N^2 for every sequence the
+    receiver can be handed.
     """
     if not np.any(signal.samples):
         raise NoSignalError("capture is all zero; no timing phase exists")
@@ -301,19 +309,24 @@ def estimate_timing_phase(signal: BasebandSignal, chips: ChipSequence,
             "signal does not contain a full chip period at every phase"
         )
     windows = _matched_filter(signal, taps, start, stop).reshape(n, sps)
-    return int(np.argmax(_phase_energies(chips, windows.T)))
+    return int(np.argmax(_phase_scores(windows)))
 
 
-def _phase_energies(chips: ChipSequence, phases: np.ndarray) -> np.ndarray:
-    """Correlation-profile energy of each row of a (sps, N) phase stack.
+def _phase_scores(windows: np.ndarray) -> np.ndarray:
+    """N^2 times the correlation-profile energy of each column y of an
+    (N, sps) block: (N + 1) * sum|y|^2 - |sum y|^2.
 
-    One stacked correlation serves every phase. Each row's energy is its
-    own 1-D np.sum, the reduction the per-phase search used: on a stack
-    that is not C-ordered, np.sum(..., axis=-1) rounds differently in the
-    last bits and could flip a near-tie.
+    Column 2p of the float view is phase p's real part and 2p + 1 its
+    imaginary part; the score splits into one term per part. The power
+    sums are sums of products over the float view, as in
+    multitx._mean_power; not np.vdot, which wakes the BLAS thread pool.
     """
-    power = np.abs(circular_correlate(chips, phases).values) ** 2
-    return np.array([np.sum(row) for row in power])
+    n = len(windows)
+    parts = windows.view(np.float64)
+    power = np.einsum("kq,kq->q", parts, parts)
+    total = np.einsum("kq->q", parts)
+    scores = (n + 1) * power - total * total
+    return scores[0::2] + scores[1::2]
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,19 @@ def from_json(kind, value, path: str = ""):
     raise ValueError(f"{path}: expected {kind.__name__}, got {value!r}")
 
 
+def check_finite(value, path: str) -> None:
+    """Reject NaN and +-Infinity at any depth of a value that is passed
+    through unmapped, such as a scenario's geo entries."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{path}: must be finite, got {value!r}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            check_finite(item, f"{path}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            check_finite(item, f"{path}[{i}]")
+
+
 def _tuple_from_json(kind, value, path: str) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{path}: expected a list, got {value!r}")

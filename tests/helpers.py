@@ -94,9 +94,9 @@ def measured_correlation_gain(chips, periods, seed, symbol_snr_db=0.0):
 
 
 def random_planted_channel(rng, chip_period, max_taps=8, max_span=50,
-                           dynamic_range_db=40.0):
+                           dynamic_range_db=40.0, min_taps=2):
     """Random integer-lag multipath channel within the stated envelope."""
-    tap_count = int(rng.integers(2, max_taps + 1))
+    tap_count = int(rng.integers(min_taps, max_taps + 1))
     extra = rng.choice(np.arange(1, max_span + 1), size=tap_count - 1,
                        replace=False)
     lags = np.concatenate([[0], np.sort(extra)])
@@ -108,6 +108,25 @@ def random_planted_channel(rng, chip_period, max_taps=8, max_span=50,
     return ch.MultipathChannel(gains=gains, delays=lags * chip_period), lags
 
 
+def _oracle_filter(capture, taps):
+    """The full np.convolve matched filter and the index of t = 0 in it."""
+    filtered = np.convolve(capture.samples, taps.coefficients)
+    half = (len(taps.coefficients) - 1) / 2
+    origin = int(round(-capture.origin_time * capture.sample_rate + half))
+    assert origin >= 0
+    return filtered, origin
+
+
+def oracle_timing_phase(capture, chips, taps, skip_symbols=0):
+    """estimate_timing_phase with one full np.convolve matched filter and
+    one 1-D FFT correlation per phase."""
+    sps, n = taps.samples_per_symbol, chips.period_length
+    filtered, origin = _oracle_filter(capture, taps)
+    start = origin + skip_symbols * sps
+    windows = filtered[start:start + n * sps].reshape(n, sps)
+    return int(np.argmax(oracle_phase_energies(chips, windows)))
+
+
 def oracle_measure_sliding(capture, chips, taps, config, tx_power_db=0.0,
                            settle_periods=1):
     """measure_sliding on one full np.convolve matched filter per segment.
@@ -115,17 +134,11 @@ def oracle_measure_sliding(capture, chips, taps, config, tx_power_db=0.0,
     The pre-decimation receive chain, kept as the reference that the
     decimating filter in pulse must match bit for bit.
     """
-    sps, n = taps.samples_per_symbol, chips.period_length
-    filtered = np.convolve(capture.samples, taps.coefficients)
-    half = (len(taps.coefficients) - 1) / 2
-    origin = int(round(-capture.origin_time * capture.sample_rate + half))
-    assert origin >= 0
-    start = origin + settle_periods * n * sps
-    scores = [np.sum(np.abs(circular_correlate(
-        chips, filtered[start + phase::sps][:n]).values) ** 2)
-        for phase in range(sps)]
-    symbols = filtered[origin + int(np.argmax(scores))::sps]
+    n = chips.period_length
     skip = settle_periods * n
+    phase = oracle_timing_phase(capture, chips, taps, skip)
+    filtered, origin = _oracle_filter(capture, taps)
+    symbols = filtered[origin + phase::taps.samples_per_symbol]
     return sliding.sound(symbols[skip:skip + config.averaging_periods * n],
                          chips, config, tx_power_db)
 
@@ -245,7 +258,8 @@ def per_sample_compose(scene, schedule, leakage, burst_offset_samples=0,
 
 def oracle_phase_energies(chips, windows):
     """Profile energy per phase column of an (N, sps) window block, one
-    1-D correlation per phase: the timing search before stacking."""
+    1-D FFT correlation per phase: the timing search before its closed
+    form."""
     return np.array([float(np.sum(np.abs(circular_correlate(
         chips, windows[:, phase]).values) ** 2))
         for phase in range(windows.shape[1])])

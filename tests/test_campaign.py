@@ -17,7 +17,8 @@ from chansounder.channel import EnvironmentModel
 from chansounder.exceptions import NoSignalError
 
 from helpers import (assert_no_child_left, failing_channel_draw,
-                     oracle_measure_sliding, use_oracle_sweep)
+                     oracle_measure_sliding, oracle_timing_phase,
+                     use_oracle_sweep)
 
 
 def small_environment(**overrides):
@@ -623,3 +624,22 @@ def test_receive_chain_matches_full_convolution_oracle(monkeypatch):
     records = cp.run_campaign(scenario)
     assert len(outcomes) == len(records) == 15
     assert sum(o is not None for o in outcomes) >= 10
+
+
+def test_timing_search_matches_fft_oracle_on_bundled_walk(monkeypatch):
+    # 20 locations of the bundled indoor walk: the closed-form phase of
+    # every segment must be the phase that the per-phase FFT search picks
+    scenario = cp.load_scenario(SCENARIO_DIR / "indoor_wing_sliding.json")
+    scenario = replace(scenario, receiver_path=scenario.receiver_path[:20])
+    estimate = sliding.estimate_timing_phase
+    phases = []
+
+    def checked(signal, chips, taps, skip_symbols=0):
+        phase = estimate(signal, chips, taps, skip_symbols=skip_symbols)
+        assert phase == oracle_timing_phase(signal, chips, taps, skip_symbols)
+        phases.append(phase)
+        return phase
+
+    monkeypatch.setattr(sliding, "estimate_timing_phase", checked)
+    records = cp.run_campaign(scenario)
+    assert len(phases) == len(records) == 60

@@ -297,7 +297,11 @@ def test_validate_missing_file(tmp_path, capsys):
         ("environment", "path_loss_exponent", math.nan,
          "environment.path_loss_exponent"),
         (None, "noise_power_dbfs", math.nan, "noise_power_dbfs"),
-        (None, "noise_power_dbfs", math.inf, "noise_power_dbfs")]],
+        (None, "noise_power_dbfs", math.inf, "noise_power_dbfs"),
+        # and at any depth of the geo passthrough, which no type checks
+        (None, "geo", [{"lat": math.nan}, None], "geo[0].lat"),
+        (None, "geo", [None, [1.0, {"alt": -math.inf}]], "geo[1][1].alt"),
+        (None, "geo", [math.inf, None], "geo[0]")]],
 ])
 def test_strict_scenario_schema_exits_2(tmp_path, capsys, command, where,
                                         key, value, name):

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chansounder import pulse
+from chansounder import pn, pulse
 from chansounder.exceptions import NoSignalError
 
 from helpers import oracle_phase_energies
@@ -185,18 +187,24 @@ def test_recover_window_is_a_slice_of_the_full_stream(rrc_taps):
         pulse.recover_symbols(signal, rrc_taps, 0, count=-1)
 
 
-def test_stacked_phase_energies_match_per_phase_correlation(chips10):
-    # the timing search correlates all phases as one stack; every phase's
-    # energy must equal, bit for bit, its own 1-D correlation and 1-D sum.
-    # The stack arrives transposed (Fortran order), where a row-wise
-    # np.sum(axis=-1) rounds differently and a non-contiguous FFT result
-    # fails the profile's finiteness check
-    rng = np.random.default_rng(300)
-    for trial in range(300):
-        windows = rng.normal(size=(1023, 4)) + 1j * rng.normal(size=(1023, 4))
-        windows *= 10.0 ** rng.uniform(-6, 3)
-        got = pulse._phase_energies(chips10, windows.T)
-        assert got.tobytes() == oracle_phase_energies(chips10, windows).tobytes()
+@given(degree=st.integers(2, 11), sps=st.integers(2, 8),
+       seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-6.0, 3.0))
+@settings(max_examples=150)
+def test_closed_form_phase_energies_match_fft_oracle(degree, sps, seed,
+                                                    log_scale):
+    # the timing search ranks phases by (N + 1) * sum|y|^2 - |sum y|^2,
+    # which must be N^2 times the energy of each phase's FFT correlation
+    chips = pn.generate_glfsr(degree)
+    n = chips.period_length
+    rng = np.random.default_rng(seed)
+    windows = (rng.normal(size=(n, sps)) + 1j * rng.normal(size=(n, sps))) \
+        * 10.0 ** log_scale
+    got = pulse._phase_scores(windows) / n**2
+    expected = oracle_phase_energies(chips, windows)
+    npt.assert_allclose(got, expected, rtol=1e-12, atol=0)
+    runner_up, best = np.sort(expected)[-2:]
+    if best - runner_up > 1e-9 * best:
+        assert np.argmax(got) == np.argmax(expected)
 
 
 @pytest.mark.parametrize("planted", [0, 1, 2, 3])

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chansounder import channel as ch
 from chansounder import pulse, sliding
 from chansounder.exceptions import NoSignalError
 
-
-from helpers import add_noise, measured_correlation_gain, planted_capture
+from helpers import (add_noise, measured_correlation_gain, planted_capture,
+                     random_planted_channel)
 
 
 def test_planted_three_tap_channel(chips10, rrc_taps, sounder_config):
@@ -38,6 +40,47 @@ def test_adjacent_near_equal_taps(chips10, rrc_taps):
     profile = sliding.measure_sliding(capture, chips10, rrc_taps, config)
     npt.assert_array_equal(profile.lags, [0, 4, 12, 13])
     npt.assert_allclose(profile.gains, planted.gains, rtol=1e-6)
+
+
+def _arriving_late(capture, samples):
+    """capture with its waveform arriving a whole number of samples later."""
+    return pulse.BasebandSignal(
+        np.concatenate([np.zeros(samples), capture.samples]),
+        capture.sample_rate, capture.origin_time)
+
+
+@given(seed=st.integers(0, 2**32 - 1), offset=st.integers(0, 15),
+       shift=st.integers(1, 15))
+@settings(max_examples=60)
+def test_planted_channel_recovery_property(chips10, rrc_taps, seed, offset,
+                                           shift):
+    # a random 1-6 tap channel on the chip grid, arriving a random whole
+    # number of samples late: the search finds the true sample phase,
+    # lags come back exact and gains within 1 dB / 5 degrees, and a
+    # further whole-sample shift of the capture changes no profile bit
+    config = sliding.SounderConfig(averaging_periods=2,
+                                   detection_threshold_db=50.0)
+    planted, lags = random_planted_channel(np.random.default_rng(seed),
+                                           config.chip_period_s, max_taps=6,
+                                           min_taps=1)
+    capture = _arriving_late(planted_capture(chips10, rrc_taps, planted, config),
+                             offset)
+    sps = rrc_taps.samples_per_symbol
+    assert pulse.estimate_timing_phase(capture, chips10, rrc_taps,
+                                       skip_symbols=chips10.period_length) \
+        == offset % sps
+    profile = sliding.measure_sliding(capture, chips10, rrc_taps, config)
+    npt.assert_array_equal(profile.lags, lags)
+    ratio = profile.gains / planted.gains
+    assert np.max(np.abs(20 * np.log10(np.abs(ratio)))) <= 1.0
+    assert np.max(np.abs(np.degrees(np.angle(ratio)))) <= 5.0
+
+    shifted = sliding.measure_sliding(_arriving_late(capture, shift), chips10,
+                                      rrc_taps, config)
+    assert shifted.lags.tobytes() == profile.lags.tobytes()
+    assert shifted.gains.tobytes() == profile.gains.tobytes()
+    assert shifted.wideband_path_loss_db == profile.wideband_path_loss_db
+    assert shifted.rms_delay_spread == profile.rms_delay_spread
 
 
 def test_identity_channel_measurement(chips10, rrc_taps, sounder_config):
