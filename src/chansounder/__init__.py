@@ -28,7 +28,6 @@ from chansounder.channel import (
 )
 from chansounder.exceptions import NoSignalError
 from chansounder.multitx import (
-    ClockModel,
     LeakageModel,
     SceneTransmitter,
     TdmaSchedule,
@@ -43,7 +42,6 @@ from chansounder.pn import (
     circular_correlate,
     generate_glfsr,
     load_chips,
-    periodic_chip,
     save_chips,
 )
 from chansounder.pulse import (
@@ -68,7 +66,6 @@ from chansounder.sliding import (
 from chansounder.sweep import (
     FrequencySetup,
     NarrowbandLossSet,
-    PhaseNoiseSkirt,
     SweepPlan,
     bin_power,
     bin_powers,

@@ -54,22 +54,17 @@ class Transmitter:
 
 
 @dataclass(frozen=True)
-class ScheduleSetup:
-    slot_length_s: float | None = None  # None: smallest slot fitting the burst
-    guard_fraction: float = 0.05
-
-    def __post_init__(self):
-        if self.slot_length_s is not None and self.slot_length_s <= 0:
-            raise ValueError("slot_length_s: must be positive")
-        if not 0.0 <= self.guard_fraction < 0.5:
-            raise ValueError("guard_fraction: must be in [0, 0.5)")
-
-
-@dataclass(frozen=True)
 class ClockSetup:
     tx_offsets_s: tuple[float, ...] | None = None  # explicit per-transmitter offsets
     offset_std_s: float = 0.0          # else drawn per node from this spread
     rx_offset_s: float = 0.0
+
+    def __post_init__(self):
+        if self.offset_std_s < 0:
+            raise ValueError("offset_std_s: must be nonnegative")
+        if self.tx_offsets_s is not None and self.offset_std_s != 0:
+            raise ValueError("offset_std_s: must be 0 when tx_offsets_s "
+                             "gives the offsets")
 
 
 @dataclass(frozen=True)
@@ -81,7 +76,7 @@ class Scenario:
     master_seed: int = 0
     sliding: sliding.SounderConfig = field(default_factory=sliding.SounderConfig)
     frequency: sweep.FrequencySetup = field(default_factory=sweep.FrequencySetup)
-    schedule: ScheduleSetup = field(default_factory=ScheduleSetup)
+    schedule: multitx.ScheduleSetup = field(default_factory=multitx.ScheduleSetup)
     clocks: ClockSetup = field(default_factory=ClockSetup)
     leakage: multitx.LeakageModel = field(default_factory=multitx.LeakageModel)
     park_mode: str = multitx.PARK_OFF_BAND
@@ -133,29 +128,9 @@ class MeasurementRecord:
     flags: tuple = ()
 
 
-def _sliding_geometry(config: sliding.SounderConfig, schedule: ScheduleSetup,
-                      burst_samples: int, sample_rate: float):
-    """Slot and guard sizes in samples, both multiples of one symbol."""
-    sps = config.samples_per_symbol
-    if schedule.slot_length_s is None:
-        fraction = schedule.guard_fraction
-        slot = math.ceil(burst_samples / (1.0 - 2.0 * fraction) / sps) * sps
-    else:
-        slot = int(round(schedule.slot_length_s * sample_rate))
-        slot -= slot % sps
-        if slot < burst_samples:
-            raise ValueError(
-                f"schedule.slot_length_s: slot of {slot} samples cannot hold "
-                f"the {burst_samples}-sample burst"
-            )
-    guard = ((slot - burst_samples) // 2) // sps * sps
-    limit = int(schedule.guard_fraction * slot) // sps * sps
-    if schedule.slot_length_s is not None:
-        guard = min(guard, limit)
-    return slot, guard
-
-
-def _tx_clock_offsets(scenario: Scenario) -> list:
+def _tx_clock_offsets(scenario: Scenario, sample_rate: float) -> list:
+    """Each transmitter's clock offset from the receiver's, in whole
+    samples: explicit, or drawn once per node from its own seed."""
     clocks = scenario.clocks
     if clocks.tx_offsets_s is not None:
         if len(clocks.tx_offsets_s) != len(scenario.transmitters):
@@ -163,19 +138,21 @@ def _tx_clock_offsets(scenario: Scenario) -> list:
         offsets = list(clocks.tx_offsets_s)
     elif clocks.offset_std_s > 0.0:
         offsets = [
-            multitx.draw_clock(clocks.offset_std_s,
-                               derive_seed(scenario.master_seed, "clock", tx.id)).offset
+            float(np.random.default_rng(
+                derive_seed(scenario.master_seed, "clock", tx.id)
+            ).normal(scale=clocks.offset_std_s))
             for tx in scenario.transmitters
         ]
     else:
         offsets = [0.0] * len(scenario.transmitters)
     # the receiver's own error shifts every transmitter the opposite way
-    return [off - clocks.rx_offset_s for off in offsets]
+    return [int(round((off - clocks.rx_offset_s) * sample_rate))
+            for off in offsets]
 
 
 def _prepare_sliding(scenario: Scenario) -> tuple:
-    """Chips, taps, per-transmitter waveforms, TDMA schedule, guard size
-    in samples and clock offsets."""
+    """Chips, taps, per-transmitter waveforms, TDMA schedule and clock
+    offsets in samples."""
     config = scenario.sliding
     try:
         chips, taps = sliding.reference(config)
@@ -184,22 +161,24 @@ def _prepare_sliding(scenario: Scenario) -> tuple:
     burst = modulate(chips, config.averaging_periods + 2, taps,
                      config.chip_period_s)
     sample_rate = burst.sample_rate
-    slot_samples, guard_samples = _sliding_geometry(
-        config, scenario.schedule, len(burst), sample_rate)
-    schedule = multitx.build_schedule(len(scenario.transmitters),
-                                      slot_samples / sample_rate)
+    try:
+        schedule = multitx.build_schedule(
+            scenario.schedule, len(scenario.transmitters), len(burst),
+            config.samples_per_symbol, sample_rate)
+    except ValueError as exc:
+        raise schema.nested("schedule", multitx.ScheduleSetup, exc) from None
     waveforms = [
         BasebandSignal(samples=burst.samples * 10.0 ** (tx.tx_power_db / 20.0),
                        sample_rate=sample_rate, origin_time=burst.origin_time)
         for tx in scenario.transmitters
     ]
-    return (chips, taps, waveforms, schedule, guard_samples,
-            _tx_clock_offsets(scenario))
+    return (chips, taps, waveforms, schedule,
+            _tx_clock_offsets(scenario, sample_rate))
 
 
 def _run_sliding(scenario: Scenario, prepared: tuple, locations: range) -> list:
     config = scenario.sliding
-    chips, taps, waveforms, schedule, guard_samples, offsets = prepared
+    chips, taps, waveforms, schedule, offsets = prepared
     records = []
     for loc_index in locations:
         position = scenario.receiver_path[loc_index]
@@ -214,14 +193,12 @@ def _run_sliding(scenario: Scenario, prepared: tuple, locations: range) -> list:
                                          delay_grid_s=config.chip_period_s)
             scene.append(multitx.SceneTransmitter(
                 waveform=waveform, channel=chan, park_mode=scenario.park_mode,
-                clock=multitx.ClockModel(offset=offset)))
+                clock_offset_samples=offset))
         capture = multitx.compose_received(
             scene, schedule, leakage=scenario.leakage,
-            burst_offset_samples=guard_samples,
             noise_power_dbfs=scenario.noise_power_dbfs,
             seed=derive_seed(scenario.master_seed, "noise", loc_index))
-        segmented = multitx.segment_capture(capture, schedule,
-                                            trim_samples=guard_samples)
+        segmented = multitx.segment_capture(capture, schedule)
         location_flags = (FLAG_MISALIGNED,) if segmented.misaligned else ()
         for tx, segment, seed in zip(scenario.transmitters,
                                      segmented.segments, seeds):

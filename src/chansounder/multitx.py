@@ -2,9 +2,11 @@
 
 Sliding mode shares one band by TDMA: each transmitter owns a rotating
 slot, bursts its PN waveform inside it, and leaks an attenuated copy the
-rest of the time (an idle radio is never perfectly silent). Clock
-offsets shift where a node believes the slot boundaries are. Frequency
-mode separates transmitters by tone frequency instead, packing
+rest of the time (an idle radio is never perfectly silent). The slot
+geometry lives in one sample-domain TdmaSchedule, which both the
+composition and the receiver's segmentation read; a node's clock offset,
+in whole samples, shifts where it believes the slot boundaries are.
+Frequency mode separates transmitters by tone frequency instead, packing
 bin-centered tones with a guard band and spilling into extra time frames
 when one frame's capacity runs out.
 """
@@ -12,7 +14,7 @@ when one frame's capacity runs out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,43 +27,50 @@ PARK_IN_BAND = "in_band"
 
 
 @dataclass(frozen=True)
-class TdmaSchedule:
-    """Round-robin slot rotation: slot i of period r covers
-    [i*slot_length + r*period, (i+1)*slot_length + r*period)."""
+class ScheduleSetup:
+    """The scenario's schedule block, from which build_schedule sizes the
+    slots: an explicit slot length, or None for the smallest slot that
+    holds the burst, and the share of the slot each guard may take."""
 
-    slot_length: float
-    transmitter_count: int
+    slot_length_s: float | None = None
+    guard_fraction: float = 0.05
 
     def __post_init__(self):
-        if self.slot_length <= 0:
-            raise ValueError("slot_length must be positive")
-        if self.transmitter_count < 1:
-            raise ValueError("transmitter_count must be >= 1")
-
-    @property
-    def period(self) -> float:
-        return self.slot_length * self.transmitter_count
-
-    def slot_interval(self, transmitter: int, period_index: int = 0):
-        start = transmitter * self.slot_length + period_index * self.period
-        return start, start + self.slot_length
+        if self.slot_length_s is not None and self.slot_length_s <= 0:
+            raise ValueError("slot_length_s: must be positive")
+        if not 0.0 <= self.guard_fraction < 0.5:
+            raise ValueError("guard_fraction: must be in [0, 0.5)")
 
 
 @dataclass(frozen=True)
-class ClockModel:
-    """Per-node clock error: a fixed offset in seconds."""
+class TdmaSchedule:
+    """Round-robin TDMA geometry of one capture period, in samples.
 
-    offset: float = 0.0
+    Slot i covers samples [i * slot_samples, (i + 1) * slot_samples) of
+    every period. A transmitter starts its burst guard_samples into its
+    slot, and the receiver trims guard_samples from both ends of every
+    slot, so each segment starts at its burst's first sample.
+    """
 
+    transmitter_count: int
+    slot_samples: int
+    guard_samples: int
 
-NTP_OFFSET_STD = 5e-3    # typical spread of NTP-disciplined laptop clocks
-GPS_OFFSET_STD = 100e-9  # typical spread of GPS-disciplined radio clocks
+    def __post_init__(self):
+        if self.transmitter_count < 1:
+            raise ValueError("transmitter_count: must be >= 1")
+        if self.slot_samples < 1:
+            raise ValueError("slot_samples: must be positive")
+        if self.guard_samples < 0:
+            raise ValueError("guard_samples: must be nonnegative")
+        if 2 * self.guard_samples >= self.slot_samples:
+            raise ValueError(
+                f"guard_samples: two guards of {self.guard_samples} samples "
+                f"would consume the whole {self.slot_samples}-sample slot")
 
-
-def draw_clock(offset_std: float, seed: int) -> ClockModel:
-    """Draw a node clock with a Gaussian offset of the given spread."""
-    rng = np.random.default_rng(seed)
-    return ClockModel(offset=float(rng.normal(scale=offset_std)) if offset_std > 0 else 0.0)
+    @property
+    def period_samples(self) -> int:
+        return self.slot_samples * self.transmitter_count
 
 
 @dataclass(frozen=True)
@@ -90,48 +99,77 @@ class LeakageModel:
 
 @dataclass(frozen=True)
 class SceneTransmitter:
-    """One transmitter's contribution to a composed capture."""
+    """One transmitter's contribution to a composed capture. Its clock
+    runs clock_offset_samples ahead of the receiver's: it perceives
+    capture sample k as sample k + clock_offset_samples of the period."""
 
     waveform: BasebandSignal
     channel: MultipathChannel
     park_mode: str = PARK_OFF_BAND
-    clock: ClockModel = field(default_factory=ClockModel)
+    clock_offset_samples: int = 0
 
 
 @dataclass(frozen=True)
 class SegmentedCapture:
     segments: list
-    trim_samples: int
     guard_core_ratio: float
     misaligned: bool
 
 
-def build_schedule(transmitter_count: int, slot_length: float) -> TdmaSchedule:
-    return TdmaSchedule(slot_length=slot_length,
-                        transmitter_count=transmitter_count)
+def build_schedule(setup: ScheduleSetup, transmitter_count: int,
+                   burst_samples: int, samples_per_symbol: int,
+                   sample_rate: float) -> TdmaSchedule:
+    """The TDMA geometry for bursts of burst_samples, with the slot and
+    the guard both whole symbols.
+
+    With no slot_length_s the slot is the smallest that holds the burst
+    between two guards of guard_fraction. An explicit slot_length_s is
+    rounded to samples and then down to symbols, and raises, naming
+    slot_length_s, when it cannot hold the burst; its guard is also
+    capped at guard_fraction of the slot. Either way the guard is the
+    largest that fits on both sides of the burst.
+    """
+    sps = samples_per_symbol
+    if setup.slot_length_s is None:
+        fraction = setup.guard_fraction
+        slot = math.ceil(burst_samples / (1.0 - 2.0 * fraction) / sps) * sps
+    else:
+        slot = int(round(setup.slot_length_s * sample_rate))
+        slot -= slot % sps
+        if slot < burst_samples:
+            raise ValueError(
+                f"slot_length_s: slot of {slot} samples cannot hold "
+                f"the {burst_samples}-sample burst"
+            )
+    guard = ((slot - burst_samples) // 2) // sps * sps
+    if setup.slot_length_s is not None:
+        guard = min(guard, int(setup.guard_fraction * slot) // sps * sps)
+    return TdmaSchedule(transmitter_count, slot, guard)
 
 
-def _place_by_slices(out, received, offset_samples, slot_start,
-                     slot_samples, period_samples, burst_offset_samples,
-                     leak_gain):
+def _place_by_slices(out, received, offset_samples, slot_index,
+                     schedule: TdmaSchedule, leak_gain):
     """Add one transmitter's bursts and leakage to out.
 
     Sample k is perceived at k + offset_samples, so the slot repeats at
-    capture samples slot_start - offset_samples (mod period_samples).
+    capture samples slot_index * slot_samples - offset_samples (mod
+    period_samples), and each burst starts guard_samples into it.
     Each sample gets the same single addend as mapping every sample
     through its perceived slot position would give it, bit for bit.
     """
     n = len(out)
+    slot_samples = schedule.slot_samples
+    period_samples = schedule.period_samples
     if leak_gain > 0.0:
         scaled = leak_gain * received
-    first = (slot_start - offset_samples) % period_samples
+    first = (slot_index * slot_samples - offset_samples) % period_samples
     if first + slot_samples > period_samples:
         first -= period_samples  # a slot straddles sample 0
     idle_from = 0
     for slot_lo in range(first, n, period_samples):
         lo = max(slot_lo, 0)
         hi = min(slot_lo + slot_samples, n)
-        burst_lo = slot_lo + burst_offset_samples
+        burst_lo = slot_lo + schedule.guard_samples
         a = max(lo, burst_lo)
         b = min(hi, burst_lo + len(received))
         if b > a:
@@ -157,18 +195,17 @@ def _add_wrapped(out, scaled, lo, hi, offset_samples):
 
 def compose_received(scene, schedule: TdmaSchedule,
                      leakage: LeakageModel | None = None,
-                     burst_offset_samples: int = 0,
-                     duration: float | None = None,
                      noise_power_dbfs: float | None = None,
                      seed: int = 0) -> BasebandSignal:
-    """Sum every transmitter's channel-filtered waveform over one capture.
+    """Sum every transmitter's channel-filtered waveform over one TDMA
+    period of the receiver's clock.
 
-    During its own (clock-perceived) slot a transmitter contributes its
-    burst, placed burst_offset_samples after the slot start; everywhere
-    else it contributes an attenuated, periodically tiled copy — the
-    correlated leakage that creates the near-far problem. All slot
-    bookkeeping is done in integer samples so identical scenes compose
-    bit-identically. Bursts are placed by slices and the leakage from one
+    Transmitter i bursts during its own (clock-perceived) slot i,
+    starting guard_samples into it; everywhere else it contributes an
+    attenuated, periodically tiled copy — the correlated leakage that
+    creates the near-far problem. The capture carries the first
+    waveform's origin_time, so a burst that starts a segment keeps its
+    own time axis. Bursts are placed by slices and the leakage from one
     leak-scaled copy of the received waveform, added in wrapped slices,
     so no capture-length tile is built. Noise, when asked for, is
     drawn from a generator seeded with seed, in-phase rail first, and
@@ -189,18 +226,12 @@ def compose_received(scene, schedule: TdmaSchedule,
         if tx.waveform.sample_rate != rate:
             raise ValueError("all scene waveforms must share one sample rate")
 
-    if duration is None:
-        duration = schedule.period
-    n = int(round(duration * rate))
-    slot_samples = int(round(schedule.slot_length * rate))
-    period_samples = slot_samples * schedule.transmitter_count
-
+    n = schedule.period_samples
     out = np.zeros(n, dtype=np.complex128)
     for i, tx in enumerate(scene):
         received = apply_channel(tx.waveform, tx.channel).samples
-        _place_by_slices(out, received, int(round(tx.clock.offset * rate)),
-                         i * slot_samples, slot_samples, period_samples,
-                         burst_offset_samples, leakage.gain(tx.park_mode))
+        _place_by_slices(out, received, tx.clock_offset_samples, i, schedule,
+                         leakage.gain(tx.park_mode))
 
     if noise_power_dbfs is not None and noise_power_dbfs != -math.inf:
         rng = np.random.default_rng(seed)
@@ -219,27 +250,27 @@ def _mean_power(samples: np.ndarray) -> float:
     return np.einsum("i,i->", parts, parts) / len(samples)
 
 
-def guard_core_power_ratio(signal: BasebandSignal, schedule: TdmaSchedule,
-                           trim_samples: int) -> float:
-    """Power in the trimmed guard regions relative to the busiest slot core.
+def guard_core_power_ratio(signal: BasebandSignal,
+                           schedule: TdmaSchedule) -> float:
+    """Power in the guard trims relative to the busiest slot core.
 
     Bursts sit inside the slot cores and leave the guard trims nearly
     silent; once clock error pushes a burst past its guard, the ratio
     approaches one. Offsets that are exact multiples of the slot length
     move bursts whole slots and remain invisible here.
     """
-    if trim_samples < 1:
+    trim = schedule.guard_samples
+    if trim < 1:
         return 0.0
-    rate = signal.sample_rate
-    slot_samples = int(round(schedule.slot_length * rate))
+    slot_samples = schedule.slot_samples
     guard_power = 0.0
     core_power = 0.0
     for i in range(schedule.transmitter_count):
         lo = i * slot_samples
         hi = lo + slot_samples
-        head = _mean_power(signal.samples[lo:lo + trim_samples])
-        tail = _mean_power(signal.samples[hi - trim_samples:hi])
-        core = _mean_power(signal.samples[lo + trim_samples:hi - trim_samples])
+        head = _mean_power(signal.samples[lo:lo + trim])
+        tail = _mean_power(signal.samples[hi - trim:hi])
+        core = _mean_power(signal.samples[lo + trim:hi - trim])
         guard_power = max(guard_power, head, tail)
         core_power = max(core_power, core)
     if core_power == 0.0:
@@ -247,40 +278,34 @@ def guard_core_power_ratio(signal: BasebandSignal, schedule: TdmaSchedule,
     return float(guard_power / core_power)
 
 
-def segment_capture(signal: BasebandSignal, schedule: TdmaSchedule,
-                    guard_fraction: float = 0.05,
-                    trim_samples: int | None = None) -> SegmentedCapture:
+def segment_capture(signal: BasebandSignal,
+                    schedule: TdmaSchedule) -> SegmentedCapture:
     """Split one TDMA period into per-transmitter segments.
 
     The capture must begin at a period boundary of the receiver's clock
-    and span at least one period. A guard trim is discarded from both
-    ends of every slot to absorb small clock offsets; captures whose
-    guard regions carry slot-core-level power are flagged as misaligned.
+    and span at least one period. The schedule's guard is discarded from
+    both ends of every slot to absorb small clock offsets, so segment i
+    starts where transmitter i's burst starts when its clock agrees with
+    the receiver's, and carries the capture's origin_time. Captures
+    whose guard regions carry slot-core-level power are flagged as
+    misaligned.
     """
-    rate = signal.sample_rate
-    slot_samples = int(round(schedule.slot_length * rate))
-    period_samples = slot_samples * schedule.transmitter_count
-    if len(signal) < period_samples:
+    if len(signal) < schedule.period_samples:
         raise ValueError(
             f"capture of {len(signal)} samples is shorter than one TDMA "
-            f"period ({period_samples} samples)"
+            f"period ({schedule.period_samples} samples)"
         )
-    if trim_samples is None:
-        trim_samples = int(guard_fraction * slot_samples)
-    if 2 * trim_samples >= slot_samples:
-        raise ValueError("guard trim would consume the whole slot")
-
-    ratio = guard_core_power_ratio(signal, schedule, trim_samples)
+    ratio = guard_core_power_ratio(signal, schedule)
+    slot_samples, trim = schedule.slot_samples, schedule.guard_samples
     segments = []
     for i in range(schedule.transmitter_count):
-        lo = i * slot_samples + trim_samples
-        hi = (i + 1) * slot_samples - trim_samples
+        lo = i * slot_samples + trim
+        hi = (i + 1) * slot_samples - trim
         segments.append(BasebandSignal(samples=signal.samples[lo:hi],
-                                       sample_rate=rate,
+                                       sample_rate=signal.sample_rate,
                                        origin_time=signal.origin_time))
     return SegmentedCapture(
         segments=segments,
-        trim_samples=trim_samples,
         guard_core_ratio=ratio,
         misaligned=ratio > 0.25,
     )

@@ -9,7 +9,7 @@ not achieve the full period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -89,18 +89,16 @@ class ChipSequence:
 
 @dataclass(frozen=True)
 class CorrelationProfile:
-    """Normalized circular correlation values over one period of lags."""
+    """Circular correlation values over one period of lags, normalized
+    by 1/N."""
 
     values: np.ndarray
-    normalization: float = field(default=0.0)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.complex128)
         object.__setattr__(self, "values", values)
         if not np.all(np.isfinite(values.view(np.float64))):
             raise ValueError("correlation values must be finite")
-        if self.normalization == 0.0:
-            object.__setattr__(self, "normalization", 1.0 / len(values))
 
 
 def generate_glfsr(degree: int = 10, polynomial: int | None = None,
@@ -158,11 +156,6 @@ def generate_glfsr(degree: int = 10, polynomial: int | None = None,
     return ChipSequence(chips=chips, period_length=n)
 
 
-def periodic_chip(sequence: ChipSequence, n: int) -> float:
-    """Chip value of the periodic extension at index n (n may be negative)."""
-    return float(sequence.chips[n % sequence.period_length])
-
-
 def circular_correlate(reference: ChipSequence, observed) -> CorrelationProfile:
     """Normalized circular correlation of a chip sequence against N samples.
 
@@ -180,7 +173,7 @@ def circular_correlate(reference: ChipSequence, observed) -> CorrelationProfile:
         )
     spectrum = reference.conj_spectrum * np.fft.fft(observed)
     values = np.fft.ifft(spectrum) / n
-    return CorrelationProfile(values=values, normalization=1.0 / n)
+    return CorrelationProfile(values=values)
 
 
 def save_chips(sequence: ChipSequence, path) -> None:

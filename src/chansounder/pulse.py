@@ -146,17 +146,14 @@ def _restore_nyquist_zeros(h: np.ndarray, sps: int) -> np.ndarray:
 
 def design_rrc(rolloff: float = DEFAULT_ROLLOFF,
                span_symbols: int = DEFAULT_SPAN_SYMBOLS,
-               samples_per_symbol: int = DEFAULT_SAMPLES_PER_SYMBOL,
-               nyquist_correction: bool = True) -> FilterTaps:
-    """Design unit-energy root-raised-cosine taps.
+               samples_per_symbol: int = DEFAULT_SAMPLES_PER_SYMBOL) -> FilterTaps:
+    """Design unit-energy root-raised-cosine taps: the closed form,
+    repaired for truncation by _restore_nyquist_zeros.
 
     Args:
         rolloff: excess bandwidth in (0, 1].
         span_symbols: filter length in symbols; even, at least 4.
         samples_per_symbol: oversampling factor, at least 2.
-        nyquist_correction: apply the truncation repair of
-            _restore_nyquist_zeros (default). Pass False for the raw
-            closed-form samples.
     """
     if not 0.0 < rolloff <= 1.0:
         raise ValueError("rolloff: must be in (0, 1]")
@@ -165,9 +162,9 @@ def design_rrc(rolloff: float = DEFAULT_ROLLOFF,
     if samples_per_symbol < 2:
         raise ValueError("samples_per_symbol: must be >= 2")
 
-    h = _rrc_closed_form(rolloff, span_symbols, samples_per_symbol)
-    if nyquist_correction:
-        h = _restore_nyquist_zeros(h, samples_per_symbol)
+    h = _restore_nyquist_zeros(
+        _rrc_closed_form(rolloff, span_symbols, samples_per_symbol),
+        samples_per_symbol)
     return FilterTaps(coefficients=h, samples_per_symbol=samples_per_symbol,
                       rolloff=rolloff, span_symbols=span_symbols)
 

@@ -227,8 +227,8 @@ def sound(symbols, chips: ChipSequence, config: SounderConfig,
 
 def measure_sliding(capture: BasebandSignal, chips: ChipSequence,
                     taps: FilterTaps, config: SounderConfig,
-                    tx_power_db: float = 0.0, settle_periods: int = 1,
-                    phase: int | None = None) -> DelayProfile:
+                    tx_power_db: float = 0.0,
+                    settle_periods: int = 1) -> DelayProfile:
     """Full receive chain: timing phase search, matched filtering,
     symbol recovery, then sound() with the transmitter's power
     tx_power_db (dB).
@@ -239,8 +239,7 @@ def measure_sliding(capture: BasebandSignal, chips: ChipSequence,
     """
     n = chips.period_length
     skip = settle_periods * n
-    if phase is None:
-        phase = estimate_timing_phase(capture, chips, taps, skip_symbols=skip)
+    phase = estimate_timing_phase(capture, chips, taps, skip_symbols=skip)
     window = recover_symbols(capture, taps, phase, skip_symbols=skip,
                              count=config.averaging_periods * n)
     return sound(window, chips, config, tx_power_db)

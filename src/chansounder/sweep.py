@@ -113,25 +113,6 @@ class NarrowbandLossSet:
             raise ValueError("losses must be finite")
 
 
-@dataclass(frozen=True)
-class PhaseNoiseSkirt:
-    """Spectral skirt around each tone, power falling off per decade.
-
-    Models oscillator phase noise as a noise density ref_level_dbc
-    (dBc/Hz) below the tone at ref_offset_hz, decaying a further
-    slope_db_per_decade with offset. Off by default everywhere.
-    """
-
-    ref_offset_hz: float
-    ref_level_dbc: float
-    slope_db_per_decade: float
-
-    def level_dbc(self, offset_hz) -> np.ndarray:
-        offset = np.maximum(np.abs(offset_hz), 1e-3)
-        return -(self.ref_level_dbc
-                 + self.slope_db_per_decade * np.log10(offset / self.ref_offset_hz))
-
-
 def generate_tone(offset: float, duration: float, sample_rate: float,
                   amplitude: float = 1.0) -> BasebandSignal:
     """Complex exponential amplitude * exp(j*2*pi*offset*t)."""
@@ -201,53 +182,23 @@ def received_tone(channel: MultipathChannel, carrier: float, tone_offset: float,
     return amplitude * acc
 
 
-def _skirt_noise(plan: SweepPlan, tone_offset: float, tone_power: float,
-                 skirt: PhaseNoiseSkirt, rng) -> np.ndarray:
-    """Frequency-shaped noise realizing the skirt, as time samples.
-
-    The skirt level is read as a dBc/Hz density, so a length-L analysis
-    window collects density * sample_rate / L per bin.
-    """
-    n = int(round(plan.step_duration * plan.sample_rate))
-    freqs = np.fft.fftfreq(n, d=1.0 / plan.sample_rate)
-    offsets = freqs - tone_offset
-    density = tone_power * 10.0 ** (skirt.level_dbc(offsets) / 10.0)
-    # noise inside the tone's own analysis bin is indistinguishable from
-    # the tone; keep that region clean
-    density[np.abs(offsets) < 2.0 * plan.sample_rate / plan.fft_length] = 0.0
-    scale = np.sqrt(density * plan.sample_rate * n / 2.0)
-    spectrum = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
-    return np.fft.ifft(spectrum)
-
-
 def compose_sweep_capture(entries, plan: SweepPlan, step: int,
-                          skirt: PhaseNoiseSkirt | None = None,
                           noise_power_dbfs: float | None = None,
                           seed: int = 0) -> BasebandSignal:
     """Superpose the received tones of several transmitters for one step.
 
     entries: list of (tone_offset, channel) pairs, one per simultaneous
     transmitter. Tones are transmitted at unit amplitude; any level
-    difference between transmitters lives in the channel gains.
+    difference between transmitters lives in the channel gains. Noise,
+    when asked for, is drawn from a generator seeded with seed.
     """
     n = int(round(plan.step_duration * plan.sample_rate))
-    # the generator is seeded only when something draws from it; its
-    # first draw is the same either way
-    rng = None
     acc = np.zeros(n, dtype=np.complex128)
     carrier = float(plan.carrier_list[step])
     for tone_offset, chan in entries:
         acc += received_tone(chan, carrier, tone_offset, plan, 1.0)
-        if skirt is not None:
-            tone_power = abs(
-                np.sum(chan.gains * np.exp(-2j * np.pi * (carrier + tone_offset) * chan.delays))
-            ) ** 2
-            if rng is None:
-                rng = np.random.default_rng(seed)
-            acc += _skirt_noise(plan, tone_offset, tone_power, skirt, rng)
     if noise_power_dbfs is not None and noise_power_dbfs != -math.inf:
-        if rng is None:
-            rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         sigma = math.sqrt(10.0 ** (noise_power_dbfs / 10.0) / 2.0)
         acc += rng.normal(scale=sigma, size=n) + 1j * rng.normal(scale=sigma, size=n)
     return BasebandSignal(samples=acc, sample_rate=plan.sample_rate)
@@ -255,7 +206,6 @@ def compose_sweep_capture(entries, plan: SweepPlan, step: int,
 
 def sweep_sound(channels, plan: SweepPlan, tx_power_db: float,
                 transmitter_id: str, tone_offset: float | None = None,
-                skirt: PhaseNoiseSkirt | None = None,
                 noise_power_dbfs: float | None = None,
                 seed: int = 0) -> NarrowbandLossSet:
     """Sweep one transmitter across all carrier steps.
@@ -276,9 +226,7 @@ def sweep_sound(channels, plan: SweepPlan, tx_power_db: float,
     for i, chan in enumerate(channels):
         capture = compose_sweep_capture(
             [(tone_offset, chan)], plan, i,
-            skirt=skirt, noise_power_dbfs=noise_power_dbfs,
-            seed=seed + i,
-        )
+            noise_power_dbfs=noise_power_dbfs, seed=seed + i)
         power = bin_power(capture, plan, tone_offset)
         if power <= 0.0:
             raise ValueError(f"no received power at step {i}")
@@ -288,19 +236,9 @@ def sweep_sound(channels, plan: SweepPlan, tx_power_db: float,
                              tone_offset=tone_offset)
 
 
-def mean_wideband_path_loss(losses: NarrowbandLossSet, domain: str = "db") -> float:
-    """Average the narrowband losses into one wideband figure.
-
-    domain="db" (default) averages the dB values; domain="linear"
-    averages the linear power gains first. The two differ for
-    frequency-selective channels.
-    """
-    values = losses.per_carrier_loss_db
-    if domain == "db":
-        return float(np.mean(values))
-    if domain == "linear":
-        return float(-10.0 * math.log10(np.mean(10.0 ** (-values / 10.0))))
-    raise ValueError(f"unknown averaging domain {domain!r}")
+def mean_wideband_path_loss(losses: NarrowbandLossSet) -> float:
+    """Average the narrowband losses, in dB, into one wideband figure."""
+    return float(np.mean(losses.per_carrier_loss_db))
 
 
 def temporal_resolution(plan: SweepPlan) -> float:

@@ -22,7 +22,7 @@ def planted_capture(chips, taps, channel, config, extra_periods=2):
 def add_noise(signal, noise_power_dbfs, seed):
     """signal plus the capture noise that compose_received draws: one
     transmitter owns the whole capture through a unit channel."""
-    schedule = multitx.build_schedule(1, len(signal) / signal.sample_rate)
+    schedule = multitx.TdmaSchedule(1, len(signal), 0)
     unit = ch.MultipathChannel(gains=[1.0], delays=[0.0])
     return multitx.compose_received([multitx.SceneTransmitter(signal, unit)],
                                     schedule, noise_power_dbfs=noise_power_dbfs,
@@ -48,18 +48,19 @@ def failing_channel_draw(monkeypatch, position, error):
     monkeypatch.setattr(campaign, "synthesize_channel", synthesize)
 
 
-def oracle_guard_core_power_ratio(signal, schedule, trim_samples):
+def oracle_guard_core_power_ratio(signal, schedule):
     """guard_core_power_ratio with np.mean(np.abs(x) ** 2) per region."""
-    if trim_samples < 1:
+    trim = schedule.guard_samples
+    if trim < 1:
         return 0.0
-    slot_samples = int(round(schedule.slot_length * signal.sample_rate))
+    slot_samples = schedule.slot_samples
     guard_power = core_power = 0.0
     for i in range(schedule.transmitter_count):
         lo = i * slot_samples
         hi = lo + slot_samples
-        head = np.mean(np.abs(signal.samples[lo:lo + trim_samples]) ** 2)
-        tail = np.mean(np.abs(signal.samples[hi - trim_samples:hi]) ** 2)
-        core = np.mean(np.abs(signal.samples[lo + trim_samples:hi - trim_samples]) ** 2)
+        head = np.mean(np.abs(signal.samples[lo:lo + trim]) ** 2)
+        tail = np.mean(np.abs(signal.samples[hi - trim:hi]) ** 2)
+        core = np.mean(np.abs(signal.samples[lo + trim:hi - trim]) ** 2)
         guard_power = max(guard_power, head, tail)
         core_power = max(core_power, core)
     return 0.0 if core_power == 0.0 else float(guard_power / core_power)
@@ -161,8 +162,8 @@ def oracle_bin_powers(capture, plan, tone_offsets):
              / length) ** 2 for f in tone_offsets]
 
 
-def oracle_compose_sweep_capture(entries, plan, step, skirt=None,
-                                 noise_power_dbfs=None, seed=0):
+def oracle_compose_sweep_capture(entries, plan, step, noise_power_dbfs=None,
+                                 seed=0):
     """compose_sweep_capture seeding its generator up front, every time."""
     n = int(round(plan.step_duration * plan.sample_rate))
     rng = np.random.default_rng(seed)
@@ -170,10 +171,6 @@ def oracle_compose_sweep_capture(entries, plan, step, skirt=None,
     carrier = float(plan.carrier_list[step])
     for tone_offset, chan in entries:
         acc += oracle_received_tone(chan, carrier, tone_offset, plan, 1.0)
-        if skirt is not None:
-            tone_power = abs(np.sum(chan.gains * np.exp(
-                -2j * np.pi * (carrier + tone_offset) * chan.delays))) ** 2
-            acc += sweep._skirt_noise(plan, tone_offset, tone_power, skirt, rng)
     if noise_power_dbfs is not None and noise_power_dbfs != -math.inf:
         sigma = math.sqrt(10.0 ** (noise_power_dbfs / 10.0) / 2.0)
         acc += rng.normal(scale=sigma, size=n) + 1j * rng.normal(scale=sigma, size=n)
@@ -188,22 +185,19 @@ def use_oracle_sweep(monkeypatch):
                         oracle_compose_sweep_capture)
 
 
-def oracle_compose_received(scene, schedule, leakage, burst_offset_samples=0,
-                            duration=None, noise_power_dbfs=None, seed=0):
+def oracle_compose_received(scene, schedule, leakage, noise_power_dbfs=None,
+                            seed=0):
     """compose_received with a capture-length leakage tile per transmitter
     and complex A + 1j * B noise: the earlier composition that the
     wrapped-slice leakage and per-rail noise must match byte for byte.
     """
     rate = scene[0].waveform.sample_rate
-    if duration is None:
-        duration = schedule.period
-    n = int(round(duration * rate))
-    slot = int(round(schedule.slot_length * rate))
-    period = slot * schedule.transmitter_count
+    slot = schedule.slot_samples
+    n = period = schedule.period_samples
     out = np.zeros(n, dtype=np.complex128)
     for i, tx in enumerate(scene):
         received = ch.apply_channel(tx.waveform, tx.channel).samples
-        offset = int(round(tx.clock.offset * rate))
+        offset = tx.clock_offset_samples
         leak_gain = leakage.gain(tx.park_mode)
         if leak_gain > 0.0:
             tiled = np.resize(np.roll(received, -offset), n)
@@ -213,7 +207,7 @@ def oracle_compose_received(scene, schedule, leakage, burst_offset_samples=0,
         idle_from = 0
         for slot_lo in range(first, n, period):
             lo, hi = max(slot_lo, 0), min(slot_lo + slot, n)
-            burst_lo = slot_lo + burst_offset_samples
+            burst_lo = slot_lo + schedule.guard_samples
             a, b = max(lo, burst_lo), min(hi, burst_lo + len(received))
             if b > a:
                 out[a:b] += received[a - burst_lo:b - burst_lo]
@@ -230,23 +224,18 @@ def oracle_compose_received(scene, schedule, leakage, burst_offset_samples=0,
                                 origin_time=scene[0].waveform.origin_time)
 
 
-def per_sample_compose(scene, schedule, leakage, burst_offset_samples=0,
-                       duration=None):
+def per_sample_compose(scene, schedule, leakage):
     """Noise-free compose_received that maps every sample through its
     perceived slot position: the reference for slice placement."""
     rate = scene[0].waveform.sample_rate
-    if duration is None:
-        duration = schedule.period
-    n = int(round(duration * rate))
-    slot = int(round(schedule.slot_length * rate))
-    period = slot * schedule.transmitter_count
-    out = np.zeros(n, dtype=np.complex128)
+    slot, period = schedule.slot_samples, schedule.period_samples
+    out = np.zeros(period, dtype=np.complex128)
     for i, tx in enumerate(scene):
         received = ch.apply_channel(tx.waveform, tx.channel).samples
-        perceived = np.arange(n) + int(round(tx.clock.offset * rate))
+        perceived = np.arange(period) + tx.clock_offset_samples
         local = perceived % period - i * slot
         active = (local >= 0) & (local < slot)
-        burst_index = local - burst_offset_samples
+        burst_index = local - schedule.guard_samples
         valid = active & (burst_index >= 0) & (burst_index < len(received))
         out[valid] += received[burst_index[valid]]
         leak_gain = leakage.gain(tx.park_mode)

@@ -204,10 +204,11 @@ def scenarios(draw):
         "frequency": st.builds(
             sweep.FrequencySetup, floats, positive, st.integers(1, 1 << 16),
             positive, positive, st.none() | floats),
-        "schedule": st.builds(cp.ScheduleSetup, st.none() | positive,
+        "schedule": st.builds(multitx.ScheduleSetup, st.none() | positive,
                               st.floats(0.0, 0.5, exclude_max=True)),
-        "clocks": st.builds(cp.ClockSetup, st.none() | floats, nonnegative,
-                            finite),
+        # explicit offsets, or a spread to draw them from
+        "clocks": st.builds(cp.ClockSetup, floats, st.just(0.0), finite)
+        | st.builds(cp.ClockSetup, st.none(), nonnegative, finite),
         "leakage": st.builds(multitx.LeakageModel,
                              st.just(math.inf) | nonnegative, nonnegative),
         "park_mode": st.sampled_from([multitx.PARK_OFF_BAND,

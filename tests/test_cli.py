@@ -262,6 +262,13 @@ def test_validate_missing_file(tmp_path, capsys):
     pytest.param(None, "schema_version", 99, "schema_version", id="version"),
     pytest.param("leakage", "park_mode", "sideways", "leakage.park_mode",
                  id="park_mode"),
+    # a clock spread that is silently ignored: negative, or next to
+    # explicit offsets
+    pytest.param("clocks", "offset_std_s", -1e-6, "clocks.offset_std_s",
+                 id="clocks.offset_std_s=-1e-06"),
+    pytest.param(None, "clocks", {"tx_offsets_s": [0.0, 0.0],
+                                  "offset_std_s": 5e-3},
+                 "clocks.offset_std_s", id="clocks.offset_std_s=5e-3-with-tx_offsets_s"),
     # values in range of their type but not of the sounder
     *[pytest.param(*case, id=f"{case[-1]}={case[2]!r}") for case in [
         ("sliding", "averaging_periods", 0, "sliding.averaging_periods"),

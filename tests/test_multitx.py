@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chansounder import campaign
 from chansounder import channel as ch
 from chansounder import multitx, pulse, schema, sliding, sweep
 
@@ -17,17 +18,17 @@ from helpers import (oracle_compose_received, oracle_guard_core_power_ratio,
 
 @pytest.fixture(scope="module")
 def tdma_setup(request):
-    """Burst, slot geometry, and schedule for a 3-transmitter TDMA scene."""
+    """Burst, schedule and config for a 3-transmitter TDMA scene, its
+    slot sized to the burst as a campaign sizes it."""
     chips10 = request.getfixturevalue("chips10")
     rrc_taps = request.getfixturevalue("rrc_taps")
     config = sliding.SounderConfig()
     burst = pulse.modulate(chips10, config.averaging_periods + 2, rrc_taps,
                            config.chip_period_s)
-    sps = rrc_taps.samples_per_symbol
-    slot_samples = math.ceil(len(burst) / 0.9 / sps) * sps
-    guard = ((slot_samples - len(burst)) // 2) // sps * sps
-    schedule = multitx.build_schedule(3, slot_samples / burst.sample_rate)
-    return burst, guard, schedule, config
+    schedule = multitx.build_schedule(multitx.ScheduleSetup(), 3, len(burst),
+                                      rrc_taps.samples_per_symbol,
+                                      burst.sample_rate)
+    return burst, schedule, config
 
 
 def flat_channel(level_db=0.0):
@@ -35,59 +36,121 @@ def flat_channel(level_db=0.0):
 
 
 def test_schedule_slot_ownership():
-    schedule = multitx.build_schedule(3, 1.0)
-    assert schedule.period == 3.0
-    assert schedule.slot_interval(1, 0) == (1.0, 2.0)
-    assert schedule.slot_interval(1, 1) == (4.0, 5.0)
+    # slot i of the period is samples [100 i, 100 (i + 1)); segment i is
+    # slot i without its two 10-sample guards
+    schedule = multitx.TdmaSchedule(3, 100, 10)
+    assert schedule.period_samples == 300
+    capture = pulse.BasebandSignal(np.arange(300.0), 1000.0)
+    segments = multitx.segment_capture(capture, schedule).segments
+    for i, segment in enumerate(segments):
+        npt.assert_array_equal(segment.samples,
+                               np.arange(100.0 * i + 10, 100.0 * i + 90))
 
 
 def test_single_transmitter_owns_everything():
-    schedule = multitx.build_schedule(1, 2.0)
-    for period_index in range(4):
-        assert schedule.slot_interval(0, period_index) \
-            == (2.0 * period_index, 2.0 * period_index + 2.0)
+    # one slot is the whole period; with no guard its segment is the
+    # whole capture
+    schedule = multitx.TdmaSchedule(1, 200, 0)
+    assert schedule.period_samples == 200
+    capture = pulse.BasebandSignal(np.arange(200.0), 1000.0)
+    segmented = multitx.segment_capture(capture, schedule)
+    [segment] = segmented.segments
+    npt.assert_array_equal(segment.samples, capture.samples)
+    assert segmented.guard_core_ratio == 0.0
 
 
 def test_slot_tiling_partitions_each_period():
-    schedule = multitx.build_schedule(4, 0.25)
-    for period_index in range(3):
-        edges = [schedule.slot_interval(i, period_index) for i in range(4)]
-        # disjoint, adjacent, and tiling exactly one period
-        for (lo1, hi1), (lo2, _) in zip(edges, edges[1:]):
-            assert hi1 == lo2
-        assert edges[0][0] == period_index * schedule.period
-        assert edges[-1][1] == (period_index + 1) * schedule.period
+    # the head guard, segment and tail guard of every slot, in slot
+    # order, tile the period exactly: disjoint, adjacent, nothing left
+    capture = pulse.BasebandSignal(np.arange(100.0), 1000.0)
+    for guard in range(13):
+        schedule = multitx.TdmaSchedule(4, 25, guard)
+        segments = multitx.segment_capture(capture, schedule).segments
+        pieces = []
+        for i, segment in enumerate(segments):
+            lo, hi = 25 * i, 25 * (i + 1)
+            pieces += [np.arange(lo, lo + guard), segment.samples.real,
+                       np.arange(hi - guard, hi)]
+        npt.assert_array_equal(np.concatenate(pieces), capture.samples.real)
 
 
 def test_draw_clock_spreads_and_determinism():
-    assert multitx.NTP_OFFSET_STD == 5e-3
-    assert multitx.GPS_OFFSET_STD == 100e-9
-    one = multitx.draw_clock(multitx.NTP_OFFSET_STD, seed=4)
-    two = multitx.draw_clock(multitx.NTP_OFFSET_STD, seed=4)
-    assert one.offset == two.offset != 0.0
-    offsets = [multitx.draw_clock(multitx.GPS_OFFSET_STD, seed=s).offset
-               for s in range(200)]
-    spread = np.std(offsets)
-    assert 0.5 * multitx.GPS_OFFSET_STD < spread < 2.0 * multitx.GPS_OFFSET_STD
-    assert multitx.draw_clock(0.0, seed=1).offset == 0.0
+    # each node's offset is one Gaussian draw from its own seed, made
+    # whole samples once, when the campaign is prepared
+    rate = 1e9  # 100 ns is 100 samples
+    nodes = tuple(campaign.Transmitter(f"tx{k}", (float(k), 0.0, 1.0))
+                  for k in range(200))
+
+    def offsets(std, seed=4, rx_offset_s=0.0):
+        scenario = campaign.Scenario(
+            mode="sliding", transmitters=nodes,
+            receiver_path=((0.0, 1.0, 1.0),),
+            environment=ch.EnvironmentModel(40.0, 2.0), master_seed=seed,
+            clocks=campaign.ClockSetup(offset_std_s=std,
+                                       rx_offset_s=rx_offset_s))
+        return campaign._tx_clock_offsets(scenario, rate)
+
+    drawn = offsets(100e-9)
+    assert drawn == offsets(100e-9) != offsets(100e-9, seed=5)
+    assert drawn == [
+        int(round(float(np.random.default_rng(campaign.derive_seed(
+            4, "clock", tx.id)).normal(scale=100e-9)) * rate))
+        for tx in nodes]
+    assert all(type(k) is int for k in drawn)
+    assert 50.0 < np.std(drawn) < 200.0
+    assert offsets(0.0) == [0] * len(nodes)
+    # the receiver's own error shifts every node the other way
+    assert offsets(0.0, rx_offset_s=3e-9) == [-3] * len(nodes)
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        multitx.build_schedule(0, 1.0)
-    with pytest.raises(ValueError):
-        multitx.build_schedule(3, 0.0)
+    setup = multitx.ScheduleSetup(slot_length_s=1e-6)
+    with pytest.raises(ValueError, match="^slot_length_s: slot of 64 samples "
+                                         "cannot hold the 65-sample burst"):
+        multitx.build_schedule(setup, 3, 65, 4, 64e6)
+    assert multitx.build_schedule(setup, 3, 64, 4, 64e6) \
+        == multitx.TdmaSchedule(3, 64, 0)
+    with pytest.raises(ValueError, match="^slot_length_s: must be positive"):
+        multitx.ScheduleSetup(slot_length_s=0.0)
     with pytest.raises(ValueError, match="nonnegative"):
         multitx.LeakageModel(parked_leakage_db=-3.0)
 
 
+@pytest.mark.parametrize("count, slot, guard, field", [
+    (0, 100, 10, "transmitter_count"),
+    (3, 0, 0, "slot_samples"),
+    (3, -4, 0, "slot_samples"),
+    (3, 100, -1, "guard_samples"),
+    (3, 100, 50, "guard_samples"),
+    (3, 1, 1, "guard_samples"),
+])
+def test_tdma_schedule_rejections_name_the_field(count, slot, guard, field):
+    # a guard that would consume the whole slot is the segmentation's
+    # precondition, checked once when the schedule is made
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        multitx.TdmaSchedule(count, slot, guard)
+
+
+def test_built_schedules_keep_the_campaign_geometry(tdma_setup):
+    # sliding-c9's numbers: a 49152-sample burst at 66.67 MHz sits in a
+    # 54616-sample slot, 2732 samples (a whole number of symbols) from
+    # either end of it
+    burst, schedule, _ = tdma_setup
+    assert (len(burst), schedule) == (49152, multitx.TdmaSchedule(3, 54616, 2732))
+    explicit = multitx.build_schedule(
+        multitx.ScheduleSetup(slot_length_s=60000 / burst.sample_rate), 3,
+        len(burst), 4, burst.sample_rate)
+    # the guard fraction caps an explicit slot's guard at 5%, in symbols
+    assert explicit == multitx.TdmaSchedule(3, 60000, 3000)
+
+
 def test_segment_distinct_constants():
     rate = 1000.0
-    schedule = multitx.build_schedule(3, 0.1)
+    schedule = multitx.TdmaSchedule(3, 100, 5)
     samples = np.concatenate([np.full(100, 1.0), np.full(100, 2.0),
                               np.full(100, 3.0)]).astype(np.complex128)
     capture = pulse.BasebandSignal(samples, rate)
-    segmented = multitx.segment_capture(capture, schedule, trim_samples=5)
+    segmented = multitx.segment_capture(capture, schedule)
     for i, segment in enumerate(segmented.segments):
         npt.assert_array_equal(segment.samples, i + 1.0)
         assert len(segment) == 90
@@ -95,37 +158,55 @@ def test_segment_distinct_constants():
 
 def test_segment_preconditions():
     rate = 1000.0
-    schedule = multitx.build_schedule(3, 0.1)
-    short = pulse.BasebandSignal(np.ones(200), rate)
+    schedule = multitx.TdmaSchedule(3, 100, 5)
+    short = pulse.BasebandSignal(np.ones(299), rate)
     with pytest.raises(ValueError, match="shorter"):
         multitx.segment_capture(short, schedule)
-    good = pulse.BasebandSignal(np.ones(300), rate)
-    with pytest.raises(ValueError, match="consume"):
-        multitx.segment_capture(good, schedule, trim_samples=60)
 
 
 def test_compose_single_tx_matches_apply_channel(tdma_setup):
-    burst, guard, _, _ = tdma_setup
+    burst, _, _ = tdma_setup
     chan = ch.MultipathChannel(gains=[0.5, 0.25j],
                                delays=[0.0, 12 / burst.sample_rate])
-    schedule = multitx.build_schedule(1, (len(burst) + 64) / burst.sample_rate)
+    schedule = multitx.TdmaSchedule(1, len(burst) + 64, 0)
     scene = [multitx.SceneTransmitter(burst, chan)]
-    capture = multitx.compose_received(scene, schedule, burst_offset_samples=0)
+    capture = multitx.compose_received(scene, schedule)
     direct = ch.apply_channel(burst, chan)
     overlap = min(len(capture), len(direct))
     npt.assert_array_equal(capture.samples[:overlap], direct.samples[:overlap])
     npt.assert_array_equal(capture.samples[overlap:], 0.0)
 
 
+@pytest.mark.parametrize("guard", [0, 8, 2732])
+def test_segment_starts_at_its_bursts_first_sample(tdma_setup, chips10,
+                                                   rrc_taps, guard):
+    # one transmitter, no clock offset, leakage or noise: the segment is
+    # the received burst from its first sample on, on the burst's own
+    # time axis, whatever the guard
+    burst, _, config = tdma_setup
+    chan = ch.MultipathChannel(gains=[0.5, 0.25j],
+                               delays=[0.0, 12 / burst.sample_rate])
+    schedule = multitx.TdmaSchedule(1, len(burst) + 2 * guard + 16, guard)
+    capture = multitx.compose_received(
+        [multitx.SceneTransmitter(burst, chan)], schedule)
+    [segment] = multitx.segment_capture(capture, schedule).segments
+    received = ch.apply_channel(burst, chan)
+    assert len(segment) == len(received) + 4
+    npt.assert_array_equal(segment.samples[:len(received)], received.samples)
+    npt.assert_array_equal(segment.samples[len(received):], 0.0)
+    assert segment.origin_time == burst.origin_time == received.origin_time
+    profile = sliding.measure_sliding(segment, chips10, rrc_taps, config)
+    npt.assert_array_equal(profile.lags, [0, 3])
+    npt.assert_allclose(profile.gains, [0.5, 0.25j], atol=1e-9)
+
+
 def test_compose_leakage_off_is_exactly_isolated(tdma_setup):
-    burst, guard, schedule, _ = tdma_setup
-    rate = burst.sample_rate
-    slot_samples = int(round(schedule.slot_length * rate))
+    burst, schedule, _ = tdma_setup
+    slot_samples, guard = schedule.slot_samples, schedule.guard_samples
     channels = [flat_channel(0.0), flat_channel(20.0), flat_channel(40.0)]
     scene = [multitx.SceneTransmitter(burst, c, multitx.PARK_OFF_BAND)
              for c in channels]
-    capture = multitx.compose_received(scene, schedule,
-                                       burst_offset_samples=guard)
+    capture = multitx.compose_received(scene, schedule)
     for i, chan in enumerate(channels):
         segment = capture.samples[i * slot_samples:(i + 1) * slot_samples]
         received = ch.apply_channel(burst, chan).samples
@@ -137,19 +218,18 @@ def test_compose_leakage_off_is_exactly_isolated(tdma_setup):
 
 def test_small_clock_offset_keeps_sounding_bit_identical(tdma_setup, chips10,
                                                          rrc_taps):
-    burst, guard, schedule, config = tdma_setup
-    rate = burst.sample_rate
+    burst, schedule, config = tdma_setup
     chan = ch.MultipathChannel(gains=[1.0, 0.3], delays=[0.0, 2 * config.chip_period_s])
 
     def profile_with_offset(offset_samples):
-        clock = multitx.ClockModel(offset=offset_samples / rate)
-        scene = [multitx.SceneTransmitter(burst, chan, clock=clock),
-                 multitx.SceneTransmitter(burst, flat_channel(30.0), clock=clock),
-                 multitx.SceneTransmitter(burst, flat_channel(35.0), clock=clock)]
-        capture = multitx.compose_received(scene, schedule,
-                                           burst_offset_samples=guard)
-        segmented = multitx.segment_capture(capture, schedule,
-                                            trim_samples=guard)
+        scene = [multitx.SceneTransmitter(burst, chan,
+                                          clock_offset_samples=offset_samples),
+                 multitx.SceneTransmitter(burst, flat_channel(30.0),
+                                          clock_offset_samples=offset_samples),
+                 multitx.SceneTransmitter(burst, flat_channel(35.0),
+                                          clock_offset_samples=offset_samples)]
+        capture = multitx.compose_received(scene, schedule)
+        segmented = multitx.segment_capture(capture, schedule)
         assert not segmented.misaligned
         return sliding.measure_sliding(segmented.segments[0], chips10,
                                        rrc_taps, config)
@@ -162,16 +242,13 @@ def test_small_clock_offset_keeps_sounding_bit_identical(tdma_setup, chips10,
 
 
 def test_gross_clock_offset_raises_flag(tdma_setup):
-    burst, guard, schedule, _ = tdma_setup
-    rate = burst.sample_rate
-    offset = 1.5 * schedule.slot_length  # misattributes every segment
-    clock = multitx.ClockModel(offset=offset)
-    scene = [multitx.SceneTransmitter(burst, flat_channel(0.0), clock=clock),
-             multitx.SceneTransmitter(burst, flat_channel(3.0), clock=clock),
-             multitx.SceneTransmitter(burst, flat_channel(6.0), clock=clock)]
-    capture = multitx.compose_received(scene, schedule,
-                                       burst_offset_samples=guard)
-    segmented = multitx.segment_capture(capture, schedule, trim_samples=guard)
+    burst, schedule, _ = tdma_setup
+    offset = 3 * schedule.slot_samples // 2  # misattributes every segment
+    scene = [multitx.SceneTransmitter(burst, flat_channel(level),
+                                      clock_offset_samples=offset)
+             for level in (0.0, 3.0, 6.0)]
+    capture = multitx.compose_received(scene, schedule)
+    segmented = multitx.segment_capture(capture, schedule)
     assert segmented.misaligned
     assert segmented.guard_core_ratio > 0.25
 
@@ -189,26 +266,23 @@ def test_guard_core_power_ratio_matches_mean_of_squares(tdma_setup):
         samples = ((rng.normal(size=n) + 1j * rng.normal(size=n))
                    * 10.0 ** rng.uniform(-4, 2, size=n))
         cases.append((pulse.BasebandSignal(samples=samples, sample_rate=1e6),
-                      multitx.build_schedule(count, slot / 1e6), trim))
-    burst, guard, schedule, _ = tdma_setup
-    clock = multitx.ClockModel(offset=1.5 * schedule.slot_length)
-    scene = [multitx.SceneTransmitter(burst, flat_channel(6.0 * k), clock=clock)
+                      multitx.TdmaSchedule(count, slot, trim)))
+    burst, schedule, _ = tdma_setup
+    offset = 3 * schedule.slot_samples // 2
+    scene = [multitx.SceneTransmitter(burst, flat_channel(6.0 * k),
+                                      clock_offset_samples=offset)
              for k in range(3)]
-    cases.append((multitx.compose_received(scene, schedule,
-                                           burst_offset_samples=guard),
-                  schedule, guard))
-    for signal, schedule, trim in cases:
-        want = oracle_guard_core_power_ratio(signal, schedule, trim)
-        got = multitx.guard_core_power_ratio(signal, schedule, trim)
+    cases.append((multitx.compose_received(scene, schedule), schedule))
+    for signal, schedule in cases:
+        want = oracle_guard_core_power_ratio(signal, schedule)
+        got = multitx.guard_core_power_ratio(signal, schedule)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     assert want > 0.25  # the spilled capture is misaligned either way
 
 
 def test_near_far_failure_and_mitigation(tdma_setup, chips10, rrc_taps):
-    burst, guard, _, config = tdma_setup
-    rate = burst.sample_rate
-    slot_samples = math.ceil(len(burst) / 0.9 / 4) * 4
-    schedule = multitx.build_schedule(2, slot_samples / rate)
+    burst, three, config = tdma_setup
+    schedule = replace(three, transmitter_count=2)
     near = flat_channel(40.0)
     far = flat_channel(80.0)
 
@@ -217,10 +291,8 @@ def test_near_far_failure_and_mitigation(tdma_setup, chips10, rrc_taps):
                  multitx.SceneTransmitter(burst, far, park_mode)]
         leakage = multitx.LeakageModel(parked_leakage_db=math.inf,
                                        inband_null_leakage_db=30.0)
-        capture = multitx.compose_received(scene, schedule, leakage=leakage,
-                                           burst_offset_samples=guard)
-        segmented = multitx.segment_capture(capture, schedule,
-                                            trim_samples=guard)
+        capture = multitx.compose_received(scene, schedule, leakage=leakage)
+        segmented = multitx.segment_capture(capture, schedule)
         profile = sliding.measure_sliding(segmented.segments[1], chips10,
                                           rrc_taps, config)
         return profile.wideband_path_loss_db
@@ -233,7 +305,7 @@ def test_near_far_failure_and_mitigation(tdma_setup, chips10, rrc_taps):
 
 def test_leakage_monotonicity(tdma_setup, chips10, rrc_taps):
     # more attenuation on the parked transmitters never hurts the far one
-    burst, guard, schedule, config = tdma_setup
+    burst, schedule, config = tdma_setup
     near = flat_channel(40.0)
     far = flat_channel(80.0)
     third = flat_channel(60.0)
@@ -243,10 +315,8 @@ def test_leakage_monotonicity(tdma_setup, chips10, rrc_taps):
                  multitx.SceneTransmitter(burst, third, multitx.PARK_IN_BAND),
                  multitx.SceneTransmitter(burst, far, multitx.PARK_IN_BAND)]
         leakage = multitx.LeakageModel(inband_null_leakage_db=attenuation)
-        capture = multitx.compose_received(scene, schedule, leakage=leakage,
-                                           burst_offset_samples=guard)
-        segmented = multitx.segment_capture(capture, schedule,
-                                            trim_samples=guard)
+        capture = multitx.compose_received(scene, schedule, leakage=leakage)
+        segmented = multitx.segment_capture(capture, schedule)
         profile = sliding.measure_sliding(segmented.segments[2], chips10,
                                           rrc_taps, config)
         errors.append(abs(profile.wideband_path_loss_db - 80.0))
@@ -255,7 +325,7 @@ def test_leakage_monotonicity(tdma_setup, chips10, rrc_taps):
 
 
 def test_compose_rejects_scene_larger_than_schedule():
-    schedule = multitx.build_schedule(2, 0.1)
+    schedule = multitx.TdmaSchedule(2, 100, 0)
     burst = pulse.BasebandSignal(np.ones(50), 1000.0)
     scene = [multitx.SceneTransmitter(burst, flat_channel())] * 3
     with pytest.raises(ValueError, match="slots"):
@@ -267,15 +337,15 @@ def test_slice_placement_matches_per_sample_mapping(leak_db):
     # slice placement must agree bit for bit with mapping every sample
     # through its perceived slot position
     rate, slot = 1000.0, 100
-    schedule = multitx.build_schedule(3, slot / rate)
     leakage = multitx.LeakageModel(parked_leakage_db=math.inf,
                                    inband_null_leakage_db=leak_db)
     rng = np.random.default_rng(17)
     period = 3 * slot
     shifts = [0, 3, -3, 7, -11, slot, -slot + 5, 2 * slot - 2, -4 * slot - 1,
               period, 5 * period + 13]
-    for burst_len, burst_offset in ((60, 20), (95, 30), (130, 10), (40, -5)):
-        for duration in (period, 2.37 * period, 0.6 * period):
+    for burst_len, guard in ((60, 20), (95, 30), (130, 10), (40, 0)):
+        schedule = multitx.TdmaSchedule(3, slot, guard)
+        for _ in range(3):
             offsets = rng.choice(shifts, size=3)
             scene = []
             for i, shift in enumerate(offsets):
@@ -285,46 +355,43 @@ def test_slice_placement_matches_per_sample_mapping(leak_db):
                     + 1j * rng_tx.normal(size=burst_len), rate)
                 scene.append(multitx.SceneTransmitter(
                     waveform, flat_channel(6.0 * i), multitx.PARK_IN_BAND,
-                    multitx.ClockModel(offset=shift / rate)))
-            kwargs = dict(leakage=leakage, burst_offset_samples=burst_offset,
-                          duration=duration / rate)
-            sliced = multitx.compose_received(scene, schedule, **kwargs)
-            mapped = per_sample_compose(scene, schedule, **kwargs)
+                    int(shift)))
+            sliced = multitx.compose_received(scene, schedule, leakage=leakage)
+            mapped = per_sample_compose(scene, schedule, leakage)
             assert np.array_equal(sliced.samples, mapped.samples), \
-                (burst_len, burst_offset, duration, offsets)
+                (burst_len, guard, offsets)
 
 
 def test_compose_matches_tiled_leakage_and_complex_noise_oracle():
     # wrapped-slice leakage and per-rail noise must reproduce the capture
     # of a full-length leakage tile plus A + 1j * B noise byte for byte
-    rate, slot = 1000.0, 100
-    schedule = multitx.build_schedule(3, slot / rate)
-    period = 3 * slot
+    rate = 1000.0
+    schedule = multitx.TdmaSchedule(3, 100, 20)
+    period = schedule.period_samples
     rng = np.random.default_rng(23)
     cases = 0
     for leak_db in (math.inf, 30.0, 0.0):
         leakage = multitx.LeakageModel(parked_leakage_db=math.inf,
                                        inband_null_leakage_db=leak_db)
         for noise in (None, -math.inf, -20.0):
-            for burst_len, duration in ((60, period), (95, 2.37 * period),
-                                        (130, 0.6 * period),
-                                        (700, 1.5 * period)):
+            # bursts shorter than the slot, past its end, and longer than
+            # the whole period
+            for burst_len in (60, 95, 130, 700):
                 shifts = rng.integers(-4 * period, 4 * period, size=3)
                 scene = []
                 for i, shift in enumerate(shifts):
                     samples = rng.normal(size=burst_len) \
                         + 1j * rng.normal(size=burst_len)
-                    clock = multitx.ClockModel(offset=int(shift) / rate)
                     scene.append(multitx.SceneTransmitter(
                         pulse.BasebandSignal(samples, rate),
-                        flat_channel(6.0 * i), multitx.PARK_IN_BAND, clock))
-                kwargs = dict(leakage=leakage, burst_offset_samples=20,
-                              duration=duration / rate,
-                              noise_power_dbfs=noise, seed=cases)
+                        flat_channel(6.0 * i), multitx.PARK_IN_BAND,
+                        int(shift)))
+                kwargs = dict(leakage=leakage, noise_power_dbfs=noise,
+                              seed=cases)
                 got = multitx.compose_received(scene, schedule, **kwargs)
                 expected = oracle_compose_received(scene, schedule, **kwargs)
                 assert got.samples.tobytes() == expected.samples.tobytes(), \
-                    (leak_db, noise, burst_len, duration, shifts)
+                    (leak_db, noise, burst_len, shifts)
                 cases += 1
     assert cases == 36
 

@@ -74,7 +74,6 @@ def test_autocorrelation_normalized(chips10):
     profile = pn.circular_correlate(chips10, chips10.chips)
     assert profile.values[0].real == pytest.approx(1.0, abs=1e-12)
     npt.assert_allclose(profile.values[1:], -1.0 / 1023, atol=1e-12)
-    assert profile.normalization == pytest.approx(1.0 / 1023)
 
 
 def test_non_primitive_polynomial_rejected():
@@ -94,13 +93,6 @@ def test_bad_inputs_rejected():
         pn.generate_glfsr(10, polynomial=0b111)
     with pytest.raises(ValueError, match="constant term"):
         pn.generate_glfsr(4, polynomial=0b10110)
-
-
-def test_periodic_chip(chips10):
-    assert pn.periodic_chip(chips10, 0) == chips10.chips[0]
-    assert pn.periodic_chip(chips10, 1023) == chips10.chips[0]
-    assert pn.periodic_chip(chips10, -1) == chips10.chips[1022]
-    assert pn.periodic_chip(chips10, 2 * 1023 + 5) == chips10.chips[5]
 
 
 def test_correlate_against_self(chips10):

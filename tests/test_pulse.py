@@ -49,24 +49,24 @@ def test_self_convolution_is_nyquist():
 
 
 def test_closed_form_center_tap():
-    taps = pulse.design_rrc(1.0, 8, 2, nyquist_correction=False)
+    taps = pulse._rrc_closed_form(1.0, 8, 2)
     oracle = reference_rrc(1.0, 8, 2)
-    center = len(taps.coefficients) // 2
-    assert taps.coefficients[center] == pytest.approx(oracle[center], abs=1e-12)
-    npt.assert_allclose(taps.coefficients, oracle, atol=1e-12)
+    center = len(taps) // 2
+    assert taps[center] == pytest.approx(oracle[center], abs=1e-12)
+    npt.assert_allclose(taps, oracle, atol=1e-12)
 
 
 def test_corrected_taps_stay_near_closed_form():
-    raw = pulse.design_rrc(0.35, 12, 4, nyquist_correction=False)
+    raw = pulse._rrc_closed_form(0.35, 12, 4)
     fixed = pulse.design_rrc(0.35, 12, 4)
-    assert np.max(np.abs(raw.coefficients - fixed.coefficients)) < 0.05
+    assert np.max(np.abs(raw - fixed.coefficients)) < 0.05
 
 
 def test_singular_grid_points_are_finite():
     # rolloff 0.25 puts the 1/(4*rolloff) singularity exactly on the grid
-    taps = pulse.design_rrc(0.25, 8, 4, nyquist_correction=False)
-    assert np.all(np.isfinite(taps.coefficients))
-    t = (np.arange(len(taps.coefficients)) - (len(taps.coefficients) - 1) / 2) / 4
+    taps = pulse._rrc_closed_form(0.25, 8, 4)
+    assert np.all(np.isfinite(taps))
+    t = (np.arange(len(taps)) - (len(taps) - 1) / 2) / 4
     assert np.any(np.abs(np.abs(4 * 0.25 * t) - 1.0) < 1e-12)
 
 

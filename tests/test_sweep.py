@@ -157,17 +157,6 @@ def test_mean_wideband_path_loss():
     assert min(values) <= got <= max(values)
 
 
-def test_mean_linear_domain_differs_for_selective_channels():
-    selective = sweep.NarrowbandLossSet([70.0, 90.0], "tx", 0.0)
-    flat = sweep.NarrowbandLossSet([80.0, 80.0], "tx", 0.0)
-    assert sweep.mean_wideband_path_loss(selective, "linear") \
-        != pytest.approx(sweep.mean_wideband_path_loss(selective, "db"))
-    assert sweep.mean_wideband_path_loss(flat, "linear") \
-        == pytest.approx(sweep.mean_wideband_path_loss(flat, "db"))
-    with pytest.raises(ValueError, match="domain"):
-        sweep.mean_wideband_path_loss(flat, "median")
-
-
 def test_temporal_resolution(plan):
     assert sweep.temporal_resolution(plan) == pytest.approx(27.8e-9, abs=0.1e-9)
     two_step = sweep.SweepPlan(carrier_list=[100e6, 101e6],
@@ -207,26 +196,6 @@ def test_plan_validation_errors(plan):
     bad = dict(base, step_duration=1e-3)  # under 4096 samples at 1 MHz
     with pytest.raises(ValueError, match="FFT window"):
         sweep.SweepPlan(**bad)
-
-
-def test_phase_noise_skirt_leaks_into_neighborhood(plan):
-    bin_width = plan.sample_rate / plan.fft_length
-    f1 = float(plan.tone_offsets[0])
-    f2 = round((f1 + 200e3) / bin_width) * bin_width
-    both = sweep.SweepPlan(plan.carrier_list, [f1, f2], plan.step_duration,
-                           plan.sample_rate, plan.fft_length, plan.guard_band)
-    flat = ch.MultipathChannel(gains=[1.0], delays=[0.0])
-    skirt = sweep.PhaseNoiseSkirt(ref_offset_hz=1e3, ref_level_dbc=60.0,
-                                  slope_db_per_decade=10.0)
-    capture = sweep.compose_sweep_capture([(f1, flat)], both, 0,
-                                          skirt=skirt, seed=5)
-    neighbor = sweep.bin_power(capture, both, f2)
-    clean = sweep.compose_sweep_capture([(f1, flat)], both, 0)
-    assert sweep.bin_power(clean, both, f2) < 1e-20
-    # -60 dBc/Hz at 1 kHz falling 10 dB/decade: around 1e-6 in a 244 Hz bin
-    assert 1e-8 < neighbor < 1e-4
-    own = sweep.bin_power(capture, both, f1)
-    assert own == pytest.approx(1.0, abs=5e-3)
 
 
 def random_sweep_channel(rng, max_taps=8):
@@ -278,23 +247,19 @@ def test_unit_tone_is_cached_read_only(plan):
     assert sweep._unit_tone.cache_info().maxsize is not None
 
 
-def test_sweep_sound_with_skirt_and_noise_matches_oracle(plan, monkeypatch):
+def test_sweep_sound_with_noise_matches_oracle(plan, monkeypatch):
     bin_width = plan.sample_rate / plan.fft_length
     two = sweep.SweepPlan(plan.carrier_list, [-300 * bin_width, 600 * bin_width],
                           plan.step_duration, plan.sample_rate,
                           plan.fft_length, plan.guard_band)
     rng = np.random.default_rng(31)
     channels = [random_sweep_channel(rng) for _ in range(two.step_count)]
-    skirt = sweep.PhaseNoiseSkirt(ref_offset_hz=1e3, ref_level_dbc=70.0,
-                                  slope_db_per_decade=20.0)
 
     def sound_all():
         return [sweep.sweep_sound(channels, two, 3.0, "tx",
                                   tone_offset=float(tone), seed=17,
                                   **kwargs).per_carrier_loss_db
-                for kwargs in (dict(skirt=skirt, noise_power_dbfs=-60.0),
-                               dict(skirt=skirt),
-                               dict(noise_power_dbfs=-60.0), {})
+                for kwargs in (dict(noise_power_dbfs=-60.0), {})
                 for tone in two.tone_offsets]
 
     got = sound_all()
