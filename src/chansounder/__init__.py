@@ -65,13 +65,8 @@ from chansounder.sliding import (
 )
 from chansounder.sweep import (
     FrequencySetup,
-    NarrowbandLossSet,
-    SweepPlan,
     bin_power,
-    bin_powers,
-    generate_tone,
-    mean_wideband_path_loss,
-    sweep_sound,
+    narrowband_losses,
     temporal_resolution,
 )
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import os
 import pickle
 import signal
@@ -89,6 +88,16 @@ class Scenario:
         if self.park_mode not in (multitx.PARK_OFF_BAND, multitx.PARK_IN_BAND):
             raise ValueError(
                 f"leakage.park_mode: unknown park mode {self.park_mode!r}")
+        # a block that the mode never reads must keep its defaults, so
+        # that no setting in it is accepted and then ignored
+        unread = (("frequency",) if self.mode == MODE_SLIDING
+                  else ("sliding", "schedule", "clocks", "leakage"))
+        for name in unread:
+            block = getattr(self, name)
+            # park_mode is written inside the leakage block
+            moved = name == "leakage" and self.park_mode != multitx.PARK_OFF_BAND
+            if moved or block != type(block)():
+                raise ValueError(f"{name}: not read by a {self.mode} scenario")
         if len(self.transmitters) < 1:
             raise ValueError("transmitters: at least one transmitter required")
         if len(self.receiver_path) < 1:
@@ -221,28 +230,26 @@ def _run_sliding(scenario: Scenario, prepared: tuple, locations: range) -> list:
     return records
 
 
-def _prepare_frequency(scenario: Scenario) -> tuple:
-    """Sweep plans plus the (frame, tone) assignment per transmitter."""
-    count = len(scenario.transmitters)
+def _prepare_frequency(scenario: Scenario) -> list:
+    """The sweep frames: transmitter k sends the k-th tone of the frames
+    taken in order."""
     try:
-        plans = multitx.build_frequency_plan(scenario.frequency, count)
+        return multitx.build_frequency_plan(scenario.frequency,
+                                            len(scenario.transmitters))
     except ValueError as exc:
         raise schema.nested("frequency", sweep.FrequencySetup, exc) from None
-    capacity = len(plans[0].tone_offsets)
-    return plans, [(k // capacity, k % capacity) for k in range(count)]
 
 
 def prepare(scenario: Scenario):
     """Everything a campaign derives from its scenario before the first
     location: chips, taps, slot geometry and clock offsets, or the sweep
-    plans. Raises ValueError naming the dotted field at fault."""
+    frames. Raises ValueError naming the dotted field at fault."""
     if scenario.mode == MODE_SLIDING:
         return _prepare_sliding(scenario)
     return _prepare_frequency(scenario)
 
 
-def _run_frequency(scenario: Scenario, prepared: tuple, locations: range) -> list:
-    plans, assignment = prepared
+def _run_frequency(scenario: Scenario, frames: list, locations: range) -> list:
     records = []
     for loc_index in locations:
         position = scenario.receiver_path[loc_index]
@@ -256,44 +263,37 @@ def _run_frequency(scenario: Scenario, prepared: tuple, locations: range) -> lis
                                          position, seed, delay_grid_s=1e-9)
             channels.append(chan)
 
-        losses = {k: [] for k in range(len(scenario.transmitters))}
-        for frame_index, plan in enumerate(plans):
-            members = [k for k, (frame, _) in enumerate(assignment)
-                       if frame == frame_index]
-            tones = [float(plan.tone_offsets[assignment[k][1]]) for k in members]
-            for step in range(plan.step_count):
-                entries = [(tone, channels[k]) for tone, k in zip(tones, members)]
-                capture = sweep.compose_sweep_capture(
-                    entries, plan, step,
+        tones, losses = [], []
+        for frame_index, frame in enumerate(frames):
+            members = range(len(tones), len(tones) + len(frame.tone_offsets_hz))
+            entries = [(tone, channels[k])
+                       for tone, k in zip(frame.tone_offsets_hz, members)]
+            captures = (
+                sweep.compose_sweep_capture(
+                    entries, frame, step,
                     noise_power_dbfs=scenario.noise_power_dbfs,
                     seed=derive_seed(scenario.master_seed, "cap",
                                      loc_index, frame_index, step))
-                powers = sweep.bin_powers(capture, plan, tones)
-                for k, power in zip(members, powers):
-                    tx_power = scenario.transmitters[k].tx_power_db
-                    loss = (tx_power - 10.0 * math.log10(power)
-                            if power > 0.0 else None)
-                    losses[k].append(loss)
+                for step in range(len(frame.carriers_hz)))
+            losses += sweep.narrowband_losses(
+                captures, frame, frame.tone_offsets_hz,
+                [scenario.transmitters[k].tx_power_db for k in members])
+            tones += frame.tone_offsets_hz
 
-        for k, tx in enumerate(scenario.transmitters):
-            frame_index, tone_index = assignment[k]
-            tone = float(plans[frame_index].tone_offsets[tone_index])
-            if any(loss is None for loss in losses[k]):
+        for tx, tone, loss, seed in zip(scenario.transmitters, tones, losses, seeds):
+            if None in loss:
                 records.append(MeasurementRecord(
                     location_index=loc_index, position=tuple(position),
                     transmitter_id=tx.id, mode=MODE_FREQUENCY,
                     wideband_path_loss_db=None, tone_offset_hz=tone,
-                    geo=geo, seed=seeds[k], flags=(FLAG_NO_SIGNAL,)))
+                    geo=geo, seed=seed, flags=(FLAG_NO_SIGNAL,)))
                 continue
-            loss_set = sweep.NarrowbandLossSet(
-                per_carrier_loss_db=np.asarray(losses[k], dtype=np.float64),
-                transmitter_id=tx.id, tone_offset=tone)
             records.append(MeasurementRecord(
                 location_index=loc_index, position=tuple(position),
                 transmitter_id=tx.id, mode=MODE_FREQUENCY,
-                wideband_path_loss_db=sweep.mean_wideband_path_loss(loss_set),
-                narrowband_losses_db=tuple(float(v) for v in losses[k]),
-                tone_offset_hz=tone, geo=geo, seed=seeds[k]))
+                wideband_path_loss_db=float(np.mean(loss)),
+                narrowband_losses_db=tuple(loss),
+                tone_offset_hz=tone, geo=geo, seed=seed))
     return records
 
 

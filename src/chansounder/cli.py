@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from chansounder import campaign, multitx, pn, pulse, schema, sliding, sweep
 from chansounder.exceptions import NoSignalError
@@ -63,26 +64,22 @@ def _cmd_sound_sliding(args) -> dict:
 def _cmd_sound_freq(args) -> dict:
     setup = schema.load(sweep.FrequencySetup, args.plan)
     tones = setup.tone_offsets_hz
-    plan = multitx.build_frequency_plan(
+    frame = multitx.build_frequency_plan(
         setup, len(tones) if tones is not None else 1)[0]
-    if len(args.captures) != plan.step_count:
+    steps = len(frame.carriers_hz)
+    if len(args.captures) != steps:
         raise ValueError(
-            f"need one capture per carrier step ({plan.step_count}), "
+            f"need one capture per carrier step ({steps}), "
             f"got {len(args.captures)}"
         )
-    tone = args.tone_offset if args.tone_offset is not None else float(plan.tone_offsets[0])
-    losses = []
-    for step, capture_path in enumerate(args.captures):
-        capture = pulse.read_iq(capture_path)
-        power = sweep.bin_power(capture, plan, tone)
-        if power <= 0.0:
-            raise NoSignalError(f"no power in the tone bin of step {step}")
-        losses.append(args.tx_power_db - 10.0 * math.log10(power))
-    loss_set = sweep.NarrowbandLossSet(per_carrier_loss_db=losses,
-                                       transmitter_id=args.transmitter_id,
-                                       tone_offset=tone)
+    tone = args.tone_offset if args.tone_offset is not None else frame.tone_offsets_hz[0]
+    [losses] = sweep.narrowband_losses(map(pulse.read_iq, args.captures), frame,
+                                       [tone], [args.tx_power_db])
+    if None in losses:
+        raise NoSignalError(f"no power in the tone bin of step {losses.index(None)}")
+    doc = {"transmitter_id": args.transmitter_id, "tone_offset_hz": tone,
+           "per_carrier_loss_db": losses, "mean_path_loss_db": float(np.mean(losses))}
     target = _out_dir(args) / args.name
-    doc = sweep.losses_to_json(loss_set)
     target.write_text(json.dumps(doc, indent=2) + "\n")
     return {"outputs": [str(target)], "mean_path_loss_db": doc["mean_path_loss_db"]}
 

@@ -14,13 +14,13 @@ when one frame's capacity runs out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from chansounder.channel import MultipathChannel, apply_channel
 from chansounder.pulse import BasebandSignal
-from chansounder.sweep import FrequencySetup, SweepPlan
+from chansounder.sweep import FrequencySetup
 
 PARK_OFF_BAND = "off_band"
 PARK_IN_BAND = "in_band"
@@ -312,41 +312,37 @@ def segment_capture(signal: BasebandSignal,
 
 
 def build_frequency_plan(setup: FrequencySetup,
-                         transmitter_count: int) -> list[SweepPlan]:
-    """Turn a frequency block into sweep plans, one per time frame.
+                         transmitter_count: int) -> list[FrequencySetup]:
+    """The sweep frames of a frequency block: copies of it, one per time
+    frame, each with its frame's tones in tone_offsets_hz.
 
     Explicit tone_offsets_hz give one frame with one tone per
     transmitter. Otherwise bin-centered tones are packed from the bottom
     of the Nyquist band with at least a guard band between neighbors;
     when the count exceeds one frame's capacity the surplus rolls into
     additional time frames (separation in both time and frequency).
-    Transmitter k gets tone k % capacity of frame k // capacity, where
-    capacity is the first frame's tone count. Raises when the capacity
-    is zero, naming it.
+    Transmitter k sends the k-th tone of the frames taken in order: tone
+    k % capacity of frame k // capacity, where capacity is the first
+    frame's tone count. Raises when the capacity is zero, naming the
+    guard band.
     """
     if transmitter_count < 1:
-        raise ValueError("transmitter_count must be >= 1")
-    carriers = np.asarray(setup.carriers_hz, dtype=np.float64)
-    sample_rate, fft_length = setup.sample_rate_hz, setup.fft_length
-    guard_band = setup.guard_band_hz
+        raise ValueError("transmitter_count: must be >= 1")
     if setup.tone_offsets_hz is not None:
         if len(setup.tone_offsets_hz) != transmitter_count:
             raise ValueError("tone_offsets_hz: one tone per transmitter")
-        return [SweepPlan(
-            carrier_list=carriers,
-            tone_offsets=np.asarray(setup.tone_offsets_hz, dtype=np.float64),
-            step_duration=setup.step_duration_s, sample_rate=sample_rate,
-            fft_length=fft_length, guard_band=guard_band)]
+        return [setup]
+    sample_rate, guard_band = setup.sample_rate_hz, setup.guard_band_hz
     if guard_band <= 0:
         raise ValueError("guard_band_hz: must be positive")
     capacity = int(math.floor((sample_rate - guard_band) / guard_band))
     if capacity < 1:
         raise ValueError(
-            f"guard band {guard_band} Hz leaves no room in the "
+            f"guard_band_hz: {guard_band} Hz leaves no room in the "
             f"{sample_rate} Hz Nyquist band (capacity 0)"
         )
 
-    bin_width = sample_rate / fft_length
+    bin_width = sample_rate / setup.fft_length
     spacing = math.ceil(guard_band / bin_width - 1e-9) * bin_width
     start = math.ceil((-sample_rate / 2.0 + guard_band) / bin_width) * bin_width
     # how many tones actually fit between start and the Nyquist edge
@@ -354,19 +350,11 @@ def build_frequency_plan(setup: FrequencySetup,
     capacity = min(capacity, fit)
     if capacity < 1:
         raise ValueError(
-            f"no tone fits the {sample_rate} Hz band with guard {guard_band} Hz"
+            f"guard_band_hz: no tone fits the {sample_rate} Hz band with "
+            f"guard {guard_band} Hz"
         )
 
-    offsets = start + spacing * np.arange(min(transmitter_count, capacity))
-    plans = []
-    for frame in range(math.ceil(transmitter_count / capacity)):
-        count = min(capacity, transmitter_count - frame * capacity)
-        plans.append(SweepPlan(
-            carrier_list=carriers,
-            tone_offsets=offsets[:count],
-            step_duration=setup.step_duration_s,
-            sample_rate=sample_rate,
-            fft_length=fft_length,
-            guard_band=guard_band,
-        ))
-    return plans
+    tones = start + spacing * np.arange(min(transmitter_count, capacity))
+    offsets = tuple(float(f) for f in tones)
+    return [replace(setup, tone_offsets_hz=offsets[:transmitter_count - first])
+            for first in range(0, transmitter_count, capacity)]

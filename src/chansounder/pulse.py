@@ -19,10 +19,6 @@ from chansounder import schema
 from chansounder.exceptions import NoSignalError
 from chansounder.pn import ChipSequence
 
-DEFAULT_ROLLOFF = 0.35
-DEFAULT_SPAN_SYMBOLS = 12
-DEFAULT_SAMPLES_PER_SYMBOL = 4
-DEFAULT_CHIP_PERIOD = 60e-9
 IQ_FORMAT = "cf32_le"
 
 
@@ -70,10 +66,6 @@ class BasebandSignal:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
 
 
 def _rrc_closed_form(rolloff: float, span_symbols: int,
@@ -144,9 +136,8 @@ def _restore_nyquist_zeros(h: np.ndarray, sps: int) -> np.ndarray:
     return h / math.sqrt(float(np.sum(h**2)))
 
 
-def design_rrc(rolloff: float = DEFAULT_ROLLOFF,
-               span_symbols: int = DEFAULT_SPAN_SYMBOLS,
-               samples_per_symbol: int = DEFAULT_SAMPLES_PER_SYMBOL) -> FilterTaps:
+def design_rrc(rolloff: float, span_symbols: int,
+               samples_per_symbol: int) -> FilterTaps:
     """Design unit-energy root-raised-cosine taps: the closed form,
     repaired for truncation by _restore_nyquist_zeros.
 
@@ -170,7 +161,7 @@ def design_rrc(rolloff: float = DEFAULT_ROLLOFF,
 
 
 def shape_symbols(symbols, taps: FilterTaps,
-                  chip_period: float = DEFAULT_CHIP_PERIOD) -> BasebandSignal:
+                  chip_period: float) -> BasebandSignal:
     """Pulse-shape a symbol stream into a sampled waveform.
 
     Output keeps the full convolution length; origin_time is set so that
@@ -188,7 +179,7 @@ def shape_symbols(symbols, taps: FilterTaps,
 
 
 def modulate(chips: ChipSequence, repetitions: int, taps: FilterTaps,
-             chip_period: float = DEFAULT_CHIP_PERIOD) -> BasebandSignal:
+             chip_period: float) -> BasebandSignal:
     """Shape `repetitions` periods of the chip train into a waveform.
 
     The imaginary part is identically zero: the chip train is a real

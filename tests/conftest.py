@@ -18,7 +18,9 @@ def chips10():
 
 @pytest.fixture(scope="session")
 def rrc_taps():
-    return pulse.design_rrc()
+    config = sliding.SounderConfig()
+    return pulse.design_rrc(config.rolloff, config.span_symbols,
+                            config.samples_per_symbol)
 
 
 @pytest.fixture(scope="session")

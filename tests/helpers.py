@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from chansounder import campaign
 from chansounder import channel as ch
@@ -66,10 +67,41 @@ def oracle_guard_core_power_ratio(signal, schedule):
     return 0.0 if core_power == 0.0 else float(guard_power / core_power)
 
 
+@st.composite
+def frequency_blocks(draw, explicit_tones=True):
+    """Valid frequency blocks: 1-4 carriers on a 2 MHz grid, a guard band
+    from half a bin to 60% of the band, and the tones left to the packer
+    or, with explicit_tones, one tone on the bin grid."""
+    sample_rate = draw(st.sampled_from([250e3, 1e6, 2.5e6]))
+    fft_length = draw(st.sampled_from([64, 256, 1000, 4096]))
+    bin_width = sample_rate / fft_length
+    tone_bin = st.integers(-(fft_length // 2) + 1, fft_length // 2 - 1)
+    return sweep.FrequencySetup(
+        carriers_hz=tuple(700e6 + 2e6 * k for k in range(draw(st.integers(1, 4)))),
+        sample_rate_hz=sample_rate, fft_length=fft_length,
+        guard_band_hz=draw(st.floats(0.5 * bin_width, 0.6 * sample_rate)),
+        step_duration_s=fft_length / sample_rate * draw(st.integers(1, 3)),
+        tone_offsets_hz=draw(st.none() | tone_bin.map(lambda k: (k * bin_width,))
+                             if explicit_tones else st.none()))
+
+
 def default_plan():
-    """The default frequency block with one tone 410 bins above DC."""
-    setup = sweep.FrequencySetup(tone_offsets_hz=(410 * 1e6 / 4096,))
-    return multitx.build_frequency_plan(setup, 1)[0]
+    """The default frequency block with one tone 410 bins above DC: a
+    one-frame plan as it stands."""
+    return sweep.FrequencySetup(tone_offsets_hz=(410 * 1e6 / 4096,))
+
+
+def static_sweep_losses(channel, frame, tx_power_db=0.0, tone=None,
+                        noise_power_dbfs=None, seed=0):
+    """Narrowband losses of one tone of frame (its first by default)
+    through one static channel, on the campaign's sweep path: one
+    compose_sweep_capture per carrier step, read by narrowband_losses."""
+    tone = frame.tone_offsets_hz[0] if tone is None else tone
+    captures = (sweep.compose_sweep_capture(
+        [(tone, channel)], frame, step, noise_power_dbfs=noise_power_dbfs,
+        seed=seed + step) for step in range(len(frame.carriers_hz)))
+    [losses] = sweep.narrowband_losses(captures, frame, [tone], [tx_power_db])
+    return np.asarray(losses)
 
 
 def measured_correlation_gain(chips, periods, seed, symbol_snr_db=0.0):
@@ -144,10 +176,10 @@ def oracle_measure_sliding(capture, chips, taps, config, tx_power_db=0.0,
                          chips, config, tx_power_db)
 
 
-def oracle_received_tone(channel, carrier, tone_offset, plan, amplitude):
+def oracle_received_tone(channel, carrier, tone_offset, frame, amplitude):
     """received_tone with the unit tone re-evaluated for every tap."""
-    n = int(round(plan.step_duration * plan.sample_rate))
-    t = np.arange(n) / plan.sample_rate
+    n = int(round(frame.step_duration_s * frame.sample_rate_hz))
+    t = np.arange(n) / frame.sample_rate_hz
     acc = np.zeros(n, dtype=np.complex128)
     for gain, delay in zip(channel.gains, channel.delays):
         acc += gain * np.exp(-2j * np.pi * (carrier + tone_offset) * delay) \
@@ -155,32 +187,32 @@ def oracle_received_tone(channel, carrier, tone_offset, plan, amplitude):
     return amplitude * acc
 
 
-def oracle_bin_powers(capture, plan, tone_offsets):
-    """One FFT per tone: the reference for bin_powers' shared spectrum."""
-    length = plan.fft_length
-    return [(abs(np.fft.fft(capture.samples[:length])[plan.bin_index(f)])
+def oracle_bin_power(capture, frame, tone_offsets):
+    """One FFT per tone: the reference for bin_power's shared spectrum."""
+    length = frame.fft_length
+    return [(abs(np.fft.fft(capture.samples[:length])[frame.bin_index(f)])
              / length) ** 2 for f in tone_offsets]
 
 
-def oracle_compose_sweep_capture(entries, plan, step, noise_power_dbfs=None,
+def oracle_compose_sweep_capture(entries, frame, step, noise_power_dbfs=None,
                                  seed=0):
     """compose_sweep_capture seeding its generator up front, every time."""
-    n = int(round(plan.step_duration * plan.sample_rate))
+    n = int(round(frame.step_duration_s * frame.sample_rate_hz))
     rng = np.random.default_rng(seed)
     acc = np.zeros(n, dtype=np.complex128)
-    carrier = float(plan.carrier_list[step])
+    carrier = float(frame.carriers_hz[step])
     for tone_offset, chan in entries:
-        acc += oracle_received_tone(chan, carrier, tone_offset, plan, 1.0)
+        acc += oracle_received_tone(chan, carrier, tone_offset, frame, 1.0)
     if noise_power_dbfs is not None and noise_power_dbfs != -math.inf:
         sigma = math.sqrt(10.0 ** (noise_power_dbfs / 10.0) / 2.0)
         acc += rng.normal(scale=sigma, size=n) + 1j * rng.normal(scale=sigma, size=n)
-    return pulse.BasebandSignal(samples=acc, sample_rate=plan.sample_rate)
+    return pulse.BasebandSignal(samples=acc, sample_rate=frame.sample_rate_hz)
 
 
 def use_oracle_sweep(monkeypatch):
     """Swap the sweep kernels for the per-tap, per-tone, eager-RNG oracles."""
     monkeypatch.setattr(sweep, "received_tone", oracle_received_tone)
-    monkeypatch.setattr(sweep, "bin_powers", oracle_bin_powers)
+    monkeypatch.setattr(sweep, "bin_power", oracle_bin_power)
     monkeypatch.setattr(sweep, "compose_sweep_capture",
                         oracle_compose_sweep_capture)
 

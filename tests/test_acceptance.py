@@ -23,9 +23,10 @@ from helpers import (
     measured_correlation_gain,
     planted_capture,
     random_planted_channel,
+    static_sweep_losses,
 )
 
-CHIP_PERIOD = 60e-9
+CHIP_PERIOD = sliding.SounderConfig().chip_period_s
 
 
 def report(number, title, elapsed=None, detail=""):
@@ -132,7 +133,7 @@ def test_criterion_05_rms_delay_spread_oracles():
 def test_criterion_06_frequency_oracle_agreement():
     start = time.perf_counter()
     plan = default_plan()
-    tone = float(plan.tone_offsets[0])
+    tone = plan.tone_offsets_hz[0]
     worst = 0.0
     for seed in range(100):
         rng = np.random.default_rng(1000 + seed)
@@ -142,11 +143,10 @@ def test_criterion_06_frequency_oracle_agreement():
         gains = (rng.uniform(0.05, 1.0, tap_count)
                  * np.exp(1j * rng.uniform(0, 2 * np.pi, tap_count)))
         chan = ch.MultipathChannel(gains=gains, delays=delays)
-        losses = sweep.sweep_sound([chan] * plan.step_count, plan, 0.0, "tx")
-        oracle = -20 * np.log10(
-            np.abs(ch.frequency_response(chan, plan.carrier_list + tone)))
-        worst = max(worst, float(np.max(np.abs(
-            losses.per_carrier_loss_db - oracle))))
+        losses = static_sweep_losses(chan, plan)
+        oracle = -20 * np.log10(np.abs(ch.frequency_response(
+            chan, np.asarray(plan.carriers_hz) + tone)))
+        worst = max(worst, float(np.max(np.abs(losses - oracle))))
         assert worst <= 0.05
     resolution = sweep.temporal_resolution(plan)
     assert resolution == pytest.approx(27.8e-9, abs=0.1e-9)
@@ -157,18 +157,18 @@ def test_criterion_06_frequency_oracle_agreement():
 def test_criterion_07_frequency_selectivity_contrast():
     start = time.perf_counter()
     plan = default_plan()
-    tone = float(plan.tone_offsets[0])
+    tone = plan.tone_offsets_hz[0]
     near = ch.MultipathChannel(gains=[10 ** (-60 / 20.0)], delays=[0.0])
     far = ch.MultipathChannel(
         gains=[10 ** (-90 / 20.0), 0.9 * 10 ** (-90 / 20.0)],
         delays=[0.0, 250e-9])
     results = {}
     for name, chan in (("near", near), ("far", far)):
-        losses = sweep.sweep_sound([chan] * plan.step_count, plan, 0.0, name)
-        oracle = -20 * np.log10(
-            np.abs(ch.frequency_response(chan, plan.carrier_list + tone)))
-        npt.assert_allclose(losses.per_carrier_loss_db, oracle, atol=0.05)
-        results[name] = float(np.ptp(losses.per_carrier_loss_db))
+        losses = static_sweep_losses(chan, plan)
+        oracle = -20 * np.log10(np.abs(ch.frequency_response(
+            chan, np.asarray(plan.carriers_hz) + tone)))
+        npt.assert_allclose(losses, oracle, atol=0.05)
+        results[name] = float(np.ptp(losses))
     assert results["near"] <= 5.0
     assert results["far"] >= 15.0
     report(7, "frequency-selectivity contrast", time.perf_counter() - start,
@@ -332,10 +332,7 @@ def test_criterion_10_determinism(tmp_path, chips10, rrc_taps):
     # frequency sweep: bit-identical loss sets
     plan = default_plan()
     chan = ch.MultipathChannel(gains=[1.0, 0.5], delays=[0.0, 300e-9])
-    losses_one = sweep.sweep_sound([chan] * plan.step_count, plan, 0.0, "tx",
-                                   noise_power_dbfs=-50.0, seed=4)
-    losses_two = sweep.sweep_sound([chan] * plan.step_count, plan, 0.0, "tx",
-                                   noise_power_dbfs=-50.0, seed=4)
-    npt.assert_array_equal(losses_one.per_carrier_loss_db,
-                           losses_two.per_carrier_loss_db)
+    losses_one = static_sweep_losses(chan, plan, noise_power_dbfs=-50.0, seed=4)
+    losses_two = static_sweep_losses(chan, plan, noise_power_dbfs=-50.0, seed=4)
+    npt.assert_array_equal(losses_one, losses_two)
     report(10, "determinism", time.perf_counter() - start)

@@ -17,8 +17,8 @@ from chansounder.channel import EnvironmentModel
 from chansounder.exceptions import NoSignalError
 
 from helpers import (assert_no_child_left, failing_channel_draw,
-                     oracle_measure_sliding, oracle_timing_phase,
-                     use_oracle_sweep)
+                     frequency_blocks, oracle_measure_sliding,
+                     oracle_timing_phase, use_oracle_sweep)
 
 
 def small_environment(**overrides):
@@ -196,14 +196,13 @@ def scenarios(draw):
         draw(finite), draw(positive), draw(positive), draw(nonnegative),
         (low, draw(st.integers(low, 9))), draw(nonnegative),
         draw(st.none() | positive))
+    mode = draw(st.sampled_from([cp.MODE_SLIDING, cp.MODE_FREQUENCY]))
     blocks = {
         "sliding": st.builds(
             sliding.SounderConfig, positive, st.integers(2, 12),
             st.none() | st.integers(0, 1 << 13), st.integers(1, 20), positive,
             nonnegative, st.integers(1, 16), st.integers(1, 8)),
-        "frequency": st.builds(
-            sweep.FrequencySetup, floats, positive, st.integers(1, 1 << 16),
-            positive, positive, st.none() | floats),
+        "frequency": frequency_blocks(),
         "schedule": st.builds(multitx.ScheduleSetup, st.none() | positive,
                               st.floats(0.0, 0.5, exclude_max=True)),
         # explicit offsets, or a spread to draw them from
@@ -218,10 +217,13 @@ def scenarios(draw):
                                     min_size=len(path),
                                     max_size=len(path)).map(tuple),
     }
-    # each optional block is either drawn or left at its default
-    chosen = draw(st.sets(st.sampled_from(sorted(blocks))))
+    # each optional block that the mode reads is either drawn or left at
+    # its default; the blocks it never reads keep their defaults
+    unread = (["frequency"] if mode == cp.MODE_SLIDING
+              else ["sliding", "schedule", "clocks", "leakage", "park_mode"])
+    chosen = draw(st.sets(st.sampled_from(sorted(set(blocks) - set(unread)))))
     return cp.Scenario(
-        mode=draw(st.sampled_from([cp.MODE_SLIDING, cp.MODE_FREQUENCY])),
+        mode=mode,
         transmitters=transmitters, receiver_path=path,
         environment=environment, master_seed=draw(st.integers(0, 2**63 - 1)),
         **{name: draw(blocks[name]) for name in chosen})
@@ -531,8 +533,7 @@ def test_frequency_chain_matches_per_tap_oracle(monkeypatch):
                                       tap_count_range=(1, 8)),
         frequency=sweep.FrequencySetup(guard_band_hz=300e3),
         noise_power_dbfs=-90.0)
-    plans, _ = cp.prepare(scenario)
-    assert len(plans) == 2
+    assert len(cp.prepare(scenario)) == 2
     got = [json.dumps(cp.record_to_json(r)) for r in cp.run_campaign(scenario)]
     use_oracle_sweep(monkeypatch)
     want = [json.dumps(cp.record_to_json(r)) for r in cp.run_campaign(scenario)]

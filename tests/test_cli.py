@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -82,12 +83,12 @@ def sweep_capture_files(tmp_path):
     step."""
     plan_path = tmp_path / "plan.json"
     schema.save(sweep.FrequencySetup(), plan_path)
-    plan = multitx.build_frequency_plan(sweep.FrequencySetup(), 1)[0]
+    [frame] = multitx.build_frequency_plan(sweep.FrequencySetup(), 1)
     chan = ch.MultipathChannel(gains=[0.5], delays=[0.0])
     capture_paths = []
-    for step in range(plan.step_count):
+    for step in range(len(frame.carriers_hz)):
         capture = sweep.compose_sweep_capture(
-            [(float(plan.tone_offsets[0]), chan)], plan, step)
+            [(frame.tone_offsets_hz[0], chan)], frame, step)
         path = tmp_path / f"step{step}.iq"
         pulse.write_iq(capture, path)
         capture_paths.append(str(path))
@@ -255,6 +256,20 @@ def test_validate_missing_file(tmp_path, capsys):
     assert "missing.json" in err
 
 
+# frequency-block values in range of their type but not of the sweep
+FREQUENCY_FIELD_CASES = [
+    ("frequency", "fft_length", 0, "frequency.fft_length"),
+    ("frequency", "sample_rate_hz", -1e6, "frequency.sample_rate_hz"),
+    ("frequency", "step_duration_s", 1e-6, "frequency.step_duration_s"),
+    ("frequency", "carriers_hz", [702e6, 700e6], "frequency.carriers_hz"),
+    # 100 kHz is not on the 1e6 / 4096 Hz bin grid
+    ("frequency", "tone_offsets_hz", [100e3, 0.0],
+     "frequency.tone_offsets_hz[0]"),
+    ("frequency", "tone_offsets_hz", [0.0, 4 * 1e6 / 4096],
+     "frequency.tone_offsets_hz"),
+]
+
+
 @pytest.mark.parametrize("command", ["validate", "campaign"])
 @pytest.mark.parametrize("where, key, value, name", [
     pytest.param("sliding", "averging_periods", 3, "sliding.averging_periods",
@@ -308,7 +323,12 @@ def test_validate_missing_file(tmp_path, capsys):
         # and at any depth of the geo passthrough, which no type checks
         (None, "geo", [{"lat": math.nan}, None], "geo[0].lat"),
         (None, "geo", [None, [1.0, {"alt": -math.inf}]], "geo[1][1].alt"),
-        (None, "geo", [math.inf, None], "geo[0]")]],
+        (None, "geo", [math.inf, None], "geo[0]"),
+        # the frequency block is checked field by field even where the
+        # mode never reads it
+        *FREQUENCY_FIELD_CASES,
+        # and, checked, must keep its defaults in a sliding scenario
+        ("frequency", "fft_length", 2048, "frequency")]],
 ])
 def test_strict_scenario_schema_exits_2(tmp_path, capsys, command, where,
                                         key, value, name):
@@ -323,6 +343,113 @@ def test_strict_scenario_schema_exits_2(tmp_path, capsys, command, where,
     assert len(err.strip().splitlines()) == 1
     assert err.startswith(f"ValueError: {name}: ")
     assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "campaign"])
+@pytest.mark.parametrize("key, value, name", [
+    pytest.param(*case[1:], id=f"{case[-1]}={case[2]!r}")
+    for case in FREQUENCY_FIELD_CASES])
+def test_frequency_scenario_field_errors_exit_2(tmp_path, capsys, command,
+                                                key, value, name):
+    doc = json.loads(scenario_file(tmp_path).read_text())
+    doc["mode"] = "frequency"
+    doc["frequency"][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, command, "--scenario", str(bad),
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"ValueError: {name}: ")
+    assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
+BUNDLED = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@pytest.mark.parametrize("command", ["validate", "campaign"])
+@pytest.mark.parametrize("changes, block", [
+    # clock offsets and a slot that no burst fits, none of which a
+    # frequency campaign reads: the first unread block is named
+    ({"clocks": {"offset_std_s": 5e-3, "rx_offset_s": 1.0},
+      "schedule": {"slot_length_s": 1e-9}}, "schedule"),
+    ({"sliding": {"averaging_periods": 3}}, "sliding"),
+    ({"schedule": {"guard_fraction": 0.1}}, "schedule"),
+    ({"clocks": {"rx_offset_s": 1.0}}, "clocks"),
+    ({"leakage": {"inband_null_leakage_db": 20.0}}, "leakage"),
+    ({"leakage": {"park_mode": "in_band"}}, "leakage"),
+], ids=["found-probe", "sliding", "schedule", "clocks", "leakage",
+        "park_mode"])
+def test_frequency_scenario_rejects_blocks_it_never_reads(
+        tmp_path, capsys, command, changes, block):
+    doc = json.loads((BUNDLED / "courtyard_frequency.json").read_text())
+    for name, fields in changes.items():
+        doc[name].update(fields)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, command, "--scenario", str(bad),
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert err == f"ValueError: {block}: not read by a frequency scenario\n"
+    assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
+def test_sound_freq_rejects_a_plan_by_field(tmp_path, capsys):
+    plan_path, capture_paths = sweep_capture_files(tmp_path)
+    doc = json.loads(plan_path.read_text())
+    for key, value in (("fft_length", 0), ("sample_rate_hz", -1e6),
+                       ("tone_offsets_hz", [100e3])):
+        plan_path.write_text(json.dumps(dict(doc, **{key: value})))
+        code, _, err = run_cli(capsys, "sound-freq", "--plan", str(plan_path),
+                               "--out-dir", str(tmp_path), *capture_paths)
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"ValueError: {key}")
+
+
+def test_sound_freq_reproduces_campaign_losses(tmp_path, capsys, monkeypatch):
+    # the captures a campaign composes for one location, written to
+    # files: sound-freq must read from them the campaign's records
+    scenario = cp.load_scenario(sharded_scenario_file(tmp_path, "frequency"))
+    scenario = dataclasses.replace(
+        scenario, receiver_path=scenario.receiver_path[3:4],
+        transmitters=(scenario.transmitters[0],
+                      dataclasses.replace(scenario.transmitters[1],
+                                          tx_power_db=-7.5)))
+    [frame] = cp.prepare(scenario)
+    compose = sweep.compose_sweep_capture
+    paths = []
+
+    def compose_and_write(entries, frame, step, **kwargs):
+        capture = compose(entries, frame, step, **kwargs)
+        # the file holds float32 I/Q, so the campaign reads what the file
+        # will hold
+        capture = pulse.BasebandSignal(
+            samples=capture.samples.astype(np.complex64),
+            sample_rate=capture.sample_rate)
+        paths.append(str(tmp_path / f"step{step}.iq"))
+        pulse.write_iq(capture, paths[-1])
+        return capture
+
+    monkeypatch.setattr(sweep, "compose_sweep_capture", compose_and_write)
+    records = cp.run_campaign(scenario)
+    assert len(paths) == len(frame.carriers_hz)
+    plan_path = tmp_path / "plan.json"
+    schema.save(frame, plan_path)
+    for tx, tone, record in zip(scenario.transmitters, frame.tone_offsets_hz,
+                                records, strict=True):
+        out = tmp_path / tx.id
+        code, _, err = run_cli(capsys, "sound-freq", "--plan", str(plan_path),
+                               "--tone-offset", repr(tone),
+                               "--tx-power-db", repr(tx.tx_power_db),
+                               "--transmitter-id", tx.id,
+                               "--out-dir", str(out), *paths)
+        assert code == 0, err
+        doc = json.loads((out / "losses.json").read_text())
+        assert doc == {"transmitter_id": tx.id, "tone_offset_hz": tone,
+                       "per_carrier_loss_db": list(record.narrowband_losses_db),
+                       "mean_path_loss_db": record.wideband_path_loss_db}
+        assert record.tone_offset_hz == tone
 
 
 def test_sound_freq_rejects_misspelt_plan_file(tmp_path, capsys):

@@ -12,8 +12,8 @@ from chansounder import campaign
 from chansounder import channel as ch
 from chansounder import multitx, pulse, schema, sliding, sweep
 
-from helpers import (oracle_compose_received, oracle_guard_core_power_ratio,
-                     per_sample_compose)
+from helpers import (frequency_blocks, oracle_compose_received,
+                     oracle_guard_core_power_ratio, per_sample_compose)
 
 
 @pytest.fixture(scope="module")
@@ -404,32 +404,32 @@ def frequency_setup(guard_band_hz, carrier_count=1, **overrides):
 
 def test_frequency_plan_default_capacity():
     capacity = len(multitx.build_frequency_plan(
-        frequency_setup(150e3), 100)[0].tone_offsets)
+        frequency_setup(150e3), 100)[0].tone_offsets_hz)
     assert capacity in (5, 6)
     plans = multitx.build_frequency_plan(frequency_setup(150e3, 10), capacity)
     assert len(plans) == 1
-    assert len(plans[0].tone_offsets) == capacity
+    assert len(plans[0].tone_offsets_hz) == capacity
 
 
 def test_frequency_plan_single_transmitter():
     plans = multitx.build_frequency_plan(frequency_setup(25e3, 2), 1)
     assert len(plans) == 1
-    assert len(plans[0].tone_offsets) == 1
+    assert len(plans[0].tone_offsets_hz) == 1
 
 
 def test_frequency_plan_multi_frame():
     # capacity 6 at 140 kHz guard in a 1 MHz band: 12 transmitters need 2 frames
     plans = multitx.build_frequency_plan(frequency_setup(140e3, 10), 12)
     assert len(plans) == 2
-    assert [len(p.tone_offsets) for p in plans] == [6, 6]
+    assert [len(p.tone_offsets_hz) for p in plans] == [6, 6]
 
 
 def test_frequency_plan_infeasible():
-    with pytest.raises(ValueError, match="capacity"):
+    with pytest.raises(ValueError, match="^guard_band_hz: .*capacity 0"):
         multitx.build_frequency_plan(frequency_setup(2e6), 2)
     with pytest.raises(ValueError, match="^guard_band_hz: must be positive"):
         multitx.build_frequency_plan(frequency_setup(0.0), 2)
-    explicit = frequency_setup(25e3, tone_offsets_hz=(0.0, 1e5))
+    explicit = frequency_setup(25e3, tone_offsets_hz=(0.0, 400 * 1e6 / 4096))
     with pytest.raises(ValueError, match="^tone_offsets_hz: one tone per"):
         multitx.build_frequency_plan(explicit, 3)
 
@@ -437,27 +437,15 @@ def test_frequency_plan_infeasible():
 def test_frequency_plan_emits_valid_plans():
     plans = multitx.build_frequency_plan(frequency_setup(100e3, 10), 4)
     plan = plans[0]
-    bin_width = plan.sample_rate / plan.fft_length
-    for tone in plan.tone_offsets:
-        assert abs(tone) < plan.sample_rate / 2
+    bin_width = plan.sample_rate_hz / plan.fft_length
+    for tone in plan.tone_offsets_hz:
+        assert abs(tone) < plan.sample_rate_hz / 2
         assert abs(tone / bin_width - round(tone / bin_width)) < 1e-6
-    spacing = np.diff(np.sort(plan.tone_offsets))
-    assert np.all(spacing >= plan.guard_band - 1e-9)
+    spacing = np.diff(np.sort(plan.tone_offsets_hz))
+    assert np.all(spacing >= plan.guard_band_hz - 1e-9)
 
 
-@st.composite
-def frequency_blocks(draw):
-    sample_rate = draw(st.sampled_from([250e3, 1e6, 2.5e6]))
-    fft_length = draw(st.sampled_from([64, 256, 1000, 4096]))
-    bin_width = sample_rate / fft_length
-    return sweep.FrequencySetup(
-        carriers_hz=tuple(700e6 + 2e6 * k for k in range(draw(st.integers(1, 4)))),
-        sample_rate_hz=sample_rate, fft_length=fft_length,
-        guard_band_hz=draw(st.floats(0.5 * bin_width, 0.6 * sample_rate)),
-        step_duration_s=fft_length / sample_rate * draw(st.integers(1, 3)))
-
-
-@given(setup=frequency_blocks(), count=st.integers(1, 40))
+@given(setup=frequency_blocks(explicit_tones=False), count=st.integers(1, 40))
 def test_frequency_plan_packing_property(setup, count):
     try:
         plans = multitx.build_frequency_plan(setup, count)
@@ -466,24 +454,30 @@ def test_frequency_plan_packing_property(setup, count):
         assert "capacity 0" in str(exc) or "no tone fits" in str(exc)
         assert setup.guard_band_hz > setup.sample_rate_hz / 2
         return
-    capacity = len(plans[0].tone_offsets)
+    capacity = len(plans[0].tone_offsets_hz)
     assert len(plans) == math.ceil(count / capacity)
-    assert [len(p.tone_offsets) for p in plans[:-1]] == [capacity] * (len(plans) - 1)
-    assert sum(len(p.tone_offsets) for p in plans) == count
+    assert [len(p.tone_offsets_hz) for p in plans[:-1]] == [capacity] * (len(plans) - 1)
+    assert sum(len(p.tone_offsets_hz) for p in plans) == count
     bin_width = setup.sample_rate_hz / setup.fft_length
     for plan in plans:
-        tones = plan.tone_offsets
+        tones = np.asarray(plan.tone_offsets_hz)
         bins = tones / bin_width
         assert np.all(np.abs(bins - np.round(bins)) < 1e-6)
         assert np.all(np.abs(tones) < setup.sample_rate_hz / 2)
         assert np.all(np.diff(tones) >= setup.guard_band_hz - 1e-6)
-        npt.assert_array_equal(plan.carrier_list, setup.carriers_hz)
+        # a frame is the block with its tones filled in, nothing else
+        assert plan == replace(setup, tone_offsets_hz=plan.tone_offsets_hz)
+        assert all(type(f) is float for f in plan.tone_offsets_hz)
+    # transmitter k sends tone k % capacity of frame k // capacity
+    flat = [f for plan in plans for f in plan.tone_offsets_hz]
+    assert flat == [plans[k // capacity].tone_offsets_hz[k % capacity]
+                    for k in range(count)]
     # the block round-trips through the strict loader, with the tones
     # left to the packer and with the packed tones written out
-    explicit = replace(setup, tone_offsets_hz=tuple(float(f) for f in plans[0].tone_offsets))
+    explicit = plans[0]
     for block in (setup, explicit):
         doc = json.loads(json.dumps(schema.to_json(block)))
         assert schema.from_json(sweep.FrequencySetup, doc, "frequency") == block
     again = multitx.build_frequency_plan(explicit, capacity)
     assert len(again) == 1
-    npt.assert_array_equal(again[0].tone_offsets, plans[0].tone_offsets)
+    assert again == [explicit]

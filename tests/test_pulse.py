@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chansounder import pn, pulse
+from chansounder import pn, pulse, sliding
 from chansounder.exceptions import NoSignalError
 
 from helpers import oracle_phase_energies
+
+CHIP_PERIOD = sliding.SounderConfig().chip_period_s
 
 
 def reference_rrc(rolloff, span, sps):
@@ -91,7 +93,7 @@ def test_filter_taps_invariants():
 
 
 def test_shape_single_symbol_is_impulse_response(rrc_taps):
-    signal = pulse.shape_symbols([1.0], rrc_taps)
+    signal = pulse.shape_symbols([1.0], rrc_taps, CHIP_PERIOD)
     ntaps = len(rrc_taps.coefficients)
     npt.assert_array_equal(signal.samples.real[:ntaps], rrc_taps.coefficients)
     npt.assert_array_equal(signal.samples.real[ntaps:], 0.0)
@@ -99,15 +101,15 @@ def test_shape_single_symbol_is_impulse_response(rrc_taps):
 
 
 def test_modulate_length_and_realness(chips10, rrc_taps):
-    signal = pulse.modulate(chips10, 1, rrc_taps)
+    signal = pulse.modulate(chips10, 1, rrc_taps, CHIP_PERIOD)
     assert len(signal) == 1023 * 4 + 12 * 4
     assert len(signal) >= 4 * 1023
     npt.assert_array_equal(signal.samples.imag, 0.0)
-    assert signal.sample_rate == pytest.approx(4 / 60e-9)
+    assert signal.sample_rate == pytest.approx(4 / CHIP_PERIOD)
 
 
 def test_modulate_middle_period_is_periodic(chips10, rrc_taps):
-    signal = pulse.modulate(chips10, 3, rrc_taps)
+    signal = pulse.modulate(chips10, 3, rrc_taps, CHIP_PERIOD)
     period = 1023 * 4
     first = signal.samples[period:2 * period]
     second = signal.samples[2 * period:3 * period]
@@ -117,7 +119,7 @@ def test_modulate_middle_period_is_periodic(chips10, rrc_taps):
 @pytest.mark.parametrize("span", [6, 8, 10, 12, 14, 16])
 def test_roundtrip_error_below_budget(chips10, span):
     taps = pulse.design_rrc(0.35, span, 4)
-    signal = pulse.modulate(chips10, 3, taps)
+    signal = pulse.modulate(chips10, 3, taps, CHIP_PERIOD)
     symbols = pulse.recover_symbols(signal, taps, 0)
     middle = symbols[1023:2046]
     assert np.max(np.abs(middle - chips10.chips)) < 1e-6
@@ -126,7 +128,7 @@ def test_roundtrip_error_below_budget(chips10, span):
 def test_recover_single_delayed_tap(chips10, rrc_taps):
     # a lone 0.5 gain at 3 chip periods: recovered symbols are the chips
     # scaled by 0.5 and shifted by 3
-    signal = pulse.modulate(chips10, 4, rrc_taps)
+    signal = pulse.modulate(chips10, 4, rrc_taps, CHIP_PERIOD)
     delayed = np.concatenate([np.zeros(12), 0.5 * signal.samples])
     shifted = pulse.BasebandSignal(delayed, signal.sample_rate, signal.origin_time)
     symbols = pulse.recover_symbols(shifted, rrc_taps, 0)
@@ -136,7 +138,7 @@ def test_recover_single_delayed_tap(chips10, rrc_taps):
 
 
 def test_recover_two_tap_superposition(chips10, rrc_taps):
-    signal = pulse.modulate(chips10, 4, rrc_taps)
+    signal = pulse.modulate(chips10, 4, rrc_taps, CHIP_PERIOD)
     delayed = np.concatenate([signal.samples, np.zeros(12)])
     delayed[12:] += 0.5 * signal.samples
     mixed = pulse.BasebandSignal(delayed, signal.sample_rate, signal.origin_time)
@@ -209,7 +211,7 @@ def test_closed_form_phase_energies_match_fft_oracle(degree, sps, seed,
 
 @pytest.mark.parametrize("planted", [0, 1, 2, 3])
 def test_timing_phase_planted(chips10, rrc_taps, planted):
-    signal = pulse.modulate(chips10, 3, rrc_taps)
+    signal = pulse.modulate(chips10, 3, rrc_taps, CHIP_PERIOD)
     padded = pulse.BasebandSignal(
         np.concatenate([np.zeros(planted), signal.samples]),
         signal.sample_rate, signal.origin_time)
@@ -217,13 +219,13 @@ def test_timing_phase_planted(chips10, rrc_taps, planted):
 
 
 def test_timing_phase_zero_signal(chips10, rrc_taps):
-    silent = pulse.BasebandSignal(np.zeros(3 * 1023 * 4 + 64), 4 / 60e-9)
+    silent = pulse.BasebandSignal(np.zeros(3 * 1023 * 4 + 64), 4 / CHIP_PERIOD)
     with pytest.raises(NoSignalError):
         pulse.estimate_timing_phase(silent, chips10, rrc_taps)
 
 
 def test_timing_phase_scale_invariant(chips10, rrc_taps):
-    signal = pulse.modulate(chips10, 3, rrc_taps)
+    signal = pulse.modulate(chips10, 3, rrc_taps, CHIP_PERIOD)
     shifted = pulse.BasebandSignal(
         np.concatenate([np.zeros(2), signal.samples]),
         signal.sample_rate, signal.origin_time)
@@ -235,7 +237,7 @@ def test_timing_phase_scale_invariant(chips10, rrc_taps):
 
 def test_timing_phase_noisy_monte_carlo(chips10, rrc_taps):
     # 20 dB symbol SNR: the planted phase must win in at least 99 of 100 runs
-    base = pulse.modulate(chips10, 2, rrc_taps)
+    base = pulse.modulate(chips10, 2, rrc_taps, CHIP_PERIOD)
     planted = 3
     shifted = np.concatenate([np.zeros(planted), base.samples])
     signal_power = np.mean(np.abs(base.samples) ** 2)
@@ -251,7 +253,7 @@ def test_timing_phase_noisy_monte_carlo(chips10, rrc_taps):
 
 
 def test_iq_file_roundtrip(tmp_path, chips10, rrc_taps):
-    signal = pulse.modulate(chips10, 1, rrc_taps)
+    signal = pulse.modulate(chips10, 1, rrc_taps, CHIP_PERIOD)
     target = tmp_path / "capture.iq"
     pulse.write_iq(signal, target)
     assert target.exists() and (tmp_path / "capture.iq.json").exists()
@@ -295,9 +297,9 @@ def test_read_iq_rejects_odd_float_count(tmp_path):
 def test_timing_phase_rejects_window_before_capture(chips10, rrc_taps):
     # sample 0 sits 1500 chips after t = 0, so the timing window starts
     # at a negative index; it must not wrap to the capture's tail
-    base = pulse.modulate(chips10, 4, rrc_taps)
+    base = pulse.modulate(chips10, 4, rrc_taps, CHIP_PERIOD)
     early = pulse.BasebandSignal(np.tile(base.samples, 3), base.sample_rate,
-                                 origin_time=1500 * 60e-9)
+                                 origin_time=1500 * CHIP_PERIOD)
     with pytest.raises(ValueError, match="full chip period"):
         pulse.estimate_timing_phase(early, chips10, rrc_taps)
 

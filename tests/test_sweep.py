@@ -1,17 +1,25 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from chansounder import campaign as cp
 from chansounder import channel as ch
 from chansounder import schema, sweep
+from chansounder.channel import EnvironmentModel
 from chansounder.pulse import BasebandSignal
 
 from helpers import (
     default_plan,
-    oracle_bin_powers,
+    oracle_bin_power,
+    oracle_compose_sweep_capture,
     oracle_received_tone,
+    static_sweep_losses,
     use_oracle_sweep,
 )
+
+UNIT = ch.MultipathChannel(gains=[1.0], delays=[0.0])
 
 
 def dft_bin_oracle(samples, length, bin_index):
@@ -21,20 +29,27 @@ def dft_bin_oracle(samples, length, bin_index):
     return abs(np.sum(samples[:length] * basis) / length) ** 2
 
 
+def tone_capture(frame, tone_offset, amplitude=1.0):
+    """One step's capture of a tone of the given amplitude through a unit
+    channel at zero carrier: the bare transmitted tone."""
+    samples = sweep.received_tone(UNIT, 0.0, tone_offset, frame, amplitude)
+    return BasebandSignal(samples=samples, sample_rate=frame.sample_rate_hz)
+
+
 @pytest.fixture(scope="module")
 def plan():
     return default_plan()
 
 
-def test_tone_dc():
-    tone = sweep.generate_tone(0.0, 1e-3, 1e6, amplitude=0.7)
+def test_tone_dc(plan):
+    tone = tone_capture(replace(plan, tone_offsets_hz=(0.0,)), 0.0, 0.7)
     npt.assert_allclose(tone.samples, 0.7, atol=1e-15)
 
 
 def test_tone_whole_cycles(plan):
-    bin_width = plan.sample_rate / plan.fft_length
-    tone = sweep.generate_tone(3 * bin_width, plan.fft_length / plan.sample_rate,
-                               plan.sample_rate)
+    bin_width = plan.sample_rate_hz / plan.fft_length
+    window = replace(plan, step_duration_s=plan.fft_length / plan.sample_rate_hz)
+    tone = tone_capture(window, 3 * bin_width)
     # exactly three cycles: the first sample repeats after the window
     assert len(tone) == plan.fft_length
     assert tone.samples[0] == pytest.approx(1.0)
@@ -42,22 +57,21 @@ def test_tone_whole_cycles(plan):
     assert phase == pytest.approx(-2 * np.pi * 3 / plan.fft_length, abs=1e-9)
 
 
-def test_tone_power():
-    tone = sweep.generate_tone(12500.0, 2e-3, 1e6, amplitude=0.5)
+def test_tone_power(plan):
+    tone = tone_capture(plan, 12500.0, 0.5)
     assert np.mean(np.abs(tone.samples) ** 2) == pytest.approx(0.25, abs=1e-12)
 
 
-def test_tone_alias_rejected():
-    with pytest.raises(ValueError, match="alias"):
-        sweep.generate_tone(6e5, 1e-3, 1e6)
+def test_tone_alias_rejected(plan):
+    with pytest.raises(ValueError, match=r"^tone_offsets_hz\[0\]: .*Nyquist"):
+        replace(plan, tone_offsets_hz=(6e5,))
 
 
 def test_bin_power_matches_dft_oracle(plan):
-    tone_offset = float(plan.tone_offsets[0])
+    tone_offset = plan.tone_offsets_hz[0]
     amplitude = 0.8
-    tone = sweep.generate_tone(tone_offset, plan.step_duration,
-                               plan.sample_rate, amplitude)
-    got = sweep.bin_power(tone, plan, tone_offset)
+    tone = tone_capture(plan, tone_offset, amplitude)
+    [got] = sweep.bin_power(tone, plan, [tone_offset])
     oracle = dft_bin_oracle(tone.samples, plan.fft_length,
                             plan.bin_index(tone_offset))
     assert got == pytest.approx(oracle, abs=1e-12)
@@ -65,40 +79,38 @@ def test_bin_power_matches_dft_oracle(plan):
 
 
 def test_bin_power_zero_capture(plan):
-    capture = BasebandSignal(np.zeros(plan.fft_length), plan.sample_rate)
-    assert sweep.bin_power(capture, plan, float(plan.tone_offsets[0])) == 0.0
+    capture = BasebandSignal(np.zeros(plan.fft_length), plan.sample_rate_hz)
+    assert sweep.bin_power(capture, plan, plan.tone_offsets_hz) == [0.0]
 
 
 def test_bin_power_negative_offset_wraps():
     bin_width = 1e6 / 4096
     tone_offset = -200 * bin_width
-    plan = sweep.SweepPlan(carrier_list=[700e6], tone_offsets=[tone_offset],
-                           step_duration=5e-3, sample_rate=1e6,
-                           fft_length=4096, guard_band=25e3)
-    assert plan.bin_index(tone_offset) == 4096 - 200
-    tone = sweep.generate_tone(tone_offset, 5e-3, 1e6, amplitude=0.6)
-    assert sweep.bin_power(tone, plan, tone_offset) == pytest.approx(0.36, abs=1e-9)
+    frame = sweep.FrequencySetup(carriers_hz=(700e6,),
+                                 tone_offsets_hz=(tone_offset,))
+    assert frame.bin_index(tone_offset) == 4096 - 200
+    tone = tone_capture(frame, tone_offset, 0.6)
+    assert sweep.bin_power(tone, frame, [tone_offset]) \
+        == [pytest.approx(0.36, abs=1e-9)]
 
 
 def test_bin_power_rejects_unknown_tone(plan):
-    tone = sweep.generate_tone(float(plan.tone_offsets[0]), plan.step_duration,
-                               plan.sample_rate)
+    tone = tone_capture(plan, plan.tone_offsets_hz[0])
     with pytest.raises(ValueError, match="not part of the plan"):
-        sweep.bin_power(tone, plan, 12345.0)
+        sweep.bin_power(tone, plan, [12345.0])
 
 
 def test_bin_power_rejects_short_capture(plan):
-    capture = BasebandSignal(np.zeros(plan.fft_length - 1), plan.sample_rate)
+    capture = BasebandSignal(np.zeros(plan.fft_length - 1), plan.sample_rate_hz)
     with pytest.raises(ValueError, match="shorter"):
-        sweep.bin_power(capture, plan, float(plan.tone_offsets[0]))
+        sweep.bin_power(capture, plan, plan.tone_offsets_hz)
 
 
 def test_two_tones_stay_orthogonal(plan):
-    bin_width = plan.sample_rate / plan.fft_length
-    f1 = float(plan.tone_offsets[0])
+    bin_width = plan.sample_rate_hz / plan.fft_length
+    f1 = plan.tone_offsets_hz[0]
     f2 = round((f1 + 150e3) / bin_width) * bin_width
-    both = sweep.SweepPlan(plan.carrier_list, [f1, f2], plan.step_duration,
-                           plan.sample_rate, plan.fft_length, plan.guard_band)
+    both = replace(plan, tone_offsets_hz=(f1, f2))
     strong = ch.MultipathChannel(gains=[1.0], delays=[0.0])
     weak = ch.MultipathChannel(gains=[0.5], delays=[0.0])
     single_1 = sweep.compose_sweep_capture([(f1, strong)], both, 0)
@@ -106,26 +118,25 @@ def test_two_tones_stay_orthogonal(plan):
     combined = sweep.compose_sweep_capture(
         [(f1, strong), (f2, weak)], both, 0)
     for tone, single in ((f1, single_1), (f2, single_2)):
-        alone = sweep.bin_power(single, both, tone)
-        together = sweep.bin_power(combined, both, tone)
+        [alone] = sweep.bin_power(single, both, [tone])
+        [together] = sweep.bin_power(combined, both, [tone])
         assert abs(alone - together) < 1e-9
 
 
 def test_sweep_flat_channel(plan):
-    flat = ch.MultipathChannel(gains=[1.0], delays=[0.0])
-    losses = sweep.sweep_sound([flat] * plan.step_count, plan, 0.0, "tx1")
-    npt.assert_allclose(losses.per_carrier_loss_db, 0.0, atol=1e-9)
-    assert losses.transmitter_id == "tx1"
+    losses = static_sweep_losses(UNIT, plan)
+    assert len(losses) == len(plan.carriers_hz)
+    npt.assert_allclose(losses, 0.0, atol=1e-9)
 
 
 def test_sweep_matches_analytic_response(plan):
     # the measured loss is tx power minus the bin power of a unit tone, so
     # it must track tx_power_db - 20*log10|H| step by step
     chan = ch.MultipathChannel(gains=[1.0, 1.0], delays=[0.0, 250e-9])
-    losses = sweep.sweep_sound([chan] * plan.step_count, plan, 3.0, "tx1")
-    probe = plan.carrier_list + plan.tone_offsets[0]
+    losses = static_sweep_losses(chan, plan, 3.0)
+    probe = np.asarray(plan.carriers_hz) + plan.tone_offsets_hz[0]
     oracle = 3.0 - 20 * np.log10(np.abs(ch.frequency_response(chan, probe)))
-    npt.assert_allclose(losses.per_carrier_loss_db, oracle, atol=0.05)
+    npt.assert_allclose(losses, oracle, atol=0.05)
 
 
 def test_sweep_selectivity_contrast(plan):
@@ -133,69 +144,76 @@ def test_sweep_selectivity_contrast(plan):
     far = ch.MultipathChannel(
         gains=[10 ** (-90 / 20.0), 0.9 * 10 ** (-90 / 20.0)],
         delays=[0.0, 250e-9])
-    near_losses = sweep.sweep_sound([near] * plan.step_count, plan, 0.0, "near")
-    far_losses = sweep.sweep_sound([far] * plan.step_count, plan, 0.0, "far")
-    near_var = np.ptp(near_losses.per_carrier_loss_db)
-    far_var = np.ptp(far_losses.per_carrier_loss_db)
+    near_var = np.ptp(static_sweep_losses(near, plan))
+    far_var = np.ptp(static_sweep_losses(far, plan))
     assert near_var <= 5.0
     assert far_var >= 15.0
 
 
-def test_sweep_wrong_channel_count(plan):
-    flat = ch.MultipathChannel(gains=[1.0], delays=[0.0])
-    with pytest.raises(ValueError, match="per carrier step"):
-        sweep.sweep_sound([flat] * 3, plan, 0.0, "tx1")
+def test_narrowband_losses_mark_empty_bins_and_keep_tone_order(plan):
+    bin_width = plan.sample_rate_hz / plan.fft_length
+    tones = (-300 * bin_width, 600 * bin_width)
+    frame = replace(plan, tone_offsets_hz=tones)
+    captures = [sweep.compose_sweep_capture([(tones[1], UNIT)], frame, step)
+                for step in range(len(frame.carriers_hz))]
+    # only the second tone is on the air; read in reverse tone order
+    quiet, loud = sweep.narrowband_losses(captures, frame, tones[::-1],
+                                          [3.0, -2.0])[::-1]
+    npt.assert_allclose(loud, 3.0, atol=1e-9)
+    assert all(loss is None or loss > 250.0 for loss in quiet)
 
 
 def test_mean_wideband_path_loss():
-    make = lambda values: sweep.NarrowbandLossSet(values, "tx", 0.0)
-    assert sweep.mean_wideband_path_loss(make([80.0] * 10)) == pytest.approx(80.0)
-    assert sweep.mean_wideband_path_loss(make([70.0, 90.0])) == pytest.approx(80.0)
-    values = [72.0, 75.5, 80.25, 69.0, 71.0, 90.0, 85.5, 77.0, 74.25, 79.5]
-    got = sweep.mean_wideband_path_loss(make(values))
-    assert got == pytest.approx(sum(values) / len(values), abs=1e-12)
-    assert min(values) <= got <= max(values)
+    # a frequency record's wideband loss is the mean, in dB, of its
+    # narrowband losses
+    scenario = cp.Scenario(
+        mode="frequency",
+        transmitters=(cp.Transmitter("tx1", (0.0, 0.0, 1.8)),
+                      cp.Transmitter("tx2", (30.0, 20.0, 3.7), tx_power_db=-4.0)),
+        receiver_path=((2.0, 2.0, 0.9), (8.0, 2.0, 0.9)),
+        environment=EnvironmentModel(reference_loss_db=38.0,
+                                     path_loss_exponent=2.1,
+                                     delay_spread_scale_s=2.5e-7,
+                                     tap_count_range=(2, 8)),
+        master_seed=3)
+    for record in cp.run_campaign(scenario):
+        values = record.narrowband_losses_db
+        assert len(values) == 10
+        assert record.wideband_path_loss_db == float(np.mean(values))
+        assert min(values) <= record.wideband_path_loss_db <= max(values)
 
 
 def test_temporal_resolution(plan):
     assert sweep.temporal_resolution(plan) == pytest.approx(27.8e-9, abs=0.1e-9)
-    two_step = sweep.SweepPlan(carrier_list=[100e6, 101e6],
-                               tone_offsets=plan.tone_offsets,
-                               step_duration=plan.step_duration,
-                               sample_rate=plan.sample_rate,
-                               fft_length=plan.fft_length,
-                               guard_band=plan.guard_band)
+    two_step = replace(plan, carriers_hz=(100e6, 101e6))
     assert sweep.temporal_resolution(two_step) == pytest.approx(500e-9)
-    doubled = sweep.SweepPlan(carrier_list=plan.carrier_list * 2,
-                              tone_offsets=plan.tone_offsets,
-                              step_duration=plan.step_duration,
-                              sample_rate=plan.sample_rate,
-                              fft_length=plan.fft_length,
-                              guard_band=plan.guard_band)
+    doubled = replace(plan, carriers_hz=tuple(2 * f for f in plan.carriers_hz))
     assert sweep.temporal_resolution(doubled) \
         == pytest.approx(sweep.temporal_resolution(plan) / 2)
+    with pytest.raises(ValueError, match="two carrier steps"):
+        sweep.temporal_resolution(replace(plan, carriers_hz=(700e6,)))
 
 
 def test_plan_validation_errors(plan):
-    base = dict(carrier_list=plan.carrier_list, tone_offsets=plan.tone_offsets,
-                step_duration=plan.step_duration, sample_rate=plan.sample_rate,
-                fft_length=plan.fft_length, guard_band=plan.guard_band)
-    bad = dict(base, tone_offsets=[6e5])
-    with pytest.raises(ValueError, match="Nyquist"):
-        sweep.SweepPlan(**bad)
-    bad = dict(base, tone_offsets=[100e3])  # not on the 244.14 Hz grid
-    with pytest.raises(ValueError, match="bin width"):
-        sweep.SweepPlan(**bad)
-    bin_width = plan.sample_rate / plan.fft_length
-    bad = dict(base, tone_offsets=[0.0, 10 * bin_width])
-    with pytest.raises(ValueError, match="guard band"):
-        sweep.SweepPlan(**bad)
-    bad = dict(base, carrier_list=[700e6, 702e6, 703e6])
-    with pytest.raises(ValueError, match="uniform"):
-        sweep.SweepPlan(**bad)
-    bad = dict(base, step_duration=1e-3)  # under 4096 samples at 1 MHz
-    with pytest.raises(ValueError, match="FFT window"):
-        sweep.SweepPlan(**bad)
+    # every check starts with its field, so a scenario names the path
+    for change, message in [
+            (dict(sample_rate_hz=-1e6), "sample_rate_hz: must be positive"),
+            (dict(sample_rate_hz=0.0), "sample_rate_hz: must be positive"),
+            (dict(fft_length=0), "fft_length: must be >= 2"),
+            (dict(fft_length=1), "fft_length: must be >= 2"),
+            (dict(carriers_hz=()), "carriers_hz: need at least one carrier"),
+            (dict(carriers_hz=(700e6, 702e6, 703e6)), "carriers_hz: .*uniform"),
+            (dict(carriers_hz=(702e6, 700e6)), "carriers_hz: .*increasing"),
+            (dict(step_duration_s=1e-3), "step_duration_s: .*FFT window"),
+            (dict(guard_band_hz=-1.0), "guard_band_hz: must be nonnegative"),
+            (dict(tone_offsets_hz=()), "tone_offsets_hz: need at least one tone"),
+            (dict(tone_offsets_hz=(6e5,)), r"tone_offsets_hz\[0\]: .*Nyquist"),
+            (dict(tone_offsets_hz=(0.0, 100e3)),
+             r"tone_offsets_hz\[1\]: .*bin width"),
+            (dict(tone_offsets_hz=(0.0, 10 * 1e6 / 4096)),
+             "tone_offsets_hz: tones 0 and 1 .*guard band")]:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            replace(plan, **change)
 
 
 def random_sweep_channel(rng, max_taps=8):
@@ -206,11 +224,11 @@ def random_sweep_channel(rng, max_taps=8):
 
 
 def test_received_tone_bit_exact_against_per_tap_oracle(plan):
-    short = sweep.SweepPlan(plan.carrier_list, [-40 * 2e6 / 2048], 3e-3, 2e6,
-                            2048, plan.guard_band)
+    short = replace(plan, sample_rate_hz=2e6, fft_length=2048,
+                    step_duration_s=3e-3, tone_offsets_hz=(-40 * 2e6 / 2048,))
     rng = np.random.default_rng(2024)
     for p in (plan, short):
-        bin_width = p.sample_rate / p.fft_length
+        bin_width = p.sample_rate_hz / p.fft_length
         for k in (1, -1, 37, -410, 1500, -1999):
             tone = k * bin_width
             for carrier in (700e6, 2.4e9, 5.8e9):
@@ -221,71 +239,55 @@ def test_received_tone_bit_exact_against_per_tap_oracle(plan):
                 assert np.array_equal(got, want)
 
 
-def test_bin_powers_equal_per_tone_bin_power(plan):
-    bin_width = plan.sample_rate / plan.fft_length
+def test_bin_power_reads_several_tones_from_one_fft(plan):
+    bin_width = plan.sample_rate_hz / plan.fft_length
     tones = [k * bin_width for k in (-700, 102, 500)]
-    three = sweep.SweepPlan(plan.carrier_list, tones, plan.step_duration,
-                            plan.sample_rate, plan.fft_length, plan.guard_band)
+    three = replace(plan, tone_offsets_hz=tuple(tones))
     rng = np.random.default_rng(8)
     for _ in range(5):
         samples = rng.normal(size=5000) + 1j * rng.normal(size=5000)
-        capture = BasebandSignal(samples=samples, sample_rate=plan.sample_rate)
-        got = sweep.bin_powers(capture, three, tones)
-        assert got == [sweep.bin_power(capture, three, f) for f in tones]
-        assert got == oracle_bin_powers(capture, three, tones)
+        capture = BasebandSignal(samples=samples, sample_rate=plan.sample_rate_hz)
+        got = sweep.bin_power(capture, three, tones)
+        assert got == [sweep.bin_power(capture, three, [f])[0] for f in tones]
+        assert got == oracle_bin_power(capture, three, tones)
     with pytest.raises(ValueError, match="not part of the plan"):
-        sweep.bin_powers(capture, three, [tones[0], 12345.0])
+        sweep.bin_power(capture, three, [tones[0], 12345.0])
 
 
 def test_unit_tone_is_cached_read_only(plan):
-    tone = sweep._unit_tone(float(plan.tone_offsets[0]), 5000, plan.sample_rate)
-    assert tone is sweep._unit_tone(float(plan.tone_offsets[0]), 5000,
-                                    plan.sample_rate)
+    tone = sweep._unit_tone(plan.tone_offsets_hz[0], 5000, plan.sample_rate_hz)
+    assert tone is sweep._unit_tone(plan.tone_offsets_hz[0], 5000,
+                                    plan.sample_rate_hz)
     assert not tone.flags.writeable
     with pytest.raises(ValueError):
         tone[0] = 0.0
     assert sweep._unit_tone.cache_info().maxsize is not None
 
 
-def test_sweep_sound_with_noise_matches_oracle(plan, monkeypatch):
-    bin_width = plan.sample_rate / plan.fft_length
-    two = sweep.SweepPlan(plan.carrier_list, [-300 * bin_width, 600 * bin_width],
-                          plan.step_duration, plan.sample_rate,
-                          plan.fft_length, plan.guard_band)
+def test_noisy_sweep_matches_oracle(plan, monkeypatch):
+    bin_width = plan.sample_rate_hz / plan.fft_length
+    two = replace(plan, tone_offsets_hz=(-300 * bin_width, 600 * bin_width))
     rng = np.random.default_rng(31)
-    channels = [random_sweep_channel(rng) for _ in range(two.step_count)]
+    chan = random_sweep_channel(rng)
 
     def sound_all():
-        return [sweep.sweep_sound(channels, two, 3.0, "tx",
-                                  tone_offset=float(tone), seed=17,
-                                  **kwargs).per_carrier_loss_db
+        return [static_sweep_losses(chan, two, 3.0, tone=tone, seed=17,
+                                    **kwargs)
                 for kwargs in (dict(noise_power_dbfs=-60.0), {})
-                for tone in two.tone_offsets]
+                for tone in two.tone_offsets_hz]
 
     got = sound_all()
     use_oracle_sweep(monkeypatch)
+    assert sweep.compose_sweep_capture is oracle_compose_sweep_capture
     for mine, oracle in zip(got, sound_all(), strict=True):
         assert np.array_equal(mine, oracle)
 
 
-def test_losses_json_roundtrip():
-    losses = sweep.NarrowbandLossSet([72.0, 75.5, 80.25], "tx2", 97656.25)
-    doc = sweep.losses_to_json(losses)
-    assert doc["mean_path_loss_db"] == pytest.approx((72.0 + 75.5 + 80.25) / 3)
-    back = sweep.losses_from_json(doc)
-    npt.assert_array_equal(back.per_carrier_loss_db, losses.per_carrier_loss_db)
-    assert back.transmitter_id == "tx2"
-    assert back.tone_offset == 97656.25
-
-
 def test_plan_json_roundtrip(tmp_path, plan):
-    # a plan file is a frequency block; the plan is derived from it
-    setup = sweep.FrequencySetup(tone_offsets_hz=tuple(plan.tone_offsets))
+    # a plan file is a frequency block, and a one-frame plan as it stands
     target = tmp_path / "plan.json"
-    schema.save(setup, target)
+    schema.save(plan, target)
     loaded = schema.load(sweep.FrequencySetup, target)
-    assert loaded == setup
-    npt.assert_array_equal(default_plan().carrier_list, plan.carrier_list)
-    npt.assert_array_equal(loaded.tone_offsets_hz, plan.tone_offsets)
-    assert loaded.fft_length == plan.fft_length
-    assert loaded.guard_band_hz == plan.guard_band
+    assert loaded == plan
+    assert loaded.carriers_hz == sweep.FrequencySetup().carriers_hz
+    assert loaded.tone_offsets_hz == (410 * 1e6 / 4096,)
