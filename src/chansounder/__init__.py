@@ -14,7 +14,6 @@ from chansounder.campaign import (
     Transmitter,
     export_heatmap,
     export_records,
-    load_records,
     load_scenario,
     run_campaign,
     save_scenario,
@@ -38,10 +37,8 @@ from chansounder.multitx import (
 )
 from chansounder.pn import (
     ChipSequence,
-    CorrelationProfile,
     circular_correlate,
     generate_glfsr,
-    load_chips,
     save_chips,
 )
 from chansounder.pulse import (
@@ -53,7 +50,6 @@ from chansounder.pulse import (
     read_iq,
     recover_symbols,
     shape_symbols,
-    write_iq,
 )
 from chansounder.sliding import (
     DelayProfile,
@@ -67,7 +63,6 @@ from chansounder.sweep import (
     FrequencySetup,
     bin_power,
     narrowband_losses,
-    temporal_resolution,
 )
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import pickle
 import signal
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from chansounder import multitx, schema, sliding, sweep
-from chansounder.channel import EnvironmentModel, synthesize_channel
+from chansounder.channel import EnvironmentModel, path_loss_db, synthesize_channel
 from chansounder.exceptions import NoSignalError
 from chansounder.pulse import BasebandSignal, modulate
 
@@ -35,6 +36,14 @@ MODE_FREQUENCY = "frequency"
 
 FLAG_NO_SIGNAL = "no_signal"
 FLAG_MISALIGNED = "misaligned"
+
+
+def _power_of_ten(exponent: float) -> float:
+    """10 ** exponent, or inf where that overflows a float."""
+    try:
+        return 10.0 ** exponent
+    except OverflowError:
+        return math.inf
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -50,6 +59,11 @@ class Transmitter:
     position: tuple[float, ...]
     tx_power_db: float = 0.0
     antenna_height_note: str | None = None
+
+    def __post_init__(self):
+        if not 0.0 < _power_of_ten(self.tx_power_db / 20.0) < math.inf:
+            raise ValueError(f"tx_power_db: {self.tx_power_db} dB has no "
+                             f"finite, nonzero linear amplitude")
 
 
 @dataclass(frozen=True)
@@ -167,6 +181,13 @@ def _prepare_sliding(scenario: Scenario) -> tuple:
         chips, taps = sliding.reference(config)
     except ValueError as exc:
         raise schema.nested("sliding", sliding.SounderConfig, exc) from None
+    # a tap one PN period late aliases onto lag 0 of the correlator
+    pn_period_s = chips.period_length * config.chip_period_s
+    if scenario.environment.delay_spread_scale_s >= pn_period_s:
+        raise ValueError(
+            f"environment.delay_spread_scale_s: "
+            f"{scenario.environment.delay_spread_scale_s} s is not below the "
+            f"{pn_period_s} s PN period, the unambiguous delay range")
     burst = modulate(chips, config.averaging_periods + 2, taps,
                      config.chip_period_s)
     sample_rate = burst.sample_rate
@@ -188,6 +209,7 @@ def _prepare_sliding(scenario: Scenario) -> tuple:
 def _run_sliding(scenario: Scenario, prepared: tuple, locations: range) -> list:
     config = scenario.sliding
     chips, taps, waveforms, schedule, offsets = prepared
+    pn_period_s = chips.period_length * config.chip_period_s
     records = []
     for loc_index in locations:
         position = scenario.receiver_path[loc_index]
@@ -200,6 +222,12 @@ def _run_sliding(scenario: Scenario, prepared: tuple, locations: range) -> list:
             chan, _ = synthesize_channel(scenario.environment, tx.position,
                                          position, seed,
                                          delay_grid_s=config.chip_period_s)
+            if chan.delays[-1] >= pn_period_s:  # checked before any capture is built
+                raise ValueError(
+                    f"environment.delay_spread_scale_s: the channel drawn for "
+                    f"transmitter {tx.id!r} at receiver_path_m[{loc_index}] "
+                    f"has a tap {chan.delays[-1]} s late, not below the "
+                    f"{pn_period_s} s PN period")
             scene.append(multitx.SceneTransmitter(
                 waveform=waveform, channel=chan, park_mode=scenario.park_mode,
                 clock_offset_samples=offset))
@@ -240,10 +268,56 @@ def _prepare_frequency(scenario: Scenario) -> list:
         raise schema.nested("frequency", sweep.FrequencySetup, exc) from None
 
 
+def _normal_power(loss_db: float) -> bool:
+    """Whether the linear power 10 ** (-loss_db / 10) is a positive,
+    normal float."""
+    return sys.float_info.min <= _power_of_ten(-loss_db / 10.0) < math.inf
+
+
+def _check_path_losses(scenario: Scenario) -> None:
+    """Every (transmitter, location) pair's path loss must have a positive,
+    normal linear power, or the channel drawn for the pair overflows or
+    has no nonzero tap gain.
+
+    The error names the environment coefficient that is out of that range
+    by itself (the reference loss, 10 * exponent dB per decade, or the
+    loss of one wall), else the pair's position farther from the origin.
+    """
+    env = scenario.environment
+    coefficients = (("reference_loss_db", env.reference_loss_db),
+                    ("path_loss_exponent", 10.0 * env.path_loss_exponent),
+                    ("wall_loss_db", env.wall_loss_db))
+    for k, tx in enumerate(scenario.transmitters):
+        for j, position in enumerate(scenario.receiver_path):
+            try:
+                loss_db = path_loss_db(env, tx.position, position)
+            except ValueError:
+                raise ValueError(f"receiver_path_m[{j}]: coincides with "
+                                 f"transmitters[{k}].position_m") from None
+            except OverflowError:  # more wall crossings than a float holds
+                loss_db = math.inf
+            if _normal_power(loss_db):
+                continue
+            culprits = [name for name, db in coefficients
+                        if not _normal_power(abs(db))]
+            if culprits:
+                field = f"environment.{culprits[0]}"
+            elif max(map(abs, tx.position)) >= max(map(abs, position)):
+                field = f"transmitters[{k}].position_m"
+            else:
+                field = f"receiver_path_m[{j}]"
+            raise ValueError(
+                f"{field}: the path loss from transmitter {tx.id!r} to "
+                f"receiver_path_m[{j}] is {loss_db:.6g} dB, whose linear "
+                f"power is not a positive, normal float")
+
+
 def prepare(scenario: Scenario):
     """Everything a campaign derives from its scenario before the first
     location: chips, taps, slot geometry and clock offsets, or the sweep
-    frames. Raises ValueError naming the dotted field at fault."""
+    frames, once every pair's path loss is checked. Raises ValueError
+    naming the dotted field at fault."""
+    _check_path_losses(scenario)
     if scenario.mode == MODE_SLIDING:
         return _prepare_sliding(scenario)
     return _prepare_frequency(scenario)
@@ -407,25 +481,6 @@ def record_to_json(record: MeasurementRecord) -> dict:
     }
 
 
-def record_from_json(doc: dict) -> MeasurementRecord:
-    profile = doc.get("delay_profile")
-    narrow = doc.get("narrowband_losses_db")
-    return MeasurementRecord(
-        location_index=int(doc["location_index"]),
-        position=(doc["x_m"], doc["y_m"], doc["z_m"]),
-        transmitter_id=doc["transmitter_id"],
-        mode=doc["mode"],
-        wideband_path_loss_db=doc["wideband_path_loss_db"],
-        rms_delay_spread_s=doc.get("rms_delay_spread_s"),
-        delay_profile=sliding.profile_from_json(profile) if profile else None,
-        narrowband_losses_db=tuple(narrow) if narrow is not None else None,
-        tone_offset_hz=doc.get("tone_offset_hz"),
-        geo=doc.get("geo"),
-        seed=int(doc.get("seed", 0)),
-        flags=tuple(doc.get("flags", ())),
-    )
-
-
 def export_records(records, path) -> None:
     """Write one JSON document per line."""
     if not records:
@@ -437,15 +492,6 @@ def export_records(records, path) -> None:
                 handle.write(json.dumps(record_to_json(record)) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write records to {path}: {exc}") from exc
-
-
-def load_records(path):
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise OSError(f"cannot read records from {path}: {exc}") from exc
-    return [record_from_json(json.loads(line)) for line in lines if line]
 
 
 def export_heatmap(records, transmitter_id: str, path) -> None:

@@ -119,25 +119,33 @@ def _wall_crossings(env: EnvironmentModel, tx_position, rx_position) -> int:
     return crossings
 
 
-def synthesize_channel(env: EnvironmentModel, tx_position, rx_position,
-                       seed: int, delay_grid_s: float = 60e-9):
-    """Draw a multipath channel for a transmitter/receiver pair.
+def path_loss_db(env: EnvironmentModel, tx_position, rx_position) -> float:
+    """Log-distance path loss plus wall losses between two positions, in dB.
 
-    Tap delays start at zero with exponential inter-arrivals snapped to
-    the simulation delay grid; tap powers decay exponentially and are
-    normalized so the total power matches the log-distance path loss
-    (plus wall losses). Returns (channel, true_path_loss_db).
+    May raise OverflowError for positions so far apart that their wall
+    crossings do not fit a float.
     """
     tx = np.asarray(tx_position, dtype=np.float64)
     rx = np.asarray(rx_position, dtype=np.float64)
     distance = float(np.linalg.norm(rx - tx))
     if distance == 0.0:
         raise ValueError("transmitter and receiver positions coincide")
+    return (env.reference_loss_db
+            + 10.0 * env.path_loss_exponent
+            * math.log10(distance / env.reference_distance_m)
+            + env.wall_loss_db * _wall_crossings(env, tx_position, rx_position))
 
-    loss_db = (env.reference_loss_db
-               + 10.0 * env.path_loss_exponent
-               * math.log10(distance / env.reference_distance_m)
-               + env.wall_loss_db * _wall_crossings(env, tx_position, rx_position))
+
+def synthesize_channel(env: EnvironmentModel, tx_position, rx_position,
+                       seed: int, delay_grid_s: float = 60e-9):
+    """Draw a multipath channel for a transmitter/receiver pair.
+
+    Tap delays start at zero with exponential inter-arrivals snapped to
+    the simulation delay grid; tap powers decay exponentially and are
+    normalized so the total power matches path_loss_db. Returns
+    (channel, true_path_loss_db).
+    """
+    loss_db = path_loss_db(env, tx_position, rx_position)
 
     rng = np.random.default_rng(seed)
     lo, hi = env.tap_count_range

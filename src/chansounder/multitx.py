@@ -335,19 +335,23 @@ def build_frequency_plan(setup: FrequencySetup,
     sample_rate, guard_band = setup.sample_rate_hz, setup.guard_band_hz
     if guard_band <= 0:
         raise ValueError("guard_band_hz: must be positive")
-    capacity = int(math.floor((sample_rate - guard_band) / guard_band))
+    capacity = (sample_rate - guard_band) / guard_band  # inf for a tiny guard
     if capacity < 1:
         raise ValueError(
             f"guard_band_hz: {guard_band} Hz leaves no room in the "
             f"{sample_rate} Hz Nyquist band (capacity 0)"
         )
 
-    bin_width = sample_rate / setup.fft_length
-    spacing = math.ceil(guard_band / bin_width - 1e-9) * bin_width
-    start = math.ceil((-sample_rate / 2.0 + guard_band) / bin_width) * bin_width
+    # tones sit at least one bin apart, and at least one bin above the
+    # -Nyquist bin, which aliases the +Nyquist one, however small the guard
+    length = setup.fft_length
+    bin_width = sample_rate / length
+    spacing = max(math.ceil(guard_band / bin_width - 1e-9), 1) * bin_width
+    start = max(math.ceil((-sample_rate / 2.0 + guard_band) / bin_width),
+                -((length - 1) // 2)) * bin_width
     # how many tones actually fit between start and the Nyquist edge
     fit = int(math.floor((sample_rate / 2.0 - bin_width - start) / spacing)) + 1
-    capacity = min(capacity, fit)
+    capacity = math.floor(min(capacity, fit))
     if capacity < 1:
         raise ValueError(
             f"guard_band_hz: no tone fits the {sample_rate} Hz band with "

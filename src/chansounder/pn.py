@@ -75,30 +75,12 @@ class ChipSequence:
                 f"elsewhere): |C_k|^2 strays {error:.3g} from N + 1 = {n_plus_1}"
             )
 
-    @property
-    def degree(self) -> int:
-        return (self.period_length + 1).bit_length() - 1
-
     @cached_property
     def conj_spectrum(self) -> np.ndarray:
         """conj(fft(chips)), the correlator's reference side, computed once."""
         spectrum = np.conj(np.fft.fft(self.chips))
         spectrum.flags.writeable = False
         return spectrum
-
-
-@dataclass(frozen=True)
-class CorrelationProfile:
-    """Circular correlation values over one period of lags, normalized
-    by 1/N."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.complex128)
-        object.__setattr__(self, "values", values)
-        if not np.all(np.isfinite(values.view(np.float64))):
-            raise ValueError("correlation values must be finite")
 
 
 def generate_glfsr(degree: int = 10, polynomial: int | None = None,
@@ -156,11 +138,11 @@ def generate_glfsr(degree: int = 10, polynomial: int | None = None,
     return ChipSequence(chips=chips, period_length=n)
 
 
-def circular_correlate(reference: ChipSequence, observed) -> CorrelationProfile:
+def circular_correlate(reference: ChipSequence, observed) -> np.ndarray:
     """Normalized circular correlation of a chip sequence against N samples.
 
-    values[n] = (1/N) * sum_m reference[m] * observed[(m + n) mod N], so an
-    observation that is the reference delayed by d chips peaks at lag d.
+    Returns c with c[n] = (1/N) * sum_m reference[m] * observed[(m + n) mod N],
+    so an observation that is the reference delayed by d chips peaks at lag d.
     Computed via FFT against the reference's cached spectrum.
     """
     n = reference.period_length
@@ -172,17 +154,10 @@ def circular_correlate(reference: ChipSequence, observed) -> CorrelationProfile:
             f"observed length {len(observed)} does not match period {n}"
         )
     spectrum = reference.conj_spectrum * np.fft.fft(observed)
-    values = np.fft.ifft(spectrum) / n
-    return CorrelationProfile(values=values)
+    return np.fft.ifft(spectrum) / n
 
 
 def save_chips(sequence: ChipSequence, path) -> None:
     """Write one +1/-1 integer per line."""
     lines = "\n".join(str(int(c)) for c in sequence.chips)
     Path(path).write_text(lines + "\n")
-
-
-def load_chips(path) -> ChipSequence:
-    values = [int(line) for line in Path(path).read_text().split()]
-    return ChipSequence(chips=np.array(values, dtype=np.float64),
-                        period_length=len(values))

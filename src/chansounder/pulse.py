@@ -334,22 +334,10 @@ class IqSidecar:
             raise ValueError("sample_rate_hz: must be positive")
 
 
-def write_iq(signal: BasebandSignal, path) -> None:
-    """Write interleaved little-endian float32 I/Q plus a JSON sidecar."""
-    path = Path(path)
-    interleaved = np.empty(2 * len(signal), dtype="<f4")
-    interleaved[0::2] = signal.samples.real
-    interleaved[1::2] = signal.samples.imag
-    interleaved.tofile(path)
-    schema.save(IqSidecar(format=IQ_FORMAT, sample_rate_hz=signal.sample_rate,
-                          origin_time_s=signal.origin_time,
-                          sample_count=len(signal)),
-                str(path) + ".json")
-
-
 def read_iq(path) -> BasebandSignal:
-    """Read a waveform written by write_iq, checked against its strictly
-    loaded sidecar."""
+    """Read a cf32_le capture (interleaved little-endian float32 I, Q)
+    checked against its strictly loaded sidecar, the IqSidecar document
+    at the capture's path plus ".json"."""
     path = Path(path)
     sidecar_path = str(path) + ".json"
     try:

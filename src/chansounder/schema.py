@@ -152,7 +152,3 @@ def read_json(path):
 def load(kind, path):
     """Read a file holding one kind document, strictly."""
     return from_json(kind, read_json(path))
-
-
-def save(value, path) -> None:
-    Path(path).write_text(json.dumps(to_json(value), indent=2) + "\n")

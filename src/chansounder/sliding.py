@@ -155,7 +155,7 @@ def _detect_taps(mean_period: np.ndarray, chips: ChipSequence,
     noise back in.
     """
     n = chips.period_length
-    profile = circular_correlate(chips, mean_period).values
+    profile = circular_correlate(chips, mean_period)
     gain_sum = np.sum(profile)  # equals (sum of tap gains) / N + noise
     detected = None
     for _ in range(2):
@@ -255,15 +255,3 @@ def profile_to_json(profile: DelayProfile) -> dict:
         "path_loss_db": profile.wideband_path_loss_db,
         "rms_delay_spread_s": profile.rms_delay_spread,
     }
-
-
-def profile_from_json(doc: dict) -> DelayProfile:
-    lags = [t["lag"] for t in doc["taps"]]
-    gains = [complex(t["gain_re"], t["gain_im"]) for t in doc["taps"]]
-    return DelayProfile(
-        lags=np.array(lags, dtype=np.int64),
-        gains=np.array(gains, dtype=np.complex128),
-        chip_period=float(doc["chip_period_s"]),
-        wideband_path_loss_db=float(doc["path_loss_db"]),
-        rms_delay_spread=float(doc["rms_delay_spread_s"]),
-    )

@@ -134,8 +134,9 @@ def _unit_tone(tone_offset: float, n: int, sample_rate: float) -> np.ndarray:
 
 
 def received_tone(channel: MultipathChannel, carrier: float, tone_offset: float,
-                  frame: FrequencySetup, amplitude: float) -> np.ndarray:
-    """Steady-state received tone samples through a multipath channel.
+                  frame: FrequencySetup) -> np.ndarray:
+    """Steady-state received samples of a unit-amplitude tone through a
+    multipath channel.
 
     Each tap contributes a copy of the tone scaled by its gain and
     rotated by the carrier-plus-offset phase its delay accumulates; the
@@ -151,7 +152,7 @@ def received_tone(channel: MultipathChannel, carrier: float, tone_offset: float,
     acc = np.zeros(n, dtype=np.complex128)
     for gain, delay in zip(channel.gains, channel.delays):
         acc += gain * np.exp(-2j * np.pi * (carrier + tone_offset) * delay) * tone
-    return amplitude * acc
+    return acc
 
 
 def compose_sweep_capture(entries, frame: FrequencySetup, step: int,
@@ -168,17 +169,9 @@ def compose_sweep_capture(entries, frame: FrequencySetup, step: int,
     acc = np.zeros(n, dtype=np.complex128)
     carrier = float(frame.carriers_hz[step])
     for tone_offset, chan in entries:
-        acc += received_tone(chan, carrier, tone_offset, frame, 1.0)
+        acc += received_tone(chan, carrier, tone_offset, frame)
     if noise_power_dbfs is not None and noise_power_dbfs != -math.inf:
         rng = np.random.default_rng(seed)
         sigma = math.sqrt(10.0 ** (noise_power_dbfs / 10.0) / 2.0)
         acc += rng.normal(scale=sigma, size=n) + 1j * rng.normal(scale=sigma, size=n)
     return BasebandSignal(samples=acc, sample_rate=frame.sample_rate_hz)
-
-
-def temporal_resolution(setup: FrequencySetup) -> float:
-    """Delay resolution of the swept band: 1 / (2 * (N - 1) * spacing)."""
-    n = len(setup.carriers_hz)
-    if n < 2:
-        raise ValueError("need at least two carrier steps")
-    return 1.0 / (2.0 * (n - 1) * (setup.carriers_hz[1] - setup.carriers_hz[0]))

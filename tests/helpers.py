@@ -1,7 +1,9 @@
 """Shared helpers for the module and acceptance test suites."""
 
+import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from chansounder import campaign
 from chansounder import channel as ch
-from chansounder import multitx, pulse, sliding, sweep
+from chansounder import multitx, pulse, schema, sliding, sweep
 from chansounder.pn import circular_correlate
 
 
@@ -18,6 +20,25 @@ def planted_capture(chips, taps, channel, config, extra_periods=2):
     tx = pulse.modulate(chips, config.averaging_periods + extra_periods,
                         taps, config.chip_period_s)
     return ch.apply_channel(tx, channel)
+
+
+def write_iq(signal, path):
+    """Write a capture as the program reads one: interleaved little-endian
+    float32 I/Q, plus its IqSidecar at path + ".json"."""
+    interleaved = np.empty(2 * len(signal), dtype="<f4")
+    interleaved[0::2] = signal.samples.real
+    interleaved[1::2] = signal.samples.imag
+    interleaved.tofile(path)
+    save_document(pulse.IqSidecar(format=pulse.IQ_FORMAT,
+                                  sample_rate_hz=signal.sample_rate,
+                                  origin_time_s=signal.origin_time,
+                                  sample_count=len(signal)),
+                  f"{path}.json")
+
+
+def save_document(value, path):
+    """Write a dataclass as the JSON document schema.load reads back."""
+    Path(path).write_text(json.dumps(schema.to_json(value), indent=2) + "\n")
 
 
 def add_noise(signal, noise_power_dbfs, seed):
@@ -118,7 +139,7 @@ def measured_correlation_gain(chips, periods, seed, symbol_snr_db=0.0):
                      + 1j * rng.normal(size=periods * n))
     symbols = np.tile(chips.chips, periods) + noise
     mean_period = symbols.reshape(periods, n).mean(axis=0)
-    raw = circular_correlate(chips, mean_period).values
+    raw = circular_correlate(chips, mean_period)
     true_gain_sum = 1.0  # single planted tap of gain one
     corrected = (raw + true_gain_sum / n) * (n / (n + 1.0))
     peak_power = np.abs(corrected[0]) ** 2
@@ -176,7 +197,7 @@ def oracle_measure_sliding(capture, chips, taps, config, tx_power_db=0.0,
                          chips, config, tx_power_db)
 
 
-def oracle_received_tone(channel, carrier, tone_offset, frame, amplitude):
+def oracle_received_tone(channel, carrier, tone_offset, frame):
     """received_tone with the unit tone re-evaluated for every tap."""
     n = int(round(frame.step_duration_s * frame.sample_rate_hz))
     t = np.arange(n) / frame.sample_rate_hz
@@ -184,7 +205,7 @@ def oracle_received_tone(channel, carrier, tone_offset, frame, amplitude):
     for gain, delay in zip(channel.gains, channel.delays):
         acc += gain * np.exp(-2j * np.pi * (carrier + tone_offset) * delay) \
             * np.exp(2j * np.pi * tone_offset * t)
-    return amplitude * acc
+    return acc
 
 
 def oracle_bin_power(capture, frame, tone_offsets):
@@ -202,7 +223,7 @@ def oracle_compose_sweep_capture(entries, frame, step, noise_power_dbfs=None,
     acc = np.zeros(n, dtype=np.complex128)
     carrier = float(frame.carriers_hz[step])
     for tone_offset, chan in entries:
-        acc += oracle_received_tone(chan, carrier, tone_offset, frame, 1.0)
+        acc += oracle_received_tone(chan, carrier, tone_offset, frame)
     if noise_power_dbfs is not None and noise_power_dbfs != -math.inf:
         sigma = math.sqrt(10.0 ** (noise_power_dbfs / 10.0) / 2.0)
         acc += rng.normal(scale=sigma, size=n) + 1j * rng.normal(scale=sigma, size=n)
@@ -282,5 +303,5 @@ def oracle_phase_energies(chips, windows):
     1-D FFT correlation per phase: the timing search before its closed
     form."""
     return np.array([float(np.sum(np.abs(circular_correlate(
-        chips, windows[:, phase]).values) ** 2))
+        chips, windows[:, phase])) ** 2))
         for phase in range(windows.shape[1])])

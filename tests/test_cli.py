@@ -3,17 +3,20 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from chansounder import campaign as cp
 from chansounder import channel as ch
-from chansounder import cli, multitx, pulse, schema, sliding, sweep
+from chansounder import cli, multitx, pulse, sliding, sweep
 from chansounder.channel import EnvironmentModel
 from chansounder.cli import build_parser, main
 
-from helpers import assert_no_child_left, failing_channel_draw
+from helpers import (assert_no_child_left, failing_channel_draw,
+                     save_document, write_iq)
 
 
 def run_cli(capsys, *argv):
@@ -65,7 +68,7 @@ def test_sound_sliding_roundtrip(tmp_path, capsys, chips10, rrc_taps,
     tx = pulse.modulate(chips10, 12, rrc_taps, sounder_config.chip_period_s)
     capture = ch.apply_channel(tx, planted)
     capture_path = tmp_path / "capture.iq"
-    pulse.write_iq(capture, capture_path)
+    write_iq(capture, capture_path)
 
     code, _, err = run_cli(capsys, "sound-sliding",
                            "--capture", str(capture_path),
@@ -82,7 +85,7 @@ def sweep_capture_files(tmp_path):
     """A default plan file and one flat-channel capture file per carrier
     step."""
     plan_path = tmp_path / "plan.json"
-    schema.save(sweep.FrequencySetup(), plan_path)
+    save_document(sweep.FrequencySetup(), plan_path)
     [frame] = multitx.build_frequency_plan(sweep.FrequencySetup(), 1)
     chan = ch.MultipathChannel(gains=[0.5], delays=[0.0])
     capture_paths = []
@@ -90,7 +93,7 @@ def sweep_capture_files(tmp_path):
         capture = sweep.compose_sweep_capture(
             [(frame.tone_offsets_hz[0], chan)], frame, step)
         path = tmp_path / f"step{step}.iq"
-        pulse.write_iq(capture, path)
+        write_iq(capture, path)
         capture_paths.append(str(path))
     return plan_path, capture_paths
 
@@ -110,7 +113,7 @@ def test_sound_freq_roundtrip(tmp_path, capsys):
 
 def test_sound_freq_wrong_capture_count(tmp_path, capsys):
     plan_path = tmp_path / "plan.json"
-    schema.save(sweep.FrequencySetup(), plan_path)
+    save_document(sweep.FrequencySetup(), plan_path)
     code, _, err = run_cli(capsys, "sound-freq", "--plan", str(plan_path),
                            "--out-dir", str(tmp_path), "only_one.iq")
     assert code == 2
@@ -306,6 +309,9 @@ FREQUENCY_FIELD_CASES = [
          "transmitters[0].position_m[0]"),
         (None, "receiver_path_m", [[2.0, 3.0, 1.2], [3.0, 3.0]],
          "receiver_path_m[1]"),
+        # powers whose linear amplitude overflows or underflows a float
+        ("transmitters", "tx_power_db", 1e12, "transmitters[0].tx_power_db"),
+        ("transmitters", "tx_power_db", -1e12, "transmitters[0].tx_power_db"),
         ("leakage", "parked_leakage_db", -1.0, "leakage.parked_leakage_db"),
         ("leakage", "inband_null_leakage_db", -1.0,
          "leakage.inband_null_leakage_db"),
@@ -394,6 +400,126 @@ def test_frequency_scenario_rejects_blocks_it_never_reads(
     assert not (tmp_path / "out" / "records.jsonl").exists()
 
 
+def bundled_edit(tmp_path, name, edit):
+    """A bundled scenario cut to two locations, changed by edit(doc)."""
+    doc = json.loads((BUNDLED / f"{name}.json").read_text())
+    doc["receiver_path_m"] = doc["receiver_path_m"][:2]
+    edit(doc)
+    path = tmp_path / f"edited_{name}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_sub_bin_guard_band_packs_tones_one_bin_apart(tmp_path, capsys):
+    path = bundled_edit(tmp_path, "courtyard_frequency", lambda doc: doc[
+        "frequency"].update(guard_band_hz=1e-12))
+    code, _, err = run_cli(capsys, "validate", "--scenario", str(path))
+    assert code == 0, err
+    [frame] = cp.prepare(cp.load_scenario(path))
+    bin_width = frame.sample_rate_hz / frame.fft_length
+    assert np.diff(frame.tone_offsets_hz).tolist() == [bin_width]
+
+
+def set_environment(**fields):
+    return lambda doc: doc["environment"].update(fields)
+
+
+@pytest.mark.parametrize("command", ["validate", "campaign"])
+@pytest.mark.parametrize("name, edit, field, loss", [
+    ("indoor_wing_sliding", set_environment(reference_loss_db=-1e12),
+     "environment.reference_loss_db", "-1e+12 dB"),
+    ("courtyard_frequency", set_environment(reference_loss_db=-1e12),
+     "environment.reference_loss_db", "-1e+12 dB"),
+    ("indoor_wing_sliding", set_environment(path_loss_exponent=1e12),
+     "environment.path_loss_exponent", "-1e+13 dB"),
+    ("courtyard_frequency", set_environment(path_loss_exponent=1e12),
+     "environment.path_loss_exponent", "dB"),
+    # 1.7e11 walls of 3 dB between the pair
+    ("indoor_wing_sliding",
+     lambda doc: doc["transmitters"][0]["position_m"].__setitem__(0, 1e12),
+     "transmitters[0].position_m", "5e+11 dB"),
+    ("indoor_wing_sliding",
+     lambda doc: doc["receiver_path_m"][1].__setitem__(1, -1e12),
+     "receiver_path_m[1]", "5e+11 dB"),
+    # more walls between the pair than a float counts
+    ("indoor_wing_sliding",
+     lambda doc: (doc["receiver_path_m"][1].__setitem__(1, -1e10),
+                  doc["environment"].update(wall_grid_spacing_m=1e-300)),
+     "receiver_path_m[1]", "inf dB"),
+], ids=["reference-sliding", "reference-frequency", "exponent-sliding",
+        "exponent-frequency", "transmitter-position", "receiver-position",
+        "uncountable-walls"])
+def test_path_loss_outside_float_range_exits_2(tmp_path, capsys, command,
+                                               name, edit, field, loss):
+    path = bundled_edit(tmp_path, name, edit)
+    code, _, err = run_cli(capsys, command, "--scenario", str(path),
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"ValueError: {field}: the path loss from "
+                          f"transmitter 'tx1' to receiver_path_m[")
+    assert f"{loss}, whose linear power" in err
+    assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
+def test_coinciding_positions_exit_2_naming_the_location(tmp_path, capsys):
+    path = bundled_edit(tmp_path, "indoor_wing_sliding", lambda doc: doc[
+        "receiver_path_m"].__setitem__(1, doc["transmitters"][2]["position_m"]))
+    code, _, err = run_cli(capsys, "validate", "--scenario", str(path))
+    assert code == 2
+    assert err == ("ValueError: receiver_path_m[1]: coincides with "
+                   "transmitters[2].position_m\n")
+
+
+def run_cli_limited(*argv, address_space=2 << 30):
+    """Run the CLI in a child process whose address space is capped before
+    numpy loads, so a runaway allocation fails there instead of
+    exhausting the host."""
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({address_space}, "
+            f"{address_space}))\n"
+            "from chansounder.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_delay_spread_beyond_pn_period_exits_2(tmp_path, capsys):
+    # a 7 s spread once asked apply_channel for 16 GiB
+    path = bundled_edit(tmp_path, "indoor_wing_sliding",
+                        set_environment(delay_spread_scale_s=7.0))
+    expected = ("ValueError: environment.delay_spread_scale_s: 7.0 s is not "
+                "below the 6.138e-05 s PN period, the unambiguous delay "
+                "range\n")
+    code, _, err = run_cli(capsys, "validate", "--scenario", str(path))
+    assert (code, err) == (2, expected)
+    child = run_cli_limited("campaign", "--scenario", str(path),
+                            "--out-dir", str(tmp_path / "out"))
+    assert (child.returncode, child.stderr) == (2, expected)
+    assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
+def test_drawn_tap_beyond_pn_period_exits_2(tmp_path, capsys):
+    # the spread is below the period, but one drawn delay is not
+    doc = json.loads(scenario_file(tmp_path).read_text())
+    doc["environment"]["delay_spread_scale_s"] = 6e-5
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "validate", "--scenario", str(path))
+    assert code == 0, err
+    code, _, err = run_cli(capsys, "campaign", "--scenario", str(path),
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert err.startswith(
+        "ValueError: environment.delay_spread_scale_s: the channel drawn for "
+        "transmitter 'tx2' at receiver_path_m[0] has a tap ")
+    assert err.endswith(" s late, not below the 6.138e-05 s PN period\n")
+    assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
 def test_sound_freq_rejects_a_plan_by_field(tmp_path, capsys):
     plan_path, capture_paths = sweep_capture_files(tmp_path)
     doc = json.loads(plan_path.read_text())
@@ -428,14 +554,14 @@ def test_sound_freq_reproduces_campaign_losses(tmp_path, capsys, monkeypatch):
             samples=capture.samples.astype(np.complex64),
             sample_rate=capture.sample_rate)
         paths.append(str(tmp_path / f"step{step}.iq"))
-        pulse.write_iq(capture, paths[-1])
+        write_iq(capture, paths[-1])
         return capture
 
     monkeypatch.setattr(sweep, "compose_sweep_capture", compose_and_write)
     records = cp.run_campaign(scenario)
     assert len(paths) == len(frame.carriers_hz)
     plan_path = tmp_path / "plan.json"
-    schema.save(frame, plan_path)
+    save_document(frame, plan_path)
     for tx, tone, record in zip(scenario.transmitters, frame.tone_offsets_hz,
                                 records, strict=True):
         out = tmp_path / tx.id

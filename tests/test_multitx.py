@@ -434,6 +434,16 @@ def test_frequency_plan_infeasible():
         multitx.build_frequency_plan(explicit, 3)
 
 
+@pytest.mark.parametrize("guard_band_hz", [1e-320, 1e-12, 1e-3])
+def test_frequency_plan_packs_a_sub_bin_guard_one_bin_apart(guard_band_hz):
+    [plan] = multitx.build_frequency_plan(frequency_setup(guard_band_hz), 3)
+    bin_width = plan.sample_rate_hz / plan.fft_length
+    # the lowest tone is the bin above -Nyquist, which aliases +Nyquist
+    assert plan.tone_offsets_hz == tuple(k * bin_width for k in (-2047, -2046, -2045))
+    assert multitx.build_frequency_plan(frequency_setup(100.0), 3) == [
+        replace(plan, guard_band_hz=100.0)]
+
+
 def test_frequency_plan_emits_valid_plans():
     plans = multitx.build_frequency_plan(frequency_setup(100e3, 10), 4)
     plan = plans[0]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from chansounder import pn, pulse, sliding
 from chansounder.exceptions import NoSignalError
 
-from helpers import oracle_phase_energies
+from helpers import oracle_phase_energies, write_iq
 
 CHIP_PERIOD = sliding.SounderConfig().chip_period_s
 
@@ -255,7 +255,7 @@ def test_timing_phase_noisy_monte_carlo(chips10, rrc_taps):
 def test_iq_file_roundtrip(tmp_path, chips10, rrc_taps):
     signal = pulse.modulate(chips10, 1, rrc_taps, CHIP_PERIOD)
     target = tmp_path / "capture.iq"
-    pulse.write_iq(signal, target)
+    write_iq(signal, target)
     assert target.exists() and (tmp_path / "capture.iq.json").exists()
     assert target.stat().st_size == 8 * len(signal)
     loaded = pulse.read_iq(target)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -239,10 +240,12 @@ def test_profile_json_roundtrip(chips10, rrc_taps, sounder_config):
                                   delays=[0.0, 2 * period])
     capture = planted_capture(chips10, rrc_taps, planted, sounder_config)
     profile = sliding.measure_sliding(capture, chips10, rrc_taps, sounder_config)
-    doc = sliding.profile_to_json(profile)
+    doc = json.loads(json.dumps(sliding.profile_to_json(profile)))
     assert set(doc) == {"chip_period_s", "taps", "path_loss_db",
                         "rms_delay_spread_s"}
-    back = sliding.profile_from_json(doc)
-    npt.assert_array_equal(back.lags, profile.lags)
-    npt.assert_array_equal(back.gains, profile.gains)
-    assert back.wideband_path_loss_db == profile.wideband_path_loss_db
+    assert doc["chip_period_s"] == profile.chip_period
+    assert [tap["lag"] for tap in doc["taps"]] == profile.lags.tolist()
+    npt.assert_array_equal([complex(tap["gain_re"], tap["gain_im"])
+                            for tap in doc["taps"]], profile.gains)
+    assert doc["path_loss_db"] == profile.wideband_path_loss_db
+    assert doc["rms_delay_spread_s"] == profile.rms_delay_spread
