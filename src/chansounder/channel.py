@@ -127,7 +127,10 @@ def path_loss_db(env: EnvironmentModel, tx_position, rx_position) -> float:
     """
     tx = np.asarray(tx_position, dtype=np.float64)
     rx = np.asarray(rx_position, dtype=np.float64)
-    distance = float(np.linalg.norm(rx - tx))
+    # the norm's dot overflows to inf for coordinates beyond about 1e154;
+    # the campaign's path-loss check rejects that distance by field
+    with np.errstate(over="ignore"):
+        distance = float(np.linalg.norm(rx - tx))
     if distance == 0.0:
         raise ValueError("transmitter and receiver positions coincide")
     return (env.reference_loss_db

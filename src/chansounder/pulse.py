@@ -202,22 +202,21 @@ def _origin_index(signal: BasebandSignal, taps: FilterTaps) -> int:
     return int(round(-signal.origin_time * signal.sample_rate + half))
 
 
-def _matched_filter(signal: BasebandSignal, taps: FilterTaps,
+def _matched_filter(x: np.ndarray, taps: FilterTaps,
                     start: int, stop: int, step: int = 1) -> np.ndarray:
-    """np.convolve(signal.samples, taps.coefficients)[start:stop:step],
-    computing only those outputs.
+    """np.convolve(x, taps.coefficients)[start:stop:step], computing only
+    those outputs.
 
     A decimating FIR (Crochiere & Rabiner, Multirate Digital Signal
     Processing, 1983): the receiver reads one output per symbol, so only
     those are formed. Each interior output is a (1, L) @ (L, 1) matmul of
-    a strided window of the capture against the reversed taps; numpy
-    evaluates it with the same dtype dot that np.convolve calls per
-    output, so values equal the full convolution bit for bit. The at most
-    L - 1 outputs at each end, where the taps overhang the capture, come
-    from np.convolve of the L-sample end pieces. Requires
-    0 <= start and stop <= len(signal) + L - 1.
+    a strided window of x against the reversed taps; numpy evaluates it
+    with the same dtype dot that np.convolve calls per output, so values
+    equal the full convolution bit for bit. The at most L - 1 outputs at
+    each end, where the taps overhang x, come from np.convolve of the
+    L-sample end pieces. Requires 0 <= start and stop <= len(x) + L - 1.
     """
-    x = np.ascontiguousarray(signal.samples)
+    x = np.ascontiguousarray(x)
     h = taps.coefficients
     span = len(h)
     index = np.arange(start, stop, step)
@@ -237,32 +236,56 @@ def _matched_filter(signal: BasebandSignal, taps: FilterTaps,
     return out
 
 
-def recover_symbols(signal: BasebandSignal, taps: FilterTaps,
-                    phase: int, skip_symbols: int = 0,
-                    count: int | None = None) -> np.ndarray:
-    """Matched-filter and decimate to symbol rate at a given sample phase.
+def recover_symbols(signal: BasebandSignal, chips: ChipSequence,
+                    taps: FilterTaps, phase: int, periods: int,
+                    skip_symbols: int = 0) -> np.ndarray:
+    """One chip period of symbols at a given sample phase, averaged
+    coherently over `periods` consecutive periods.
 
-    For a noiseless channel whose tap delays are whole symbol periods the
-    output at the correct phase is the symbol stream convolved with the
-    channel's symbol-spaced impulse response. The stream starts at the
-    first symbol at or after t = 0 and runs to the end of the filter
-    tail; only its slice [skip_symbols : skip_symbols + count] is
-    filtered and returned (all of the rest when count is None), clamped
-    to the stream's length like any slice.
+    The symbol stream at a phase is the matched-filter output decimated
+    to symbol rate. It starts at the first symbol at or after t = 0 and
+    runs to the end of the filter tail; for a noiseless channel whose tap
+    delays are whole symbol periods, at the correct phase it is the chip
+    train convolved with the channel's symbol-spaced impulse response.
+    Its symbols from skip_symbols on are averaged period by period into
+    N = chips.period_length outputs.
+
+    Filtering and averaging are both linear, so the capture is folded
+    first: the `periods` raw windows of N * sps + L - 1 samples, one
+    period (N * sps samples) apart, are averaged, and one decimating pass
+    forms the N outputs. Samples beyond either end of the capture read as
+    zero, as in np.convolve. Raises ValueError when the stream ends before
+    `periods` periods.
     """
     sps = taps.samples_per_symbol
     if not 0 <= phase < sps:
         raise ValueError(f"phase must be in [0, {sps})")
-    if skip_symbols < 0 or (count is not None and count < 0):
-        raise ValueError("skip_symbols and count must be nonnegative")
+    if periods < 1 or skip_symbols < 0:
+        raise ValueError("periods must be >= 1 and skip_symbols nonnegative")
     first = _origin_index(signal, taps) + phase
     if first < 0:
         first += ((-first + sps - 1) // sps) * sps
-    stop = len(signal) + len(taps.coefficients) - 1
-    start = first + skip_symbols * sps
-    if count is not None:
-        stop = min(stop, start + count * sps)
-    return _matched_filter(signal, taps, start, stop, sps)
+    x = signal.samples
+    span = len(taps.coefficients)
+    n = chips.period_length
+    # the stream's symbols from skip_symbols on: outputs first + k * sps
+    # below len(x) + L - 1, the length of the full convolution
+    available = max(0, -(-(len(x) + span - 1 - first) // sps) - skip_symbols)
+    if available < periods * n:
+        raise ValueError(
+            f"capture of {available} symbols is shorter than "
+            f"{periods} periods ({periods * n} symbols)"
+        )
+    period = n * sps
+    lo = first + skip_symbols * sps - (span - 1)
+    hi = lo + periods * period + span - 1
+    if lo < 0 or hi > len(x):
+        x = np.concatenate([np.zeros(max(0, -lo)), x[max(lo, 0):hi],
+                            np.zeros(max(0, hi - len(x)))])
+    else:
+        x = x[lo:hi]
+    folded = sliding_window_view(x, period + span - 1)[::period].mean(axis=0)
+    return _matched_filter(folded, taps, span - 1, span - 1 + period, sps)
 
 
 def estimate_timing_phase(signal: BasebandSignal, chips: ChipSequence,
@@ -296,7 +319,12 @@ def estimate_timing_phase(signal: BasebandSignal, chips: ChipSequence,
         raise ValueError(
             "signal does not contain a full chip period at every phase"
         )
-    windows = _matched_filter(signal, taps, start, stop).reshape(n, sps)
+    parts = _matched_filter(signal.samples, taps, start, stop).view(np.float64)
+    # scaled by the power of two that brings the largest part into
+    # [0.5, 1), the scores cannot overflow at any finite capture; the
+    # scaling is exact, so the argmax does not change
+    _, exponent = math.frexp(max(parts.max(), -parts.min()))
+    windows = np.ldexp(parts, -exponent).view(np.complex128).reshape(n, sps)
     return int(np.argmax(_phase_scores(windows)))
 
 

@@ -178,29 +178,27 @@ def _rotate_to_first_arrival(lags: np.ndarray, period: int) -> np.ndarray:
     return lags[(int(np.argmax(gaps)) + 1) % len(lags)]
 
 
-def sound(symbols, chips: ChipSequence, config: SounderConfig,
+def sound(mean_period, chips: ChipSequence, config: SounderConfig,
           tx_power_db: float = 0.0) -> DelayProfile:
-    """Estimate the delay profile from symbol-rate capture samples.
+    """Estimate the delay profile from one coherently averaged chip
+    period of symbols (recover_symbols' output).
 
-    Averages M consecutive chip periods coherently, correlates once (the
-    two commute), removes the exactly computable -1/N sidelobe bias, and
-    keeps every lag whose magnitude clears both the relative detection
-    threshold and five empirical off-peak standard deviations. Lags are
-    reported relative to the first arrival. The wideband path loss is
-    tx_power_db, the transmitter's power in dB, minus the total tap
-    power.
+    Correlates the period once, removes the exactly computable -1/N
+    sidelobe bias, and keeps every lag whose magnitude clears both the
+    relative detection threshold and five empirical off-peak standard
+    deviations. Lags are reported relative to the first arrival. The
+    wideband path loss is tx_power_db, the transmitter's power in dB,
+    minus the total tap power.
 
     Raises NoSignalError when no lag rises above the detection floor.
     """
-    symbols = np.asarray(symbols, dtype=np.complex128)
+    mean_period = np.asarray(mean_period, dtype=np.complex128)
     n = chips.period_length
-    m = config.averaging_periods
-    if len(symbols) < m * n:
+    if mean_period.shape != (n,):
         raise ValueError(
-            f"capture of {len(symbols)} symbols is shorter than "
-            f"{m} periods ({m * n} symbols)"
+            f"averaged period of shape {mean_period.shape} is not one chip "
+            f"period ({n} symbols)"
         )
-    mean_period = symbols[: m * n].reshape(m, n).mean(axis=0)
     detected, corrected = _detect_taps(mean_period, chips, config)
 
     # Re-running detection on the period vector rolled to put the first
@@ -229,20 +227,19 @@ def measure_sliding(capture: BasebandSignal, chips: ChipSequence,
                     taps: FilterTaps, config: SounderConfig,
                     tx_power_db: float = 0.0,
                     settle_periods: int = 1) -> DelayProfile:
-    """Full receive chain: timing phase search, matched filtering,
-    symbol recovery, then sound() with the transmitter's power
-    tx_power_db (dB).
+    """Full receive chain: timing phase search, then symbol recovery
+    averaged over the chip periods, then sound() with the transmitter's
+    power tx_power_db (dB).
 
     The capture must hold settle_periods + averaging_periods chip periods
     of shaped waveform; the leading settle keeps filter ramp-in out of
     the averaged window.
     """
-    n = chips.period_length
-    skip = settle_periods * n
+    skip = settle_periods * chips.period_length
     phase = estimate_timing_phase(capture, chips, taps, skip_symbols=skip)
-    window = recover_symbols(capture, taps, phase, skip_symbols=skip,
-                             count=config.averaging_periods * n)
-    return sound(window, chips, config, tx_power_db)
+    mean_period = recover_symbols(capture, chips, taps, phase,
+                                  config.averaging_periods, skip_symbols=skip)
+    return sound(mean_period, chips, config, tx_power_db)
 
 
 def profile_to_json(profile: DelayProfile) -> dict:

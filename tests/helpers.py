@@ -181,20 +181,33 @@ def oracle_timing_phase(capture, chips, taps, skip_symbols=0):
     return int(np.argmax(oracle_phase_energies(chips, windows)))
 
 
+def oracle_folded_period(capture, taps, phase, period, periods,
+                         skip_symbols=0):
+    """recover_symbols filtering first and averaging after: the full
+    np.convolve matched filter, decimated at phase from the first symbol
+    at or after t = 0, and its symbols from skip_symbols on averaged over
+    `periods` periods of `period` symbols by a reshape-mean."""
+    sps = taps.samples_per_symbol
+    filtered, origin = _oracle_filter(capture, taps)
+    symbols = filtered[origin + phase::sps][skip_symbols:]
+    if len(symbols) < periods * period:
+        raise ValueError(f"capture of {len(symbols)} symbols is shorter "
+                         f"than {periods} periods")
+    return symbols[:periods * period].reshape(periods, period).mean(axis=0)
+
+
 def oracle_measure_sliding(capture, chips, taps, config, tx_power_db=0.0,
                            settle_periods=1):
-    """measure_sliding on one full np.convolve matched filter per segment.
-
-    The pre-decimation receive chain, kept as the reference that the
-    decimating filter in pulse must match bit for bit.
+    """measure_sliding on one full np.convolve matched filter per segment,
+    averaged after filtering: the pre-fold receive chain, kept as the
+    reference that the folded recovery must match to rounding.
     """
     n = chips.period_length
     skip = settle_periods * n
     phase = oracle_timing_phase(capture, chips, taps, skip)
-    filtered, origin = _oracle_filter(capture, taps)
-    symbols = filtered[origin + phase::taps.samples_per_symbol]
-    return sliding.sound(symbols[skip:skip + config.averaging_periods * n],
-                         chips, config, tx_power_db)
+    mean_period = oracle_folded_period(capture, taps, phase, n,
+                                       config.averaging_periods, skip)
+    return sliding.sound(mean_period, chips, config, tx_power_db)
 
 
 def oracle_received_tone(channel, carrier, tone_offset, frame):

@@ -520,6 +520,36 @@ def test_drawn_tap_beyond_pn_period_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "records.jsonl").exists()
 
 
+def test_near_float_limit_path_loss_runs_without_warnings(tmp_path):
+    # a -3000 dB reference loss is in range and gives taps near 1e150; the
+    # timing search's phase scores once overflowed on them (a
+    # RuntimeWarning on stderr, then a phase picked from inf/nan scores)
+    path = bundled_edit(tmp_path, "indoor_wing_sliding",
+                        set_environment(reference_loss_db=-3000.0))
+    child = run_cli_limited("campaign", "--scenario", str(path),
+                            "--out-dir", str(tmp_path / "out"))
+    assert (child.returncode, child.stderr) == (0, "")
+    records = [json.loads(line) for line in
+               (tmp_path / "out" / "records.jsonl").read_text().splitlines()]
+    assert len(records) == 6
+    for record in records:
+        assert record["flags"] == []
+        assert -3100.0 < record["wideband_path_loss_db"] < -2900.0
+
+
+def test_far_position_exits_2_with_one_stderr_line(tmp_path):
+    # the distance's dot product overflows to inf; numpy once printed its
+    # RuntimeWarning and source line ahead of the one-line error
+    path = bundled_edit(tmp_path, "indoor_wing_sliding", lambda doc: doc[
+        "transmitters"][0]["position_m"].__setitem__(0, 1e200))
+    child = run_cli_limited("validate", "--scenario", str(path))
+    assert child.returncode == 2
+    assert child.stderr.count("\n") == 1
+    assert child.stderr.startswith(
+        "ValueError: transmitters[0].position_m: the path loss from "
+        "transmitter 'tx1' to receiver_path_m[0] is inf dB")
+
+
 def test_sound_freq_rejects_a_plan_by_field(tmp_path, capsys):
     plan_path, capture_paths = sweep_capture_files(tmp_path)
     doc = json.loads(plan_path.read_text())

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from chansounder import pn, pulse, sliding
 from chansounder.exceptions import NoSignalError
 
-from helpers import oracle_phase_energies, write_iq
+from helpers import oracle_folded_period, oracle_phase_energies, write_iq
 
 CHIP_PERIOD = sliding.SounderConfig().chip_period_s
 
@@ -120,8 +121,8 @@ def test_modulate_middle_period_is_periodic(chips10, rrc_taps):
 def test_roundtrip_error_below_budget(chips10, span):
     taps = pulse.design_rrc(0.35, span, 4)
     signal = pulse.modulate(chips10, 3, taps, CHIP_PERIOD)
-    symbols = pulse.recover_symbols(signal, taps, 0)
-    middle = symbols[1023:2046]
+    middle = pulse.recover_symbols(signal, chips10, taps, 0, 1,
+                                   skip_symbols=1023)
     assert np.max(np.abs(middle - chips10.chips)) < 1e-6
 
 
@@ -131,9 +132,9 @@ def test_recover_single_delayed_tap(chips10, rrc_taps):
     signal = pulse.modulate(chips10, 4, rrc_taps, CHIP_PERIOD)
     delayed = np.concatenate([np.zeros(12), 0.5 * signal.samples])
     shifted = pulse.BasebandSignal(delayed, signal.sample_rate, signal.origin_time)
-    symbols = pulse.recover_symbols(shifted, rrc_taps, 0)
+    window = pulse.recover_symbols(shifted, chips10, rrc_taps, 0, 1,
+                                   skip_symbols=1023)
     train = np.tile(chips10.chips, 4)
-    window = symbols[1023:2046]
     npt.assert_allclose(window, 0.5 * train[1020:2043], atol=1e-6)
 
 
@@ -142,51 +143,81 @@ def test_recover_two_tap_superposition(chips10, rrc_taps):
     delayed = np.concatenate([signal.samples, np.zeros(12)])
     delayed[12:] += 0.5 * signal.samples
     mixed = pulse.BasebandSignal(delayed, signal.sample_rate, signal.origin_time)
-    symbols = pulse.recover_symbols(mixed, rrc_taps, 0)
+    window = pulse.recover_symbols(mixed, chips10, rrc_taps, 0, 1,
+                                   skip_symbols=1023)
     train = np.tile(chips10.chips, 4)
-    window = symbols[1023:2046]
     expected = train[1023:2046] + 0.5 * train[1020:2043]
     npt.assert_allclose(window, expected, atol=1e-6)
 
 
-def test_recover_zero_signal(rrc_taps):
+def test_recover_zero_signal(chips10, rrc_taps):
     signal = pulse.BasebandSignal(np.zeros(4096), 1e6)
-    npt.assert_array_equal(pulse.recover_symbols(signal, rrc_taps, 0), 0.0)
+    npt.assert_array_equal(pulse.recover_symbols(signal, chips10, rrc_taps,
+                                                 0, 1), 0.0)
 
 
-def test_recover_too_short(rrc_taps):
+def test_recover_too_short(chips10, rrc_taps):
     signal = pulse.BasebandSignal(np.zeros(10), 1e6)
     with pytest.raises(ValueError, match="shorter"):
-        pulse.recover_symbols(signal, rrc_taps, 0)
+        pulse.recover_symbols(signal, chips10, rrc_taps, 0, 1)
     good = pulse.BasebandSignal(np.zeros(4096), 1e6)
     with pytest.raises(ValueError, match="phase"):
-        pulse.recover_symbols(good, rrc_taps, 4)
+        pulse.recover_symbols(good, chips10, rrc_taps, 4, 1)
+    with pytest.raises(ValueError, match="periods"):
+        pulse.recover_symbols(good, chips10, rrc_taps, 0, 0)
+    with pytest.raises(ValueError, match="skip_symbols"):
+        pulse.recover_symbols(good, chips10, rrc_taps, 0, 1, skip_symbols=-1)
+    # a stream that ends one symbol before the last averaged period does,
+    # also where the filter tail overhangs the capture's end
+    sps, span = rrc_taps.samples_per_symbol, len(rrc_taps.coefficients)
+    origin = (span - 1) // 2
+    last = origin + (3 * 1023 + 2 * 1023 - 1) * sps
+    for tail in (0, -(span - 1)):
+        enough = pulse.BasebandSignal(np.ones(last + 1 + tail), 1.0)
+        assert len(pulse.recover_symbols(enough, chips10, rrc_taps, 0, 2,
+                                         skip_symbols=3 * 1023)) == 1023
+    short = pulse.BasebandSignal(np.ones(last + 1 - span), 1.0)
+    with pytest.raises(ValueError, match=r"^capture of 2045 symbols is "
+                       r"shorter than 2 periods \(2046 symbols\)$"):
+        pulse.recover_symbols(short, chips10, rrc_taps, 0, 2,
+                              skip_symbols=3 * 1023)
+    with pytest.raises(ValueError, match="shorter"):
+        oracle_folded_period(short, rrc_taps, 0, 1023, 2, 3 * 1023)
 
 
-def test_recover_window_is_a_slice_of_the_full_stream(rrc_taps):
-    # skip_symbols/count filter only the requested window; it must equal
-    # the same slice of the full decimated stream, also where the window
-    # runs past a short capture's end and is clamped
-    rng = np.random.default_rng(5)
-    span = len(rrc_taps.coefficients)
-    for size in (span, span + 3, 300, 1000):
-        samples = rng.normal(size=size) + 1j * rng.normal(size=size)
-        for origin in (0.0, -7e-6, 3e-6):
-            signal = pulse.BasebandSignal(samples, 1e6, origin)
-            for phase in range(4):
-                full = pulse.recover_symbols(signal, rrc_taps, phase)
-                for skip in (0, 1, 5, len(full) - 3, len(full), len(full) + 9):
-                    for count in (None, 0, 1, 40, len(full) + 5):
-                        got = pulse.recover_symbols(signal, rrc_taps, phase,
-                                                    skip_symbols=skip,
-                                                    count=count)
-                        stop = None if count is None else skip + count
-                        assert got.tobytes() == full[skip:stop].tobytes(), \
-                            (size, origin, phase, skip, count)
-    with pytest.raises(ValueError, match="nonnegative"):
-        pulse.recover_symbols(signal, rrc_taps, 0, skip_symbols=-1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        pulse.recover_symbols(signal, rrc_taps, 0, count=-1)
+@functools.lru_cache(maxsize=8)
+def _taps_at(sps):
+    return pulse.design_rrc(0.35, 6, sps)
+
+
+@given(degree=st.integers(2, 6), sps=st.integers(2, 8),
+       periods=st.integers(1, 5), phase=st.integers(0, 7),
+       skip=st.integers(0, 3), origin=st.integers(0, 100),
+       tail=st.integers(-48, 49), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200)
+def test_folded_period_matches_filter_then_average_oracle(
+        degree, sps, periods, phase, skip, origin, tail, seed):
+    # averaging the raw periods and filtering one equals filtering every
+    # period and averaging (both are linear), to rounding; the capture
+    # starts inside the first outputs' filter span when origin is small,
+    # and ends inside the last ones' when tail is negative
+    taps = _taps_at(sps)
+    span = len(taps.coefficients)
+    chips = pn.generate_glfsr(degree)
+    n = chips.period_length
+    phase %= sps
+    tail = max(tail, -(span - 1))
+    last = origin + phase + (skip + periods * n - 1) * sps
+    size = max(span, last + 1 + tail)
+    rng = np.random.default_rng(seed)
+    samples = rng.normal(size=size) + 1j * rng.normal(size=size)
+    half = (span - 1) // 2
+    signal = pulse.BasebandSignal(samples, 1.0, origin_time=half - origin)
+    got = pulse.recover_symbols(signal, chips, taps, phase, periods,
+                                skip_symbols=skip)
+    expected = oracle_folded_period(signal, taps, phase, n, periods, skip)
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 @given(degree=st.integers(2, 11), sps=st.integers(2, 8),
@@ -313,7 +344,6 @@ def test_matched_filter_equals_full_convolution_bit_for_bit(span, sps):
     rng = np.random.default_rng(span * 10 + sps)
     for size in (length, length + 1, 2 * length - 1, 2 * length, 3 * length + 5, 700):
         x = rng.normal(size=size) + 1j * rng.normal(size=size)
-        signal = pulse.BasebandSignal(x, 1e6)
         full = np.convolve(x, taps.coefficients)
         total = len(full)
         windows = [(0, total), (0, length - 1), (length - 2, length + 3),
@@ -324,6 +354,6 @@ def test_matched_filter_equals_full_convolution_bit_for_bit(span, sps):
             windows.append((lo, int(rng.integers(lo, total + 1))))
         for start, stop in windows:
             for step in range(1, sps + 1):
-                got = pulse._matched_filter(signal, taps, start, stop, step)
+                got = pulse._matched_filter(x, taps, start, stop, step)
                 assert np.array_equal(got, full[start:stop:step]), \
                     (size, start, stop, step)

@@ -152,29 +152,38 @@ def test_sound_deterministic(chips10, rrc_taps, sounder_config):
     period = sounder_config.chip_period_s
     planted = ch.MultipathChannel(gains=[1.0, 0.2], delays=[0.0, 4 * period])
     capture = planted_capture(chips10, rrc_taps, planted, sounder_config)
-    symbols = pulse.recover_symbols(capture, rrc_taps, 0)[1023:]
-    one = sliding.sound(symbols, chips10, sounder_config)
-    two = sliding.sound(symbols, chips10, sounder_config)
+    mean_period = pulse.recover_symbols(capture, chips10, rrc_taps, 0,
+                                        sounder_config.averaging_periods,
+                                        skip_symbols=1023)
+    one = sliding.sound(mean_period, chips10, sounder_config)
+    two = sliding.sound(mean_period, chips10, sounder_config)
     npt.assert_array_equal(one.gains, two.gains)
     npt.assert_array_equal(one.lags, two.lags)
     assert one.wideband_path_loss_db == two.wideband_path_loss_db
     assert one.rms_delay_spread == two.rms_delay_spread
 
 
-def test_sound_capture_too_short(chips10, sounder_config):
-    with pytest.raises(ValueError, match="shorter"):
+def test_sound_capture_too_short(chips10, rrc_taps, sounder_config):
+    # the settle period plus nine, where ten are averaged
+    capture = pulse.modulate(chips10, 10, rrc_taps,
+                             sounder_config.chip_period_s)
+    with pytest.raises(ValueError, match=r"symbols is shorter than 10 "
+                       r"periods \(10230 symbols\)"):
+        sliding.measure_sliding(capture, chips10, rrc_taps, sounder_config)
+    with pytest.raises(ValueError, match="not one chip period"):
         sliding.sound(np.ones(1023 * 9), chips10, sounder_config)
 
 
 def test_sound_pure_noise_raises(chips10, sounder_config, rng):
     symbols = rng.normal(size=1023 * 10) + 1j * rng.normal(size=1023 * 10)
     with pytest.raises(NoSignalError):
-        sliding.sound(symbols, chips10, sounder_config)
+        sliding.sound(symbols.reshape(10, 1023).mean(axis=0), chips10,
+                      sounder_config)
 
 
 def test_sound_all_zero_raises(chips10, sounder_config):
     with pytest.raises(NoSignalError):
-        sliding.sound(np.zeros(1023 * 10), chips10, sounder_config)
+        sliding.sound(np.zeros(1023), chips10, sounder_config)
 
 
 def test_dynamic_range_60_db(chips10, rrc_taps):
