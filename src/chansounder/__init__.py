@@ -9,7 +9,6 @@ paths into per-location measurement records and heat-map exports.
 """
 
 from chansounder.campaign import (
-    MeasurementRecord,
     Scenario,
     Transmitter,
     export_heatmap,

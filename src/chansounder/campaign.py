@@ -135,20 +135,30 @@ class Scenario:
                                  f"transmitters[0].position_m, got {len(position)}")
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    location_index: int
-    position: tuple
-    transmitter_id: str
-    mode: str
-    wideband_path_loss_db: float | None
-    rms_delay_spread_s: float | None = None
-    delay_profile: sliding.DelayProfile | None = None
-    narrowband_losses_db: tuple | None = None
-    tone_offset_hz: float | None = None
-    geo: object = None
-    seed: int = 0
-    flags: tuple = ()
+def _record(scenario: Scenario, loc_index: int, tx: Transmitter, seed: int,
+            flags=(), **measured) -> dict:
+    """The records.jsonl document of one (location, transmitter) pair.
+    The measured fields that are not given are null."""
+    position = tuple(scenario.receiver_path[loc_index])
+    x, y, z = position + (0.0,) * (3 - len(position))
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "location_index": loc_index,
+        "x_m": x,
+        "y_m": y,
+        "z_m": z,
+        "geo": scenario.geo[loc_index] if scenario.geo is not None else None,
+        "transmitter_id": tx.id,
+        "mode": scenario.mode,
+        "wideband_path_loss_db": None,
+        "rms_delay_spread_s": None,
+        "delay_profile": None,
+        "narrowband_losses_db": None,
+        "tone_offset_hz": None,
+        **measured,
+        "seed": seed,
+        "flags": list(flags),
+    }
 
 
 def _tx_clock_offsets(scenario: Scenario, sample_rate: float) -> list:
@@ -213,7 +223,6 @@ def _run_sliding(scenario: Scenario, prepared: tuple, locations: range) -> list:
     records = []
     for loc_index in locations:
         position = scenario.receiver_path[loc_index]
-        geo = scenario.geo[loc_index] if scenario.geo is not None else None
         scene = []
         seeds = []
         for tx, waveform, offset in zip(scenario.transmitters, waveforms, offsets):
@@ -242,19 +251,15 @@ def _run_sliding(scenario: Scenario, prepared: tuple, locations: range) -> list:
             try:
                 profile = sliding.measure_sliding(segment, chips, taps, config,
                                                   tx.tx_power_db)
-                records.append(MeasurementRecord(
-                    location_index=loc_index, position=tuple(position),
-                    transmitter_id=tx.id, mode=MODE_SLIDING,
-                    wideband_path_loss_db=profile.wideband_path_loss_db,
-                    rms_delay_spread_s=profile.rms_delay_spread,
-                    delay_profile=profile, geo=geo, seed=seed,
-                    flags=location_flags))
             except NoSignalError:
-                records.append(MeasurementRecord(
-                    location_index=loc_index, position=tuple(position),
-                    transmitter_id=tx.id, mode=MODE_SLIDING,
-                    wideband_path_loss_db=None, geo=geo, seed=seed,
-                    flags=location_flags + (FLAG_NO_SIGNAL,)))
+                records.append(_record(scenario, loc_index, tx, seed,
+                                       location_flags + (FLAG_NO_SIGNAL,)))
+                continue
+            records.append(_record(
+                scenario, loc_index, tx, seed, location_flags,
+                wideband_path_loss_db=profile.wideband_path_loss_db,
+                rms_delay_spread_s=profile.rms_delay_spread,
+                delay_profile=sliding.profile_to_json(profile)))
     return records
 
 
@@ -281,7 +286,9 @@ def _check_path_losses(scenario: Scenario) -> None:
 
     The error names the environment coefficient that is out of that range
     by itself (the reference loss, 10 * exponent dB per decade, or the
-    loss of one wall), else the pair's position farther from the origin.
+    loss of one wall), else the reference loss if it weighs at least as
+    much as the distance and wall terms together, else the pair's
+    position farther from the origin.
     """
     env = scenario.environment
     coefficients = (("reference_loss_db", env.reference_loss_db),
@@ -302,6 +309,8 @@ def _check_path_losses(scenario: Scenario) -> None:
                         if not _normal_power(abs(db))]
             if culprits:
                 field = f"environment.{culprits[0]}"
+            elif abs(env.reference_loss_db) >= abs(loss_db - env.reference_loss_db):
+                field = "environment.reference_loss_db"
             elif max(map(abs, tx.position)) >= max(map(abs, position)):
                 field = f"transmitters[{k}].position_m"
             else:
@@ -327,7 +336,6 @@ def _run_frequency(scenario: Scenario, frames: list, locations: range) -> list:
     records = []
     for loc_index in locations:
         position = scenario.receiver_path[loc_index]
-        geo = scenario.geo[loc_index] if scenario.geo is not None else None
         channels = []
         seeds = []
         for tx in scenario.transmitters:
@@ -356,18 +364,13 @@ def _run_frequency(scenario: Scenario, frames: list, locations: range) -> list:
 
         for tx, tone, loss, seed in zip(scenario.transmitters, tones, losses, seeds):
             if None in loss:
-                records.append(MeasurementRecord(
-                    location_index=loc_index, position=tuple(position),
-                    transmitter_id=tx.id, mode=MODE_FREQUENCY,
-                    wideband_path_loss_db=None, tone_offset_hz=tone,
-                    geo=geo, seed=seed, flags=(FLAG_NO_SIGNAL,)))
+                records.append(_record(scenario, loc_index, tx, seed,
+                                       (FLAG_NO_SIGNAL,), tone_offset_hz=tone))
                 continue
-            records.append(MeasurementRecord(
-                location_index=loc_index, position=tuple(position),
-                transmitter_id=tx.id, mode=MODE_FREQUENCY,
+            records.append(_record(
+                scenario, loc_index, tx, seed,
                 wideband_path_loss_db=float(np.mean(loss)),
-                narrowband_losses_db=tuple(loss),
-                tone_offset_hz=tone, geo=geo, seed=seed))
+                narrowband_losses_db=list(loss), tone_offset_hz=tone))
     return records
 
 
@@ -417,7 +420,8 @@ def _receive_block(read_fd: int, locations: range) -> list:
 
 def run_campaign(scenario: Scenario, seed_override: int | None = None,
                  workers: int = 1) -> list:
-    """Run the scenario and return records in location-major order.
+    """Run the scenario and return its records, the JSON documents that
+    export_records writes, in location-major order.
 
     The receiver path is cut into ``workers`` contiguous location blocks
     (at most one per location). This process prepares the scenario once
@@ -458,29 +462,6 @@ def run_campaign(scenario: Scenario, seed_override: int | None = None,
             os.waitpid(pid, 0)
 
 
-def record_to_json(record: MeasurementRecord) -> dict:
-    position = tuple(record.position) + (0.0,) * (3 - len(record.position))
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "location_index": record.location_index,
-        "x_m": position[0],
-        "y_m": position[1],
-        "z_m": position[2],
-        "geo": record.geo,
-        "transmitter_id": record.transmitter_id,
-        "mode": record.mode,
-        "wideband_path_loss_db": record.wideband_path_loss_db,
-        "rms_delay_spread_s": record.rms_delay_spread_s,
-        "delay_profile": (sliding.profile_to_json(record.delay_profile)
-                          if record.delay_profile is not None else None),
-        "narrowband_losses_db": (list(record.narrowband_losses_db)
-                                 if record.narrowband_losses_db is not None else None),
-        "tone_offset_hz": record.tone_offset_hz,
-        "seed": record.seed,
-        "flags": list(record.flags),
-    }
-
-
 def export_records(records, path) -> None:
     """Write one JSON document per line."""
     if not records:
@@ -489,28 +470,25 @@ def export_records(records, path) -> None:
     try:
         with path.open("w") as handle:
             for record in records:
-                handle.write(json.dumps(record_to_json(record)) + "\n")
+                handle.write(json.dumps(record) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write records to {path}: {exc}") from exc
 
 
 def export_heatmap(records, transmitter_id: str, path) -> None:
     """Per-location path losses for one transmitter as plottable CSV."""
-    rows = [r for r in records if r.transmitter_id == transmitter_id]
+    rows = [r for r in records if r["transmitter_id"] == transmitter_id]
     if not rows:
         raise ValueError(f"no records for transmitter {transmitter_id!r}")
-    rows.sort(key=lambda r: r.location_index)
     path = Path(path)
     try:
         with path.open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["x_m", "y_m", "path_loss_db"])
             for record in rows:
-                loss = record.wideband_path_loss_db
-                writer.writerow([
-                    record.position[0], record.position[1],
-                    "nan" if loss is None else loss,
-                ])
+                loss = record["wideband_path_loss_db"]
+                writer.writerow([record["x_m"], record["y_m"],
+                                 "nan" if loss is None else loss])
     except OSError as exc:
         raise OSError(f"cannot write heat map to {path}: {exc}") from exc
 

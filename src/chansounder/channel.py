@@ -41,10 +41,6 @@ class MultipathChannel:
         if not np.any(gains != 0):
             raise ValueError("at least one gain must be nonzero")
 
-    @property
-    def tap_count(self) -> int:
-        return len(self.gains)
-
     def total_power(self) -> float:
         return float(np.sum(np.abs(self.gains) ** 2))
 
@@ -73,6 +69,8 @@ class EnvironmentModel:
             raise ValueError(f"tap_count_range: bad range {self.tap_count_range}")
         if self.wall_loss_db < 0:
             raise ValueError("wall_loss_db: must be nonnegative")
+        if self.wall_grid_spacing_m is not None and self.wall_grid_spacing_m <= 0:
+            raise ValueError("wall_grid_spacing_m: must be positive")
 
 
 def apply_channel(signal: BasebandSignal, channel: MultipathChannel) -> BasebandSignal:

@@ -25,6 +25,10 @@ from chansounder.sweep import FrequencySetup
 PARK_OFF_BAND = "off_band"
 PARK_IN_BAND = "in_band"
 
+# The longest TDMA slot, in samples: 64 MiB of complex128, about 77 times
+# the 54616-sample slot of the criterion-9 campaign.
+MAX_SLOT_SAMPLES = 2 ** 22
+
 
 @dataclass(frozen=True)
 class ScheduleSetup:
@@ -127,14 +131,23 @@ def build_schedule(setup: ScheduleSetup, transmitter_count: int,
     rounded to samples and then down to symbols, and raises, naming
     slot_length_s, when it cannot hold the burst; its guard is also
     capped at guard_fraction of the slot. Either way the guard is the
-    largest that fits on both sides of the burst.
+    largest that fits on both sides of the burst. A slot above
+    MAX_SLOT_SAMPLES raises, naming the field that set it, before
+    anything is allocated.
     """
     sps = samples_per_symbol
     if setup.slot_length_s is None:
+        name = "guard_fraction"
         fraction = setup.guard_fraction
         slot = math.ceil(burst_samples / (1.0 - 2.0 * fraction) / sps) * sps
     else:
-        slot = int(round(setup.slot_length_s * sample_rate))
+        name = "slot_length_s"
+        slot = setup.slot_length_s * sample_rate  # a float until bounded
+    if slot > MAX_SLOT_SAMPLES:
+        raise ValueError(f"{name}: a slot of {slot:.6g} samples is above "
+                         f"the {MAX_SLOT_SAMPLES}-sample limit")
+    if setup.slot_length_s is not None:
+        slot = int(round(slot))
         slot -= slot % sps
         if slot < burst_samples:
             raise ValueError(

@@ -96,10 +96,6 @@ class DelayProfile:
         if self.rms_delay_spread > span + 1e-15:
             raise ValueError("rms_delay_spread exceeds the tap span")
 
-    @property
-    def tap_count(self) -> int:
-        return len(self.lags)
-
 
 def wideband_path_loss(gains, tx_power_db: float) -> float:
     """Transmit power minus the total power across all taps, in dB."""

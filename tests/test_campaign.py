@@ -145,8 +145,7 @@ def test_scenario_positions_share_one_dimension():
         transmitters=(cp.Transmitter("tx1", (0.0, 0.0)),
                       cp.Transmitter("tx2", (20.0, 10.0))),
         receiver_path=((2.0, 3.0), (3.5, 3.0)))
-    assert [cp.record_to_json(r)["z_m"] for r in cp.run_campaign(flat)] \
-        == [0.0] * 4
+    assert [r["z_m"] for r in cp.run_campaign(flat)] == [0.0] * 4
     with pytest.raises(ValueError, match=r"^receiver_path_m\[1\]: expected 2"):
         small_scenario(transmitters=flat.transmitters,
                        receiver_path=((2.0, 3.0), (3.5, 3.0, 1.0)))
@@ -247,17 +246,18 @@ def test_record_count_and_ordering():
     records = cp.run_campaign(scenario)
     assert len(records) == 4 * 2
     expected = [(loc, tx) for loc in range(4) for tx in ("tx1", "tx2")]
-    assert [(r.location_index, r.transmitter_id) for r in records] == expected
+    assert [(r["location_index"], r["transmitter_id"])
+            for r in records] == expected
     for record in records:
-        assert record.mode == "sliding"
-        assert record.delay_profile is not None
-        assert record.rms_delay_spread_s >= 0.0
+        assert record["mode"] == "sliding"
+        assert record["delay_profile"] is not None
+        assert record["rms_delay_spread_s"] >= 0.0
 
 
 def test_campaign_determinism():
     scenario = small_scenario(locations=3)
-    one = [cp.record_to_json(r) for r in cp.run_campaign(scenario)]
-    two = [cp.record_to_json(r) for r in cp.run_campaign(scenario)]
+    one = cp.run_campaign(scenario)
+    two = cp.run_campaign(scenario)
     assert one == two
 
 
@@ -286,21 +286,20 @@ SHARDED = {
 @pytest.mark.parametrize("mode", sorted(SHARDED))
 def test_sharded_campaign_matches_serial(mode):
     scenario = SHARDED[mode]
-    serial = [json.dumps(cp.record_to_json(r)) for r in cp.run_campaign(scenario)]
+    serial = [json.dumps(r) for r in cp.run_campaign(scenario)]
     assert len(serial) == 5 * len(scenario.transmitters)
     for workers in (2, 3, 8):
         sharded = cp.run_campaign(scenario, workers=workers)
-        assert [json.dumps(cp.record_to_json(r)) for r in sharded] == serial
+        assert [json.dumps(r) for r in sharded] == serial
         assert_no_child_left()
 
 
 def test_campaign_runs_in_process_off_linux(monkeypatch):
     scenario = SHARDED["sliding"]
-    serial = [cp.record_to_json(r) for r in cp.run_campaign(scenario)]
+    serial = cp.run_campaign(scenario)
     monkeypatch.setattr(sys, "platform", "darwin")
     monkeypatch.delattr(os, "fork")  # a fork attempt would now fail
-    assert [cp.record_to_json(r) for r in cp.run_campaign(scenario, workers=3)] \
-        == serial
+    assert cp.run_campaign(scenario, workers=3) == serial
 
 
 def test_campaign_rejects_fewer_than_one_worker():
@@ -344,10 +343,15 @@ def test_seed_override_changes_output():
     base = cp.run_campaign(scenario)
     overridden = cp.run_campaign(scenario, seed_override=99)
     rerun = cp.run_campaign(scenario, seed_override=99)
-    assert [cp.record_to_json(r) for r in overridden] \
-        == [cp.record_to_json(r) for r in rerun]
-    assert [cp.record_to_json(r) for r in base] \
-        != [cp.record_to_json(r) for r in overridden]
+    assert overridden == rerun
+    assert base != overridden
+
+
+# the fields of a records.jsonl line, in the order they are written
+RECORD_KEYS = ["schema_version", "location_index", "x_m", "y_m", "z_m", "geo",
+               "transmitter_id", "mode", "wideband_path_loss_db",
+               "rms_delay_spread_s", "delay_profile", "narrowband_losses_db",
+               "tone_offset_hz", "seed", "flags"]
 
 
 def test_frequency_mode_records():
@@ -355,13 +359,14 @@ def test_frequency_mode_records():
     records = cp.run_campaign(scenario)
     assert len(records) == 4
     for record in records:
-        assert record.mode == "frequency"
-        assert len(record.narrowband_losses_db) == 10
-        assert record.tone_offset_hz is not None
-        assert min(record.narrowband_losses_db) \
-            <= record.wideband_path_loss_db \
-            <= max(record.narrowband_losses_db)
-        assert record.rms_delay_spread_s is None
+        assert list(record) == RECORD_KEYS
+        assert record["mode"] == "frequency"
+        assert len(record["narrowband_losses_db"]) == 10
+        assert record["tone_offset_hz"] is not None
+        assert min(record["narrowband_losses_db"]) \
+            <= record["wideband_path_loss_db"] \
+            <= max(record["narrowband_losses_db"])
+        assert record["rms_delay_spread_s"] is None
 
 
 def test_single_tx_subscenario_is_bit_identical():
@@ -370,9 +375,8 @@ def test_single_tx_subscenario_is_bit_identical():
     for keep in scenario.transmitters:
         sub = small_scenario(locations=3, transmitters=(keep,))
         alone = cp.run_campaign(sub)
-        matched = [r for r in full if r.transmitter_id == keep.id]
-        assert [cp.record_to_json(r) for r in matched] \
-            == [cp.record_to_json(r) for r in alone]
+        matched = [r for r in full if r["transmitter_id"] == keep.id]
+        assert matched == alone
 
 
 @given(seed=st.integers(0, 2**32), tx_count=st.integers(2, 3),
@@ -388,19 +392,18 @@ def test_multi_tx_records_equal_single_tx_subscenarios_property(
                          for k in range(tx_count))
     scenario = small_scenario(locations=locations, transmitters=transmitters,
                               master_seed=seed)
-    full = [cp.record_to_json(r) for r in cp.run_campaign(scenario)]
+    full = cp.run_campaign(scenario)
     for tx in transmitters:
         alone = cp.run_campaign(replace(scenario, transmitters=(tx,)))
-        assert [doc for doc in full if doc["transmitter_id"] == tx.id] \
-            == [cp.record_to_json(r) for r in alone]
+        assert [doc for doc in full if doc["transmitter_id"] == tx.id] == alone
 
 
 def test_geo_passthrough():
     scenario = small_scenario(
         locations=2, geo=({"lat": 40.0, "lon": -74.0}, {"lat": 40.1, "lon": -74.2}))
     records = cp.run_campaign(scenario)
-    assert records[0].geo == {"lat": 40.0, "lon": -74.0}
-    assert records[-1].geo == {"lat": 40.1, "lon": -74.2}
+    assert records[0]["geo"] == {"lat": 40.0, "lon": -74.0}
+    assert records[-1]["geo"] == {"lat": 40.1, "lon": -74.2}
 
 
 def test_noisy_campaign_flags_lost_transmitters():
@@ -413,20 +416,20 @@ def test_noisy_campaign_flags_lost_transmitters():
         noise_power_dbfs=-40.0)
     records = cp.run_campaign(scenario)
     assert len(records) == 4  # flagged, never dropped
-    far = [r for r in records if r.transmitter_id == "far"]
-    assert all(cp.FLAG_NO_SIGNAL in r.flags for r in far)
-    assert all(r.wideband_path_loss_db is None for r in far)
-    near = [r for r in records if r.transmitter_id == "near"]
-    assert all(r.wideband_path_loss_db is not None for r in near)
+    far = [r for r in records if r["transmitter_id"] == "far"]
+    assert all(cp.FLAG_NO_SIGNAL in r["flags"] for r in far)
+    assert all(r["wideband_path_loss_db"] is None for r in far)
+    near = [r for r in records if r["transmitter_id"] == "near"]
+    assert all(r["wideband_path_loss_db"] is not None for r in near)
 
 
 def test_export_records_roundtrip(tmp_path):
     records = cp.run_campaign(small_scenario(locations=3))
     target = tmp_path / "records.jsonl"
     cp.export_records(records, target)
-    lines = target.read_text().splitlines()
-    assert [json.loads(line) for line in lines] \
-        == [cp.record_to_json(r) for r in records]
+    docs = [json.loads(line) for line in target.read_text().splitlines()]
+    assert docs == records
+    assert all(list(doc) == RECORD_KEYS for doc in docs)
 
 
 def test_export_records_rejects_empty(tmp_path):
@@ -456,7 +459,7 @@ def test_heatmap_monotone_in_deterministic_environment(tmp_path):
         environment=small_environment(delay_spread_scale_s=0.0,
                                       tap_count_range=(1, 1)))
     records = cp.run_campaign(scenario)
-    losses = [r.wideband_path_loss_db for r in records]
+    losses = [r["wideband_path_loss_db"] for r in records]
     assert all(b >= a for a, b in zip(losses, losses[1:]))
     truths = [40.0 + 22.0 * math.log10(math.dist((0.0, 3.0, 1.2), p))
               for p in scenario.receiver_path]
@@ -471,8 +474,8 @@ def test_central_transmitter_has_lower_mean_loss():
                       cp.Transmitter("center", (20.0, 0.0, 2.0))),
         receiver_path=line)
     records = cp.run_campaign(scenario)
-    mean = {tx: np.mean([r.wideband_path_loss_db for r in records
-                         if r.transmitter_id == tx])
+    mean = {tx: np.mean([r["wideband_path_loss_db"] for r in records
+                         if r["transmitter_id"] == tx])
             for tx in ("corner", "center")}
     assert mean["center"] < mean["corner"]
 
@@ -482,11 +485,10 @@ def test_drawn_clock_offsets_stay_within_guard():
     scenario = small_scenario(
         locations=3, clocks=cp.ClockSetup(offset_std_s=2e-6))
     records = cp.run_campaign(scenario)
-    assert all(not r.flags for r in records)
-    assert all(r.wideband_path_loss_db is not None for r in records)
+    assert all(not r["flags"] for r in records)
+    assert all(r["wideband_path_loss_db"] is not None for r in records)
     again = cp.run_campaign(scenario)
-    assert [cp.record_to_json(r) for r in records] \
-        == [cp.record_to_json(r) for r in again]
+    assert records == again
 
 
 def test_receiver_offset_equivalent_to_shifting_transmitters():
@@ -498,8 +500,7 @@ def test_receiver_offset_equivalent_to_shifting_transmitters():
                                           rx_offset_s=delta))
     via_tx = small_scenario(
         locations=2, clocks=cp.ClockSetup(tx_offsets_s=(-delta, -delta)))
-    assert [cp.record_to_json(r) for r in cp.run_campaign(via_rx)] \
-        == [cp.record_to_json(r) for r in cp.run_campaign(via_tx)]
+    assert cp.run_campaign(via_rx) == cp.run_campaign(via_tx)
 
 
 def test_frequency_mode_spills_into_extra_frames():
@@ -512,10 +513,10 @@ def test_frequency_mode_spills_into_extra_frames():
         frequency=sweep.FrequencySetup(guard_band_hz=140e3))
     records = cp.run_campaign(scenario)
     assert len(records) == 16
-    tones = {r.transmitter_id: r.tone_offset_hz for r in records}
+    tones = {r["transmitter_id"]: r["tone_offset_hz"] for r in records}
     assert len(set(tones.values())) < len(many)  # frames reuse tone slots
     for record in records:
-        assert len(record.narrowband_losses_db) == 10
+        assert len(record["narrowband_losses_db"]) == 10
 
 
 def test_frequency_chain_matches_per_tap_oracle(monkeypatch):
@@ -533,9 +534,9 @@ def test_frequency_chain_matches_per_tap_oracle(monkeypatch):
         frequency=sweep.FrequencySetup(guard_band_hz=300e3),
         noise_power_dbfs=-90.0)
     assert len(cp.prepare(scenario)) == 2
-    got = [json.dumps(cp.record_to_json(r)) for r in cp.run_campaign(scenario)]
+    got = [json.dumps(r) for r in cp.run_campaign(scenario)]
     use_oracle_sweep(monkeypatch)
-    want = [json.dumps(cp.record_to_json(r)) for r in cp.run_campaign(scenario)]
+    want = [json.dumps(r) for r in cp.run_campaign(scenario)]
     assert got == want
 
 
@@ -543,7 +544,7 @@ def test_cold_frequency_campaign_computes_each_tone_once():
     sweep._unit_tone.cache_clear()
     records = cp.run_campaign(small_scenario(mode="frequency", locations=3))
     info = sweep._unit_tone.cache_info()
-    assert info.misses == len({r.tone_offset_hz for r in records}) == 2
+    assert info.misses == len({r["tone_offset_hz"] for r in records}) == 2
     assert info.hits > 0
 
 

@@ -1,13 +1,20 @@
+import contextlib
+import copy
 import dataclasses
+import io
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chansounder import campaign as cp
 from chansounder import channel as ch
@@ -305,6 +312,11 @@ FREQUENCY_FIELD_CASES = [
         ("clocks", "tx_offsets_s", [True, False], "clocks.tx_offsets_s[0]"),
         ("environment", "tap_count_range", [3.5, 6],
          "environment.tap_count_range[0]"),
+        # 0 once divided by zero counting walls, and -1 passed
+        ("environment", "wall_grid_spacing_m", 0.0,
+         "environment.wall_grid_spacing_m"),
+        ("environment", "wall_grid_spacing_m", -1.0,
+         "environment.wall_grid_spacing_m"),
         ("transmitters", "position_m", ["a", "b", "c"],
          "transmitters[0].position_m[0]"),
         (None, "receiver_path_m", [[2.0, 3.0, 1.2], [3.0, 3.0]],
@@ -400,14 +412,80 @@ def test_frequency_scenario_rejects_blocks_it_never_reads(
     assert not (tmp_path / "out" / "records.jsonl").exists()
 
 
-def bundled_edit(tmp_path, name, edit):
-    """A bundled scenario cut to two locations, changed by edit(doc)."""
+def cut_bundled(name):
+    """A bundled scenario's document, cut to two locations."""
     doc = json.loads((BUNDLED / f"{name}.json").read_text())
     doc["receiver_path_m"] = doc["receiver_path_m"][:2]
+    return doc
+
+
+def bundled_edit(tmp_path, name, edit):
+    """A bundled scenario cut to two locations, changed by edit(doc)."""
+    doc = cut_bundled(name)
     edit(doc)
     path = tmp_path / f"edited_{name}.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def edit_sites(value, path=()):
+    """Every number and list of a scenario document, each with the edits
+    that may replace it: numbers by 0, -1, 1e-12 or 1e12, lists by the
+    empty or the reversed list."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from edit_sites(item, path + (key,))
+    elif isinstance(value, list):
+        yield path, (lambda items: [], lambda items: items[::-1])
+        for k, item in enumerate(value):
+            yield from edit_sites(item, path + (k,))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path, tuple(lambda _, v=v: v for v in (0, -1, 1e-12, 1e12))
+
+
+MUTABLE = {name: (cut_bundled(name), list(edit_sites(cut_bundled(name))))
+           for name in ("indoor_wing_sliding", "courtyard_frequency")}
+# "<Error>: <dotted.field>: ...", the field like environment.x or
+# transmitters[0].position_m[1]
+ONE_LINE_ERROR = re.compile(r"\w+: [A-Za-z_]\w*(\[\d+\])*(\.\w+(\[\d+\])*)*: .*\n")
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A bundled scenario cut to two locations, with one or two edits."""
+    doc, sites = MUTABLE[draw(st.sampled_from(sorted(MUTABLE)))]
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 2))):
+        path, edits = draw(st.sampled_from(sites))
+        edit = draw(st.sampled_from(edits))
+        try:  # an earlier edit may have emptied the site's list
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = edit(parent[path[-1]])
+        except (IndexError, KeyError, TypeError):
+            pass
+    return doc
+
+
+@given(doc=mutated_scenarios())
+@settings(max_examples=200)
+def test_validate_exits_0_or_2_with_one_line_naming_a_field(
+        tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(doc))
+    stderr = io.StringIO()
+    # a warning would reach a real stderr; under pytest it is recorded
+    with contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["validate", "--scenario", str(path)])
+    assert caught == []
+    assert code in (0, 2)
+    if code == 0:
+        assert stderr.getvalue() == ""
+    else:
+        assert ONE_LINE_ERROR.fullmatch(stderr.getvalue())
 
 
 def test_sub_bin_guard_band_packs_tones_one_bin_apart(tmp_path, capsys):
@@ -434,6 +512,10 @@ def set_environment(**fields):
      "environment.path_loss_exponent", "-1e+13 dB"),
     ("courtyard_frequency", set_environment(path_loss_exponent=1e12),
      "environment.path_loss_exponent", "dB"),
+    # in range by itself, but 0.1 m from the transmitter the distance
+    # term's -28 dB tips the power over; the position was once named
+    ("indoor_wing_sliding", set_environment(reference_loss_db=-3070.0),
+     "environment.reference_loss_db", "-3098 dB"),
     # 1.7e11 walls of 3 dB between the pair
     ("indoor_wing_sliding",
      lambda doc: doc["transmitters"][0]["position_m"].__setitem__(0, 1e12),
@@ -447,8 +529,8 @@ def set_environment(**fields):
                   doc["environment"].update(wall_grid_spacing_m=1e-300)),
      "receiver_path_m[1]", "inf dB"),
 ], ids=["reference-sliding", "reference-frequency", "exponent-sliding",
-        "exponent-frequency", "transmitter-position", "receiver-position",
-        "uncountable-walls"])
+        "exponent-frequency", "reference-near-transmitter",
+        "transmitter-position", "receiver-position", "uncountable-walls"])
 def test_path_loss_outside_float_range_exits_2(tmp_path, capsys, command,
                                                name, edit, field, loss):
     path = bundled_edit(tmp_path, name, edit)
@@ -494,6 +576,28 @@ def test_delay_spread_beyond_pn_period_exits_2(tmp_path, capsys):
     expected = ("ValueError: environment.delay_spread_scale_s: 7.0 s is not "
                 "below the 6.138e-05 s PN period, the unambiguous delay "
                 "range\n")
+    code, _, err = run_cli(capsys, "validate", "--scenario", str(path))
+    assert (code, err) == (2, expected)
+    child = run_cli_limited("campaign", "--scenario", str(path),
+                            "--out-dir", str(tmp_path / "out"))
+    assert (child.returncode, child.stderr) == (2, expected)
+    assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
+@pytest.mark.parametrize("change, field, samples", [
+    # 6.7e7 samples once asked for 2.98 GiB, 6.7e19 overran numpy's
+    # largest dimension, and a guard fraction near 1/2 for 10.7 TiB
+    ({"slot_length_s": 1.0}, "slot_length_s", "6.66667e+07"),
+    ({"slot_length_s": 1e12}, "slot_length_s", "6.66667e+19"),
+    ({"slot_length_s": 1e301}, "slot_length_s", "inf"),
+    ({"guard_fraction": 0.4999999}, "guard_fraction", "2.4576e+11"),
+], ids=["one-second", "1e12-seconds", "overflowing", "guard-near-half"])
+def test_oversized_slot_exits_2_before_allocating(tmp_path, capsys, change,
+                                                  field, samples):
+    path = bundled_edit(tmp_path, "indoor_wing_sliding",
+                        lambda doc: doc["schedule"].update(change))
+    expected = (f"ValueError: schedule.{field}: a slot of {samples} samples "
+                f"is above the {multitx.MAX_SLOT_SAMPLES}-sample limit\n")
     code, _, err = run_cli(capsys, "validate", "--scenario", str(path))
     assert (code, err) == (2, expected)
     child = run_cli_limited("campaign", "--scenario", str(path),
@@ -603,9 +707,9 @@ def test_sound_freq_reproduces_campaign_losses(tmp_path, capsys, monkeypatch):
         assert code == 0, err
         doc = json.loads((out / "losses.json").read_text())
         assert doc == {"transmitter_id": tx.id, "tone_offset_hz": tone,
-                       "per_carrier_loss_db": list(record.narrowband_losses_db),
-                       "mean_path_loss_db": record.wideband_path_loss_db}
-        assert record.tone_offset_hz == tone
+                       "per_carrier_loss_db": list(record["narrowband_losses_db"]),
+                       "mean_path_loss_db": record["wideband_path_loss_db"]}
+        assert record["tone_offset_hz"] == tone
 
 
 def test_sound_freq_rejects_misspelt_plan_file(tmp_path, capsys):

@@ -179,10 +179,10 @@ def test_mean_wideband_path_loss():
                                      tap_count_range=(2, 8)),
         master_seed=3)
     for record in cp.run_campaign(scenario):
-        values = record.narrowband_losses_db
+        values = record["narrowband_losses_db"]
         assert len(values) == 10
-        assert record.wideband_path_loss_db == float(np.mean(values))
-        assert min(values) <= record.wideband_path_loss_db <= max(values)
+        assert record["wideband_path_loss_db"] == float(np.mean(values))
+        assert min(values) <= record["wideband_path_loss_db"] <= max(values)
 
 
 def test_plan_validation_errors(plan):
