@@ -28,7 +28,7 @@ import numpy as np
 from chansounder import multitx, schema, sliding, sweep
 from chansounder.channel import EnvironmentModel, path_loss_db, synthesize_channel
 from chansounder.exceptions import NoSignalError
-from chansounder.pulse import BasebandSignal, modulate
+from chansounder.pulse import BasebandSignal, burst_period_and_ramp, modulate
 
 SCHEMA_VERSION = 1
 MODE_SLIDING = "sliding"
@@ -183,12 +183,27 @@ def _tx_clock_offsets(scenario: Scenario, sample_rate: float) -> list:
             for off in offsets]
 
 
+def _check_burst_samples(config: sliding.SounderConfig, chips, taps) -> None:
+    """Raise, before modulate allocates the burst, when it would be longer
+    than the longest slot: naming pn_degree when even the shortest burst
+    (averaging_periods 1) is, else averaging_periods."""
+    period, ramp = burst_period_and_ramp(chips, taps)
+    for name, periods in (("pn_degree", 1 + 2),
+                          ("averaging_periods", config.averaging_periods + 2)):
+        burst = periods * period + ramp
+        if burst > multitx.MAX_SLOT_SAMPLES:
+            raise ValueError(
+                f"{name}: a burst of {periods} PN periods is {burst} samples, "
+                f"above the {multitx.MAX_SLOT_SAMPLES}-sample slot limit")
+
+
 def _prepare_sliding(scenario: Scenario) -> tuple:
     """Chips, taps, per-transmitter waveforms, TDMA schedule and clock
     offsets in samples."""
     config = scenario.sliding
     try:
         chips, taps = sliding.reference(config)
+        _check_burst_samples(config, chips, taps)
     except ValueError as exc:
         raise schema.nested("sliding", sliding.SounderConfig, exc) from None
     # a tap one PN period late aliases onto lag 0 of the correlator
@@ -220,6 +235,8 @@ def _run_sliding(scenario: Scenario, prepared: tuple, locations: range) -> list:
     config = scenario.sliding
     chips, taps, waveforms, schedule, offsets = prepared
     pn_period_s = chips.period_length * config.chip_period_s
+    # every waveform is a modulate burst, periodic between its ramps
+    period, ramp = burst_period_and_ramp(chips, taps)
     records = []
     for loc_index in locations:
         position = scenario.receiver_path[loc_index]
@@ -243,7 +260,8 @@ def _run_sliding(scenario: Scenario, prepared: tuple, locations: range) -> list:
         capture = multitx.compose_received(
             scene, schedule, leakage=scenario.leakage,
             noise_power_dbfs=scenario.noise_power_dbfs,
-            seed=derive_seed(scenario.master_seed, "noise", loc_index))
+            seed=derive_seed(scenario.master_seed, "noise", loc_index),
+            period=period, ramp=ramp)
         segmented = multitx.segment_capture(capture, schedule)
         location_flags = (FLAG_MISALIGNED,) if segmented.misaligned else ()
         for tx, segment, seed in zip(scenario.transmitters,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from chansounder.pulse import BasebandSignal
+from chansounder.pulse import BasebandSignal, tile_period
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,21 @@ class EnvironmentModel:
             raise ValueError("wall_grid_spacing_m: must be positive")
 
 
-def apply_channel(signal: BasebandSignal, channel: MultipathChannel) -> BasebandSignal:
+def apply_channel(signal: BasebandSignal, channel: MultipathChannel,
+                  period: int | None = None, ramp: int = 0) -> BasebandSignal:
     """Superpose scaled, delayed copies of the signal.
 
     Every tap delay must be an integer number of samples; the output is
     extended by the largest delay so no energy is dropped.
+
+    A signal whose samples[ramp:len - ramp] repeat every `period`
+    samples, as pulse.modulate's do with ramp = L - 1, gives an output
+    that repeats in the same way from the largest delay on. The per-tap
+    sum is then formed only over the ramp-in plus one period and over
+    the tail, and the steady state in between is tiled from that period:
+    the same additions in the same order, so the same bits as summing
+    every sample. Without a period, or when the steady state holds no
+    more than one period, the sum covers every sample.
     """
     shifts = []
     for i, delay in enumerate(channel.delays):
@@ -89,9 +99,23 @@ def apply_channel(signal: BasebandSignal, channel: MultipathChannel) -> Baseband
                 f"samples at {signal.sample_rate!r} Hz"
             )
         shifts.append(shift)
-    out = np.zeros(len(signal) + shifts[-1], dtype=np.complex128)
+    n = len(signal)
+    out = np.zeros(n + shifts[-1], dtype=np.complex128)
+    # out[steady:tail] repeats every period; out[head:tail] is tiled
+    steady = ramp + shifts[-1]
+    tail = n - ramp
+    if period is None or tail - steady <= period:
+        head = tail = len(out)
+    else:
+        head = steady + period
     for gain, shift in zip(channel.gains, shifts):
-        out[shift:shift + len(signal)] += gain * signal.samples
+        stop = min(shift + n, head)
+        out[shift:stop] += gain * signal.samples[:stop - shift]
+        start = max(shift, tail)
+        if start < shift + n:
+            out[start:shift + n] += gain * signal.samples[start - shift:]
+    if head < tail:
+        tile_period(out, steady, tail, period)
     return BasebandSignal(samples=out, sample_rate=signal.sample_rate,
                           origin_time=signal.origin_time)
 

@@ -209,7 +209,8 @@ def _add_wrapped(out, scaled, lo, hi, offset_samples):
 def compose_received(scene, schedule: TdmaSchedule,
                      leakage: LeakageModel | None = None,
                      noise_power_dbfs: float | None = None,
-                     seed: int = 0) -> BasebandSignal:
+                     seed: int = 0, period: int | None = None,
+                     ramp: int = 0) -> BasebandSignal:
     """Sum every transmitter's channel-filtered waveform over one TDMA
     period of the receiver's clock.
 
@@ -222,7 +223,9 @@ def compose_received(scene, schedule: TdmaSchedule,
     leak-scaled copy of the received waveform, added in wrapped slices,
     so no capture-length tile is built. Noise, when asked for, is
     drawn from a generator seeded with seed, in-phase rail first, and
-    added to each rail in place.
+    added to each rail in place. A period and ramp state that every
+    waveform repeats between its ramps, and go to apply_channel, which
+    then tiles each channel output's steady state.
     """
     if leakage is None:
         leakage = LeakageModel()
@@ -242,7 +245,8 @@ def compose_received(scene, schedule: TdmaSchedule,
     n = schedule.period_samples
     out = np.zeros(n, dtype=np.complex128)
     for i, tx in enumerate(scene):
-        received = apply_channel(tx.waveform, tx.channel).samples
+        received = apply_channel(tx.waveform, tx.channel, period,
+                                 ramp).samples
         _place_by_slices(out, received, tx.clock_offset_samples, i, schedule,
                          leakage.gain(tx.park_mode))
 

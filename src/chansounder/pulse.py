@@ -178,17 +178,54 @@ def shape_symbols(symbols, taps: FilterTaps,
                           origin_time=-delay / sample_rate)
 
 
+def tile_period(samples: np.ndarray, start: int, stop: int,
+                period: int) -> None:
+    """Fill samples[start + period:stop] in place with copies of
+    samples[start:start + period], for stop - start >= period: one
+    broadcast copy of the whole periods and one slice copy of the part
+    period left over."""
+    whole = (stop - start) // period
+    end = start + whole * period
+    samples[start + period:end].reshape(whole - 1, period)[:] = \
+        samples[start:start + period]
+    samples[end:stop] = samples[start:start + stop - end]
+
+
+def burst_period_and_ramp(chips: ChipSequence,
+                          taps: FilterTaps) -> tuple[int, int]:
+    """The samples per chip period, N * sps, and per ramp, L - 1, of a
+    modulate burst: the period its steady state repeats with and the
+    length of the ramp at each end."""
+    return (chips.period_length * taps.samples_per_symbol,
+            len(taps.coefficients) - 1)
+
+
 def modulate(chips: ChipSequence, repetitions: int, taps: FilterTaps,
              chip_period: float) -> BasebandSignal:
     """Shape `repetitions` periods of the chip train into a waveform.
 
     The imaginary part is identically zero: the chip train is a real
     symbol stream driving the in-phase rail only.
+
+    Periodic by construction: with P = N * sps samples per chip period
+    and L filter taps, samples[L - 1:len - (L - 1)] repeat every P
+    samples exactly. Only the ramp-in, one steady-state period and the
+    ramp-out are shaped, from the fewest periods that hold them, and the
+    period is tiled in between.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    train = np.tile(chips.chips, repetitions)
-    return shape_symbols(train, taps, chip_period)
+    period, ramp = burst_period_and_ramp(chips, taps)
+    shaped = min(repetitions, 1 + -(-ramp // period))
+    short = shape_symbols(np.tile(chips.chips, shaped), taps, chip_period)
+    if shaped == repetitions:
+        return short
+    samples = np.empty(repetitions * period + ramp, dtype=np.complex128)
+    samples[:ramp + period] = short.samples[:ramp + period]
+    tile_period(samples, ramp, len(samples) - ramp, period)
+    samples[len(samples) - ramp:] = short.samples[len(short) - ramp:]
+    return BasebandSignal(samples=samples, sample_rate=short.sample_rate,
+                          origin_time=short.origin_time)
 
 
 def _origin_index(signal: BasebandSignal, taps: FilterTaps) -> int:
@@ -306,9 +343,10 @@ def estimate_timing_phase(signal: BasebandSignal, chips: ChipSequence,
     |C_k|^2 = N + 1 for every k != 0, exactly, and the energy is
     ((N + 1) * sum|y|^2 - |sum y|^2) / N^2 for every sequence the
     receiver can be handed.
+
+    Raises NoSignalError when the matched-filter outputs of the search
+    window are all zero, however much power the capture holds elsewhere.
     """
-    if not np.any(signal.samples):
-        raise NoSignalError("capture is all zero; no timing phase exists")
     sps = taps.samples_per_symbol
     n = chips.period_length
     # the sps phases of one chip period are sps * n contiguous outputs;
@@ -320,10 +358,14 @@ def estimate_timing_phase(signal: BasebandSignal, chips: ChipSequence,
             "signal does not contain a full chip period at every phase"
         )
     parts = _matched_filter(signal.samples, taps, start, stop).view(np.float64)
+    peak = max(parts.max(), -parts.min())
+    if peak == 0.0:
+        raise NoSignalError("capture is silent in the timing search window; "
+                            "no timing phase exists")
     # scaled by the power of two that brings the largest part into
     # [0.5, 1), the scores cannot overflow at any finite capture; the
     # scaling is exact, so the argmax does not change
-    _, exponent = math.frexp(max(parts.max(), -parts.min()))
+    _, exponent = math.frexp(peak)
     windows = np.ldexp(parts, -exponent).view(np.complex128).reshape(n, sps)
     return int(np.argmax(_phase_scores(windows)))
 

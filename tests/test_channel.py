@@ -3,8 +3,11 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chansounder import channel as ch
+from chansounder import pulse
 from chansounder.pulse import BasebandSignal
 
 from helpers import add_noise
@@ -39,6 +42,54 @@ def test_matches_dense_convolution_oracle(rng):
     expected = np.convolve(x, impulse)
     out = ch.apply_channel(signal, chan)
     npt.assert_allclose(out.samples, expected, atol=1e-12)
+
+
+def direct_sum(signal, channel):
+    """The per-tap sum over every sample: one scaled, shifted copy of the
+    whole signal per tap, added in tap order."""
+    shifts = [int(round(d * signal.sample_rate)) for d in channel.delays]
+    out = np.zeros(len(signal) + shifts[-1], dtype=np.complex128)
+    for gain, shift in zip(channel.gains, shifts):
+        out[shift:shift + len(signal)] += gain * signal.samples
+    return out
+
+
+@given(period=st.integers(1, 40), ramp=st.integers(0, 12),
+       repetitions=st.integers(1, 5), tap_count=st.integers(1, 6),
+       stated=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300)
+def test_periodic_apply_channel_matches_the_direct_sum(
+        period, ramp, repetitions, tap_count, stated, seed):
+    # random ramps around `repetitions` copies of a random period, through
+    # taps from 0 to past one period: tiling the steady state must give
+    # the direct sum's bytes, also with no stated period and with a
+    # steady state too short to tile
+    rng = np.random.default_rng(seed)
+
+    def noise(size):
+        return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+    samples = np.concatenate([noise(ramp), np.tile(noise(period), repetitions),
+                              noise(ramp)])
+    shifts = np.sort(rng.choice(np.arange(1, period + 6),
+                                size=tap_count - 1, replace=False))
+    channel = ch.MultipathChannel(gains=noise(tap_count),
+                                  delays=np.concatenate([[0], shifts]))
+    signal = make_signal(samples, rate=1.0)
+    out = ch.apply_channel(signal, channel, period if stated else None, ramp)
+    assert out.samples.tobytes() == direct_sum(signal, channel).tobytes()
+
+
+def test_periodic_apply_channel_on_the_campaign_burst(chips10, rrc_taps, rng):
+    # the criterion-9 burst of 12 PN periods through 5 chip-spaced taps
+    burst = pulse.modulate(chips10, 12, rrc_taps, 60e-9)
+    channel = ch.MultipathChannel(
+        gains=rng.normal(size=5) + 1j * rng.normal(size=5),
+        delays=np.array([0, 1, 4, 9, 31]) * 60e-9)
+    sps = rrc_taps.samples_per_symbol
+    out = ch.apply_channel(burst, channel, chips10.period_length * sps,
+                           len(rrc_taps.coefficients) - 1)
+    assert out.samples.tobytes() == direct_sum(burst, channel).tobytes()
 
 
 def test_fractional_delay_rejected():

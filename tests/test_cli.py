@@ -606,6 +606,26 @@ def test_oversized_slot_exits_2_before_allocating(tmp_path, capsys, change,
     assert not (tmp_path / "out" / "records.jsonl").exists()
 
 
+@pytest.mark.parametrize("change, field, periods, samples", [
+    # 100002 periods once made validate allocate a 1.52 GiB burst
+    ({"averaging_periods": 100000}, "averaging_periods", 100002, 409208232),
+    # one 2^20 - 1 chip period fits the slot limit, three do not
+    ({"pn_degree": 20, "polynomial": (1 << 20) | 0b1001}, "pn_degree", 3,
+     12582948),
+])
+def test_oversized_burst_exits_2_before_allocating(tmp_path, change, field,
+                                                   periods, samples):
+    path = bundled_edit(tmp_path, "indoor_wing_sliding",
+                        lambda doc: doc["sliding"].update(change))
+    expected = (f"ValueError: sliding.{field}: a burst of {periods} PN "
+                f"periods is {samples} samples, above the "
+                f"{multitx.MAX_SLOT_SAMPLES}-sample slot limit\n")
+    for argv in (["validate"], ["campaign", "--out-dir", str(tmp_path / "out")]):
+        child = run_cli_limited(*argv, "--scenario", str(path))
+        assert (child.returncode, child.stderr) == (2, expected)
+    assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
 def test_drawn_tap_beyond_pn_period_exits_2(tmp_path, capsys):
     # the spread is below the period, but one drawn delay is not
     doc = json.loads(scenario_file(tmp_path).read_text())

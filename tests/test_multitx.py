@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chansounder import campaign
@@ -394,6 +394,41 @@ def test_compose_matches_tiled_leakage_and_complex_noise_oracle():
                     (leak_db, noise, burst_len, shifts)
                 cases += 1
     assert cases == 36
+
+
+@given(offsets=st.lists(st.integers(-60000, 60000), min_size=3, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=8)
+def test_compose_with_the_campaign_period_matches_the_oracles(
+        tdma_setup, chips10, rrc_taps, offsets, seed):
+    # campaign bursts at three powers through multi-tap channels, leaking
+    # in band, at clock offsets up to a slot past either side: tiling
+    # each channel output's steady state must give the oracles' bytes
+    burst, schedule, _ = tdma_setup
+    rng = np.random.default_rng(seed)
+    leakage = multitx.LeakageModel(inband_null_leakage_db=30.0)
+    scene = []
+    for i, offset in enumerate(offsets):
+        waveform = pulse.BasebandSignal(burst.samples * 10.0 ** (-i / 2.0),
+                                        burst.sample_rate, burst.origin_time)
+        tap_count = int(rng.integers(1, 7))
+        lags = np.concatenate([[0], np.sort(rng.choice(
+            np.arange(1, 1024), size=tap_count - 1, replace=False))])
+        channel = ch.MultipathChannel(
+            gains=rng.normal(size=tap_count) + 1j * rng.normal(size=tap_count),
+            delays=lags * 60e-9)
+        scene.append(multitx.SceneTransmitter(waveform, channel,
+                                              multitx.PARK_IN_BAND, offset))
+    period, ramp = pulse.burst_period_and_ramp(chips10, rrc_taps)
+    noisy = dict(leakage=leakage, noise_power_dbfs=-40.0, seed=seed)
+    got = multitx.compose_received(scene, schedule, period=period, ramp=ramp,
+                                   **noisy)
+    expected = oracle_compose_received(scene, schedule, **noisy)
+    assert got.samples.tobytes() == expected.samples.tobytes()
+    got = multitx.compose_received(scene, schedule, leakage=leakage,
+                                   period=period, ramp=ramp)
+    expected = per_sample_compose(scene, schedule, leakage)
+    assert got.samples.tobytes() == expected.samples.tobytes()
 
 
 def frequency_setup(guard_band_hz, carrier_count=1, **overrides):

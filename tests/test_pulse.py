@@ -185,9 +185,9 @@ def test_recover_too_short(chips10, rrc_taps):
         oracle_folded_period(short, rrc_taps, 0, 1023, 2, 3 * 1023)
 
 
-@functools.lru_cache(maxsize=8)
-def _taps_at(sps):
-    return pulse.design_rrc(0.35, 6, sps)
+@functools.lru_cache(maxsize=32)
+def _taps_at(sps, span=6):
+    return pulse.design_rrc(0.35, span, sps)
 
 
 @given(degree=st.integers(2, 6), sps=st.integers(2, 8),
@@ -240,6 +240,29 @@ def test_closed_form_phase_energies_match_fft_oracle(degree, sps, seed,
         assert np.argmax(got) == np.argmax(expected)
 
 
+@given(degree=st.integers(2, 6), sps=st.integers(2, 8),
+       span=st.sampled_from([4, 6, 12]), repetitions=st.integers(1, 8))
+@settings(max_examples=80)
+def test_modulate_repeats_exactly_between_its_ramps(degree, sps, span,
+                                                    repetitions):
+    # samples[L - 1:len - (L - 1)] repeat every N * sps samples bit for
+    # bit, also when the ramp is longer than one period, and the waveform
+    # is the shaped chip train of every period to rounding
+    taps = _taps_at(sps, span)
+    chips = pn.generate_glfsr(degree)
+    period = chips.period_length * sps
+    ramp = len(taps.coefficients) - 1
+    signal = pulse.modulate(chips, repetitions, taps, CHIP_PERIOD)
+    assert len(signal) == repetitions * period + ramp
+    steady = signal.samples[ramp:len(signal) - ramp]
+    assert steady[period:].tobytes() == \
+        steady[:max(len(steady) - period, 0)].tobytes()
+    full = pulse.shape_symbols(np.tile(chips.chips, repetitions), taps,
+                               CHIP_PERIOD)
+    assert signal.origin_time == full.origin_time
+    npt.assert_allclose(signal.samples, full.samples, rtol=0, atol=1e-14)
+
+
 @pytest.mark.parametrize("planted", [0, 1, 2, 3])
 def test_timing_phase_planted(chips10, rrc_taps, planted):
     signal = pulse.modulate(chips10, 3, rrc_taps, CHIP_PERIOD)
@@ -253,6 +276,24 @@ def test_timing_phase_zero_signal(chips10, rrc_taps):
     silent = pulse.BasebandSignal(np.zeros(3 * 1023 * 4 + 64), 4 / CHIP_PERIOD)
     with pytest.raises(NoSignalError):
         pulse.estimate_timing_phase(silent, chips10, rrc_taps)
+
+
+def test_timing_phase_silent_search_window(chips10, rrc_taps):
+    # power after the search window does not make a phase: the window's
+    # matched-filter outputs are all zero, so no phase exists
+    n, sps = chips10.period_length, rrc_taps.samples_per_symbol
+    # with the origin at sample 0, the window's last output reads up to
+    # sample half + n * sps - 1
+    end = (len(rrc_taps.coefficients) - 1) // 2 + n * sps
+    samples = np.zeros(3 * n * sps + 64)
+    samples[end:] = 1.0
+    segment = pulse.BasebandSignal(samples, sps / CHIP_PERIOD)
+    with pytest.raises(NoSignalError, match="silent in the timing search"):
+        pulse.estimate_timing_phase(segment, chips10, rrc_taps)
+    # one nonzero sample inside the window is enough to time
+    samples[end - 1] = 1.0
+    segment = pulse.BasebandSignal(samples, sps / CHIP_PERIOD)
+    assert pulse.estimate_timing_phase(segment, chips10, rrc_taps) in range(sps)
 
 
 def test_timing_phase_scale_invariant(chips10, rrc_taps):
