@@ -24,7 +24,7 @@ from chansounder.channel import (
     frequency_response,
     synthesize_channel,
 )
-from chansounder.exceptions import NoSignalError
+from chansounder.exceptions import CaptureWindowError, NoSignalError
 from chansounder.multitx import (
     LeakageModel,
     SceneTransmitter,

@@ -74,11 +74,14 @@ class EnvironmentModel:
 
 
 def apply_channel(signal: BasebandSignal, channel: MultipathChannel,
-                  period: int | None = None, ramp: int = 0) -> BasebandSignal:
-    """Superpose scaled, delayed copies of the signal.
+                  period: int | None = None, ramp: int = 0) -> np.ndarray:
+    """Superpose scaled, delayed copies of the signal: the samples of the
+    received waveform, which has the signal's rate and origin_time.
 
     Every tap delay must be an integer number of samples; the output is
-    extended by the largest delay so no energy is dropped.
+    extended by the largest delay so no energy is dropped. The samples
+    are not checked for finiteness here: the BasebandSignal that holds
+    them checks them once (compose_received's, for the whole capture).
 
     A signal whose samples[ramp:len - ramp] repeat every `period`
     samples, as pulse.modulate's do with ramp = L - 1, gives an output
@@ -116,8 +119,7 @@ def apply_channel(signal: BasebandSignal, channel: MultipathChannel,
             out[start:shift + n] += gain * signal.samples[start - shift:]
     if head < tail:
         tile_period(out, steady, tail, period)
-    return BasebandSignal(samples=out, sample_rate=signal.sample_rate,
-                          origin_time=signal.origin_time)
+    return out
 
 
 def frequency_response(channel: MultipathChannel, frequency):

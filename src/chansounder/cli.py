@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from chansounder import campaign, multitx, pn, pulse, schema, sliding, sweep
-from chansounder.exceptions import NoSignalError
+from chansounder.exceptions import CaptureWindowError, NoSignalError
 
 
 def _out_dir(args) -> Path:
@@ -45,15 +46,32 @@ def _cmd_gen_pn(args) -> dict:
 
 
 def _cmd_sound_sliding(args) -> dict:
-    capture = pulse.read_iq(args.capture)
     settings = {f.name: getattr(args, f.name)
                 for f in dataclasses.fields(sliding.SounderConfig)}
     settings["polynomial"] = int(args.polynomial, 0) if args.polynomial else None
     config = sliding.SounderConfig(**settings)
     chips, taps = sliding.reference(config)
-    profile = sliding.measure_sliding(capture, chips, taps, config,
-                                      args.tx_power_db,
-                                      settle_periods=args.settle_periods)
+    if args.settle_periods < 0:
+        raise ValueError(f"--settle-periods: must be >= 0, "
+                         f"got {args.settle_periods}")
+    capture = pulse.read_iq(args.capture)
+    sidecar = f"{args.capture}.json"
+    rate = config.samples_per_symbol / config.chip_period_s
+    if not math.isclose(capture.sample_rate, rate, rel_tol=1e-9):
+        raise ValueError(
+            f"{sidecar}: sample_rate_hz: {capture.sample_rate!r} Hz is not "
+            f"the {rate!r} Hz of samples_per_symbol / chip_period_s")
+    try:
+        profile = sliding.measure_sliding(capture, chips, taps, config,
+                                          args.tx_power_db,
+                                          settle_periods=args.settle_periods)
+    except CaptureWindowError as exc:
+        # a capture shorter than the periods the receiver reads misses
+        # them wherever it sits; a longer one misses them by its origin
+        periods = args.settle_periods + config.averaging_periods
+        needed = periods * chips.period_length * config.samples_per_symbol
+        field = "sample_count" if len(capture) < needed else "origin_time_s"
+        raise ValueError(f"{sidecar}: {field}: {exc}") from None
     target = _out_dir(args) / args.name
     target.write_text(json.dumps(sliding.profile_to_json(profile), indent=2) + "\n")
     return {"outputs": [str(target)],

@@ -225,7 +225,8 @@ def compose_received(scene, schedule: TdmaSchedule,
     drawn from a generator seeded with seed, in-phase rail first, and
     added to each rail in place. A period and ramp state that every
     waveform repeats between its ramps, and go to apply_channel, which
-    then tiles each channel output's steady state.
+    then tiles each channel output's steady state. The capture's samples
+    are checked once, here, when its BasebandSignal is built.
     """
     if leakage is None:
         leakage = LeakageModel()
@@ -245,8 +246,7 @@ def compose_received(scene, schedule: TdmaSchedule,
     n = schedule.period_samples
     out = np.zeros(n, dtype=np.complex128)
     for i, tx in enumerate(scene):
-        received = apply_channel(tx.waveform, tx.channel, period,
-                                 ramp).samples
+        received = apply_channel(tx.waveform, tx.channel, period, ramp)
         _place_by_slices(out, received, tx.clock_offset_samples, i, schedule,
                          leakage.gain(tx.park_mode))
 
@@ -303,7 +303,8 @@ def segment_capture(signal: BasebandSignal,
     and span at least one period. The schedule's guard is discarded from
     both ends of every slot to absorb small clock offsets, so segment i
     starts where transmitter i's burst starts when its clock agrees with
-    the receiver's, and carries the capture's origin_time. Captures
+    the receiver's, and carries the capture's origin_time. Segments are
+    views of the capture's checked samples, not checked again. Captures
     whose guard regions carry slot-core-level power are flagged as
     misaligned.
     """
@@ -318,9 +319,7 @@ def segment_capture(signal: BasebandSignal,
     for i in range(schedule.transmitter_count):
         lo = i * slot_samples + trim
         hi = (i + 1) * slot_samples - trim
-        segments.append(BasebandSignal(samples=signal.samples[lo:hi],
-                                       sample_rate=signal.sample_rate,
-                                       origin_time=signal.origin_time))
+        segments.append(signal.window(lo, hi))
     return SegmentedCapture(
         segments=segments,
         guard_core_ratio=ratio,

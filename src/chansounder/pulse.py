@@ -8,18 +8,33 @@ the samples-per-symbol grid, which is exact at simulation scale.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from chansounder import schema
-from chansounder.exceptions import NoSignalError
+from chansounder.exceptions import CaptureWindowError, NoSignalError
 from chansounder.pn import ChipSequence
 
 IQ_FORMAT = "cf32_le"
+
+# The most taps a filter may have. design_rrc's least-squares repair
+# builds dense (L, L / 2 + 1) and (lags, L) matrices: at this length the
+# fold matrix is 4.2 MB, and the longest design (span 512, 2 samples per
+# symbol) took 1.4 s on a 2-CPU Xeon.
+MAX_FILTER_TAPS = 2 ** 10 + 1
+
+# Outputs per row of the timing search's filter-bank product.
+BANK_WIDTH = 16
+# The most multiply-adds, m * n * k, in one filter-bank product. OpenBLAS
+# runs a dgemm this small on the calling thread, so its thread pool
+# stays asleep and takes no CPU from the other campaign processes.
+MAX_PRODUCT_MACS = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -42,6 +57,18 @@ class FilterTaps:
         energy = float(np.sum(coeffs**2))
         if abs(energy - 1.0) > 1e-9:
             raise ValueError(f"taps are not unit energy (got {energy!r})")
+
+    @cached_property
+    def bank(self) -> np.ndarray:
+        """The timing search's filter bank, built at its first use: a
+        (B + L - 1, B) matrix, B = BANK_WIDTH, whose column j holds the
+        reversed taps from row j on. A window of B + L - 1 samples times
+        it gives B consecutive outputs of the full convolution."""
+        span = len(self.coefficients)
+        bank = np.zeros((BANK_WIDTH + span - 1, BANK_WIDTH))
+        for j in range(BANK_WIDTH):
+            bank[j:j + span, j] = self.coefficients[::-1]
+        return bank
 
 
 @dataclass(frozen=True)
@@ -66,6 +93,14 @@ class BasebandSignal:
 
     def __len__(self) -> int:
         return len(self.samples)
+
+    def window(self, lo: int, hi: int) -> BasebandSignal:
+        """samples[lo:hi] as a view with this signal's rate and
+        origin_time. The samples were checked when this signal was
+        built, so they are not checked again."""
+        view = copy.copy(self)  # runs no __init__, so no second check
+        object.__setattr__(view, "samples", self.samples[lo:hi])
+        return view
 
 
 def _rrc_closed_form(rolloff: float, span_symbols: int,
@@ -231,12 +266,17 @@ def modulate(chips: ChipSequence, repetitions: int, taps: FilterTaps,
 def _origin_index(signal: BasebandSignal, taps: FilterTaps) -> int:
     """Index of t = 0 on the symbol grid of the full matched-filter output."""
     if len(signal) < len(taps.coefficients):
-        raise ValueError(
+        raise CaptureWindowError(
             f"signal of {len(signal)} samples is shorter than the "
             f"{len(taps.coefficients)}-tap filter span"
         )
     half = (len(taps.coefficients) - 1) / 2
-    return int(round(-signal.origin_time * signal.sample_rate + half))
+    origin = -signal.origin_time * signal.sample_rate + half
+    if not math.isfinite(origin):
+        raise CaptureWindowError(
+            f"origin_time {signal.origin_time!r} s puts t = 0 beyond any "
+            f"sample index at {signal.sample_rate!r} Hz")
+    return int(round(origin))
 
 
 def _matched_filter(x: np.ndarray, taps: FilterTaps,
@@ -266,8 +306,9 @@ def _matched_filter(x: np.ndarray, taps: FilterTaps,
         out[hi:] = np.convolve(x[-span:], h)[index[hi:] - (len(x) - span)]
     if hi > lo:
         first = index[lo] - (span - 1)
-        last = index[hi - 1] - (span - 1)
-        windows = sliding_window_view(x, span)[first:last + 1:step]
+        stride = x.strides[0]
+        windows = as_strided(x[first:], shape=(hi - lo, span),
+                             strides=(step * stride, stride))
         h_rev = h[::-1].astype(np.complex128)
         out[lo:hi] = np.matmul(windows[:, None, :], h_rev[:, None])[:, 0, 0]
     return out
@@ -309,7 +350,7 @@ def recover_symbols(signal: BasebandSignal, chips: ChipSequence,
     # below len(x) + L - 1, the length of the full convolution
     available = max(0, -(-(len(x) + span - 1 - first) // sps) - skip_symbols)
     if available < periods * n:
-        raise ValueError(
+        raise CaptureWindowError(
             f"capture of {available} symbols is shorter than "
             f"{periods} periods ({periods * n} symbols)"
         )
@@ -321,8 +362,44 @@ def recover_symbols(signal: BasebandSignal, chips: ChipSequence,
                             np.zeros(max(0, hi - len(x)))])
     else:
         x = x[lo:hi]
-    folded = sliding_window_view(x, period + span - 1)[::period].mean(axis=0)
+    stride = x.strides[0]
+    folded = as_strided(x, shape=(periods, period + span - 1),
+                        strides=(period * stride, stride)).mean(axis=0)
     return _matched_filter(folded, taps, span - 1, span - 1 + period, sps)
+
+
+def _bank_rails(x: np.ndarray, taps: FilterTaps, start: int,
+                stop: int) -> np.ndarray:
+    """np.convolve(x, taps.coefficients)[start:stop] to rounding, as a
+    (2, stop - start) float array: the real rail, then the imaginary.
+
+    Output o is the dot of x[o - (L - 1):o + 1] with the reversed taps, so
+    B = BANK_WIDTH consecutive outputs are one window of B + L - 1
+    samples times taps.bank. The windows of both rails, B samples apart,
+    are one strided view of x's interleaved parts, zero-padded where they
+    run past either end of x; each product has at most MAX_PRODUCT_MACS
+    multiply-adds. Requires 0 <= start and stop <= len(x) + L - 1.
+    """
+    bank = taps.bank
+    rows, width = bank.shape
+    blocks = -(-(stop - start) // width)
+    lo = start - (rows - width)
+    hi = lo + (blocks - 1) * width + rows
+    if lo < 0 or hi > len(x):
+        x = np.concatenate([np.zeros(max(0, -lo)), x[max(lo, 0):hi],
+                            np.zeros(max(0, hi - len(x)))])
+    else:
+        x = np.ascontiguousarray(x[lo:hi])
+    parts = x.view(np.float64)
+    windows = as_strided(parts, shape=(2, blocks, rows),
+                         strides=(parts.itemsize, 2 * width * parts.itemsize,
+                                  2 * parts.itemsize))
+    out = np.empty((2, blocks, width))
+    chunk = max(1, MAX_PRODUCT_MACS // (rows * width))
+    for first in range(0, blocks, chunk):
+        np.matmul(windows[:, first:first + chunk], bank,
+                  out=out[:, first:first + chunk])
+    return out.reshape(2, blocks * width)[:, :stop - start]
 
 
 def estimate_timing_phase(signal: BasebandSignal, chips: ChipSequence,
@@ -344,21 +421,25 @@ def estimate_timing_phase(signal: BasebandSignal, chips: ChipSequence,
     ((N + 1) * sum|y|^2 - |sum y|^2) / N^2 for every sequence the
     receiver can be handed.
 
+    The matched-filter outputs come from the filter-bank product of
+    _bank_rails, equal to np.convolve to rounding; only the integer
+    phase leaves the search.
+
     Raises NoSignalError when the matched-filter outputs of the search
     window are all zero, however much power the capture holds elsewhere.
     """
     sps = taps.samples_per_symbol
     n = chips.period_length
     # the sps phases of one chip period are sps * n contiguous outputs;
-    # row k of the (n, sps) reshape is symbol k at every phase
+    # row k of each rail's (n, sps) reshape is symbol k at every phase
     start = _origin_index(signal, taps) + skip_symbols * sps
     stop = start + sps * n
     if start < 0 or stop > len(signal) + len(taps.coefficients) - 1:
-        raise ValueError(
+        raise CaptureWindowError(
             "signal does not contain a full chip period at every phase"
         )
-    parts = _matched_filter(signal.samples, taps, start, stop).view(np.float64)
-    peak = max(parts.max(), -parts.min())
+    rails = _bank_rails(signal.samples, taps, start, stop)
+    peak = max(rails.max(), -rails.min())
     if peak == 0.0:
         raise NoSignalError("capture is silent in the timing search window; "
                             "no timing phase exists")
@@ -366,25 +447,24 @@ def estimate_timing_phase(signal: BasebandSignal, chips: ChipSequence,
     # [0.5, 1), the scores cannot overflow at any finite capture; the
     # scaling is exact, so the argmax does not change
     _, exponent = math.frexp(peak)
-    windows = np.ldexp(parts, -exponent).view(np.complex128).reshape(n, sps)
-    return int(np.argmax(_phase_scores(windows)))
+    rails = np.ldexp(rails, -exponent).reshape(2, n, sps)
+    return int(np.argmax(_phase_scores(rails)))
 
 
-def _phase_scores(windows: np.ndarray) -> np.ndarray:
-    """N^2 times the correlation-profile energy of each column y of an
-    (N, sps) block: (N + 1) * sum|y|^2 - |sum y|^2.
+def _phase_scores(rails: np.ndarray) -> np.ndarray:
+    """N^2 times the correlation-profile energy of each phase p, whose
+    outputs y have real part rails[0, :, p] and imaginary part
+    rails[1, :, p] in a (2, N, sps) block: (N + 1) * sum|y|^2 - |sum y|^2.
 
-    Column 2p of the float view is phase p's real part and 2p + 1 its
-    imaginary part; the score splits into one term per part. The power
-    sums are sums of products over the float view, as in
-    multitx._mean_power; not np.vdot, which wakes the BLAS thread pool.
+    The score splits into one term per rail. The power sums are sums of
+    products, as in multitx._mean_power; not np.vdot, which wakes the
+    BLAS thread pool.
     """
-    n = len(windows)
-    parts = windows.view(np.float64)
-    power = np.einsum("kq,kq->q", parts, parts)
-    total = np.einsum("kq->q", parts)
+    n = rails.shape[1]
+    power = np.einsum("rkp,rkp->rp", rails, rails)
+    total = np.einsum("rkp->rp", rails)
     scores = (n + 1) * power - total * total
-    return scores[0::2] + scores[1::2]
+    return scores[0] + scores[1]
 
 
 @dataclass(frozen=True)
@@ -419,9 +499,9 @@ def read_iq(path) -> BasebandSignal:
         raise ValueError(f"{path}: odd float count {len(raw)}, "
                          f"not whole cf32_le I/Q pairs")
     if sidecar.sample_count != len(raw) // 2:
-        raise ValueError(f"{path}: sidecar sample_count "
+        raise ValueError(f"{sidecar_path}: sample_count: "
                          f"{sidecar.sample_count} does not match the "
-                         f"{len(raw) // 2} samples in the file")
+                         f"{len(raw) // 2} samples in {path}")
     samples = raw[0::2].astype(np.float64) + 1j * raw[1::2].astype(np.float64)
     return BasebandSignal(samples=samples, sample_rate=sidecar.sample_rate_hz,
                           origin_time=sidecar.origin_time_s)

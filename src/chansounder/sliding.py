@@ -17,6 +17,7 @@ import numpy as np
 from chansounder.exceptions import NoSignalError
 from chansounder.pn import MAX_DEGREE, ChipSequence, circular_correlate, generate_glfsr
 from chansounder.pulse import (
+    MAX_FILTER_TAPS,
     BasebandSignal,
     FilterTaps,
     design_rrc,
@@ -34,6 +35,8 @@ class SounderConfig:
 
     The PN chips and the RRC taps follow from the config through
     reference(), which also checks the polynomial and the pulse fields.
+    The filter length, span_symbols * samples_per_symbol + 1 taps, is
+    bounded here, before design_rrc allocates its O(L^2) matrices.
     """
 
     chip_period_s: float = 60e-9
@@ -54,6 +57,16 @@ class SounderConfig:
             raise ValueError("averaging_periods: must be >= 1")
         if self.detection_threshold_db <= 0:
             raise ValueError("detection_threshold_db: must be positive")
+        span, sps = self.span_symbols, self.samples_per_symbol
+        taps = span * sps + 1
+        if min(span, sps) > 0 and taps > MAX_FILTER_TAPS:
+            # samples_per_symbol is at fault when even the shortest span
+            # that design_rrc accepts, 4 symbols, is too long with it
+            name = ("samples_per_symbol" if 4 * sps + 1 > MAX_FILTER_TAPS
+                    else "span_symbols")
+            raise ValueError(
+                f"{name}: a filter of span_symbols * samples_per_symbol + 1 "
+                f"= {taps} taps is above the {MAX_FILTER_TAPS}-tap limit")
 
 
 def reference(config: SounderConfig) -> tuple[ChipSequence, FilterTaps]:

@@ -19,7 +19,15 @@ def planted_capture(chips, taps, channel, config, extra_periods=2):
     """Transmit, apply a planted channel, and return the capture."""
     tx = pulse.modulate(chips, config.averaging_periods + extra_periods,
                         taps, config.chip_period_s)
-    return ch.apply_channel(tx, channel)
+    return received(tx, channel)
+
+
+def received(signal, channel):
+    """apply_channel's samples as the signal that carries them: the
+    received waveform on signal's rate and time axis."""
+    return pulse.BasebandSignal(samples=ch.apply_channel(signal, channel),
+                                sample_rate=signal.sample_rate,
+                                origin_time=signal.origin_time)
 
 
 def write_iq(signal, path):
@@ -262,7 +270,7 @@ def oracle_compose_received(scene, schedule, leakage, noise_power_dbfs=None,
     n = period = schedule.period_samples
     out = np.zeros(n, dtype=np.complex128)
     for i, tx in enumerate(scene):
-        received = ch.apply_channel(tx.waveform, tx.channel).samples
+        received = ch.apply_channel(tx.waveform, tx.channel)
         offset = tx.clock_offset_samples
         leak_gain = leakage.gain(tx.park_mode)
         if leak_gain > 0.0:
@@ -297,7 +305,7 @@ def per_sample_compose(scene, schedule, leakage):
     slot, period = schedule.slot_samples, schedule.period_samples
     out = np.zeros(period, dtype=np.complex128)
     for i, tx in enumerate(scene):
-        received = ch.apply_channel(tx.waveform, tx.channel).samples
+        received = ch.apply_channel(tx.waveform, tx.channel)
         perceived = np.arange(period) + tx.clock_offset_samples
         local = perceived % period - i * slot
         active = (local >= 0) & (local < slot)

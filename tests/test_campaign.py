@@ -1,9 +1,11 @@
+import importlib.util
 import json
 import math
 import os
 import pathlib
 import re
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -13,12 +15,13 @@ from hypothesis import strategies as st
 
 from chansounder import campaign as cp
 from chansounder import multitx, sliding, sweep
-from chansounder.channel import EnvironmentModel
+from chansounder.channel import EnvironmentModel, MultipathChannel
 from chansounder.exceptions import NoSignalError
+from chansounder.pulse import estimate_timing_phase, modulate, recover_symbols
 
 from helpers import (assert_no_child_left, failing_channel_draw,
                      frequency_blocks, oracle_measure_sliding,
-                     oracle_timing_phase, use_oracle_sweep)
+                     oracle_timing_phase, received, use_oracle_sweep)
 
 
 def small_environment(**overrides):
@@ -633,11 +636,10 @@ def test_receive_chain_matches_full_convolution_oracle(monkeypatch):
     assert sum(o is not None for o in outcomes) >= 10
 
 
-def test_timing_search_matches_fft_oracle_on_bundled_walk(monkeypatch):
-    # 20 locations of the bundled indoor walk: the closed-form phase of
-    # every segment must be the phase that the per-phase FFT search picks
-    scenario = cp.load_scenario(SCENARIO_DIR / "indoor_wing_sliding.json")
-    scenario = replace(scenario, receiver_path=scenario.receiver_path[:20])
+def searched_phases(monkeypatch, scenario) -> tuple:
+    """Run the scenario's campaign with every timing search checked
+    against oracle_timing_phase; the phases found, in order, and the
+    record count."""
     estimate = sliding.estimate_timing_phase
     phases = []
 
@@ -648,5 +650,86 @@ def test_timing_search_matches_fft_oracle_on_bundled_walk(monkeypatch):
         return phase
 
     monkeypatch.setattr(sliding, "estimate_timing_phase", checked)
-    records = cp.run_campaign(scenario)
-    assert len(phases) == len(records) == 60
+    return phases, len(cp.run_campaign(scenario))
+
+
+def test_timing_search_matches_fft_oracle_on_bundled_walk(monkeypatch):
+    # 20 locations of the bundled indoor walk: the closed-form phase of
+    # every segment must be the phase that the per-phase FFT search picks
+    scenario = cp.load_scenario(SCENARIO_DIR / "indoor_wing_sliding.json")
+    scenario = replace(scenario, receiver_path=scenario.receiver_path[:20])
+    phases, records = searched_phases(monkeypatch, scenario)
+    assert len(phases) == records == 60
+
+
+def bench_scenario(workload, seed, locations):
+    """A campaign benchmark workload's scenario at seed, cut to its first
+    locations."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "campaignbench" \
+        / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    scenario = workloads.WORKLOADS[workload](seed)
+    return replace(scenario,
+                   receiver_path=scenario.receiver_path[:locations])
+
+
+@pytest.mark.parametrize("workload", ["sliding-c9", "sliding-nearfar"])
+def test_filter_bank_search_matches_fft_oracle_on_bench_walks(monkeypatch,
+                                                              workload):
+    # 20 locations of each sliding benchmark workload at a seed that no
+    # other test uses: on every segment the filter-bank search must pick
+    # the phase of a full np.convolve and per-phase FFTs
+    scenario = bench_scenario(workload, 2718, 20)
+    phases, records = searched_phases(monkeypatch, scenario)
+    assert len(phases) == records == 20 * len(scenario.transmitters)
+
+
+def thread_cpu_ticks():
+    """utime + stime, in clock ticks, of each thread of this process."""
+    ticks = {}
+    for stat in pathlib.Path("/proc/self/task").glob("*/stat"):
+        try:
+            # the fields after the parenthesised name start at field 3,
+            # state; utime and stime are fields 14 and 15
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:  # the thread ended
+            continue
+        ticks[int(stat.parent.name)] = int(fields[11]) + int(fields[12])
+    return ticks
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads per-thread CPU times from /proc")
+def test_blas_pool_stays_asleep(chips10, rrc_taps):
+    # the timing search's filter-bank products and the recovery's dots are
+    # small enough that OpenBLAS runs them on the calling thread: its pool
+    # threads, which would take CPU from the other campaign process,
+    # gain no CPU time over 200 searches and recoveries and a campaign
+    config = sliding.SounderConfig()
+    burst = modulate(chips10, config.averaging_periods + 2, rrc_taps,
+                     config.chip_period_s)
+    channel = MultipathChannel(gains=[1.0, 0.3j, -0.1],
+                               delays=np.array([0, 2, 7]) * config.chip_period_s)
+    capture = received(burst, channel)
+    skip = chips10.period_length
+    # OpenBLAS stops its pool before a fork and starts it again at the
+    # first product large enough to share; that product's threads then
+    # spin for a while before they sleep
+    big = np.ones((256, 256))
+    big @ big
+    time.sleep(0.5)
+    before = thread_cpu_ticks()
+    if len(before) < 2:
+        pytest.skip("this process runs no thread besides the main one")
+    for _ in range(200):
+        phase = estimate_timing_phase(capture, chips10, rrc_taps, skip)
+        recover_symbols(capture, chips10, rrc_taps, phase,
+                        config.averaging_periods, skip)
+    cp.run_campaign(small_scenario(locations=4))
+    after = thread_cpu_ticks()
+    main = os.getpid()
+    woken = {tid: after[tid] - ticks for tid, ticks in before.items()
+             if tid != main and tid in after and after[tid] > ticks}
+    assert woken == {}

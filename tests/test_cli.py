@@ -22,7 +22,7 @@ from chansounder import cli, multitx, pulse, sliding, sweep
 from chansounder.channel import EnvironmentModel
 from chansounder.cli import build_parser, main
 
-from helpers import (assert_no_child_left, failing_channel_draw,
+from helpers import (assert_no_child_left, failing_channel_draw, received,
                      save_document, write_iq)
 
 
@@ -68,15 +68,21 @@ def test_out_dir_from_environment(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "from_env" / "chips.txt").exists()
 
 
-def test_sound_sliding_roundtrip(tmp_path, capsys, chips10, rrc_taps,
-                                 sounder_config):
+def sliding_capture_file(directory):
+    """The default burst of 12 PN periods through taps at lags 0 and 3,
+    written as directory/capture.iq with its sidecar."""
+    config = sliding.SounderConfig()
+    chips, taps = sliding.reference(config)
     planted = ch.MultipathChannel(
-        gains=[1.0, 0.25], delays=[0.0, 3 * sounder_config.chip_period_s])
-    tx = pulse.modulate(chips10, 12, rrc_taps, sounder_config.chip_period_s)
-    capture = ch.apply_channel(tx, planted)
-    capture_path = tmp_path / "capture.iq"
-    write_iq(capture, capture_path)
+        gains=[1.0, 0.25], delays=[0.0, 3 * config.chip_period_s])
+    tx = pulse.modulate(chips, 12, taps, config.chip_period_s)
+    capture_path = directory / "capture.iq"
+    write_iq(received(tx, planted), capture_path)
+    return capture_path
 
+
+def test_sound_sliding_roundtrip(tmp_path, capsys):
+    capture_path = sliding_capture_file(tmp_path)
     code, _, err = run_cli(capsys, "sound-sliding",
                            "--capture", str(capture_path),
                            "--out-dir", str(tmp_path))
@@ -626,6 +632,46 @@ def test_oversized_burst_exits_2_before_allocating(tmp_path, change, field,
     assert not (tmp_path / "out" / "records.jsonl").exists()
 
 
+@pytest.mark.parametrize("change, field, taps", [
+    # 24001 taps once made design_rrc ask for 2.15 GiB, 400001 for 596 GiB
+    ({"samples_per_symbol": 2000}, "samples_per_symbol", 24001),
+    ({"span_symbols": 100000}, "span_symbols", 400001),
+    # 257 samples per symbol are too many at the shortest span, 4 symbols
+    ({"samples_per_symbol": 257, "span_symbols": 4}, "samples_per_symbol",
+     1029),
+    ({"samples_per_symbol": 8, "span_symbols": 130}, "span_symbols", 1041),
+], ids=["sps-2000", "span-100000", "sps-257-at-span-4", "span-130-at-sps-8"])
+def test_oversized_filter_exits_2_before_allocating(tmp_path, change, field,
+                                                    taps):
+    path = bundled_edit(tmp_path, "indoor_wing_sliding",
+                        lambda doc: doc["sliding"].update(change))
+    message = (f"{field}: a filter of span_symbols * samples_per_symbol + 1 "
+               f"= {taps} taps is above the {pulse.MAX_FILTER_TAPS}-tap "
+               f"limit\n")
+    for argv in (["validate"], ["campaign", "--out-dir", str(tmp_path / "out")]):
+        child = run_cli_limited(*argv, "--scenario", str(path),
+                                address_space=1 << 30)
+        assert (child.returncode, child.stderr) == (
+            2, f"ValueError: sliding.{message}")
+    assert not (tmp_path / "out" / "records.jsonl").exists()
+    flags = {"samples_per_symbol": "--sps", "span_symbols": "--span"}
+    argv = [option for name, value in change.items()
+            for option in (flags[name], str(value))]
+    child = run_cli_limited("sound-sliding", "--capture",
+                            str(sliding_capture_file(tmp_path)), *argv,
+                            "--out-dir", str(tmp_path / "out"),
+                            address_space=1 << 30)
+    assert (child.returncode, child.stderr) == (2, f"ValueError: {message}")
+    assert not (tmp_path / "out" / "profile.json").exists()
+
+
+def test_longest_filter_is_accepted():
+    # the bound admits the longest filter, at the shortest span
+    config = sliding.SounderConfig(span_symbols=4, samples_per_symbol=256)
+    assert config.span_symbols * config.samples_per_symbol + 1 \
+        == pulse.MAX_FILTER_TAPS
+
+
 def test_drawn_tap_beyond_pn_period_exits_2(tmp_path, capsys):
     # the spread is below the period, but one drawn delay is not
     doc = json.loads(scenario_file(tmp_path).read_text())
@@ -779,3 +825,129 @@ def test_sound_sliding_defaults_are_the_config_defaults():
     settings = {f.name: getattr(args, f.name)
                 for f in dataclasses.fields(sliding.SounderConfig)}
     assert sliding.SounderConfig(**settings) == sliding.SounderConfig()
+
+
+SIDECAR_FIELDS = ("format", "sample_rate_hz", "origin_time_s", "sample_count")
+
+
+SCALES = {"half": 0.5, "twice": 2}
+
+
+@st.composite
+def sidecar_edits(draw):
+    """One or two edits of a sound-sliding capture's sidecar: a field
+    removed (None), or a number replaced by 0, -1, 1e-12 or 1e12, or
+    scaled by one half or two."""
+    edits = []
+    for _ in range(draw(st.integers(1, 2))):
+        name = draw(st.sampled_from(SIDECAR_FIELDS))
+        values = [None] if name == "format" else \
+            [None, 0, -1, 1e-12, 1e12, *SCALES]
+        edits.append((name, draw(st.sampled_from(values))))
+    return edits
+
+
+def edited_sidecar(doc, edits):
+    doc = dict(doc)
+    for name, value in edits:
+        if value is None:
+            doc.pop(name, None)
+        elif value in SCALES and name in doc:
+            # an integer field stays an integer
+            doc[name] = type(doc[name])(doc[name] * SCALES[value])
+        elif value not in SCALES:
+            doc[name] = value
+    return doc
+
+
+def run_sound_sliding(capture_path, out_dir):
+    """cli.main sound-sliding on a capture: its exit code and stderr, with
+    any warning recorded instead of printed."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["sound-sliding", "--capture", str(capture_path),
+                     "--out-dir", str(out_dir)])
+    assert caught == []
+    return code, stderr.getvalue()
+
+
+def sidecar_error(capture_path, field):
+    """The one stderr line that names a sidecar field."""
+    return re.compile(rf"ValueError: {re.escape(str(capture_path))}\.json: "
+                      rf"(?:{field}): .*\n")
+
+
+@given(edits=sidecar_edits())
+@settings(max_examples=100)
+def test_sound_sliding_sidecar_exits_0_or_2_naming_a_field(
+        tmp_path_factory, edits):
+    directory = tmp_path_factory.getbasetemp() / "sidecar"
+    capture_path = directory / "capture.iq"
+    if not capture_path.exists():
+        directory.mkdir(exist_ok=True)
+        sliding_capture_file(directory)
+        pathlib.Path(f"{capture_path}.original").write_text(
+            pathlib.Path(f"{capture_path}.json").read_text())
+    doc = json.loads(pathlib.Path(f"{capture_path}.original").read_text())
+    pathlib.Path(f"{capture_path}.json").write_text(
+        json.dumps(edited_sidecar(doc, edits)))
+    out = directory / "out"
+    (out / "profile.json").unlink(missing_ok=True)
+    code, err = run_sound_sliding(capture_path, out)
+    assert code in (0, 2)
+    if code == 0:
+        assert err == ""
+        assert (out / "profile.json").exists()
+    else:
+        assert sidecar_error(capture_path, "|".join(SIDECAR_FIELDS)) \
+            .fullmatch(err)
+        assert not (out / "profile.json").exists()
+
+
+@pytest.mark.parametrize("change, field", [
+    # a rate that contradicts --sps / --chip-period once gave a profile
+    ({"sample_rate_hz": 0.5 * 4 / 60e-9}, "sample_rate_hz"),
+    ({"sample_rate_hz": 2 * 4 / 60e-9}, "sample_rate_hz"),
+    ({"sample_rate_hz": 1e-12}, "sample_rate_hz"),
+    # and these were rejected with a message that named no field
+    ({"sample_rate_hz": 1e12}, "sample_rate_hz"),
+    ({"origin_time_s": 1e12}, "origin_time_s"),
+    ({"origin_time_s": -1e-3}, "origin_time_s"),
+    # t = 0 lies beyond any float sample index
+    ({"origin_time_s": 1e306}, "origin_time_s"),
+    ({"origin_time_s": -1e306}, "origin_time_s"),
+], ids=["half-rate", "twice-rate", "rate-1e-12", "rate-1e12",
+        "origin-1e12", "origin--1e-3", "origin-1e306", "origin--1e306"])
+def test_sound_sliding_rejects_a_sidecar_by_field(tmp_path, change, field):
+    capture_path = sliding_capture_file(tmp_path)
+    sidecar = pathlib.Path(f"{capture_path}.json")
+    sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()),
+                                       **change)))
+    code, err = run_sound_sliding(capture_path, tmp_path / "out")
+    assert code == 2
+    assert sidecar_error(capture_path, field).fullmatch(err)
+    assert not (tmp_path / "out" / "profile.json").exists()
+
+
+def test_sound_sliding_rejects_negative_settle_periods(tmp_path, capsys):
+    # a negative settle once put the search window before the capture and
+    # was blamed on the sidecar's origin_time_s
+    code, _, err = run_cli(capsys, "sound-sliding", "--capture",
+                           str(sliding_capture_file(tmp_path)),
+                           "--settle-periods", "-1", "--out-dir",
+                           str(tmp_path / "out"))
+    assert (code, err) == (2, "ValueError: --settle-periods: must be >= 0, "
+                              "got -1\n")
+
+
+def test_sound_sliding_names_sample_count_for_a_short_capture(tmp_path):
+    # the samples are too few for the periods read, wherever they sit
+    config = sliding.SounderConfig()
+    chips, taps = sliding.reference(config)
+    tx = pulse.modulate(chips, 3, taps, config.chip_period_s)
+    write_iq(tx, tmp_path / "capture.iq")
+    code, err = run_sound_sliding(tmp_path / "capture.iq", tmp_path / "out")
+    assert code == 2
+    assert sidecar_error(tmp_path / "capture.iq", "sample_count").fullmatch(err)

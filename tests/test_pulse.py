@@ -5,7 +5,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chansounder import pn, pulse, sliding
@@ -220,6 +220,34 @@ def test_folded_period_matches_filter_then_average_oracle(
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
+@given(sps=st.integers(2, 8), span=st.sampled_from([4, 6, 12]),
+       size=st.integers(1, 6000), first=st.floats(0.0, 1.0),
+       last=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       log_scale=st.floats(-6.0, 3.0))
+@example(sps=8, span=12, size=6000, first=0.0, last=1.0, seed=1,
+         log_scale=0.0)  # more outputs than one product may take
+@settings(max_examples=200)
+def test_filter_bank_rails_match_full_convolution(sps, span, size, first,
+                                                  last, seed, log_scale):
+    # the timing search's filter-bank product equals np.convolve to
+    # rounding on any output window, also where its sample windows run
+    # past either end of the signal and need zero padding
+    taps = _taps_at(sps, span)
+    h = taps.coefficients
+    rng = np.random.default_rng(seed)
+    x = (rng.normal(size=size) + 1j * rng.normal(size=size)) \
+        * 10.0 ** log_scale
+    full = np.convolve(x, h)
+    start = int(first * (len(full) - 1))
+    stop = start + 1 + int(last * (len(full) - start - 1))
+    rails = pulse._bank_rails(x, taps, start, stop)
+    assert rails.shape == (2, stop - start)
+    bound = 1e-13 * np.sum(np.abs(h)) * np.max(np.abs(x))
+    assert np.max(np.abs(rails[0] - full[start:stop].real)) <= bound
+    assert np.max(np.abs(rails[1] - full[start:stop].imag)) <= bound
+    assert taps.bank is taps.bank  # built once per FilterTaps
+
+
 @given(degree=st.integers(2, 11), sps=st.integers(2, 8),
        seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-6.0, 3.0))
 @settings(max_examples=150)
@@ -232,7 +260,8 @@ def test_closed_form_phase_energies_match_fft_oracle(degree, sps, seed,
     rng = np.random.default_rng(seed)
     windows = (rng.normal(size=(n, sps)) + 1j * rng.normal(size=(n, sps))) \
         * 10.0 ** log_scale
-    got = pulse._phase_scores(windows) / n**2
+    rails = np.stack([windows.real, windows.imag])
+    got = pulse._phase_scores(rails) / n**2
     expected = oracle_phase_energies(chips, windows)
     npt.assert_allclose(got, expected, rtol=1e-12, atol=0)
     runner_up, best = np.sort(expected)[-2:]
