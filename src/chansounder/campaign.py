@@ -237,6 +237,7 @@ def _run_sliding(scenario: Scenario, prepared: tuple, locations: range) -> list:
     pn_period_s = chips.period_length * config.chip_period_s
     # every waveform is a modulate burst, periodic between its ramps
     period, ramp = burst_period_and_ramp(chips, taps)
+    leak_gain = scenario.leakage.gain(scenario.park_mode)
     records = []
     for loc_index in locations:
         position = scenario.receiver_path[loc_index]
@@ -255,10 +256,9 @@ def _run_sliding(scenario: Scenario, prepared: tuple, locations: range) -> list:
                     f"has a tap {chan.delays[-1]} s late, not below the "
                     f"{pn_period_s} s PN period")
             scene.append(multitx.SceneTransmitter(
-                waveform=waveform, channel=chan, park_mode=scenario.park_mode,
-                clock_offset_samples=offset))
+                waveform=waveform, channel=chan, clock_offset_samples=offset))
         capture = multitx.compose_received(
-            scene, schedule, leakage=scenario.leakage,
+            scene, schedule, leak_gain=leak_gain,
             noise_power_dbfs=scenario.noise_power_dbfs,
             seed=derive_seed(scenario.master_seed, "noise", loc_index),
             period=period, ramp=ramp)

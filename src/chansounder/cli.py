@@ -45,6 +45,27 @@ def _cmd_gen_pn(args) -> dict:
     return {"outputs": [str(target)], "period_length": chips.period_length}
 
 
+def _read_capture(path, rate: float, source: str) -> pulse.BasebandSignal:
+    """The capture at path, whose sidecar must give the sample rate that
+    source sets (to a relative 1e-9)."""
+    capture = pulse.read_iq(path)
+    if not math.isclose(capture.sample_rate, rate, rel_tol=1e-9):
+        raise ValueError(f"{path}.json: sample_rate_hz: {capture.sample_rate!r} "
+                         f"Hz is not the {rate!r} Hz of {source}")
+    return capture
+
+
+def _read_step(path, frame: sweep.FrequencySetup) -> pulse.BasebandSignal:
+    """One sweep step's capture, checked against the plan: its rate, and
+    at least one FFT window of samples. Its origin_time_s is not read: a
+    time shift does not change the power in a bin-centered tone's bin."""
+    capture = _read_capture(path, frame.sample_rate_hz, "the plan")
+    if len(capture) < frame.fft_length:
+        raise ValueError(f"{path}.json: sample_count: {len(capture)} is below "
+                         f"the plan's fft_length {frame.fft_length}")
+    return capture
+
+
 def _cmd_sound_sliding(args) -> dict:
     settings = {f.name: getattr(args, f.name)
                 for f in dataclasses.fields(sliding.SounderConfig)}
@@ -54,13 +75,9 @@ def _cmd_sound_sliding(args) -> dict:
     if args.settle_periods < 0:
         raise ValueError(f"--settle-periods: must be >= 0, "
                          f"got {args.settle_periods}")
-    capture = pulse.read_iq(args.capture)
-    sidecar = f"{args.capture}.json"
-    rate = config.samples_per_symbol / config.chip_period_s
-    if not math.isclose(capture.sample_rate, rate, rel_tol=1e-9):
-        raise ValueError(
-            f"{sidecar}: sample_rate_hz: {capture.sample_rate!r} Hz is not "
-            f"the {rate!r} Hz of samples_per_symbol / chip_period_s")
+    capture = _read_capture(args.capture,
+                            config.samples_per_symbol / config.chip_period_s,
+                            "samples_per_symbol / chip_period_s")
     try:
         profile = sliding.measure_sliding(capture, chips, taps, config,
                                           args.tx_power_db,
@@ -71,7 +88,7 @@ def _cmd_sound_sliding(args) -> dict:
         periods = args.settle_periods + config.averaging_periods
         needed = periods * chips.period_length * config.samples_per_symbol
         field = "sample_count" if len(capture) < needed else "origin_time_s"
-        raise ValueError(f"{sidecar}: {field}: {exc}") from None
+        raise ValueError(f"{args.capture}.json: {field}: {exc}") from None
     target = _out_dir(args) / args.name
     target.write_text(json.dumps(sliding.profile_to_json(profile), indent=2) + "\n")
     return {"outputs": [str(target)],
@@ -91,8 +108,12 @@ def _cmd_sound_freq(args) -> dict:
             f"got {len(args.captures)}"
         )
     tone = args.tone_offset if args.tone_offset is not None else frame.tone_offsets_hz[0]
-    [losses] = sweep.narrowband_losses(map(pulse.read_iq, args.captures), frame,
-                                       [tone], [args.tx_power_db])
+    if not frame.has_tone(tone):
+        raise ValueError(f"--tone-offset: tone offset {tone} Hz is not part "
+                         f"of the plan")
+    [losses] = sweep.narrowband_losses(
+        (_read_step(path, frame) for path in args.captures), frame, [tone],
+        [args.tx_power_db])
     if None in losses:
         raise NoSignalError(f"no power in the tone bin of step {losses.index(None)}")
     doc = {"transmitter_id": args.transmitter_id, "tone_offset_hz": tone,

@@ -92,6 +92,8 @@ class LeakageModel:
                 raise ValueError(f"{name}: must be nonnegative")
 
     def gain(self, park_mode: str) -> float:
+        """The amplitude gain of every idle transmitter parked in
+        park_mode: the leak_gain that compose_received takes."""
         if park_mode == PARK_OFF_BAND:
             att = self.parked_leakage_db
         elif park_mode == PARK_IN_BAND:
@@ -109,7 +111,6 @@ class SceneTransmitter:
 
     waveform: BasebandSignal
     channel: MultipathChannel
-    park_mode: str = PARK_OFF_BAND
     clock_offset_samples: int = 0
 
 
@@ -206,8 +207,7 @@ def _add_wrapped(out, scaled, lo, hi, offset_samples):
         k += m
 
 
-def compose_received(scene, schedule: TdmaSchedule,
-                     leakage: LeakageModel | None = None,
+def compose_received(scene, schedule: TdmaSchedule, leak_gain: float = 0.0,
                      noise_power_dbfs: float | None = None,
                      seed: int = 0, period: int | None = None,
                      ramp: int = 0) -> BasebandSignal:
@@ -215,9 +215,11 @@ def compose_received(scene, schedule: TdmaSchedule,
     period of the receiver's clock.
 
     Transmitter i bursts during its own (clock-perceived) slot i,
-    starting guard_samples into it; everywhere else it contributes an
-    attenuated, periodically tiled copy — the correlated leakage that
-    creates the near-far problem. The capture carries the first
+    starting guard_samples into it; everywhere else it contributes a
+    periodically tiled copy scaled by leak_gain — the correlated leakage
+    that creates the near-far problem. One leak gain holds for the whole
+    scene: a scenario's LeakageModel.gain of its park mode, or 0.0 for
+    silent idle transmitters. The capture carries the first
     waveform's origin_time, so a burst that starts a segment keeps its
     own time axis. Bursts are placed by slices and the leakage from one
     leak-scaled copy of the received waveform, added in wrapped slices,
@@ -228,8 +230,6 @@ def compose_received(scene, schedule: TdmaSchedule,
     then tiles each channel output's steady state. The capture's samples
     are checked once, here, when its BasebandSignal is built.
     """
-    if leakage is None:
-        leakage = LeakageModel()
     if not scene:
         raise ValueError("scene must contain at least one transmitter")
     if len(scene) > schedule.transmitter_count:
@@ -248,7 +248,7 @@ def compose_received(scene, schedule: TdmaSchedule,
     for i, tx in enumerate(scene):
         received = apply_channel(tx.waveform, tx.channel, period, ramp)
         _place_by_slices(out, received, tx.clock_offset_samples, i, schedule,
-                         leakage.gain(tx.park_mode))
+                         leak_gain)
 
     if noise_power_dbfs is not None and noise_power_dbfs != -math.inf:
         rng = np.random.default_rng(seed)

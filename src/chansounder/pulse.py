@@ -279,38 +279,14 @@ def _origin_index(signal: BasebandSignal, taps: FilterTaps) -> int:
     return int(round(origin))
 
 
-def _matched_filter(x: np.ndarray, taps: FilterTaps,
-                    start: int, stop: int, step: int = 1) -> np.ndarray:
-    """np.convolve(x, taps.coefficients)[start:stop:step], computing only
-    those outputs.
-
-    A decimating FIR (Crochiere & Rabiner, Multirate Digital Signal
-    Processing, 1983): the receiver reads one output per symbol, so only
-    those are formed. Each interior output is a (1, L) @ (L, 1) matmul of
-    a strided window of x against the reversed taps; numpy evaluates it
-    with the same dtype dot that np.convolve calls per output, so values
-    equal the full convolution bit for bit. The at most L - 1 outputs at
-    each end, where the taps overhang x, come from np.convolve of the
-    L-sample end pieces. Requires 0 <= start and stop <= len(x) + L - 1.
-    """
-    x = np.ascontiguousarray(x)
-    h = taps.coefficients
-    span = len(h)
-    index = np.arange(start, stop, step)
-    lo = int(np.searchsorted(index, span - 1))
-    hi = int(np.searchsorted(index, len(x) - 1, side="right"))
-    out = np.empty(len(index), dtype=np.complex128)
-    if lo > 0:
-        out[:lo] = np.convolve(x[:span], h)[index[:lo]]
-    if hi < len(index):
-        out[hi:] = np.convolve(x[-span:], h)[index[hi:] - (len(x) - span)]
-    if hi > lo:
-        first = index[lo] - (span - 1)
-        stride = x.strides[0]
-        windows = as_strided(x[first:], shape=(hi - lo, span),
-                             strides=(step * stride, stride))
-        h_rev = h[::-1].astype(np.complex128)
-        out[lo:hi] = np.matmul(windows[:, None, :], h_rev[:, None])[:, 0, 0]
+def _zero_padded(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """x[lo:hi] as a contiguous array, with the indices past either end of
+    x read as zero, as np.convolve reads them."""
+    if 0 <= lo and hi <= len(x):
+        return np.ascontiguousarray(x[lo:hi])
+    out = np.zeros(hi - lo, dtype=x.dtype)
+    a, b = max(lo, 0), min(hi, len(x))
+    out[a - lo:b - lo] = x[a:b]
     return out
 
 
@@ -330,10 +306,14 @@ def recover_symbols(signal: BasebandSignal, chips: ChipSequence,
 
     Filtering and averaging are both linear, so the capture is folded
     first: the `periods` raw windows of N * sps + L - 1 samples, one
-    period (N * sps samples) apart, are averaged, and one decimating pass
-    forms the N outputs. Samples beyond either end of the capture read as
-    zero, as in np.convolve. Raises ValueError when the stream ends before
-    `periods` periods.
+    period (N * sps samples) apart, are averaged. Samples beyond either
+    end of the capture read as zero, as in np.convolve. Output k is then
+    a (1, L) @ (L, 1) matmul of the folded period's strided window
+    folded[k * sps:k * sps + L] against the reversed taps; numpy
+    evaluates it with the same dtype dot that np.convolve calls per
+    output, so the N outputs equal
+    np.convolve(folded, taps)[L - 1:L - 1 + N * sps:sps] bit for bit.
+    Raises ValueError when the stream ends before `periods` periods.
     """
     sps = taps.samples_per_symbol
     if not 0 <= phase < sps:
@@ -356,16 +336,14 @@ def recover_symbols(signal: BasebandSignal, chips: ChipSequence,
         )
     period = n * sps
     lo = first + skip_symbols * sps - (span - 1)
-    hi = lo + periods * period + span - 1
-    if lo < 0 or hi > len(x):
-        x = np.concatenate([np.zeros(max(0, -lo)), x[max(lo, 0):hi],
-                            np.zeros(max(0, hi - len(x)))])
-    else:
-        x = x[lo:hi]
+    x = _zero_padded(x, lo, lo + periods * period + span - 1)
     stride = x.strides[0]
     folded = as_strided(x, shape=(periods, period + span - 1),
                         strides=(period * stride, stride)).mean(axis=0)
-    return _matched_filter(folded, taps, span - 1, span - 1 + period, sps)
+    step = folded.strides[0]
+    windows = as_strided(folded, shape=(n, span), strides=(sps * step, step))
+    h_rev = taps.coefficients[::-1].astype(np.complex128)
+    return np.matmul(windows[:, None, :], h_rev[:, None])[:, 0, 0]
 
 
 def _bank_rails(x: np.ndarray, taps: FilterTaps, start: int,
@@ -384,12 +362,7 @@ def _bank_rails(x: np.ndarray, taps: FilterTaps, start: int,
     rows, width = bank.shape
     blocks = -(-(stop - start) // width)
     lo = start - (rows - width)
-    hi = lo + (blocks - 1) * width + rows
-    if lo < 0 or hi > len(x):
-        x = np.concatenate([np.zeros(max(0, -lo)), x[max(lo, 0):hi],
-                            np.zeros(max(0, hi - len(x)))])
-    else:
-        x = np.ascontiguousarray(x[lo:hi])
+    x = _zero_padded(x, lo, lo + (blocks - 1) * width + rows)
     parts = x.view(np.float64)
     windows = as_strided(parts, shape=(2, blocks, rows),
                          strides=(parts.itemsize, 2 * width * parts.itemsize,

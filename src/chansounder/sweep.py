@@ -80,6 +80,9 @@ class FrequencySetup:
                         f"{abs(tones[j] - tones[k])} Hz < guard band "
                         f"{self.guard_band_hz} Hz")
 
+    def has_tone(self, tone_offset: float) -> bool:
+        return any(abs(f - tone_offset) < 1e-9 for f in self.tone_offsets_hz)
+
     def bin_index(self, tone_offset: float) -> int:
         length = self.fft_length
         return int(round(length * tone_offset / self.sample_rate_hz)) % length
@@ -93,7 +96,7 @@ def bin_power(capture: BasebandSignal, frame: FrequencySetup, tones) -> list:
     tone. Negative offsets wrap to the upper bins.
     """
     for tone_offset in tones:
-        if not any(abs(f - tone_offset) < 1e-9 for f in frame.tone_offsets_hz):
+        if not frame.has_tone(tone_offset):
             raise ValueError(f"tone offset {tone_offset} Hz is not part of the plan")
     length = frame.fft_length
     if len(capture) < length:

@@ -259,7 +259,7 @@ def use_oracle_sweep(monkeypatch):
                         oracle_compose_sweep_capture)
 
 
-def oracle_compose_received(scene, schedule, leakage, noise_power_dbfs=None,
+def oracle_compose_received(scene, schedule, leak_gain, noise_power_dbfs=None,
                             seed=0):
     """compose_received with a capture-length leakage tile per transmitter
     and complex A + 1j * B noise: the earlier composition that the
@@ -272,7 +272,6 @@ def oracle_compose_received(scene, schedule, leakage, noise_power_dbfs=None,
     for i, tx in enumerate(scene):
         received = ch.apply_channel(tx.waveform, tx.channel)
         offset = tx.clock_offset_samples
-        leak_gain = leakage.gain(tx.park_mode)
         if leak_gain > 0.0:
             tiled = np.resize(np.roll(received, -offset), n)
         first = (i * slot - offset) % period
@@ -298,7 +297,7 @@ def oracle_compose_received(scene, schedule, leakage, noise_power_dbfs=None,
                                 origin_time=scene[0].waveform.origin_time)
 
 
-def per_sample_compose(scene, schedule, leakage):
+def per_sample_compose(scene, schedule, leak_gain):
     """Noise-free compose_received that maps every sample through its
     perceived slot position: the reference for slice placement."""
     rate = scene[0].waveform.sample_rate
@@ -312,7 +311,6 @@ def per_sample_compose(scene, schedule, leakage):
         burst_index = local - schedule.guard_samples
         valid = active & (burst_index >= 0) & (burst_index < len(received))
         out[valid] += received[burst_index[valid]]
-        leak_gain = leakage.gain(tx.park_mode)
         if leak_gain > 0.0:
             out[~active] += leak_gain * received[perceived[~active] % len(received)]
     return pulse.BasebandSignal(samples=out, sample_rate=rate,

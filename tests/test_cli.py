@@ -145,6 +145,71 @@ def test_sound_freq_rejects_contradicting_sidecar(tmp_path, capsys):
     assert "format" in err and len(err.strip().splitlines()) == 1
 
 
+def edit_sidecars(capture_paths, **change):
+    for path in capture_paths:
+        sidecar = pathlib.Path(f"{path}.json")
+        sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()),
+                                           **change)))
+
+
+def test_sound_freq_rejects_a_sidecar_rate_that_is_not_the_plans(tmp_path,
+                                                                  capsys):
+    # every step's sidecar at twice the plan's rate once gave the losses
+    # of the unedited captures
+    plan_path, capture_paths = sweep_capture_files(tmp_path)
+    edit_sidecars(capture_paths, sample_rate_hz=2e6, origin_time_s=1e12)
+    code, _, err = run_cli(capsys, "sound-freq", "--plan", str(plan_path),
+                           "--out-dir", str(tmp_path), *capture_paths)
+    assert (code, err) == (2, f"ValueError: {capture_paths[0]}.json: "
+                              f"sample_rate_hz: 2000000.0 Hz is not the "
+                              f"1000000.0 Hz of the plan\n")
+    assert not (tmp_path / "losses.json").exists()
+
+
+def test_sound_freq_does_not_read_the_origin_time(tmp_path, capsys):
+    # a time shift leaves the power in a bin-centered tone's bin as it is
+    plan_path, capture_paths = sweep_capture_files(tmp_path)
+    losses = []
+    for origin in (None, 1e12):
+        if origin is not None:
+            edit_sidecars(capture_paths, origin_time_s=origin)
+        code, _, err = run_cli(capsys, "sound-freq", "--plan", str(plan_path),
+                               "--out-dir", str(tmp_path), *capture_paths)
+        assert (code, err) == (0, "")
+        losses.append(json.loads((tmp_path / "losses.json").read_text()))
+    assert losses[0] == losses[1]
+
+
+def test_sound_freq_names_sample_count_for_a_short_capture(tmp_path, capsys):
+    plan_path, capture_paths = sweep_capture_files(tmp_path)
+    setup = sweep.FrequencySetup()
+    short = pulse.BasebandSignal(np.ones(setup.fft_length - 1),
+                                 setup.sample_rate_hz)
+    write_iq(short, capture_paths[4])
+    code, _, err = run_cli(capsys, "sound-freq", "--plan", str(plan_path),
+                           "--out-dir", str(tmp_path), *capture_paths)
+    assert (code, err) == (2, f"ValueError: {capture_paths[4]}.json: "
+                              f"sample_count: 4095 is below the plan's "
+                              f"fft_length 4096\n")
+
+
+def _tone_off_the_plan_by_one_bin():
+    setup = sweep.FrequencySetup()
+    [frame] = multitx.build_frequency_plan(setup, 1)
+    return frame.tone_offsets_hz[0] + setup.sample_rate_hz / setup.fft_length
+
+
+@pytest.mark.parametrize("tone", [1234.5, 6e5, _tone_off_the_plan_by_one_bin()],
+                         ids=["off-grid", "out-of-band", "one-bin-off"])
+def test_sound_freq_names_the_tone_offset_flag(tmp_path, capsys, tone):
+    plan_path, capture_paths = sweep_capture_files(tmp_path)
+    code, _, err = run_cli(capsys, "sound-freq", "--plan", str(plan_path),
+                           "--tone-offset", repr(tone), "--out-dir",
+                           str(tmp_path), *capture_paths)
+    assert (code, err) == (2, f"ValueError: --tone-offset: tone offset "
+                              f"{tone} Hz is not part of the plan\n")
+
+
 def scenario_file(tmp_path, locations=2):
     scenario = cp.Scenario(
         mode="sliding",

@@ -204,9 +204,10 @@ def test_compose_leakage_off_is_exactly_isolated(tdma_setup):
     burst, schedule, _ = tdma_setup
     slot_samples, guard = schedule.slot_samples, schedule.guard_samples
     channels = [flat_channel(0.0), flat_channel(20.0), flat_channel(40.0)]
-    scene = [multitx.SceneTransmitter(burst, c, multitx.PARK_OFF_BAND)
-             for c in channels]
-    capture = multitx.compose_received(scene, schedule)
+    scene = [multitx.SceneTransmitter(burst, c) for c in channels]
+    leak_gain = multitx.LeakageModel().gain(multitx.PARK_OFF_BAND)
+    assert leak_gain == 0.0
+    capture = multitx.compose_received(scene, schedule, leak_gain=leak_gain)
     for i, chan in enumerate(channels):
         segment = capture.samples[i * slot_samples:(i + 1) * slot_samples]
         received = ch.apply_channel(burst, chan)
@@ -287,11 +288,12 @@ def test_near_far_failure_and_mitigation(tdma_setup, chips10, rrc_taps):
     far = flat_channel(80.0)
 
     def far_loss(park_mode):
-        scene = [multitx.SceneTransmitter(burst, near, park_mode),
-                 multitx.SceneTransmitter(burst, far, park_mode)]
+        scene = [multitx.SceneTransmitter(burst, near),
+                 multitx.SceneTransmitter(burst, far)]
         leakage = multitx.LeakageModel(parked_leakage_db=math.inf,
                                        inband_null_leakage_db=30.0)
-        capture = multitx.compose_received(scene, schedule, leakage=leakage)
+        capture = multitx.compose_received(scene, schedule,
+                                           leak_gain=leakage.gain(park_mode))
         segmented = multitx.segment_capture(capture, schedule)
         profile = sliding.measure_sliding(segmented.segments[1], chips10,
                                           rrc_taps, config)
@@ -311,11 +313,12 @@ def test_leakage_monotonicity(tdma_setup, chips10, rrc_taps):
     third = flat_channel(60.0)
     errors = []
     for attenuation in (20.0, 30.0, 45.0, 60.0, 90.0):
-        scene = [multitx.SceneTransmitter(burst, near, multitx.PARK_IN_BAND),
-                 multitx.SceneTransmitter(burst, third, multitx.PARK_IN_BAND),
-                 multitx.SceneTransmitter(burst, far, multitx.PARK_IN_BAND)]
+        scene = [multitx.SceneTransmitter(burst, near),
+                 multitx.SceneTransmitter(burst, third),
+                 multitx.SceneTransmitter(burst, far)]
         leakage = multitx.LeakageModel(inband_null_leakage_db=attenuation)
-        capture = multitx.compose_received(scene, schedule, leakage=leakage)
+        capture = multitx.compose_received(
+            scene, schedule, leak_gain=leakage.gain(multitx.PARK_IN_BAND))
         segmented = multitx.segment_capture(capture, schedule)
         profile = sliding.measure_sliding(segmented.segments[2], chips10,
                                           rrc_taps, config)
@@ -337,8 +340,9 @@ def test_slice_placement_matches_per_sample_mapping(leak_db):
     # slice placement must agree bit for bit with mapping every sample
     # through its perceived slot position
     rate, slot = 1000.0, 100
-    leakage = multitx.LeakageModel(parked_leakage_db=math.inf,
-                                   inband_null_leakage_db=leak_db)
+    leak_gain = multitx.LeakageModel(
+        parked_leakage_db=math.inf,
+        inband_null_leakage_db=leak_db).gain(multitx.PARK_IN_BAND)
     rng = np.random.default_rng(17)
     period = 3 * slot
     shifts = [0, 3, -3, 7, -11, slot, -slot + 5, 2 * slot - 2, -4 * slot - 1,
@@ -354,10 +358,10 @@ def test_slice_placement_matches_per_sample_mapping(leak_db):
                     rng_tx.normal(size=burst_len)
                     + 1j * rng_tx.normal(size=burst_len), rate)
                 scene.append(multitx.SceneTransmitter(
-                    waveform, flat_channel(6.0 * i), multitx.PARK_IN_BAND,
-                    int(shift)))
-            sliced = multitx.compose_received(scene, schedule, leakage=leakage)
-            mapped = per_sample_compose(scene, schedule, leakage)
+                    waveform, flat_channel(6.0 * i), int(shift)))
+            sliced = multitx.compose_received(scene, schedule,
+                                              leak_gain=leak_gain)
+            mapped = per_sample_compose(scene, schedule, leak_gain)
             assert np.array_equal(sliced.samples, mapped.samples), \
                 (burst_len, guard, offsets)
 
@@ -371,8 +375,9 @@ def test_compose_matches_tiled_leakage_and_complex_noise_oracle():
     rng = np.random.default_rng(23)
     cases = 0
     for leak_db in (math.inf, 30.0, 0.0):
-        leakage = multitx.LeakageModel(parked_leakage_db=math.inf,
-                                       inband_null_leakage_db=leak_db)
+        leak_gain = multitx.LeakageModel(
+            parked_leakage_db=math.inf,
+            inband_null_leakage_db=leak_db).gain(multitx.PARK_IN_BAND)
         for noise in (None, -math.inf, -20.0):
             # bursts shorter than the slot, past its end, and longer than
             # the whole period
@@ -384,9 +389,8 @@ def test_compose_matches_tiled_leakage_and_complex_noise_oracle():
                         + 1j * rng.normal(size=burst_len)
                     scene.append(multitx.SceneTransmitter(
                         pulse.BasebandSignal(samples, rate),
-                        flat_channel(6.0 * i), multitx.PARK_IN_BAND,
-                        int(shift)))
-                kwargs = dict(leakage=leakage, noise_power_dbfs=noise,
+                        flat_channel(6.0 * i), int(shift)))
+                kwargs = dict(leak_gain=leak_gain, noise_power_dbfs=noise,
                               seed=cases)
                 got = multitx.compose_received(scene, schedule, **kwargs)
                 expected = oracle_compose_received(scene, schedule, **kwargs)
@@ -406,7 +410,8 @@ def test_compose_with_the_campaign_period_matches_the_oracles(
     # each channel output's steady state must give the oracles' bytes
     burst, schedule, _ = tdma_setup
     rng = np.random.default_rng(seed)
-    leakage = multitx.LeakageModel(inband_null_leakage_db=30.0)
+    leak_gain = multitx.LeakageModel(
+        inband_null_leakage_db=30.0).gain(multitx.PARK_IN_BAND)
     scene = []
     for i, offset in enumerate(offsets):
         waveform = pulse.BasebandSignal(burst.samples * 10.0 ** (-i / 2.0),
@@ -417,17 +422,16 @@ def test_compose_with_the_campaign_period_matches_the_oracles(
         channel = ch.MultipathChannel(
             gains=rng.normal(size=tap_count) + 1j * rng.normal(size=tap_count),
             delays=lags * 60e-9)
-        scene.append(multitx.SceneTransmitter(waveform, channel,
-                                              multitx.PARK_IN_BAND, offset))
+        scene.append(multitx.SceneTransmitter(waveform, channel, offset))
     period, ramp = pulse.burst_period_and_ramp(chips10, rrc_taps)
-    noisy = dict(leakage=leakage, noise_power_dbfs=-40.0, seed=seed)
+    noisy = dict(leak_gain=leak_gain, noise_power_dbfs=-40.0, seed=seed)
     got = multitx.compose_received(scene, schedule, period=period, ramp=ramp,
                                    **noisy)
     expected = oracle_compose_received(scene, schedule, **noisy)
     assert got.samples.tobytes() == expected.samples.tobytes()
-    got = multitx.compose_received(scene, schedule, leakage=leakage,
+    got = multitx.compose_received(scene, schedule, leak_gain=leak_gain,
                                    period=period, ramp=ramp)
-    expected = per_sample_compose(scene, schedule, leakage)
+    expected = per_sample_compose(scene, schedule, leak_gain)
     assert got.samples.tobytes() == expected.samples.tobytes()
 
 

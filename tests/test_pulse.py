@@ -405,25 +405,34 @@ def test_timing_phase_rejects_window_before_capture(chips10, rrc_taps):
         pulse.estimate_timing_phase(early, chips10, rrc_taps)
 
 
-@pytest.mark.parametrize("span,sps", [(12, 4), (4, 2), (6, 3)])
+@pytest.mark.parametrize("span,sps", [(12, 4), (4, 2), (6, 3), (4, 8)])
 def test_matched_filter_equals_full_convolution_bit_for_bit(span, sps):
-    # the decimating filter must reproduce np.convolve exactly, not to a
-    # tolerance: campaign output bytes depend on it
-    taps = pulse.design_rrc(0.35, span, sps)
-    length = len(taps.coefficients)
+    # the recovery's decimating filter must reproduce np.convolve exactly,
+    # not to a tolerance: campaign output bytes depend on it. With one
+    # period and a window inside the capture, the fold is the window
+    # itself, so the N outputs are the full convolution's, decimated
+    taps = _taps_at(sps, span)
+    h = taps.coefficients
+    length = len(h)
     rng = np.random.default_rng(span * 10 + sps)
-    for size in (length, length + 1, 2 * length - 1, 2 * length, 3 * length + 5, 700):
+    for degree in (2, 5, 10):
+        chips = pn.generate_glfsr(degree)
+        n = chips.period_length
+        size = n * sps + 3 * length + 10
         x = rng.normal(size=size) + 1j * rng.normal(size=size)
-        full = np.convolve(x, taps.coefficients)
-        total = len(full)
-        windows = [(0, total), (0, length - 1), (length - 2, length + 3),
-                   (total - length, total), (total - 1, total),
-                   (size - 2, size + 2)]
-        for _ in range(6):
-            lo = int(rng.integers(0, total))
-            windows.append((lo, int(rng.integers(lo, total + 1))))
-        for start, stop in windows:
-            for step in range(1, sps + 1):
-                got = pulse._matched_filter(x, taps, start, stop, step)
-                assert np.array_equal(got, full[start:stop:step]), \
-                    (size, start, stop, step)
+        full = np.convolve(x, h)
+        for phase in range(sps):
+            for skip in (0, 1, 3):
+                # the window x[first - (L - 1):first + N * sps] lies
+                # inside the capture
+                lo = length - 1 - phase - skip * sps
+                hi = size - n * sps - phase - skip * sps
+                for origin in (lo, hi, int(rng.integers(lo, hi + 1))):
+                    signal = pulse.BasebandSignal(
+                        x, 1.0, origin_time=(length - 1) // 2 - origin)
+                    got = pulse.recover_symbols(signal, chips, taps, phase, 1,
+                                                skip_symbols=skip)
+                    first = origin + phase + skip * sps
+                    assert np.array_equal(
+                        got, full[first:first + n * sps:sps]), \
+                        (degree, phase, skip, origin)
