@@ -282,13 +282,14 @@ def _run_sliding(scenario: Scenario, prepared: tuple, locations: range) -> list:
 
 
 def _prepare_frequency(scenario: Scenario) -> list:
-    """The sweep frames: transmitter k sends the k-th tone of the frames
-    taken in order."""
+    """The sweep frames, each with its unit tones: transmitter k sends
+    the k-th tone of the frames taken in order."""
     try:
-        return multitx.build_frequency_plan(scenario.frequency,
-                                            len(scenario.transmitters))
+        frames = multitx.build_frequency_plan(scenario.frequency,
+                                              len(scenario.transmitters))
     except ValueError as exc:
         raise schema.nested("frequency", sweep.FrequencySetup, exc) from None
+    return [(frame, sweep.unit_tones(frame)) for frame in frames]
 
 
 def _normal_power(loss_db: float) -> bool:
@@ -342,8 +343,8 @@ def _check_path_losses(scenario: Scenario) -> None:
 def prepare(scenario: Scenario):
     """Everything a campaign derives from its scenario before the first
     location: chips, taps, slot geometry and clock offsets, or the sweep
-    frames, once every pair's path loss is checked. Raises ValueError
-    naming the dotted field at fault."""
+    frames with their unit tones, once every pair's path loss is checked.
+    Raises ValueError naming the dotted field at fault."""
     _check_path_losses(scenario)
     if scenario.mode == MODE_SLIDING:
         return _prepare_sliding(scenario)
@@ -364,19 +365,18 @@ def _run_frequency(scenario: Scenario, frames: list, locations: range) -> list:
             channels.append(chan)
 
         tones, losses = [], []
-        for frame_index, frame in enumerate(frames):
+        for frame_index, (frame, units) in enumerate(frames):
             members = range(len(tones), len(tones) + len(frame.tone_offsets_hz))
             entries = [(tone, channels[k])
                        for tone, k in zip(frame.tone_offsets_hz, members)]
-            captures = (
-                sweep.compose_sweep_capture(
-                    entries, frame, step,
-                    noise_power_dbfs=scenario.noise_power_dbfs,
-                    seed=derive_seed(scenario.master_seed, "cap",
-                                     loc_index, frame_index, step))
-                for step in range(len(frame.carriers_hz)))
+            step_seeds = [derive_seed(scenario.master_seed, "cap", loc_index,
+                                      frame_index, step)
+                          for step in range(len(frame.carriers_hz))]
+            rows = sweep.compose_sweep_capture(
+                entries, frame, units, step_seeds,
+                noise_power_dbfs=scenario.noise_power_dbfs)
             losses += sweep.narrowband_losses(
-                captures, frame, frame.tone_offsets_hz,
+                rows, frame, frame.tone_offsets_hz,
                 [scenario.transmitters[k].tx_power_db for k in members])
             tones += frame.tone_offsets_hz
 

@@ -122,6 +122,24 @@ def apply_channel(signal: BasebandSignal, channel: MultipathChannel,
     return out
 
 
+def add_noise(samples: np.ndarray, noise_power_dbfs: float | None,
+              seed: int) -> None:
+    """Add complex white Gaussian noise of noise_power_dbfs (dB relative
+    to unit power) to samples in place. It is drawn from a generator
+    seeded with seed, in-phase rail first, one rail at a time into one
+    float buffer that is scaled and added in place. None or -inf adds
+    nothing."""
+    if noise_power_dbfs is None or noise_power_dbfs == -math.inf:
+        return
+    rng = np.random.default_rng(seed)
+    sigma = math.sqrt(10.0 ** (noise_power_dbfs / 10.0) / 2.0)
+    rail = np.empty(len(samples))
+    for part in (samples.real, samples.imag):
+        rng.standard_normal(out=rail)
+        rail *= sigma
+        part += rail
+
+
 def frequency_response(channel: MultipathChannel, frequency):
     """Exact transfer value H(f) = sum_l gain_l * exp(-j*2*pi*f*delay_l)."""
     f = np.asarray(frequency, dtype=np.float64)

@@ -111,9 +111,9 @@ def _cmd_sound_freq(args) -> dict:
     if not frame.has_tone(tone):
         raise ValueError(f"--tone-offset: tone offset {tone} Hz is not part "
                          f"of the plan")
-    [losses] = sweep.narrowband_losses(
-        (_read_step(path, frame) for path in args.captures), frame, [tone],
-        [args.tx_power_db])
+    rows = np.stack([_read_step(path, frame).samples[:frame.fft_length]
+                     for path in args.captures])
+    [losses] = sweep.narrowband_losses(rows, frame, [tone], [args.tx_power_db])
     if None in losses:
         raise NoSignalError(f"no power in the tone bin of step {losses.index(None)}")
     doc = {"transmitter_id": args.transmitter_id, "tone_offset_hz": tone,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from chansounder.channel import MultipathChannel, apply_channel
+from chansounder.channel import MultipathChannel, add_noise, apply_channel
 from chansounder.pulse import BasebandSignal
 from chansounder.sweep import FrequencySetup
 
@@ -224,11 +224,11 @@ def compose_received(scene, schedule: TdmaSchedule, leak_gain: float = 0.0,
     own time axis. Bursts are placed by slices and the leakage from one
     leak-scaled copy of the received waveform, added in wrapped slices,
     so no capture-length tile is built. Noise, when asked for, is
-    drawn from a generator seeded with seed, in-phase rail first, and
-    added to each rail in place. A period and ramp state that every
-    waveform repeats between its ramps, and go to apply_channel, which
-    then tiles each channel output's steady state. The capture's samples
-    are checked once, here, when its BasebandSignal is built.
+    added by channel.add_noise from a generator seeded with seed. A
+    period and ramp state that every waveform repeats between its ramps,
+    and go to apply_channel, which then tiles each channel output's
+    steady state. The capture's samples are checked once, here, when its
+    BasebandSignal is built.
     """
     if not scene:
         raise ValueError("scene must contain at least one transmitter")
@@ -250,11 +250,7 @@ def compose_received(scene, schedule: TdmaSchedule, leak_gain: float = 0.0,
         _place_by_slices(out, received, tx.clock_offset_samples, i, schedule,
                          leak_gain)
 
-    if noise_power_dbfs is not None and noise_power_dbfs != -math.inf:
-        rng = np.random.default_rng(seed)
-        sigma = math.sqrt(10.0 ** (noise_power_dbfs / 10.0) / 2.0)
-        out.real += rng.normal(scale=sigma, size=n)
-        out.imag += rng.normal(scale=sigma, size=n)
+    add_noise(out, noise_power_dbfs, seed)
     return BasebandSignal(samples=out, sample_rate=rate, origin_time=origin)
 
 

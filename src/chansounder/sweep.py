@@ -9,14 +9,12 @@ orthogonal; off-grid offsets are rejected outright.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from chansounder.channel import MultipathChannel
-from chansounder.pulse import BasebandSignal
+from chansounder.channel import MultipathChannel, add_noise
 
 
 @dataclass(frozen=True)
@@ -88,93 +86,111 @@ class FrequencySetup:
         return int(round(length * tone_offset / self.sample_rate_hz)) % length
 
 
-def bin_power(capture: BasebandSignal, frame: FrequencySetup, tones) -> list:
-    """Received power of each tone of one capture, read from its FFT bin.
+def bin_power(rows: np.ndarray, frame: FrequencySetup, tones) -> list:
+    """Received power of each tone in each row of rows, one capture per
+    carrier step, read from its FFT bin: one list per row.
 
-    Takes one length-L DFT over the first L samples (an integer number of
-    tone periods for bin-centered tones) and returns |X[bin]|^2 / L^2 per
-    tone. Negative offsets wrap to the upper bins.
+    Takes one length-L DFT per row over its first L samples (an integer
+    number of tone periods for bin-centered tones), all rows in one
+    multi-row FFT, and returns |X[bin]|^2 / L^2 per tone. Negative
+    offsets wrap to the upper bins.
     """
     for tone_offset in tones:
         if not frame.has_tone(tone_offset):
             raise ValueError(f"tone offset {tone_offset} Hz is not part of the plan")
     length = frame.fft_length
-    if len(capture) < length:
+    if rows.shape[1] < length:
         raise ValueError(
-            f"capture of {len(capture)} samples is shorter than the "
+            f"capture of {rows.shape[1]} samples is shorter than the "
             f"FFT length {length}"
         )
-    spectrum = np.fft.fft(capture.samples[:length])
-    return [(abs(spectrum[frame.bin_index(tone_offset)]) / length) ** 2
-            for tone_offset in tones]
+    spectra = np.fft.fft(rows[:, :length], axis=1)
+    bins = [frame.bin_index(tone_offset) for tone_offset in tones]
+    return [[(abs(spectrum[k]) / length) ** 2 for k in bins]
+            for spectrum in spectra]
 
 
-def narrowband_losses(captures, frame: FrequencySetup, tones,
+def narrowband_losses(rows: np.ndarray, frame: FrequencySetup, tones,
                       tx_powers_db) -> list:
     """Per tone, its narrowband path loss at every carrier step.
 
-    captures yields one capture per carrier step, in carrier order. Tone
-    k is sent at unit amplitude by a transmitter of tx_powers_db[k], so
-    its loss at a step is tx_powers_db[k] - 10*log10(bin power), or None
+    rows holds one capture per carrier step, in carrier order. Tone k is
+    sent at unit amplitude by a transmitter of tx_powers_db[k], so its
+    loss at a step is tx_powers_db[k] - 10*log10(bin power), or None
     where its bin holds no power.
     """
     losses = [[] for _ in tones]
-    for capture in captures:
-        for row, tx_power_db, power in zip(losses, tx_powers_db,
-                                           bin_power(capture, frame, tones)):
-            row.append(tx_power_db - 10.0 * math.log10(power)
-                       if power > 0.0 else None)
+    for powers in bin_power(rows, frame, tones):
+        for tone_losses, tx_power_db, power in zip(losses, tx_powers_db,
+                                                   powers):
+            tone_losses.append(tx_power_db - 10.0 * math.log10(power)
+                               if power > 0.0 else None)
     return losses
 
 
-@functools.lru_cache(maxsize=16, typed=True)
-def _unit_tone(tone_offset: float, n: int, sample_rate: float) -> np.ndarray:
-    """Read-only exp(j*2*pi*tone_offset*t) over n samples, computed once."""
-    t = np.arange(n) / sample_rate
-    tone = np.exp(2j * np.pi * tone_offset * t)
-    tone.flags.writeable = False
-    return tone
+def unit_tones(frame: FrequencySetup) -> dict:
+    """Per tone offset of the frame, the read-only unit tone
+    exp(j*2*pi*tone_offset*t) over one step's samples. A campaign
+    computes them once per frame, before the first location."""
+    n = int(round(frame.step_duration_s * frame.sample_rate_hz))
+    t = np.arange(n) / frame.sample_rate_hz
+    tones = {}
+    for tone_offset in frame.tone_offsets_hz:
+        tone = np.exp(2j * np.pi * tone_offset * t)
+        tone.flags.writeable = False
+        tones[tone_offset] = tone
+    return tones
 
 
 def received_tone(channel: MultipathChannel, carrier: float, tone_offset: float,
-                  frame: FrequencySetup) -> np.ndarray:
+                  unit_tone: np.ndarray, out: np.ndarray,
+                  scratch: np.ndarray) -> np.ndarray:
     """Steady-state received samples of a unit-amplitude tone through a
-    multipath channel.
+    multipath channel, written into out and returned.
 
-    Each tap contributes a copy of the tone scaled by its gain and
+    Each tap contributes a copy of the unit tone scaled by its gain and
     rotated by the carrier-plus-offset phase its delay accumulates; the
     per-tap sum is the time-domain equivalent of multiplying by the
-    channel transfer value at carrier + offset. The unit tone itself is
-    computed once per (offset, length, rate) and shared, read-only, by
-    every tap, step and location; the taps are still summed one by one
-    in the same order, so the samples are bit-identical to evaluating
-    the tone inside the loop.
+    channel transfer value at carrier + offset. The first tap's copy is
+    written into out and every later one, formed in scratch, is added to
+    it, tap by tap in order: the same bits as summing the taps into
+    zeros. out and scratch hold as many complex samples as unit_tone.
     """
-    n = int(round(frame.step_duration_s * frame.sample_rate_hz))
-    tone = _unit_tone(tone_offset, n, frame.sample_rate_hz)
-    acc = np.zeros(n, dtype=np.complex128)
-    for gain, delay in zip(channel.gains, channel.delays):
-        acc += gain * np.exp(-2j * np.pi * (carrier + tone_offset) * delay) * tone
-    return acc
+    coefficients = (gain * np.exp(-2j * np.pi * (carrier + tone_offset) * delay)
+                    for gain, delay in zip(channel.gains, channel.delays))
+    np.multiply(next(coefficients), unit_tone, out=out)
+    for c in coefficients:
+        np.multiply(c, unit_tone, out=scratch)
+        out += scratch
+    return out
 
 
-def compose_sweep_capture(entries, frame: FrequencySetup, step: int,
-                          noise_power_dbfs: float | None = None,
-                          seed: int = 0) -> BasebandSignal:
-    """Superpose the received tones of several transmitters for one step.
+def compose_sweep_capture(entries, frame: FrequencySetup, units: dict, seeds,
+                          noise_power_dbfs: float | None = None) -> np.ndarray:
+    """One sweep frame's captures, one row per carrier step: the received
+    tones of several simultaneous transmitters, superposed.
 
-    entries: list of (tone_offset, channel) pairs, one per simultaneous
-    transmitter. Tones are transmitted at unit amplitude; any level
-    difference between transmitters lives in the channel gains. Noise,
-    when asked for, is drawn from a generator seeded with seed.
+    entries: list of (tone_offset, channel) pairs, at least one, one per
+    transmitter; units holds the frame's unit tones (unit_tones). Tones
+    are transmitted at unit amplitude; any level difference between
+    transmitters lives in the channel gains. Each row is written in
+    place: the first tone straight into it, each further one formed in
+    its own buffer and then added. Noise, when asked for, is added to
+    row k by channel.add_noise from a generator seeded with seeds[k].
+    The samples of all rows are checked for finiteness once, together.
     """
-    n = int(round(frame.step_duration_s * frame.sample_rate_hz))
-    acc = np.zeros(n, dtype=np.complex128)
-    carrier = float(frame.carriers_hz[step])
-    for tone_offset, chan in entries:
-        acc += received_tone(chan, carrier, tone_offset, frame)
-    if noise_power_dbfs is not None and noise_power_dbfs != -math.inf:
-        rng = np.random.default_rng(seed)
-        sigma = math.sqrt(10.0 ** (noise_power_dbfs / 10.0) / 2.0)
-        acc += rng.normal(scale=sigma, size=n) + 1j * rng.normal(scale=sigma, size=n)
-    return BasebandSignal(samples=acc, sample_rate=frame.sample_rate_hz)
+    n = len(units[entries[0][0]])
+    rows = np.empty((len(frame.carriers_hz), n), dtype=np.complex128)
+    scratch = np.empty(n, dtype=np.complex128)
+    other = np.empty(n, dtype=np.complex128)
+    for row, carrier, seed in zip(rows, frame.carriers_hz, seeds, strict=True):
+        for k, (tone_offset, chan) in enumerate(entries):
+            tone = received_tone(chan, float(carrier), tone_offset,
+                                 units[tone_offset], out=other if k else row,
+                                 scratch=scratch)
+            if k:
+                row += tone
+        add_noise(row, noise_power_dbfs, seed)
+    if not np.all(np.isfinite(rows.view(np.float64))):
+        raise ValueError("samples must be finite")
+    return rows

@@ -123,13 +123,15 @@ def default_plan():
 def static_sweep_losses(channel, frame, tx_power_db=0.0, tone=None,
                         noise_power_dbfs=None, seed=0):
     """Narrowband losses of one tone of frame (its first by default)
-    through one static channel, on the campaign's sweep path: one
-    compose_sweep_capture per carrier step, read by narrowband_losses."""
+    through one static channel, on the campaign's sweep path: the
+    frame's rows from compose_sweep_capture, step k's noise seeded with
+    seed + k, read by narrowband_losses."""
     tone = frame.tone_offsets_hz[0] if tone is None else tone
-    captures = (sweep.compose_sweep_capture(
-        [(tone, channel)], frame, step, noise_power_dbfs=noise_power_dbfs,
-        seed=seed + step) for step in range(len(frame.carriers_hz)))
-    [losses] = sweep.narrowband_losses(captures, frame, [tone], [tx_power_db])
+    seeds = [seed + step for step in range(len(frame.carriers_hz))]
+    rows = sweep.compose_sweep_capture(
+        [(tone, channel)], frame, sweep.unit_tones(frame), seeds,
+        noise_power_dbfs=noise_power_dbfs)
+    [losses] = sweep.narrowband_losses(rows, frame, [tone], [tx_power_db])
     return np.asarray(losses)
 
 
@@ -251,12 +253,26 @@ def oracle_compose_sweep_capture(entries, frame, step, noise_power_dbfs=None,
     return pulse.BasebandSignal(samples=acc, sample_rate=frame.sample_rate_hz)
 
 
+def oracle_sweep_rows(entries, frame, units, seeds, noise_power_dbfs=None):
+    """compose_sweep_capture as one oracle_compose_sweep_capture per
+    carrier step, stacked; the unit tones are not read."""
+    return np.stack([oracle_compose_sweep_capture(
+        entries, frame, step, noise_power_dbfs, seed).samples
+        for step, seed in enumerate(seeds)])
+
+
+def oracle_bin_rows(rows, frame, tone_offsets):
+    """bin_power as one oracle_bin_power per row: one single-row FFT per
+    tone and row."""
+    return [oracle_bin_power(pulse.BasebandSignal(row, frame.sample_rate_hz),
+                             frame, tone_offsets) for row in rows]
+
+
 def use_oracle_sweep(monkeypatch):
-    """Swap the sweep kernels for the per-tap, per-tone, eager-RNG oracles."""
-    monkeypatch.setattr(sweep, "received_tone", oracle_received_tone)
-    monkeypatch.setattr(sweep, "bin_power", oracle_bin_power)
-    monkeypatch.setattr(sweep, "compose_sweep_capture",
-                        oracle_compose_sweep_capture)
+    """Swap the sweep kernels for the per-step, per-tap, per-tone,
+    eager-RNG oracles."""
+    monkeypatch.setattr(sweep, "bin_power", oracle_bin_rows)
+    monkeypatch.setattr(sweep, "compose_sweep_capture", oracle_sweep_rows)
 
 
 def oracle_compose_received(scene, schedule, leak_gain, noise_power_dbfs=None,

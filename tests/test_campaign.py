@@ -543,12 +543,41 @@ def test_frequency_chain_matches_per_tap_oracle(monkeypatch):
     assert got == want
 
 
-def test_cold_frequency_campaign_computes_each_tone_once():
-    sweep._unit_tone.cache_clear()
+def count_tone_evaluations(monkeypatch) -> list:
+    """The tone offsets whose unit tones are computed from here on, one
+    entry per evaluation."""
+    computed = []
+    unit_tones = sweep.unit_tones
+
+    def counting(frame):
+        tones = unit_tones(frame)
+        computed.extend(tones)
+        return tones
+
+    monkeypatch.setattr(sweep, "unit_tones", counting)
+    return computed
+
+
+def test_cold_frequency_campaign_computes_each_tone_once(monkeypatch):
+    computed = count_tone_evaluations(monkeypatch)
     records = cp.run_campaign(small_scenario(mode="frequency", locations=3))
-    info = sweep._unit_tone.cache_info()
-    assert info.misses == len({r["tone_offset_hz"] for r in records}) == 2
-    assert info.hits > 0
+    tones = {r["tone_offset_hz"] for r in records}
+    assert len(tones) == 2
+    assert sorted(computed) == sorted(tones)
+
+
+def test_seventeen_tone_campaign_computes_each_tone_once(monkeypatch):
+    # 17 tones in one frame once cycled through a 16-entry tone cache, so
+    # that every location computed every tone again
+    many = tuple(cp.Transmitter(f"tx{i}", (3.0 * i + 1.0, 2.0 * (i % 4), 1.5))
+                 for i in range(17))
+    scenario = small_scenario(mode="frequency", locations=3, transmitters=many)
+    computed = count_tone_evaluations(monkeypatch)
+    records = cp.run_campaign(scenario)
+    assert len(records) == 3 * 17
+    tones = {r["tone_offset_hz"] for r in records}
+    assert len(tones) == 17
+    assert sorted(computed) == sorted(tones)
 
 
 def test_fixture_scenarios_load(tmp_path):

@@ -246,3 +246,36 @@ def test_synthesize_coincident_positions():
     with pytest.raises(ValueError, match="coincide"):
         ch.synthesize_channel(env, (1.0, 2.0, 3.0), (1.0, 2.0, 3.0), seed=0)
 
+
+
+@given(noise_power_dbfs=st.floats(-240.0, 60.0) | st.sampled_from(
+           [None, -math.inf, -120.0, 30.0]),
+       seed=st.integers(0, 2**63 - 1), n=st.integers(1, 3000))
+@settings(max_examples=60)
+def test_add_noise_draws_the_two_normal_rails_in_place(noise_power_dbfs,
+                                                       seed, n):
+    # the in-place helper adds, bit for bit, the in-phase and then the
+    # quadrature rail of rng.normal(scale=sigma); None and -inf add nothing
+    rng = np.random.default_rng(seed % 1000)
+    before = rng.normal(size=n) + 1j * rng.normal(size=n)
+    samples = before.copy()
+    ch.add_noise(samples, noise_power_dbfs, seed)
+    if noise_power_dbfs is None or noise_power_dbfs == -math.inf:
+        assert np.array_equal(samples, before)
+        return
+    rng = np.random.default_rng(seed)
+    sigma = math.sqrt(10.0 ** (noise_power_dbfs / 10.0) / 2.0)
+    real = rng.normal(scale=sigma, size=n)
+    imag = rng.normal(scale=sigma, size=n)
+    assert np.array_equal(samples.real, before.real + real)
+    assert np.array_equal(samples.imag, before.imag + imag)
+
+
+def test_add_noise_writes_a_row_of_a_frame_in_place():
+    rows = np.zeros((3, 500), dtype=np.complex128)
+    ch.add_noise(rows[1], -20.0, 5)
+    assert not rows[0].any() and not rows[2].any()
+    rng = np.random.default_rng(5)
+    sigma = math.sqrt(10.0 ** (-20.0 / 10.0) / 2.0)
+    assert np.array_equal(rows[1], rng.normal(scale=sigma, size=500)
+                          + 1j * rng.normal(scale=sigma, size=500))

@@ -101,12 +101,13 @@ def sweep_capture_files(tmp_path):
     save_document(sweep.FrequencySetup(), plan_path)
     [frame] = multitx.build_frequency_plan(sweep.FrequencySetup(), 1)
     chan = ch.MultipathChannel(gains=[0.5], delays=[0.0])
+    steps = range(len(frame.carriers_hz))
+    rows = sweep.compose_sweep_capture([(frame.tone_offsets_hz[0], chan)],
+                                       frame, sweep.unit_tones(frame), steps)
     capture_paths = []
-    for step in range(len(frame.carriers_hz)):
-        capture = sweep.compose_sweep_capture(
-            [(frame.tone_offsets_hz[0], chan)], frame, step)
+    for step, row in zip(steps, rows):
         path = tmp_path / f"step{step}.iq"
-        write_iq(capture, path)
+        write_iq(pulse.BasebandSignal(row, frame.sample_rate_hz), path)
         capture_paths.append(str(path))
     return plan_path, capture_paths
 
@@ -564,7 +565,7 @@ def test_sub_bin_guard_band_packs_tones_one_bin_apart(tmp_path, capsys):
         "frequency"].update(guard_band_hz=1e-12))
     code, _, err = run_cli(capsys, "validate", "--scenario", str(path))
     assert code == 0, err
-    [frame] = cp.prepare(cp.load_scenario(path))
+    [(frame, _)] = cp.prepare(cp.load_scenario(path))
     bin_width = frame.sample_rate_hz / frame.fft_length
     assert np.diff(frame.tone_offsets_hz).tolist() == [bin_width]
 
@@ -807,20 +808,19 @@ def test_sound_freq_reproduces_campaign_losses(tmp_path, capsys, monkeypatch):
         transmitters=(scenario.transmitters[0],
                       dataclasses.replace(scenario.transmitters[1],
                                           tx_power_db=-7.5)))
-    [frame] = cp.prepare(scenario)
+    [(frame, _)] = cp.prepare(scenario)
     compose = sweep.compose_sweep_capture
     paths = []
 
-    def compose_and_write(entries, frame, step, **kwargs):
-        capture = compose(entries, frame, step, **kwargs)
-        # the file holds float32 I/Q, so the campaign reads what the file
+    def compose_and_write(entries, frame, units, seeds, **kwargs):
+        rows = compose(entries, frame, units, seeds, **kwargs)
+        # the file holds float32 I/Q, so the campaign reads what the files
         # will hold
-        capture = pulse.BasebandSignal(
-            samples=capture.samples.astype(np.complex64),
-            sample_rate=capture.sample_rate)
-        paths.append(str(tmp_path / f"step{step}.iq"))
-        write_iq(capture, paths[-1])
-        return capture
+        rows = rows.astype(np.complex64).astype(np.complex128)
+        for step, row in enumerate(rows):
+            paths.append(str(tmp_path / f"step{step}.iq"))
+            write_iq(pulse.BasebandSignal(row, frame.sample_rate_hz), paths[-1])
+        return rows
 
     monkeypatch.setattr(sweep, "compose_sweep_capture", compose_and_write)
     records = cp.run_campaign(scenario)
@@ -900,9 +900,9 @@ SCALES = {"half": 0.5, "twice": 2}
 
 @st.composite
 def sidecar_edits(draw):
-    """One or two edits of a sound-sliding capture's sidecar: a field
-    removed (None), or a number replaced by 0, -1, 1e-12 or 1e12, or
-    scaled by one half or two."""
+    """One or two edits of a capture's sidecar: a field removed (None),
+    or a number replaced by 0, -1, 1e-12 or 1e12, or scaled by one half
+    or two."""
     edits = []
     for _ in range(draw(st.integers(1, 2))):
         name = draw(st.sampled_from(SIDECAR_FIELDS))
@@ -969,6 +969,61 @@ def test_sound_sliding_sidecar_exits_0_or_2_naming_a_field(
         assert sidecar_error(capture_path, "|".join(SIDECAR_FIELDS)) \
             .fullmatch(err)
         assert not (out / "profile.json").exists()
+
+
+def run_sound_freq(plan_path, capture_paths, out_dir):
+    """cli.main sound-freq on a plan and its step captures: its exit code
+    and stderr, with any warning recorded instead of printed."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["sound-freq", "--plan", str(plan_path), "--out-dir",
+                     str(out_dir), *capture_paths])
+    assert caught == []
+    return code, stderr.getvalue()
+
+
+@given(edits=sidecar_edits(),
+       steps=st.lists(st.integers(0, 9), min_size=1, max_size=2, unique=True)
+       | st.just(list(range(10))))
+@settings(max_examples=100)
+def test_sound_freq_sidecar_exits_0_or_2_naming_a_field(
+        tmp_path_factory, edits, steps):
+    # the same edits on the sidecars of one, two or every step capture:
+    # the losses of the unedited captures where only origin_time_s, which
+    # sound-freq does not read, was edited, else one line naming the
+    # field of an edited sidecar
+    directory = tmp_path_factory.getbasetemp() / "freq-sidecar"
+    out = directory / "out"
+    if not directory.exists():
+        directory.mkdir()
+        plan_path, capture_paths = sweep_capture_files(directory)
+        assert run_sound_freq(plan_path, capture_paths, out) == (0, "")
+        (out / "losses.json").rename(directory / "losses.original")
+        for path in capture_paths:
+            pathlib.Path(f"{path}.original").write_text(
+                pathlib.Path(f"{path}.json").read_text())
+    plan_path = directory / "plan.json"
+    capture_paths = [str(directory / f"step{step}.iq") for step in range(10)]
+    for step, path in enumerate(capture_paths):
+        doc = json.loads(pathlib.Path(f"{path}.original").read_text())
+        pathlib.Path(f"{path}.json").write_text(json.dumps(
+            edited_sidecar(doc, edits) if step in steps else doc))
+    (out / "losses.json").unlink(missing_ok=True)
+    code, err = run_sound_freq(plan_path, capture_paths, out)
+    unread = all(name == "origin_time_s" and value is not None
+                 for name, value in edits)
+    assert code == (0 if unread else 2)
+    if code == 0:
+        assert err == ""
+        assert (out / "losses.json").read_text() \
+            == (directory / "losses.original").read_text()
+    else:
+        assert any(sidecar_error(capture_paths[step],
+                                 "|".join(SIDECAR_FIELDS)).fullmatch(err)
+                   for step in steps)
+        assert not (out / "losses.json").exists()
 
 
 @pytest.mark.parametrize("change, field", [

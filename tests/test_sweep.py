@@ -13,8 +13,8 @@ from chansounder.pulse import BasebandSignal
 from helpers import (
     default_plan,
     oracle_bin_power,
-    oracle_compose_sweep_capture,
     oracle_received_tone,
+    oracle_sweep_rows,
     save_document,
     static_sweep_losses,
     use_oracle_sweep,
@@ -30,12 +30,25 @@ def dft_bin_oracle(samples, length, bin_index):
     return abs(np.sum(samples[:length] * basis) / length) ** 2
 
 
+def unit_tone(frame, tone_offset):
+    """exp(j*2*pi*tone_offset*t) over one step of frame, formed as
+    sweep.unit_tones forms each tone of a plan, for any offset."""
+    n = int(round(frame.step_duration_s * frame.sample_rate_hz))
+    return np.exp(2j * np.pi * tone_offset * (np.arange(n) / frame.sample_rate_hz))
+
+
 def tone_capture(frame, tone_offset, amplitude=1.0):
-    """One step's capture of a tone of the given amplitude at zero carrier:
-    the unit tone through a one-tap channel of that gain."""
+    """One step's samples of a tone of the given amplitude at zero
+    carrier: the unit tone through a one-tap channel of that gain."""
     channel = ch.MultipathChannel(gains=[amplitude], delays=[0.0])
-    samples = sweep.received_tone(channel, 0.0, tone_offset, frame)
-    return BasebandSignal(samples=samples, sample_rate=frame.sample_rate_hz)
+    tone = unit_tone(frame, tone_offset)
+    return sweep.received_tone(channel, 0.0, tone_offset, tone,
+                               np.empty_like(tone), np.empty_like(tone))
+
+
+def steps(frame):
+    """One noise seed per carrier step of frame."""
+    return range(len(frame.carriers_hz))
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +58,7 @@ def plan():
 
 def test_tone_dc(plan):
     tone = tone_capture(replace(plan, tone_offsets_hz=(0.0,)), 0.0, 0.7)
-    npt.assert_allclose(tone.samples, 0.7, atol=1e-15)
+    npt.assert_allclose(tone, 0.7, atol=1e-15)
 
 
 def test_tone_whole_cycles(plan):
@@ -54,14 +67,14 @@ def test_tone_whole_cycles(plan):
     tone = tone_capture(window, 3 * bin_width)
     # exactly three cycles: the first sample repeats after the window
     assert len(tone) == plan.fft_length
-    assert tone.samples[0] == pytest.approx(1.0)
-    phase = np.angle(tone.samples[-1] * np.conj(tone.samples[0]))
+    assert tone[0] == pytest.approx(1.0)
+    phase = np.angle(tone[-1] * np.conj(tone[0]))
     assert phase == pytest.approx(-2 * np.pi * 3 / plan.fft_length, abs=1e-9)
 
 
 def test_tone_power(plan):
     tone = tone_capture(plan, 12500.0, 0.5)
-    assert np.mean(np.abs(tone.samples) ** 2) == pytest.approx(0.25, abs=1e-12)
+    assert np.mean(np.abs(tone) ** 2) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_tone_alias_rejected(plan):
@@ -73,16 +86,16 @@ def test_bin_power_matches_dft_oracle(plan):
     tone_offset = plan.tone_offsets_hz[0]
     amplitude = 0.8
     tone = tone_capture(plan, tone_offset, amplitude)
-    [got] = sweep.bin_power(tone, plan, [tone_offset])
-    oracle = dft_bin_oracle(tone.samples, plan.fft_length,
+    [[got]] = sweep.bin_power(tone[np.newaxis], plan, [tone_offset])
+    oracle = dft_bin_oracle(tone, plan.fft_length,
                             plan.bin_index(tone_offset))
     assert got == pytest.approx(oracle, abs=1e-12)
     assert got == pytest.approx(amplitude**2, abs=1e-9)
 
 
 def test_bin_power_zero_capture(plan):
-    capture = BasebandSignal(np.zeros(plan.fft_length), plan.sample_rate_hz)
-    assert sweep.bin_power(capture, plan, plan.tone_offsets_hz) == [0.0]
+    rows = np.zeros((1, plan.fft_length), dtype=np.complex128)
+    assert sweep.bin_power(rows, plan, plan.tone_offsets_hz) == [[0.0]]
 
 
 def test_bin_power_negative_offset_wraps():
@@ -92,20 +105,20 @@ def test_bin_power_negative_offset_wraps():
                                  tone_offsets_hz=(tone_offset,))
     assert frame.bin_index(tone_offset) == 4096 - 200
     tone = tone_capture(frame, tone_offset, 0.6)
-    assert sweep.bin_power(tone, frame, [tone_offset]) \
-        == [pytest.approx(0.36, abs=1e-9)]
+    assert sweep.bin_power(tone[np.newaxis], frame, [tone_offset]) \
+        == [[pytest.approx(0.36, abs=1e-9)]]
 
 
 def test_bin_power_rejects_unknown_tone(plan):
     tone = tone_capture(plan, plan.tone_offsets_hz[0])
     with pytest.raises(ValueError, match="not part of the plan"):
-        sweep.bin_power(tone, plan, [12345.0])
+        sweep.bin_power(tone[np.newaxis], plan, [12345.0])
 
 
 def test_bin_power_rejects_short_capture(plan):
-    capture = BasebandSignal(np.zeros(plan.fft_length - 1), plan.sample_rate_hz)
+    rows = np.zeros((1, plan.fft_length - 1), dtype=np.complex128)
     with pytest.raises(ValueError, match="shorter"):
-        sweep.bin_power(capture, plan, plan.tone_offsets_hz)
+        sweep.bin_power(rows, plan, plan.tone_offsets_hz)
 
 
 def test_two_tones_stay_orthogonal(plan):
@@ -115,14 +128,17 @@ def test_two_tones_stay_orthogonal(plan):
     both = replace(plan, tone_offsets_hz=(f1, f2))
     strong = ch.MultipathChannel(gains=[1.0], delays=[0.0])
     weak = ch.MultipathChannel(gains=[0.5], delays=[0.0])
-    single_1 = sweep.compose_sweep_capture([(f1, strong)], both, 0)
-    single_2 = sweep.compose_sweep_capture([(f2, weak)], both, 0)
+    units = sweep.unit_tones(both)
+    single_1 = sweep.compose_sweep_capture([(f1, strong)], both, units,
+                                           steps(both))
+    single_2 = sweep.compose_sweep_capture([(f2, weak)], both, units,
+                                           steps(both))
     combined = sweep.compose_sweep_capture(
-        [(f1, strong), (f2, weak)], both, 0)
+        [(f1, strong), (f2, weak)], both, units, steps(both))
     for tone, single in ((f1, single_1), (f2, single_2)):
-        [alone] = sweep.bin_power(single, both, [tone])
-        [together] = sweep.bin_power(combined, both, [tone])
-        assert abs(alone - together) < 1e-9
+        alone = sweep.bin_power(single, both, [tone])
+        together = sweep.bin_power(combined, both, [tone])
+        npt.assert_allclose(alone, together, rtol=0.0, atol=1e-9)
 
 
 def test_sweep_flat_channel(plan):
@@ -156,10 +172,10 @@ def test_narrowband_losses_mark_empty_bins_and_keep_tone_order(plan):
     bin_width = plan.sample_rate_hz / plan.fft_length
     tones = (-300 * bin_width, 600 * bin_width)
     frame = replace(plan, tone_offsets_hz=tones)
-    captures = [sweep.compose_sweep_capture([(tones[1], UNIT)], frame, step)
-                for step in range(len(frame.carriers_hz))]
+    rows = sweep.compose_sweep_capture([(tones[1], UNIT)], frame,
+                                       sweep.unit_tones(frame), steps(frame))
     # only the second tone is on the air; read in reverse tone order
-    quiet, loud = sweep.narrowband_losses(captures, frame, tones[::-1],
+    quiet, loud = sweep.narrowband_losses(rows, frame, tones[::-1],
                                           [3.0, -2.0])[::-1]
     npt.assert_allclose(loud, 3.0, atol=1e-9)
     assert all(loss is None or loss > 250.0 for loss in quiet)
@@ -222,11 +238,48 @@ def test_received_tone_bit_exact_against_per_tap_oracle(plan):
         bin_width = p.sample_rate_hz / p.fft_length
         for k in (1, -1, 37, -410, 1500, -1999):
             tone = k * bin_width
+            unit = unit_tone(p, tone)
             for carrier in (700e6, 2.4e9, 5.8e9):
                 chan = random_sweep_channel(rng)
-                got = sweep.received_tone(chan, carrier, tone, p)
                 want = oracle_received_tone(chan, carrier, tone, p)
+                # written in place: what out and scratch held before is
+                # not read
+                out = np.full(len(unit), np.nan + 1j * np.inf)
+                got = sweep.received_tone(chan, carrier, tone, unit, out,
+                                          out.copy())
+                assert got is out
                 assert np.array_equal(got, want)
+
+
+def test_sweep_rows_equal_per_step_oracle_bit_for_bit(plan):
+    # three tones through multipath, with and without noise: each row is
+    # the capture that the per-step, per-tap oracle composes for its step
+    bin_width = plan.sample_rate_hz / plan.fft_length
+    three = replace(plan, tone_offsets_hz=tuple(
+        k * bin_width for k in (-700, 102, 500)))
+    units = sweep.unit_tones(three)
+    rng = np.random.default_rng(77)
+    for noise in (None, -30.0):
+        entries = [(tone, random_sweep_channel(rng))
+                   for tone in three.tone_offsets_hz]
+        seeds = [int(seed) for seed in rng.integers(0, 2**62, 10)]
+        for count in (1, 3):
+            got = sweep.compose_sweep_capture(entries[:count], three, units,
+                                              seeds, noise_power_dbfs=noise)
+            want = oracle_sweep_rows(entries[:count], three, units, seeds,
+                                     noise_power_dbfs=noise)
+            assert got.shape == (10, 5000)
+            assert np.array_equal(got, want)
+
+
+def test_compose_sweep_capture_checks_its_rows_for_finiteness(plan):
+    # two transmitters of finite gain whose tones sum beyond a float
+    loud = ch.MultipathChannel(gains=[1e308], delays=[0.0])
+    tone = plan.tone_offsets_hz[0]
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="^samples must be finite$"):
+        sweep.compose_sweep_capture([(tone, loud), (tone, loud)], plan,
+                                    sweep.unit_tones(plan), steps(plan))
 
 
 def test_bin_power_reads_several_tones_from_one_fft(plan):
@@ -234,24 +287,51 @@ def test_bin_power_reads_several_tones_from_one_fft(plan):
     tones = [k * bin_width for k in (-700, 102, 500)]
     three = replace(plan, tone_offsets_hz=tuple(tones))
     rng = np.random.default_rng(8)
-    for _ in range(5):
-        samples = rng.normal(size=5000) + 1j * rng.normal(size=5000)
-        capture = BasebandSignal(samples=samples, sample_rate=plan.sample_rate_hz)
-        got = sweep.bin_power(capture, three, tones)
-        assert got == [sweep.bin_power(capture, three, [f])[0] for f in tones]
-        assert got == oracle_bin_power(capture, three, tones)
+    rows = rng.normal(size=(5, 5000)) + 1j * rng.normal(size=(5, 5000))
+    got = sweep.bin_power(rows, three, tones)
+    assert len(got) == 5
+    # the multi-row FFT reads each row's bins as a one-row FFT does
+    assert got == [sweep.bin_power(row[np.newaxis], three, tones)[0]
+                   for row in rows]
+    for powers, row in zip(got, rows, strict=True):
+        assert powers == [sweep.bin_power(row[np.newaxis], three, [f])[0][0]
+                          for f in tones]
+        capture = BasebandSignal(samples=row, sample_rate=plan.sample_rate_hz)
+        assert powers == oracle_bin_power(capture, three, tones)
     with pytest.raises(ValueError, match="not part of the plan"):
-        sweep.bin_power(capture, three, [tones[0], 12345.0])
+        sweep.bin_power(rows, three, [tones[0], 12345.0])
 
 
-def test_unit_tone_is_cached_read_only(plan):
-    tone = sweep._unit_tone(plan.tone_offsets_hz[0], 5000, plan.sample_rate_hz)
-    assert tone is sweep._unit_tone(plan.tone_offsets_hz[0], 5000,
-                                    plan.sample_rate_hz)
-    assert not tone.flags.writeable
-    with pytest.raises(ValueError):
-        tone[0] = 0.0
-    assert sweep._unit_tone.cache_info().maxsize is not None
+def test_unit_tone_is_cached_read_only(plan, monkeypatch):
+    # a campaign's unit tones are computed with its plan, read-only, and
+    # the very same arrays serve every location
+    scenario = cp.Scenario(
+        mode="frequency",
+        transmitters=(cp.Transmitter("tx1", (0.0, 0.0, 1.8)),
+                      cp.Transmitter("tx2", (30.0, 20.0, 3.7))),
+        receiver_path=((2.0, 2.0, 0.9), (8.0, 2.0, 0.9), (14.0, 2.0, 0.9)),
+        environment=EnvironmentModel(reference_loss_db=38.0,
+                                     path_loss_exponent=2.1))
+    [(frame, units)] = cp.prepare(scenario)
+    t = np.arange(5000) / frame.sample_rate_hz
+    assert list(units) == list(frame.tone_offsets_hz)
+    for tone_offset, tone in units.items():
+        assert not tone.flags.writeable
+        with pytest.raises(ValueError):
+            tone[0] = 0.0
+        assert np.array_equal(tone, np.exp(2j * np.pi * tone_offset * t))
+    seen = []
+    compose = sweep.compose_sweep_capture
+
+    def recording(entries, frame, units, seeds, **kwargs):
+        seen.append(units)
+        return compose(entries, frame, units, seeds, **kwargs)
+
+    monkeypatch.setattr(sweep, "compose_sweep_capture", recording)
+    cp.run_campaign(scenario)
+    assert len(seen) == 3
+    for tone_offset in frame.tone_offsets_hz:
+        assert len({id(units[tone_offset]) for units in seen}) == 1
 
 
 def test_noisy_sweep_matches_oracle(plan, monkeypatch):
@@ -268,7 +348,7 @@ def test_noisy_sweep_matches_oracle(plan, monkeypatch):
 
     got = sound_all()
     use_oracle_sweep(monkeypatch)
-    assert sweep.compose_sweep_capture is oracle_compose_sweep_capture
+    assert sweep.compose_sweep_capture is oracle_sweep_rows
     for mine, oracle in zip(got, sound_all(), strict=True):
         assert np.array_equal(mine, oracle)
 
