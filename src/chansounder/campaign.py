@@ -281,10 +281,24 @@ def _run_sliding(scenario: Scenario, prepared: tuple, locations: range) -> list:
     return records
 
 
+def _check_step_samples(setup: sweep.FrequencySetup) -> None:
+    """Raise, before the unit tones are built, when a carrier step would
+    be longer than the longest slot: naming fft_length when even the
+    shortest step (one FFT window) is, else step_duration_s."""
+    for name, samples in (
+            ("fft_length", setup.fft_length),
+            ("step_duration_s", setup.step_duration_s * setup.sample_rate_hz)):
+        if samples > multitx.MAX_SLOT_SAMPLES:
+            raise ValueError(
+                f"{name}: a carrier step of {samples:.6g} samples is above "
+                f"the {multitx.MAX_SLOT_SAMPLES}-sample slot limit")
+
+
 def _prepare_frequency(scenario: Scenario) -> list:
     """The sweep frames, each with its unit tones: transmitter k sends
     the k-th tone of the frames taken in order."""
     try:
+        _check_step_samples(scenario.frequency)
         frames = multitx.build_frequency_plan(scenario.frequency,
                                               len(scenario.transmitters))
     except ValueError as exc:

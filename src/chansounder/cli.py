@@ -111,8 +111,10 @@ def _cmd_sound_freq(args) -> dict:
     if not frame.has_tone(tone):
         raise ValueError(f"--tone-offset: tone offset {tone} Hz is not part "
                          f"of the plan")
-    rows = np.stack([_read_step(path, frame).samples[:frame.fft_length]
-                     for path in args.captures])
+    # only each step's first FFT window is kept, not its whole capture
+    rows = np.empty((steps, frame.fft_length), dtype=np.complex128)
+    for row, path in zip(rows, args.captures):
+        row[:] = _read_step(path, frame).samples[:frame.fft_length]
     [losses] = sweep.narrowband_losses(rows, frame, [tone], [args.tx_power_db])
     if None in losses:
         raise NoSignalError(f"no power in the tone bin of step {losses.index(None)}")

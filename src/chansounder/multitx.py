@@ -25,8 +25,9 @@ from chansounder.sweep import FrequencySetup
 PARK_OFF_BAND = "off_band"
 PARK_IN_BAND = "in_band"
 
-# The longest TDMA slot, in samples: 64 MiB of complex128, about 77 times
-# the 54616-sample slot of the criterion-9 campaign.
+# The longest TDMA slot or sweep carrier step, in samples: 64 MiB of
+# complex128, about 77 times the 54616-sample slot of the criterion-9
+# campaign.
 MAX_SLOT_SAMPLES = 2 ** 22
 
 

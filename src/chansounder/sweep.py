@@ -49,7 +49,8 @@ class FrequencySetup:
                              or np.max(np.abs(spacing - spacing[0])) > 1e-6 * abs(spacing[0])):
             raise ValueError("carriers_hz: must be strictly increasing with "
                              "uniform spacing")
-        if round(self.step_duration_s * rate) < length:
+        step = self.step_duration_s * rate  # inf where the product overflows
+        if step != math.inf and round(step) < length:
             raise ValueError(
                 f"step_duration_s: {self.step_duration_s} s is too short for "
                 f"one FFT window of {length} samples")

@@ -9,6 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -123,6 +124,26 @@ def test_sound_freq_roundtrip(tmp_path, capsys):
                                -20 * np.log10(0.5), atol=0.01)
     assert doc["mean_path_loss_db"] == pytest.approx(-20 * np.log10(0.5),
                                                      abs=0.01)
+
+
+def test_sound_freq_holds_one_step_capture_at_a_time(tmp_path, capsys):
+    # each step keeps only its first FFT window; views of every step's
+    # whole capture once kept all ten captures alive until the last read
+    plan_path, capture_paths = sweep_capture_files(tmp_path)
+    length = 1 << 17
+    for path in capture_paths:
+        window = pulse.read_iq(path).samples
+        write_iq(pulse.BasebandSignal(np.resize(window, length), 1e6), path)
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, "sound-freq", "--plan", str(plan_path),
+                               "--out-dir", str(tmp_path), *capture_paths)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    capture_bytes = 16 * length
+    assert peak < 5 * capture_bytes, peak / capture_bytes
 
 
 def test_sound_freq_wrong_capture_count(tmp_path, capsys):
@@ -675,6 +696,26 @@ def test_oversized_slot_exits_2_before_allocating(tmp_path, capsys, change,
     child = run_cli_limited("campaign", "--scenario", str(path),
                             "--out-dir", str(tmp_path / "out"))
     assert (child.returncode, child.stderr) == (2, expected)
+    assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
+@pytest.mark.parametrize("change, field, samples", [
+    # a 5e9-sample unit tone once made validate ask numpy for 80 GB
+    ({"sample_rate_hz": 1e12}, "step_duration_s", "5e+09"),
+    ({"step_duration_s": 1e12}, "step_duration_s", "1e+18"),
+    ({"step_duration_s": 1e301, "sample_rate_hz": 1e301}, "step_duration_s",
+     "inf"),
+], ids=["rate-1e12", "step-1e12", "overflowing"])
+def test_oversized_carrier_step_exits_2_before_allocating(tmp_path, change,
+                                                          field, samples):
+    path = bundled_edit(tmp_path, "courtyard_frequency",
+                        lambda doc: doc["frequency"].update(change))
+    expected = (f"ValueError: frequency.{field}: a carrier step of {samples} "
+                f"samples is above the {multitx.MAX_SLOT_SAMPLES}-sample "
+                f"slot limit\n")
+    for argv in (["validate"], ["campaign", "--out-dir", str(tmp_path / "out")]):
+        child = run_cli_limited(*argv, "--scenario", str(path))
+        assert (child.returncode, child.stderr) == (2, expected)
     assert not (tmp_path / "out" / "records.jsonl").exists()
 
 
