@@ -53,6 +53,14 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(digest, "little") % (1 << 63)
 
 
+def _noise_seed(scenario, *parts) -> int | None:
+    """The seed of one capture's noise, derive_seed of the master seed and
+    parts, or None where the scenario adds no noise and no seed is read."""
+    if scenario.noise_power_dbfs is None:
+        return None
+    return derive_seed(scenario.master_seed, *parts)
+
+
 @dataclass(frozen=True)
 class Transmitter:
     id: str
@@ -260,16 +268,15 @@ def _run_sliding(scenario: Scenario, prepared: tuple, locations: range) -> list:
         capture = multitx.compose_received(
             scene, schedule, leak_gain=leak_gain,
             noise_power_dbfs=scenario.noise_power_dbfs,
-            seed=derive_seed(scenario.master_seed, "noise", loc_index),
+            seed=_noise_seed(scenario, "noise", loc_index),
             period=period, ramp=ramp)
         segmented = multitx.segment_capture(capture, schedule)
         location_flags = (FLAG_MISALIGNED,) if segmented.misaligned else ()
-        for tx, segment, seed in zip(scenario.transmitters,
-                                     segmented.segments, seeds):
-            try:
-                profile = sliding.measure_sliding(segment, chips, taps, config,
-                                                  tx.tx_power_db)
-            except NoSignalError:
+        profiles = sliding.measure_sliding(
+            segmented.segments, chips, taps, config,
+            [tx.tx_power_db for tx in scenario.transmitters])
+        for tx, profile, seed in zip(scenario.transmitters, profiles, seeds):
+            if isinstance(profile, NoSignalError):
                 records.append(_record(scenario, loc_index, tx, seed,
                                        location_flags + (FLAG_NO_SIGNAL,)))
                 continue
@@ -383,8 +390,8 @@ def _run_frequency(scenario: Scenario, frames: list, locations: range) -> list:
             members = range(len(tones), len(tones) + len(frame.tone_offsets_hz))
             entries = [(tone, channels[k])
                        for tone, k in zip(frame.tone_offsets_hz, members)]
-            step_seeds = [derive_seed(scenario.master_seed, "cap", loc_index,
-                                      frame_index, step)
+            step_seeds = [_noise_seed(scenario, "cap", loc_index, frame_index,
+                                      step)
                           for step in range(len(frame.carriers_hz))]
             rows = sweep.compose_sweep_capture(
                 entries, frame, units, step_seeds,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from chansounder.pulse import BasebandSignal, tile_period
+from chansounder.pulse import BasebandSignal
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,31 @@ class EnvironmentModel:
             raise ValueError("wall_grid_spacing_m: must be positive")
 
 
+@dataclass(frozen=True)
+class ChannelOutput:
+    """A received waveform of `length` samples in period form: samples
+    holds its first `head` samples, which end in one steady-state period
+    of `period` samples, and then its tail. In between, that period
+    repeats, whole or in part, so the tail starts at sample
+    length - (len(samples) - head). With period 0 there is no steady
+    state to repeat, and samples holds the whole waveform."""
+
+    samples: np.ndarray
+    head: int
+    period: int
+    length: int
+
+    @property
+    def tail(self) -> int:
+        """Where the tail starts in the waveform."""
+        return self.length - (len(self.samples) - self.head)
+
+
 def apply_channel(signal: BasebandSignal, channel: MultipathChannel,
-                  period: int | None = None, ramp: int = 0) -> np.ndarray:
-    """Superpose scaled, delayed copies of the signal: the samples of the
-    received waveform, which has the signal's rate and origin_time.
+                  period: int | None = None, ramp: int = 0) -> ChannelOutput:
+    """Superpose scaled, delayed copies of the signal: the received
+    waveform, which has the signal's rate and origin_time, in period
+    form.
 
     Every tap delay must be an integer number of samples; the output is
     extended by the largest delay so no energy is dropped. The samples
@@ -87,10 +108,11 @@ def apply_channel(signal: BasebandSignal, channel: MultipathChannel,
     samples, as pulse.modulate's do with ramp = L - 1, gives an output
     that repeats in the same way from the largest delay on. The per-tap
     sum is then formed only over the ramp-in plus one period and over
-    the tail, and the steady state in between is tiled from that period:
-    the same additions in the same order, so the same bits as summing
-    every sample. Without a period, or when the steady state holds no
-    more than one period, the sum covers every sample.
+    the tail, and the steady state in between is left to that period:
+    each sample of the waveform is the same additions in the same order,
+    so the same bits, as summing every sample. Without a period, or when
+    the steady state holds no more than one period, the sum covers every
+    sample.
     """
     shifts = []
     for i, delay in enumerate(channel.delays):
@@ -103,32 +125,32 @@ def apply_channel(signal: BasebandSignal, channel: MultipathChannel,
             )
         shifts.append(shift)
     n = len(signal)
-    out = np.zeros(n + shifts[-1], dtype=np.complex128)
-    # out[steady:tail] repeats every period; out[head:tail] is tiled
+    length = n + shifts[-1]
+    # out[steady:tail] repeats every period; only out[steady:head] is formed
     steady = ramp + shifts[-1]
     tail = n - ramp
     if period is None or tail - steady <= period:
-        head = tail = len(out)
+        head = tail = length
     else:
         head = steady + period
+    out = np.zeros(head + length - tail, dtype=np.complex128)
     for gain, shift in zip(channel.gains, shifts):
         stop = min(shift + n, head)
         out[shift:stop] += gain * signal.samples[:stop - shift]
         start = max(shift, tail)
         if start < shift + n:
-            out[start:shift + n] += gain * signal.samples[start - shift:]
-    if head < tail:
-        tile_period(out, steady, tail, period)
-    return out
+            out[start - tail + head:shift + n - tail + head] += \
+                gain * signal.samples[start - shift:]
+    return ChannelOutput(out, head, period if head < tail else 0, length)
 
 
 def add_noise(samples: np.ndarray, noise_power_dbfs: float | None,
-              seed: int) -> None:
+              seed: int | None) -> None:
     """Add complex white Gaussian noise of noise_power_dbfs (dB relative
     to unit power) to samples in place. It is drawn from a generator
     seeded with seed, in-phase rail first, one rail at a time into one
     float buffer that is scaled and added in place. None or -inf adds
-    nothing."""
+    nothing and reads no seed."""
     if noise_power_dbfs is None or noise_power_dbfs == -math.inf:
         return
     rng = np.random.default_rng(seed)

@@ -79,9 +79,9 @@ def _cmd_sound_sliding(args) -> dict:
                             config.samples_per_symbol / config.chip_period_s,
                             "samples_per_symbol / chip_period_s")
     try:
-        profile = sliding.measure_sliding(capture, chips, taps, config,
-                                          args.tx_power_db,
-                                          settle_periods=args.settle_periods)
+        [profile] = sliding.measure_sliding(
+            capture.rows(0, 0, 1, len(capture)), chips, taps, config,
+            [args.tx_power_db], settle_periods=args.settle_periods)
     except CaptureWindowError as exc:
         # a capture shorter than the periods the receiver reads misses
         # them wherever it sits; a longer one misses them by its origin
@@ -89,6 +89,8 @@ def _cmd_sound_sliding(args) -> dict:
         needed = periods * chips.period_length * config.samples_per_symbol
         field = "sample_count" if len(capture) < needed else "origin_time_s"
         raise ValueError(f"{args.capture}.json: {field}: {exc}") from None
+    if isinstance(profile, NoSignalError):
+        raise profile
     target = _out_dir(args) / args.name
     target.write_text(json.dumps(sliding.profile_to_json(profile), indent=2) + "\n")
     return {"outputs": [str(target)],

@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from chansounder.channel import MultipathChannel, add_noise, apply_channel
+from chansounder.channel import (ChannelOutput, MultipathChannel, add_noise,
+                                 apply_channel)
 from chansounder.pulse import BasebandSignal
 from chansounder.sweep import FrequencySetup
 
@@ -117,7 +118,10 @@ class SceneTransmitter:
 
 @dataclass(frozen=True)
 class SegmentedCapture:
-    segments: list
+    """One TDMA period cut into its slots' segments: a stack with one row
+    per transmitter, and the guard/core power ratio that flags it."""
+
+    segments: BasebandSignal
     guard_core_ratio: float
     misaligned: bool
 
@@ -162,9 +166,10 @@ def build_schedule(setup: ScheduleSetup, transmitter_count: int,
     return TdmaSchedule(transmitter_count, slot, guard)
 
 
-def _place_by_slices(out, received, offset_samples, slot_index,
+def _place_by_slices(out, received: ChannelOutput, offset_samples, slot_index,
                      schedule: TdmaSchedule, leak_gain):
-    """Add one transmitter's bursts and leakage to out.
+    """Add one transmitter's bursts and leakage to out, read from the
+    period form of its received waveform.
 
     Sample k is perceived at k + offset_samples, so the slot repeats at
     capture samples slot_index * slot_samples - offset_samples (mod
@@ -176,7 +181,7 @@ def _place_by_slices(out, received, offset_samples, slot_index,
     slot_samples = schedule.slot_samples
     period_samples = schedule.period_samples
     if leak_gain > 0.0:
-        scaled = leak_gain * received
+        scaled = leak_gain * received.samples
     first = (slot_index * slot_samples - offset_samples) % period_samples
     if first + slot_samples > period_samples:
         first -= period_samples  # a slot straddles sample 0
@@ -186,25 +191,55 @@ def _place_by_slices(out, received, offset_samples, slot_index,
         hi = min(slot_lo + slot_samples, n)
         burst_lo = slot_lo + schedule.guard_samples
         a = max(lo, burst_lo)
-        b = min(hi, burst_lo + len(received))
+        b = min(hi, burst_lo + received.length)
         if b > a:
-            out[a:b] += received[a - burst_lo:b - burst_lo]
+            _add_span(out, a, received, received.samples, a - burst_lo, b - a)
         if leak_gain > 0.0:
-            _add_wrapped(out, scaled, idle_from, lo, offset_samples)
+            _add_wrapped(out, received, scaled, idle_from, lo, offset_samples)
         idle_from = hi
     if leak_gain > 0.0:
-        _add_wrapped(out, scaled, idle_from, n, offset_samples)
+        _add_wrapped(out, received, scaled, idle_from, n, offset_samples)
 
 
-def _add_wrapped(out, scaled, lo, hi, offset_samples):
-    """out[k] += scaled[(k + offset_samples) % len(scaled)] for lo <= k < hi,
-    one contiguous slice per wrap of scaled."""
-    length = len(scaled)
+def _add_span(out, k, received: ChannelOutput, samples, j, m):
+    """out[k:k + m] += waveform[j:j + m] for a span inside received's
+    waveform, read from samples: its period form or a scaled copy of it.
+    The head and the tail are added by slices, the steady state as one
+    broadcast add of the period over the whole periods, after the rest
+    of the period the span starts in and before the start of the one it
+    ends in."""
+    head, period, tail = received.head, received.period, received.tail
+    stop = j + m
+    if j < head:
+        m = min(stop, head) - j
+        out[k:k + m] += samples[j:j + m]
+        k, j = k + m, j + m
+    if j < min(stop, tail):
+        steady = samples[head - period:head]
+        phase = (j - head) % period
+        m = min(stop, tail, j + period - phase) - j
+        out[k:k + m] += steady[phase:phase + m]
+        k, j = k + m, j + m
+        whole = (min(stop, tail) - j) // period
+        out[k:k + whole * period].reshape(whole, period)[:] += steady
+        k, j = k + whole * period, j + whole * period
+        m = min(stop, tail) - j
+        out[k:k + m] += steady[:m]
+        k, j = k + m, j + m
+    if j < stop:
+        out[k:k + stop - j] += samples[j - tail + head:stop - tail + head]
+
+
+def _add_wrapped(out, received: ChannelOutput, scaled, lo, hi, offset_samples):
+    """out[k] += leak_gain * waveform[(k + offset_samples) % received.length]
+    for lo <= k < hi, one span per wrap of the waveform, read from scaled,
+    the period form times leak_gain."""
+    length = received.length
     k = lo
     while k < hi:
         j = (k + offset_samples) % length
         m = min(hi - k, length - j)
-        out[k:k + m] += scaled[j:j + m]
+        _add_span(out, k, received, scaled, j, m)
         k += m
 
 
@@ -222,14 +257,15 @@ def compose_received(scene, schedule: TdmaSchedule, leak_gain: float = 0.0,
     scene: a scenario's LeakageModel.gain of its park mode, or 0.0 for
     silent idle transmitters. The capture carries the first
     waveform's origin_time, so a burst that starts a segment keeps its
-    own time axis. Bursts are placed by slices and the leakage from one
-    leak-scaled copy of the received waveform, added in wrapped slices,
-    so no capture-length tile is built. Noise, when asked for, is
-    added by channel.add_noise from a generator seeded with seed. A
-    period and ramp state that every waveform repeats between its ramps,
-    and go to apply_channel, which then tiles each channel output's
-    steady state. The capture's samples are checked once, here, when its
-    BasebandSignal is built.
+    own time axis. Bursts and leakage are added straight from the period
+    form of each received waveform (apply_channel): its head and tail by
+    slices, its steady state as whole periods in broadcast adds, the
+    leakage from one leak-scaled copy of that form. No capture-length
+    tile and no full-length received waveform is built. Noise, when
+    asked for, is added by channel.add_noise from a generator seeded
+    with seed. A period and ramp state that every waveform repeats
+    between its ramps, and go to apply_channel. The capture's samples
+    are checked once, here, when its BasebandSignal is built.
     """
     if not scene:
         raise ValueError("scene must contain at least one transmitter")
@@ -300,10 +336,11 @@ def segment_capture(signal: BasebandSignal,
     and span at least one period. The schedule's guard is discarded from
     both ends of every slot to absorb small clock offsets, so segment i
     starts where transmitter i's burst starts when its clock agrees with
-    the receiver's, and carries the capture's origin_time. Segments are
-    views of the capture's checked samples, not checked again. Captures
-    whose guard regions carry slot-core-level power are flagged as
-    misaligned.
+    the receiver's. The segments are one stack, a strided
+    (transmitter_count, slot_samples - 2 * guard_samples) view of the
+    capture's checked samples with its origin_time, not checked again.
+    Captures whose guard regions carry slot-core-level power are flagged
+    as misaligned.
     """
     if len(signal) < schedule.period_samples:
         raise ValueError(
@@ -312,13 +349,9 @@ def segment_capture(signal: BasebandSignal,
         )
     ratio = guard_core_power_ratio(signal, schedule)
     slot_samples, trim = schedule.slot_samples, schedule.guard_samples
-    segments = []
-    for i in range(schedule.transmitter_count):
-        lo = i * slot_samples + trim
-        hi = (i + 1) * slot_samples - trim
-        segments.append(signal.window(lo, hi))
     return SegmentedCapture(
-        segments=segments,
+        segments=signal.rows(trim, slot_samples, schedule.transmitter_count,
+                             slot_samples - 2 * trim),
         guard_core_ratio=ratio,
         misaligned=ratio > 0.25,
     )

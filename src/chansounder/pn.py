@@ -139,22 +139,27 @@ def generate_glfsr(degree: int = 10, polynomial: int | None = None,
 
 
 def circular_correlate(reference: ChipSequence, observed) -> np.ndarray:
-    """Normalized circular correlation of a chip sequence against N samples.
+    """Normalized circular correlation of a chip sequence against N samples,
+    or against each row of a (rows, N) stack.
 
     Returns c with c[n] = (1/N) * sum_m reference[m] * observed[(m + n) mod N],
     so an observation that is the reference delayed by d chips peaks at lag d.
-    Computed via FFT against the reference's cached spectrum.
+    Computed via FFT against the reference's cached spectrum, one
+    multi-row FFT for a stack. The observations are made C-contiguous
+    first, so each row is transformed as the 1-D FFT of that row alone
+    would be, bit for bit.
     """
     n = reference.period_length
-    observed = np.asarray(observed, dtype=np.complex128)
-    if observed.ndim != 1:
-        raise ValueError(f"observed must be 1-D, got shape {observed.shape}")
-    if len(observed) != n:
+    observed = np.ascontiguousarray(observed, dtype=np.complex128)
+    if observed.ndim not in (1, 2):
+        raise ValueError(f"observed must be 1-D or a 2-D stack, got shape "
+                         f"{observed.shape}")
+    if observed.shape[-1] != n:
         raise ValueError(
-            f"observed length {len(observed)} does not match period {n}"
+            f"observed length {observed.shape[-1]} does not match period {n}"
         )
-    spectrum = reference.conj_spectrum * np.fft.fft(observed)
-    return np.fft.ifft(spectrum) / n
+    spectrum = reference.conj_spectrum * np.fft.fft(observed, axis=-1)
+    return np.fft.ifft(spectrum, axis=-1) / n
 
 
 def save_chips(sequence: ChipSequence, path) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from chansounder import schema
-from chansounder.exceptions import CaptureWindowError, NoSignalError
+from chansounder.exceptions import CaptureWindowError
 from chansounder.pn import ChipSequence
 
 IQ_FORMAT = "cf32_le"
@@ -76,7 +76,10 @@ class BasebandSignal:
     """Uniformly sampled complex baseband samples.
 
     origin_time is the time of sample 0, letting consumers line up
-    waveforms that keep their full convolution tails.
+    waveforms that keep their full convolution tails. The receive chain
+    (estimate_timing_phase, recover_symbols) reads a stack instead: a
+    signal whose samples are (rows, n), rows of n samples that each
+    start at origin_time, as rows() makes them.
     """
 
     samples: np.ndarray
@@ -94,12 +97,23 @@ class BasebandSignal:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def window(self, lo: int, hi: int) -> BasebandSignal:
-        """samples[lo:hi] as a view with this signal's rate and
-        origin_time. The samples were checked when this signal was
-        built, so they are not checked again."""
+    def rows(self, first: int, step: int, count: int,
+             length: int) -> BasebandSignal:
+        """A stack of count windows of this 1-D signal, row r being
+        samples[first + r * step:first + r * step + length], as one
+        strided view with this signal's rate and origin_time. The
+        windows must lie inside the samples. The samples were checked
+        when this signal was built, so they are not checked again."""
+        samples = np.ascontiguousarray(self.samples)
+        if min(first, step, length) < 0 or count < 1 or \
+                first + (count - 1) * step + length > len(samples):
+            raise ValueError(f"rows of {length} samples from {first}, {step} "
+                             f"apart, do not fit {len(samples)} samples")
+        size = samples.itemsize
         view = copy.copy(self)  # runs no __init__, so no second check
-        object.__setattr__(view, "samples", self.samples[lo:hi])
+        object.__setattr__(view, "samples", as_strided(
+            samples[first:], shape=(count, length),
+            strides=(step * size, size), writeable=False))
         return view
 
 
@@ -264,11 +278,12 @@ def modulate(chips: ChipSequence, repetitions: int, taps: FilterTaps,
 
 
 def _origin_index(signal: BasebandSignal, taps: FilterTaps) -> int:
-    """Index of t = 0 on the symbol grid of the full matched-filter output."""
-    if len(signal) < len(taps.coefficients):
+    """Index of t = 0 on the symbol grid of the full matched-filter output
+    of each of the signal's rows."""
+    if signal.samples.shape[-1] < len(taps.coefficients):
         raise CaptureWindowError(
-            f"signal of {len(signal)} samples is shorter than the "
-            f"{len(taps.coefficients)}-tap filter span"
+            f"signal of {signal.samples.shape[-1]} samples is shorter than "
+            f"the {len(taps.coefficients)}-tap filter span"
         )
     half = (len(taps.coefficients) - 1) / 2
     origin = -signal.origin_time * signal.sample_rate + half
@@ -280,21 +295,27 @@ def _origin_index(signal: BasebandSignal, taps: FilterTaps) -> int:
 
 
 def _zero_padded(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """x[lo:hi] as a contiguous array, with the indices past either end of
-    x read as zero, as np.convolve reads them."""
-    if 0 <= lo and hi <= len(x):
-        return np.ascontiguousarray(x[lo:hi])
-    out = np.zeros(hi - lo, dtype=x.dtype)
-    a, b = max(lo, 0), min(hi, len(x))
-    out[a - lo:b - lo] = x[a:b]
+    """x[..., lo:hi], each row contiguous, with the indices past either
+    end of a row read as zero, as np.convolve reads them: a view of x
+    when lo:hi lies inside its rows, else a copy. No row reads another
+    row's samples."""
+    size = x.shape[-1]
+    if 0 <= lo and hi <= size:
+        window = x[..., lo:hi]
+        contiguous = window.strides[-1] == window.itemsize
+        return window if contiguous else window.copy()
+    out = np.zeros(x.shape[:-1] + (hi - lo,), dtype=x.dtype)
+    a, b = max(lo, 0), min(hi, size)
+    out[..., a - lo:b - lo] = x[..., a:b]
     return out
 
 
-def recover_symbols(signal: BasebandSignal, chips: ChipSequence,
-                    taps: FilterTaps, phase: int, periods: int,
+def recover_symbols(stack: BasebandSignal, chips: ChipSequence,
+                    taps: FilterTaps, phases, periods: int,
                     skip_symbols: int = 0) -> np.ndarray:
-    """One chip period of symbols at a given sample phase, averaged
-    coherently over `periods` consecutive periods.
+    """Per row of the stack, one chip period of symbols at that row's
+    sample phase, averaged coherently over `periods` consecutive
+    periods: a C-contiguous (rows, N) array, N = chips.period_length.
 
     The symbol stream at a phase is the matched-filter output decimated
     to symbol rate. It starts at the first symbol at or after t = 0 and
@@ -302,33 +323,36 @@ def recover_symbols(signal: BasebandSignal, chips: ChipSequence,
     delays are whole symbol periods, at the correct phase it is the chip
     train convolved with the channel's symbol-spaced impulse response.
     Its symbols from skip_symbols on are averaged period by period into
-    N = chips.period_length outputs.
+    N outputs.
 
     Filtering and averaging are both linear, so the capture is folded
     first: the `periods` raw windows of N * sps + L - 1 samples, one
-    period (N * sps samples) apart, are averaged. Samples beyond either
-    end of the capture read as zero, as in np.convolve. Output k is then
-    a (1, L) @ (L, 1) matmul of the folded period's strided window
+    period (N * sps samples) apart, are averaged. One strided mean folds
+    every row over a window wide enough for all the rows' phases, and
+    each row is then read at its own phase. Samples beyond either end
+    of a row read as zero, as in np.convolve. Output k of a row is a
+    (1, L) @ (L, 1) matmul of its folded period's strided window
     folded[k * sps:k * sps + L] against the reversed taps; numpy
     evaluates it with the same dtype dot that np.convolve calls per
     output, so the N outputs equal
     np.convolve(folded, taps)[L - 1:L - 1 + N * sps:sps] bit for bit.
-    Raises ValueError when the stream ends before `periods` periods.
+    Raises ValueError when a row's stream ends before `periods` periods.
     """
     sps = taps.samples_per_symbol
-    if not 0 <= phase < sps:
-        raise ValueError(f"phase must be in [0, {sps})")
+    x = stack.samples
+    phases = np.asarray(phases)
+    if phases.shape != x.shape[:1] or np.any((phases < 0) | (phases >= sps)):
+        raise ValueError(f"phase must be in [0, {sps}), one per row")
     if periods < 1 or skip_symbols < 0:
         raise ValueError("periods must be >= 1 and skip_symbols nonnegative")
-    first = _origin_index(signal, taps) + phase
-    if first < 0:
-        first += ((-first + sps - 1) // sps) * sps
-    x = signal.samples
+    first = _origin_index(stack, taps) + phases
+    first = np.where(first < 0, first % sps, first)
     span = len(taps.coefficients)
     n = chips.period_length
     # the stream's symbols from skip_symbols on: outputs first + k * sps
-    # below len(x) + L - 1, the length of the full convolution
-    available = max(0, -(-(len(x) + span - 1 - first) // sps) - skip_symbols)
+    # below len(row) + L - 1, the length of the full convolution
+    last = int(first.max())
+    available = max(0, -(-(x.shape[1] + span - 1 - last) // sps) - skip_symbols)
     if available < periods * n:
         raise CaptureWindowError(
             f"capture of {available} symbols is shorter than "
@@ -336,27 +360,36 @@ def recover_symbols(signal: BasebandSignal, chips: ChipSequence,
         )
     period = n * sps
     lo = first + skip_symbols * sps - (span - 1)
-    x = _zero_padded(x, lo, lo + periods * period + span - 1)
-    stride = x.strides[0]
-    folded = as_strided(x, shape=(periods, period + span - 1),
-                        strides=(period * stride, stride)).mean(axis=0)
-    step = folded.strides[0]
-    windows = as_strided(folded, shape=(n, span), strides=(sps * step, step))
+    base = int(lo.min())
+    width = int(lo.max()) - base + period + span - 1
+    x = _zero_padded(x, base, base + (periods - 1) * period + width)
+    stride = x.strides[1]
+    folded = as_strided(x, shape=(len(x), periods, width),
+                        strides=(x.strides[0], period * stride, stride)
+                        ).mean(axis=1)
+    step = folded.strides[1]
     h_rev = taps.coefficients[::-1].astype(np.complex128)
-    return np.matmul(windows[:, None, :], h_rev[:, None])[:, 0, 0]
+    out = np.empty((len(x), n), dtype=np.complex128)
+    for row, offset, mean in zip(folded, lo - base, out):
+        windows = as_strided(row[offset:], shape=(n, span),
+                             strides=(sps * step, step))
+        mean[:] = np.matmul(windows[:, None, :], h_rev[:, None])[:, 0, 0]
+    return out
 
 
 def _bank_rails(x: np.ndarray, taps: FilterTaps, start: int,
                 stop: int) -> np.ndarray:
-    """np.convolve(x, taps.coefficients)[start:stop] to rounding, as a
-    (2, stop - start) float array: the real rail, then the imaginary.
+    """np.convolve(row, taps.coefficients)[start:stop] to rounding for each
+    row of the (rows, n) x, as a (rows, 2, stop - start) float array: the
+    real rail, then the imaginary.
 
-    Output o is the dot of x[o - (L - 1):o + 1] with the reversed taps, so
-    B = BANK_WIDTH consecutive outputs are one window of B + L - 1
-    samples times taps.bank. The windows of both rails, B samples apart,
-    are one strided view of x's interleaved parts, zero-padded where they
-    run past either end of x; each product has at most MAX_PRODUCT_MACS
-    multiply-adds. Requires 0 <= start and stop <= len(x) + L - 1.
+    Output o is the dot of row[o - (L - 1):o + 1] with the reversed taps,
+    so B = BANK_WIDTH consecutive outputs are one window of B + L - 1
+    samples times taps.bank. The windows of both rails of every row, B
+    samples apart, are one strided view of the rows' interleaved parts,
+    zero-padded where they run past either end of a row; each product, a
+    row's rail times the bank, has at most MAX_PRODUCT_MACS
+    multiply-adds. Requires 0 <= start and stop <= n + L - 1.
     """
     bank = taps.bank
     rows, width = bank.shape
@@ -364,20 +397,23 @@ def _bank_rails(x: np.ndarray, taps: FilterTaps, start: int,
     lo = start - (rows - width)
     x = _zero_padded(x, lo, lo + (blocks - 1) * width + rows)
     parts = x.view(np.float64)
-    windows = as_strided(parts, shape=(2, blocks, rows),
-                         strides=(parts.itemsize, 2 * width * parts.itemsize,
-                                  2 * parts.itemsize))
-    out = np.empty((2, blocks, width))
+    item = parts.itemsize
+    windows = as_strided(parts, shape=(len(x), 2, blocks, rows),
+                         strides=(parts.strides[0], item, 2 * width * item,
+                                  2 * item))
+    out = np.empty((len(x), 2, blocks, width))
     chunk = max(1, MAX_PRODUCT_MACS // (rows * width))
     for first in range(0, blocks, chunk):
-        np.matmul(windows[:, first:first + chunk], bank,
-                  out=out[:, first:first + chunk])
-    return out.reshape(2, blocks * width)[:, :stop - start]
+        np.matmul(windows[:, :, first:first + chunk], bank,
+                  out=out[:, :, first:first + chunk])
+    return out.reshape(len(x), 2, blocks * width)[..., :stop - start]
 
 
-def estimate_timing_phase(signal: BasebandSignal, chips: ChipSequence,
-                          taps: FilterTaps, skip_symbols: int = 0) -> int:
-    """Find the decimation phase maximizing the correlation-profile energy.
+def estimate_timing_phase(stack: BasebandSignal, chips: ChipSequence,
+                          taps: FilterTaps,
+                          skip_symbols: int = 0) -> np.ndarray:
+    """Per row of the stack, the decimation phase maximizing the
+    correlation-profile energy, or -1 for a row with no signal.
 
     Searches all samples_per_symbol integer phases over one chip period
     starting at skip_symbols. Total profile energy is strictly largest on
@@ -394,50 +430,48 @@ def estimate_timing_phase(signal: BasebandSignal, chips: ChipSequence,
     ((N + 1) * sum|y|^2 - |sum y|^2) / N^2 for every sequence the
     receiver can be handed.
 
-    The matched-filter outputs come from the filter-bank product of
-    _bank_rails, equal to np.convolve to rounding; only the integer
-    phase leaves the search.
-
-    Raises NoSignalError when the matched-filter outputs of the search
-    window are all zero, however much power the capture holds elsewhere.
+    The matched-filter outputs of all rows come from the filter-bank
+    products of _bank_rails, equal to np.convolve to rounding; only the
+    integer phases leave the search. A row whose matched-filter outputs
+    in the search window are all zero, however much power it holds
+    elsewhere, has no timing phase: its phase is -1.
     """
     sps = taps.samples_per_symbol
     n = chips.period_length
     # the sps phases of one chip period are sps * n contiguous outputs;
     # row k of each rail's (n, sps) reshape is symbol k at every phase
-    start = _origin_index(signal, taps) + skip_symbols * sps
+    start = _origin_index(stack, taps) + skip_symbols * sps
     stop = start + sps * n
-    if start < 0 or stop > len(signal) + len(taps.coefficients) - 1:
+    if start < 0 or stop > stack.samples.shape[1] + len(taps.coefficients) - 1:
         raise CaptureWindowError(
             "signal does not contain a full chip period at every phase"
         )
-    rails = _bank_rails(signal.samples, taps, start, stop)
-    peak = max(rails.max(), -rails.min())
-    if peak == 0.0:
-        raise NoSignalError("capture is silent in the timing search window; "
-                            "no timing phase exists")
-    # scaled by the power of two that brings the largest part into
+    rails = _bank_rails(stack.samples, taps, start, stop)
+    peaks = np.maximum(rails.max(axis=(1, 2)), -rails.min(axis=(1, 2)))
+    # scaled by the power of two that brings each row's largest part into
     # [0.5, 1), the scores cannot overflow at any finite capture; the
-    # scaling is exact, so the argmax does not change
-    _, exponent = math.frexp(peak)
-    rails = np.ldexp(rails, -exponent).reshape(2, n, sps)
-    return int(np.argmax(_phase_scores(rails)))
+    # scaling is exact, so no argmax changes
+    _, exponents = np.frexp(peaks)
+    rails = np.ldexp(rails, -exponents[:, None, None]).reshape(-1, 2, n, sps)
+    return np.where(peaks > 0.0, np.argmax(_phase_scores(rails), axis=1), -1)
 
 
 def _phase_scores(rails: np.ndarray) -> np.ndarray:
     """N^2 times the correlation-profile energy of each phase p, whose
-    outputs y have real part rails[0, :, p] and imaginary part
-    rails[1, :, p] in a (2, N, sps) block: (N + 1) * sum|y|^2 - |sum y|^2.
+    outputs y have real part rails[..., 0, :, p] and imaginary part
+    rails[..., 1, :, p] in a (..., 2, N, sps) block:
+    (N + 1) * sum|y|^2 - |sum y|^2.
 
     The score splits into one term per rail. The power sums are sums of
     products, as in multitx._mean_power; not np.vdot, which wakes the
-    BLAS thread pool.
+    BLAS thread pool. A block's scores do not depend on the blocks
+    stacked with it.
     """
-    n = rails.shape[1]
-    power = np.einsum("rkp,rkp->rp", rails, rails)
-    total = np.einsum("rkp->rp", rails)
+    n = rails.shape[-2]
+    power = np.einsum("...rkp,...rkp->...rp", rails, rails)
+    total = np.einsum("...rkp->...rp", rails)
     scores = (n + 1) * power - total * total
-    return scores[0] + scores[1]
+    return scores[..., 0, :] + scores[..., 1, :]
 
 
 @dataclass(frozen=True)
@@ -460,7 +494,8 @@ class IqSidecar:
 def read_iq(path) -> BasebandSignal:
     """Read a cf32_le capture (interleaved little-endian float32 I, Q)
     checked against its strictly loaded sidecar, the IqSidecar document
-    at the capture's path plus ".json"."""
+    at the capture's path plus ".json". A NaN or infinite part fails
+    naming the file and the first sample that holds one."""
     path = Path(path)
     sidecar_path = str(path) + ".json"
     try:
@@ -475,6 +510,9 @@ def read_iq(path) -> BasebandSignal:
         raise ValueError(f"{sidecar_path}: sample_count: "
                          f"{sidecar.sample_count} does not match the "
                          f"{len(raw) // 2} samples in {path}")
+    bad = np.flatnonzero(~np.isfinite(raw))
+    if len(bad):
+        raise ValueError(f"{path}: sample {bad[0] // 2} is not finite")
     samples = raw[0::2].astype(np.float64) + 1j * raw[1::2].astype(np.float64)
     return BasebandSignal(samples=samples, sample_rate=sidecar.sample_rate_hz,
                           origin_time=sidecar.origin_time_s)

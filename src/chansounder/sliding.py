@@ -152,9 +152,8 @@ def _threshold(corrected: np.ndarray, config: SounderConfig):
     return detected
 
 
-def _detect_taps(mean_period: np.ndarray, chips: ChipSequence,
-                 config: SounderConfig):
-    """Correlate one averaged period and threshold it into tap lags.
+def _detect_taps(profile: np.ndarray, config: SounderConfig):
+    """Threshold one period's correlation profile into tap lags.
 
     For an m-sequence, every tap contributes exactly -gain/N to all other
     lags. A first pass estimates the total gain from the lag-wise profile
@@ -163,8 +162,7 @@ def _detect_taps(mean_period: np.ndarray, chips: ChipSequence,
     the correlator's own level instead of folding the whole profile's
     noise back in.
     """
-    n = chips.period_length
-    profile = circular_correlate(chips, mean_period)
+    n = len(profile)
     gain_sum = np.sum(profile)  # equals (sum of tap gains) / N + noise
     detected = None
     for _ in range(2):
@@ -187,36 +185,56 @@ def _rotate_to_first_arrival(lags: np.ndarray, period: int) -> np.ndarray:
     return lags[(int(np.argmax(gaps)) + 1) % len(lags)]
 
 
-def sound(mean_period, chips: ChipSequence, config: SounderConfig,
-          tx_power_db: float = 0.0) -> DelayProfile:
-    """Estimate the delay profile from one coherently averaged chip
-    period of symbols (recover_symbols' output).
+def sound(mean_periods, chips: ChipSequence, config: SounderConfig,
+          tx_powers_db) -> list:
+    """Estimate a delay profile from each row of a (rows, N) stack of
+    coherently averaged chip periods of symbols (recover_symbols'
+    output); tx_powers_db gives the power in dB of each row's
+    transmitter.
 
-    Correlates the period once, removes the exactly computable -1/N
-    sidelobe bias, and keeps every lag whose magnitude clears both the
-    relative detection threshold and five empirical off-peak standard
-    deviations. Lags are reported relative to the first arrival. The
-    wideband path loss is tx_power_db, the transmitter's power in dB,
-    minus the total tap power.
+    All rows are correlated at once, in one multi-row FFT. Each row then
+    has the exactly computable -1/N sidelobe bias removed and keeps
+    every lag whose magnitude clears both the relative detection
+    threshold and five empirical off-peak standard deviations. Lags are
+    reported relative to the first arrival. The wideband path loss is
+    the row's transmitter power minus its total tap power.
 
-    Raises NoSignalError when no lag rises above the detection floor.
+    Returns one entry per row: its DelayProfile, or, where no lag rises
+    above the detection floor, the NoSignalError that says so.
     """
-    mean_period = np.asarray(mean_period, dtype=np.complex128)
+    means = np.asarray(mean_periods, dtype=np.complex128)
     n = chips.period_length
-    if mean_period.shape != (n,):
+    if means.ndim != 2 or means.shape[1] != n:
         raise ValueError(
-            f"averaged period of shape {mean_period.shape} is not one chip "
-            f"period ({n} symbols)"
+            f"averaged periods of shape {means.shape} are not rows of one "
+            f"chip period ({n} symbols)"
         )
-    detected, corrected = _detect_taps(mean_period, chips, config)
+    results = []
+    for mean_period, profile, tx_power_db in zip(
+            means, circular_correlate(chips, means), tx_powers_db, strict=True):
+        try:
+            results.append(_sound_row(mean_period, profile, chips, config,
+                                      float(tx_power_db)))
+        except NoSignalError as exc:
+            results.append(exc)
+    return results
+
+
+def _sound_row(mean_period, profile, chips: ChipSequence,
+               config: SounderConfig, tx_power_db: float) -> DelayProfile:
+    """One row of sound(), from its averaged period and that period's
+    correlation profile. Raises NoSignalError."""
+    n = chips.period_length
+    detected, corrected = _detect_taps(profile, config)
 
     # Re-running detection on the period vector rolled to put the first
     # arrival at lag 0 makes the result bit-identical for captures that
     # start anywhere inside the periodic steady state.
     first = _rotate_to_first_arrival(detected, n)
     if first != 0:
-        detected, corrected = _detect_taps(np.roll(mean_period, -int(first)),
-                                           chips, config)
+        detected, corrected = _detect_taps(
+            circular_correlate(chips, np.roll(mean_period, -int(first))),
+            config)
         first = _rotate_to_first_arrival(detected, n)
     relative = (detected - first) % n
     order = np.argsort(relative)
@@ -232,23 +250,29 @@ def sound(mean_period, chips: ChipSequence, config: SounderConfig,
     )
 
 
-def measure_sliding(capture: BasebandSignal, chips: ChipSequence,
-                    taps: FilterTaps, config: SounderConfig,
-                    tx_power_db: float = 0.0,
-                    settle_periods: int = 1) -> DelayProfile:
-    """Full receive chain: timing phase search, then symbol recovery
-    averaged over the chip periods, then sound() with the transmitter's
-    power tx_power_db (dB).
+def measure_sliding(stack: BasebandSignal, chips: ChipSequence,
+                    taps: FilterTaps, config: SounderConfig, tx_powers_db,
+                    settle_periods: int = 1) -> list:
+    """Full receive chain over a stack of captures, one row per
+    transmitter (multitx.segment_capture's segments, or one capture as a
+    one-row stack): timing phase search, then symbol recovery averaged
+    over the chip periods, then sound() with each row's transmitter
+    power from tx_powers_db (dB).
 
-    The capture must hold settle_periods + averaging_periods chip periods
+    Each row must hold settle_periods + averaging_periods chip periods
     of shaped waveform; the leading settle keeps filter ramp-in out of
-    the averaged window.
+    the averaged window. Returns one entry per row: its DelayProfile, or
+    a NoSignalError where the row has no timing phase or no tap.
     """
     skip = settle_periods * chips.period_length
-    phase = estimate_timing_phase(capture, chips, taps, skip_symbols=skip)
-    mean_period = recover_symbols(capture, chips, taps, phase,
-                                  config.averaging_periods, skip_symbols=skip)
-    return sound(mean_period, chips, config, tx_power_db)
+    phases = estimate_timing_phase(stack, chips, taps, skip_symbols=skip)
+    means = recover_symbols(stack, chips, taps, np.maximum(phases, 0),
+                            config.averaging_periods, skip_symbols=skip)
+    profiles = sound(means, chips, config, tx_powers_db)
+    return [profile if phase >= 0 else NoSignalError(
+                "capture is silent in the timing search window; no timing "
+                "phase exists")
+            for phase, profile in zip(phases, profiles)]
 
 
 def profile_to_json(profile: DelayProfile) -> dict:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from chansounder import campaign
 from chansounder import channel as ch
 from chansounder import multitx, pulse, schema, sliding, sweep
+from chansounder.exceptions import NoSignalError
 from chansounder.pn import circular_correlate
 
 
@@ -23,11 +24,38 @@ def planted_capture(chips, taps, channel, config, extra_periods=2):
 
 
 def received(signal, channel):
-    """apply_channel's samples as the signal that carries them: the
+    """apply_channel's waveform as the signal that carries it: the
     received waveform on signal's rate and time axis."""
-    return pulse.BasebandSignal(samples=ch.apply_channel(signal, channel),
+    return pulse.BasebandSignal(samples=expand(ch.apply_channel(signal, channel)),
                                 sample_rate=signal.sample_rate,
                                 origin_time=signal.origin_time)
+
+
+def expand(output):
+    """The whole waveform of apply_channel's period form: its head, the
+    steady period repeated up to the tail, and the tail."""
+    head, period, tail = output.head, output.period, output.tail
+    steady = output.samples[head - period:head] if period else output.samples[:0]
+    return np.concatenate([output.samples[:head],
+                           np.resize(steady, tail - head),
+                           output.samples[head:]])
+
+
+def one_row(signal):
+    """signal as a one-row stack, as sound-sliding hands its capture to
+    the receive chain."""
+    return signal.rows(0, 0, 1, len(signal))
+
+
+def measure_one(capture, chips, taps, config, tx_power_db=0.0,
+                settle_periods=1):
+    """measure_sliding on capture as a one-row stack, as sound-sliding
+    runs it: the row's profile, or its NoSignalError raised."""
+    [profile] = sliding.measure_sliding(one_row(capture), chips, taps, config,
+                                        [tx_power_db], settle_periods)
+    if isinstance(profile, NoSignalError):
+        raise profile
+    return profile
 
 
 def write_iq(signal, path):
@@ -217,7 +245,10 @@ def oracle_measure_sliding(capture, chips, taps, config, tx_power_db=0.0,
     phase = oracle_timing_phase(capture, chips, taps, skip)
     mean_period = oracle_folded_period(capture, taps, phase, n,
                                        config.averaging_periods, skip)
-    return sliding.sound(mean_period, chips, config, tx_power_db)
+    [profile] = sliding.sound(mean_period[None], chips, config, [tx_power_db])
+    if isinstance(profile, NoSignalError):
+        raise profile
+    return profile
 
 
 def oracle_received_tone(channel, carrier, tone_offset, frame):
@@ -286,7 +317,7 @@ def oracle_compose_received(scene, schedule, leak_gain, noise_power_dbfs=None,
     n = period = schedule.period_samples
     out = np.zeros(n, dtype=np.complex128)
     for i, tx in enumerate(scene):
-        received = ch.apply_channel(tx.waveform, tx.channel)
+        received = expand(ch.apply_channel(tx.waveform, tx.channel))
         offset = tx.clock_offset_samples
         if leak_gain > 0.0:
             tiled = np.resize(np.roll(received, -offset), n)
@@ -320,7 +351,7 @@ def per_sample_compose(scene, schedule, leak_gain):
     slot, period = schedule.slot_samples, schedule.period_samples
     out = np.zeros(period, dtype=np.complex128)
     for i, tx in enumerate(scene):
-        received = ch.apply_channel(tx.waveform, tx.channel)
+        received = expand(ch.apply_channel(tx.waveform, tx.channel))
         perceived = np.arange(period) + tx.clock_offset_samples
         local = perceived % period - i * slot
         active = (local >= 0) & (local < slot)

@@ -20,6 +20,7 @@ from chansounder.pn import circular_correlate
 from helpers import (
     add_noise,
     default_plan,
+    measure_one,
     measured_correlation_gain,
     planted_capture,
     random_planted_channel,
@@ -59,7 +60,7 @@ def test_criterion_02_planted_channel_recovery(chips10, rrc_taps):
         rng = np.random.default_rng(seed)
         planted, lags = random_planted_channel(rng, CHIP_PERIOD)
         capture = planted_capture(chips10, rrc_taps, planted, config)
-        profile = sliding.measure_sliding(capture, chips10, rrc_taps, config)
+        profile = measure_one(capture, chips10, rrc_taps, config)
         npt.assert_array_equal(profile.lags, lags)
         ratio = profile.gains / planted.gains
         mag_err_db = np.max(np.abs(20 * np.log10(np.abs(ratio))))
@@ -82,7 +83,7 @@ def test_criterion_03_relative_dynamic_range(chips10, rrc_taps):
     planted = ch.MultipathChannel(gains=[1.0, weak],
                                   delays=[0.0, 9 * CHIP_PERIOD])
     capture = planted_capture(chips10, rrc_taps, planted, config)
-    profile = sliding.measure_sliding(capture, chips10, rrc_taps, config)
+    profile = measure_one(capture, chips10, rrc_taps, config)
     npt.assert_array_equal(profile.lags, [0, 9])
     error_db = abs(20 * math.log10(abs(profile.gains[1]) / weak))
     assert error_db <= 1.0
@@ -303,12 +304,12 @@ def test_criterion_10_determinism(tmp_path, chips10, rrc_taps):
     planted, _ = random_planted_channel(rng, CHIP_PERIOD)
     capture = planted_capture(chips10, rrc_taps, planted, config)
     noisy = add_noise(capture, -30.0, seed=77)
-    one = sliding.measure_sliding(noisy, chips10, rrc_taps, config)
+    one = measure_one(noisy, chips10, rrc_taps, config)
     rng = np.random.default_rng(5)
     planted_again, _ = random_planted_channel(rng, CHIP_PERIOD)
     capture_again = planted_capture(chips10, rrc_taps, planted_again, config)
     noisy_again = add_noise(capture_again, -30.0, seed=77)
-    two = sliding.measure_sliding(noisy_again, chips10, rrc_taps, config)
+    two = measure_one(noisy_again, chips10, rrc_taps, config)
     assert sliding.profile_to_json(one) == sliding.profile_to_json(two)
 
     # campaigns: byte-identical exports across runs, both modes

@@ -17,7 +17,8 @@ from chansounder import campaign as cp
 from chansounder import multitx, sliding, sweep
 from chansounder.channel import EnvironmentModel, MultipathChannel
 from chansounder.exceptions import NoSignalError
-from chansounder.pulse import estimate_timing_phase, modulate, recover_symbols
+from chansounder.pulse import (BasebandSignal, estimate_timing_phase, modulate,
+                               recover_symbols)
 
 from helpers import (assert_no_child_left, failing_channel_draw,
                      frequency_blocks, oracle_measure_sliding,
@@ -580,6 +581,28 @@ def test_seventeen_tone_campaign_computes_each_tone_once(monkeypatch):
     assert sorted(computed) == sorted(tones)
 
 
+@pytest.mark.parametrize("mode", [cp.MODE_SLIDING, cp.MODE_FREQUENCY])
+def test_noise_seeds_are_derived_only_with_noise(monkeypatch, mode):
+    # without noise a campaign derives only its channel seeds; with noise
+    # also one per sliding location, or one per location and carrier step
+    purposes = []
+    derive = cp.derive_seed
+
+    def counted(master_seed, purpose, *parts):
+        purposes.append(purpose)
+        return derive(master_seed, purpose, *parts)
+
+    monkeypatch.setattr(cp, "derive_seed", counted)
+    quiet = small_scenario(mode=mode, locations=3)
+    records = cp.run_campaign(quiet)
+    assert purposes == ["chan"] * 6
+    noisy = cp.run_campaign(replace(quiet, noise_power_dbfs=-60.0))
+    noise = (["noise"] * 3 if mode == cp.MODE_SLIDING
+             else ["cap"] * 3 * len(quiet.frequency.carriers_hz))
+    assert sorted(purposes[6:]) == sorted(["chan"] * 6 + noise)
+    assert len(noisy) == len(records)
+
+
 def test_fixture_scenarios_load(tmp_path):
     root = SCENARIO_DIR
     indoor = cp.load_scenario(root / "indoor_wing_sliding.json")
@@ -636,28 +659,32 @@ def test_receive_chain_matches_full_convolution_oracle(monkeypatch):
     measure = sliding.measure_sliding
     outcomes = []
 
-    def checked(segment, chips, taps, config, tx_power_db):
-        try:
-            expected = oracle_measure_sliding(segment, chips, taps, config,
-                                              tx_power_db)
-        except NoSignalError:
-            expected = None
-        try:
-            got = measure(segment, chips, taps, config, tx_power_db)
-        except NoSignalError:
-            assert expected is None
-            outcomes.append(None)
-            raise
-        assert expected is not None
-        assert np.array_equal(got.lags, expected.lags)
-        np.testing.assert_allclose(got.gains, expected.gains, rtol=1e-12,
-                                   atol=0)
-        assert got.wideband_path_loss_db == pytest.approx(
-            expected.wideband_path_loss_db, rel=0, abs=1e-10)
-        assert got.rms_delay_spread == pytest.approx(
-            expected.rms_delay_spread, rel=1e-9, abs=0)
-        outcomes.append(got)
-        return got
+    def checked(stack, chips, taps, config, tx_powers_db):
+        # the stack's rows, each measured alone from a copy by the oracle
+        profiles = measure(stack, chips, taps, config, tx_powers_db)
+        for row, tx_power_db, got in zip(stack.samples, tx_powers_db,
+                                         profiles, strict=True):
+            segment = BasebandSignal(row.copy(), stack.sample_rate,
+                                     stack.origin_time)
+            try:
+                expected = oracle_measure_sliding(segment, chips, taps, config,
+                                                  tx_power_db)
+            except NoSignalError:
+                expected = None
+            if isinstance(got, NoSignalError):
+                assert expected is None
+                outcomes.append(None)
+                continue
+            assert expected is not None
+            assert np.array_equal(got.lags, expected.lags)
+            np.testing.assert_allclose(got.gains, expected.gains, rtol=1e-12,
+                                       atol=0)
+            assert got.wideband_path_loss_db == pytest.approx(
+                expected.wideband_path_loss_db, rel=0, abs=1e-10)
+            assert got.rms_delay_spread == pytest.approx(
+                expected.rms_delay_spread, rel=1e-9, abs=0)
+            outcomes.append(got)
+        return profiles
 
     monkeypatch.setattr(sliding, "measure_sliding", checked)
     records = cp.run_campaign(scenario)
@@ -672,11 +699,15 @@ def searched_phases(monkeypatch, scenario) -> tuple:
     estimate = sliding.estimate_timing_phase
     phases = []
 
-    def checked(signal, chips, taps, skip_symbols=0):
-        phase = estimate(signal, chips, taps, skip_symbols=skip_symbols)
-        assert phase == oracle_timing_phase(signal, chips, taps, skip_symbols)
-        phases.append(phase)
-        return phase
+    def checked(stack, chips, taps, skip_symbols=0):
+        found = estimate(stack, chips, taps, skip_symbols=skip_symbols)
+        for row, phase in zip(stack.samples, found, strict=True):
+            segment = BasebandSignal(row.copy(), stack.sample_rate,
+                                     stack.origin_time)
+            assert phase == oracle_timing_phase(segment, chips, taps,
+                                                skip_symbols)
+            phases.append(phase)
+        return found
 
     monkeypatch.setattr(sliding, "estimate_timing_phase", checked)
     return phases, len(cp.run_campaign(scenario))
@@ -742,6 +773,8 @@ def test_blas_pool_stays_asleep(chips10, rrc_taps):
     channel = MultipathChannel(gains=[1.0, 0.3j, -0.1],
                                delays=np.array([0, 2, 7]) * config.chip_period_s)
     capture = received(burst, channel)
+    # three rows, as a campaign location stacks its segments
+    stack = capture.rows(0, 0, 3, len(capture))
     skip = chips10.period_length
     # OpenBLAS stops its pool before a fork and starts it again at the
     # first product large enough to share; that product's threads then
@@ -753,8 +786,8 @@ def test_blas_pool_stays_asleep(chips10, rrc_taps):
     if len(before) < 2:
         pytest.skip("this process runs no thread besides the main one")
     for _ in range(200):
-        phase = estimate_timing_phase(capture, chips10, rrc_taps, skip)
-        recover_symbols(capture, chips10, rrc_taps, phase,
+        phases = estimate_timing_phase(stack, chips10, rrc_taps, skip)
+        recover_symbols(stack, chips10, rrc_taps, phases,
                         config.averaging_periods, skip)
     cp.run_campaign(small_scenario(locations=4))
     after = thread_cpu_ticks()

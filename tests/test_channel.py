@@ -10,7 +10,7 @@ from chansounder import channel as ch
 from chansounder import pulse
 from chansounder.pulse import BasebandSignal
 
-from helpers import add_noise
+from helpers import add_noise, expand
 
 
 def make_signal(samples, rate=1e6):
@@ -20,14 +20,14 @@ def make_signal(samples, rate=1e6):
 def test_identity_channel():
     signal = make_signal([1.0, 2.0, 3.0 - 1.0j])
     flat = ch.MultipathChannel(gains=[1.0], delays=[0.0])
-    out = ch.apply_channel(signal, flat)
+    out = expand(ch.apply_channel(signal, flat))
     npt.assert_array_equal(out, signal.samples)
 
 
 def test_impulse_response_by_definition():
     impulse = make_signal([1.0])
     two_tap = ch.MultipathChannel(gains=[1.0, 0.5], delays=[0.0, 2e-6])
-    out = ch.apply_channel(impulse, two_tap)
+    out = expand(ch.apply_channel(impulse, two_tap))
     npt.assert_array_equal(out, [1.0, 0.0, 0.5])
 
 
@@ -40,7 +40,7 @@ def test_matches_dense_convolution_oracle(rng):
     impulse = np.zeros(8, dtype=np.complex128)
     impulse[[0, 3, 7]] = gains
     expected = np.convolve(x, impulse)
-    out = ch.apply_channel(signal, chan)
+    out = expand(ch.apply_channel(signal, chan))
     npt.assert_allclose(out, expected, atol=1e-12)
 
 
@@ -77,7 +77,8 @@ def test_periodic_apply_channel_matches_the_direct_sum(
                                   delays=np.concatenate([[0], shifts]))
     signal = make_signal(samples, rate=1.0)
     out = ch.apply_channel(signal, channel, period if stated else None, ramp)
-    assert out.tobytes() == direct_sum(signal, channel).tobytes()
+    assert out.length == len(signal) + (shifts[-1] if len(shifts) else 0)
+    assert expand(out).tobytes() == direct_sum(signal, channel).tobytes()
 
 
 def test_periodic_apply_channel_on_the_campaign_burst(chips10, rrc_taps, rng):
@@ -89,7 +90,11 @@ def test_periodic_apply_channel_on_the_campaign_burst(chips10, rrc_taps, rng):
     sps = rrc_taps.samples_per_symbol
     out = ch.apply_channel(burst, channel, chips10.period_length * sps,
                            len(rrc_taps.coefficients) - 1)
-    assert out.tobytes() == direct_sum(burst, channel).tobytes()
+    assert expand(out).tobytes() == direct_sum(burst, channel).tobytes()
+    # the period form holds the ramp-in, one period and the tail, not the
+    # other ten periods
+    assert len(out.samples) == 2 * (len(rrc_taps.coefficients) - 1 + 31 * sps) \
+        + chips10.period_length * sps
 
 
 def test_fractional_delay_rejected():
@@ -112,18 +117,18 @@ def test_linearity_exact(rng):
     chan = ch.MultipathChannel(gains=[0.8, 0.3j], delays=[0.0, 4e-6])
     a = rng.normal(size=64) + 1j * rng.normal(size=64)
     b = rng.normal(size=64) + 1j * rng.normal(size=64)
-    combined = ch.apply_channel(make_signal(a + b), chan)
-    separate = (ch.apply_channel(make_signal(a), chan)
-                + ch.apply_channel(make_signal(b), chan))
+    combined = expand(ch.apply_channel(make_signal(a + b), chan))
+    separate = (expand(ch.apply_channel(make_signal(a), chan))
+                + expand(ch.apply_channel(make_signal(b), chan)))
     npt.assert_allclose(combined, separate, rtol=1e-12, atol=1e-14)
 
 
 def test_time_invariance_exact(rng):
     chan = ch.MultipathChannel(gains=[0.8, 0.3j], delays=[0.0, 4e-6])
     x = rng.normal(size=64) + 1j * rng.normal(size=64)
-    out = ch.apply_channel(make_signal(x), chan)
+    out = expand(ch.apply_channel(make_signal(x), chan))
     shifted_in = np.concatenate([np.zeros(5), x])
-    out_shifted = ch.apply_channel(make_signal(shifted_in), chan)
+    out_shifted = expand(ch.apply_channel(make_signal(shifted_in), chan))
     npt.assert_array_equal(out_shifted[5:], out)
     npt.assert_array_equal(out_shifted[:5], 0.0)
 
@@ -154,7 +159,7 @@ def test_awgn_deterministic():
 def test_power_bookkeeping_white_input(rng):
     chan = ch.MultipathChannel(gains=[0.7, 0.4j, -0.2], delays=[0.0, 1e-6, 5e-6])
     x = (rng.normal(size=200_000) + 1j * rng.normal(size=200_000)) / math.sqrt(2)
-    out = ch.apply_channel(make_signal(x), chan)
+    out = expand(ch.apply_channel(make_signal(x), chan))
     out_power = np.mean(np.abs(out[:200_000]) ** 2)
     assert abs(out_power - chan.total_power()) / chan.total_power() < 0.02
 

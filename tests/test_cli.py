@@ -1112,3 +1112,32 @@ def test_sound_sliding_names_sample_count_for_a_short_capture(tmp_path):
     code, err = run_sound_sliding(tmp_path / "capture.iq", tmp_path / "out")
     assert code == 2
     assert sidecar_error(tmp_path / "capture.iq", "sample_count").fullmatch(err)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_sound_sliding_names_a_non_finite_sample(tmp_path, value):
+    # a NaN or inf part once failed with "samples must be finite", a line
+    # that named neither the file nor the sample; the first bad sample
+    # is named, here the imaginary part of sample 1234
+    capture_path = sliding_capture_file(tmp_path)
+    raw = np.fromfile(capture_path, dtype="<f4")
+    raw[[2 * 1234 + 1, 2 * 5000]] = value
+    raw.tofile(capture_path)
+    code, err = run_sound_sliding(capture_path, tmp_path / "out")
+    assert (code, err) == (2, f"ValueError: {capture_path}: sample 1234 is "
+                              f"not finite\n")
+    assert not (tmp_path / "out" / "profile.json").exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_sound_freq_names_a_non_finite_sample(tmp_path, value):
+    # the real part of sample 77 of step 3's capture, inside its FFT
+    # window, and one more sample past that window
+    plan_path, capture_paths = sweep_capture_files(tmp_path)
+    raw = np.fromfile(capture_paths[3], dtype="<f4")
+    raw[[2 * 77, 2 * 4500]] = value
+    raw.tofile(capture_paths[3])
+    code, err = run_sound_freq(plan_path, capture_paths, tmp_path / "out")
+    assert (code, err) == (2, f"ValueError: {capture_paths[3]}: sample 77 is "
+                              f"not finite\n")
+    assert not (tmp_path / "out" / "losses.json").exists()

@@ -12,7 +12,7 @@ from chansounder import campaign
 from chansounder import channel as ch
 from chansounder import multitx, pulse, schema, sliding, sweep
 
-from helpers import (frequency_blocks, oracle_compose_received,
+from helpers import (expand, frequency_blocks, oracle_compose_received,
                      oracle_guard_core_power_ratio, per_sample_compose)
 
 
@@ -42,8 +42,9 @@ def test_schedule_slot_ownership():
     assert schedule.period_samples == 300
     capture = pulse.BasebandSignal(np.arange(300.0), 1000.0)
     segments = multitx.segment_capture(capture, schedule).segments
-    for i, segment in enumerate(segments):
-        npt.assert_array_equal(segment.samples,
+    assert segments.samples.shape == (3, 80)
+    for i, segment in enumerate(segments.samples):
+        npt.assert_array_equal(segment,
                                np.arange(100.0 * i + 10, 100.0 * i + 90))
 
 
@@ -54,8 +55,8 @@ def test_single_transmitter_owns_everything():
     assert schedule.period_samples == 200
     capture = pulse.BasebandSignal(np.arange(200.0), 1000.0)
     segmented = multitx.segment_capture(capture, schedule)
-    [segment] = segmented.segments
-    npt.assert_array_equal(segment.samples, capture.samples)
+    [segment] = segmented.segments.samples
+    npt.assert_array_equal(segment, capture.samples)
     assert segmented.guard_core_ratio == 0.0
 
 
@@ -67,9 +68,9 @@ def test_slot_tiling_partitions_each_period():
         schedule = multitx.TdmaSchedule(4, 25, guard)
         segments = multitx.segment_capture(capture, schedule).segments
         pieces = []
-        for i, segment in enumerate(segments):
+        for i, segment in enumerate(segments.samples):
             lo, hi = 25 * i, 25 * (i + 1)
-            pieces += [np.arange(lo, lo + guard), segment.samples.real,
+            pieces += [np.arange(lo, lo + guard), segment.real,
                        np.arange(hi - guard, hi)]
         npt.assert_array_equal(np.concatenate(pieces), capture.samples.real)
 
@@ -151,8 +152,8 @@ def test_segment_distinct_constants():
                               np.full(100, 3.0)]).astype(np.complex128)
     capture = pulse.BasebandSignal(samples, rate)
     segmented = multitx.segment_capture(capture, schedule)
-    for i, segment in enumerate(segmented.segments):
-        npt.assert_array_equal(segment.samples, i + 1.0)
+    for i, segment in enumerate(segmented.segments.samples):
+        npt.assert_array_equal(segment, i + 1.0)
         assert len(segment) == 90
 
 
@@ -171,7 +172,7 @@ def test_compose_single_tx_matches_apply_channel(tdma_setup):
     schedule = multitx.TdmaSchedule(1, len(burst) + 64, 0)
     scene = [multitx.SceneTransmitter(burst, chan)]
     capture = multitx.compose_received(scene, schedule)
-    direct = ch.apply_channel(burst, chan)
+    direct = expand(ch.apply_channel(burst, chan))
     overlap = min(len(capture), len(direct))
     npt.assert_array_equal(capture.samples[:overlap], direct[:overlap])
     npt.assert_array_equal(capture.samples[overlap:], 0.0)
@@ -189,13 +190,15 @@ def test_segment_starts_at_its_bursts_first_sample(tdma_setup, chips10,
     schedule = multitx.TdmaSchedule(1, len(burst) + 2 * guard + 16, guard)
     capture = multitx.compose_received(
         [multitx.SceneTransmitter(burst, chan)], schedule)
-    [segment] = multitx.segment_capture(capture, schedule).segments
-    received = ch.apply_channel(burst, chan)
+    segments = multitx.segment_capture(capture, schedule).segments
+    [segment] = segments.samples
+    received = expand(ch.apply_channel(burst, chan))
     assert len(segment) == len(received) + 4
-    npt.assert_array_equal(segment.samples[:len(received)], received)
-    npt.assert_array_equal(segment.samples[len(received):], 0.0)
-    assert segment.origin_time == burst.origin_time
-    profile = sliding.measure_sliding(segment, chips10, rrc_taps, config)
+    npt.assert_array_equal(segment[:len(received)], received)
+    npt.assert_array_equal(segment[len(received):], 0.0)
+    assert segments.origin_time == burst.origin_time
+    [profile] = sliding.measure_sliding(segments, chips10, rrc_taps, config,
+                                        [0.0])
     npt.assert_array_equal(profile.lags, [0, 3])
     npt.assert_allclose(profile.gains, [0.5, 0.25j], atol=1e-9)
 
@@ -210,7 +213,7 @@ def test_compose_leakage_off_is_exactly_isolated(tdma_setup):
     capture = multitx.compose_received(scene, schedule, leak_gain=leak_gain)
     for i, chan in enumerate(channels):
         segment = capture.samples[i * slot_samples:(i + 1) * slot_samples]
-        received = ch.apply_channel(burst, chan)
+        received = expand(ch.apply_channel(burst, chan))
         expected = np.zeros(slot_samples, dtype=np.complex128)
         usable = min(slot_samples - guard, len(received))
         expected[guard:guard + usable] = received[:usable]
@@ -232,8 +235,8 @@ def test_small_clock_offset_keeps_sounding_bit_identical(tdma_setup, chips10,
         capture = multitx.compose_received(scene, schedule)
         segmented = multitx.segment_capture(capture, schedule)
         assert not segmented.misaligned
-        return sliding.measure_sliding(segmented.segments[0], chips10,
-                                       rrc_taps, config)
+        return sliding.measure_sliding(segmented.segments, chips10,
+                                       rrc_taps, config, [0.0] * 3)[0]
 
     base = profile_with_offset(0)
     small = profile_with_offset(-8)  # well under the guard trim
@@ -295,8 +298,8 @@ def test_near_far_failure_and_mitigation(tdma_setup, chips10, rrc_taps):
         capture = multitx.compose_received(scene, schedule,
                                            leak_gain=leakage.gain(park_mode))
         segmented = multitx.segment_capture(capture, schedule)
-        profile = sliding.measure_sliding(segmented.segments[1], chips10,
-                                          rrc_taps, config)
+        profile = sliding.measure_sliding(segmented.segments, chips10,
+                                          rrc_taps, config, [0.0] * 2)[1]
         return profile.wideband_path_loss_db
 
     corrupted = far_loss(multitx.PARK_IN_BAND)
@@ -320,8 +323,8 @@ def test_leakage_monotonicity(tdma_setup, chips10, rrc_taps):
         capture = multitx.compose_received(
             scene, schedule, leak_gain=leakage.gain(multitx.PARK_IN_BAND))
         segmented = multitx.segment_capture(capture, schedule)
-        profile = sliding.measure_sliding(segmented.segments[2], chips10,
-                                          rrc_taps, config)
+        profile = sliding.measure_sliding(segmented.segments, chips10,
+                                          rrc_taps, config, [0.0] * 3)[2]
         errors.append(abs(profile.wideband_path_loss_db - 80.0))
     assert all(a >= b - 1e-9 for a, b in zip(errors, errors[1:]))
     assert errors[0] > errors[-1]
@@ -433,6 +436,53 @@ def test_compose_with_the_campaign_period_matches_the_oracles(
                                    period=period, ramp=ramp)
     expected = per_sample_compose(scene, schedule, leak_gain)
     assert got.samples.tobytes() == expected.samples.tobytes()
+
+
+@given(slots=st.integers(1, 4), slot=st.integers(4, 120),
+       guard_share=st.floats(0.0, 0.49), period=st.integers(1, 30),
+       ramp=st.integers(0, 6), repetitions=st.integers(1, 6),
+       offsets=st.lists(st.integers(-1000, 1000), min_size=4, max_size=4),
+       leak_db=st.sampled_from([math.inf, 30.0, 0.0]),
+       noise=st.sampled_from([None, -40.0]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100)
+def test_period_form_placement_matches_the_tiled_composer(
+        slots, slot, guard_share, period, ramp, repetitions, offsets, leak_db,
+        noise, seed):
+    # bursts and leakage placed from each received waveform's period form
+    # must write the capture of the composer that builds every waveform
+    # whole and tiles its leakage over the capture, byte for byte: at
+    # clock offsets that straddle sample 0 or spill into other slots,
+    # with no leakage or in-band leakage, with and without noise, through
+    # taps up to the guard late, and for steady states of one period or
+    # less, which apply_channel sums directly
+    rng = np.random.default_rng(seed)
+
+    def noise_samples(size):
+        return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+    guard = int(guard_share * slot)
+    schedule = multitx.TdmaSchedule(slots, slot, guard)
+    leak_gain = multitx.LeakageModel(
+        inband_null_leakage_db=leak_db).gain(multitx.PARK_IN_BAND)
+    scene = []
+    for offset in offsets[:slots]:
+        samples = np.concatenate([noise_samples(ramp),
+                                  np.tile(noise_samples(period), repetitions),
+                                  noise_samples(ramp)])
+        late = rng.choice(np.arange(1, guard + 1),
+                          size=min(int(rng.integers(0, 4)), guard),
+                          replace=False)
+        channel = ch.MultipathChannel(
+            gains=noise_samples(len(late) + 1),
+            delays=np.concatenate([[0], np.sort(late)]))
+        scene.append(multitx.SceneTransmitter(
+            pulse.BasebandSignal(samples, 1.0), channel, offset))
+    kwargs = dict(leak_gain=leak_gain, noise_power_dbfs=noise, seed=seed)
+    got = multitx.compose_received(scene, schedule, period=period, ramp=ramp,
+                                   **kwargs)
+    expected = oracle_compose_received(scene, schedule, **kwargs)
+    assert np.array_equal(got.samples.view(np.uint64),
+                          expected.samples.view(np.uint64))
 
 
 def frequency_setup(guard_band_hz, carrier_count=1, **overrides):

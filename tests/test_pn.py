@@ -132,9 +132,17 @@ def test_correlate_length_mismatch(chips10):
         pn.circular_correlate(chips10, np.ones(100))
 
 
-def test_correlate_rejects_a_stack(chips10):
-    with pytest.raises(ValueError, match="must be 1-D"):
-        pn.circular_correlate(chips10, np.ones((4, 1023)))
+def test_correlate_a_stack_row_by_row(chips10, rng):
+    # one multi-row FFT gives each row the bits of its own 1-D
+    # correlation, also for a stack that is not C-contiguous
+    stack = rng.normal(size=(4, 1023)) + 1j * rng.normal(size=(4, 1023))
+    rows = [pn.circular_correlate(chips10, row) for row in stack]
+    for observed in (stack, np.asfortranarray(stack)):
+        got = pn.circular_correlate(chips10, observed)
+        assert got.shape == (4, 1023)
+        assert all(g.tobytes() == r.tobytes() for g, r in zip(got, rows))
+    with pytest.raises(ValueError, match="must be 1-D or a 2-D stack"):
+        pn.circular_correlate(chips10, np.ones((2, 4, 1023)))
 
 
 def test_correlate_linearity(chips10, rng):

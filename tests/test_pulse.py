@@ -9,11 +9,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chansounder import pn, pulse, sliding
-from chansounder.exceptions import NoSignalError
 
-from helpers import oracle_folded_period, oracle_phase_energies, write_iq
+from helpers import one_row, oracle_folded_period, oracle_phase_energies, write_iq
 
 CHIP_PERIOD = sliding.SounderConfig().chip_period_s
+
+
+def recover_one(signal, chips, taps, phase, periods, skip_symbols=0):
+    """recover_symbols on signal as a one-row stack: that row's symbols."""
+    [symbols] = pulse.recover_symbols(one_row(signal), chips, taps, [phase],
+                                      periods, skip_symbols=skip_symbols)
+    return symbols
+
+
+def phase_of(signal, chips, taps, skip_symbols=0):
+    """estimate_timing_phase on signal as a one-row stack: its phase, or
+    -1 for no signal."""
+    [phase] = pulse.estimate_timing_phase(one_row(signal), chips, taps,
+                                          skip_symbols=skip_symbols)
+    return phase
 
 
 def reference_rrc(rolloff, span, sps):
@@ -121,7 +135,7 @@ def test_modulate_middle_period_is_periodic(chips10, rrc_taps):
 def test_roundtrip_error_below_budget(chips10, span):
     taps = pulse.design_rrc(0.35, span, 4)
     signal = pulse.modulate(chips10, 3, taps, CHIP_PERIOD)
-    middle = pulse.recover_symbols(signal, chips10, taps, 0, 1,
+    middle = recover_one(signal, chips10, taps, 0, 1,
                                    skip_symbols=1023)
     assert np.max(np.abs(middle - chips10.chips)) < 1e-6
 
@@ -132,7 +146,7 @@ def test_recover_single_delayed_tap(chips10, rrc_taps):
     signal = pulse.modulate(chips10, 4, rrc_taps, CHIP_PERIOD)
     delayed = np.concatenate([np.zeros(12), 0.5 * signal.samples])
     shifted = pulse.BasebandSignal(delayed, signal.sample_rate, signal.origin_time)
-    window = pulse.recover_symbols(shifted, chips10, rrc_taps, 0, 1,
+    window = recover_one(shifted, chips10, rrc_taps, 0, 1,
                                    skip_symbols=1023)
     train = np.tile(chips10.chips, 4)
     npt.assert_allclose(window, 0.5 * train[1020:2043], atol=1e-6)
@@ -143,7 +157,7 @@ def test_recover_two_tap_superposition(chips10, rrc_taps):
     delayed = np.concatenate([signal.samples, np.zeros(12)])
     delayed[12:] += 0.5 * signal.samples
     mixed = pulse.BasebandSignal(delayed, signal.sample_rate, signal.origin_time)
-    window = pulse.recover_symbols(mixed, chips10, rrc_taps, 0, 1,
+    window = recover_one(mixed, chips10, rrc_taps, 0, 1,
                                    skip_symbols=1023)
     train = np.tile(chips10.chips, 4)
     expected = train[1023:2046] + 0.5 * train[1020:2043]
@@ -152,21 +166,21 @@ def test_recover_two_tap_superposition(chips10, rrc_taps):
 
 def test_recover_zero_signal(chips10, rrc_taps):
     signal = pulse.BasebandSignal(np.zeros(4096), 1e6)
-    npt.assert_array_equal(pulse.recover_symbols(signal, chips10, rrc_taps,
+    npt.assert_array_equal(recover_one(signal, chips10, rrc_taps,
                                                  0, 1), 0.0)
 
 
 def test_recover_too_short(chips10, rrc_taps):
     signal = pulse.BasebandSignal(np.zeros(10), 1e6)
     with pytest.raises(ValueError, match="shorter"):
-        pulse.recover_symbols(signal, chips10, rrc_taps, 0, 1)
+        recover_one(signal, chips10, rrc_taps, 0, 1)
     good = pulse.BasebandSignal(np.zeros(4096), 1e6)
     with pytest.raises(ValueError, match="phase"):
-        pulse.recover_symbols(good, chips10, rrc_taps, 4, 1)
+        recover_one(good, chips10, rrc_taps, 4, 1)
     with pytest.raises(ValueError, match="periods"):
-        pulse.recover_symbols(good, chips10, rrc_taps, 0, 0)
+        recover_one(good, chips10, rrc_taps, 0, 0)
     with pytest.raises(ValueError, match="skip_symbols"):
-        pulse.recover_symbols(good, chips10, rrc_taps, 0, 1, skip_symbols=-1)
+        recover_one(good, chips10, rrc_taps, 0, 1, skip_symbols=-1)
     # a stream that ends one symbol before the last averaged period does,
     # also where the filter tail overhangs the capture's end
     sps, span = rrc_taps.samples_per_symbol, len(rrc_taps.coefficients)
@@ -174,12 +188,12 @@ def test_recover_too_short(chips10, rrc_taps):
     last = origin + (3 * 1023 + 2 * 1023 - 1) * sps
     for tail in (0, -(span - 1)):
         enough = pulse.BasebandSignal(np.ones(last + 1 + tail), 1.0)
-        assert len(pulse.recover_symbols(enough, chips10, rrc_taps, 0, 2,
+        assert len(recover_one(enough, chips10, rrc_taps, 0, 2,
                                          skip_symbols=3 * 1023)) == 1023
     short = pulse.BasebandSignal(np.ones(last + 1 - span), 1.0)
     with pytest.raises(ValueError, match=r"^capture of 2045 symbols is "
                        r"shorter than 2 periods \(2046 symbols\)$"):
-        pulse.recover_symbols(short, chips10, rrc_taps, 0, 2,
+        recover_one(short, chips10, rrc_taps, 0, 2,
                               skip_symbols=3 * 1023)
     with pytest.raises(ValueError, match="shorter"):
         oracle_folded_period(short, rrc_taps, 0, 1023, 2, 3 * 1023)
@@ -213,7 +227,7 @@ def test_folded_period_matches_filter_then_average_oracle(
     samples = rng.normal(size=size) + 1j * rng.normal(size=size)
     half = (span - 1) // 2
     signal = pulse.BasebandSignal(samples, 1.0, origin_time=half - origin)
-    got = pulse.recover_symbols(signal, chips, taps, phase, periods,
+    got = recover_one(signal, chips, taps, phase, periods,
                                 skip_symbols=skip)
     expected = oracle_folded_period(signal, taps, phase, n, periods, skip)
     assert got.shape == (n,)
@@ -240,7 +254,7 @@ def test_filter_bank_rails_match_full_convolution(sps, span, size, first,
     full = np.convolve(x, h)
     start = int(first * (len(full) - 1))
     stop = start + 1 + int(last * (len(full) - start - 1))
-    rails = pulse._bank_rails(x, taps, start, stop)
+    [rails] = pulse._bank_rails(x[None], taps, start, stop)
     assert rails.shape == (2, stop - start)
     bound = 1e-13 * np.sum(np.abs(h)) * np.max(np.abs(x))
     assert np.max(np.abs(rails[0] - full[start:stop].real)) <= bound
@@ -298,13 +312,12 @@ def test_timing_phase_planted(chips10, rrc_taps, planted):
     padded = pulse.BasebandSignal(
         np.concatenate([np.zeros(planted), signal.samples]),
         signal.sample_rate, signal.origin_time)
-    assert pulse.estimate_timing_phase(padded, chips10, rrc_taps) == planted
+    assert phase_of(padded, chips10, rrc_taps) == planted
 
 
 def test_timing_phase_zero_signal(chips10, rrc_taps):
     silent = pulse.BasebandSignal(np.zeros(3 * 1023 * 4 + 64), 4 / CHIP_PERIOD)
-    with pytest.raises(NoSignalError):
-        pulse.estimate_timing_phase(silent, chips10, rrc_taps)
+    assert phase_of(silent, chips10, rrc_taps) == -1
 
 
 def test_timing_phase_silent_search_window(chips10, rrc_taps):
@@ -317,12 +330,11 @@ def test_timing_phase_silent_search_window(chips10, rrc_taps):
     samples = np.zeros(3 * n * sps + 64)
     samples[end:] = 1.0
     segment = pulse.BasebandSignal(samples, sps / CHIP_PERIOD)
-    with pytest.raises(NoSignalError, match="silent in the timing search"):
-        pulse.estimate_timing_phase(segment, chips10, rrc_taps)
+    assert phase_of(segment, chips10, rrc_taps) == -1
     # one nonzero sample inside the window is enough to time
     samples[end - 1] = 1.0
     segment = pulse.BasebandSignal(samples, sps / CHIP_PERIOD)
-    assert pulse.estimate_timing_phase(segment, chips10, rrc_taps) in range(sps)
+    assert phase_of(segment, chips10, rrc_taps) in range(sps)
 
 
 def test_timing_phase_scale_invariant(chips10, rrc_taps):
@@ -332,8 +344,8 @@ def test_timing_phase_scale_invariant(chips10, rrc_taps):
         signal.sample_rate, signal.origin_time)
     scaled = pulse.BasebandSignal(shifted.samples * (2.0 - 3.0j),
                                   shifted.sample_rate, shifted.origin_time)
-    assert pulse.estimate_timing_phase(scaled, chips10, rrc_taps) \
-        == pulse.estimate_timing_phase(shifted, chips10, rrc_taps) == 2
+    assert phase_of(scaled, chips10, rrc_taps) \
+        == phase_of(shifted, chips10, rrc_taps) == 2
 
 
 def test_timing_phase_noisy_monte_carlo(chips10, rrc_taps):
@@ -349,7 +361,7 @@ def test_timing_phase_noisy_monte_carlo(chips10, rrc_taps):
         noisy = shifted + rng.normal(scale=sigma, size=len(shifted)) \
             + 1j * rng.normal(scale=sigma, size=len(shifted))
         capture = pulse.BasebandSignal(noisy, base.sample_rate, base.origin_time)
-        hits += pulse.estimate_timing_phase(capture, chips10, rrc_taps) == planted
+        hits += phase_of(capture, chips10, rrc_taps) == planted
     assert hits >= 99
 
 
@@ -402,7 +414,7 @@ def test_timing_phase_rejects_window_before_capture(chips10, rrc_taps):
     early = pulse.BasebandSignal(np.tile(base.samples, 3), base.sample_rate,
                                  origin_time=1500 * CHIP_PERIOD)
     with pytest.raises(ValueError, match="full chip period"):
-        pulse.estimate_timing_phase(early, chips10, rrc_taps)
+        phase_of(early, chips10, rrc_taps)
 
 
 @pytest.mark.parametrize("span,sps", [(12, 4), (4, 2), (6, 3), (4, 8)])
@@ -430,7 +442,7 @@ def test_matched_filter_equals_full_convolution_bit_for_bit(span, sps):
                 for origin in (lo, hi, int(rng.integers(lo, hi + 1))):
                     signal = pulse.BasebandSignal(
                         x, 1.0, origin_time=(length - 1) // 2 - origin)
-                    got = pulse.recover_symbols(signal, chips, taps, phase, 1,
+                    got = recover_one(signal, chips, taps, phase, 1,
                                                 skip_symbols=skip)
                     first = origin + phase + skip * sps
                     assert np.array_equal(

@@ -11,7 +11,8 @@ from chansounder import channel as ch
 from chansounder import pulse, sliding
 from chansounder.exceptions import NoSignalError
 
-from helpers import (add_noise, measured_correlation_gain, planted_capture,
+from helpers import (add_noise, expand, measure_one, measured_correlation_gain,
+                     one_row, oracle_measure_sliding, planted_capture,
                      random_planted_channel)
 
 
@@ -21,7 +22,7 @@ def test_planted_three_tap_channel(chips10, rrc_taps, sounder_config):
         gains=[1.0, 0.5 * np.exp(1j * np.pi / 4), 0.1],
         delays=[0.0, 2 * period, 5 * period])
     capture = planted_capture(chips10, rrc_taps, planted, sounder_config)
-    profile = sliding.measure_sliding(capture, chips10, rrc_taps, sounder_config)
+    profile = measure_one(capture, chips10, rrc_taps, sounder_config)
     npt.assert_array_equal(profile.lags, [0, 2, 5])
     npt.assert_allclose(profile.gains, planted.gains, rtol=1e-3)
 
@@ -38,7 +39,7 @@ def test_adjacent_near_equal_taps(chips10, rrc_taps):
                -0.071428 - 0.997446j, 0.223418 - 0.627187j],
         delays=[0.0, 4 * period, 12 * period, 13 * period])
     capture = planted_capture(chips10, rrc_taps, planted, config)
-    profile = sliding.measure_sliding(capture, chips10, rrc_taps, config)
+    profile = measure_one(capture, chips10, rrc_taps, config)
     npt.assert_array_equal(profile.lags, [0, 4, 12, 13])
     npt.assert_allclose(profile.gains, planted.gains, rtol=1e-6)
 
@@ -67,16 +68,16 @@ def test_planted_channel_recovery_property(chips10, rrc_taps, seed, offset,
     capture = _arriving_late(planted_capture(chips10, rrc_taps, planted, config),
                              offset)
     sps = rrc_taps.samples_per_symbol
-    assert pulse.estimate_timing_phase(capture, chips10, rrc_taps,
+    assert pulse.estimate_timing_phase(one_row(capture), chips10, rrc_taps,
                                        skip_symbols=chips10.period_length) \
-        == offset % sps
-    profile = sliding.measure_sliding(capture, chips10, rrc_taps, config)
+        == [offset % sps]
+    profile = measure_one(capture, chips10, rrc_taps, config)
     npt.assert_array_equal(profile.lags, lags)
     ratio = profile.gains / planted.gains
     assert np.max(np.abs(20 * np.log10(np.abs(ratio)))) <= 1.0
     assert np.max(np.abs(np.degrees(np.angle(ratio)))) <= 5.0
 
-    shifted = sliding.measure_sliding(_arriving_late(capture, shift), chips10,
+    shifted = measure_one(_arriving_late(capture, shift), chips10,
                                       rrc_taps, config)
     assert shifted.lags.tobytes() == profile.lags.tobytes()
     assert shifted.gains.tobytes() == profile.gains.tobytes()
@@ -87,7 +88,7 @@ def test_planted_channel_recovery_property(chips10, rrc_taps, seed, offset,
 def test_identity_channel_measurement(chips10, rrc_taps, sounder_config):
     flat = ch.MultipathChannel(gains=[1.0], delays=[0.0])
     capture = planted_capture(chips10, rrc_taps, flat, sounder_config)
-    profile = sliding.measure_sliding(capture, chips10, rrc_taps, sounder_config)
+    profile = measure_one(capture, chips10, rrc_taps, sounder_config)
     npt.assert_array_equal(profile.lags, [0])
     assert abs(profile.wideband_path_loss_db) < 0.01
     assert profile.rms_delay_spread == 0.0
@@ -135,12 +136,12 @@ def test_scale_equivariance(chips10, rrc_taps, sounder_config):
     period = sounder_config.chip_period_s
     planted = ch.MultipathChannel(gains=[1.0, 0.4j], delays=[0.0, 3 * period])
     capture = planted_capture(chips10, rrc_taps, planted, sounder_config)
-    base = sliding.measure_sliding(capture, chips10, rrc_taps, sounder_config)
+    base = measure_one(capture, chips10, rrc_taps, sounder_config)
     g = 0.5 - 1.25j
     scaled_capture = pulse.BasebandSignal(capture.samples * g,
                                           capture.sample_rate,
                                           capture.origin_time)
-    scaled = sliding.measure_sliding(scaled_capture, chips10, rrc_taps,
+    scaled = measure_one(scaled_capture, chips10, rrc_taps,
                                      sounder_config)
     npt.assert_array_equal(scaled.lags, base.lags)
     npt.assert_allclose(scaled.gains, base.gains * g, rtol=1e-9)
@@ -152,11 +153,11 @@ def test_sound_deterministic(chips10, rrc_taps, sounder_config):
     period = sounder_config.chip_period_s
     planted = ch.MultipathChannel(gains=[1.0, 0.2], delays=[0.0, 4 * period])
     capture = planted_capture(chips10, rrc_taps, planted, sounder_config)
-    mean_period = pulse.recover_symbols(capture, chips10, rrc_taps, 0,
-                                        sounder_config.averaging_periods,
+    mean_period = pulse.recover_symbols(one_row(capture), chips10, rrc_taps,
+                                        [0], sounder_config.averaging_periods,
                                         skip_symbols=1023)
-    one = sliding.sound(mean_period, chips10, sounder_config)
-    two = sliding.sound(mean_period, chips10, sounder_config)
+    [one] = sliding.sound(mean_period, chips10, sounder_config, [0.0])
+    [two] = sliding.sound(mean_period, chips10, sounder_config, [0.0])
     npt.assert_array_equal(one.gains, two.gains)
     npt.assert_array_equal(one.lags, two.lags)
     assert one.wideband_path_loss_db == two.wideband_path_loss_db
@@ -169,21 +170,25 @@ def test_sound_capture_too_short(chips10, rrc_taps, sounder_config):
                              sounder_config.chip_period_s)
     with pytest.raises(ValueError, match=r"symbols is shorter than 10 "
                        r"periods \(10230 symbols\)"):
-        sliding.measure_sliding(capture, chips10, rrc_taps, sounder_config)
-    with pytest.raises(ValueError, match="not one chip period"):
-        sliding.sound(np.ones(1023 * 9), chips10, sounder_config)
+        measure_one(capture, chips10, rrc_taps, sounder_config)
+    with pytest.raises(ValueError, match="not rows of one chip period"):
+        sliding.sound(np.ones((1, 1023 * 9)), chips10, sounder_config, [0.0])
+    with pytest.raises(ValueError, match="not rows of one chip period"):
+        sliding.sound(np.ones(1023), chips10, sounder_config, [0.0])
 
 
-def test_sound_pure_noise_raises(chips10, sounder_config, rng):
+def test_sound_pure_noise_is_no_signal(chips10, sounder_config, rng):
     symbols = rng.normal(size=1023 * 10) + 1j * rng.normal(size=1023 * 10)
-    with pytest.raises(NoSignalError):
-        sliding.sound(symbols.reshape(10, 1023).mean(axis=0), chips10,
-                      sounder_config)
+    [result] = sliding.sound(symbols.reshape(1, 10, 1023).mean(axis=1),
+                             chips10, sounder_config, [0.0])
+    assert isinstance(result, NoSignalError)
 
 
-def test_sound_all_zero_raises(chips10, sounder_config):
-    with pytest.raises(NoSignalError):
-        sliding.sound(np.zeros(1023), chips10, sounder_config)
+def test_sound_all_zero_is_no_signal(chips10, sounder_config):
+    [result] = sliding.sound(np.zeros((1, 1023)), chips10, sounder_config,
+                             [0.0])
+    assert isinstance(result, NoSignalError)
+    assert str(result) == "correlation profile is identically zero"
 
 
 def test_dynamic_range_60_db(chips10, rrc_taps):
@@ -192,7 +197,7 @@ def test_dynamic_range_60_db(chips10, rrc_taps):
     weak = 1e-3  # 60 dB below the strong tap
     planted = ch.MultipathChannel(gains=[1.0, weak], delays=[0.0, 7 * period])
     capture = planted_capture(chips10, rrc_taps, planted, config)
-    profile = sliding.measure_sliding(capture, chips10, rrc_taps, config)
+    profile = measure_one(capture, chips10, rrc_taps, config)
     npt.assert_array_equal(profile.lags, [0, 7])
     error_db = abs(20 * math.log10(abs(profile.gains[1]) / weak))
     assert error_db <= 1.0
@@ -207,7 +212,7 @@ def test_environment_roundtrip_path_loss(chips10, rrc_taps, sounder_config):
         delay_grid_s=sounder_config.chip_period_s)
     config = sliding.SounderConfig(detection_threshold_db=60.0)
     capture = planted_capture(chips10, rrc_taps, planted, config)
-    profile = sliding.measure_sliding(capture, chips10, rrc_taps, config)
+    profile = measure_one(capture, chips10, rrc_taps, config)
     assert profile.wideband_path_loss_db == pytest.approx(truth, abs=0.2)
 
 
@@ -226,7 +231,7 @@ def test_sound_detection_survives_noise(chips10, rrc_taps):
     planted = ch.MultipathChannel(gains=[1.0, 0.5], delays=[0.0, 4 * period])
     capture = planted_capture(chips10, rrc_taps, planted, config)
     noisy = add_noise(capture, -10.0, seed=3)
-    profile = sliding.measure_sliding(noisy, chips10, rrc_taps, config)
+    profile = measure_one(noisy, chips10, rrc_taps, config)
     npt.assert_array_equal(profile.lags, [0, 4])
     npt.assert_allclose(np.abs(profile.gains), [1.0, 0.5], rtol=0.05)
 
@@ -248,7 +253,7 @@ def test_profile_json_roundtrip(chips10, rrc_taps, sounder_config):
     planted = ch.MultipathChannel(gains=[1.0, 0.3 - 0.1j],
                                   delays=[0.0, 2 * period])
     capture = planted_capture(chips10, rrc_taps, planted, sounder_config)
-    profile = sliding.measure_sliding(capture, chips10, rrc_taps, sounder_config)
+    profile = measure_one(capture, chips10, rrc_taps, sounder_config)
     doc = json.loads(json.dumps(sliding.profile_to_json(profile)))
     assert set(doc) == {"chip_period_s", "taps", "path_loss_db",
                         "rms_delay_spread_s"}
@@ -258,3 +263,67 @@ def test_profile_json_roundtrip(chips10, rrc_taps, sounder_config):
                             for tap in doc["taps"]], profile.gains)
     assert doc["path_loss_db"] == profile.wideband_path_loss_db
     assert doc["rms_delay_spread_s"] == profile.rms_delay_spread
+
+
+def test_stacked_chain_matches_the_per_segment_oracle_row_for_row(chips10,
+                                                                 rrc_taps):
+    # four slots of one capture, their guards loud: bursts through planted
+    # channels arriving at four sample phases, one silent slot, and
+    # segments that end before the recovery's last windows do, so every
+    # row's windows cross its end. Each row must give the bits of
+    # measuring that row alone, from a copy with nothing past its ends,
+    # and the oracle's lags and outcome with its gains to rounding; only
+    # the silent row is no_signal
+    config = sliding.SounderConfig(averaging_periods=2,
+                                   detection_threshold_db=50.0)
+    period = config.chip_period_s
+    burst = pulse.modulate(chips10, config.averaging_periods + 2, rrc_taps,
+                           period)
+    channels = [ch.MultipathChannel(gains=[1.0, 0.5j], delays=[0.0, 2 * period]),
+                None,
+                ch.MultipathChannel(gains=[0.3, -0.2, 0.1j],
+                                    delays=[0.0, period, 9 * period]),
+                ch.MultipathChannel(gains=[2.0], delays=[0.0])]
+    arrivals = [0, 0, 3, 41]  # samples late: phases 0, -, 3 and 1
+    powers = [0.0, 3.0, -6.0, 10.0]
+    guard, segment = 40, 12300
+    slot = segment + 2 * guard
+    rng = np.random.default_rng(8)
+    capture = 1e3 * (rng.normal(size=4 * slot) + 1j * rng.normal(size=4 * slot))
+    for i, (channel, late) in enumerate(zip(channels, arrivals)):
+        row = np.zeros(segment, dtype=np.complex128)
+        if channel is not None:
+            waveform = expand(ch.apply_channel(burst, channel))
+            row[late:] = waveform[:segment - late]
+        capture[i * slot + guard:(i + 1) * slot - guard] = row
+    stack = pulse.BasebandSignal(capture, burst.sample_rate,
+                                 burst.origin_time).rows(guard, slot, 4, segment)
+    profiles = sliding.measure_sliding(stack, chips10, rrc_taps, config, powers)
+    assert pulse.estimate_timing_phase(stack, chips10, rrc_taps, 1023).tolist() \
+        == [0, -1, 3, 1]
+    for row, power, got in zip(stack.samples, powers, profiles, strict=True):
+        alone = pulse.BasebandSignal(row.copy(), stack.sample_rate,
+                                     stack.origin_time)
+        [single] = sliding.measure_sliding(one_row(alone), chips10, rrc_taps,
+                                           config, [power])
+        try:
+            expected = oracle_measure_sliding(alone, chips10, rrc_taps, config,
+                                              power)
+        except NoSignalError:
+            expected = None
+        if isinstance(got, NoSignalError):
+            assert isinstance(single, NoSignalError) and expected is None
+            continue
+        assert got.lags.tobytes() == single.lags.tobytes()
+        assert got.gains.tobytes() == single.gains.tobytes()
+        assert got.wideband_path_loss_db == single.wideband_path_loss_db
+        assert got.rms_delay_spread == single.rms_delay_spread
+        npt.assert_array_equal(got.lags, expected.lags)
+        npt.assert_allclose(got.gains, expected.gains, rtol=1e-12, atol=0)
+        assert got.wideband_path_loss_db == pytest.approx(
+            expected.wideband_path_loss_db, rel=0, abs=1e-10)
+    assert [isinstance(p, NoSignalError) for p in profiles] \
+        == [False, True, False, False]
+    assert str(profiles[1]) == ("capture is silent in the timing search "
+                                "window; no timing phase exists")
+    npt.assert_array_equal(profiles[2].lags, [0, 1, 9])
