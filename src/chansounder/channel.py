@@ -108,11 +108,11 @@ def apply_channel(signal: BasebandSignal, channel: MultipathChannel,
     samples, as pulse.modulate's do with ramp = L - 1, gives an output
     that repeats in the same way from the largest delay on. The per-tap
     sum is then formed only over the ramp-in plus one period and over
-    the tail, and the steady state in between is left to that period:
-    each sample of the waveform is the same additions in the same order,
-    so the same bits, as summing every sample. Without a period, or when
-    the steady state holds no more than one period, the sum covers every
-    sample.
+    the tail; the steady state in between is not formed, as it repeats
+    that period. Each sample of the waveform is then the same additions
+    in the same order, so the same bits, as summing every sample.
+    Without a period, or when the steady state holds no more than one
+    period, the sum covers every sample.
     """
     shifts = []
     for i, delay in enumerate(channel.delays):

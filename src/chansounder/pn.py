@@ -158,8 +158,8 @@ def circular_correlate(reference: ChipSequence, observed) -> np.ndarray:
         raise ValueError(
             f"observed length {observed.shape[-1]} does not match period {n}"
         )
-    spectrum = reference.conj_spectrum * np.fft.fft(observed, axis=-1)
-    return np.fft.ifft(spectrum, axis=-1) / n
+    spectrum = reference.conj_spectrum * np.fft.fft(observed)
+    return np.fft.ifft(spectrum) / n
 
 
 def save_chips(sequence: ChipSequence, path) -> None:

@@ -216,7 +216,9 @@ def sound(mean_periods, chips: ChipSequence, config: SounderConfig,
             results.append(_sound_row(mean_period, profile, chips, config,
                                       float(tx_power_db)))
         except NoSignalError as exc:
-            results.append(exc)
+            # kept without its traceback, whose frames would hold the
+            # caller's capture until the cycle collector ran
+            results.append(exc.with_traceback(None))
     return results
 
 

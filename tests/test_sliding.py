@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -327,3 +329,25 @@ def test_stacked_chain_matches_the_per_segment_oracle_row_for_row(chips10,
     assert str(profiles[1]) == ("capture is silent in the timing search "
                                 "window; no timing phase exists")
     npt.assert_array_equal(profiles[2].lags, [0, 1, 9])
+
+
+def test_a_no_signal_row_keeps_no_capture_alive(chips10, rrc_taps,
+                                                sounder_config):
+    # a row's NoSignalError comes back without a traceback: the frames in
+    # one kept each location's capture alive until the cycle collector
+    # ran, and sliding-nearfar's peak memory rose from 61 to 163 MB
+    rng = np.random.default_rng(3)
+    size = 12 * 1023 * rrc_taps.samples_per_symbol
+    samples = rng.normal(size=size) + 1j * rng.normal(size=size)
+    capture = pulse.BasebandSignal(samples, 1 / 15e-9)
+    alive = weakref.ref(capture.samples)
+    gc.disable()
+    try:
+        [result] = sliding.measure_sliding(one_row(capture), chips10, rrc_taps,
+                                           sounder_config, [0.0])
+        del capture, samples
+        assert isinstance(result, NoSignalError)
+        assert result.__traceback__ is None
+        assert alive() is None
+    finally:
+        gc.enable()
