@@ -136,7 +136,7 @@ def test_roundtrip_error_below_budget(chips10, span):
     taps = pulse.design_rrc(0.35, span, 4)
     signal = pulse.modulate(chips10, 3, taps, CHIP_PERIOD)
     middle = recover_one(signal, chips10, taps, 0, 1,
-                                   skip_symbols=1023)
+                         skip_symbols=1023)
     assert np.max(np.abs(middle - chips10.chips)) < 1e-6
 
 
@@ -147,7 +147,7 @@ def test_recover_single_delayed_tap(chips10, rrc_taps):
     delayed = np.concatenate([np.zeros(12), 0.5 * signal.samples])
     shifted = pulse.BasebandSignal(delayed, signal.sample_rate, signal.origin_time)
     window = recover_one(shifted, chips10, rrc_taps, 0, 1,
-                                   skip_symbols=1023)
+                         skip_symbols=1023)
     train = np.tile(chips10.chips, 4)
     npt.assert_allclose(window, 0.5 * train[1020:2043], atol=1e-6)
 
@@ -158,7 +158,7 @@ def test_recover_two_tap_superposition(chips10, rrc_taps):
     delayed[12:] += 0.5 * signal.samples
     mixed = pulse.BasebandSignal(delayed, signal.sample_rate, signal.origin_time)
     window = recover_one(mixed, chips10, rrc_taps, 0, 1,
-                                   skip_symbols=1023)
+                         skip_symbols=1023)
     train = np.tile(chips10.chips, 4)
     expected = train[1023:2046] + 0.5 * train[1020:2043]
     npt.assert_allclose(window, expected, atol=1e-6)
@@ -167,7 +167,7 @@ def test_recover_two_tap_superposition(chips10, rrc_taps):
 def test_recover_zero_signal(chips10, rrc_taps):
     signal = pulse.BasebandSignal(np.zeros(4096), 1e6)
     npt.assert_array_equal(recover_one(signal, chips10, rrc_taps,
-                                                 0, 1), 0.0)
+                                       0, 1), 0.0)
 
 
 def test_recover_too_short(chips10, rrc_taps):
@@ -189,12 +189,12 @@ def test_recover_too_short(chips10, rrc_taps):
     for tail in (0, -(span - 1)):
         enough = pulse.BasebandSignal(np.ones(last + 1 + tail), 1.0)
         assert len(recover_one(enough, chips10, rrc_taps, 0, 2,
-                                         skip_symbols=3 * 1023)) == 1023
+                               skip_symbols=3 * 1023)) == 1023
     short = pulse.BasebandSignal(np.ones(last + 1 - span), 1.0)
     with pytest.raises(ValueError, match=r"^capture of 2045 symbols is "
                        r"shorter than 2 periods \(2046 symbols\)$"):
         recover_one(short, chips10, rrc_taps, 0, 2,
-                              skip_symbols=3 * 1023)
+                    skip_symbols=3 * 1023)
     with pytest.raises(ValueError, match="shorter"):
         oracle_folded_period(short, rrc_taps, 0, 1023, 2, 3 * 1023)
 
@@ -228,7 +228,7 @@ def test_folded_period_matches_filter_then_average_oracle(
     half = (span - 1) // 2
     signal = pulse.BasebandSignal(samples, 1.0, origin_time=half - origin)
     got = recover_one(signal, chips, taps, phase, periods,
-                                skip_symbols=skip)
+                      skip_symbols=skip)
     expected = oracle_folded_period(signal, taps, phase, n, periods, skip)
     assert got.shape == (n,)
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
@@ -443,7 +443,7 @@ def test_matched_filter_equals_full_convolution_bit_for_bit(span, sps):
                     signal = pulse.BasebandSignal(
                         x, 1.0, origin_time=(length - 1) // 2 - origin)
                     got = recover_one(signal, chips, taps, phase, 1,
-                                                skip_symbols=skip)
+                                      skip_symbols=skip)
                     first = origin + phase + skip * sps
                     assert np.array_equal(
                         got, full[first:first + n * sps:sps]), \

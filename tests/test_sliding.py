@@ -80,7 +80,7 @@ def test_planted_channel_recovery_property(chips10, rrc_taps, seed, offset,
     assert np.max(np.abs(np.degrees(np.angle(ratio)))) <= 5.0
 
     shifted = measure_one(_arriving_late(capture, shift), chips10,
-                                      rrc_taps, config)
+                          rrc_taps, config)
     assert shifted.lags.tobytes() == profile.lags.tobytes()
     assert shifted.gains.tobytes() == profile.gains.tobytes()
     assert shifted.wideband_path_loss_db == profile.wideband_path_loss_db
@@ -144,7 +144,7 @@ def test_scale_equivariance(chips10, rrc_taps, sounder_config):
                                           capture.sample_rate,
                                           capture.origin_time)
     scaled = measure_one(scaled_capture, chips10, rrc_taps,
-                                     sounder_config)
+                         sounder_config)
     npt.assert_array_equal(scaled.lags, base.lags)
     npt.assert_allclose(scaled.gains, base.gains * g, rtol=1e-9)
     assert scaled.wideband_path_loss_db == pytest.approx(
