@@ -279,7 +279,10 @@ def modulate(chips: ChipSequence, repetitions: int, taps: FilterTaps,
 
 def _origin_index(signal: BasebandSignal, taps: FilterTaps) -> int:
     """Index of t = 0 on the symbol grid of the full matched-filter output
-    of each of the signal's rows."""
+    of each row of a stack."""
+    if signal.samples.ndim != 2:
+        raise ValueError(f"expected a (rows, n) stack of captures, got "
+                         f"samples of shape {signal.samples.shape}")
     if signal.samples.shape[-1] < len(taps.coefficients):
         raise CaptureWindowError(
             f"signal of {signal.samples.shape[-1]} samples is shorter than "
@@ -339,13 +342,14 @@ def recover_symbols(stack: BasebandSignal, chips: ChipSequence,
     Raises ValueError when a row's stream ends before `periods` periods.
     """
     sps = taps.samples_per_symbol
+    origin = _origin_index(stack, taps)
     x = stack.samples
     phases = np.asarray(phases)
     if phases.shape != x.shape[:1] or np.any((phases < 0) | (phases >= sps)):
         raise ValueError(f"phase must be in [0, {sps}), one per row")
     if periods < 1 or skip_symbols < 0:
         raise ValueError("periods must be >= 1 and skip_symbols nonnegative")
-    first = _origin_index(stack, taps) + phases
+    first = origin + phases
     first = np.where(first < 0, first % sps, first)
     span = len(taps.coefficients)
     n = chips.period_length

@@ -48,6 +48,21 @@ def test_schedule_slot_ownership():
                                np.arange(100.0 * i + 10, 100.0 * i + 90))
 
 
+def test_segments_are_one_view_of_the_capture():
+    # the stack shares the capture's checked samples, and rows that would
+    # run past the capture are refused before any strided view is made
+    capture = pulse.BasebandSignal(np.arange(300.0), 1000.0, origin_time=2.0)
+    segments = multitx.segment_capture(
+        capture, multitx.TdmaSchedule(3, 100, 10)).segments
+    assert np.shares_memory(segments.samples, capture.samples)
+    assert not segments.samples.flags.writeable
+    assert (segments.sample_rate, segments.origin_time) == (1000.0, 2.0)
+    for first, step, count, length in ((0, 100, 3, 101), (-1, 100, 1, 10),
+                                       (10, 100, 4, 80), (0, -1, 2, 10)):
+        with pytest.raises(ValueError, match="do not fit"):
+            capture.rows(first, step, count, length)
+
+
 def test_single_transmitter_owns_everything():
     # one slot is the whole period; with no guard its segment is the
     # whole capture

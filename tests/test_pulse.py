@@ -315,6 +315,15 @@ def test_timing_phase_planted(chips10, rrc_taps, planted):
     assert phase_of(padded, chips10, rrc_taps) == planted
 
 
+def test_receive_chain_takes_a_stack(chips10, rrc_taps):
+    # a bare capture is one row of a stack, not a stack
+    signal = pulse.modulate(chips10, 3, rrc_taps, CHIP_PERIOD)
+    with pytest.raises(ValueError, match=r"\(rows, n\) stack"):
+        pulse.estimate_timing_phase(signal, chips10, rrc_taps)
+    with pytest.raises(ValueError, match=r"\(rows, n\) stack"):
+        pulse.recover_symbols(signal, chips10, rrc_taps, np.zeros(1, int), 1)
+
+
 def test_timing_phase_zero_signal(chips10, rrc_taps):
     silent = pulse.BasebandSignal(np.zeros(3 * 1023 * 4 + 64), 4 / CHIP_PERIOD)
     assert phase_of(silent, chips10, rrc_taps) == -1
