@@ -56,7 +56,6 @@ from chansounder.sliding import (
     measure_sliding,
     rms_delay_spread,
     sound,
-    wideband_path_loss,
 )
 from chansounder.sweep import (
     FrequencySetup,

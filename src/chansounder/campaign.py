@@ -270,7 +270,9 @@ def _run_sliding(scenario: Scenario, prepared: tuple, locations: range) -> list:
             noise_power_dbfs=scenario.noise_power_dbfs,
             seed=_noise_seed(scenario, "noise", loc_index),
             period=period, ramp=ramp)
-        segmented = multitx.segment_capture(capture, schedule)
+        segmented = multitx.segment_capture(capture, schedule,
+                                            waveforms[0].sample_rate,
+                                            waveforms[0].origin_time)
         location_flags = (FLAG_MISALIGNED,) if segmented.misaligned else ()
         profiles = sliding.measure_sliding(
             segmented.segments, chips, taps, config,

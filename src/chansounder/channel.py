@@ -34,11 +34,12 @@ class MultipathChannel:
             raise ValueError("need matching, nonempty gain and delay lists")
         if delays[0] != 0.0:
             raise ValueError("first tap delay must be 0 (delays are relative)")
-        if np.any(np.diff(delays) <= 0):
-            raise ValueError("delays must be strictly increasing")
-        if not np.all(np.isfinite(gains.view(np.float64))):
+        # a NaN compares false, and only the last delay can be inf
+        if not ((delays[1:] > delays[:-1]).all() and delays[-1] < math.inf):
+            raise ValueError("delays must be finite and strictly increasing")
+        if not np.isfinite(gains.view(np.float64)).all():
             raise ValueError("gains must be finite")
-        if not np.any(gains != 0):
+        if not (gains != 0).any():
             raise ValueError("at least one gain must be nonzero")
 
     def total_power(self) -> float:
@@ -220,19 +221,25 @@ def synthesize_channel(env: EnvironmentModel, tx_position, rx_position,
     if env.delay_spread_scale_s == 0.0:
         tap_count = 1
 
-    delays = np.zeros(tap_count)
+    # the running sum of the inter-arrivals, one float at a time, adds
+    # as np.cumsum does
+    delays = [0.0]
     if tap_count > 1:
-        raw = np.cumsum(rng.exponential(env.delay_spread_scale_s, tap_count - 1))
+        arrival = 0.0
         grid_steps = 0
-        for k in range(1, tap_count):
-            grid_steps = max(int(round(raw[k - 1] / delay_grid_s)), grid_steps + 1)
-            delays[k] = grid_steps * delay_grid_s
+        for gap in rng.exponential(env.delay_spread_scale_s,
+                                   tap_count - 1).tolist():
+            arrival += gap
+            grid_steps = max(int(round(arrival / delay_grid_s)),
+                             grid_steps + 1)
+            delays.append(grid_steps * delay_grid_s)
+    delays = np.array(delays)
 
     if env.delay_spread_scale_s > 0.0:
         powers = np.exp(-delays / env.delay_spread_scale_s)
     else:
         powers = np.ones(tap_count)
-    powers *= 10.0 ** (-loss_db / 10.0) / np.sum(powers)
+    powers *= 10.0 ** (-loss_db / 10.0) / powers.sum()
     phases = rng.uniform(0.0, 2.0 * np.pi, tap_count)
     gains = np.sqrt(powers) * np.exp(1j * phases)
     return MultipathChannel(gains=gains, delays=delays), loss_db

@@ -20,7 +20,7 @@ import numpy as np
 
 from chansounder.channel import (ChannelOutput, MultipathChannel, add_noise,
                                  apply_channel)
-from chansounder.pulse import BasebandSignal
+from chansounder.pulse import BasebandSignal, check_finite
 from chansounder.sweep import FrequencySetup
 
 PARK_OFF_BAND = "off_band"
@@ -246,26 +246,30 @@ def _add_wrapped(out, received: ChannelOutput, scaled, lo, hi, offset_samples):
 def compose_received(scene, schedule: TdmaSchedule, leak_gain: float = 0.0,
                      noise_power_dbfs: float | None = None,
                      seed: int = 0, period: int | None = None,
-                     ramp: int = 0) -> BasebandSignal:
+                     ramp: int = 0) -> np.ndarray:
     """Sum every transmitter's channel-filtered waveform over one TDMA
-    period of the receiver's clock.
+    period of the receiver's clock, on the scene's sample rate.
 
     Transmitter i bursts during its own (clock-perceived) slot i,
     starting guard_samples into it; everywhere else it contributes a
     periodically tiled copy scaled by leak_gain — the correlated leakage
     that creates the near-far problem. One leak gain holds for the whole
     scene: a scenario's LeakageModel.gain of its park mode, or 0.0 for
-    silent idle transmitters. The capture carries the first
-    waveform's origin_time, so a burst that starts a segment keeps its
-    own time axis. Bursts and leakage are added straight from the period
+    silent idle transmitters. The capture's time axis is the first
+    waveform's, so a burst that starts a segment keeps its own time
+    axis. Bursts and leakage are added straight from the period
     form of each received waveform (apply_channel): its head and tail by
     slices, its steady state as whole periods in broadcast adds, the
     leakage from one leak-scaled copy of that form. No capture-length
     tile and no full-length received waveform is built. Noise, when
     asked for, is added by channel.add_noise from a generator seeded
     with seed. A period and ramp state that every waveform repeats
-    between its ramps, and go to apply_channel. The capture's samples
-    are checked once, here, when its BasebandSignal is built.
+    between its ramps, and go to apply_channel.
+
+    Returns the capture's samples, not yet checked: segment_capture
+    proves them finite with the slot powers that it sums anyway, so no
+    pass over the capture is made for the check alone. A sum that
+    overflows raises no numpy warning here; that check reports it.
     """
     if not scene:
         raise ValueError("scene must contain at least one transmitter")
@@ -275,20 +279,19 @@ def compose_received(scene, schedule: TdmaSchedule, leak_gain: float = 0.0,
             f"{schedule.transmitter_count} slots"
         )
     rate = scene[0].waveform.sample_rate
-    origin = scene[0].waveform.origin_time
     for tx in scene:
         if tx.waveform.sample_rate != rate:
             raise ValueError("all scene waveforms must share one sample rate")
 
     n = schedule.period_samples
     out = np.zeros(n, dtype=np.complex128)
-    for i, tx in enumerate(scene):
-        received = apply_channel(tx.waveform, tx.channel, period, ramp)
-        _place_by_slices(out, received, tx.clock_offset_samples, i, schedule,
-                         leak_gain)
-
-    add_noise(out, noise_power_dbfs, seed)
-    return BasebandSignal(samples=out, sample_rate=rate, origin_time=origin)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, tx in enumerate(scene):
+            received = apply_channel(tx.waveform, tx.channel, period, ramp)
+            _place_by_slices(out, received, tx.clock_offset_samples, i,
+                             schedule, leak_gain)
+        add_noise(out, noise_power_dbfs, seed)
+    return out
 
 
 def _mean_power(samples: np.ndarray) -> float:
@@ -300,58 +303,78 @@ def _mean_power(samples: np.ndarray) -> float:
     return np.einsum("i,i->", parts, parts) / len(samples)
 
 
-def guard_core_power_ratio(signal: BasebandSignal,
+def guard_core_power_ratio(samples: np.ndarray,
                            schedule: TdmaSchedule) -> float:
-    """Power in the guard trims relative to the busiest slot core.
+    """Power in the guard trims relative to the busiest slot core, of a
+    contiguous complex128 capture, whose samples it proves finite.
 
     Bursts sit inside the slot cores and leave the guard trims nearly
     silent; once clock error pushes a burst past its guard, the ratio
     approaches one. Offsets that are exact multiples of the slot length
     move bursts whole slots and remain invisible here.
+
+    A sum of squares is finite only when every summand is, so a finite
+    mean power proves its region finite. The exact check reads only what
+    that leaves unproven: the whole capture when a region's power is not
+    finite (NaN or inf, or finite samples whose squares overflow) or
+    when there is no guard, else the samples past the period. It raises
+    ValueError("samples must be finite").
     """
     trim = schedule.guard_samples
-    if trim < 1:
-        return 0.0
     slot_samples = schedule.slot_samples
     guard_power = 0.0
     core_power = 0.0
-    for i in range(schedule.transmitter_count):
-        lo = i * slot_samples
-        hi = lo + slot_samples
-        head = _mean_power(signal.samples[lo:lo + trim])
-        tail = _mean_power(signal.samples[hi - trim:hi])
-        core = _mean_power(signal.samples[lo + trim:hi - trim])
-        guard_power = max(guard_power, head, tail)
-        core_power = max(core_power, core)
+    proven = 0
+    if trim >= 1:
+        finite = True
+        for i in range(schedule.transmitter_count):
+            lo = i * slot_samples
+            hi = lo + slot_samples
+            head = _mean_power(samples[lo:lo + trim])
+            tail = _mean_power(samples[hi - trim:hi])
+            core = _mean_power(samples[lo + trim:hi - trim])
+            # each region by itself: max() passes over a NaN
+            finite = finite and math.isfinite(head) and \
+                math.isfinite(tail) and math.isfinite(core)
+            guard_power = max(guard_power, head, tail)
+            core_power = max(core_power, core)
+        if finite:
+            proven = schedule.period_samples
+    check_finite(samples[proven:])
     if core_power == 0.0:
         return 0.0
     return float(guard_power / core_power)
 
 
-def segment_capture(signal: BasebandSignal,
-                    schedule: TdmaSchedule) -> SegmentedCapture:
-    """Split one TDMA period into per-transmitter segments.
+def segment_capture(samples: np.ndarray, schedule: TdmaSchedule,
+                    sample_rate: float,
+                    origin_time: float = 0.0) -> SegmentedCapture:
+    """Split one TDMA period of capture samples (compose_received's) on
+    sample_rate, sample 0 at origin_time, into per-transmitter segments.
 
     The capture must begin at a period boundary of the receiver's clock
-    and span at least one period. The schedule's guard is discarded from
-    both ends of every slot to absorb small clock offsets, so segment i
-    starts where transmitter i's burst starts when its clock agrees with
-    the receiver's. The segments are one stack, a strided
+    and span at least one period. Its samples are checked here, once, by
+    guard_core_power_ratio, which raises ValueError("samples must be
+    finite"). The schedule's guard is discarded from both ends of every
+    slot to absorb small clock offsets, so segment i starts where
+    transmitter i's burst starts when its clock agrees with the
+    receiver's. The segments are one stack, a strided
     (transmitter_count, slot_samples - 2 * guard_samples) view of the
-    capture's checked samples with its origin_time, not checked again.
-    Captures whose guard regions carry slot-core-level power are flagged
-    as misaligned.
+    checked capture with its origin_time. Captures whose guard regions
+    carry slot-core-level power are flagged as misaligned.
     """
-    if len(signal) < schedule.period_samples:
+    samples = np.ascontiguousarray(samples, dtype=np.complex128)
+    if len(samples) < schedule.period_samples:
         raise ValueError(
-            f"capture of {len(signal)} samples is shorter than one TDMA "
+            f"capture of {len(samples)} samples is shorter than one TDMA "
             f"period ({schedule.period_samples} samples)"
         )
-    ratio = guard_core_power_ratio(signal, schedule)
+    ratio = guard_core_power_ratio(samples, schedule)
+    capture = BasebandSignal.checked(samples, sample_rate, origin_time)
     slot_samples, trim = schedule.slot_samples, schedule.guard_samples
     return SegmentedCapture(
-        segments=signal.rows(trim, slot_samples, schedule.transmitter_count,
-                             slot_samples - 2 * trim),
+        segments=capture.rows(trim, slot_samples, schedule.transmitter_count,
+                              slot_samples - 2 * trim),
         guard_core_ratio=ratio,
         misaligned=ratio > 0.25,
     )

@@ -8,7 +8,6 @@ the samples-per-symbol grid, which is exact at simulation scale.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -91,8 +90,21 @@ class BasebandSignal:
         object.__setattr__(self, "samples", samples)
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-        if not np.all(np.isfinite(samples.view(np.float64))):
-            raise ValueError("samples must be finite")
+        check_finite(samples)
+
+    @classmethod
+    def checked(cls, samples: np.ndarray, sample_rate: float,
+                origin_time: float = 0.0) -> BasebandSignal:
+        """A signal of complex128 samples that the caller has already
+        proved finite, as multitx.segment_capture's slot powers do: the
+        rate is checked, the samples are not read again."""
+        signal = object.__new__(cls)  # no __init__, so no second check
+        for name, value in (("samples", samples), ("sample_rate", sample_rate),
+                            ("origin_time", origin_time)):
+            object.__setattr__(signal, name, value)
+        if sample_rate <= 0:
+            raise ValueError("sample_rate must be positive")
+        return signal
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -110,11 +122,17 @@ class BasebandSignal:
             raise ValueError(f"rows of {length} samples from {first}, {step} "
                              f"apart, do not fit {len(samples)} samples")
         size = samples.itemsize
-        view = copy.copy(self)  # runs no __init__, so no second check
-        object.__setattr__(view, "samples", as_strided(
-            samples[first:], shape=(count, length),
-            strides=(step * size, size), writeable=False))
-        return view
+        return BasebandSignal.checked(
+            as_strided(samples[first:], shape=(count, length),
+                       strides=(step * size, size), writeable=False),
+            self.sample_rate, self.origin_time)
+
+
+def check_finite(samples: np.ndarray) -> None:
+    """Raise ValueError("samples must be finite") unless every real and
+    imaginary part of the contiguous complex128 samples is finite."""
+    if not np.isfinite(samples.view(np.float64)).all():
+        raise ValueError("samples must be finite")
 
 
 def _rrc_closed_form(rolloff: float, span_symbols: int,

@@ -101,24 +101,13 @@ class DelayProfile:
         object.__setattr__(self, "gains", gains)
         if len(lags) < 1 or len(lags) != len(gains):
             raise ValueError("need matching, nonempty lag and gain lists")
-        if lags[0] < 0 or np.any(np.diff(lags) <= 0):
+        if lags[0] < 0 or (lags[1:] <= lags[:-1]).any():
             raise ValueError("lags must be nonnegative and strictly increasing")
         if self.rms_delay_spread < 0:
             raise ValueError("rms_delay_spread must be nonnegative")
         span = (lags[-1] - lags[0]) * self.chip_period
         if self.rms_delay_spread > span + 1e-15:
             raise ValueError("rms_delay_spread exceeds the tap span")
-
-
-def wideband_path_loss(gains, tx_power_db: float) -> float:
-    """Transmit power minus the total power across all taps, in dB."""
-    gains = np.asarray(gains, dtype=np.complex128)
-    if len(gains) < 1:
-        raise ValueError("need at least one tap")
-    total = float(np.sum(np.abs(gains) ** 2))
-    if total == 0.0:
-        raise ValueError("total tap power is zero")
-    return tx_power_db - 10.0 * math.log10(total)
 
 
 def rms_delay_spread(lags, gains, chip_period: float) -> float:
@@ -130,9 +119,20 @@ def rms_delay_spread(lags, gains, chip_period: float) -> float:
     # the spread is translation invariant; shifting to the first tap keeps
     # the single-tap case exactly zero
     delays = (lags - lags[0]) * chip_period
-    mean = float(np.sum(powers * delays) / np.sum(powers))
-    second = float(np.sum(powers * delays**2) / np.sum(powers))
-    return math.sqrt(max(second - mean**2, 0.0))
+    total = powers.sum()
+    mean = float((powers * delays).sum() / total)
+    second = float((powers * delays ** 2).sum() / total)
+    return math.sqrt(max(second - mean ** 2, 0.0))
+
+
+def _std(values: np.ndarray) -> float:
+    """values.std() of a nonempty float array, bit for bit, by the steps
+    of numpy's own _var without its wrappers: the mean, the deviations
+    squared in place, their mean, its square root."""
+    count = len(values)
+    deviations = values - values.sum() / count
+    deviations *= deviations
+    return math.sqrt(deviations.sum() / count)
 
 
 def _threshold(corrected: np.ndarray, config: SounderConfig):
@@ -142,9 +142,9 @@ def _threshold(corrected: np.ndarray, config: SounderConfig):
         raise NoSignalError("correlation profile is identically zero")
     relative_floor = peak * 10.0 ** (-config.detection_threshold_db / 20.0)
     off_peak = magnitudes[magnitudes < relative_floor]
-    noise_floor = DETECTION_SIGMA_FACTOR * float(off_peak.std()) if len(off_peak) else 0.0
+    noise_floor = DETECTION_SIGMA_FACTOR * _std(off_peak) if len(off_peak) else 0.0
     threshold = max(relative_floor, noise_floor)
-    detected = np.nonzero(magnitudes >= threshold)[0]
+    detected = (magnitudes >= threshold).nonzero()[0]
     if len(detected) == 0 or len(detected) > len(corrected) // 2:
         raise NoSignalError(
             "no correlation lag stands clear of the detection floor"
@@ -163,26 +163,26 @@ def _detect_taps(profile: np.ndarray, config: SounderConfig):
     noise back in.
     """
     n = len(profile)
-    gain_sum = np.sum(profile)  # equals (sum of tap gains) / N + noise
+    gain_sum = profile.sum()  # equals (sum of tap gains) / N + noise
     detected = None
     for _ in range(2):
-        corrected = (profile + gain_sum) * (n / (n + 1.0))
+        corrected = profile + gain_sum
+        corrected *= n / (n + 1.0)
         detected = _threshold(corrected, config)
-        gain_sum = np.sum(corrected[detected]) / n
+        gain_sum = corrected[detected].sum() / n
     return detected, corrected
 
 
-def _rotate_to_first_arrival(lags: np.ndarray, period: int) -> np.ndarray:
+def _first_arrival(lags: np.ndarray, period: int) -> int:
     """Pick the first-arrival lag on the circle of correlation lags.
 
     Delay profiles are relative (first path at lag 0), so a capture that
     starts mid-sequence only rotates the lag set. The first arrival is
-    the lag following the largest circular gap.
+    the lag following the largest circular gap (the first such gap).
     """
-    if len(lags) == 1:
-        return lags[0]
-    gaps = np.diff(np.concatenate([lags, [lags[0] + period]]))
-    return lags[(int(np.argmax(gaps)) + 1) % len(lags)]
+    lags = lags.tolist()
+    gaps = [b - a for a, b in zip(lags, lags[1:] + [lags[0] + period])]
+    return lags[(gaps.index(max(gaps)) + 1) % len(lags)]
 
 
 def sound(mean_periods, chips: ChipSequence, config: SounderConfig,
@@ -232,22 +232,27 @@ def _sound_row(mean_period, profile, chips: ChipSequence,
     # Re-running detection on the period vector rolled to put the first
     # arrival at lag 0 makes the result bit-identical for captures that
     # start anywhere inside the periodic steady state.
-    first = _rotate_to_first_arrival(detected, n)
-    if first != 0:
+    first = _first_arrival(detected, n)
+    if first:
         detected, corrected = _detect_taps(
-            circular_correlate(chips, np.roll(mean_period, -int(first))),
-            config)
-        first = _rotate_to_first_arrival(detected, n)
-    relative = (detected - first) % n
-    order = np.argsort(relative)
-    lags = relative[order]
-    gains = corrected[detected[order]]
+            circular_correlate(chips, np.roll(mean_period, -first)), config)
+        first = _first_arrival(detected, n)
+    lags = detected  # nonzero() returns them sorted
+    if first:
+        relative = (detected - first) % n
+        order = relative.argsort()
+        lags = relative[order]
+        detected = detected[order]
+    gains = corrected[detected]
+    total = float((np.abs(gains) ** 2).sum())
+    if total == 0.0:
+        raise ValueError("total tap power is zero")
 
     return DelayProfile(
         lags=lags,
         gains=gains,
         chip_period=config.chip_period_s,
-        wideband_path_loss_db=wideband_path_loss(gains, tx_power_db),
+        wideband_path_loss_db=tx_power_db - 10.0 * math.log10(total),
         rms_delay_spread=rms_delay_spread(lags, gains, config.chip_period_s),
     )
 

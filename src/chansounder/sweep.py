@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from chansounder.channel import MultipathChannel, add_noise
+from chansounder.pulse import check_finite
 
 
 @dataclass(frozen=True)
@@ -192,6 +193,5 @@ def compose_sweep_capture(entries, frame: FrequencySetup, units: dict, seeds,
             if k:
                 row += tone
         add_noise(row, noise_power_dbfs, seed)
-    if not np.all(np.isfinite(rows.view(np.float64))):
-        raise ValueError("samples must be finite")
+    check_finite(rows)
     return rows

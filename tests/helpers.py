@@ -82,9 +82,10 @@ def add_noise(signal, noise_power_dbfs, seed):
     transmitter owns the whole capture through a unit channel."""
     schedule = multitx.TdmaSchedule(1, len(signal), 0)
     unit = ch.MultipathChannel(gains=[1.0], delays=[0.0])
-    return multitx.compose_received([multitx.SceneTransmitter(signal, unit)],
-                                    schedule, noise_power_dbfs=noise_power_dbfs,
-                                    seed=seed)
+    samples = multitx.compose_received(
+        [multitx.SceneTransmitter(signal, unit)], schedule,
+        noise_power_dbfs=noise_power_dbfs, seed=seed)
+    return pulse.BasebandSignal(samples, signal.sample_rate, signal.origin_time)
 
 
 def assert_no_child_left():
@@ -106,7 +107,7 @@ def failing_channel_draw(monkeypatch, position, error):
     monkeypatch.setattr(campaign, "synthesize_channel", synthesize)
 
 
-def oracle_guard_core_power_ratio(signal, schedule):
+def oracle_guard_core_power_ratio(samples, schedule):
     """guard_core_power_ratio with np.mean(np.abs(x) ** 2) per region."""
     trim = schedule.guard_samples
     if trim < 1:
@@ -116,9 +117,9 @@ def oracle_guard_core_power_ratio(signal, schedule):
     for i in range(schedule.transmitter_count):
         lo = i * slot_samples
         hi = lo + slot_samples
-        head = np.mean(np.abs(signal.samples[lo:lo + trim]) ** 2)
-        tail = np.mean(np.abs(signal.samples[hi - trim:hi]) ** 2)
-        core = np.mean(np.abs(signal.samples[lo + trim:hi - trim]) ** 2)
+        head = np.mean(np.abs(samples[lo:lo + trim]) ** 2)
+        tail = np.mean(np.abs(samples[hi - trim:hi]) ** 2)
+        core = np.mean(np.abs(samples[lo + trim:hi - trim]) ** 2)
         guard_power = max(guard_power, head, tail)
         core_power = max(core_power, core)
     return 0.0 if core_power == 0.0 else float(guard_power / core_power)
@@ -312,7 +313,6 @@ def oracle_compose_received(scene, schedule, leak_gain, noise_power_dbfs=None,
     and complex A + 1j * B noise: the earlier composition that the
     wrapped-slice leakage and per-rail noise must match byte for byte.
     """
-    rate = scene[0].waveform.sample_rate
     slot = schedule.slot_samples
     n = period = schedule.period_samples
     out = np.zeros(n, dtype=np.complex128)
@@ -340,14 +340,12 @@ def oracle_compose_received(scene, schedule, leak_gain, noise_power_dbfs=None,
         rng = np.random.default_rng(seed)
         sigma = math.sqrt(10.0 ** (noise_power_dbfs / 10.0) / 2.0)
         out += rng.normal(scale=sigma, size=n) + 1j * rng.normal(scale=sigma, size=n)
-    return pulse.BasebandSignal(samples=out, sample_rate=rate,
-                                origin_time=scene[0].waveform.origin_time)
+    return out
 
 
 def per_sample_compose(scene, schedule, leak_gain):
     """Noise-free compose_received that maps every sample through its
     perceived slot position: the reference for slice placement."""
-    rate = scene[0].waveform.sample_rate
     slot, period = schedule.slot_samples, schedule.period_samples
     out = np.zeros(period, dtype=np.complex128)
     for i, tx in enumerate(scene):
@@ -360,8 +358,7 @@ def per_sample_compose(scene, schedule, leak_gain):
         out[valid] += received[burst_index[valid]]
         if leak_gain > 0.0:
             out[~active] += leak_gain * received[perceived[~active] % len(received)]
-    return pulse.BasebandSignal(samples=out, sample_rate=rate,
-                                origin_time=scene[0].waveform.origin_time)
+    return out
 
 
 def oracle_phase_energies(chips, windows):
@@ -371,3 +368,90 @@ def oracle_phase_energies(chips, windows):
     return np.array([float(np.sum(np.abs(circular_correlate(
         chips, windows[:, phase])) ** 2))
         for phase in range(windows.shape[1])])
+
+
+def oracle_threshold(corrected, config):
+    """sliding._threshold through numpy's wrappers: np.abs, np.std and
+    np.nonzero."""
+    magnitudes = np.abs(corrected)
+    peak = float(magnitudes.max())
+    if peak == 0.0:
+        raise NoSignalError("correlation profile is identically zero")
+    relative_floor = peak * 10.0 ** (-config.detection_threshold_db / 20.0)
+    off_peak = magnitudes[magnitudes < relative_floor]
+    noise_floor = (sliding.DETECTION_SIGMA_FACTOR * float(np.std(off_peak))
+                   if len(off_peak) else 0.0)
+    threshold = max(relative_floor, noise_floor)
+    detected = np.nonzero(magnitudes >= threshold)[0]
+    if len(detected) == 0 or len(detected) > len(corrected) // 2:
+        raise NoSignalError(
+            "no correlation lag stands clear of the detection floor")
+    return detected
+
+
+def oracle_detect_taps(profile, config):
+    """sliding._detect_taps through np.sum and oracle_threshold."""
+    n = len(profile)
+    gain_sum = np.sum(profile)
+    for _ in range(2):
+        corrected = (profile + gain_sum) * (n / (n + 1.0))
+        detected = oracle_threshold(corrected, config)
+        gain_sum = np.sum(corrected[detected]) / n
+    return detected, corrected
+
+
+def oracle_first_arrival(lags, period):
+    """The lag after the largest circular gap, by np.diff and np.argmax."""
+    if len(lags) == 1:
+        return lags[0]
+    gaps = np.diff(np.concatenate([lags, [lags[0] + period]]))
+    return lags[(int(np.argmax(gaps)) + 1) % len(lags)]
+
+
+def oracle_sound_row(mean_period, profile, chips, config, tx_power_db):
+    """One row of sliding.sound by the oracles: the first arrival always
+    rotated to lag 0 by a modulo and an argsort, the path loss by
+    np.sum. Returns (lags, gains, path loss, delay spread)."""
+    n = chips.period_length
+    detected, corrected = oracle_detect_taps(profile, config)
+    first = oracle_first_arrival(detected, n)
+    if first != 0:
+        detected, corrected = oracle_detect_taps(
+            circular_correlate(chips, np.roll(mean_period, -int(first))),
+            config)
+        first = oracle_first_arrival(detected, n)
+    relative = (detected - first) % n
+    order = np.argsort(relative)
+    lags = relative[order]
+    gains = corrected[detected[order]]
+    loss = tx_power_db - 10.0 * math.log10(float(np.sum(np.abs(gains) ** 2)))
+    return lags, gains, loss, sliding.rms_delay_spread(lags, gains,
+                                                       config.chip_period_s)
+
+
+def oracle_synthesize_channel(env, tx_position, rx_position, seed,
+                              delay_grid_s=60e-9):
+    """synthesize_channel with the delays summed by np.cumsum and snapped
+    in a loop over numpy floats."""
+    loss_db = ch.path_loss_db(env, tx_position, rx_position)
+    rng = np.random.default_rng(seed)
+    lo, hi = env.tap_count_range
+    tap_count = int(rng.integers(lo, hi + 1))
+    if env.delay_spread_scale_s == 0.0:
+        tap_count = 1
+    delays = np.zeros(tap_count)
+    if tap_count > 1:
+        raw = np.cumsum(rng.exponential(env.delay_spread_scale_s,
+                                        tap_count - 1))
+        grid_steps = 0
+        for k in range(1, tap_count):
+            grid_steps = max(int(round(raw[k - 1] / delay_grid_s)),
+                             grid_steps + 1)
+            delays[k] = grid_steps * delay_grid_s
+    if env.delay_spread_scale_s > 0.0:
+        powers = np.exp(-delays / env.delay_spread_scale_s)
+    else:
+        powers = np.ones(tap_count)
+    powers *= 10.0 ** (-loss_db / 10.0) / np.sum(powers)
+    phases = rng.uniform(0.0, 2.0 * np.pi, tap_count)
+    return np.sqrt(powers) * np.exp(1j * phases), delays, loss_db

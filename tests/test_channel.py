@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -10,7 +11,7 @@ from chansounder import channel as ch
 from chansounder import pulse
 from chansounder.pulse import BasebandSignal
 
-from helpers import add_noise, expand
+from helpers import add_noise, expand, oracle_synthesize_channel
 
 
 def make_signal(samples, rate=1e6):
@@ -111,6 +112,21 @@ def test_channel_invariants():
         ch.MultipathChannel(gains=[1.0, 1.0], delays=[0.0, 0.0])
     with pytest.raises(ValueError, match="nonzero"):
         ch.MultipathChannel(gains=[0.0], delays=[0.0])
+
+
+@pytest.mark.parametrize("delays", [[0.0, math.nan], [0.0, math.inf],
+                                    [0.0, math.inf, math.inf],
+                                    [0.0, math.nan, 1e-6],
+                                    [0.0, 1e-6, math.nan]],
+                         ids=["nan", "inf", "inf-inf", "nan-first",
+                              "nan-last"])
+def test_non_finite_delays_are_rejected_naming_delays(delays):
+    # these once passed (the last through a NaN np.diff and its warning)
+    # and then failed apply_channel, which cannot convert NaN to a shift
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^delays must be finite"):
+            ch.MultipathChannel(gains=[1.0] * len(delays), delays=delays)
 
 
 def test_linearity_exact(rng):
@@ -235,6 +251,26 @@ def test_synthesize_structure():
     assert np.all(np.diff(chan.delays) > 0)
     steps = chan.delays / 60e-9
     npt.assert_allclose(steps, np.round(steps), atol=1e-9)
+
+
+@pytest.mark.parametrize("scale", [0.0, 9e-8, 2.5e-7])
+@pytest.mark.parametrize("taps", [(1, 1), (3, 6), (2, 8)])
+def test_synthesize_matches_the_cumsum_oracle_bit_for_bit(scale, taps):
+    # the same generator calls in the same order, and the delays summed
+    # and snapped over Python floats as np.cumsum and the numpy loop did
+    env = ch.EnvironmentModel(reference_loss_db=40.0, path_loss_exponent=2.8,
+                              delay_spread_scale_s=scale,
+                              tap_count_range=taps, wall_loss_db=3.0,
+                              wall_grid_spacing_m=6.0)
+    rng = np.random.default_rng(29)
+    for seed in range(200):
+        rx = tuple(rng.uniform(0.5, 40.0, size=3))
+        chan, loss = ch.synthesize_channel(env, (2.0, 2.0, 1.1), rx, seed)
+        gains, delays, want = oracle_synthesize_channel(env, (2.0, 2.0, 1.1),
+                                                        rx, seed)
+        assert chan.gains.tobytes() == gains.tobytes()
+        assert chan.delays.tobytes() == delays.tobytes()
+        assert loss == want
 
 
 def test_synthesize_wall_losses():

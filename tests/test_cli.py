@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from chansounder import campaign as cp
 from chansounder import channel as ch
-from chansounder import cli, multitx, pulse, sliding, sweep
+from chansounder import cli, multitx, pulse, schema, sliding, sweep
 from chansounder.channel import EnvironmentModel
 from chansounder.cli import build_parser, main
 
@@ -543,6 +543,17 @@ MUTABLE = {name: (cut_bundled(name), list(edit_sites(cut_bundled(name))))
 ONE_LINE_ERROR = re.compile(r"\w+: [A-Za-z_]\w*(\[\d+\])*(\.\w+(\[\d+\])*)*: .*\n")
 
 
+def apply_edit(doc, path, edit):
+    """Replace the value at path in doc by edit(value)."""
+    try:  # an earlier edit may have emptied the site's list
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = edit(parent[path[-1]])
+    except (IndexError, KeyError, TypeError):
+        pass
+
+
 @st.composite
 def mutated_scenarios(draw):
     """A bundled scenario cut to two locations, with one or two edits."""
@@ -550,14 +561,7 @@ def mutated_scenarios(draw):
     doc = copy.deepcopy(doc)
     for _ in range(draw(st.integers(1, 2))):
         path, edits = draw(st.sampled_from(sites))
-        edit = draw(st.sampled_from(edits))
-        try:  # an earlier edit may have emptied the site's list
-            parent = doc
-            for key in path[:-1]:
-                parent = parent[key]
-            parent[path[-1]] = edit(parent[path[-1]])
-        except (IndexError, KeyError, TypeError):
-            pass
+        apply_edit(doc, path, draw(st.sampled_from(edits)))
     return doc
 
 
@@ -814,6 +818,23 @@ def test_near_float_limit_path_loss_runs_without_warnings(tmp_path):
         assert -3100.0 < record["wideband_path_loss_db"] < -2900.0
 
 
+def test_overflowing_channel_output_exits_2_with_one_stderr_line(tmp_path):
+    # each tap of every channel output overflows to inf or NaN; the
+    # capture's check, made by the slot powers, reports it once, and
+    # numpy prints no warning ahead of it
+    def loud(doc):
+        doc["environment"]["reference_loss_db"] = -200.0
+        for tx in doc["transmitters"]:
+            tx["tx_power_db"] = 6100.0
+
+    path = bundled_edit(tmp_path, "indoor_wing_sliding", loud)
+    child = run_cli_limited("campaign", "--scenario", str(path),
+                            "--out-dir", str(tmp_path / "out"))
+    assert (child.returncode, child.stderr) == (
+        2, "ValueError: samples must be finite\n")
+    assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
 def test_far_position_exits_2_with_one_stderr_line(tmp_path):
     # the distance's dot product overflows to inf; numpy once printed its
     # RuntimeWarning and source line ahead of the one-line error
@@ -1012,7 +1033,7 @@ def test_sound_sliding_sidecar_exits_0_or_2_naming_a_field(
         assert not (out / "profile.json").exists()
 
 
-def run_sound_freq(plan_path, capture_paths, out_dir):
+def run_sound_freq(plan_path, capture_paths, out_dir, *flags):
     """cli.main sound-freq on a plan and its step captures: its exit code
     and stderr, with any warning recorded instead of printed."""
     stderr = io.StringIO()
@@ -1020,7 +1041,7 @@ def run_sound_freq(plan_path, capture_paths, out_dir):
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(["sound-freq", "--plan", str(plan_path), "--out-dir",
-                     str(out_dir), *capture_paths])
+                     str(out_dir), *flags, *capture_paths])
     assert caught == []
     return code, stderr.getvalue()
 
@@ -1065,6 +1086,76 @@ def test_sound_freq_sidecar_exits_0_or_2_naming_a_field(
                                  "|".join(SIDECAR_FIELDS)).fullmatch(err)
                    for step in steps)
         assert not (out / "losses.json").exists()
+
+
+PLAN = sweep.FrequencySetup()
+PLAN_TONE = multitx.build_frequency_plan(PLAN, 1)[0].tone_offsets_hz[0]
+PLAN_BIN = PLAN.sample_rate_hz / PLAN.fft_length
+# tones on either side of the default plan's one tone: on it, half a bin
+# off it, one bin off it, and past the Nyquist edge
+TONE_DRAWS = {"plan": (PLAN_TONE,),
+              "off-bin": (PLAN_TONE - PLAN_BIN / 2, PLAN_TONE + PLAN_BIN / 2),
+              "one-bin-off": (PLAN_TONE - PLAN_BIN, PLAN_TONE + PLAN_BIN),
+              "out-of-band": (-5e5 - PLAN_BIN, 5e5, 6e5)}
+# each plan field's edit sites, so that every field is drawn as often
+PLAN_SITES = {}
+for site in [*edit_sites(schema.to_json(PLAN)),
+             (("tone_offsets_hz",), tuple(lambda _, tone=tone: [tone]
+                                          for tones in TONE_DRAWS.values()
+                                          for tone in tones))]:
+    PLAN_SITES.setdefault(site[0][0], []).append(site)
+PLAN_ERROR = re.compile(
+    r"ValueError: (?:(?:carriers_hz|sample_rate_hz|fft_length|guard_band_hz"
+    r"|step_duration_s|tone_offsets_hz)(?:\[\d+\])?|--tone-offset"
+    r"|\S+\.iq\.json: (?:sample_rate_hz|sample_count)): .*\n")
+
+
+@st.composite
+def plan_edits(draw):
+    """The default plan document with up to two of the validate
+    property's edits, or its tones set to one of TONE_DRAWS; and a
+    --tone-offset flag, none or one of TONE_DRAWS."""
+    doc = schema.to_json(PLAN)
+    for _ in range(draw(st.integers(0, 2))):
+        field = draw(st.sampled_from(sorted(PLAN_SITES)))
+        path, edits = draw(st.sampled_from(PLAN_SITES[field]))
+        apply_edit(doc, path, draw(st.sampled_from(edits)))
+    tone = draw(st.none() | st.sampled_from(sorted(TONE_DRAWS)).flatmap(
+        lambda name: st.sampled_from(TONE_DRAWS[name])))
+    return doc, tone
+
+
+@given(edits=plan_edits())
+@settings(max_examples=150)
+def test_sound_freq_plan_exits_0_or_2_naming_a_field(tmp_path_factory, edits):
+    # edited plans and --tone-offset values off the plan's bins, one bin
+    # off its tone and outside the band, against the default plan's step
+    # captures: the unedited losses wherever the plan's tone is read, else
+    # one line naming a plan field, the flag or a step sidecar's field
+    directory = tmp_path_factory.getbasetemp() / "freq-plan"
+    out = directory / "out"
+    if not directory.exists():
+        directory.mkdir()
+        plan_path, capture_paths = sweep_capture_files(directory)
+        assert run_sound_freq(plan_path, capture_paths, out) == (0, "")
+        (out / "losses.json").rename(directory / "losses.original")
+    doc, tone = edits
+    plan_path = directory / "plan.json"
+    plan_path.write_text(json.dumps(doc))
+    capture_paths = [str(directory / f"step{step}.iq") for step in range(10)]
+    (out / "losses.json").unlink(missing_ok=True)
+    flags = () if tone is None else ("--tone-offset", repr(tone))
+    code, err = run_sound_freq(plan_path, capture_paths, out, *flags)
+    assert code in (0, 2)
+    if code == 2:
+        assert PLAN_ERROR.fullmatch(err), err
+        assert not (out / "losses.json").exists()
+        return
+    assert err == ""
+    losses = json.loads((out / "losses.json").read_text())
+    if losses["tone_offset_hz"] == PLAN_TONE:
+        assert losses == json.loads(
+            (directory / "losses.original").read_text())
 
 
 @pytest.mark.parametrize("change, field", [

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -40,8 +41,8 @@ def test_schedule_slot_ownership():
     # slot i without its two 10-sample guards
     schedule = multitx.TdmaSchedule(3, 100, 10)
     assert schedule.period_samples == 300
-    capture = pulse.BasebandSignal(np.arange(300.0), 1000.0)
-    segments = multitx.segment_capture(capture, schedule).segments
+    segments = multitx.segment_capture(np.arange(300.0), schedule,
+                                       1000.0).segments
     assert segments.samples.shape == (3, 80)
     for i, segment in enumerate(segments.samples):
         npt.assert_array_equal(segment,
@@ -51,16 +52,17 @@ def test_schedule_slot_ownership():
 def test_segments_are_one_view_of_the_capture():
     # the stack shares the capture's checked samples, and rows that would
     # run past the capture are refused before any strided view is made
-    capture = pulse.BasebandSignal(np.arange(300.0), 1000.0, origin_time=2.0)
+    samples = np.arange(300.0).astype(np.complex128)
     segments = multitx.segment_capture(
-        capture, multitx.TdmaSchedule(3, 100, 10)).segments
-    assert np.shares_memory(segments.samples, capture.samples)
+        samples, multitx.TdmaSchedule(3, 100, 10), 1000.0, 2.0).segments
+    assert np.shares_memory(segments.samples, samples)
     assert not segments.samples.flags.writeable
     assert (segments.sample_rate, segments.origin_time) == (1000.0, 2.0)
     for first, step, count, length in ((0, 100, 3, 101), (-1, 100, 1, 10),
                                        (10, 100, 4, 80), (0, -1, 2, 10)):
         with pytest.raises(ValueError, match="do not fit"):
-            capture.rows(first, step, count, length)
+            pulse.BasebandSignal(samples, 1000.0).rows(first, step, count,
+                                                       length)
 
 
 def test_single_transmitter_owns_everything():
@@ -68,26 +70,25 @@ def test_single_transmitter_owns_everything():
     # whole capture
     schedule = multitx.TdmaSchedule(1, 200, 0)
     assert schedule.period_samples == 200
-    capture = pulse.BasebandSignal(np.arange(200.0), 1000.0)
-    segmented = multitx.segment_capture(capture, schedule)
+    segmented = multitx.segment_capture(np.arange(200.0), schedule, 1000.0)
     [segment] = segmented.segments.samples
-    npt.assert_array_equal(segment, capture.samples)
+    npt.assert_array_equal(segment, np.arange(200.0))
     assert segmented.guard_core_ratio == 0.0
 
 
 def test_slot_tiling_partitions_each_period():
     # the head guard, segment and tail guard of every slot, in slot
     # order, tile the period exactly: disjoint, adjacent, nothing left
-    capture = pulse.BasebandSignal(np.arange(100.0), 1000.0)
+    capture = np.arange(100.0)
     for guard in range(13):
         schedule = multitx.TdmaSchedule(4, 25, guard)
-        segments = multitx.segment_capture(capture, schedule).segments
+        segments = multitx.segment_capture(capture, schedule, 1000.0).segments
         pieces = []
         for i, segment in enumerate(segments.samples):
             lo, hi = 25 * i, 25 * (i + 1)
             pieces += [np.arange(lo, lo + guard), segment.real,
                        np.arange(hi - guard, hi)]
-        npt.assert_array_equal(np.concatenate(pieces), capture.samples.real)
+        npt.assert_array_equal(np.concatenate(pieces), capture)
 
 
 def test_draw_clock_spreads_and_determinism():
@@ -165,8 +166,7 @@ def test_segment_distinct_constants():
     schedule = multitx.TdmaSchedule(3, 100, 5)
     samples = np.concatenate([np.full(100, 1.0), np.full(100, 2.0),
                               np.full(100, 3.0)]).astype(np.complex128)
-    capture = pulse.BasebandSignal(samples, rate)
-    segmented = multitx.segment_capture(capture, schedule)
+    segmented = multitx.segment_capture(samples, schedule, rate)
     for i, segment in enumerate(segmented.segments.samples):
         npt.assert_array_equal(segment, i + 1.0)
         assert len(segment) == 90
@@ -175,9 +175,8 @@ def test_segment_distinct_constants():
 def test_segment_preconditions():
     rate = 1000.0
     schedule = multitx.TdmaSchedule(3, 100, 5)
-    short = pulse.BasebandSignal(np.ones(299), rate)
     with pytest.raises(ValueError, match="shorter"):
-        multitx.segment_capture(short, schedule)
+        multitx.segment_capture(np.ones(299), schedule, rate)
 
 
 def test_compose_single_tx_matches_apply_channel(tdma_setup):
@@ -189,8 +188,8 @@ def test_compose_single_tx_matches_apply_channel(tdma_setup):
     capture = multitx.compose_received(scene, schedule)
     direct = expand(ch.apply_channel(burst, chan))
     overlap = min(len(capture), len(direct))
-    npt.assert_array_equal(capture.samples[:overlap], direct[:overlap])
-    npt.assert_array_equal(capture.samples[overlap:], 0.0)
+    npt.assert_array_equal(capture[:overlap], direct[:overlap])
+    npt.assert_array_equal(capture[overlap:], 0.0)
 
 
 @pytest.mark.parametrize("guard", [0, 8, 2732])
@@ -205,7 +204,8 @@ def test_segment_starts_at_its_bursts_first_sample(tdma_setup, chips10,
     schedule = multitx.TdmaSchedule(1, len(burst) + 2 * guard + 16, guard)
     capture = multitx.compose_received(
         [multitx.SceneTransmitter(burst, chan)], schedule)
-    segments = multitx.segment_capture(capture, schedule).segments
+    segments = multitx.segment_capture(capture, schedule, burst.sample_rate,
+                                       burst.origin_time).segments
     [segment] = segments.samples
     received = expand(ch.apply_channel(burst, chan))
     assert len(segment) == len(received) + 4
@@ -227,7 +227,7 @@ def test_compose_leakage_off_is_exactly_isolated(tdma_setup):
     assert leak_gain == 0.0
     capture = multitx.compose_received(scene, schedule, leak_gain=leak_gain)
     for i, chan in enumerate(channels):
-        segment = capture.samples[i * slot_samples:(i + 1) * slot_samples]
+        segment = capture[i * slot_samples:(i + 1) * slot_samples]
         received = expand(ch.apply_channel(burst, chan))
         expected = np.zeros(slot_samples, dtype=np.complex128)
         usable = min(slot_samples - guard, len(received))
@@ -248,7 +248,8 @@ def test_small_clock_offset_keeps_sounding_bit_identical(tdma_setup, chips10,
                  multitx.SceneTransmitter(burst, flat_channel(35.0),
                                           clock_offset_samples=offset_samples)]
         capture = multitx.compose_received(scene, schedule)
-        segmented = multitx.segment_capture(capture, schedule)
+        segmented = multitx.segment_capture(capture, schedule,
+                                            burst.sample_rate)
         assert not segmented.misaligned
         return sliding.measure_sliding(segmented.segments, chips10,
                                        rrc_taps, config, [0.0] * 3)[0]
@@ -267,7 +268,7 @@ def test_gross_clock_offset_raises_flag(tdma_setup):
                                       clock_offset_samples=offset)
              for level in (0.0, 3.0, 6.0)]
     capture = multitx.compose_received(scene, schedule)
-    segmented = multitx.segment_capture(capture, schedule)
+    segmented = multitx.segment_capture(capture, schedule, burst.sample_rate)
     assert segmented.misaligned
     assert segmented.guard_core_ratio > 0.25
 
@@ -284,19 +285,70 @@ def test_guard_core_power_ratio_matches_mean_of_squares(tdma_setup):
         n = count * slot
         samples = ((rng.normal(size=n) + 1j * rng.normal(size=n))
                    * 10.0 ** rng.uniform(-4, 2, size=n))
-        cases.append((pulse.BasebandSignal(samples=samples, sample_rate=1e6),
-                      multitx.TdmaSchedule(count, slot, trim)))
+        cases.append((samples, multitx.TdmaSchedule(count, slot, trim)))
     burst, schedule, _ = tdma_setup
     offset = 3 * schedule.slot_samples // 2
     scene = [multitx.SceneTransmitter(burst, flat_channel(6.0 * k),
                                       clock_offset_samples=offset)
              for k in range(3)]
     cases.append((multitx.compose_received(scene, schedule), schedule))
-    for signal, schedule in cases:
-        want = oracle_guard_core_power_ratio(signal, schedule)
-        got = multitx.guard_core_power_ratio(signal, schedule)
+    for samples, schedule in cases:
+        want = oracle_guard_core_power_ratio(samples, schedule)
+        got = multitx.guard_core_power_ratio(samples, schedule)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     assert want > 0.25  # the spilled capture is misaligned either way
+
+
+# sample k of each region of slot 1 of a TdmaSchedule(3, 100, 10)
+REGIONS = {"head trim": 100, "core": 150, "tail trim": 195}
+
+
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+@pytest.mark.parametrize("region", sorted(REGIONS))
+def test_segmentation_rejects_a_non_finite_sample_in_any_region(
+        region, slot, value, part):
+    # the slot powers prove the capture finite; a NaN in one region must
+    # fail though max() passes over it, and an inf though its power is inf
+    samples = np.random.default_rng(3).normal(size=300) + 0j
+    k = REGIONS[region] + 100 * (slot - 1)
+    getattr(samples, part)[k] = value
+    with pytest.raises(ValueError, match="^samples must be finite$"):
+        multitx.segment_capture(samples, multitx.TdmaSchedule(3, 100, 10),
+                                1000.0)
+
+
+@pytest.mark.parametrize("k, length, guard", [(0, 300, 0), (150, 300, 0),
+                                              (299, 300, 0), (300, 301, 10),
+                                              (340, 350, 10)],
+                         ids=["no-guard-first", "no-guard-core",
+                              "no-guard-last", "past-the-period",
+                              "past-the-period-end"])
+def test_segmentation_checks_what_no_slot_power_covers(k, length, guard):
+    # with no guard no power is summed, and samples past the period are
+    # in no slot: the exact check reads them
+    samples = np.ones(length, dtype=np.complex128)
+    samples[k] = math.nan
+    with pytest.raises(ValueError, match="^samples must be finite$"):
+        multitx.segment_capture(samples, multitx.TdmaSchedule(3, 100, guard),
+                                1000.0)
+
+
+@pytest.mark.parametrize("region, ratio", [("core", 0.0),
+                                           ("head trim", math.inf)])
+def test_segmentation_accepts_finite_samples_whose_squares_overflow(
+        region, ratio):
+    # an inf power is no proof of a non-finite sample: the exact check
+    # decides, and passes these
+    samples = np.ones(300, dtype=np.complex128)
+    samples[REGIONS[region]] = 1e200 - 1e200j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        segmented = multitx.segment_capture(
+            samples, multitx.TdmaSchedule(3, 100, 10), 1000.0)
+    assert segmented.guard_core_ratio == ratio
+    assert segmented.segments.samples[1, 40] == samples[150]
 
 
 def test_near_far_failure_and_mitigation(tdma_setup, chips10, rrc_taps):
@@ -312,7 +364,8 @@ def test_near_far_failure_and_mitigation(tdma_setup, chips10, rrc_taps):
                                        inband_null_leakage_db=30.0)
         capture = multitx.compose_received(scene, schedule,
                                            leak_gain=leakage.gain(park_mode))
-        segmented = multitx.segment_capture(capture, schedule)
+        segmented = multitx.segment_capture(capture, schedule,
+                                            burst.sample_rate)
         profile = sliding.measure_sliding(segmented.segments, chips10,
                                           rrc_taps, config, [0.0] * 2)[1]
         return profile.wideband_path_loss_db
@@ -337,7 +390,8 @@ def test_leakage_monotonicity(tdma_setup, chips10, rrc_taps):
         leakage = multitx.LeakageModel(inband_null_leakage_db=attenuation)
         capture = multitx.compose_received(
             scene, schedule, leak_gain=leakage.gain(multitx.PARK_IN_BAND))
-        segmented = multitx.segment_capture(capture, schedule)
+        segmented = multitx.segment_capture(capture, schedule,
+                                            burst.sample_rate)
         profile = sliding.measure_sliding(segmented.segments, chips10,
                                           rrc_taps, config, [0.0] * 3)[2]
         errors.append(abs(profile.wideband_path_loss_db - 80.0))
@@ -380,7 +434,7 @@ def test_slice_placement_matches_per_sample_mapping(leak_db):
             sliced = multitx.compose_received(scene, schedule,
                                               leak_gain=leak_gain)
             mapped = per_sample_compose(scene, schedule, leak_gain)
-            assert np.array_equal(sliced.samples, mapped.samples), \
+            assert np.array_equal(sliced, mapped), \
                 (burst_len, guard, offsets)
 
 
@@ -412,7 +466,7 @@ def test_compose_matches_tiled_leakage_and_complex_noise_oracle():
                               seed=cases)
                 got = multitx.compose_received(scene, schedule, **kwargs)
                 expected = oracle_compose_received(scene, schedule, **kwargs)
-                assert got.samples.tobytes() == expected.samples.tobytes(), \
+                assert got.tobytes() == expected.tobytes(), \
                     (leak_db, noise, burst_len, shifts)
                 cases += 1
     assert cases == 36
@@ -446,11 +500,11 @@ def test_compose_with_the_campaign_period_matches_the_oracles(
     got = multitx.compose_received(scene, schedule, period=period, ramp=ramp,
                                    **noisy)
     expected = oracle_compose_received(scene, schedule, **noisy)
-    assert got.samples.tobytes() == expected.samples.tobytes()
+    assert got.tobytes() == expected.tobytes()
     got = multitx.compose_received(scene, schedule, leak_gain=leak_gain,
                                    period=period, ramp=ramp)
     expected = per_sample_compose(scene, schedule, leak_gain)
-    assert got.samples.tobytes() == expected.samples.tobytes()
+    assert got.tobytes() == expected.tobytes()
 
 
 @given(slots=st.integers(1, 4), slot=st.integers(4, 120),
@@ -496,8 +550,7 @@ def test_period_form_placement_matches_the_tiled_composer(
     got = multitx.compose_received(scene, schedule, period=period, ramp=ramp,
                                    **kwargs)
     expected = oracle_compose_received(scene, schedule, **kwargs)
-    assert np.array_equal(got.samples.view(np.uint64),
-                          expected.samples.view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def frequency_setup(guard_band_hz, carrier_count=1, **overrides):

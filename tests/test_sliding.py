@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chansounder import channel as ch
-from chansounder import pulse, sliding
+from chansounder import pn, pulse, sliding
 from chansounder.exceptions import NoSignalError
 
 from helpers import (add_noise, expand, measure_one, measured_correlation_gain,
-                     one_row, oracle_measure_sliding, planted_capture,
-                     random_planted_channel)
+                     one_row, oracle_detect_taps, oracle_measure_sliding,
+                     oracle_sound_row, planted_capture, random_planted_channel)
 
 
 def test_planted_three_tap_channel(chips10, rrc_taps, sounder_config):
@@ -96,17 +96,106 @@ def test_identity_channel_measurement(chips10, rrc_taps, sounder_config):
     assert profile.rms_delay_spread == 0.0
 
 
-def test_wideband_path_loss_examples():
-    assert sliding.wideband_path_loss([0.1], 0.0) == pytest.approx(20.0)
+def test_wideband_path_loss_examples(chips10, sounder_config):
+    # a row's path loss is its transmit power minus its taps' total power
+    def loss(gains, lags, tx_power_db=0.0):
+        mean = sum(g * np.roll(chips10.chips, lag) for g, lag in zip(gains, lags))
+        [profile] = sliding.sound(mean[None], chips10, sounder_config,
+                                  [tx_power_db])
+        return profile.wideband_path_loss_db
+
+    assert loss([0.1], [0]) == pytest.approx(20.0)
     # two taps combine their powers, not their maxima
-    two = sliding.wideband_path_loss([math.sqrt(0.01), math.sqrt(0.03)], 0.0)
+    two = loss([math.sqrt(0.01), math.sqrt(0.03)], [0, 3])
     assert two == pytest.approx(-10 * math.log10(0.04))
     assert two != pytest.approx(-10 * math.log10(0.03))
-    assert sliding.wideband_path_loss([0.1], 7.0) == pytest.approx(27.0)
-    with pytest.raises(ValueError, match="zero"):
-        sliding.wideband_path_loss([0.0], 0.0)
-    with pytest.raises(ValueError, match="tap"):
-        sliding.wideband_path_loss([], 0.0)
+    assert loss([0.1], [5], 7.0) == pytest.approx(27.0)
+    # a tap whose power underflows to zero has no path loss
+    with pytest.raises(ValueError, match="^total tap power is zero$"):
+        loss([1e-170], [0])
+
+
+def test_written_out_std_matches_np_std_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for length in range(1, 2001):
+        magnitudes = np.abs(rng.normal(size=length)
+                            + 1j * rng.normal(size=length))
+        for values in (magnitudes, magnitudes * 10.0 ** rng.uniform(
+                -30.0, 30.0, size=length), np.full(length, 0.1)):
+            assert sliding._std(values) == float(np.std(values)), length
+
+
+PROFILE_KINDS = ("noise-only", "all-zero", "first-at-lag-0", "rotated",
+                 "many-taps")
+
+
+def planted_period(kind, chips, rng):
+    """One averaged chip period of a kind of row: noise alone, zeros, a
+    few taps with the first arrival at lag 0 or anywhere on the circle,
+    or a quarter to half a period of taps, plus noise."""
+    n = chips.period_length
+    noise = (rng.normal(size=n) + 1j * rng.normal(size=n)) \
+        * 10.0 ** rng.uniform(-6.0, 0.0)
+    if kind == "all-zero":
+        return np.zeros(n, dtype=np.complex128)
+    if kind == "noise-only":
+        return noise
+    if kind == "many-taps":
+        lags = rng.choice(n, size=int(rng.integers(n // 4, n // 2 + 2)),
+                          replace=False)
+    elif kind == "rotated":
+        lags = rng.choice(n, size=int(rng.integers(1, 7)), replace=False)
+    else:
+        lags = np.concatenate([[0], rng.choice(np.arange(1, min(n, 40)),
+                                               size=int(rng.integers(0, 4)),
+                                               replace=False)])
+    response = np.zeros(n, dtype=np.complex128)
+    response[lags] = (rng.normal(size=len(lags))
+                      + 1j * rng.normal(size=len(lags)))
+    # the chips circularly convolved with the taps: each tap a delayed copy
+    return np.fft.ifft(np.fft.fft(chips.chips) * np.fft.fft(response)) \
+        + 1e-3 * noise
+
+
+@given(kind=st.sampled_from(PROFILE_KINDS), degree=st.sampled_from([4, 7, 10]),
+       threshold_db=st.sampled_from([10.0, 30.0, 60.0]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300)
+def test_row_detection_matches_the_numpy_wrapper_oracle(kind, degree,
+                                                        threshold_db, seed):
+    # the same operations in the same order as through np.sum, np.std,
+    # np.nonzero, np.diff and an argsort of every lag set: the same bits,
+    # or the same NoSignalError
+    chips = pn.generate_glfsr(degree)
+    config = sliding.SounderConfig(pn_degree=degree,
+                                   detection_threshold_db=threshold_db)
+    rng = np.random.default_rng(seed)
+    mean = planted_period(kind, chips, rng)
+    profile = pn.circular_correlate(chips, mean[None])[0]
+    tx_power_db = float(rng.uniform(-20.0, 20.0))
+
+    def outcome(detect, *args):
+        try:
+            return detect(*args)
+        except NoSignalError as exc:
+            return str(exc)
+
+    got = outcome(sliding._detect_taps, profile, config)
+    want = outcome(oracle_detect_taps, profile, config)
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    [row] = sliding.sound(mean[None], chips, config, [tx_power_db])
+    want = outcome(oracle_sound_row, mean, profile, chips, config, tx_power_db)
+    if isinstance(want, str):
+        assert isinstance(row, NoSignalError) and str(row) == want
+        return
+    lags, gains, loss, spread = want
+    assert row.lags.tobytes() == lags.astype(np.int64).tobytes()
+    assert row.gains.tobytes() == gains.tobytes()
+    assert (row.wideband_path_loss_db, row.rms_delay_spread) == (loss, spread)
 
 
 def test_rms_delay_spread_single_tap():
