@@ -321,7 +321,8 @@ def _normal_power(loss_db: float) -> bool:
     return sys.float_info.min <= _power_of_ten(-loss_db / 10.0) < math.inf
 
 
-def _check_path_losses(scenario: Scenario) -> None:
+def _check_path_losses(scenario: Scenario,
+                       capture_samples: int | None = None) -> None:
     """Every (transmitter, location) pair's path loss must have a positive,
     normal linear power, or the channel drawn for the pair overflows or
     has no nonzero tap gain.
@@ -331,11 +332,19 @@ def _check_path_losses(scenario: Scenario) -> None:
     loss of one wall), else the reference loss if it weighs at least as
     much as the distance and wall terms together, else the pair's
     position farther from the origin.
+
+    Given a sliding capture's length, capture_samples, each pair's
+    received power, tx_power_db less the path loss, summed over that many
+    samples must also be a finite float, or the capture's slot power
+    sums overflow; the error then names the transmitter's tx_power_db.
+    A sweep's unit tones carry the transmitter power only in dB.
     """
     env = scenario.environment
     coefficients = (("reference_loss_db", env.reference_loss_db),
                     ("path_loss_exponent", 10.0 * env.path_loss_exponent),
                     ("wall_loss_db", env.wall_loss_db))
+    ceiling_db = (math.inf if capture_samples is None else
+                  10.0 * math.log10(sys.float_info.max / capture_samples))
     for k, tx in enumerate(scenario.transmitters):
         for j, position in enumerate(scenario.receiver_path):
             try:
@@ -346,6 +355,14 @@ def _check_path_losses(scenario: Scenario) -> None:
             except OverflowError:  # more wall crossings than a float holds
                 loss_db = math.inf
             if _normal_power(loss_db):
+                if tx.tx_power_db - loss_db > ceiling_db:
+                    raise ValueError(
+                        f"transmitters[{k}].tx_power_db: {tx.tx_power_db:.6g} "
+                        f"dB less the {loss_db:.6g} dB path loss to "
+                        f"receiver_path_m[{j}] is "
+                        f"{tx.tx_power_db - loss_db:.6g} dB, whose power "
+                        f"summed over the {capture_samples}-sample capture "
+                        f"overflows a float")
                 continue
             culprits = [name for name, db in coefficients
                         if not _normal_power(abs(db))]
@@ -366,11 +383,15 @@ def _check_path_losses(scenario: Scenario) -> None:
 def prepare(scenario: Scenario):
     """Everything a campaign derives from its scenario before the first
     location: chips, taps, slot geometry and clock offsets, or the sweep
-    frames with their unit tones, once every pair's path loss is checked.
-    Raises ValueError naming the dotted field at fault."""
-    _check_path_losses(scenario)
+    frames with their unit tones, once every pair's path loss (and in
+    sliding mode its received power over the capture the schedule sets)
+    is checked. Raises ValueError naming the dotted field at fault."""
     if scenario.mode == MODE_SLIDING:
-        return _prepare_sliding(scenario)
+        prepared = _prepare_sliding(scenario)
+        schedule = prepared[3]
+        _check_path_losses(scenario, schedule.period_samples)
+        return prepared
+    _check_path_losses(scenario)
     return _prepare_frequency(scenario)
 
 

@@ -232,7 +232,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         payload = args.handler(args)
-    except (ValueError, OSError, NoSignalError, KeyError) as exc:
+    except (ValueError, OSError, NoSignalError) as exc:
         message = f"{type(exc).__name__}: {exc}"
         if args.json:
             print(json.dumps({"status": "error", "message": message}))

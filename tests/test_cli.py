@@ -315,6 +315,18 @@ def test_worker_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     assert_no_child_left()
 
 
+def test_key_error_is_a_program_fault_not_an_input_error(tmp_path,
+                                                         monkeypatch):
+    # no input reaches a KeyError, so one shows its traceback instead of
+    # exiting 2 as if the scenario were at fault
+    def broken(args):
+        raise KeyError("lookup")
+
+    monkeypatch.setattr(cli, "_cmd_validate", broken)
+    with pytest.raises(KeyError, match="lookup"):
+        main(["validate", "--scenario", str(scenario_file(tmp_path))])
+
+
 def test_campaign_workers_follow_the_cpus_up_to_two(monkeypatch):
     # two is the most campaign processes measured; more CPUs add none
     for cpus, workers in ((1, 1), (2, 2), (64, 2)):
@@ -819,9 +831,10 @@ def test_near_float_limit_path_loss_runs_without_warnings(tmp_path):
 
 
 def test_overflowing_channel_output_exits_2_with_one_stderr_line(tmp_path):
-    # each tap of every channel output overflows to inf or NaN; the
-    # capture's check, made by the slot powers, reports it once, and
-    # numpy prints no warning ahead of it
+    # each tap of every channel output would overflow to inf or NaN; the
+    # received power is rejected before any channel is drawn, and numpy
+    # prints no warning ahead of the one line (the capture's own check,
+    # made by the slot powers, once reported it)
     def loud(doc):
         doc["environment"]["reference_loss_db"] = -200.0
         for tx in doc["transmitters"]:
@@ -831,8 +844,48 @@ def test_overflowing_channel_output_exits_2_with_one_stderr_line(tmp_path):
     child = run_cli_limited("campaign", "--scenario", str(path),
                             "--out-dir", str(tmp_path / "out"))
     assert (child.returncode, child.stderr) == (
-        2, "ValueError: samples must be finite\n")
+        2, "ValueError: transmitters[0].tx_power_db: 6100 dB less the -228 "
+           "dB path loss to receiver_path_m[0] is 6328 dB, whose power "
+           "summed over the 163848-sample capture overflows a float\n")
     assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
+def set_tx_power(db):
+    def edit(doc):
+        for tx in doc["transmitters"]:
+            tx["tx_power_db"] = db
+    return edit
+
+
+@pytest.mark.parametrize("command", ["validate", "campaign"])
+def test_overflowing_received_power_exits_2_naming_tx_power(tmp_path,
+                                                            command):
+    # the slot power sums of the capture once overflowed: campaign exited
+    # 0 with numpy warnings and wrote -Infinity and NaN into the records
+    path = bundled_edit(tmp_path, "indoor_wing_sliding", set_tx_power(3200.0))
+    child = run_cli_limited(command, "--scenario", str(path),
+                            "--out-dir", str(tmp_path / "out"))
+    assert (child.returncode, child.stderr) == (
+        2, "ValueError: transmitters[0].tx_power_db: 3200 dB less the 12 "
+           "dB path loss to receiver_path_m[0] is 3188 dB, whose power "
+           "summed over the 163848-sample capture overflows a float\n")
+    assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
+def test_loud_transmitters_below_the_ceiling_write_strict_json(tmp_path):
+    path = bundled_edit(tmp_path, "indoor_wing_sliding", set_tx_power(3000.0))
+    child = run_cli_limited("campaign", "--scenario", str(path),
+                            "--out-dir", str(tmp_path / "out"))
+    assert (child.returncode, child.stderr) == (0, "")
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    lines = (tmp_path / "out" / "records.jsonl").read_text().splitlines()
+    assert len(lines) == 6
+    for line in lines:
+        record = json.loads(line, parse_constant=reject)
+        assert record["flags"] == []
 
 
 def test_far_position_exits_2_with_one_stderr_line(tmp_path):

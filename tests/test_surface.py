@@ -3,9 +3,10 @@
 Every public module-level function and class of the package must be
 referenced, as a name or an attribute, and every public method and
 property of a public class as an attribute, by code of the package or of
-the benchmark outside its own definition and the package's __init__. A
-name that only tests call is surface with no user: delete it, or move
-what the tests need into tests/helpers.py.
+the benchmark outside its own definition. A name that only tests call is
+surface with no user: delete it, or move what the tests need into
+tests/helpers.py. The package root holds only its docstring, so that
+each public name has one import path, its own module.
 """
 
 import ast
@@ -38,9 +39,8 @@ def _surface():
     """The package's public definitions, as dotted names with the name
     that must be referenced, and the names and the attribute names that
     are referenced."""
-    sources = [path for path in sorted(PACKAGE.glob("*.py"))
-               + sorted((ROOT / "campaignbench").glob("*.py"))
-               if path.name != "__init__.py"]
+    sources = (sorted(PACKAGE.glob("*.py"))
+               + sorted((ROOT / "campaignbench").glob("*.py")))
     defined = {}
     names, attributes = set(), set()
     for path in sources:
@@ -73,3 +73,9 @@ def test_every_public_member_of_a_public_class_is_reached():
     assert members, "no public methods or properties found"
     assert sorted(name for name in members
                   if defined[name] not in attributes) == []
+
+
+def test_package_root_holds_only_its_docstring():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert ast.get_docstring(tree)
+    assert len(tree.body) == 1
