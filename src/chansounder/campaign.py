@@ -46,6 +46,12 @@ def _power_of_ten(exponent: float) -> float:
         return math.inf
 
 
+def has_amplitude(power_db: float) -> bool:
+    """Whether a power in dB has a finite, nonzero linear amplitude,
+    10 ** (power_db / 20): the range of a transmitter's tx_power_db."""
+    return 0.0 < _power_of_ten(power_db / 20.0) < math.inf
+
+
 def derive_seed(master_seed: int, *parts) -> int:
     """Stable per-(purpose, location, transmitter) seed mixing."""
     text = ":".join([str(master_seed), *map(str, parts)])
@@ -69,7 +75,7 @@ class Transmitter:
     antenna_height_note: str | None = None
 
     def __post_init__(self):
-        if not 0.0 < _power_of_ten(self.tx_power_db / 20.0) < math.inf:
+        if not has_amplitude(self.tx_power_db):
             raise ValueError(f"tx_power_db: {self.tx_power_db} dB has no "
                              f"finite, nonzero linear amplitude")
 
@@ -284,9 +290,9 @@ def _run_sliding(scenario: Scenario, prepared: tuple, locations: range) -> list:
                 continue
             records.append(_record(
                 scenario, loc_index, tx, seed, location_flags,
-                wideband_path_loss_db=profile.wideband_path_loss_db,
-                rms_delay_spread_s=profile.rms_delay_spread,
-                delay_profile=sliding.profile_to_json(profile)))
+                wideband_path_loss_db=profile["path_loss_db"],
+                rms_delay_spread_s=profile["rms_delay_spread_s"],
+                delay_profile=profile))
     return records
 
 
@@ -321,6 +327,12 @@ def _normal_power(loss_db: float) -> bool:
     return sys.float_info.min <= _power_of_ten(-loss_db / 10.0) < math.inf
 
 
+def _power_ceiling_db(samples: int) -> float:
+    """The highest power in dB whose sum over samples samples is a
+    finite float."""
+    return 10.0 * math.log10(sys.float_info.max / samples)
+
+
 def _check_path_losses(scenario: Scenario,
                        capture_samples: int | None = None) -> None:
     """Every (transmitter, location) pair's path loss must have a positive,
@@ -344,7 +356,7 @@ def _check_path_losses(scenario: Scenario,
                     ("path_loss_exponent", 10.0 * env.path_loss_exponent),
                     ("wall_loss_db", env.wall_loss_db))
     ceiling_db = (math.inf if capture_samples is None else
-                  10.0 * math.log10(sys.float_info.max / capture_samples))
+                  _power_ceiling_db(capture_samples))
     for k, tx in enumerate(scenario.transmitters):
         for j, position in enumerate(scenario.receiver_path):
             try:
@@ -385,14 +397,24 @@ def prepare(scenario: Scenario):
     location: chips, taps, slot geometry and clock offsets, or the sweep
     frames with their unit tones, once every pair's path loss (and in
     sliding mode its received power over the capture the schedule sets)
-    is checked. Raises ValueError naming the dotted field at fault."""
+    is checked, and the noise power summed over one capture (a sliding
+    schedule's period, or one carrier step), which must be a finite float
+    for the noise draw. Raises ValueError naming the dotted field at
+    fault."""
     if scenario.mode == MODE_SLIDING:
         prepared = _prepare_sliding(scenario)
-        schedule = prepared[3]
-        _check_path_losses(scenario, schedule.period_samples)
-        return prepared
-    _check_path_losses(scenario)
-    return _prepare_frequency(scenario)
+        samples = prepared[3].period_samples  # the schedule's
+        _check_path_losses(scenario, samples)
+    else:
+        _check_path_losses(scenario)
+        prepared = _prepare_frequency(scenario)
+        setup = scenario.frequency
+        samples = round(setup.step_duration_s * setup.sample_rate_hz)
+    noise_db = scenario.noise_power_dbfs
+    if noise_db is not None and noise_db > _power_ceiling_db(samples):
+        raise ValueError(f"noise_power_dbfs: {noise_db:.6g} dBFS summed over "
+                         f"the {samples}-sample capture overflows a float")
+    return prepared
 
 
 def _run_frequency(scenario: Scenario, frames: list, locations: range) -> list:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -27,14 +28,6 @@ def _out_dir(args) -> Path:
     path = Path(root)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _emit(args, payload: dict):
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        for item in payload.get("outputs", []):
-            print(item)
 
 
 def _cmd_gen_pn(args) -> dict:
@@ -92,10 +85,9 @@ def _cmd_sound_sliding(args) -> dict:
     if isinstance(profile, NoSignalError):
         raise profile
     target = _out_dir(args) / args.name
-    target.write_text(json.dumps(sliding.profile_to_json(profile), indent=2) + "\n")
-    return {"outputs": [str(target)],
-            "path_loss_db": profile.wideband_path_loss_db,
-            "rms_delay_spread_s": profile.rms_delay_spread}
+    target.write_text(json.dumps(profile, indent=2) + "\n")
+    return {"outputs": [str(target)], "path_loss_db": profile["path_loss_db"],
+            "rms_delay_spread_s": profile["rms_delay_spread_s"]}
 
 
 def _cmd_sound_freq(args) -> dict:
@@ -168,6 +160,42 @@ def _campaign_workers() -> int:
     return min(cpus, _MAX_CAMPAIGN_WORKERS)
 
 
+# sound-sliding's flag for each SounderConfig field, and the field's type
+_CONFIG_FLAGS = (
+    ("--degree", "pn_degree", int), ("--polynomial", "polynomial", str),
+    ("--chip-period", "chip_period_s", float), ("--rolloff", "rolloff", float),
+    ("--span", "span_symbols", int), ("--sps", "samples_per_symbol", int),
+    ("--periods", "averaging_periods", int),
+    ("--threshold-db", "detection_threshold_db", float))
+# every float flag, with the attribute it sets
+_FLOAT_FLAGS = {flag: name for flag, name, kind in _CONFIG_FLAGS
+                if kind is float} | {"--tx-power-db": "tx_power_db",
+                                     "--tone-offset": "tone_offset"}
+
+
+def _join_float_values(argv) -> list:
+    """argv with each float flag, or a prefix of one as argparse accepts,
+    and its value joined into one flag=value token, so that argparse
+    reads a value such as -1e3 or -inf as the flag's number, not as an
+    unknown option."""
+    tokens = iter(argv)
+    return ["=".join([token, *itertools.islice(tokens, 1)])
+            if len(token) > 2 and any(f.startswith(token) for f in _FLOAT_FLAGS)
+            else token for token in tokens]
+
+
+def _check_float_flags(args) -> None:
+    """Raise naming the first float flag given a NaN or an infinity, or a
+    --tx-power-db out of a scenario's tx_power_db range."""
+    for flag, name in _FLOAT_FLAGS.items():
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag}: must be finite, got {value}")
+    if not campaign.has_amplitude(getattr(args, "tx_power_db", 0.0)):
+        raise ValueError(f"--tx-power-db: {args.tx_power_db} dB has no "
+                         f"finite, nonzero linear amplitude")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chansounder",
@@ -192,12 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--capture", required=True)
     # one flag per SounderConfig field, defaulting to the field's default
     config = sliding.SounderConfig()
-    for flag, name, kind in (
-            ("--degree", "pn_degree", int), ("--polynomial", "polynomial", str),
-            ("--chip-period", "chip_period_s", float), ("--rolloff", "rolloff", float),
-            ("--span", "span_symbols", int), ("--sps", "samples_per_symbol", int),
-            ("--periods", "averaging_periods", int),
-            ("--threshold-db", "detection_threshold_db", float)):
+    for flag, name, kind in _CONFIG_FLAGS:
         s.add_argument(flag, dest=name, type=kind, default=getattr(config, name))
     s.add_argument("--settle-periods", type=int, default=1)
     s.add_argument("--tx-power-db", type=float, default=0.0)
@@ -227,10 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_float_values(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_float_flags(args)
         payload = args.handler(args)
     except (ValueError, OSError, NoSignalError) as exc:
         message = f"{type(exc).__name__}: {exc}"
@@ -239,7 +264,11 @@ def main(argv=None) -> int:
         print(message, file=sys.stderr)
         return 2
     payload["status"] = "ok"
-    _emit(args, payload)
+    if args.json:
+        print(json.dumps(payload))
+    else:
+        for item in payload.get("outputs", []):
+            print(item)
     return 0
 
 

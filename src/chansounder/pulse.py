@@ -96,8 +96,9 @@ class BasebandSignal:
     def checked(cls, samples: np.ndarray, sample_rate: float,
                 origin_time: float = 0.0) -> BasebandSignal:
         """A signal of complex128 samples that the caller has already
-        proved finite, as multitx.segment_capture's slot powers do: the
-        rate is checked, the samples are not read again."""
+        proved finite, as multitx.segment_capture's slot powers and
+        read_iq's scan of the raw floats do: the rate is checked, the
+        samples are not read again."""
         signal = object.__new__(cls)  # no __init__, so no second check
         for name, value in (("samples", samples), ("sample_rate", sample_rate),
                             ("origin_time", origin_time)):
@@ -152,10 +153,11 @@ def _rrc_closed_form(rolloff: float, span_symbols: int,
     regular = ~(at_zero | at_edge)
 
     h[at_zero] = 1.0 + beta * (4.0 / math.pi - 1.0)
-    h[at_edge] = (beta / math.sqrt(2.0)) * (
-        (1.0 + 2.0 / math.pi) * math.sin(math.pi / (4.0 * beta))
-        + (1.0 - 2.0 / math.pi) * math.cos(math.pi / (4.0 * beta))
-    )
+    if at_edge.any():  # else pi / (4 * beta) may overflow for a tiny beta
+        h[at_edge] = (beta / math.sqrt(2.0)) * (
+            (1.0 + 2.0 / math.pi) * math.sin(math.pi / (4.0 * beta))
+            + (1.0 - 2.0 / math.pi) * math.cos(math.pi / (4.0 * beta))
+        )
     tr = t[regular]
     h[regular] = (
         np.sin(math.pi * tr * (1.0 - beta))
@@ -536,5 +538,5 @@ def read_iq(path) -> BasebandSignal:
     if len(bad):
         raise ValueError(f"{path}: sample {bad[0] // 2} is not finite")
     samples = raw[0::2].astype(np.float64) + 1j * raw[1::2].astype(np.float64)
-    return BasebandSignal(samples=samples, sample_rate=sidecar.sample_rate_hz,
-                          origin_time=sidecar.origin_time_s)
+    return BasebandSignal.checked(samples, sidecar.sample_rate_hz,
+                                  sidecar.origin_time_s)

@@ -84,32 +84,6 @@ def reference(config: SounderConfig) -> tuple[ChipSequence, FilterTaps]:
                              config.samples_per_symbol)
 
 
-@dataclass(frozen=True)
-class DelayProfile:
-    """Estimated taps at chip-lag resolution plus derived scalars."""
-
-    lags: np.ndarray
-    gains: np.ndarray
-    chip_period: float
-    wideband_path_loss_db: float
-    rms_delay_spread: float
-
-    def __post_init__(self):
-        lags = np.asarray(self.lags, dtype=np.int64)
-        gains = np.asarray(self.gains, dtype=np.complex128)
-        object.__setattr__(self, "lags", lags)
-        object.__setattr__(self, "gains", gains)
-        if len(lags) < 1 or len(lags) != len(gains):
-            raise ValueError("need matching, nonempty lag and gain lists")
-        if lags[0] < 0 or (lags[1:] <= lags[:-1]).any():
-            raise ValueError("lags must be nonnegative and strictly increasing")
-        if self.rms_delay_spread < 0:
-            raise ValueError("rms_delay_spread must be nonnegative")
-        span = (lags[-1] - lags[0]) * self.chip_period
-        if self.rms_delay_spread > span + 1e-15:
-            raise ValueError("rms_delay_spread exceeds the tap span")
-
-
 def rms_delay_spread(lags, gains, chip_period: float) -> float:
     """Square root of the power-weighted second central moment of delay."""
     lags = np.asarray(lags, dtype=np.float64)
@@ -199,8 +173,11 @@ def sound(mean_periods, chips: ChipSequence, config: SounderConfig,
     reported relative to the first arrival. The wideband path loss is
     the row's transmitter power minus its total tap power.
 
-    Returns one entry per row: its DelayProfile, or, where no lag rises
-    above the detection floor, the NoSignalError that says so.
+    Returns one entry per row: its delay-profile document, the
+    delay_profile of records.jsonl (chip_period_s; taps, each a lag with
+    its gain_re and gain_im; path_loss_db; rms_delay_spread_s), or,
+    where no lag rises above the detection floor, the NoSignalError that
+    says so.
     """
     means = np.asarray(mean_periods, dtype=np.complex128)
     n = chips.period_length
@@ -223,7 +200,7 @@ def sound(mean_periods, chips: ChipSequence, config: SounderConfig,
 
 
 def _sound_row(mean_period, profile, chips: ChipSequence,
-               config: SounderConfig, tx_power_db: float) -> DelayProfile:
+               config: SounderConfig, tx_power_db: float) -> dict:
     """One row of sound(), from its averaged period and that period's
     correlation profile. Raises NoSignalError."""
     n = chips.period_length
@@ -248,13 +225,14 @@ def _sound_row(mean_period, profile, chips: ChipSequence,
     if total == 0.0:
         raise ValueError("total tap power is zero")
 
-    return DelayProfile(
-        lags=lags,
-        gains=gains,
-        chip_period=config.chip_period_s,
-        wideband_path_loss_db=tx_power_db - 10.0 * math.log10(total),
-        rms_delay_spread=rms_delay_spread(lags, gains, config.chip_period_s),
-    )
+    return {
+        "chip_period_s": config.chip_period_s,
+        "taps": [{"lag": lag, "gain_re": gain.real, "gain_im": gain.imag}
+                 for lag, gain in zip(lags.tolist(), gains.tolist())],
+        "path_loss_db": tx_power_db - 10.0 * math.log10(total),
+        "rms_delay_spread_s": rms_delay_spread(lags, gains,
+                                               config.chip_period_s),
+    }
 
 
 def measure_sliding(stack: BasebandSignal, chips: ChipSequence,
@@ -268,8 +246,9 @@ def measure_sliding(stack: BasebandSignal, chips: ChipSequence,
 
     Each row must hold settle_periods + averaging_periods chip periods
     of shaped waveform; the leading settle keeps filter ramp-in out of
-    the averaged window. Returns one entry per row: its DelayProfile, or
-    a NoSignalError where the row has no timing phase or no tap.
+    the averaged window. Returns one entry per row: its delay-profile
+    document, as sound() gives it, or a NoSignalError where the row has
+    no timing phase or no tap.
     """
     skip = settle_periods * chips.period_length
     phases = estimate_timing_phase(stack, chips, taps, skip_symbols=skip)
@@ -281,14 +260,3 @@ def measure_sliding(stack: BasebandSignal, chips: ChipSequence,
                 "phase exists")
             for phase, profile in zip(phases, profiles)]
 
-
-def profile_to_json(profile: DelayProfile) -> dict:
-    return {
-        "chip_period_s": profile.chip_period,
-        "taps": [
-            {"lag": int(lag), "gain_re": float(g.real), "gain_im": float(g.imag)}
-            for lag, g in zip(profile.lags, profile.gains)
-        ],
-        "path_loss_db": profile.wideband_path_loss_db,
-        "rms_delay_spread_s": profile.rms_delay_spread,
-    }

@@ -58,6 +58,18 @@ def measure_one(capture, chips, taps, config, tx_power_db=0.0,
     return profile
 
 
+def tap_lags(profile):
+    """A delay-profile document's tap lags, as an int64 array."""
+    return np.array([tap["lag"] for tap in profile["taps"]], dtype=np.int64)
+
+
+def tap_gains(profile):
+    """A delay-profile document's tap gains, as a complex128 array whose
+    bits are the document's floats (a -0.0 part stays -0.0)."""
+    return np.array([complex(tap["gain_re"], tap["gain_im"])
+                     for tap in profile["taps"]], dtype=np.complex128)
+
+
 def write_iq(signal, path):
     """Write a capture as the program reads one: interleaved little-endian
     float32 I/Q, plus its IqSidecar at path + ".json"."""

@@ -7,9 +7,13 @@ import math
 import os
 import pathlib
 import re
+import resource
+import shutil
+import signal
 import subprocess
 import sys
 import tracemalloc
+import traceback
 import warnings
 
 import numpy as np
@@ -534,9 +538,9 @@ def bundled_edit(tmp_path, name, edit):
 
 
 def edit_sites(value, path=()):
-    """Every number and list of a scenario document, each with the edits
-    that may replace it: numbers by 0, -1, 1e-12 or 1e12, lists by the
-    empty or the reversed list."""
+    """Every number, null and list of a scenario document, each with the
+    edits that may replace it: numbers and nulls by 0, -1, 1e-12 or 1e12,
+    lists by the empty or the reversed list."""
     if isinstance(value, dict):
         for key, item in value.items():
             yield from edit_sites(item, path + (key,))
@@ -544,7 +548,8 @@ def edit_sites(value, path=()):
         yield path, (lambda items: [], lambda items: items[::-1])
         for k, item in enumerate(value):
             yield from edit_sites(item, path + (k,))
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+    elif value is None or (isinstance(value, (int, float))
+                           and not isinstance(value, bool)):
         yield path, tuple(lambda _, v=v: v for v in (0, -1, 1e-12, 1e12))
 
 
@@ -850,6 +855,20 @@ def test_overflowing_channel_output_exits_2_with_one_stderr_line(tmp_path):
     assert not (tmp_path / "out" / "records.jsonl").exists()
 
 
+def strict_json(text):
+    """The JSON document text, read by a reader that rejects NaN and
+    Infinity."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def strict_records(path):
+    """Every line of a records.jsonl, each read by strict_json."""
+    return [strict_json(line) for line in path.read_text().splitlines()]
+
+
 def set_tx_power(db):
     def edit(doc):
         for tx in doc["transmitters"]:
@@ -877,15 +896,108 @@ def test_loud_transmitters_below_the_ceiling_write_strict_json(tmp_path):
     child = run_cli_limited("campaign", "--scenario", str(path),
                             "--out-dir", str(tmp_path / "out"))
     assert (child.returncode, child.stderr) == (0, "")
-
-    def reject(constant):
-        raise ValueError(f"{constant} is not JSON")
-
-    lines = (tmp_path / "out" / "records.jsonl").read_text().splitlines()
-    assert len(lines) == 6
-    for line in lines:
-        record = json.loads(line, parse_constant=reject)
+    records = strict_records(tmp_path / "out" / "records.jsonl")
+    assert len(records) == 6
+    for record in records:
         assert record["flags"] == []
+
+
+def set_noise_power(dbfs):
+    return lambda doc: doc.update(noise_power_dbfs=dbfs)
+
+
+@pytest.mark.parametrize("command", ["validate", "campaign"])
+@pytest.mark.parametrize("name, dbfs, samples", [
+    ("indoor_wing_sliding", 3100.0, 163848),
+    ("indoor_wing_sliding", 3080.0, 163848),
+    ("courtyard_frequency", 3100.0, 5000)])
+def test_overflowing_noise_power_exits_2_naming_it(tmp_path, command, name,
+                                                   dbfs, samples):
+    # 10 ** (3100 / 10) once ended the campaign in an OverflowError
+    # traceback from the noise draw; at 3080 dBFS a sliding campaign
+    # exited 0 after RuntimeWarnings from slot power ratios of inf / inf
+    path = bundled_edit(tmp_path, name, set_noise_power(dbfs))
+    child = run_cli_limited(command, "--scenario", str(path),
+                            "--out-dir", str(tmp_path / "out"))
+    assert (child.returncode, child.stderr) == (
+        2, f"ValueError: noise_power_dbfs: {dbfs:g} dBFS summed over the "
+           f"{samples}-sample capture overflows a float\n")
+    assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
+@pytest.mark.parametrize("name, dbfs", [("indoor_wing_sliding", 3030.0),
+                                        ("courtyard_frequency", 3045.0)])
+def test_loud_noise_below_the_ceiling_writes_strict_json(tmp_path, name, dbfs):
+    # the ceilings are 3030.4 dBFS over the sliding capture and 3045.6
+    # dBFS over one carrier step
+    path = bundled_edit(tmp_path, name, set_noise_power(dbfs))
+    child = run_cli_limited("campaign", "--scenario", str(path),
+                            "--out-dir", str(tmp_path / "out"))
+    assert (child.returncode, child.stderr) == (0, "")
+    assert len(strict_records(tmp_path / "out" / "records.jsonl")) \
+        == 2 * len(cut_bundled(name)["transmitters"])
+
+
+def run_cli_forked(*argv, address_space=2 << 30, seconds=60):
+    """cli.main in a forked child, its address space capped at
+    address_space bytes above what it inherits and its run at seconds:
+    the exit code, and stderr with any warning or traceback written
+    there."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            inherited = int(pathlib.Path("/proc/self/statm").read_text()
+                            .split()[0]) * os.sysconf("SC_PAGE_SIZE")
+            limit = inherited + address_space
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+            signal.alarm(seconds)
+            with os.fdopen(write_fd, "w") as sys.stderr, \
+                    open(os.devnull, "w") as sys.stdout:
+                try:
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        code = main(list(argv))
+                    for warning in caught:
+                        print(warnings.formatwarning(
+                            warning.message, warning.category,
+                            warning.filename, warning.lineno),
+                            file=sys.stderr)
+                except Exception:
+                    traceback.print_exc(file=sys.stderr)
+        finally:
+            os._exit(code)  # never the rest of the test session
+    os.close(write_fd)
+    with os.fdopen(read_fd) as pipe:
+        stderr = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    return os.waitstatus_to_exitcode(status), stderr
+
+
+@given(doc=mutated_scenarios())
+@settings(max_examples=120)
+def test_campaign_exits_0_or_2_with_one_line_naming_a_field(
+        tmp_path_factory, doc):
+    # each campaign runs in its own capped child, one at a time: strict
+    # JSON records and nothing on stderr, or one line naming the field
+    directory = tmp_path_factory.getbasetemp() / "mutated-campaign"
+    shutil.rmtree(directory, ignore_errors=True)
+    directory.mkdir()
+    path = directory / "mutated.json"
+    path.write_text(json.dumps(doc))
+    code, stderr = run_cli_forked("campaign", "--scenario", str(path),
+                                  "--out-dir", str(directory / "out"))
+    assert code in (0, 2), stderr
+    if code == 2:
+        assert ONE_LINE_ERROR.fullmatch(stderr), stderr
+        assert not (directory / "out" / "records.jsonl").exists()
+        return
+    assert stderr == ""
+    records = strict_records(directory / "out" / "records.jsonl")
+    assert len(records) == len(doc["receiver_path_m"]) \
+        * len(doc["transmitters"])
 
 
 def test_far_position_exits_2_with_one_stderr_line(tmp_path):
@@ -1209,6 +1321,130 @@ def test_sound_freq_plan_exits_0_or_2_naming_a_field(tmp_path_factory, edits):
     if losses["tone_offset_hz"] == PLAN_TONE:
         assert losses == json.loads(
             (directory / "losses.original").read_text())
+
+
+# each sound command's float flags, with the fields their values reach
+# and values in range: those of the default capture and plan among them
+FLOAT_FLAGS = {
+    ("sound-sliding", "--chip-period"): (
+        "chip_period_s|\\S+\\.iq\\.json: sample_rate_hz", ("6e-8", "60E-9")),
+    ("sound-sliding", "--rolloff"): ("rolloff", ("3.5e-1", "1e0", "0.5")),
+    ("sound-sliding", "--threshold-db"): ("detection_threshold_db",
+                                          ("3e1", "2.5E+1", "40")),
+    ("sound-sliding", "--tx-power-db"): ("tx_power_db", ()),
+    ("sound-freq", "--tx-power-db"): ("tx_power_db", ()),
+    ("sound-freq", "--tone-offset"): ("tone_offset", (
+        f"{PLAN_TONE:.11e}", repr(PLAN_TONE), f"{PLAN_TONE - PLAN_BIN:E}")),
+}
+NO_TAP = ("NoSignalError: no correlation lag stands clear of the detection "
+          "floor\n")
+NON_FINITE = ("nan", "NaN", "-nan", "inf", "+inf", "-inf", "Infinity",
+              "-Infinity", "INF", "1e400", "-1e400", "1E+400")
+
+
+@st.composite
+def float_flag_values(draw):
+    """A sound command, one of its float flags and a value for it: in
+    exponent form with either sign, a spelling of NaN or infinity, a plain
+    number, or a value in the flag's range."""
+    command, flag = draw(st.sampled_from(sorted(FLOAT_FLAGS)))
+    exponent_form = st.builds(
+        "{}{}{}{}".format, st.sampled_from(["", "-", "+"]),
+        st.sampled_from(["1", "2.5", "6", "9.75"]), st.sampled_from("eE"),
+        st.integers(-400, 400).map(str))
+    plain = st.sampled_from(["0", "-0", "1", "-1", "-0.5", "0.35", "-6",
+                             "3000", "-3000.25"])
+    value = draw(exponent_form | st.sampled_from(NON_FINITE) | plain
+                 | st.sampled_from(FLOAT_FLAGS[command, flag][1] or ("0",)))
+    return command, flag, value
+
+
+@given(drawn=float_flag_values())
+@settings(max_examples=150)
+def test_float_flags_exit_0_or_2_naming_the_flag(tmp_path_factory, drawn):
+    # values argparse once took for options (-1e3, -inf) or passed on
+    # unchecked (nan, inf, 1e400, which reached the outputs as NaN and
+    # Infinity): strict JSON outputs, or one line naming the flag or the
+    # field its value reaches
+    command, flag, value = drawn
+    directory = tmp_path_factory.getbasetemp() / "float-flags"
+    if not directory.exists():
+        directory.mkdir()
+        sliding_capture_file(directory)
+        sweep_capture_files(directory)
+    inputs = (["--capture", str(directory / "capture.iq")]
+              if command == "sound-sliding" else
+              ["--plan", str(directory / "plan.json"),
+               *(str(directory / f"step{step}.iq") for step in range(10))])
+    out = directory / "out"
+    target = out / ("profile.json" if command == "sound-sliding"
+                    else "losses.json")
+    target.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--json", "--out-dir", str(out), flag, value,
+                     *inputs])
+    assert caught == []
+    status = strict_json(stdout.getvalue())
+    assert code in (0, 2)
+    if code == 0:
+        assert (status["status"], stderr.getvalue()) == ("ok", "")
+        strict_json(target.read_text())
+        return
+    assert status["status"] == "error"
+    assert not target.exists()
+    if flag == "--threshold-db" and stderr.getvalue() == NO_TAP:
+        # a floor more than about 150 dB below the peak lets the float32
+        # capture's rounding through on more than half the lags
+        assert float(value) > 150.0
+        return
+    fields = FLOAT_FLAGS[command, flag][0]
+    assert re.fullmatch(rf"ValueError: (?:{re.escape(flag)}|{fields}): .*\n",
+                        stderr.getvalue()), (value, stderr.getvalue())
+
+
+@pytest.mark.parametrize("command, flag, value, error", [
+    # argparse took these for options: its usage block and exit 2
+    ("sound-sliding", "--tx-power-db", "-1e3", None),
+    ("sound-sliding", "--tx-power", "-1e3", None),
+    ("sound-freq", "--tone-offset", f"{PLAN_TONE:.11e}", None),
+    ("sound-sliding", "--chip-period", "-6e-8",
+     "ValueError: chip_period_s: must be positive"),
+    # these reached profile.json, losses.json and the status line as NaN
+    # or Infinity, or were blamed on something else
+    ("sound-sliding", "--tx-power-db", "nan",
+     "ValueError: --tx-power-db: must be finite, got nan"),
+    ("sound-freq", "--tx-power-db", "1e400",
+     "ValueError: --tx-power-db: must be finite, got inf"),
+    ("sound-sliding", "--threshold-db", "nan",
+     "ValueError: --threshold-db: must be finite, got nan"),
+    ("sound-sliding", "--chip-period", "inf",
+     "ValueError: --chip-period: must be finite, got inf"),
+    # the mean of ten such losses overflowed to Infinity, with a warning
+    ("sound-freq", "--tx-power-db", "1e308",
+     "ValueError: --tx-power-db: 1e+308 dB has no finite, nonzero linear "
+     "amplitude"),
+    # pi / (4 * rolloff) overflowed: "ValueError: math domain error"
+    ("sound-sliding", "--rolloff", "1e-310", None),
+])
+def test_float_flag_regressions(tmp_path, capsys, command, flag, value,
+                                error):
+    sliding_capture_file(tmp_path)
+    plan_path, capture_paths = sweep_capture_files(tmp_path)
+    inputs = (["--capture", str(tmp_path / "capture.iq")]
+              if command == "sound-sliding" else
+              ["--plan", str(plan_path), *capture_paths])
+    code, out, err = run_cli(capsys, command, "--json", "--out-dir",
+                             str(tmp_path / "out"), flag, value, *inputs)
+    strict_json(out)
+    if error is None:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, err) == (2, error + "\n")
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("change, field", [

@@ -14,7 +14,8 @@ from chansounder import channel as ch
 from chansounder import multitx, pulse, schema, sliding, sweep
 
 from helpers import (expand, frequency_blocks, oracle_compose_received,
-                     oracle_guard_core_power_ratio, per_sample_compose)
+                     oracle_guard_core_power_ratio, per_sample_compose,
+                     tap_gains, tap_lags)
 
 
 @pytest.fixture(scope="module")
@@ -214,8 +215,8 @@ def test_segment_starts_at_its_bursts_first_sample(tdma_setup, chips10,
     assert segments.origin_time == burst.origin_time
     [profile] = sliding.measure_sliding(segments, chips10, rrc_taps, config,
                                         [0.0])
-    npt.assert_array_equal(profile.lags, [0, 3])
-    npt.assert_allclose(profile.gains, [0.5, 0.25j], atol=1e-9)
+    npt.assert_array_equal(tap_lags(profile), [0, 3])
+    npt.assert_allclose(tap_gains(profile), [0.5, 0.25j], atol=1e-9)
 
 
 def test_compose_leakage_off_is_exactly_isolated(tdma_setup):
@@ -256,9 +257,9 @@ def test_small_clock_offset_keeps_sounding_bit_identical(tdma_setup, chips10,
 
     base = profile_with_offset(0)
     small = profile_with_offset(-8)  # well under the guard trim
-    npt.assert_array_equal(base.lags, small.lags)
-    npt.assert_array_equal(base.gains, small.gains)
-    assert base.wideband_path_loss_db == small.wideband_path_loss_db
+    npt.assert_array_equal(tap_lags(base), tap_lags(small))
+    npt.assert_array_equal(tap_gains(base), tap_gains(small))
+    assert base["path_loss_db"] == small["path_loss_db"]
 
 
 def test_gross_clock_offset_raises_flag(tdma_setup):
@@ -368,7 +369,7 @@ def test_near_far_failure_and_mitigation(tdma_setup, chips10, rrc_taps):
                                             burst.sample_rate)
         profile = sliding.measure_sliding(segmented.segments, chips10,
                                           rrc_taps, config, [0.0] * 2)[1]
-        return profile.wideband_path_loss_db
+        return profile["path_loss_db"]
 
     corrupted = far_loss(multitx.PARK_IN_BAND)
     clean = far_loss(multitx.PARK_OFF_BAND)
@@ -394,7 +395,7 @@ def test_leakage_monotonicity(tdma_setup, chips10, rrc_taps):
                                             burst.sample_rate)
         profile = sliding.measure_sliding(segmented.segments, chips10,
                                           rrc_taps, config, [0.0] * 3)[2]
-        errors.append(abs(profile.wideband_path_loss_db - 80.0))
+        errors.append(abs(profile["path_loss_db"] - 80.0))
     assert all(a >= b - 1e-9 for a, b in zip(errors, errors[1:]))
     assert errors[0] > errors[-1]
 

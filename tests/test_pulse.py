@@ -416,6 +416,29 @@ def test_read_iq_rejects_odd_float_count(tmp_path):
         pulse.read_iq(target)
 
 
+def test_read_iq_checks_each_sample_once(tmp_path, monkeypatch):
+    # the scan of the raw floats proves the samples finite, so the signal
+    # is built without BasebandSignal's second pass over them
+    target = _iq_with_sidecar(tmp_path, 20)
+
+    def second_check(samples):
+        raise AssertionError("the samples were checked twice")
+
+    monkeypatch.setattr(pulse, "check_finite", second_check)
+    loaded = pulse.read_iq(target)
+    assert loaded.samples.dtype == np.complex128
+    npt.assert_array_equal(loaded.samples,
+                           np.arange(0, 20, 2) + 1j * np.arange(1, 20, 2))
+
+
+def test_design_rrc_takes_a_subnormal_rolloff():
+    # pi / (4 * rolloff) overflows; it was evaluated for the edge limit
+    # even where no tap sits on the edge, and math.sin(inf) raised
+    taps = pulse.design_rrc(1e-310, 12, 4)
+    assert np.isfinite(taps.coefficients).all()
+    assert float(np.sum(taps.coefficients ** 2)) == pytest.approx(1.0)
+
+
 def test_timing_phase_rejects_window_before_capture(chips10, rrc_taps):
     # sample 0 sits 1500 chips after t = 0, so the timing window starts
     # at a negative index; it must not wrap to the capture's tail

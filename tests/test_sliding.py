@@ -15,7 +15,8 @@ from chansounder.exceptions import NoSignalError
 
 from helpers import (add_noise, expand, measure_one, measured_correlation_gain,
                      one_row, oracle_detect_taps, oracle_measure_sliding,
-                     oracle_sound_row, planted_capture, random_planted_channel)
+                     oracle_sound_row, planted_capture, random_planted_channel,
+                     tap_gains, tap_lags)
 
 
 def test_planted_three_tap_channel(chips10, rrc_taps, sounder_config):
@@ -25,8 +26,8 @@ def test_planted_three_tap_channel(chips10, rrc_taps, sounder_config):
         delays=[0.0, 2 * period, 5 * period])
     capture = planted_capture(chips10, rrc_taps, planted, sounder_config)
     profile = measure_one(capture, chips10, rrc_taps, sounder_config)
-    npt.assert_array_equal(profile.lags, [0, 2, 5])
-    npt.assert_allclose(profile.gains, planted.gains, rtol=1e-3)
+    npt.assert_array_equal(tap_lags(profile), [0, 2, 5])
+    npt.assert_allclose(tap_gains(profile), planted.gains, rtol=1e-3)
 
 
 def test_adjacent_near_equal_taps(chips10, rrc_taps):
@@ -42,8 +43,8 @@ def test_adjacent_near_equal_taps(chips10, rrc_taps):
         delays=[0.0, 4 * period, 12 * period, 13 * period])
     capture = planted_capture(chips10, rrc_taps, planted, config)
     profile = measure_one(capture, chips10, rrc_taps, config)
-    npt.assert_array_equal(profile.lags, [0, 4, 12, 13])
-    npt.assert_allclose(profile.gains, planted.gains, rtol=1e-6)
+    npt.assert_array_equal(tap_lags(profile), [0, 4, 12, 13])
+    npt.assert_allclose(tap_gains(profile), planted.gains, rtol=1e-6)
 
 
 def _arriving_late(capture, samples):
@@ -74,26 +75,26 @@ def test_planted_channel_recovery_property(chips10, rrc_taps, seed, offset,
                                        skip_symbols=chips10.period_length) \
         == [offset % sps]
     profile = measure_one(capture, chips10, rrc_taps, config)
-    npt.assert_array_equal(profile.lags, lags)
-    ratio = profile.gains / planted.gains
+    npt.assert_array_equal(tap_lags(profile), lags)
+    ratio = tap_gains(profile) / planted.gains
     assert np.max(np.abs(20 * np.log10(np.abs(ratio)))) <= 1.0
     assert np.max(np.abs(np.degrees(np.angle(ratio)))) <= 5.0
 
     shifted = measure_one(_arriving_late(capture, shift), chips10,
                           rrc_taps, config)
-    assert shifted.lags.tobytes() == profile.lags.tobytes()
-    assert shifted.gains.tobytes() == profile.gains.tobytes()
-    assert shifted.wideband_path_loss_db == profile.wideband_path_loss_db
-    assert shifted.rms_delay_spread == profile.rms_delay_spread
+    assert tap_lags(shifted).tobytes() == tap_lags(profile).tobytes()
+    assert tap_gains(shifted).tobytes() == tap_gains(profile).tobytes()
+    assert shifted["path_loss_db"] == profile["path_loss_db"]
+    assert shifted["rms_delay_spread_s"] == profile["rms_delay_spread_s"]
 
 
 def test_identity_channel_measurement(chips10, rrc_taps, sounder_config):
     flat = ch.MultipathChannel(gains=[1.0], delays=[0.0])
     capture = planted_capture(chips10, rrc_taps, flat, sounder_config)
     profile = measure_one(capture, chips10, rrc_taps, sounder_config)
-    npt.assert_array_equal(profile.lags, [0])
-    assert abs(profile.wideband_path_loss_db) < 0.01
-    assert profile.rms_delay_spread == 0.0
+    npt.assert_array_equal(tap_lags(profile), [0])
+    assert abs(profile["path_loss_db"]) < 0.01
+    assert profile["rms_delay_spread_s"] == 0.0
 
 
 def test_wideband_path_loss_examples(chips10, sounder_config):
@@ -102,7 +103,7 @@ def test_wideband_path_loss_examples(chips10, sounder_config):
         mean = sum(g * np.roll(chips10.chips, lag) for g, lag in zip(gains, lags))
         [profile] = sliding.sound(mean[None], chips10, sounder_config,
                                   [tx_power_db])
-        return profile.wideband_path_loss_db
+        return profile["path_loss_db"]
 
     assert loss([0.1], [0]) == pytest.approx(20.0)
     # two taps combine their powers, not their maxima
@@ -193,9 +194,18 @@ def test_row_detection_matches_the_numpy_wrapper_oracle(kind, degree,
         assert isinstance(row, NoSignalError) and str(row) == want
         return
     lags, gains, loss, spread = want
-    assert row.lags.tobytes() == lags.astype(np.int64).tobytes()
-    assert row.gains.tobytes() == gains.tobytes()
-    assert (row.wideband_path_loss_db, row.rms_delay_spread) == (loss, spread)
+    assert tap_lags(row).tobytes() == lags.astype(np.int64).tobytes()
+    assert tap_gains(row).tobytes() == gains.tobytes()
+    assert (row["path_loss_db"], row["rms_delay_spread_s"]) == (loss, spread)
+    # the row's invariants: lags from the first arrival at 0, strictly
+    # increasing below N; at least one tap; a spread inside the tap span;
+    # a finite path loss
+    got_lags = tap_lags(row)
+    assert len(got_lags) >= 1 and got_lags[0] == 0
+    assert (got_lags[1:] > got_lags[:-1]).all() and got_lags[-1] < len(mean)
+    span = (got_lags[-1] - got_lags[0]) * row["chip_period_s"]
+    assert 0.0 <= row["rms_delay_spread_s"] <= span + 1e-15
+    assert math.isfinite(row["path_loss_db"])
 
 
 def test_rms_delay_spread_single_tap():
@@ -234,10 +244,10 @@ def test_scale_equivariance(chips10, rrc_taps, sounder_config):
                                           capture.origin_time)
     scaled = measure_one(scaled_capture, chips10, rrc_taps,
                          sounder_config)
-    npt.assert_array_equal(scaled.lags, base.lags)
-    npt.assert_allclose(scaled.gains, base.gains * g, rtol=1e-9)
-    assert scaled.wideband_path_loss_db == pytest.approx(
-        base.wideband_path_loss_db - 20 * math.log10(abs(g)), abs=1e-9)
+    npt.assert_array_equal(tap_lags(scaled), tap_lags(base))
+    npt.assert_allclose(tap_gains(scaled), tap_gains(base) * g, rtol=1e-9)
+    assert scaled["path_loss_db"] == pytest.approx(
+        base["path_loss_db"] - 20 * math.log10(abs(g)), abs=1e-9)
 
 
 def test_sound_deterministic(chips10, rrc_taps, sounder_config):
@@ -249,10 +259,10 @@ def test_sound_deterministic(chips10, rrc_taps, sounder_config):
                                         skip_symbols=1023)
     [one] = sliding.sound(mean_period, chips10, sounder_config, [0.0])
     [two] = sliding.sound(mean_period, chips10, sounder_config, [0.0])
-    npt.assert_array_equal(one.gains, two.gains)
-    npt.assert_array_equal(one.lags, two.lags)
-    assert one.wideband_path_loss_db == two.wideband_path_loss_db
-    assert one.rms_delay_spread == two.rms_delay_spread
+    npt.assert_array_equal(tap_gains(one), tap_gains(two))
+    npt.assert_array_equal(tap_lags(one), tap_lags(two))
+    assert one["path_loss_db"] == two["path_loss_db"]
+    assert one["rms_delay_spread_s"] == two["rms_delay_spread_s"]
 
 
 def test_sound_capture_too_short(chips10, rrc_taps, sounder_config):
@@ -289,8 +299,8 @@ def test_dynamic_range_60_db(chips10, rrc_taps):
     planted = ch.MultipathChannel(gains=[1.0, weak], delays=[0.0, 7 * period])
     capture = planted_capture(chips10, rrc_taps, planted, config)
     profile = measure_one(capture, chips10, rrc_taps, config)
-    npt.assert_array_equal(profile.lags, [0, 7])
-    error_db = abs(20 * math.log10(abs(profile.gains[1]) / weak))
+    npt.assert_array_equal(tap_lags(profile), [0, 7])
+    error_db = abs(20 * math.log10(abs(tap_gains(profile)[1]) / weak))
     assert error_db <= 1.0
 
 
@@ -304,7 +314,7 @@ def test_environment_roundtrip_path_loss(chips10, rrc_taps, sounder_config):
     config = sliding.SounderConfig(detection_threshold_db=60.0)
     capture = planted_capture(chips10, rrc_taps, planted, config)
     profile = measure_one(capture, chips10, rrc_taps, config)
-    assert profile.wideband_path_loss_db == pytest.approx(truth, abs=0.2)
+    assert profile["path_loss_db"] == pytest.approx(truth, abs=0.2)
 
 
 def test_processing_gain_statistic(chips10):
@@ -323,37 +333,31 @@ def test_sound_detection_survives_noise(chips10, rrc_taps):
     capture = planted_capture(chips10, rrc_taps, planted, config)
     noisy = add_noise(capture, -10.0, seed=3)
     profile = measure_one(noisy, chips10, rrc_taps, config)
-    npt.assert_array_equal(profile.lags, [0, 4])
-    npt.assert_allclose(np.abs(profile.gains), [1.0, 0.5], rtol=0.05)
-
-
-def test_delay_profile_invariants():
-    with pytest.raises(ValueError, match="strictly increasing"):
-        sliding.DelayProfile(lags=[0, 0], gains=[1.0, 1.0], chip_period=60e-9,
-                             wideband_path_loss_db=0.0, rms_delay_spread=0.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        sliding.DelayProfile(lags=[0], gains=[1.0], chip_period=60e-9,
-                             wideband_path_loss_db=0.0, rms_delay_spread=-1.0)
-    with pytest.raises(ValueError, match="span"):
-        sliding.DelayProfile(lags=[0, 2], gains=[1.0, 1.0], chip_period=60e-9,
-                             wideband_path_loss_db=0.0, rms_delay_spread=121e-9)
+    npt.assert_array_equal(tap_lags(profile), [0, 4])
+    npt.assert_allclose(np.abs(tap_gains(profile)), [1.0, 0.5], rtol=0.05)
 
 
 def test_profile_json_roundtrip(chips10, rrc_taps, sounder_config):
+    # a row is its delay-profile document: JSON-native ints and floats in
+    # the records.jsonl key order, which a JSON round trip gives back
     period = sounder_config.chip_period_s
     planted = ch.MultipathChannel(gains=[1.0, 0.3 - 0.1j],
                                   delays=[0.0, 2 * period])
     capture = planted_capture(chips10, rrc_taps, planted, sounder_config)
     profile = measure_one(capture, chips10, rrc_taps, sounder_config)
-    doc = json.loads(json.dumps(sliding.profile_to_json(profile)))
-    assert set(doc) == {"chip_period_s", "taps", "path_loss_db",
-                        "rms_delay_spread_s"}
-    assert doc["chip_period_s"] == profile.chip_period
-    assert [tap["lag"] for tap in doc["taps"]] == profile.lags.tolist()
-    npt.assert_array_equal([complex(tap["gain_re"], tap["gain_im"])
-                            for tap in doc["taps"]], profile.gains)
-    assert doc["path_loss_db"] == profile.wideband_path_loss_db
-    assert doc["rms_delay_spread_s"] == profile.rms_delay_spread
+    assert list(profile) == ["chip_period_s", "taps", "path_loss_db",
+                             "rms_delay_spread_s"]
+    assert json.loads(json.dumps(profile)) == profile
+    assert profile["chip_period_s"] == period
+    assert [list(tap) for tap in profile["taps"]] \
+        == [["lag", "gain_re", "gain_im"]] * 2
+    assert [type(tap["lag"]) for tap in profile["taps"]] == [int, int]
+    assert {type(tap[part]) for tap in profile["taps"]
+            for part in ("gain_re", "gain_im")} == {float}
+    assert type(profile["path_loss_db"]) is float
+    assert type(profile["rms_delay_spread_s"]) is float
+    npt.assert_array_equal(tap_lags(profile), [0, 2])
+    npt.assert_allclose(tap_gains(profile), planted.gains, rtol=1e-3)
 
 
 def test_stacked_chain_matches_the_per_segment_oracle_row_for_row(chips10,
@@ -405,19 +409,20 @@ def test_stacked_chain_matches_the_per_segment_oracle_row_for_row(chips10,
         if isinstance(got, NoSignalError):
             assert isinstance(single, NoSignalError) and expected is None
             continue
-        assert got.lags.tobytes() == single.lags.tobytes()
-        assert got.gains.tobytes() == single.gains.tobytes()
-        assert got.wideband_path_loss_db == single.wideband_path_loss_db
-        assert got.rms_delay_spread == single.rms_delay_spread
-        npt.assert_array_equal(got.lags, expected.lags)
-        npt.assert_allclose(got.gains, expected.gains, rtol=1e-12, atol=0)
-        assert got.wideband_path_loss_db == pytest.approx(
-            expected.wideband_path_loss_db, rel=0, abs=1e-10)
+        assert tap_lags(got).tobytes() == tap_lags(single).tobytes()
+        assert tap_gains(got).tobytes() == tap_gains(single).tobytes()
+        assert got["path_loss_db"] == single["path_loss_db"]
+        assert got["rms_delay_spread_s"] == single["rms_delay_spread_s"]
+        npt.assert_array_equal(tap_lags(got), tap_lags(expected))
+        npt.assert_allclose(tap_gains(got), tap_gains(expected), rtol=1e-12,
+                            atol=0)
+        assert got["path_loss_db"] == pytest.approx(
+            expected["path_loss_db"], rel=0, abs=1e-10)
     assert [isinstance(p, NoSignalError) for p in profiles] \
         == [False, True, False, False]
     assert str(profiles[1]) == ("capture is silent in the timing search "
                                 "window; no timing phase exists")
-    npt.assert_array_equal(profiles[2].lags, [0, 1, 9])
+    npt.assert_array_equal(tap_lags(profiles[2]), [0, 1, 9])
 
 
 def test_a_no_signal_row_keeps_no_capture_alive(chips10, rrc_taps,
