@@ -283,6 +283,8 @@ def _run_sliding(scenario: Scenario, prepared: tuple, locations: range) -> list:
         profiles = sliding.measure_sliding(
             segmented.segments, chips, taps, config,
             [tx.tx_power_db for tx in scenario.transmitters])
+        # one capture at a time: this one goes before the next draws
+        del capture, segmented
         for tx, profile, seed in zip(scenario.transmitters, profiles, seeds):
             if isinstance(profile, NoSignalError):
                 records.append(_record(scenario, loc_index, tx, seed,
@@ -419,6 +421,7 @@ def prepare(scenario: Scenario):
 
 def _run_frequency(scenario: Scenario, frames: list, locations: range) -> list:
     records = []
+    rows = None
     for loc_index in locations:
         position = scenario.receiver_path[loc_index]
         channels = []
@@ -438,9 +441,10 @@ def _run_frequency(scenario: Scenario, frames: list, locations: range) -> list:
             step_seeds = [_noise_seed(scenario, "cap", loc_index, frame_index,
                                       step)
                           for step in range(len(frame.carriers_hz))]
+            # every frame has one shape, so one frame's rows take them all
             rows = sweep.compose_sweep_capture(
                 entries, frame, units, step_seeds,
-                noise_power_dbfs=scenario.noise_power_dbfs)
+                noise_power_dbfs=scenario.noise_power_dbfs, out=rows)
             losses += sweep.narrowband_losses(
                 rows, frame, frame.tone_offsets_hz,
                 [scenario.transmitters[k].tx_power_db for k in members])

@@ -145,22 +145,32 @@ def apply_channel(signal: BasebandSignal, channel: MultipathChannel,
     return ChannelOutput(out, head, period if head < tail else 0, length)
 
 
+# The most float64 values add_noise draws at once: its one buffer is
+# 128 KiB whatever the capture's length.
+NOISE_CHUNK = 2 ** 14
+
+
 def add_noise(samples: np.ndarray, noise_power_dbfs: float | None,
               seed: int | None) -> None:
     """Add complex white Gaussian noise of noise_power_dbfs (dB relative
     to unit power) to samples in place. It is drawn from a generator
-    seeded with seed, in-phase rail first, one rail at a time into one
-    float buffer that is scaled and added in place. None or -inf adds
-    nothing and reads no seed."""
+    seeded with seed: the whole in-phase rail, then the whole quadrature
+    rail, each filled NOISE_CHUNK values at a time into one reused
+    buffer that is scaled and added in place. Consecutive fills draw the
+    same values as one fill of the rail's length, so the chunking moves
+    no bits. None or -inf adds nothing and reads no seed."""
     if noise_power_dbfs is None or noise_power_dbfs == -math.inf:
         return
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(10.0 ** (noise_power_dbfs / 10.0) / 2.0)
-    rail = np.empty(len(samples))
+    buffer = np.empty(min(len(samples), NOISE_CHUNK))
     for part in (samples.real, samples.imag):
-        rng.standard_normal(out=rail)
-        rail *= sigma
-        part += rail
+        for start in range(0, len(part), NOISE_CHUNK):
+            piece = part[start:start + NOISE_CHUNK]
+            rail = buffer[:len(piece)]
+            rng.standard_normal(out=rail)
+            rail *= sigma
+            piece += rail
 
 
 def frequency_response(channel: MultipathChannel, frequency):

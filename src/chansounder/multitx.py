@@ -262,9 +262,11 @@ def compose_received(scene, schedule: TdmaSchedule, leak_gain: float = 0.0,
     slices, its steady state as whole periods in broadcast adds, the
     leakage from one leak-scaled copy of that form. No capture-length
     tile and no full-length received waveform is built. Noise, when
-    asked for, is added by channel.add_noise from a generator seeded
-    with seed. A period and ramp state that every waveform repeats
-    between its ramps, and go to apply_channel.
+    asked for, is added in place by channel.add_noise from a generator
+    seeded with seed, through its buffer of at most NOISE_CHUNK floats,
+    so the capture is the one capture-length array made here. A period
+    and ramp state that every waveform repeats between its ramps, and go
+    to apply_channel.
 
     Returns the capture's samples, not yet checked: segment_capture
     proves them finite with the slot powers that it sums anyway, so no

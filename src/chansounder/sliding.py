@@ -119,9 +119,15 @@ def _threshold(corrected: np.ndarray, config: SounderConfig):
     noise_floor = DETECTION_SIGMA_FACTOR * _std(off_peak) if len(off_peak) else 0.0
     threshold = max(relative_floor, noise_floor)
     detected = (magnitudes >= threshold).nonzero()[0]
-    if len(detected) == 0 or len(detected) > len(corrected) // 2:
+    if len(detected) == 0:
         raise NoSignalError(
             "no correlation lag stands clear of the detection floor"
+        )
+    if len(detected) > len(corrected) // 2:
+        raise NoSignalError(
+            f"detection_threshold_db: a floor {config.detection_threshold_db:.6g}"
+            f" dB below the peak lets {len(detected)} of {len(corrected)} "
+            f"correlation lags clear it, more than half"
         )
     return detected
 

@@ -168,7 +168,8 @@ def received_tone(channel: MultipathChannel, carrier: float, tone_offset: float,
 
 
 def compose_sweep_capture(entries, frame: FrequencySetup, units: dict, seeds,
-                          noise_power_dbfs: float | None = None) -> np.ndarray:
+                          noise_power_dbfs: float | None = None,
+                          out: np.ndarray | None = None) -> np.ndarray:
     """One sweep frame's captures, one row per carrier step: the received
     tones of several simultaneous transmitters, superposed.
 
@@ -180,9 +181,15 @@ def compose_sweep_capture(entries, frame: FrequencySetup, units: dict, seeds,
     its own buffer and then added. Noise, when asked for, is added to
     row k by channel.add_noise from a generator seeded with seeds[k].
     The samples of all rows are checked for finiteness once, together.
+
+    out, when given, is a complex128 (steps, samples) array, such as an
+    earlier frame's rows, that is overwritten and returned: a campaign
+    holds one frame's rows, and the allocator has none to free and map
+    again at every location.
     """
     n = len(units[entries[0][0]])
-    rows = np.empty((len(frame.carriers_hz), n), dtype=np.complex128)
+    rows = (np.empty((len(frame.carriers_hz), n), dtype=np.complex128)
+            if out is None else out)
     scratch = np.empty(n, dtype=np.complex128)
     other = np.empty(n, dtype=np.complex128)
     for row, carrier, seed in zip(rows, frame.carriers_hz, seeds, strict=True):

@@ -297,9 +297,11 @@ def oracle_compose_sweep_capture(entries, frame, step, noise_power_dbfs=None,
     return pulse.BasebandSignal(samples=acc, sample_rate=frame.sample_rate_hz)
 
 
-def oracle_sweep_rows(entries, frame, units, seeds, noise_power_dbfs=None):
+def oracle_sweep_rows(entries, frame, units, seeds, noise_power_dbfs=None,
+                      out=None):
     """compose_sweep_capture as one oracle_compose_sweep_capture per
-    carrier step, stacked; the unit tones are not read."""
+    carrier step, stacked into a new array; the unit tones and out are
+    not read."""
     return np.stack([oracle_compose_sweep_capture(
         entries, frame, step, noise_power_dbfs, seed).samples
         for step, seed in enumerate(seeds)])
@@ -395,9 +397,14 @@ def oracle_threshold(corrected, config):
                    if len(off_peak) else 0.0)
     threshold = max(relative_floor, noise_floor)
     detected = np.nonzero(magnitudes >= threshold)[0]
-    if len(detected) == 0 or len(detected) > len(corrected) // 2:
+    if len(detected) == 0:
         raise NoSignalError(
             "no correlation lag stands clear of the detection floor")
+    if len(detected) > len(corrected) // 2:
+        raise NoSignalError(
+            f"detection_threshold_db: a floor {config.detection_threshold_db:.6g}"
+            f" dB below the peak lets {len(detected)} of {len(corrected)} "
+            f"correlation lags clear it, more than half")
     return detected
 
 

@@ -6,6 +6,7 @@ import pathlib
 import re
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -602,6 +603,47 @@ def test_noise_seeds_are_derived_only_with_noise(monkeypatch, mode):
              else ["cap"] * 3 * len(quiet.frequency.carriers_hz))
     assert sorted(purposes[6:]) == sorted(["chan"] * 6 + noise)
     assert len(noisy) == len(records)
+
+
+def traced_peak_bytes(scenario, prepared):
+    """The peak of traced memory while every location of scenario runs in
+    this process from its prepared state, above what was traced before."""
+    run_block = (cp._run_sliding if scenario.mode == cp.MODE_SLIDING
+                 else cp._run_frequency)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_block(scenario, prepared, range(len(scenario.receiver_path)))
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_sliding_location_holds_one_capture():
+    # a location's capture and the segments that view it go before the
+    # next location's channels are drawn, and the noise is drawn through
+    # a 128 KiB buffer: about 1.2 captures at the peak, not the 2.5 of a
+    # capture kept across locations beside a capture-length noise rail
+    transmitters = tuple(cp.Transmitter(f"tx{k}", (3.0 * k, 10.0 - k, 1.0))
+                         for k in range(3))
+    scenario = small_scenario(transmitters=transmitters,
+                              noise_power_dbfs=-40.0)
+    prepared = cp.prepare(scenario)
+    capture_bytes = prepared[3].period_samples * 16  # complex128
+    assert traced_peak_bytes(scenario, prepared) < 1.5 * capture_bytes
+
+
+def test_a_sweep_location_holds_one_frame_of_rows():
+    # the same bound for a frame's rows, one capture per carrier step: an
+    # FFT of 1024 of a step's 5000 samples keeps the bin read's transient
+    # small beside them
+    scenario = small_scenario(mode=cp.MODE_FREQUENCY, noise_power_dbfs=-40.0)
+    scenario = replace(scenario, frequency=replace(scenario.frequency,
+                                                   fft_length=1024))
+    prepared = cp.prepare(scenario)
+    [(frame, units)] = prepared
+    rows_bytes = len(frame.carriers_hz) * len(units[frame.tone_offsets_hz[0]]) * 16
+    assert traced_peak_bytes(scenario, prepared) < 1.5 * rows_bytes
 
 
 def test_fixture_scenarios_load(tmp_path):

@@ -473,6 +473,27 @@ def test_compose_matches_tiled_leakage_and_complex_noise_oracle():
     assert cases == 36
 
 
+@pytest.mark.parametrize("n", [1, 2**14 - 1, 2**14, 2**14 + 1,
+                               3 * 2**14 + 5, 327696])
+def test_compose_draws_the_whole_in_phase_rail_then_the_quadrature_rail(n):
+    # the noise is drawn in chunks, yet each rail must hold the values of
+    # one standard_normal(n) call, in-phase first: every noisy campaign's
+    # bytes rest on this order (327696 samples is a near-far capture)
+    rng = np.random.default_rng(n)
+    signal = pulse.BasebandSignal(rng.normal(size=n) + 1j * rng.normal(size=n),
+                                  1000.0)
+    scene = [multitx.SceneTransmitter(signal, flat_channel(0.0))]
+    schedule = multitx.TdmaSchedule(1, n, 0)
+    got = multitx.compose_received(scene, schedule, noise_power_dbfs=-17.0,
+                                   seed=n + 3)
+    expected = multitx.compose_received(scene, schedule)
+    draws = np.random.default_rng(n + 3)
+    sigma = math.sqrt(10.0 ** (-17.0 / 10.0) / 2.0)
+    expected.real += sigma * draws.standard_normal(n)
+    expected.imag += sigma * draws.standard_normal(n)
+    assert got.tobytes() == expected.tobytes()
+
+
 @given(offsets=st.lists(st.integers(-60000, 60000), min_size=3, max_size=3),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=8)
