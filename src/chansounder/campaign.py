@@ -28,7 +28,7 @@ import numpy as np
 from chansounder import multitx, schema, sliding, sweep
 from chansounder.channel import EnvironmentModel, path_loss_db, synthesize_channel
 from chansounder.exceptions import NoSignalError
-from chansounder.pulse import BasebandSignal, burst_period_and_ramp, modulate
+from chansounder.pulse import burst_period_and_ramp, check_finite, modulate
 
 SCHEMA_VERSION = 1
 MODE_SLIDING = "sliding"
@@ -212,8 +212,8 @@ def _check_burst_samples(config: sliding.SounderConfig, chips, taps) -> None:
 
 
 def _prepare_sliding(scenario: Scenario) -> tuple:
-    """Chips, taps, per-transmitter waveforms, TDMA schedule and clock
-    offsets in samples."""
+    """Chips, taps, per-transmitter bursts in period form, TDMA schedule
+    and clock offsets in samples."""
     config = scenario.sliding
     try:
         chips, taps = sliding.reference(config)
@@ -236,11 +236,11 @@ def _prepare_sliding(scenario: Scenario) -> tuple:
             config.samples_per_symbol, sample_rate)
     except ValueError as exc:
         raise schema.nested("schedule", multitx.ScheduleSetup, exc) from None
-    waveforms = [
-        BasebandSignal(samples=burst.samples * 10.0 ** (tx.tx_power_db / 20.0),
-                       sample_rate=sample_rate, origin_time=burst.origin_time)
-        for tx in scenario.transmitters
-    ]
+    waveforms = []  # each transmitter's burst, in period form
+    for tx in scenario.transmitters:
+        samples = burst.samples * 10.0 ** (tx.tx_power_db / 20.0)
+        check_finite(samples)
+        waveforms.append(replace(burst, samples=samples))
     return (chips, taps, waveforms, schedule,
             _tx_clock_offsets(scenario, sample_rate))
 
@@ -249,8 +249,9 @@ def _run_sliding(scenario: Scenario, prepared: tuple, locations: range) -> list:
     config = scenario.sliding
     chips, taps, waveforms, schedule, offsets = prepared
     pn_period_s = chips.period_length * config.chip_period_s
-    # every waveform is a modulate burst, periodic between its ramps
-    period, ramp = burst_period_and_ramp(chips, taps)
+    rate = waveforms[0].sample_rate
+    # a tap later than this spills into the next slot's segment
+    room = schedule.slot_samples - len(waveforms[0])
     leak_gain = scenario.leakage.gain(scenario.park_mode)
     records = []
     for loc_index in locations:
@@ -263,21 +264,24 @@ def _run_sliding(scenario: Scenario, prepared: tuple, locations: range) -> list:
             chan, _ = synthesize_channel(scenario.environment, tx.position,
                                          position, seed,
                                          delay_grid_s=config.chip_period_s)
-            if chan.delays[-1] >= pn_period_s:  # checked before any capture is built
+            late = chan.delays[-1]  # checked before any capture is built
+            lag = round(late * rate)
+            if late >= pn_period_s or lag > room:
+                bound = (f"not below the {pn_period_s} s PN period"
+                         if late >= pn_period_s else
+                         f"{lag} samples, more than the {room} samples that "
+                         f"its slot leaves after the burst")
                 raise ValueError(
                     f"environment.delay_spread_scale_s: the channel drawn for "
                     f"transmitter {tx.id!r} at receiver_path_m[{loc_index}] "
-                    f"has a tap {chan.delays[-1]} s late, not below the "
-                    f"{pn_period_s} s PN period")
+                    f"has a tap {late} s late, {bound}")
             scene.append(multitx.SceneTransmitter(
                 waveform=waveform, channel=chan, clock_offset_samples=offset))
         capture = multitx.compose_received(
             scene, schedule, leak_gain=leak_gain,
             noise_power_dbfs=scenario.noise_power_dbfs,
-            seed=_noise_seed(scenario, "noise", loc_index),
-            period=period, ramp=ramp)
-        segmented = multitx.segment_capture(capture, schedule,
-                                            waveforms[0].sample_rate,
+            seed=_noise_seed(scenario, "noise", loc_index))
+        segmented = multitx.segment_capture(capture, schedule, rate,
                                             waveforms[0].origin_time)
         location_flags = (FLAG_MISALIGNED,) if segmented.misaligned else ()
         profiles = sliding.measure_sliding(

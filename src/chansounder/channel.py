@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from chansounder.pulse import BasebandSignal
+from chansounder.pulse import PeriodForm
 
 
 @dataclass(frozen=True)
@@ -74,46 +74,27 @@ class EnvironmentModel:
             raise ValueError("wall_grid_spacing_m: must be positive")
 
 
-@dataclass(frozen=True)
-class ChannelOutput:
-    """A received waveform of `length` samples in period form: samples
-    holds its first `head` samples, which end in one steady-state period
-    of `period` samples, and then its tail. In between, that period
-    repeats, whole or in part, so the tail starts at sample
-    length - (len(samples) - head). With period 0 there is no steady
-    state to repeat, and samples holds the whole waveform."""
-
-    samples: np.ndarray
-    head: int
-    period: int
-    length: int
-
-    @property
-    def tail(self) -> int:
-        """Where the tail starts in the waveform."""
-        return self.length - (len(self.samples) - self.head)
-
-
-def apply_channel(signal: BasebandSignal, channel: MultipathChannel,
-                  period: int | None = None, ramp: int = 0) -> ChannelOutput:
+def apply_channel(signal: PeriodForm, channel: MultipathChannel) -> PeriodForm:
     """Superpose scaled, delayed copies of the signal: the received
     waveform, which has the signal's rate and origin_time, in period
     form.
 
     Every tap delay must be an integer number of samples; the output is
     extended by the largest delay so no energy is dropped. The samples
-    are not checked for finiteness here: the BasebandSignal that holds
-    them checks them once (compose_received's, for the whole capture).
+    are not checked for finiteness here: compose_received's capture
+    holds them, and segment_capture checks it once.
 
-    A signal whose samples[ramp:len - ramp] repeat every `period`
-    samples, as pulse.modulate's do with ramp = L - 1, gives an output
-    that repeats in the same way from the largest delay on. The per-tap
-    sum is then formed only over the ramp-in plus one period and over
-    the tail; the steady state in between is not formed, as it repeats
-    that period. Each sample of the waveform is then the same additions
-    in the same order, so the same bits, as summing every sample.
-    Without a period, or when the steady state holds no more than one
-    period, the sum covers every sample.
+    A periodic signal (period P > 0) must be in modulate's form: its
+    steady state runs from two periods before its head ends to one
+    period into its tail. The output then repeats in the same way from
+    the largest delay on, and its form holds the ramp-in plus one period
+    and the tail; the steady state in between is not formed. Each tap
+    adds its scaled copy of the signal's samples to the output's head
+    and to its tail as two direct slices, which the signal's head and
+    tail hold for any delay of at most P samples; a longer delay raises.
+    Each sample of the waveform is then the same additions in the same
+    order, so the same bits, as summing every sample. With period 0 the
+    sum covers every sample.
     """
     shifts = []
     for i, delay in enumerate(channel.delays):
@@ -127,13 +108,19 @@ def apply_channel(signal: BasebandSignal, channel: MultipathChannel,
         shifts.append(shift)
     n = len(signal)
     length = n + shifts[-1]
-    # out[steady:tail] repeats every period; only out[steady:head] is formed
-    steady = ramp + shifts[-1]
-    tail = n - ramp
-    if period is None or tail - steady <= period:
-        head = tail = length
+    period = signal.period
+    if period:
+        if shifts[-1] > period:
+            raise ValueError(
+                f"tap {len(shifts) - 1}: a delay of {shifts[-1]} samples is "
+                f"longer than the signal's {period}-sample period")
+        # out[head - period:tail] repeats every period
+        head = signal.head - period + shifts[-1]
+        tail = signal.tail + period
     else:
-        head = steady + period
+        head = tail = length
+    # a waveform index k >= signal.tail is samples[k - skip]
+    skip = signal.tail - signal.head
     out = np.zeros(head + length - tail, dtype=np.complex128)
     for gain, shift in zip(channel.gains, shifts):
         stop = min(shift + n, head)
@@ -141,8 +128,9 @@ def apply_channel(signal: BasebandSignal, channel: MultipathChannel,
         start = max(shift, tail)
         if start < shift + n:
             out[start - tail + head:shift + n - tail + head] += \
-                gain * signal.samples[start - shift:]
-    return ChannelOutput(out, head, period if head < tail else 0, length)
+                gain * signal.samples[start - shift - skip:]
+    return PeriodForm(out, head, period, length, signal.sample_rate,
+                      signal.origin_time)
 
 
 # The most float64 values add_noise draws at once: its one buffer is

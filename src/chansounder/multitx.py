@@ -18,9 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from chansounder.channel import (ChannelOutput, MultipathChannel, add_noise,
-                                 apply_channel)
-from chansounder.pulse import BasebandSignal, check_finite
+from chansounder.channel import MultipathChannel, add_noise, apply_channel
+from chansounder.pulse import BasebandSignal, PeriodForm, check_finite
 from chansounder.sweep import FrequencySetup
 
 PARK_OFF_BAND = "off_band"
@@ -107,11 +106,12 @@ class LeakageModel:
 
 @dataclass(frozen=True)
 class SceneTransmitter:
-    """One transmitter's contribution to a composed capture. Its clock
-    runs clock_offset_samples ahead of the receiver's: it perceives
-    capture sample k as sample k + clock_offset_samples of the period."""
+    """One transmitter's contribution to a composed capture: its burst,
+    in period form, and its channel. Its clock runs clock_offset_samples
+    ahead of the receiver's: it perceives capture sample k as sample
+    k + clock_offset_samples of the period."""
 
-    waveform: BasebandSignal
+    waveform: PeriodForm
     channel: MultipathChannel
     clock_offset_samples: int = 0
 
@@ -166,7 +166,7 @@ def build_schedule(setup: ScheduleSetup, transmitter_count: int,
     return TdmaSchedule(transmitter_count, slot, guard)
 
 
-def _place_by_slices(out, received: ChannelOutput, offset_samples, slot_index,
+def _place_by_slices(out, received: PeriodForm, offset_samples, slot_index,
                      schedule: TdmaSchedule, leak_gain):
     """Add one transmitter's bursts and leakage to out, read from the
     period form of its received waveform.
@@ -201,7 +201,7 @@ def _place_by_slices(out, received: ChannelOutput, offset_samples, slot_index,
         _add_wrapped(out, received, scaled, idle_from, n, offset_samples)
 
 
-def _add_span(out, k, received: ChannelOutput, samples, j, m):
+def _add_span(out, k, received: PeriodForm, samples, j, m):
     """out[k:k + m] += waveform[j:j + m] for a span inside received's
     waveform, read from samples: its period form or a scaled copy of it.
     The head and the tail are added by slices, the steady state as one
@@ -230,7 +230,7 @@ def _add_span(out, k, received: ChannelOutput, samples, j, m):
         out[k:k + stop - j] += samples[j - tail + head:stop - tail + head]
 
 
-def _add_wrapped(out, received: ChannelOutput, scaled, lo, hi, offset_samples):
+def _add_wrapped(out, received: PeriodForm, scaled, lo, hi, offset_samples):
     """out[k] += leak_gain * waveform[(k + offset_samples) % received.length]
     for lo <= k < hi, one span per wrap of the waveform, read from scaled,
     the period form times leak_gain."""
@@ -245,8 +245,7 @@ def _add_wrapped(out, received: ChannelOutput, scaled, lo, hi, offset_samples):
 
 def compose_received(scene, schedule: TdmaSchedule, leak_gain: float = 0.0,
                      noise_power_dbfs: float | None = None,
-                     seed: int = 0, period: int | None = None,
-                     ramp: int = 0) -> np.ndarray:
+                     seed: int = 0) -> np.ndarray:
     """Sum every transmitter's channel-filtered waveform over one TDMA
     period of the receiver's clock, on the scene's sample rate.
 
@@ -257,16 +256,16 @@ def compose_received(scene, schedule: TdmaSchedule, leak_gain: float = 0.0,
     scene: a scenario's LeakageModel.gain of its park mode, or 0.0 for
     silent idle transmitters. The capture's time axis is the first
     waveform's, so a burst that starts a segment keeps its own time
-    axis. Bursts and leakage are added straight from the period
-    form of each received waveform (apply_channel): its head and tail by
-    slices, its steady state as whole periods in broadcast adds, the
-    leakage from one leak-scaled copy of that form. No capture-length
-    tile and no full-length received waveform is built. Noise, when
-    asked for, is added in place by channel.add_noise from a generator
-    seeded with seed, through its buffer of at most NOISE_CHUNK floats,
-    so the capture is the one capture-length array made here. A period
-    and ramp state that every waveform repeats between its ramps, and go
-    to apply_channel.
+    axis. Each burst is held in period form (pulse.PeriodForm), as
+    modulate makes it, and so is its received waveform, which
+    apply_channel forms from it. Bursts and leakage are added straight
+    from that received form: its head and tail by slices, its steady
+    state as whole periods in broadcast adds, the leakage from one
+    leak-scaled copy of that form. No capture-length tile and no
+    full-length burst or received waveform is built. Noise, when asked
+    for, is added in place by channel.add_noise from a generator seeded
+    with seed, through its buffer of at most NOISE_CHUNK floats, so the
+    capture is the one capture-length array made here.
 
     Returns the capture's samples, not yet checked: segment_capture
     proves them finite with the slot powers that it sums anyway, so no
@@ -289,7 +288,7 @@ def compose_received(scene, schedule: TdmaSchedule, leak_gain: float = 0.0,
     out = np.zeros(n, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         for i, tx in enumerate(scene):
-            received = apply_channel(tx.waveform, tx.channel, period, ramp)
+            received = apply_channel(tx.waveform, tx.channel)
             _place_by_slices(out, received, tx.clock_offset_samples, i,
                              schedule, leak_gain)
         add_noise(out, noise_power_dbfs, seed)

@@ -247,19 +247,6 @@ def shape_symbols(symbols, taps: FilterTaps,
                           origin_time=-delay / sample_rate)
 
 
-def tile_period(samples: np.ndarray, start: int, stop: int,
-                period: int) -> None:
-    """Fill samples[start + period:stop] in place with copies of
-    samples[start:start + period], for stop - start >= period: one
-    broadcast copy of the whole periods and one slice copy of the part
-    period left over."""
-    whole = (stop - start) // period
-    end = start + whole * period
-    samples[start + period:end].reshape(whole - 1, period)[:] = \
-        samples[start:start + period]
-    samples[end:stop] = samples[start:start + stop - end]
-
-
 def burst_period_and_ramp(chips: ChipSequence,
                           taps: FilterTaps) -> tuple[int, int]:
     """The samples per chip period, N * sps, and per ramp, L - 1, of a
@@ -269,32 +256,75 @@ def burst_period_and_ramp(chips: ChipSequence,
             len(taps.coefficients) - 1)
 
 
+@dataclass(frozen=True)
+class PeriodForm:
+    """A waveform of `length` samples on sample_rate, sample 0 at
+    origin_time, in period form: samples holds its first `head`
+    samples, which end in one steady-state period of `period` samples,
+    and then its tail. In between, that period repeats, whole or in
+    part, so the tail starts at sample length - (len(samples) - head).
+    With period 0 there is no steady state to repeat, and samples holds
+    the whole waveform. len() is the waveform's length.
+
+    modulate's burst is one, with the ramp-in and two periods in its
+    head and one period and the ramp-out in its tail, and so is the
+    received waveform that channel.apply_channel makes of it. The
+    samples are not checked here: modulate's come from a checked
+    signal, and the campaign checks each transmitter's scaled copy.
+    """
+
+    samples: np.ndarray
+    head: int
+    period: int
+    length: int
+    sample_rate: float
+    origin_time: float
+
+    @property
+    def tail(self) -> int:
+        """Where the tail starts in the waveform."""
+        return self.length - (len(self.samples) - self.head)
+
+    def __len__(self) -> int:
+        return self.length
+
+
 def modulate(chips: ChipSequence, repetitions: int, taps: FilterTaps,
-             chip_period: float) -> BasebandSignal:
-    """Shape `repetitions` periods of the chip train into a waveform.
+             chip_period: float) -> PeriodForm:
+    """Shape `repetitions` periods of the chip train into a waveform,
+    returned in period form.
 
     The imaginary part is identically zero: the chip train is a real
     symbol stream driving the in-phase rail only.
 
     Periodic by construction: with P = N * sps samples per chip period
-    and L filter taps, samples[L - 1:len - (L - 1)] repeat every P
+    and L filter taps, waveform[L - 1:length - (L - 1)] repeats every P
     samples exactly. Only the ramp-in, one steady-state period and the
-    ramp-out are shaped, from the fewest periods that hold them, and the
-    period is tiled in between.
+    ramp-out are shaped, from the fewest periods that hold them; the
+    rest is that period again. The form holds the first L - 1 + 2 * P
+    samples and the last P + L - 1, so that a channel whose taps are at
+    most P samples late reads its whole output's head and tail from it
+    (channel.apply_channel). A burst too short to repeat anything
+    between them is held whole, with period 0.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     period, ramp = burst_period_and_ramp(chips, taps)
     shaped = min(repetitions, 1 + -(-ramp // period))
     short = shape_symbols(np.tile(chips.chips, shaped), taps, chip_period)
-    if shaped == repetitions:
-        return short
-    samples = np.empty(repetitions * period + ramp, dtype=np.complex128)
-    samples[:ramp + period] = short.samples[:ramp + period]
-    tile_period(samples, ramp, len(samples) - ramp, period)
-    samples[len(samples) - ramp:] = short.samples[len(short) - ramp:]
-    return BasebandSignal(samples=samples, sample_rate=short.sample_rate,
-                          origin_time=short.origin_time)
+    length = repetitions * period + ramp
+    head, tail = ramp + 2 * period, length - period - ramp
+    if tail <= head:
+        head = tail = length
+    index = np.r_[:head, tail:length]
+    if shaped < repetitions:  # the shaped period repeats between the ramps
+        index = np.where(index < ramp + period, index,
+                         np.where(index < length - ramp,
+                                  ramp + (index - ramp) % period,
+                                  index - length + len(short)))
+    return PeriodForm(short.samples[index], head,
+                      period if head < tail else 0, length,
+                      short.sample_rate, short.origin_time)
 
 
 def _origin_index(signal: BasebandSignal, taps: FilterTaps) -> int:

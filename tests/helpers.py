@@ -1,8 +1,10 @@
 """Shared helpers for the module and acceptance test suites."""
 
+import importlib.util
 import json
 import math
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,19 +28,85 @@ def planted_capture(chips, taps, channel, config, extra_periods=2):
 def received(signal, channel):
     """apply_channel's waveform as the signal that carries it: the
     received waveform on signal's rate and time axis."""
-    return pulse.BasebandSignal(samples=expand(ch.apply_channel(signal, channel)),
-                                sample_rate=signal.sample_rate,
-                                origin_time=signal.origin_time)
+    return expanded(ch.apply_channel(signal, channel))
 
 
-def expand(output):
-    """The whole waveform of apply_channel's period form: its head, the
-    steady period repeated up to the tail, and the tail."""
-    head, period, tail = output.head, output.period, output.tail
-    steady = output.samples[head - period:head] if period else output.samples[:0]
-    return np.concatenate([output.samples[:head],
+def expand(form):
+    """The whole waveform of a period form: its head, the steady period
+    repeated up to the tail, and the tail."""
+    head, period, tail = form.head, form.period, form.tail
+    steady = form.samples[head - period:head] if period else form.samples[:0]
+    return np.concatenate([form.samples[:head],
                            np.resize(steady, tail - head),
-                           output.samples[head:]])
+                           form.samples[head:]])
+
+
+def expanded(form):
+    """A period form's whole waveform as a signal on its rate and time
+    axis."""
+    return pulse.BasebandSignal(expand(form), form.sample_rate,
+                                form.origin_time)
+
+
+def whole(signal):
+    """A signal as the period form that holds it whole (period 0)."""
+    samples = np.asarray(signal.samples, dtype=np.complex128)
+    return pulse.PeriodForm(samples, len(samples), 0, len(samples),
+                            signal.sample_rate, signal.origin_time)
+
+
+def period_form(samples, period, ramp, sample_rate=1.0):
+    """The period form of a waveform whose samples[ramp:len - ramp]
+    repeat every period, as modulate holds its burst: the ramp-in and
+    two periods, then one period and the ramp-out, or the whole waveform
+    when nothing repeats between them."""
+    samples = np.asarray(samples, dtype=np.complex128)
+    length = len(samples)
+    head, tail = ramp + 2 * period, length - period - ramp
+    if tail <= head:
+        return whole(pulse.BasebandSignal(samples, sample_rate))
+    return pulse.PeriodForm(np.concatenate([samples[:head], samples[tail:]]),
+                            head, period, length, sample_rate, 0.0)
+
+
+def modulated(chips, repetitions, taps, chip_period):
+    """modulate's burst as one whole signal."""
+    return expanded(pulse.modulate(chips, repetitions, taps, chip_period))
+
+
+def oracle_modulate(chips, repetitions, taps, chip_period):
+    """modulate as it built the whole burst before its period form: the
+    ramp-in, one period and the ramp-out shaped from the fewest periods
+    that hold them, and the period tiled in between. The reference that
+    the expanded period form must equal bit for bit."""
+    period, ramp = pulse.burst_period_and_ramp(chips, taps)
+    shaped = min(repetitions, 1 + -(-ramp // period))
+    short = pulse.shape_symbols(np.tile(chips.chips, shaped), taps,
+                                chip_period)
+    if shaped == repetitions:
+        return short
+    samples = np.empty(repetitions * period + ramp, dtype=np.complex128)
+    samples[:ramp + period] = short.samples[:ramp + period]
+    start, stop = ramp, len(samples) - ramp
+    whole_periods = (stop - start) // period
+    end = start + whole_periods * period
+    samples[start + period:end].reshape(whole_periods - 1, period)[:] = \
+        samples[start:start + period]
+    samples[end:stop] = samples[start:start + stop - end]
+    samples[len(samples) - ramp:] = short.samples[len(short) - ramp:]
+    return pulse.BasebandSignal(samples=samples, sample_rate=short.sample_rate,
+                                origin_time=short.origin_time)
+
+
+def direct_sum(form, channel):
+    """The per-tap sum over every sample of a period form's whole
+    waveform: one scaled, shifted copy per tap, added in tap order."""
+    samples = expand(form)
+    shifts = [int(round(d * form.sample_rate)) for d in channel.delays]
+    out = np.zeros(len(samples) + shifts[-1], dtype=np.complex128)
+    for gain, shift in zip(channel.gains, shifts):
+        out[shift:shift + len(samples)] += gain * samples
+    return out
 
 
 def one_row(signal):
@@ -95,9 +163,22 @@ def add_noise(signal, noise_power_dbfs, seed):
     schedule = multitx.TdmaSchedule(1, len(signal), 0)
     unit = ch.MultipathChannel(gains=[1.0], delays=[0.0])
     samples = multitx.compose_received(
-        [multitx.SceneTransmitter(signal, unit)], schedule,
+        [multitx.SceneTransmitter(whole(signal), unit)], schedule,
         noise_power_dbfs=noise_power_dbfs, seed=seed)
     return pulse.BasebandSignal(samples, signal.sample_rate, signal.origin_time)
+
+
+def bench_scenario(workload, seed, locations):
+    """A campaign benchmark workload's scenario at seed, cut to its first
+    locations."""
+    path = Path(__file__).resolve().parent.parent / "campaignbench" \
+        / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    scenario = workloads.WORKLOADS[workload](seed)
+    return replace(scenario,
+                   receiver_path=scenario.receiver_path[:locations])
 
 
 def assert_no_child_left():
@@ -331,7 +412,7 @@ def oracle_compose_received(scene, schedule, leak_gain, noise_power_dbfs=None,
     n = period = schedule.period_samples
     out = np.zeros(n, dtype=np.complex128)
     for i, tx in enumerate(scene):
-        received = expand(ch.apply_channel(tx.waveform, tx.channel))
+        received = direct_sum(tx.waveform, tx.channel)
         offset = tx.clock_offset_samples
         if leak_gain > 0.0:
             tiled = np.resize(np.roll(received, -offset), n)
@@ -363,7 +444,7 @@ def per_sample_compose(scene, schedule, leak_gain):
     slot, period = schedule.slot_samples, schedule.period_samples
     out = np.zeros(period, dtype=np.complex128)
     for i, tx in enumerate(scene):
-        received = expand(ch.apply_channel(tx.waveform, tx.channel))
+        received = direct_sum(tx.waveform, tx.channel)
         perceived = np.arange(period) + tx.clock_offset_samples
         local = perceived % period - i * slot
         active = (local >= 0) & (local < slot)

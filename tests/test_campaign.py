@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import math
 import os
@@ -18,10 +17,11 @@ from chansounder import campaign as cp
 from chansounder import multitx, sliding, sweep
 from chansounder.channel import EnvironmentModel, MultipathChannel
 from chansounder.exceptions import NoSignalError
-from chansounder.pulse import (BasebandSignal, estimate_timing_phase, modulate,
+from chansounder.pulse import (BasebandSignal, burst_period_and_ramp,
+                               estimate_timing_phase, modulate,
                                recover_symbols)
 
-from helpers import (assert_no_child_left, failing_channel_draw,
+from helpers import (assert_no_child_left, bench_scenario, failing_channel_draw,
                      frequency_blocks, oracle_measure_sliding,
                      oracle_timing_phase, received, tap_gains, tap_lags,
                      use_oracle_sweep)
@@ -646,6 +646,40 @@ def test_a_sweep_location_holds_one_frame_of_rows():
     assert traced_peak_bytes(scenario, prepared) < 1.5 * rows_bytes
 
 
+def prepared_bytes(scenario):
+    """The bytes that campaign.prepare holds for scenario, traced from
+    before it starts to its return, and its traced peak, after an
+    untraced first call, so that what a process allocates once is not
+    counted."""
+    cp.prepare(scenario)
+    tracemalloc.start()
+    try:
+        prepared = cp.prepare(scenario)
+        held, peak = tracemalloc.get_traced_memory()
+        del prepared
+        return held, peak
+    finally:
+        tracemalloc.stop()
+
+
+def test_prepared_bursts_do_not_grow_with_the_averaging_periods():
+    # each transmitter's burst is held in period form, its ramps and three
+    # PN periods, however many periods it sends: 30 more periods once
+    # held 30 more per transmitter, about 6 MB for these three
+    transmitters = tuple(cp.Transmitter(f"tx{k}", (3.0 * k, 10.0 - k, 1.0))
+                         for k in range(3))
+    short, long = (
+        prepared_bytes(small_scenario(
+            transmitters=transmitters,
+            sliding=sliding.SounderConfig(averaging_periods=periods)))
+        for periods in (10, 40))
+    chips, taps = sliding.reference(sliding.SounderConfig())
+    period, _ = burst_period_and_ramp(chips, taps)
+    bound = len(transmitters) * period * 16  # complex128
+    assert abs(long[0] - short[0]) < bound
+    assert abs(long[1] - short[1]) < bound
+
+
 def test_fixture_scenarios_load(tmp_path):
     root = SCENARIO_DIR
     indoor = cp.load_scenario(root / "indoor_wing_sliding.json")
@@ -763,19 +797,6 @@ def test_timing_search_matches_fft_oracle_on_bundled_walk(monkeypatch):
     scenario = replace(scenario, receiver_path=scenario.receiver_path[:20])
     phases, records = searched_phases(monkeypatch, scenario)
     assert len(phases) == records == 60
-
-
-def bench_scenario(workload, seed, locations):
-    """A campaign benchmark workload's scenario at seed, cut to its first
-    locations."""
-    path = pathlib.Path(__file__).resolve().parent.parent / "campaignbench" \
-        / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    scenario = workloads.WORKLOADS[workload](seed)
-    return replace(scenario,
-                   receiver_path=scenario.receiver_path[:locations])
 
 
 @pytest.mark.parametrize("workload", ["sliding-c9", "sliding-nearfar"])

@@ -11,24 +11,30 @@ from chansounder import channel as ch
 from chansounder import pulse
 from chansounder.pulse import BasebandSignal
 
-from helpers import add_noise, expand, oracle_synthesize_channel
+from helpers import (add_noise, direct_sum, expand, oracle_modulate,
+                     oracle_synthesize_channel, period_form, whole)
 
 
 def make_signal(samples, rate=1e6):
     return BasebandSignal(np.asarray(samples, dtype=np.complex128), rate)
 
 
+def make_form(samples, rate=1e6):
+    """samples as a whole waveform, the period form apply_channel reads."""
+    return whole(make_signal(samples, rate))
+
+
 def test_identity_channel():
     signal = make_signal([1.0, 2.0, 3.0 - 1.0j])
     flat = ch.MultipathChannel(gains=[1.0], delays=[0.0])
-    out = expand(ch.apply_channel(signal, flat))
+    out = expand(ch.apply_channel(whole(signal), flat))
     npt.assert_array_equal(out, signal.samples)
 
 
 def test_impulse_response_by_definition():
     impulse = make_signal([1.0])
     two_tap = ch.MultipathChannel(gains=[1.0, 0.5], delays=[0.0, 2e-6])
-    out = expand(ch.apply_channel(impulse, two_tap))
+    out = expand(ch.apply_channel(whole(impulse), two_tap))
     npt.assert_array_equal(out, [1.0, 0.0, 0.5])
 
 
@@ -37,7 +43,7 @@ def test_matches_dense_convolution_oracle(rng):
     delays = np.array([0.0, 3e-6, 7e-6])
     chan = ch.MultipathChannel(gains=gains, delays=delays)
     x = rng.normal(size=500) + 1j * rng.normal(size=500)
-    signal = make_signal(x)
+    signal = make_form(x)
     impulse = np.zeros(8, dtype=np.complex128)
     impulse[[0, 3, 7]] = gains
     expected = np.convolve(x, impulse)
@@ -45,26 +51,18 @@ def test_matches_dense_convolution_oracle(rng):
     npt.assert_allclose(out, expected, atol=1e-12)
 
 
-def direct_sum(signal, channel):
-    """The per-tap sum over every sample: one scaled, shifted copy of the
-    whole signal per tap, added in tap order."""
-    shifts = [int(round(d * signal.sample_rate)) for d in channel.delays]
-    out = np.zeros(len(signal) + shifts[-1], dtype=np.complex128)
-    for gain, shift in zip(channel.gains, shifts):
-        out[shift:shift + len(signal)] += gain * signal.samples
-    return out
-
-
 @given(period=st.integers(1, 40), ramp=st.integers(0, 12),
        repetitions=st.integers(1, 5), tap_count=st.integers(1, 6),
-       stated=st.booleans(), seed=st.integers(0, 2**32 - 1))
+       seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=300)
 def test_periodic_apply_channel_matches_the_direct_sum(
-        period, ramp, repetitions, tap_count, stated, seed):
+        period, ramp, repetitions, tap_count, seed):
     # random ramps around `repetitions` copies of a random period, through
-    # taps from 0 to past one period: tiling the steady state must give
-    # the direct sum's bytes, also with no stated period and with a
-    # steady state too short to tile
+    # taps from 0 to past one period, read from the period form that
+    # modulate makes (held whole when too short to repeat anything) and
+    # from the whole waveform: the output must give the direct sum's
+    # bytes over the expanded waveform, and a periodic form with a tap
+    # more than one period late must raise
     rng = np.random.default_rng(seed)
 
     def noise(size):
@@ -74,12 +72,23 @@ def test_periodic_apply_channel_matches_the_direct_sum(
                               noise(ramp)])
     shifts = np.sort(rng.choice(np.arange(1, period + 6),
                                 size=tap_count - 1, replace=False))
+    late = shifts[-1] if len(shifts) else 0
     channel = ch.MultipathChannel(gains=noise(tap_count),
                                   delays=np.concatenate([[0], shifts]))
-    signal = make_signal(samples, rate=1.0)
-    out = ch.apply_channel(signal, channel, period if stated else None, ramp)
-    assert out.length == len(signal) + (shifts[-1] if len(shifts) else 0)
-    assert expand(out).tobytes() == direct_sum(signal, channel).tobytes()
+    for signal in (period_form(samples, period, ramp), make_form(samples, 1.0)):
+        assert expand(signal).tobytes() == samples.tobytes()
+        if signal.period and late > period:
+            with pytest.raises(ValueError, match=(
+                    f"^tap {tap_count - 1}: a delay of {late} samples is "
+                    f"longer than the signal's {period}-sample period$")):
+                ch.apply_channel(signal, channel)
+            continue
+        out = ch.apply_channel(signal, channel)
+        assert out.length == len(samples) + late
+        assert expand(out).tobytes() == direct_sum(signal, channel).tobytes()
+        # a periodic output holds its ramp-in, one period and its tail
+        if signal.period:
+            assert len(out.samples) == 2 * (ramp + late) + period
 
 
 def test_periodic_apply_channel_on_the_campaign_burst(chips10, rrc_taps, rng):
@@ -88,18 +97,19 @@ def test_periodic_apply_channel_on_the_campaign_burst(chips10, rrc_taps, rng):
     channel = ch.MultipathChannel(
         gains=rng.normal(size=5) + 1j * rng.normal(size=5),
         delays=np.array([0, 1, 4, 9, 31]) * 60e-9)
-    sps = rrc_taps.samples_per_symbol
-    out = ch.apply_channel(burst, channel, chips10.period_length * sps,
-                           len(rrc_taps.coefficients) - 1)
+    out = ch.apply_channel(burst, channel)
     assert expand(out).tobytes() == direct_sum(burst, channel).tobytes()
+    assert expand(out).tobytes() == direct_sum(
+        whole(oracle_modulate(chips10, 12, rrc_taps, 60e-9)), channel).tobytes()
     # the period form holds the ramp-in, one period and the tail, not the
     # other ten periods
+    sps = rrc_taps.samples_per_symbol
     assert len(out.samples) == 2 * (len(rrc_taps.coefficients) - 1 + 31 * sps) \
         + chips10.period_length * sps
 
 
 def test_fractional_delay_rejected():
-    signal = make_signal(np.ones(8))
+    signal = make_form(np.ones(8))
     chan = ch.MultipathChannel(gains=[1.0, 1.0], delays=[0.0, 2.5e-6])
     with pytest.raises(ValueError, match="tap 1"):
         ch.apply_channel(signal, chan)
@@ -133,18 +143,18 @@ def test_linearity_exact(rng):
     chan = ch.MultipathChannel(gains=[0.8, 0.3j], delays=[0.0, 4e-6])
     a = rng.normal(size=64) + 1j * rng.normal(size=64)
     b = rng.normal(size=64) + 1j * rng.normal(size=64)
-    combined = expand(ch.apply_channel(make_signal(a + b), chan))
-    separate = (expand(ch.apply_channel(make_signal(a), chan))
-                + expand(ch.apply_channel(make_signal(b), chan)))
+    combined = expand(ch.apply_channel(make_form(a + b), chan))
+    separate = (expand(ch.apply_channel(make_form(a), chan))
+                + expand(ch.apply_channel(make_form(b), chan)))
     npt.assert_allclose(combined, separate, rtol=1e-12, atol=1e-14)
 
 
 def test_time_invariance_exact(rng):
     chan = ch.MultipathChannel(gains=[0.8, 0.3j], delays=[0.0, 4e-6])
     x = rng.normal(size=64) + 1j * rng.normal(size=64)
-    out = expand(ch.apply_channel(make_signal(x), chan))
+    out = expand(ch.apply_channel(make_form(x), chan))
     shifted_in = np.concatenate([np.zeros(5), x])
-    out_shifted = expand(ch.apply_channel(make_signal(shifted_in), chan))
+    out_shifted = expand(ch.apply_channel(make_form(shifted_in), chan))
     npt.assert_array_equal(out_shifted[5:], out)
     npt.assert_array_equal(out_shifted[:5], 0.0)
 
@@ -175,7 +185,7 @@ def test_awgn_deterministic():
 def test_power_bookkeeping_white_input(rng):
     chan = ch.MultipathChannel(gains=[0.7, 0.4j, -0.2], delays=[0.0, 1e-6, 5e-6])
     x = (rng.normal(size=200_000) + 1j * rng.normal(size=200_000)) / math.sqrt(2)
-    out = expand(ch.apply_channel(make_signal(x), chan))
+    out = expand(ch.apply_channel(make_form(x), chan))
     out_power = np.mean(np.abs(out[:200_000]) ** 2)
     assert abs(out_power - chan.total_power()) / chan.total_power() < 0.02
 

@@ -27,8 +27,8 @@ from chansounder import cli, multitx, pulse, schema, sliding, sweep
 from chansounder.channel import EnvironmentModel
 from chansounder.cli import build_parser, main
 
-from helpers import (assert_no_child_left, failing_channel_draw, received,
-                     save_document, write_iq)
+from helpers import (assert_no_child_left, bench_scenario, failing_channel_draw,
+                     modulated, received, save_document, write_iq)
 
 
 def run_cli(capsys, *argv):
@@ -820,6 +820,31 @@ def test_drawn_tap_beyond_pn_period_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "records.jsonl").exists()
 
 
+def test_drawn_tap_past_the_slot_room_exits_2(tmp_path, capsys):
+    # at a 1 % guard the slot leaves 1004 samples after the 49152-sample
+    # burst, and five channels drawn on this walk have a later tap: its
+    # echo once ran into the next slot's segment, and the campaign
+    # exited 0 with no record flagged
+    scenario = bench_scenario("sliding-c9", 7, 30)
+    scenario = dataclasses.replace(
+        scenario, schedule=multitx.ScheduleSetup(guard_fraction=0.01),
+        environment=dataclasses.replace(scenario.environment,
+                                        delay_spread_scale_s=2e-6))
+    path = tmp_path / "spill.json"
+    cp.save_scenario(scenario, path)
+    code, _, err = run_cli(capsys, "validate", "--scenario", str(path))
+    assert code == 0, err
+    code, _, err = run_cli(capsys, "campaign", "--scenario", str(path),
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert re.fullmatch(
+        r"ValueError: environment\.delay_spread_scale_s: the channel drawn "
+        r"for transmitter 'tx3' at receiver_path_m\[2\] has a tap \S+ s "
+        r"late, 1192 samples, more than the 1004 samples that its slot "
+        r"leaves after the burst\n", err), err
+    assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
 def test_near_float_limit_path_loss_runs_without_warnings(tmp_path):
     # a -3000 dB reference loss is in range and gives taps near 1e150; the
     # timing search's phase scores once overflowed on them (a
@@ -1488,7 +1513,7 @@ def test_sound_sliding_names_sample_count_for_a_short_capture(tmp_path):
     # the samples are too few for the periods read, wherever they sit
     config = sliding.SounderConfig()
     chips, taps = sliding.reference(config)
-    tx = pulse.modulate(chips, 3, taps, config.chip_period_s)
+    tx = modulated(chips, 3, taps, config.chip_period_s)
     write_iq(tx, tmp_path / "capture.iq")
     code, err = run_sound_sliding(tmp_path / "capture.iq", tmp_path / "out")
     assert code == 2

@@ -15,7 +15,7 @@ from chansounder import multitx, pulse, schema, sliding, sweep
 
 from helpers import (expand, frequency_blocks, oracle_compose_received,
                      oracle_guard_core_power_ratio, per_sample_compose,
-                     tap_gains, tap_lags)
+                     period_form, tap_gains, tap_lags, whole)
 
 
 @pytest.fixture(scope="module")
@@ -402,7 +402,7 @@ def test_leakage_monotonicity(tdma_setup, chips10, rrc_taps):
 
 def test_compose_rejects_scene_larger_than_schedule():
     schedule = multitx.TdmaSchedule(2, 100, 0)
-    burst = pulse.BasebandSignal(np.ones(50), 1000.0)
+    burst = whole(pulse.BasebandSignal(np.ones(50), 1000.0))
     scene = [multitx.SceneTransmitter(burst, flat_channel())] * 3
     with pytest.raises(ValueError, match="slots"):
         multitx.compose_received(scene, schedule)
@@ -427,9 +427,9 @@ def test_slice_placement_matches_per_sample_mapping(leak_db):
             scene = []
             for i, shift in enumerate(offsets):
                 rng_tx = np.random.default_rng(i)
-                waveform = pulse.BasebandSignal(
+                waveform = whole(pulse.BasebandSignal(
                     rng_tx.normal(size=burst_len)
-                    + 1j * rng_tx.normal(size=burst_len), rate)
+                    + 1j * rng_tx.normal(size=burst_len), rate))
                 scene.append(multitx.SceneTransmitter(
                     waveform, flat_channel(6.0 * i), int(shift)))
             sliced = multitx.compose_received(scene, schedule,
@@ -461,7 +461,7 @@ def test_compose_matches_tiled_leakage_and_complex_noise_oracle():
                     samples = rng.normal(size=burst_len) \
                         + 1j * rng.normal(size=burst_len)
                     scene.append(multitx.SceneTransmitter(
-                        pulse.BasebandSignal(samples, rate),
+                        whole(pulse.BasebandSignal(samples, rate)),
                         flat_channel(6.0 * i), int(shift)))
                 kwargs = dict(leak_gain=leak_gain, noise_power_dbfs=noise,
                               seed=cases)
@@ -482,7 +482,7 @@ def test_compose_draws_the_whole_in_phase_rail_then_the_quadrature_rail(n):
     rng = np.random.default_rng(n)
     signal = pulse.BasebandSignal(rng.normal(size=n) + 1j * rng.normal(size=n),
                                   1000.0)
-    scene = [multitx.SceneTransmitter(signal, flat_channel(0.0))]
+    scene = [multitx.SceneTransmitter(whole(signal), flat_channel(0.0))]
     schedule = multitx.TdmaSchedule(1, n, 0)
     got = multitx.compose_received(scene, schedule, noise_power_dbfs=-17.0,
                                    seed=n + 3)
@@ -508,8 +508,7 @@ def test_compose_with_the_campaign_period_matches_the_oracles(
         inband_null_leakage_db=30.0).gain(multitx.PARK_IN_BAND)
     scene = []
     for i, offset in enumerate(offsets):
-        waveform = pulse.BasebandSignal(burst.samples * 10.0 ** (-i / 2.0),
-                                        burst.sample_rate, burst.origin_time)
+        waveform = replace(burst, samples=burst.samples * 10.0 ** (-i / 2.0))
         tap_count = int(rng.integers(1, 7))
         lags = np.concatenate([[0], np.sort(rng.choice(
             np.arange(1, 1024), size=tap_count - 1, replace=False))])
@@ -517,14 +516,11 @@ def test_compose_with_the_campaign_period_matches_the_oracles(
             gains=rng.normal(size=tap_count) + 1j * rng.normal(size=tap_count),
             delays=lags * 60e-9)
         scene.append(multitx.SceneTransmitter(waveform, channel, offset))
-    period, ramp = pulse.burst_period_and_ramp(chips10, rrc_taps)
     noisy = dict(leak_gain=leak_gain, noise_power_dbfs=-40.0, seed=seed)
-    got = multitx.compose_received(scene, schedule, period=period, ramp=ramp,
-                                   **noisy)
+    got = multitx.compose_received(scene, schedule, **noisy)
     expected = oracle_compose_received(scene, schedule, **noisy)
     assert got.tobytes() == expected.tobytes()
-    got = multitx.compose_received(scene, schedule, leak_gain=leak_gain,
-                                   period=period, ramp=ramp)
+    got = multitx.compose_received(scene, schedule, leak_gain=leak_gain)
     expected = per_sample_compose(scene, schedule, leak_gain)
     assert got.tobytes() == expected.tobytes()
 
@@ -544,8 +540,9 @@ def test_period_form_placement_matches_the_tiled_composer(
     # whole and tiles its leakage over the capture, byte for byte: at
     # clock offsets that straddle sample 0 or spill into other slots,
     # with no leakage or in-band leakage, with and without noise, through
-    # taps up to the guard late, and for steady states of one period or
-    # less, which apply_channel sums directly
+    # taps up to the guard late (and at most one period, for a burst in
+    # period form), and for bursts too short to repeat anything between
+    # their ramps, which modulate's form holds whole
     rng = np.random.default_rng(seed)
 
     def noise_samples(size):
@@ -557,20 +554,19 @@ def test_period_form_placement_matches_the_tiled_composer(
         inband_null_leakage_db=leak_db).gain(multitx.PARK_IN_BAND)
     scene = []
     for offset in offsets[:slots]:
-        samples = np.concatenate([noise_samples(ramp),
-                                  np.tile(noise_samples(period), repetitions),
-                                  noise_samples(ramp)])
-        late = rng.choice(np.arange(1, guard + 1),
-                          size=min(int(rng.integers(0, 4)), guard),
+        burst = period_form(np.concatenate([
+            noise_samples(ramp), np.tile(noise_samples(period), repetitions),
+            noise_samples(ramp)]), period, ramp)
+        latest = min(guard, burst.period or guard)
+        late = rng.choice(np.arange(1, latest + 1),
+                          size=min(int(rng.integers(0, 4)), latest),
                           replace=False)
         channel = ch.MultipathChannel(
             gains=noise_samples(len(late) + 1),
             delays=np.concatenate([[0], np.sort(late)]))
-        scene.append(multitx.SceneTransmitter(
-            pulse.BasebandSignal(samples, 1.0), channel, offset))
+        scene.append(multitx.SceneTransmitter(burst, channel, offset))
     kwargs = dict(leak_gain=leak_gain, noise_power_dbfs=noise, seed=seed)
-    got = multitx.compose_received(scene, schedule, period=period, ramp=ramp,
-                                   **kwargs)
+    got = multitx.compose_received(scene, schedule, **kwargs)
     expected = oracle_compose_received(scene, schedule, **kwargs)
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 

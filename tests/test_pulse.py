@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from chansounder import pn, pulse, sliding
 
-from helpers import one_row, oracle_folded_period, oracle_phase_energies, write_iq
+from helpers import (expand, modulated, one_row, oracle_folded_period,
+                     oracle_modulate, oracle_phase_energies, write_iq)
 
 CHIP_PERIOD = sliding.SounderConfig().chip_period_s
 
@@ -124,7 +125,7 @@ def test_modulate_length_and_realness(chips10, rrc_taps):
 
 
 def test_modulate_middle_period_is_periodic(chips10, rrc_taps):
-    signal = pulse.modulate(chips10, 3, rrc_taps, CHIP_PERIOD)
+    signal = modulated(chips10, 3, rrc_taps, CHIP_PERIOD)
     period = 1023 * 4
     first = signal.samples[period:2 * period]
     second = signal.samples[2 * period:3 * period]
@@ -134,7 +135,7 @@ def test_modulate_middle_period_is_periodic(chips10, rrc_taps):
 @pytest.mark.parametrize("span", [6, 8, 10, 12, 14, 16])
 def test_roundtrip_error_below_budget(chips10, span):
     taps = pulse.design_rrc(0.35, span, 4)
-    signal = pulse.modulate(chips10, 3, taps, CHIP_PERIOD)
+    signal = modulated(chips10, 3, taps, CHIP_PERIOD)
     middle = recover_one(signal, chips10, taps, 0, 1,
                          skip_symbols=1023)
     assert np.max(np.abs(middle - chips10.chips)) < 1e-6
@@ -143,7 +144,7 @@ def test_roundtrip_error_below_budget(chips10, span):
 def test_recover_single_delayed_tap(chips10, rrc_taps):
     # a lone 0.5 gain at 3 chip periods: recovered symbols are the chips
     # scaled by 0.5 and shifted by 3
-    signal = pulse.modulate(chips10, 4, rrc_taps, CHIP_PERIOD)
+    signal = modulated(chips10, 4, rrc_taps, CHIP_PERIOD)
     delayed = np.concatenate([np.zeros(12), 0.5 * signal.samples])
     shifted = pulse.BasebandSignal(delayed, signal.sample_rate, signal.origin_time)
     window = recover_one(shifted, chips10, rrc_taps, 0, 1,
@@ -153,7 +154,7 @@ def test_recover_single_delayed_tap(chips10, rrc_taps):
 
 
 def test_recover_two_tap_superposition(chips10, rrc_taps):
-    signal = pulse.modulate(chips10, 4, rrc_taps, CHIP_PERIOD)
+    signal = modulated(chips10, 4, rrc_taps, CHIP_PERIOD)
     delayed = np.concatenate([signal.samples, np.zeros(12)])
     delayed[12:] += 0.5 * signal.samples
     mixed = pulse.BasebandSignal(delayed, signal.sample_rate, signal.origin_time)
@@ -295,7 +296,7 @@ def test_modulate_repeats_exactly_between_its_ramps(degree, sps, span,
     chips = pn.generate_glfsr(degree)
     period = chips.period_length * sps
     ramp = len(taps.coefficients) - 1
-    signal = pulse.modulate(chips, repetitions, taps, CHIP_PERIOD)
+    signal = modulated(chips, repetitions, taps, CHIP_PERIOD)
     assert len(signal) == repetitions * period + ramp
     steady = signal.samples[ramp:len(signal) - ramp]
     assert steady[period:].tobytes() == \
@@ -306,9 +307,36 @@ def test_modulate_repeats_exactly_between_its_ramps(degree, sps, span,
     npt.assert_allclose(signal.samples, full.samples, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("repetitions", [1, 2, 3, 4, 5, 12])
+@pytest.mark.parametrize("degree,sps,span", [(10, 4, 12), (2, 2, 12),
+                                             (3, 8, 4), (5, 3, 6)])
+def test_modulate_period_form_expands_to_the_tiled_burst(degree, sps, span,
+                                                         repetitions):
+    # expanded, the period form is the whole burst that modulate tiled
+    # before it held the form, bit for bit: the ramp-in and two periods,
+    # then one period and the ramp-out, or the whole burst when it is too
+    # short to repeat anything between them (at degree 2, whose 6-sample
+    # period is shorter than the 24-sample ramp, every count below 12)
+    taps = _taps_at(sps, span)
+    chips = pn.generate_glfsr(degree)
+    period, ramp = pulse.burst_period_and_ramp(chips, taps)
+    form = pulse.modulate(chips, repetitions, taps, CHIP_PERIOD)
+    tiled = oracle_modulate(chips, repetitions, taps, CHIP_PERIOD)
+    assert len(form) == len(tiled) == repetitions * period + ramp
+    assert expand(form).tobytes() == tiled.samples.tobytes()
+    assert (form.sample_rate, form.origin_time) == \
+        (tiled.sample_rate, tiled.origin_time)
+    if len(form) > 3 * period + 2 * ramp:
+        assert (form.head, form.period) == (ramp + 2 * period, period)
+        assert len(form.samples) == 3 * period + 2 * ramp
+    else:
+        assert (form.head, form.period) == (len(form), 0)
+        assert len(form.samples) == len(form)
+
+
 @pytest.mark.parametrize("planted", [0, 1, 2, 3])
 def test_timing_phase_planted(chips10, rrc_taps, planted):
-    signal = pulse.modulate(chips10, 3, rrc_taps, CHIP_PERIOD)
+    signal = modulated(chips10, 3, rrc_taps, CHIP_PERIOD)
     padded = pulse.BasebandSignal(
         np.concatenate([np.zeros(planted), signal.samples]),
         signal.sample_rate, signal.origin_time)
@@ -317,7 +345,7 @@ def test_timing_phase_planted(chips10, rrc_taps, planted):
 
 def test_receive_chain_takes_a_stack(chips10, rrc_taps):
     # a bare capture is one row of a stack, not a stack
-    signal = pulse.modulate(chips10, 3, rrc_taps, CHIP_PERIOD)
+    signal = modulated(chips10, 3, rrc_taps, CHIP_PERIOD)
     with pytest.raises(ValueError, match=r"\(rows, n\) stack"):
         pulse.estimate_timing_phase(signal, chips10, rrc_taps)
     with pytest.raises(ValueError, match=r"\(rows, n\) stack"):
@@ -347,7 +375,7 @@ def test_timing_phase_silent_search_window(chips10, rrc_taps):
 
 
 def test_timing_phase_scale_invariant(chips10, rrc_taps):
-    signal = pulse.modulate(chips10, 3, rrc_taps, CHIP_PERIOD)
+    signal = modulated(chips10, 3, rrc_taps, CHIP_PERIOD)
     shifted = pulse.BasebandSignal(
         np.concatenate([np.zeros(2), signal.samples]),
         signal.sample_rate, signal.origin_time)
@@ -359,7 +387,7 @@ def test_timing_phase_scale_invariant(chips10, rrc_taps):
 
 def test_timing_phase_noisy_monte_carlo(chips10, rrc_taps):
     # 20 dB symbol SNR: the planted phase must win in at least 99 of 100 runs
-    base = pulse.modulate(chips10, 2, rrc_taps, CHIP_PERIOD)
+    base = modulated(chips10, 2, rrc_taps, CHIP_PERIOD)
     planted = 3
     shifted = np.concatenate([np.zeros(planted), base.samples])
     signal_power = np.mean(np.abs(base.samples) ** 2)
@@ -375,7 +403,7 @@ def test_timing_phase_noisy_monte_carlo(chips10, rrc_taps):
 
 
 def test_iq_file_roundtrip(tmp_path, chips10, rrc_taps):
-    signal = pulse.modulate(chips10, 1, rrc_taps, CHIP_PERIOD)
+    signal = modulated(chips10, 1, rrc_taps, CHIP_PERIOD)
     target = tmp_path / "capture.iq"
     write_iq(signal, target)
     assert target.exists() and (tmp_path / "capture.iq.json").exists()
@@ -442,7 +470,7 @@ def test_design_rrc_takes_a_subnormal_rolloff():
 def test_timing_phase_rejects_window_before_capture(chips10, rrc_taps):
     # sample 0 sits 1500 chips after t = 0, so the timing window starts
     # at a negative index; it must not wrap to the capture's tail
-    base = pulse.modulate(chips10, 4, rrc_taps, CHIP_PERIOD)
+    base = modulated(chips10, 4, rrc_taps, CHIP_PERIOD)
     early = pulse.BasebandSignal(np.tile(base.samples, 3), base.sample_rate,
                                  origin_time=1500 * CHIP_PERIOD)
     with pytest.raises(ValueError, match="full chip period"):

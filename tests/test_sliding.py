@@ -14,9 +14,9 @@ from chansounder import pn, pulse, sliding
 from chansounder.exceptions import NoSignalError
 
 from helpers import (add_noise, expand, measure_one, measured_correlation_gain,
-                     one_row, oracle_detect_taps, oracle_measure_sliding,
-                     oracle_sound_row, planted_capture, random_planted_channel,
-                     tap_gains, tap_lags)
+                     modulated, one_row, oracle_detect_taps,
+                     oracle_measure_sliding, oracle_sound_row, planted_capture,
+                     random_planted_channel, tap_gains, tap_lags)
 
 
 def test_planted_three_tap_channel(chips10, rrc_taps, sounder_config):
@@ -267,8 +267,7 @@ def test_sound_deterministic(chips10, rrc_taps, sounder_config):
 
 def test_sound_capture_too_short(chips10, rrc_taps, sounder_config):
     # the settle period plus nine, where ten are averaged
-    capture = pulse.modulate(chips10, 10, rrc_taps,
-                             sounder_config.chip_period_s)
+    capture = modulated(chips10, 10, rrc_taps, sounder_config.chip_period_s)
     with pytest.raises(ValueError, match=r"symbols is shorter than 10 "
                        r"periods \(10230 symbols\)"):
         measure_one(capture, chips10, rrc_taps, sounder_config)
