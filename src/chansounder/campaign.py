@@ -177,7 +177,10 @@ def _record(scenario: Scenario, loc_index: int, tx: Transmitter, seed: int,
 
 def _tx_clock_offsets(scenario: Scenario, sample_rate: float) -> list:
     """Each transmitter's clock offset from the receiver's, in whole
-    samples: explicit, or drawn once per node from its own seed."""
+    samples: explicit, or drawn once per node from its own seed. An
+    offset of more samples than a float holds raises, naming the
+    receiver's offset if that alone is too large, else the field that
+    gave the transmitter's."""
     clocks = scenario.clocks
     if clocks.tx_offsets_s is not None:
         if len(clocks.tx_offsets_s) != len(scenario.transmitters):
@@ -192,9 +195,22 @@ def _tx_clock_offsets(scenario: Scenario, sample_rate: float) -> list:
         ]
     else:
         offsets = [0.0] * len(scenario.transmitters)
-    # the receiver's own error shifts every transmitter the opposite way
-    return [int(round((off - clocks.rx_offset_s) * sample_rate))
-            for off in offsets]
+    samples = []
+    for k, off in enumerate(offsets):
+        # the receiver's own error shifts every transmitter the opposite way
+        shift = (off - clocks.rx_offset_s) * sample_rate
+        if not math.isfinite(shift):
+            name = ("clocks.rx_offset_s"
+                    if not math.isfinite(clocks.rx_offset_s * sample_rate)
+                    else f"clocks.tx_offsets_s[{k}]"
+                    if clocks.tx_offsets_s is not None
+                    else "clocks.offset_std_s")
+            raise ValueError(f"{name}: a clock offset of "
+                             f"{off - clocks.rx_offset_s:.6g} s is more "
+                             f"samples at {sample_rate:.6g} Hz than a "
+                             f"float holds")
+        samples.append(int(round(shift)))
+    return samples
 
 
 def _check_burst_samples(config: sliding.SounderConfig, chips, taps) -> None:
@@ -264,9 +280,10 @@ def _run_sliding(scenario: Scenario, prepared: tuple, locations: range) -> list:
             chan, _ = synthesize_channel(scenario.environment, tx.position,
                                          position, seed,
                                          delay_grid_s=config.chip_period_s)
-            late = chan.delays[-1]  # checked before any capture is built
-            lag = round(late * rate)
-            if late >= pn_period_s or lag > room:
+            # checked before any capture is built; an infinite delay
+            # is not below the PN period, and no lag is rounded from it
+            late = chan.delays[-1]
+            if late >= pn_period_s or (lag := round(late * rate)) > room:
                 bound = (f"not below the {pn_period_s} s PN period"
                          if late >= pn_period_s else
                          f"{lag} samples, more than the {room} samples that "
@@ -324,6 +341,13 @@ def _prepare_frequency(scenario: Scenario) -> list:
                                               len(scenario.transmitters))
     except ValueError as exc:
         raise schema.nested("frequency", sweep.FrequencySetup, exc) from None
+    # a tap one carrier step late is heard in the next step
+    step_s = scenario.frequency.step_duration_s
+    if scenario.environment.delay_spread_scale_s >= step_s:
+        raise ValueError(
+            f"environment.delay_spread_scale_s: "
+            f"{scenario.environment.delay_spread_scale_s} s is not below the "
+            f"{step_s} s carrier step")
     return [(frame, sweep.unit_tones(frame)) for frame in frames]
 
 

@@ -2,10 +2,10 @@
 
 Channels are static per measurement: a list of complex gains at
 nonnegative delays, applied to baseband signals as scaled, shifted
-copies. Delays must land on the signal's sample grid; fractional delays
-are rejected rather than silently rounded so estimator error stays
-attributable. The closed-form transfer function doubles as the test
-oracle for the frequency-domain sounder.
+copies. synthesize_channel draws every delay on the delay grid it is
+given, and a campaign passes the chip period, so a sliding channel's
+delays are whole samples. The closed-form transfer function doubles as
+the test oracle for the frequency-domain sounder.
 """
 
 from __future__ import annotations
@@ -17,30 +17,25 @@ import numpy as np
 
 from chansounder.pulse import PeriodForm
 
+# The most taps a drawn channel may have: each one is a pass over the
+# burst, or over every sweep step, at every location. It is four times
+# the 1023 lags that the default PN period resolves.
+MAX_TAPS = 2 ** 12
+
 
 @dataclass(frozen=True)
 class MultipathChannel:
-    """Complex tap gains at strictly increasing delays, first delay zero."""
+    """Complex tap gains at strictly increasing delays, first delay zero,
+    as synthesize_channel draws them."""
 
     gains: np.ndarray
     delays: np.ndarray
 
     def __post_init__(self):
-        gains = np.asarray(self.gains, dtype=np.complex128)
-        delays = np.asarray(self.delays, dtype=np.float64)
-        object.__setattr__(self, "gains", gains)
-        object.__setattr__(self, "delays", delays)
-        if len(gains) < 1 or len(gains) != len(delays):
-            raise ValueError("need matching, nonempty gain and delay lists")
-        if delays[0] != 0.0:
-            raise ValueError("first tap delay must be 0 (delays are relative)")
-        # a NaN compares false, and only the last delay can be inf
-        if not ((delays[1:] > delays[:-1]).all() and delays[-1] < math.inf):
-            raise ValueError("delays must be finite and strictly increasing")
-        if not np.isfinite(gains.view(np.float64)).all():
-            raise ValueError("gains must be finite")
-        if not (gains != 0).any():
-            raise ValueError("at least one gain must be nonzero")
+        object.__setattr__(self, "gains",
+                           np.asarray(self.gains, dtype=np.complex128))
+        object.__setattr__(self, "delays",
+                           np.asarray(self.delays, dtype=np.float64))
 
     def total_power(self) -> float:
         return float(np.sum(np.abs(self.gains) ** 2))
@@ -66,8 +61,9 @@ class EnvironmentModel:
         if self.delay_spread_scale_s < 0:
             raise ValueError("delay_spread_scale_s: must be nonnegative")
         lo, hi = self.tap_count_range
-        if not (1 <= lo <= hi):
-            raise ValueError(f"tap_count_range: bad range {self.tap_count_range}")
+        if not (1 <= lo <= hi <= MAX_TAPS):
+            raise ValueError(f"tap_count_range: bad range {self.tap_count_range}"
+                             f", not within [1, {MAX_TAPS}]")
         if self.wall_loss_db < 0:
             raise ValueError("wall_loss_db: must be nonnegative")
         if self.wall_grid_spacing_m is not None and self.wall_grid_spacing_m <= 0:
@@ -79,10 +75,11 @@ def apply_channel(signal: PeriodForm, channel: MultipathChannel) -> PeriodForm:
     waveform, which has the signal's rate and origin_time, in period
     form.
 
-    Every tap delay must be an integer number of samples; the output is
-    extended by the largest delay so no energy is dropped. The samples
-    are not checked for finiteness here: compose_received's capture
-    holds them, and segment_capture checks it once.
+    Each tap delay is rounded to whole samples, which a delay drawn on
+    the chip grid already is; the output is extended by the largest
+    delay so no energy is dropped. The samples are not checked for
+    finiteness here: compose_received's capture holds them, and
+    segment_capture checks it once.
 
     A periodic signal (period P > 0) must be in modulate's form: its
     steady state runs from two periods before its head ends to one
@@ -96,16 +93,8 @@ def apply_channel(signal: PeriodForm, channel: MultipathChannel) -> PeriodForm:
     order, so the same bits, as summing every sample. With period 0 the
     sum covers every sample.
     """
-    shifts = []
-    for i, delay in enumerate(channel.delays):
-        exact = delay * signal.sample_rate
-        shift = int(round(exact))
-        if abs(exact - shift) > 1e-6:
-            raise ValueError(
-                f"tap {i}: delay {delay!r} s is not an integer number of "
-                f"samples at {signal.sample_rate!r} Hz"
-            )
-        shifts.append(shift)
+    shifts = [int(round(delay * signal.sample_rate))
+              for delay in channel.delays]
     n = len(signal)
     length = n + shifts[-1]
     period = signal.period
@@ -234,7 +223,9 @@ def synthesize_channel(env: EnvironmentModel, tx_position, rx_position,
     delays = np.array(delays)
 
     if env.delay_spread_scale_s > 0.0:
-        powers = np.exp(-delays / env.delay_spread_scale_s)
+        # a tap so late that its ratio to the scale overflows has power 0
+        with np.errstate(over="ignore"):
+            powers = np.exp(-delays / env.delay_spread_scale_s)
     else:
         powers = np.ones(tap_count)
     powers *= 10.0 ** (-loss_db / 10.0) / powers.sum()

@@ -55,23 +55,13 @@ class TdmaSchedule:
     every period. A transmitter starts its burst guard_samples into its
     slot, and the receiver trims guard_samples from both ends of every
     slot, so each segment starts at its burst's first sample.
+    build_schedule makes one with at least one slot and two guards that
+    leave room for the burst between them.
     """
 
     transmitter_count: int
     slot_samples: int
     guard_samples: int
-
-    def __post_init__(self):
-        if self.transmitter_count < 1:
-            raise ValueError("transmitter_count: must be >= 1")
-        if self.slot_samples < 1:
-            raise ValueError("slot_samples: must be positive")
-        if self.guard_samples < 0:
-            raise ValueError("guard_samples: must be nonnegative")
-        if 2 * self.guard_samples >= self.slot_samples:
-            raise ValueError(
-                f"guard_samples: two guards of {self.guard_samples} samples "
-                f"would consume the whole {self.slot_samples}-sample slot")
 
     @property
     def period_samples(self) -> int:
@@ -94,13 +84,10 @@ class LeakageModel:
 
     def gain(self, park_mode: str) -> float:
         """The amplitude gain of every idle transmitter parked in
-        park_mode: the leak_gain that compose_received takes."""
-        if park_mode == PARK_OFF_BAND:
-            att = self.parked_leakage_db
-        elif park_mode == PARK_IN_BAND:
-            att = self.inband_null_leakage_db
-        else:
-            raise ValueError(f"unknown park mode {park_mode!r}")
+        park_mode, PARK_OFF_BAND or PARK_IN_BAND: the leak_gain that
+        compose_received takes."""
+        att = (self.parked_leakage_db if park_mode == PARK_OFF_BAND
+               else self.inband_null_leakage_db)
         return 0.0 if att == math.inf else 10.0 ** (-att / 20.0)
 
 
@@ -119,10 +106,9 @@ class SceneTransmitter:
 @dataclass(frozen=True)
 class SegmentedCapture:
     """One TDMA period cut into its slots' segments: a stack with one row
-    per transmitter, and the guard/core power ratio that flags it."""
+    per transmitter, and whether its guard/core power ratio flags it."""
 
     segments: BasebandSignal
-    guard_core_ratio: float
     misaligned: bool
 
 
@@ -247,7 +233,9 @@ def compose_received(scene, schedule: TdmaSchedule, leak_gain: float = 0.0,
                      noise_power_dbfs: float | None = None,
                      seed: int = 0) -> np.ndarray:
     """Sum every transmitter's channel-filtered waveform over one TDMA
-    period of the receiver's clock, on the scene's sample rate.
+    period of the receiver's clock, on the scene's sample rate. The
+    scene holds at most one transmitter per slot, all on one sample
+    rate, as a campaign builds it from one burst and its schedule.
 
     Transmitter i bursts during its own (clock-perceived) slot i,
     starting guard_samples into it; everywhere else it contributes a
@@ -272,18 +260,6 @@ def compose_received(scene, schedule: TdmaSchedule, leak_gain: float = 0.0,
     pass over the capture is made for the check alone. A sum that
     overflows raises no numpy warning here; that check reports it.
     """
-    if not scene:
-        raise ValueError("scene must contain at least one transmitter")
-    if len(scene) > schedule.transmitter_count:
-        raise ValueError(
-            f"scene has {len(scene)} transmitters but the schedule only "
-            f"{schedule.transmitter_count} slots"
-        )
-    rate = scene[0].waveform.sample_rate
-    for tx in scene:
-        if tx.waveform.sample_rate != rate:
-            raise ValueError("all scene waveforms must share one sample rate")
-
     n = schedule.period_samples
     out = np.zeros(n, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -353,8 +329,9 @@ def segment_capture(samples: np.ndarray, schedule: TdmaSchedule,
     """Split one TDMA period of capture samples (compose_received's) on
     sample_rate, sample 0 at origin_time, into per-transmitter segments.
 
-    The capture must begin at a period boundary of the receiver's clock
-    and span at least one period. Its samples are checked here, once, by
+    The capture, a contiguous complex128 array, must begin at a period
+    boundary of the receiver's clock and span at least one period, as
+    compose_received's does. Its samples are checked here, once, by
     guard_core_power_ratio, which raises ValueError("samples must be
     finite"). The schedule's guard is discarded from both ends of every
     slot to absorb small clock offsets, so segment i starts where
@@ -364,19 +341,12 @@ def segment_capture(samples: np.ndarray, schedule: TdmaSchedule,
     checked capture with its origin_time. Captures whose guard regions
     carry slot-core-level power are flagged as misaligned.
     """
-    samples = np.ascontiguousarray(samples, dtype=np.complex128)
-    if len(samples) < schedule.period_samples:
-        raise ValueError(
-            f"capture of {len(samples)} samples is shorter than one TDMA "
-            f"period ({schedule.period_samples} samples)"
-        )
     ratio = guard_core_power_ratio(samples, schedule)
-    capture = BasebandSignal.checked(samples, sample_rate, origin_time)
+    capture = BasebandSignal(samples, sample_rate, origin_time)
     slot_samples, trim = schedule.slot_samples, schedule.guard_samples
     return SegmentedCapture(
         segments=capture.rows(trim, slot_samples, schedule.transmitter_count,
                               slot_samples - 2 * trim),
-        guard_core_ratio=ratio,
         misaligned=ratio > 0.25,
     )
 
@@ -396,8 +366,6 @@ def build_frequency_plan(setup: FrequencySetup,
     frame's tone count. Raises when the capacity is zero, naming the
     guard band.
     """
-    if transmitter_count < 1:
-        raise ValueError("transmitter_count: must be >= 1")
     if setup.tone_offsets_hz is not None:
         if len(setup.tone_offsets_hz) != transmitter_count:
             raise ValueError("tone_offsets_hz: one tone per transmitter")

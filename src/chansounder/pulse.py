@@ -38,24 +38,10 @@ MAX_PRODUCT_MACS = 2 ** 18
 
 @dataclass(frozen=True)
 class FilterTaps:
-    """Symmetric unit-energy FIR taps with their design parameters."""
+    """Symmetric unit-energy FIR taps, as design_rrc makes them."""
 
     coefficients: np.ndarray
     samples_per_symbol: int
-    rolloff: float
-    span_symbols: int
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=np.float64)
-        object.__setattr__(self, "coefficients", coeffs)
-        expected = self.span_symbols * self.samples_per_symbol + 1
-        if len(coeffs) != expected:
-            raise ValueError(f"expected {expected} taps, got {len(coeffs)}")
-        if np.max(np.abs(coeffs - coeffs[::-1])) > 1e-12:
-            raise ValueError("taps are not symmetric")
-        energy = float(np.sum(coeffs**2))
-        if abs(energy - 1.0) > 1e-9:
-            raise ValueError(f"taps are not unit energy (got {energy!r})")
 
     @cached_property
     def bank(self) -> np.ndarray:
@@ -78,7 +64,9 @@ class BasebandSignal:
     waveforms that keep their full convolution tails. The receive chain
     (estimate_timing_phase, recover_symbols) reads a stack instead: a
     signal whose samples are (rows, n), rows of n samples that each
-    start at origin_time, as rows() makes them.
+    start at origin_time, as rows() makes them. The samples are not
+    checked here: read_iq proves a capture finite, and segment_capture
+    a composed one.
     """
 
     samples: np.ndarray
@@ -86,26 +74,8 @@ class BasebandSignal:
     origin_time: float = 0.0
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.complex128)
-        object.__setattr__(self, "samples", samples)
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
-        check_finite(samples)
-
-    @classmethod
-    def checked(cls, samples: np.ndarray, sample_rate: float,
-                origin_time: float = 0.0) -> BasebandSignal:
-        """A signal of complex128 samples that the caller has already
-        proved finite, as multitx.segment_capture's slot powers and
-        read_iq's scan of the raw floats do: the rate is checked, the
-        samples are not read again."""
-        signal = object.__new__(cls)  # no __init__, so no second check
-        for name, value in (("samples", samples), ("sample_rate", sample_rate),
-                            ("origin_time", origin_time)):
-            object.__setattr__(signal, name, value)
-        if sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
-        return signal
+        object.__setattr__(self, "samples",
+                           np.asarray(self.samples, dtype=np.complex128))
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -115,15 +85,14 @@ class BasebandSignal:
         """A stack of count windows of this 1-D signal, row r being
         samples[first + r * step:first + r * step + length], as one
         strided view with this signal's rate and origin_time. The
-        windows must lie inside the samples. The samples were checked
-        when this signal was built, so they are not checked again."""
+        windows must lie inside the samples."""
         samples = np.ascontiguousarray(self.samples)
         if min(first, step, length) < 0 or count < 1 or \
                 first + (count - 1) * step + length > len(samples):
             raise ValueError(f"rows of {length} samples from {first}, {step} "
                              f"apart, do not fit {len(samples)} samples")
         size = samples.itemsize
-        return BasebandSignal.checked(
+        return BasebandSignal(
             as_strided(samples[first:], shape=(count, length),
                        strides=(step * size, size), writeable=False),
             self.sample_rate, self.origin_time)
@@ -225,8 +194,7 @@ def design_rrc(rolloff: float, span_symbols: int,
     h = _restore_nyquist_zeros(
         _rrc_closed_form(rolloff, span_symbols, samples_per_symbol),
         samples_per_symbol)
-    return FilterTaps(coefficients=h, samples_per_symbol=samples_per_symbol,
-                      rolloff=rolloff, span_symbols=span_symbols)
+    return FilterTaps(coefficients=h, samples_per_symbol=samples_per_symbol)
 
 
 def shape_symbols(symbols, taps: FilterTaps,
@@ -269,8 +237,8 @@ class PeriodForm:
     modulate's burst is one, with the ramp-in and two periods in its
     head and one period and the ramp-out in its tail, and so is the
     received waveform that channel.apply_channel makes of it. The
-    samples are not checked here: modulate's come from a checked
-    signal, and the campaign checks each transmitter's scaled copy.
+    samples are not checked here: the campaign checks each
+    transmitter's scaled copy of modulate's.
     """
 
     samples: np.ndarray
@@ -307,8 +275,6 @@ def modulate(chips: ChipSequence, repetitions: int, taps: FilterTaps,
     (channel.apply_channel). A burst too short to repeat anything
     between them is held whole, with period 0.
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
     period, ramp = burst_period_and_ramp(chips, taps)
     shaped = min(repetitions, 1 + -(-ramp // period))
     short = shape_symbols(np.tile(chips.chips, shaped), taps, chip_period)
@@ -478,7 +444,8 @@ def estimate_timing_phase(stack: BasebandSignal, chips: ChipSequence,
 
     No correlation is formed. By Parseval, the profile energy of a phase's
     N outputs y is sum_k |C_k|^2 |Y_k|^2 / N^3, with C the chip spectrum
-    and Y the spectrum of y. ChipSequence accepts only balanced sequences
+    and Y the spectrum of y. generate_glfsr makes only m-sequences (it
+    rejects a polynomial that is not primitive), which are balanced and
     whose periodic autocorrelation is two-valued, so |C_0|^2 = 1 and
     |C_k|^2 = N + 1 for every k != 0, exactly, and the energy is
     ((N + 1) * sum|y|^2 - |sum y|^2) / N^2 for every sequence the
@@ -568,5 +535,5 @@ def read_iq(path) -> BasebandSignal:
     if len(bad):
         raise ValueError(f"{path}: sample {bad[0] // 2} is not finite")
     samples = raw[0::2].astype(np.float64) + 1j * raw[1::2].astype(np.float64)
-    return BasebandSignal.checked(samples, sidecar.sample_rate_hz,
-                                  sidecar.origin_time_s)
+    return BasebandSignal(samples, sidecar.sample_rate_hz,
+                          sidecar.origin_time_s)

@@ -85,11 +85,10 @@ def reference(config: SounderConfig) -> tuple[ChipSequence, FilterTaps]:
 
 
 def rms_delay_spread(lags, gains, chip_period: float) -> float:
-    """Square root of the power-weighted second central moment of delay."""
+    """Square root of the power-weighted second central moment of delay
+    of one or more taps."""
     lags = np.asarray(lags, dtype=np.float64)
     powers = np.abs(np.asarray(gains, dtype=np.complex128)) ** 2
-    if len(lags) < 1:
-        raise ValueError("need at least one tap")
     # the spread is translation invariant; shifting to the first tap keeps
     # the single-tap case exactly zero
     delays = (lags - lags[0]) * chip_period
@@ -186,12 +185,6 @@ def sound(mean_periods, chips: ChipSequence, config: SounderConfig,
     says so.
     """
     means = np.asarray(mean_periods, dtype=np.complex128)
-    n = chips.period_length
-    if means.ndim != 2 or means.shape[1] != n:
-        raise ValueError(
-            f"averaged periods of shape {means.shape} are not rows of one "
-            f"chip period ({n} symbols)"
-        )
     results = []
     for mean_period, profile, tx_power_db in zip(
             means, circular_correlate(chips, means), tx_powers_db, strict=True):

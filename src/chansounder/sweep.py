@@ -50,8 +50,8 @@ class FrequencySetup:
                              or np.max(np.abs(spacing - spacing[0])) > 1e-6 * abs(spacing[0])):
             raise ValueError("carriers_hz: must be strictly increasing with "
                              "uniform spacing")
-        step = self.step_duration_s * rate  # inf where the product overflows
-        if step != math.inf and round(step) < length:
+        step = self.step_duration_s * rate  # +-inf where the product overflows
+        if (step if math.isinf(step) else round(step)) < length:
             raise ValueError(
                 f"step_duration_s: {self.step_duration_s} s is too short for "
                 f"one FFT window of {length} samples")
@@ -95,11 +95,9 @@ def bin_power(rows: np.ndarray, frame: FrequencySetup, tones) -> list:
     Takes one length-L DFT per row over its first L samples (an integer
     number of tone periods for bin-centered tones), all rows in one
     multi-row FFT, and returns |X[bin]|^2 / L^2 per tone. Negative
-    offsets wrap to the upper bins.
+    offsets wrap to the upper bins. Each tone is one of the frame's: a
+    campaign reads the frame's own, and sound-freq checks --tone-offset.
     """
-    for tone_offset in tones:
-        if not frame.has_tone(tone_offset):
-            raise ValueError(f"tone offset {tone_offset} Hz is not part of the plan")
     length = frame.fft_length
     if rows.shape[1] < length:
         raise ValueError(

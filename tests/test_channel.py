@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -108,35 +107,32 @@ def test_periodic_apply_channel_on_the_campaign_burst(chips10, rrc_taps, rng):
         + chips10.period_length * sps
 
 
-def test_fractional_delay_rejected():
-    signal = make_form(np.ones(8))
-    chan = ch.MultipathChannel(gains=[1.0, 1.0], delays=[0.0, 2.5e-6])
-    with pytest.raises(ValueError, match="tap 1"):
-        ch.apply_channel(signal, chan)
-
-
 def test_channel_invariants():
-    with pytest.raises(ValueError, match="first tap"):
-        ch.MultipathChannel(gains=[1.0], delays=[1e-6])
-    with pytest.raises(ValueError, match="strictly increasing"):
-        ch.MultipathChannel(gains=[1.0, 1.0], delays=[0.0, 0.0])
-    with pytest.raises(ValueError, match="nonzero"):
-        ch.MultipathChannel(gains=[0.0], delays=[0.0])
-
-
-@pytest.mark.parametrize("delays", [[0.0, math.nan], [0.0, math.inf],
-                                    [0.0, math.inf, math.inf],
-                                    [0.0, math.nan, 1e-6],
-                                    [0.0, 1e-6, math.nan]],
-                         ids=["nan", "inf", "inf-inf", "nan-first",
-                              "nan-last"])
-def test_non_finite_delays_are_rejected_naming_delays(delays):
-    # these once passed (the last through a NaN np.diff and its warning)
-    # and then failed apply_channel, which cannot convert NaN to a shift
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="^delays must be finite"):
-            ch.MultipathChannel(gains=[1.0] * len(delays), delays=delays)
+    # the channels that apply_channel and the sounders take: first delay
+    # 0, strictly increasing finite delays on the grid, finite gains
+    # carrying the path loss's power. At a spread of 5e-324 s, or on a
+    # 1e301 s grid, a late tap's delay over the spread overflows and its
+    # power is 0, with no overflow warning (which once was printed)
+    for scale, grid in ((9e-8, 60e-9), (2.5e-7, 1e-9), (5e-324, 60e-9),
+                        (9e-8, 1e301)):
+        env = ch.EnvironmentModel(reference_loss_db=40.0,
+                                  path_loss_exponent=2.8,
+                                  delay_spread_scale_s=scale,
+                                  tap_count_range=(1, 8))
+        for seed in range(40):
+            chan, loss = ch.synthesize_channel(env, (2.0, 2.0, 1.1),
+                                               (7.0, 3.0, 1.2), seed,
+                                               delay_grid_s=grid)
+            assert chan.delays[0] == 0.0
+            assert (np.diff(chan.delays) > 0).all()
+            assert np.isfinite(chan.delays).all()
+            steps = chan.delays / grid
+            npt.assert_allclose(steps, np.round(steps), atol=1e-9)
+            assert np.isfinite(chan.gains.view(np.float64)).all()
+            assert chan.total_power() == pytest.approx(10 ** (-loss / 10))
+    with pytest.raises(ValueError, match=r"^tap_count_range: bad range "
+                                         r"\(1, 4097\), not within \[1, 4096\]$"):
+        ch.EnvironmentModel(40.0, 2.0, tap_count_range=(1, ch.MAX_TAPS + 1))
 
 
 def test_linearity_exact(rng):

@@ -380,6 +380,8 @@ FREQUENCY_FIELD_CASES = [
     ("frequency", "fft_length", 0, "frequency.fft_length"),
     ("frequency", "sample_rate_hz", -1e6, "frequency.sample_rate_hz"),
     ("frequency", "step_duration_s", 1e-6, "frequency.step_duration_s"),
+    # -inf samples, which once failed to round
+    ("frequency", "step_duration_s", -1.7e308, "frequency.step_duration_s"),
     ("frequency", "carriers_hz", [702e6, 700e6], "frequency.carriers_hz"),
     # 100 kHz is not on the 1e6 / 4096 Hz bin grid
     ("frequency", "tone_offsets_hz", [100e3, 0.0],
@@ -419,8 +421,21 @@ FREQUENCY_FIELD_CASES = [
         ("schedule", "guard_fraction", -0.1, "schedule.guard_fraction"),
         ("schedule", "slot_length_s", 0.0, "schedule.slot_length_s"),
         ("clocks", "tx_offsets_s", [True, False], "clocks.tx_offsets_s[0]"),
+        # offsets of more samples than a float holds, which once failed to
+        # round
+        ("clocks", "rx_offset_s", 1e301, "clocks.rx_offset_s"),
+        ("clocks", "rx_offset_s", -1e301, "clocks.rx_offset_s"),
+        ("clocks", "offset_std_s", 1e301, "clocks.offset_std_s"),
+        ("clocks", "tx_offsets_s", [1e301, 0.0], "clocks.tx_offsets_s[0]"),
+        ("clocks", "tx_offsets_s", [0.0, -1.7e308], "clocks.tx_offsets_s[1]"),
         ("environment", "tap_count_range", [3.5, 6],
          "environment.tap_count_range[0]"),
+        # more taps than a draw may have: 10**18 once asked for 8 EB, and
+        # 2**63 failed in the generator naming no field
+        ("environment", "tap_count_range", [2, 10**18],
+         "environment.tap_count_range"),
+        ("environment", "tap_count_range", [2, 2**63],
+         "environment.tap_count_range"),
         # 0 once divided by zero counting walls, and -1 passed
         ("environment", "wall_grid_spacing_m", 0.0,
          "environment.wall_grid_spacing_m"),
@@ -537,11 +552,19 @@ def bundled_edit(tmp_path, name, edit):
     return path
 
 
+# values near the ends of a float's range: +-1e301, whose products
+# with a rate or a count overflow, the largest floats, and the smallest
+# subnormal
+FLOAT_EXTREMES = (1e301, -1e301, 1.7e308, -1.7e308, 5e-324)
+
+
 def edit_sites(value, path=()):
     """Every number, null and list of a scenario document, each with the
     edits that may replace it: numbers and nulls by 0, -1, 1e-12, 1e12,
-    or 3.04e3 or 3.1e3, which straddle the noise and received-power
-    ceilings (3030-3083 dB), lists by the empty or the reversed list."""
+    3.04e3 or 3.1e3, which straddle the noise and received-power
+    ceilings (3030-3083 dB), or FLOAT_EXTREMES, integers also by 10**18
+    and 2**63, which a float holds but an int64 may not, and lists by
+    the empty or the reversed list."""
     if isinstance(value, dict):
         for key, item in value.items():
             yield from edit_sites(item, path + (key,))
@@ -551,8 +574,10 @@ def edit_sites(value, path=()):
             yield from edit_sites(item, path + (k,))
     elif value is None or (isinstance(value, (int, float))
                            and not isinstance(value, bool)):
-        yield path, tuple(lambda _, v=v: v
-                          for v in (0, -1, 1e-12, 1e12, 3.04e3, 3.1e3))
+        values = (0, -1, 1e-12, 1e12, 3.04e3, 3.1e3) + FLOAT_EXTREMES
+        if isinstance(value, int):
+            values += (10**18, 2**63)
+        yield path, tuple(lambda _, v=v: v for v in values)
 
 
 MUTABLE = {name: (cut_bundled(name), list(edit_sites(cut_bundled(name))))
@@ -800,6 +825,45 @@ def test_longest_filter_is_accepted():
     config = sliding.SounderConfig(span_symbols=4, samples_per_symbol=256)
     assert config.span_symbols * config.samples_per_symbol + 1 \
         == pulse.MAX_FILTER_TAPS
+
+
+@pytest.mark.parametrize("scale", [1e301, 5e-3])
+def test_delay_spread_beyond_the_carrier_step_exits_2(tmp_path, capsys,
+                                                      scale):
+    # a 1e301 s spread once ended in an OverflowError traceback from the
+    # delay grid snap
+    path = bundled_edit(tmp_path, "courtyard_frequency",
+                        set_environment(delay_spread_scale_s=scale))
+    expected = (f"ValueError: environment.delay_spread_scale_s: {scale} s "
+                f"is not below the 0.005 s carrier step\n")
+    for command in ("validate", "campaign"):
+        code, _, err = run_cli(capsys, command, "--scenario", str(path),
+                               "--out-dir", str(tmp_path / "out"))
+        assert (code, err) == (2, expected)
+    assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
+@pytest.mark.parametrize("name, edit", [
+    # a far tap's ratio to the spread overflows, and its power is 0
+    ("indoor_wing_sliding", set_environment(delay_spread_scale_s=5e-324)),
+    ("courtyard_frequency", set_environment(delay_spread_scale_s=5e-324)),
+    ("indoor_wing_sliding",
+     lambda doc: doc["sliding"].update(chip_period_s=1e301)),
+    # offsets of 1e12 s are whole samples, modulo the TDMA period
+    ("indoor_wing_sliding", lambda doc: doc["clocks"].update(
+        tx_offsets_s=[1e12, -1e12, 0.0], rx_offset_s=1e12)),
+], ids=["sliding-tiny-spread", "frequency-tiny-spread", "huge-chip-period",
+        "huge-clock-offsets"])
+def test_extreme_draws_write_strict_json_without_warnings(tmp_path, name,
+                                                           edit):
+    # the spreads and the chip period once printed an overflow
+    # RuntimeWarning; the clock offsets must keep running
+    path = bundled_edit(tmp_path, name, edit)
+    child = run_cli_limited("campaign", "--scenario", str(path),
+                            "--out-dir", str(tmp_path / "out"))
+    assert (child.returncode, child.stderr) == (0, "")
+    assert len(strict_records(tmp_path / "out" / "records.jsonl")) \
+        == 2 * len(cut_bundled(name)["transmitters"])
 
 
 def test_drawn_tap_beyond_pn_period_exits_2(tmp_path, capsys):

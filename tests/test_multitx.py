@@ -74,7 +74,7 @@ def test_single_transmitter_owns_everything():
     segmented = multitx.segment_capture(np.arange(200.0), schedule, 1000.0)
     [segment] = segmented.segments.samples
     npt.assert_array_equal(segment, np.arange(200.0))
-    assert segmented.guard_core_ratio == 0.0
+    assert not segmented.misaligned
 
 
 def test_slot_tiling_partitions_each_period():
@@ -134,21 +134,6 @@ def test_schedule_validation():
         multitx.LeakageModel(parked_leakage_db=-3.0)
 
 
-@pytest.mark.parametrize("count, slot, guard, field", [
-    (0, 100, 10, "transmitter_count"),
-    (3, 0, 0, "slot_samples"),
-    (3, -4, 0, "slot_samples"),
-    (3, 100, -1, "guard_samples"),
-    (3, 100, 50, "guard_samples"),
-    (3, 1, 1, "guard_samples"),
-])
-def test_tdma_schedule_rejections_name_the_field(count, slot, guard, field):
-    # a guard that would consume the whole slot is the segmentation's
-    # precondition, checked once when the schedule is made
-    with pytest.raises(ValueError, match=f"^{field}: "):
-        multitx.TdmaSchedule(count, slot, guard)
-
-
 def test_built_schedules_keep_the_campaign_geometry(tdma_setup):
     # sliding-c9's numbers: a 49152-sample burst at 66.67 MHz sits in a
     # 54616-sample slot, 2732 samples (a whole number of symbols) from
@@ -171,13 +156,6 @@ def test_segment_distinct_constants():
     for i, segment in enumerate(segmented.segments.samples):
         npt.assert_array_equal(segment, i + 1.0)
         assert len(segment) == 90
-
-
-def test_segment_preconditions():
-    rate = 1000.0
-    schedule = multitx.TdmaSchedule(3, 100, 5)
-    with pytest.raises(ValueError, match="shorter"):
-        multitx.segment_capture(np.ones(299), schedule, rate)
 
 
 def test_compose_single_tx_matches_apply_channel(tdma_setup):
@@ -271,7 +249,7 @@ def test_gross_clock_offset_raises_flag(tdma_setup):
     capture = multitx.compose_received(scene, schedule)
     segmented = multitx.segment_capture(capture, schedule, burst.sample_rate)
     assert segmented.misaligned
-    assert segmented.guard_core_ratio > 0.25
+    assert multitx.guard_core_power_ratio(capture, schedule) > 0.25
 
 
 def test_guard_core_power_ratio_matches_mean_of_squares(tdma_setup):
@@ -344,11 +322,11 @@ def test_segmentation_accepts_finite_samples_whose_squares_overflow(
     # decides, and passes these
     samples = np.ones(300, dtype=np.complex128)
     samples[REGIONS[region]] = 1e200 - 1e200j
+    schedule = multitx.TdmaSchedule(3, 100, 10)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        segmented = multitx.segment_capture(
-            samples, multitx.TdmaSchedule(3, 100, 10), 1000.0)
-    assert segmented.guard_core_ratio == ratio
+        segmented = multitx.segment_capture(samples, schedule, 1000.0)
+        assert multitx.guard_core_power_ratio(samples, schedule) == ratio
     assert segmented.segments.samples[1, 40] == samples[150]
 
 
@@ -398,14 +376,6 @@ def test_leakage_monotonicity(tdma_setup, chips10, rrc_taps):
         errors.append(abs(profile["path_loss_db"] - 80.0))
     assert all(a >= b - 1e-9 for a, b in zip(errors, errors[1:]))
     assert errors[0] > errors[-1]
-
-
-def test_compose_rejects_scene_larger_than_schedule():
-    schedule = multitx.TdmaSchedule(2, 100, 0)
-    burst = whole(pulse.BasebandSignal(np.ones(50), 1000.0))
-    scene = [multitx.SceneTransmitter(burst, flat_channel())] * 3
-    with pytest.raises(ValueError, match="slots"):
-        multitx.compose_received(scene, schedule)
 
 
 @pytest.mark.parametrize("leak_db", [math.inf, 30.0])

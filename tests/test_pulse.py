@@ -97,15 +97,15 @@ def test_design_preconditions(args):
 
 
 def test_filter_taps_invariants():
-    good = pulse.design_rrc(0.35, 6, 2)
-    with pytest.raises(ValueError, match="taps"):
-        pulse.FilterTaps(good.coefficients[:-1], 2, 0.35, 6)
-    broken = good.coefficients.copy()
-    broken[0] += 1e-3
-    with pytest.raises(ValueError, match="symmetric"):
-        pulse.FilterTaps(broken, 2, 0.35, 6)
-    with pytest.raises(ValueError, match="energy"):
-        pulse.FilterTaps(good.coefficients * 1.1, 2, 0.35, 6)
+    # design_rrc's taps are span * sps + 1 long, symmetric and of unit
+    # energy, the shape that the matched filter and the ramps assume
+    for rolloff, span, sps in ((0.35, 6, 2), (0.35, 12, 4), (1.0, 8, 2),
+                               (0.25, 8, 4), (1e-3, 4, 256)):
+        taps = pulse.design_rrc(rolloff, span, sps)
+        h = taps.coefficients
+        assert (len(h), taps.samples_per_symbol) == (span * sps + 1, sps)
+        assert np.max(np.abs(h - h[::-1])) <= 1e-12
+        assert float(np.sum(h ** 2)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_shape_single_symbol_is_impulse_response(rrc_taps):
