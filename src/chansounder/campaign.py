@@ -238,6 +238,10 @@ def _prepare_sliding(scenario: Scenario) -> tuple:
         raise schema.nested("sliding", sliding.SounderConfig, exc) from None
     # a tap one PN period late aliases onto lag 0 of the correlator
     pn_period_s = chips.period_length * config.chip_period_s
+    if not math.isfinite(pn_period_s):
+        raise ValueError(
+            f"sliding.chip_period_s: {config.chip_period_s} s makes a PN "
+            f"period of {chips.period_length} chips longer than a float holds")
     if scenario.environment.delay_spread_scale_s >= pn_period_s:
         raise ValueError(
             f"environment.delay_spread_scale_s: "
@@ -370,20 +374,25 @@ def _check_path_losses(scenario: Scenario,
     has no nonzero tap gain.
 
     The error names the environment coefficient that is out of that range
-    by itself (the reference loss, 10 * exponent dB per decade, or the
-    loss of one wall), else the reference loss if it weighs at least as
-    much as the distance and wall terms together, else the pair's
-    position farther from the origin.
+    by itself (the reference loss, 10 * exponent dB per decade, the
+    10 * exponent * log10(reference distance) dB that the reference
+    distance takes off, or the loss of one wall), else the reference
+    loss if it weighs at least as much as the distance and wall terms
+    together, else the pair's position farther from the origin.
 
     Given a sliding capture's length, capture_samples, each pair's
-    received power, tx_power_db less the path loss, summed over that many
-    samples must also be a finite float, or the capture's slot power
-    sums overflow; the error then names the transmitter's tx_power_db.
-    A sweep's unit tones carry the transmitter power only in dB.
+    received power, tx_power_db less the path loss, must also be a
+    positive, normal float, or the tap powers that the receiver sums
+    underflow to zero, and summed over that many samples it must be a
+    finite float, or the capture's slot power sums overflow; the error
+    then names the transmitter's tx_power_db. A sweep's unit tones carry
+    the transmitter power only in dB.
     """
     env = scenario.environment
     coefficients = (("reference_loss_db", env.reference_loss_db),
                     ("path_loss_exponent", 10.0 * env.path_loss_exponent),
+                    ("reference_distance_m", 10.0 * env.path_loss_exponent
+                     * math.log10(env.reference_distance_m)),
                     ("wall_loss_db", env.wall_loss_db))
     ceiling_db = (math.inf if capture_samples is None else
                   _power_ceiling_db(capture_samples))
@@ -397,15 +406,19 @@ def _check_path_losses(scenario: Scenario,
             except OverflowError:  # more wall crossings than a float holds
                 loss_db = math.inf
             if _normal_power(loss_db):
-                if tx.tx_power_db - loss_db > ceiling_db:
-                    raise ValueError(
-                        f"transmitters[{k}].tx_power_db: {tx.tx_power_db:.6g} "
-                        f"dB less the {loss_db:.6g} dB path loss to "
-                        f"receiver_path_m[{j}] is "
-                        f"{tx.tx_power_db - loss_db:.6g} dB, whose power "
-                        f"summed over the {capture_samples}-sample capture "
-                        f"overflows a float")
-                continue
+                received_db = tx.tx_power_db - loss_db
+                if capture_samples is None or (
+                        received_db <= ceiling_db and _normal_power(-received_db)):
+                    continue
+                limit = (f"power summed over the {capture_samples}-sample "
+                         f"capture overflows a float"
+                         if received_db > ceiling_db else
+                         "linear power is not a positive, normal float")
+                raise ValueError(
+                    f"transmitters[{k}].tx_power_db: {tx.tx_power_db:.6g} "
+                    f"dB less the {loss_db:.6g} dB path loss to "
+                    f"receiver_path_m[{j}] is {received_db:.6g} dB, whose "
+                    f"{limit}")
             culprits = [name for name, db in coefficients
                         if not _normal_power(abs(db))]
             if culprits:
@@ -546,10 +559,9 @@ def run_campaign(scenario: Scenario, seed_override: int | None = None,
     master seed, location and transmitter, so the records are identical
     at any worker count. Off Linux the whole path runs here: forking
     after numpy has started its BLAS threads is checked only on Linux
-    (macOS's Accelerate is not fork-safe).
+    (macOS's Accelerate is not fork-safe). workers is at least 1, as
+    cli._campaign_workers gives it.
     """
-    if workers < 1:
-        raise ValueError("workers: must be at least 1")
     if seed_override is not None:
         scenario = replace(scenario, master_seed=seed_override)
     prepared = prepare(scenario)
@@ -580,8 +592,6 @@ def run_campaign(scenario: Scenario, seed_override: int | None = None,
 
 def export_records(records, path) -> None:
     """Write one JSON document per line."""
-    if not records:
-        raise ValueError("no records to export")
     path = Path(path)
     try:
         with path.open("w") as handle:
@@ -592,10 +602,9 @@ def export_records(records, path) -> None:
 
 
 def export_heatmap(records, transmitter_id: str, path) -> None:
-    """Per-location path losses for one transmitter as plottable CSV."""
+    """Per-location path losses for one transmitter, one of the records'
+    own, as plottable CSV."""
     rows = [r for r in records if r["transmitter_id"] == transmitter_id]
-    if not rows:
-        raise ValueError(f"no records for transmitter {transmitter_id!r}")
     path = Path(path)
     try:
         with path.open("w", newline="") as handle:

@@ -88,10 +88,11 @@ def apply_channel(signal: PeriodForm, channel: MultipathChannel) -> PeriodForm:
     and the tail; the steady state in between is not formed. Each tap
     adds its scaled copy of the signal's samples to the output's head
     and to its tail as two direct slices, which the signal's head and
-    tail hold for any delay of at most P samples; a longer delay raises.
-    Each sample of the waveform is then the same additions in the same
-    order, so the same bits, as summing every sample. With period 0 the
-    sum covers every sample.
+    tail hold for any delay of at most P samples. A campaign's taps are
+    all earlier than one PN period, P samples: _run_sliding rejects a
+    later one before any composition. Each sample of the waveform is
+    then the same additions in the same order, so the same bits, as
+    summing every sample. With period 0 the sum covers every sample.
     """
     shifts = [int(round(delay * signal.sample_rate))
               for delay in channel.delays]
@@ -99,10 +100,6 @@ def apply_channel(signal: PeriodForm, channel: MultipathChannel) -> PeriodForm:
     length = n + shifts[-1]
     period = signal.period
     if period:
-        if shifts[-1] > period:
-            raise ValueError(
-                f"tap {len(shifts) - 1}: a delay of {shifts[-1]} samples is "
-                f"longer than the signal's {period}-sample period")
         # out[head - period:tail] repeats every period
         head = signal.head - period + shifts[-1]
         tail = signal.tail + period

@@ -73,8 +73,9 @@ def _cmd_sound_sliding(args) -> dict:
                             "samples_per_symbol / chip_period_s")
     try:
         [profile] = sliding.measure_sliding(
-            capture.rows(0, 0, 1, len(capture)), chips, taps, config,
-            [args.tx_power_db], settle_periods=args.settle_periods)
+            dataclasses.replace(capture, samples=capture.samples[np.newaxis]),
+            chips, taps, config, [args.tx_power_db],
+            settle_periods=args.settle_periods)
     except CaptureWindowError as exc:
         # a capture shorter than the periods the receiver reads misses
         # them wherever it sits; a longer one misses them by its origin

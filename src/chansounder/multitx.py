@@ -336,17 +336,18 @@ def segment_capture(samples: np.ndarray, schedule: TdmaSchedule,
     finite"). The schedule's guard is discarded from both ends of every
     slot to absorb small clock offsets, so segment i starts where
     transmitter i's burst starts when its clock agrees with the
-    receiver's. The segments are one stack, a strided
+    receiver's. The segments are one stack, a read-only
     (transmitter_count, slot_samples - 2 * guard_samples) view of the
-    checked capture with its origin_time. Captures whose guard regions
-    carry slot-core-level power are flagged as misaligned.
+    checked capture's first period, with its origin_time. Captures whose
+    guard regions carry slot-core-level power are flagged as misaligned.
     """
     ratio = guard_core_power_ratio(samples, schedule)
-    capture = BasebandSignal(samples, sample_rate, origin_time)
     slot_samples, trim = schedule.slot_samples, schedule.guard_samples
+    segments = samples[:schedule.period_samples].reshape(
+        schedule.transmitter_count, slot_samples)[:, trim:slot_samples - trim]
+    segments.flags.writeable = False
     return SegmentedCapture(
-        segments=capture.rows(trim, slot_samples, schedule.transmitter_count,
-                              slot_samples - 2 * trim),
+        segments=BasebandSignal(segments, sample_rate, origin_time),
         misaligned=ratio > 0.25,
     )
 

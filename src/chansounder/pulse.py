@@ -14,7 +14,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from chansounder import schema
 from chansounder.exceptions import CaptureWindowError
@@ -64,7 +64,8 @@ class BasebandSignal:
     waveforms that keep their full convolution tails. The receive chain
     (estimate_timing_phase, recover_symbols) reads a stack instead: a
     signal whose samples are (rows, n), rows of n samples that each
-    start at origin_time, as rows() makes them. The samples are not
+    start at origin_time, such as segment_capture's segments or
+    sound-sliding's capture with a new first axis. The samples are not
     checked here: read_iq proves a capture finite, and segment_capture
     a composed one.
     """
@@ -79,23 +80,6 @@ class BasebandSignal:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    def rows(self, first: int, step: int, count: int,
-             length: int) -> BasebandSignal:
-        """A stack of count windows of this 1-D signal, row r being
-        samples[first + r * step:first + r * step + length], as one
-        strided view with this signal's rate and origin_time. The
-        windows must lie inside the samples."""
-        samples = np.ascontiguousarray(self.samples)
-        if min(first, step, length) < 0 or count < 1 or \
-                first + (count - 1) * step + length > len(samples):
-            raise ValueError(f"rows of {length} samples from {first}, {step} "
-                             f"apart, do not fit {len(samples)} samples")
-        size = samples.itemsize
-        return BasebandSignal(
-            as_strided(samples[first:], shape=(count, length),
-                       strides=(step * size, size), writeable=False),
-            self.sample_rate, self.origin_time)
 
 
 def check_finite(samples: np.ndarray) -> None:
@@ -296,9 +280,6 @@ def modulate(chips: ChipSequence, repetitions: int, taps: FilterTaps,
 def _origin_index(signal: BasebandSignal, taps: FilterTaps) -> int:
     """Index of t = 0 on the symbol grid of the full matched-filter output
     of each row of a stack."""
-    if signal.samples.ndim != 2:
-        raise ValueError(f"expected a (rows, n) stack of captures, got "
-                         f"samples of shape {signal.samples.shape}")
     if signal.samples.shape[-1] < len(taps.coefficients):
         raise CaptureWindowError(
             f"signal of {signal.samples.shape[-1]} samples is shorter than "
@@ -346,26 +327,26 @@ def recover_symbols(stack: BasebandSignal, chips: ChipSequence,
 
     Filtering and averaging are both linear, so the capture is folded
     first: the `periods` raw windows of N * sps + L - 1 samples, one
-    period (N * sps samples) apart, are averaged. One strided mean folds
-    every row over a window wide enough for all the rows' phases, and
-    each row is then read at its own phase. Samples beyond either end
-    of a row read as zero, as in np.convolve. Output k of a row is a
-    (1, L) @ (L, 1) matmul of its folded period's strided window
-    folded[k * sps:k * sps + L] against the reversed taps; numpy
-    evaluates it with the same dtype dot that np.convolve calls per
-    output, so the N outputs equal
+    period (N * sps samples) apart, are averaged. Every row is folded at
+    once over a window wide enough for all the rows' phases: the period
+    slices are added, in order, to zeros and the sum divided by
+    `periods`, the bits of numpy's mean over them. Each row is then read
+    at its own phase. Samples beyond either end of a row read as zero,
+    as in np.convolve. Output k of a row is a (1, L) @ (L, 1) matmul of
+    its folded period's window folded[k * sps:k * sps + L] against the
+    reversed taps; numpy evaluates it with the same dtype dot that
+    np.convolve calls per output, so the N outputs equal
     np.convolve(folded, taps)[L - 1:L - 1 + N * sps:sps] bit for bit.
-    Raises ValueError when a row's stream ends before `periods` periods.
+    Raises CaptureWindowError when a row's stream ends before `periods`
+    periods.
+
+    One phase per row, each in [0, sps), as estimate_timing_phase finds
+    them; periods >= 1 and skip_symbols >= 0.
     """
     sps = taps.samples_per_symbol
     origin = _origin_index(stack, taps)
     x = stack.samples
-    phases = np.asarray(phases)
-    if phases.shape != x.shape[:1] or np.any((phases < 0) | (phases >= sps)):
-        raise ValueError(f"phase must be in [0, {sps}), one per row")
-    if periods < 1 or skip_symbols < 0:
-        raise ValueError("periods must be >= 1 and skip_symbols nonnegative")
-    first = origin + phases
+    first = origin + np.asarray(phases)
     first = np.where(first < 0, first % sps, first)
     span = len(taps.coefficients)
     n = chips.period_length
@@ -383,16 +364,15 @@ def recover_symbols(stack: BasebandSignal, chips: ChipSequence,
     base = int(lo.min())
     width = int(lo.max()) - base + period + span - 1
     x = _zero_padded(x, base, base + (periods - 1) * period + width)
-    stride = x.strides[1]
-    folded = as_strided(x, shape=(len(x), periods, width),
-                        strides=(x.strides[0], period * stride, stride)
-                        ).mean(axis=1)
-    step = folded.strides[1]
+    folded = np.zeros((len(x), width), dtype=np.complex128)
+    for start in range(0, periods * period, period):
+        folded += x[:, start:start + width]
+    folded /= periods
     h_rev = taps.coefficients[::-1].astype(np.complex128)
     out = np.empty((len(x), n), dtype=np.complex128)
-    for row, offset, mean in zip(folded, lo - base, out):
-        windows = as_strided(row[offset:], shape=(n, span),
-                             strides=(sps * step, step))
+    for row, offset, mean in zip(sliding_window_view(folded, span, axis=1),
+                                 lo - base, out):
+        windows = row[offset:offset + period:sps]
         mean[:] = np.matmul(windows[:, None, :], h_rev[:, None])[:, 0, 0]
     return out
 
@@ -406,21 +386,19 @@ def _bank_rails(x: np.ndarray, taps: FilterTaps, start: int,
     Output o is the dot of row[o - (L - 1):o + 1] with the reversed taps,
     so B = BANK_WIDTH consecutive outputs are one window of B + L - 1
     samples times taps.bank. The windows of both rails of every row, B
-    samples apart, are one strided view of the rows' interleaved parts,
-    zero-padded where they run past either end of a row; each product, a
-    row's rail times the bank, has at most MAX_PRODUCT_MACS
-    multiply-adds. Requires 0 <= start and stop <= n + L - 1.
+    samples apart, are one sliding-window view of the rows' real and
+    imaginary rails, zero-padded where they run past either end of a
+    row; each product, a row's rail times the bank, has at most
+    MAX_PRODUCT_MACS multiply-adds. Requires 0 <= start and
+    stop <= n + L - 1.
     """
     bank = taps.bank
     rows, width = bank.shape
     blocks = -(-(stop - start) // width)
     lo = start - (rows - width)
     x = _zero_padded(x, lo, lo + (blocks - 1) * width + rows)
-    parts = x.view(np.float64)
-    item = parts.itemsize
-    windows = as_strided(parts, shape=(len(x), 2, blocks, rows),
-                         strides=(parts.strides[0], item, 2 * width * item,
-                                  2 * item))
+    rails = x.view(np.float64).reshape(len(x), -1, 2).transpose(0, 2, 1)
+    windows = sliding_window_view(rails, rows, axis=2)[:, :, ::width]
     out = np.empty((len(x), 2, blocks, width))
     chunk = max(1, MAX_PRODUCT_MACS // (rows * width))
     for first in range(0, blocks, chunk):

@@ -97,13 +97,10 @@ def bin_power(rows: np.ndarray, frame: FrequencySetup, tones) -> list:
     multi-row FFT, and returns |X[bin]|^2 / L^2 per tone. Negative
     offsets wrap to the upper bins. Each tone is one of the frame's: a
     campaign reads the frame's own, and sound-freq checks --tone-offset.
+    Each row holds at least L samples: a campaign's carrier step holds
+    one FFT window (FrequencySetup), and sound-freq stacks exactly L.
     """
     length = frame.fft_length
-    if rows.shape[1] < length:
-        raise ValueError(
-            f"capture of {rows.shape[1]} samples is shorter than the "
-            f"FFT length {length}"
-        )
     spectra = np.fft.fft(rows[:, :length], axis=1)
     bins = [frame.bin_index(tone_offset) for tone_offset in tones]
     return [[(abs(spectrum[k]) / length) ** 2 for k in bins]

@@ -112,7 +112,7 @@ def direct_sum(form, channel):
 def one_row(signal):
     """signal as a one-row stack, as sound-sliding hands its capture to
     the receive chain."""
-    return signal.rows(0, 0, 1, len(signal))
+    return replace(signal, samples=signal.samples[np.newaxis])
 
 
 def measure_one(capture, chips, taps, config, tx_power_db=0.0,

@@ -308,11 +308,6 @@ def test_campaign_runs_in_process_off_linux(monkeypatch):
     assert cp.run_campaign(scenario, workers=3) == serial
 
 
-def test_campaign_rejects_fewer_than_one_worker():
-    with pytest.raises(ValueError, match="^workers: must be at least 1$"):
-        cp.run_campaign(SHARDED["sliding"], workers=0)
-
-
 class Halt(BaseException):
     """Stands in for an interrupt that no handler may swallow."""
 
@@ -438,11 +433,6 @@ def test_export_records_roundtrip(tmp_path):
     assert all(list(doc) == RECORD_KEYS for doc in docs)
 
 
-def test_export_records_rejects_empty(tmp_path):
-    with pytest.raises(ValueError, match="no records"):
-        cp.export_records([], tmp_path / "empty.jsonl")
-
-
 def test_export_heatmap(tmp_path):
     scenario = small_scenario(locations=5)
     records = cp.run_campaign(scenario)
@@ -453,8 +443,6 @@ def test_export_heatmap(tmp_path):
     assert len(lines) == 6
     xs = [float(line.split(",")[0]) for line in lines[1:]]
     assert xs == sorted(xs)
-    with pytest.raises(ValueError, match="tx9"):
-        cp.export_heatmap(records, "tx9", tmp_path / "none.csv")
 
 
 def test_heatmap_monotone_in_deterministic_environment(tmp_path):
@@ -838,7 +826,8 @@ def test_blas_pool_stays_asleep(chips10, rrc_taps):
                                delays=np.array([0, 2, 7]) * config.chip_period_s)
     capture = received(burst, channel)
     # three rows, as a campaign location stacks its segments
-    stack = capture.rows(0, 0, 3, len(capture))
+    stack = replace(capture, samples=np.broadcast_to(
+        capture.samples, (3, len(capture))))
     skip = chips10.period_length
     # OpenBLAS stops its pool before a fork and starts it again at the
     # first product large enough to share; that product's threads then

@@ -562,9 +562,10 @@ def edit_sites(value, path=()):
     """Every number, null and list of a scenario document, each with the
     edits that may replace it: numbers and nulls by 0, -1, 1e-12, 1e12,
     3.04e3 or 3.1e3, which straddle the noise and received-power
-    ceilings (3030-3083 dB), or FLOAT_EXTREMES, integers also by 10**18
-    and 2**63, which a float holds but an int64 may not, and lists by
-    the empty or the reversed list."""
+    ceilings (3030-3083 dB), -3.1e3 or -4e3, below the received-power
+    floor (-3076.5 dB), or FLOAT_EXTREMES, integers also by 10**18 and
+    2**63, which a float holds but an int64 may not, and lists by the
+    empty or the reversed list."""
     if isinstance(value, dict):
         for key, item in value.items():
             yield from edit_sites(item, path + (key,))
@@ -574,7 +575,8 @@ def edit_sites(value, path=()):
             yield from edit_sites(item, path + (k,))
     elif value is None or (isinstance(value, (int, float))
                            and not isinstance(value, bool)):
-        values = (0, -1, 1e-12, 1e12, 3.04e3, 3.1e3) + FLOAT_EXTREMES
+        values = (0, -1, 1e-12, 1e12, 3.04e3, 3.1e3, -3.1e3, -4e3) \
+            + FLOAT_EXTREMES
         if isinstance(value, int):
             values += (10**18, 2**63)
         yield path, tuple(lambda _, v=v: v for v in values)
@@ -991,6 +993,67 @@ def test_loud_transmitters_below_the_ceiling_write_strict_json(tmp_path):
     assert len(records) == 6
     for record in records:
         assert record["flags"] == []
+
+
+def set_first_tx_power(db):
+    return lambda doc: doc["transmitters"][0].update(tx_power_db=db)
+
+
+def loss_out_of_range(field, loss):
+    return (f"{field}: the path loss from transmitter 'tx1' to "
+            f"receiver_path_m[0] is {loss} dB, whose linear power is not a "
+            f"positive, normal float")
+
+
+@pytest.mark.parametrize("command", ["validate", "campaign"])
+@pytest.mark.parametrize("name, edit, message", [
+    # the PN period of 1023 chips is inf s; a drawn tap was once blamed
+    ("indoor_wing_sliding",
+     lambda doc: doc["sliding"].update(chip_period_s=1.7e308),
+     "sliding.chip_period_s: 1.7e+308 s makes a PN period of 1023 chips "
+     "longer than a float holds"),
+    # the tap powers underflowed: "total tap power is zero", or, at a
+    # lower power, every record flagged no_signal
+    *[("indoor_wing_sliding", set_first_tx_power(db),
+       f"transmitters[0].tx_power_db: {db} dB less the 12 dB path loss to "
+       f"receiver_path_m[0] is {db - 12} dB, whose linear power is not a "
+       f"positive, normal float")
+      for db in (-3100, -4000, -5000, -6000, -6400)],
+    # the first position was once named
+    ("indoor_wing_sliding", set_environment(reference_distance_m=1e300),
+     loss_out_of_range("environment.reference_distance_m", "-8388")),
+    ("indoor_wing_sliding", set_environment(reference_distance_m=1e-300),
+     loss_out_of_range("environment.reference_distance_m", "8412")),
+    ("courtyard_frequency", set_environment(reference_distance_m=1e300),
+     loss_out_of_range("environment.reference_distance_m", "-6252.08")),
+    ("courtyard_frequency", set_environment(reference_distance_m=1e-300),
+     loss_out_of_range("environment.reference_distance_m", "6347.92")),
+], ids=["pn-period", "tx-power-3100", "tx-power-4000", "tx-power-5000",
+        "tx-power-6000", "tx-power-6400", "far-reference-sliding",
+        "near-reference-sliding", "far-reference-frequency",
+        "near-reference-frequency"])
+def test_input_out_of_float_range_exits_2_naming_its_field(
+        tmp_path, capsys, command, name, edit, message):
+    path = bundled_edit(tmp_path, name, edit)
+    code, _, err = run_cli(capsys, command, "--scenario", str(path),
+                           "--out-dir", str(tmp_path / "out"))
+    assert (code, err) == (2, f"ValueError: {message}\n")
+    assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
+def test_quiet_transmitters_above_the_floor_measure_their_loss(tmp_path):
+    # -2975 dB less the walk's largest path loss, 100.9 dB, is just above
+    # the floor of a positive, normal power (-3076.5 dB)
+    losses = {}
+    for db in (0.0, -2975.0):
+        path = bundled_edit(tmp_path, "indoor_wing_sliding", set_tx_power(db))
+        child = run_cli_limited("campaign", "--scenario", str(path),
+                                "--out-dir", str(tmp_path / f"out{db}"))
+        assert (child.returncode, child.stderr) == (0, "")
+        records = strict_records(tmp_path / f"out{db}" / "records.jsonl")
+        assert all(record["flags"] == [] for record in records)
+        losses[db] = [record["wideband_path_loss_db"] for record in records]
+    assert losses[-2975.0] == pytest.approx(losses[0.0], abs=1e-6)
 
 
 def set_noise_power(dbfs):

@@ -51,19 +51,13 @@ def test_schedule_slot_ownership():
 
 
 def test_segments_are_one_view_of_the_capture():
-    # the stack shares the capture's checked samples, and rows that would
-    # run past the capture are refused before any strided view is made
+    # the stack shares the capture's checked samples, read-only
     samples = np.arange(300.0).astype(np.complex128)
     segments = multitx.segment_capture(
         samples, multitx.TdmaSchedule(3, 100, 10), 1000.0, 2.0).segments
     assert np.shares_memory(segments.samples, samples)
     assert not segments.samples.flags.writeable
     assert (segments.sample_rate, segments.origin_time) == (1000.0, 2.0)
-    for first, step, count, length in ((0, 100, 3, 101), (-1, 100, 1, 10),
-                                       (10, 100, 4, 80), (0, -1, 2, 10)):
-        with pytest.raises(ValueError, match="do not fit"):
-            pulse.BasebandSignal(samples, 1000.0).rows(first, step, count,
-                                                       length)
 
 
 def test_single_transmitter_owns_everything():

@@ -175,13 +175,6 @@ def test_recover_too_short(chips10, rrc_taps):
     signal = pulse.BasebandSignal(np.zeros(10), 1e6)
     with pytest.raises(ValueError, match="shorter"):
         recover_one(signal, chips10, rrc_taps, 0, 1)
-    good = pulse.BasebandSignal(np.zeros(4096), 1e6)
-    with pytest.raises(ValueError, match="phase"):
-        recover_one(good, chips10, rrc_taps, 4, 1)
-    with pytest.raises(ValueError, match="periods"):
-        recover_one(good, chips10, rrc_taps, 0, 0)
-    with pytest.raises(ValueError, match="skip_symbols"):
-        recover_one(good, chips10, rrc_taps, 0, 1, skip_symbols=-1)
     # a stream that ends one symbol before the last averaged period does,
     # also where the filter tail overhangs the capture's end
     sps, span = rrc_taps.samples_per_symbol, len(rrc_taps.coefficients)
@@ -341,15 +334,6 @@ def test_timing_phase_planted(chips10, rrc_taps, planted):
         np.concatenate([np.zeros(planted), signal.samples]),
         signal.sample_rate, signal.origin_time)
     assert phase_of(padded, chips10, rrc_taps) == planted
-
-
-def test_receive_chain_takes_a_stack(chips10, rrc_taps):
-    # a bare capture is one row of a stack, not a stack
-    signal = modulated(chips10, 3, rrc_taps, CHIP_PERIOD)
-    with pytest.raises(ValueError, match=r"\(rows, n\) stack"):
-        pulse.estimate_timing_phase(signal, chips10, rrc_taps)
-    with pytest.raises(ValueError, match=r"\(rows, n\) stack"):
-        pulse.recover_symbols(signal, chips10, rrc_taps, np.zeros(1, int), 1)
 
 
 def test_timing_phase_zero_signal(chips10, rrc_taps):

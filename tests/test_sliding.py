@@ -386,8 +386,8 @@ def test_stacked_chain_matches_the_per_segment_oracle_row_for_row(chips10,
             waveform = expand(ch.apply_channel(burst, channel))
             row[late:] = waveform[:segment - late]
         capture[i * slot + guard:(i + 1) * slot - guard] = row
-    stack = pulse.BasebandSignal(capture, burst.sample_rate,
-                                 burst.origin_time).rows(guard, slot, 4, segment)
+    stack = pulse.BasebandSignal(capture.reshape(4, slot)[:, guard:slot - guard],
+                                 burst.sample_rate, burst.origin_time)
     profiles = sliding.measure_sliding(stack, chips10, rrc_taps, config, powers)
     assert pulse.estimate_timing_phase(stack, chips10, rrc_taps, 1023).tolist() \
         == [0, -1, 3, 1]

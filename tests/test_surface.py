@@ -79,3 +79,10 @@ def test_package_root_holds_only_its_docstring():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     assert ast.get_docstring(tree)
     assert len(tree.body) == 1
+
+
+def test_no_module_builds_a_strided_view_by_hand():
+    # numpy builds and bounds every view the package takes: reshapes,
+    # slices and sliding_window_view, never as_strided's raw strides
+    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if "as_strided" in path.read_text()] == []

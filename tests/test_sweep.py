@@ -109,12 +109,6 @@ def test_bin_power_negative_offset_wraps():
         == [[pytest.approx(0.36, abs=1e-9)]]
 
 
-def test_bin_power_rejects_short_capture(plan):
-    rows = np.zeros((1, plan.fft_length - 1), dtype=np.complex128)
-    with pytest.raises(ValueError, match="shorter"):
-        sweep.bin_power(rows, plan, plan.tone_offsets_hz)
-
-
 def test_two_tones_stay_orthogonal(plan):
     bin_width = plan.sample_rate_hz / plan.fft_length
     f1 = plan.tone_offsets_hz[0]
