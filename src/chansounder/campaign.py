@@ -26,9 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from chansounder import multitx, schema, sliding, sweep
-from chansounder.channel import EnvironmentModel, path_loss_db, synthesize_channel
+from chansounder.channel import (EnvironmentModel, path_loss_db,
+                                 synthesize_channel, wall_term_db)
 from chansounder.exceptions import NoSignalError
-from chansounder.pulse import burst_period_and_ramp, check_finite, modulate
+from chansounder.pulse import burst_period_and_ramp, modulate
 
 SCHEMA_VERSION = 1
 MODE_SLIDING = "sliding"
@@ -37,19 +38,10 @@ MODE_FREQUENCY = "frequency"
 FLAG_NO_SIGNAL = "no_signal"
 FLAG_MISALIGNED = "misaligned"
 
-
-def _power_of_ten(exponent: float) -> float:
-    """10 ** exponent, or inf where that overflows a float."""
-    try:
-        return 10.0 ** exponent
-    except OverflowError:
-        return math.inf
-
-
-def has_amplitude(power_db: float) -> bool:
-    """Whether a power in dB has a finite, nonzero linear amplitude,
-    10 ** (power_db / 20): the range of a transmitter's tx_power_db."""
-    return 0.0 < _power_of_ten(power_db / 20.0) < math.inf
+# The range of every power in dB: transmit powers, path losses and the
+# noise. Received amplitudes then stay within 1e+-100, so no sum of
+# squares over any capture, correlation or score leaves the normal floats.
+POWER_LIMIT_DB = 1000.0
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -75,9 +67,9 @@ class Transmitter:
     antenna_height_note: str | None = None
 
     def __post_init__(self):
-        if not has_amplitude(self.tx_power_db):
-            raise ValueError(f"tx_power_db: {self.tx_power_db} dB has no "
-                             f"finite, nonzero linear amplitude")
+        if not abs(self.tx_power_db) <= POWER_LIMIT_DB:
+            raise ValueError(f"tx_power_db: {self.tx_power_db} dB is "
+                             f"outside +-{POWER_LIMIT_DB:g} dB")
 
 
 @dataclass(frozen=True)
@@ -126,6 +118,10 @@ class Scenario:
             moved = name == "leakage" and self.park_mode != multitx.PARK_OFF_BAND
             if moved or block != type(block)():
                 raise ValueError(f"{name}: not read by a {self.mode} scenario")
+        if not (self.noise_power_dbfs is None
+                or self.noise_power_dbfs <= POWER_LIMIT_DB):
+            raise ValueError(f"noise_power_dbfs: {self.noise_power_dbfs} "
+                             f"dBFS is above {POWER_LIMIT_DB:g} dBFS")
         if len(self.transmitters) < 1:
             raise ValueError("transmitters: at least one transmitter required")
         if len(self.receiver_path) < 1:
@@ -214,9 +210,10 @@ def _tx_clock_offsets(scenario: Scenario, sample_rate: float) -> list:
 
 
 def _check_burst_samples(config: sliding.SounderConfig, chips, taps) -> None:
-    """Raise, before modulate allocates the burst, when it would be longer
-    than the longest slot: naming pn_degree when even the shortest burst
-    (averaging_periods 1) is, else averaging_periods."""
+    """Raise when the burst is longer than the longest slot, naming
+    pn_degree when even the shortest burst (averaging_periods 1) is, else
+    averaging_periods. Checked before the schedule is built, which would
+    blame its guard_fraction for the slot that such a burst needs."""
     period, ramp = burst_period_and_ramp(chips, taps)
     for name, periods in (("pn_degree", 1 + 2),
                           ("averaging_periods", config.averaging_periods + 2)):
@@ -256,11 +253,10 @@ def _prepare_sliding(scenario: Scenario) -> tuple:
             config.samples_per_symbol, sample_rate)
     except ValueError as exc:
         raise schema.nested("schedule", multitx.ScheduleSetup, exc) from None
-    waveforms = []  # each transmitter's burst, in period form
-    for tx in scenario.transmitters:
-        samples = burst.samples * 10.0 ** (tx.tx_power_db / 20.0)
-        check_finite(samples)
-        waveforms.append(replace(burst, samples=samples))
+    # each transmitter's burst, in period form
+    waveforms = [replace(burst, samples=burst.samples
+                         * 10.0 ** (tx.tx_power_db / 20.0))
+                 for tx in scenario.transmitters]
     return (chips, taps, waveforms, schedule,
             _tx_clock_offsets(scenario, sample_rate))
 
@@ -355,38 +351,19 @@ def _prepare_frequency(scenario: Scenario) -> list:
     return [(frame, sweep.unit_tones(frame)) for frame in frames]
 
 
-def _normal_power(loss_db: float) -> bool:
-    """Whether the linear power 10 ** (-loss_db / 10) is a positive,
-    normal float."""
-    return sys.float_info.min <= _power_of_ten(-loss_db / 10.0) < math.inf
-
-
-def _power_ceiling_db(samples: int) -> float:
-    """The highest power in dB whose sum over samples samples is a
-    finite float."""
-    return 10.0 * math.log10(sys.float_info.max / samples)
-
-
-def _check_path_losses(scenario: Scenario,
-                       capture_samples: int | None = None) -> None:
-    """Every (transmitter, location) pair's path loss must have a positive,
-    normal linear power, or the channel drawn for the pair overflows or
-    has no nonzero tap gain.
+def _check_path_losses(scenario: Scenario) -> None:
+    """Every (transmitter, location) pair's path loss must lie within
+    +-POWER_LIMIT_DB.
 
     The error names the environment coefficient that is out of that range
     by itself (the reference loss, 10 * exponent dB per decade, the
     10 * exponent * log10(reference distance) dB that the reference
-    distance takes off, or the loss of one wall), else the reference
-    loss if it weighs at least as much as the distance and wall terms
-    together, else the pair's position farther from the origin.
-
-    Given a sliding capture's length, capture_samples, each pair's
-    received power, tx_power_db less the path loss, must also be a
-    positive, normal float, or the tap powers that the receiver sums
-    underflow to zero, and summed over that many samples it must be a
-    finite float, or the capture's slot power sums overflow; the error
-    then names the transmitter's tx_power_db. A sweep's unit tones carry
-    the transmitter power only in dB.
+    distance takes off, or the loss of one wall). Else, where the pair's
+    wall term is out of range by itself, it names the wall grid spacing
+    if that is further from 1 m, in orders of magnitude, than the pair's
+    distance is. Else it names the reference loss if it weighs at least
+    as much as the distance and wall terms together, else the pair's
+    position farther from the origin.
     """
     env = scenario.environment
     coefficients = (("reference_loss_db", env.reference_loss_db),
@@ -394,8 +371,6 @@ def _check_path_losses(scenario: Scenario,
                     ("reference_distance_m", 10.0 * env.path_loss_exponent
                      * math.log10(env.reference_distance_m)),
                     ("wall_loss_db", env.wall_loss_db))
-    ceiling_db = (math.inf if capture_samples is None else
-                  _power_ceiling_db(capture_samples))
     for k, tx in enumerate(scenario.transmitters):
         for j, position in enumerate(scenario.receiver_path):
             try:
@@ -403,27 +378,18 @@ def _check_path_losses(scenario: Scenario,
             except ValueError:
                 raise ValueError(f"receiver_path_m[{j}]: coincides with "
                                  f"transmitters[{k}].position_m") from None
-            except OverflowError:  # more wall crossings than a float holds
-                loss_db = math.inf
-            if _normal_power(loss_db):
-                received_db = tx.tx_power_db - loss_db
-                if capture_samples is None or (
-                        received_db <= ceiling_db and _normal_power(-received_db)):
-                    continue
-                limit = (f"power summed over the {capture_samples}-sample "
-                         f"capture overflows a float"
-                         if received_db > ceiling_db else
-                         "linear power is not a positive, normal float")
-                raise ValueError(
-                    f"transmitters[{k}].tx_power_db: {tx.tx_power_db:.6g} "
-                    f"dB less the {loss_db:.6g} dB path loss to "
-                    f"receiver_path_m[{j}] is {received_db:.6g} dB, whose "
-                    f"{limit}")
+            if abs(loss_db) <= POWER_LIMIT_DB:
+                continue
             culprits = [name for name, db in coefficients
-                        if not _normal_power(abs(db))]
+                        if not abs(db) <= POWER_LIMIT_DB]
+            walls = wall_term_db(env, tx.position, position) > POWER_LIMIT_DB
             if culprits:
                 field = f"environment.{culprits[0]}"
-            elif abs(env.reference_loss_db) >= abs(loss_db - env.reference_loss_db):
+            elif walls and abs(math.log10(env.wall_grid_spacing_m)) > abs(
+                    math.log10(math.dist(tx.position, position))):
+                field = "environment.wall_grid_spacing_m"
+            elif not walls and abs(env.reference_loss_db) >= abs(
+                    loss_db - env.reference_loss_db):
                 field = "environment.reference_loss_db"
             elif max(map(abs, tx.position)) >= max(map(abs, position)):
                 field = f"transmitters[{k}].position_m"
@@ -431,33 +397,19 @@ def _check_path_losses(scenario: Scenario,
                 field = f"receiver_path_m[{j}]"
             raise ValueError(
                 f"{field}: the path loss from transmitter {tx.id!r} to "
-                f"receiver_path_m[{j}] is {loss_db:.6g} dB, whose linear "
-                f"power is not a positive, normal float")
+                f"receiver_path_m[{j}] is {loss_db:.6g} dB, outside "
+                f"+-{POWER_LIMIT_DB:g} dB")
 
 
 def prepare(scenario: Scenario):
     """Everything a campaign derives from its scenario before the first
     location: chips, taps, slot geometry and clock offsets, or the sweep
-    frames with their unit tones, once every pair's path loss (and in
-    sliding mode its received power over the capture the schedule sets)
-    is checked, and the noise power summed over one capture (a sliding
-    schedule's period, or one carrier step), which must be a finite float
-    for the noise draw. Raises ValueError naming the dotted field at
-    fault."""
+    frames with their unit tones, once every pair's path loss is checked.
+    Raises ValueError naming the dotted field at fault."""
+    _check_path_losses(scenario)
     if scenario.mode == MODE_SLIDING:
-        prepared = _prepare_sliding(scenario)
-        samples = prepared[3].period_samples  # the schedule's
-        _check_path_losses(scenario, samples)
-    else:
-        _check_path_losses(scenario)
-        prepared = _prepare_frequency(scenario)
-        setup = scenario.frequency
-        samples = round(setup.step_duration_s * setup.sample_rate_hz)
-    noise_db = scenario.noise_power_dbfs
-    if noise_db is not None and noise_db > _power_ceiling_db(samples):
-        raise ValueError(f"noise_power_dbfs: {noise_db:.6g} dBFS summed over "
-                         f"the {samples}-sample capture overflows a float")
-    return prepared
+        return _prepare_sliding(scenario)
+    return _prepare_frequency(scenario)
 
 
 def _run_frequency(scenario: Scenario, frames: list, locations: range) -> list:
@@ -472,7 +424,9 @@ def _run_frequency(scenario: Scenario, frames: list, locations: range) -> list:
             seeds.append(seed)
             chan, _ = synthesize_channel(scenario.environment, tx.position,
                                          position, seed, delay_grid_s=1e-9)
-            channels.append(chan)
+            # the tones are unit tones: the transmitter's level is a gain
+            channels.append(replace(chan, gains=chan.gains
+                                    * 10.0 ** (tx.tx_power_db / 20.0)))
 
         tones, losses = [], []
         for frame_index, (frame, units) in enumerate(frames):

@@ -77,9 +77,7 @@ def apply_channel(signal: PeriodForm, channel: MultipathChannel) -> PeriodForm:
 
     Each tap delay is rounded to whole samples, which a delay drawn on
     the chip grid already is; the output is extended by the largest
-    delay so no energy is dropped. The samples are not checked for
-    finiteness here: compose_received's capture holds them, and
-    segment_capture checks it once.
+    delay so no energy is dropped.
 
     A periodic signal (period P > 0) must be in modulate's form: its
     steady state runs from two periods before its head ends to one
@@ -157,23 +155,24 @@ def frequency_response(channel: MultipathChannel, frequency):
     return response
 
 
-def _wall_crossings(env: EnvironmentModel, tx_position, rx_position) -> int:
+def wall_term_db(env: EnvironmentModel, tx_position, rx_position) -> float:
+    """The loss of the walls between two positions, in dB: wall_loss_db
+    per grid line crossed on the x and y axes, or inf where more lines
+    are crossed than a float counts."""
     if env.wall_grid_spacing_m is None or env.wall_loss_db == 0.0:
-        return 0
+        return 0.0
     g = env.wall_grid_spacing_m
-    crossings = 0
-    for axis in (0, 1):
-        crossings += abs(math.floor(rx_position[axis] / g)
-                         - math.floor(tx_position[axis] / g))
-    return crossings
+    try:
+        return env.wall_loss_db * sum(
+            abs(math.floor(rx_position[axis] / g)
+                - math.floor(tx_position[axis] / g)) for axis in (0, 1))
+    except OverflowError:
+        return math.inf
 
 
 def path_loss_db(env: EnvironmentModel, tx_position, rx_position) -> float:
-    """Log-distance path loss plus wall losses between two positions, in dB.
-
-    May raise OverflowError for positions so far apart that their wall
-    crossings do not fit a float.
-    """
+    """Log-distance path loss plus wall losses between two positions, in
+    dB."""
     tx = np.asarray(tx_position, dtype=np.float64)
     rx = np.asarray(rx_position, dtype=np.float64)
     # the norm's dot overflows to inf for coordinates beyond about 1e154;
@@ -185,7 +184,7 @@ def path_loss_db(env: EnvironmentModel, tx_position, rx_position) -> float:
     return (env.reference_loss_db
             + 10.0 * env.path_loss_exponent
             * math.log10(distance / env.reference_distance_m)
-            + env.wall_loss_db * _wall_crossings(env, tx_position, rx_position))
+            + wall_term_db(env, tx_position, rx_position))
 
 
 def synthesize_channel(env: EnvironmentModel, tx_position, rx_position,

@@ -187,14 +187,15 @@ def _join_float_values(argv) -> list:
 
 def _check_float_flags(args) -> None:
     """Raise naming the first float flag given a NaN or an infinity, or a
-    --tx-power-db out of a scenario's tx_power_db range."""
+    --tx-power-db outside +-campaign.POWER_LIMIT_DB, the range of a
+    scenario's tx_power_db."""
     for flag, name in _FLOAT_FLAGS.items():
         value = getattr(args, name, None)
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{flag}: must be finite, got {value}")
-    if not campaign.has_amplitude(getattr(args, "tx_power_db", 0.0)):
-        raise ValueError(f"--tx-power-db: {args.tx_power_db} dB has no "
-                         f"finite, nonzero linear amplitude")
+    if not abs(getattr(args, "tx_power_db", 0.0)) <= campaign.POWER_LIMIT_DB:
+        raise ValueError(f"--tx-power-db: {args.tx_power_db} dB is "
+                         f"outside +-{campaign.POWER_LIMIT_DB:g} dB")
 
 
 def build_parser() -> argparse.ArgumentParser:

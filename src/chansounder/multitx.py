@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from chansounder.channel import MultipathChannel, add_noise, apply_channel
-from chansounder.pulse import BasebandSignal, PeriodForm, check_finite
+from chansounder.pulse import BasebandSignal, PeriodForm
 from chansounder.sweep import FrequencySetup
 
 PARK_OFF_BAND = "off_band"
@@ -254,20 +254,14 @@ def compose_received(scene, schedule: TdmaSchedule, leak_gain: float = 0.0,
     for, is added in place by channel.add_noise from a generator seeded
     with seed, through its buffer of at most NOISE_CHUNK floats, so the
     capture is the one capture-length array made here.
-
-    Returns the capture's samples, not yet checked: segment_capture
-    proves them finite with the slot powers that it sums anyway, so no
-    pass over the capture is made for the check alone. A sum that
-    overflows raises no numpy warning here; that check reports it.
     """
     n = schedule.period_samples
     out = np.zeros(n, dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, tx in enumerate(scene):
-            received = apply_channel(tx.waveform, tx.channel)
-            _place_by_slices(out, received, tx.clock_offset_samples, i,
-                             schedule, leak_gain)
-        add_noise(out, noise_power_dbfs, seed)
+    for i, tx in enumerate(scene):
+        received = apply_channel(tx.waveform, tx.channel)
+        _place_by_slices(out, received, tx.clock_offset_samples, i,
+                         schedule, leak_gain)
+    add_noise(out, noise_power_dbfs, seed)
     return out
 
 
@@ -283,41 +277,25 @@ def _mean_power(samples: np.ndarray) -> float:
 def guard_core_power_ratio(samples: np.ndarray,
                            schedule: TdmaSchedule) -> float:
     """Power in the guard trims relative to the busiest slot core, of a
-    contiguous complex128 capture, whose samples it proves finite.
+    contiguous complex128 capture.
 
     Bursts sit inside the slot cores and leave the guard trims nearly
     silent; once clock error pushes a burst past its guard, the ratio
     approaches one. Offsets that are exact multiples of the slot length
     move bursts whole slots and remain invisible here.
-
-    A sum of squares is finite only when every summand is, so a finite
-    mean power proves its region finite. The exact check reads only what
-    that leaves unproven: the whole capture when a region's power is not
-    finite (NaN or inf, or finite samples whose squares overflow) or
-    when there is no guard, else the samples past the period. It raises
-    ValueError("samples must be finite").
     """
     trim = schedule.guard_samples
     slot_samples = schedule.slot_samples
     guard_power = 0.0
     core_power = 0.0
-    proven = 0
     if trim >= 1:
-        finite = True
         for i in range(schedule.transmitter_count):
             lo = i * slot_samples
             hi = lo + slot_samples
-            head = _mean_power(samples[lo:lo + trim])
-            tail = _mean_power(samples[hi - trim:hi])
-            core = _mean_power(samples[lo + trim:hi - trim])
-            # each region by itself: max() passes over a NaN
-            finite = finite and math.isfinite(head) and \
-                math.isfinite(tail) and math.isfinite(core)
-            guard_power = max(guard_power, head, tail)
-            core_power = max(core_power, core)
-        if finite:
-            proven = schedule.period_samples
-    check_finite(samples[proven:])
+            guard_power = max(guard_power, _mean_power(samples[lo:lo + trim]),
+                              _mean_power(samples[hi - trim:hi]))
+            core_power = max(core_power,
+                             _mean_power(samples[lo + trim:hi - trim]))
     if core_power == 0.0:
         return 0.0
     return float(guard_power / core_power)
@@ -331,14 +309,12 @@ def segment_capture(samples: np.ndarray, schedule: TdmaSchedule,
 
     The capture, a contiguous complex128 array, must begin at a period
     boundary of the receiver's clock and span at least one period, as
-    compose_received's does. Its samples are checked here, once, by
-    guard_core_power_ratio, which raises ValueError("samples must be
-    finite"). The schedule's guard is discarded from both ends of every
-    slot to absorb small clock offsets, so segment i starts where
-    transmitter i's burst starts when its clock agrees with the
+    compose_received's does. The schedule's guard is discarded from both
+    ends of every slot to absorb small clock offsets, so segment i starts
+    where transmitter i's burst starts when its clock agrees with the
     receiver's. The segments are one stack, a read-only
     (transmitter_count, slot_samples - 2 * guard_samples) view of the
-    checked capture's first period, with its origin_time. Captures whose
+    capture's first period, with its origin_time. Captures whose
     guard regions carry slot-core-level power are flagged as misaligned.
     """
     ratio = guard_core_power_ratio(samples, schedule)

@@ -66,8 +66,8 @@ class BasebandSignal:
     signal whose samples are (rows, n), rows of n samples that each
     start at origin_time, such as segment_capture's segments or
     sound-sliding's capture with a new first axis. The samples are not
-    checked here: read_iq proves a capture finite, and segment_capture
-    a composed one.
+    checked here: read_iq proves a capture finite, and a composed one is
+    finite because every power is in campaign.POWER_LIMIT_DB's range.
     """
 
     samples: np.ndarray
@@ -80,13 +80,6 @@ class BasebandSignal:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-
-def check_finite(samples: np.ndarray) -> None:
-    """Raise ValueError("samples must be finite") unless every real and
-    imaginary part of the contiguous complex128 samples is finite."""
-    if not np.isfinite(samples.view(np.float64)).all():
-        raise ValueError("samples must be finite")
 
 
 def _rrc_closed_form(rolloff: float, span_symbols: int,
@@ -220,9 +213,7 @@ class PeriodForm:
 
     modulate's burst is one, with the ramp-in and two periods in its
     head and one period and the ramp-out in its tail, and so is the
-    received waveform that channel.apply_channel makes of it. The
-    samples are not checked here: the campaign checks each
-    transmitter's scaled copy of modulate's.
+    received waveform that channel.apply_channel makes of it.
     """
 
     samples: np.ndarray
@@ -446,13 +437,8 @@ def estimate_timing_phase(stack: BasebandSignal, chips: ChipSequence,
             "signal does not contain a full chip period at every phase"
         )
     rails = _bank_rails(stack.samples, taps, start, stop)
-    peaks = np.maximum(rails.max(axis=(1, 2)), -rails.min(axis=(1, 2)))
-    # scaled by the power of two that brings each row's largest part into
-    # [0.5, 1), the scores cannot overflow at any finite capture; the
-    # scaling is exact, so no argmax changes
-    _, exponents = np.frexp(peaks)
-    rails = np.ldexp(rails, -exponents[:, None, None]).reshape(-1, 2, n, sps)
-    return np.where(peaks > 0.0, np.argmax(_phase_scores(rails), axis=1), -1)
+    scores = _phase_scores(rails.reshape(-1, 2, n, sps))
+    return np.where(~rails.any(axis=(1, 2)), -1, np.argmax(scores, axis=1))
 
 
 def _phase_scores(rails: np.ndarray) -> np.ndarray:

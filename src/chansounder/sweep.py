@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from chansounder.channel import MultipathChannel, add_noise
-from chansounder.pulse import check_finite
 
 
 @dataclass(frozen=True)
@@ -112,9 +111,9 @@ def narrowband_losses(rows: np.ndarray, frame: FrequencySetup, tones,
     """Per tone, its narrowband path loss at every carrier step.
 
     rows holds one capture per carrier step, in carrier order. Tone k is
-    sent at unit amplitude by a transmitter of tx_powers_db[k], so its
-    loss at a step is tx_powers_db[k] - 10*log10(bin power), or None
-    where its bin holds no power.
+    sent by a transmitter of tx_powers_db[k], so its loss at a step is
+    tx_powers_db[k] - 10*log10(bin power), or None where its bin holds
+    no power.
     """
     losses = [[] for _ in tones]
     for powers in bin_power(rows, frame, tones):
@@ -175,7 +174,6 @@ def compose_sweep_capture(entries, frame: FrequencySetup, units: dict, seeds,
     place: the first tone straight into it, each further one formed in
     its own buffer and then added. Noise, when asked for, is added to
     row k by channel.add_noise from a generator seeded with seeds[k].
-    The samples of all rows are checked for finiteness once, together.
 
     out, when given, is a complex128 (steps, samples) array, such as an
     earlier frame's rows, that is overwritten and returned: a campaign
@@ -195,5 +193,4 @@ def compose_sweep_capture(entries, frame: FrequencySetup, units: dict, seeds,
             if k:
                 row += tone
         add_noise(row, noise_power_dbfs, seed)
-    check_finite(rows)
     return rows

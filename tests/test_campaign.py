@@ -191,9 +191,10 @@ floats = st.lists(finite, max_size=4).map(tuple)
 def scenarios(draw):
     ids = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1,
                         max_size=4, unique=True))
-    # powers whose linear amplitude is a finite, nonzero float
+    # powers in the power range
+    limit = cp.POWER_LIMIT_DB
     transmitters = tuple(
-        cp.Transmitter(tx_id, draw(point), draw(st.floats(-6000.0, 6000.0)),
+        cp.Transmitter(tx_id, draw(point), draw(st.floats(-limit, limit)),
                        draw(st.none() | st.text(max_size=12)))
         for tx_id in ids)
     path = tuple(draw(st.lists(point, min_size=1, max_size=4)))
@@ -218,7 +219,8 @@ def scenarios(draw):
                              st.just(math.inf) | nonnegative, nonnegative),
         "park_mode": st.sampled_from([multitx.PARK_OFF_BAND,
                                       multitx.PARK_IN_BAND]),
-        "noise_power_dbfs": st.none() | finite,
+        "noise_power_dbfs": st.none() | st.floats(max_value=limit,
+                                                  allow_infinity=False),
         "geo": st.none() | st.lists(st.none() | st.text(max_size=6) | finite,
                                     min_size=len(path),
                                     max_size=len(path)).map(tuple),
@@ -495,6 +497,21 @@ def test_receiver_offset_equivalent_to_shifting_transmitters():
     via_tx = small_scenario(
         locations=2, clocks=cp.ClockSetup(tx_offsets_s=(-delta, -delta)))
     assert cp.run_campaign(via_rx) == cp.run_campaign(via_tx)
+
+
+def test_frequency_records_do_not_move_with_the_transmit_power():
+    # the unit tones once carried only the path loss, so a transmitter
+    # 10 dB louder recorded a loss 10 dB higher
+    scenario = small_scenario(mode="frequency", locations=2)
+    first, second = scenario.transmitters
+    louder = replace(scenario, transmitters=(
+        replace(first, tx_power_db=10.0), second))
+    for base, loud in zip(cp.run_campaign(scenario),
+                          cp.run_campaign(louder), strict=True):
+        assert loud["wideband_path_loss_db"] == pytest.approx(
+            base["wideband_path_loss_db"], abs=1e-9)
+        assert loud["narrowband_losses_db"] == pytest.approx(
+            base["narrowband_losses_db"], abs=1e-9)
 
 
 def test_frequency_mode_spills_into_extra_frames():

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -445,7 +446,7 @@ FREQUENCY_FIELD_CASES = [
          "transmitters[0].position_m[0]"),
         (None, "receiver_path_m", [[2.0, 3.0, 1.2], [3.0, 3.0]],
          "receiver_path_m[1]"),
-        # powers whose linear amplitude overflows or underflows a float
+        # powers outside the power range
         ("transmitters", "tx_power_db", 1e12, "transmitters[0].tx_power_db"),
         ("transmitters", "tx_power_db", -1e12, "transmitters[0].tx_power_db"),
         ("leakage", "parked_leakage_db", -1.0, "leakage.parked_leakage_db"),
@@ -561,11 +562,10 @@ FLOAT_EXTREMES = (1e301, -1e301, 1.7e308, -1.7e308, 5e-324)
 def edit_sites(value, path=()):
     """Every number, null and list of a scenario document, each with the
     edits that may replace it: numbers and nulls by 0, -1, 1e-12, 1e12,
-    3.04e3 or 3.1e3, which straddle the noise and received-power
-    ceilings (3030-3083 dB), -3.1e3 or -4e3, below the received-power
-    floor (-3076.5 dB), or FLOAT_EXTREMES, integers also by 10**18 and
-    2**63, which a float holds but an int64 may not, and lists by the
-    empty or the reversed list."""
+    +-1e3 or +-1.001e3, which straddle either end of the power range
+    (+-1000 dB), or FLOAT_EXTREMES, integers also by 10**18 and 2**63,
+    which a float holds but an int64 may not, and lists by the empty or
+    the reversed list."""
     if isinstance(value, dict):
         for key, item in value.items():
             yield from edit_sites(item, path + (key,))
@@ -575,7 +575,7 @@ def edit_sites(value, path=()):
             yield from edit_sites(item, path + (k,))
     elif value is None or (isinstance(value, (int, float))
                            and not isinstance(value, bool)):
-        values = (0, -1, 1e-12, 1e12, 3.04e3, 3.1e3, -3.1e3, -4e3) \
+        values = (0, -1, 1e-12, 1e12, 1e3, 1.001e3, -1e3, -1.001e3) \
             + FLOAT_EXTREMES
         if isinstance(value, int):
             values += (10**18, 2**63)
@@ -656,24 +656,32 @@ def set_environment(**fields):
     ("courtyard_frequency", set_environment(path_loss_exponent=1e12),
      "environment.path_loss_exponent", "dB"),
     # in range by itself, but 0.1 m from the transmitter the distance
-    # term's -28 dB tips the power over; the position was once named
-    ("indoor_wing_sliding", set_environment(reference_loss_db=-3070.0),
-     "environment.reference_loss_db", "-3098 dB"),
-    # 1.7e11 walls of 3 dB between the pair
+    # term's -28 dB tips the loss over; the position was once named
+    ("indoor_wing_sliding", set_environment(reference_loss_db=-990.0),
+     "environment.reference_loss_db", "-1018 dB"),
+    # 1.7e11 walls of 3 dB between the pair, 1e12 m apart: the position
+    # is further from 1 m than the 6 m grid spacing
     ("indoor_wing_sliding",
      lambda doc: doc["transmitters"][0]["position_m"].__setitem__(0, 1e12),
      "transmitters[0].position_m", "5e+11 dB"),
     ("indoor_wing_sliding",
      lambda doc: doc["receiver_path_m"][1].__setitem__(1, -1e12),
      "receiver_path_m[1]", "5e+11 dB"),
-    # more walls between the pair than a float counts
+    # more walls between the pair than a float counts: the grid spacing
+    # is 300 orders of magnitude from 1 m, the pair's distance 10, so
+    # the spacing is named, though the position is at fault too
     ("indoor_wing_sliding",
      lambda doc: (doc["receiver_path_m"][1].__setitem__(1, -1e10),
                   doc["environment"].update(wall_grid_spacing_m=1e-300)),
-     "receiver_path_m[1]", "inf dB"),
+     "environment.wall_grid_spacing_m", "inf dB"),
+    # 3e300 walls between pairs a few metres apart; the position was
+    # once named
+    ("indoor_wing_sliding", set_environment(wall_grid_spacing_m=1e-300),
+     "environment.wall_grid_spacing_m", "9e+300 dB"),
 ], ids=["reference-sliding", "reference-frequency", "exponent-sliding",
         "exponent-frequency", "reference-near-transmitter",
-        "transmitter-position", "receiver-position", "uncountable-walls"])
+        "transmitter-position", "receiver-position", "uncountable-walls",
+        "tiny-wall-spacing"])
 def test_path_loss_outside_float_range_exits_2(tmp_path, capsys, command,
                                                name, edit, field, loss):
     path = bundled_edit(tmp_path, name, edit)
@@ -683,7 +691,7 @@ def test_path_loss_outside_float_range_exits_2(tmp_path, capsys, command,
     assert len(err.strip().splitlines()) == 1
     assert err.startswith(f"ValueError: {field}: the path loss from "
                           f"transmitter 'tx1' to receiver_path_m[")
-    assert f"{loss}, whose linear power" in err
+    assert err.endswith(f"{loss}, outside +-1000 dB\n")
     assert not (tmp_path / "out" / "records.jsonl").exists()
 
 
@@ -912,27 +920,26 @@ def test_drawn_tap_past_the_slot_room_exits_2(tmp_path, capsys):
 
 
 def test_near_float_limit_path_loss_runs_without_warnings(tmp_path):
-    # a -3000 dB reference loss is in range and gives taps near 1e150; the
-    # timing search's phase scores once overflowed on them (a
-    # RuntimeWarning on stderr, then a phase picked from inf/nan scores)
+    # a -971.5 dB reference loss puts the walk's path losses between
+    # -999.5 and -911 dB, inside the power range, and gives taps near
+    # 1e50; at -3000 dB the timing search's phase scores once overflowed
+    # (a RuntimeWarning on stderr, then a phase picked from inf/nan scores)
     path = bundled_edit(tmp_path, "indoor_wing_sliding",
-                        set_environment(reference_loss_db=-3000.0))
+                        set_environment(reference_loss_db=-971.5))
     child = run_cli_limited("campaign", "--scenario", str(path),
                             "--out-dir", str(tmp_path / "out"))
     assert (child.returncode, child.stderr) == (0, "")
-    records = [json.loads(line) for line in
-               (tmp_path / "out" / "records.jsonl").read_text().splitlines()]
+    records = strict_records(tmp_path / "out" / "records.jsonl")
     assert len(records) == 6
     for record in records:
         assert record["flags"] == []
-        assert -3100.0 < record["wideband_path_loss_db"] < -2900.0
+        assert -1000.0 < record["wideband_path_loss_db"] < -900.0
 
 
 def test_overflowing_channel_output_exits_2_with_one_stderr_line(tmp_path):
     # each tap of every channel output would overflow to inf or NaN; the
-    # received power is rejected before any channel is drawn, and numpy
-    # prints no warning ahead of the one line (the capture's own check,
-    # made by the slot powers, once reported it)
+    # transmit power is rejected where it enters, before any channel is
+    # drawn, and numpy prints no warning ahead of the one line
     def loud(doc):
         doc["environment"]["reference_loss_db"] = -200.0
         for tx in doc["transmitters"]:
@@ -942,9 +949,8 @@ def test_overflowing_channel_output_exits_2_with_one_stderr_line(tmp_path):
     child = run_cli_limited("campaign", "--scenario", str(path),
                             "--out-dir", str(tmp_path / "out"))
     assert (child.returncode, child.stderr) == (
-        2, "ValueError: transmitters[0].tx_power_db: 6100 dB less the -228 "
-           "dB path loss to receiver_path_m[0] is 6328 dB, whose power "
-           "summed over the 163848-sample capture overflows a float\n")
+        2, "ValueError: transmitters[0].tx_power_db: 6100.0 dB is outside "
+           "+-1000 dB\n")
     assert not (tmp_path / "out" / "records.jsonl").exists()
 
 
@@ -978,14 +984,14 @@ def test_overflowing_received_power_exits_2_naming_tx_power(tmp_path,
     child = run_cli_limited(command, "--scenario", str(path),
                             "--out-dir", str(tmp_path / "out"))
     assert (child.returncode, child.stderr) == (
-        2, "ValueError: transmitters[0].tx_power_db: 3200 dB less the 12 "
-           "dB path loss to receiver_path_m[0] is 3188 dB, whose power "
-           "summed over the 163848-sample capture overflows a float\n")
+        2, "ValueError: transmitters[0].tx_power_db: 3200.0 dB is outside "
+           "+-1000 dB\n")
     assert not (tmp_path / "out" / "records.jsonl").exists()
 
 
 def test_loud_transmitters_below_the_ceiling_write_strict_json(tmp_path):
-    path = bundled_edit(tmp_path, "indoor_wing_sliding", set_tx_power(3000.0))
+    path = bundled_edit(tmp_path, "indoor_wing_sliding",
+                        set_tx_power(cp.POWER_LIMIT_DB))
     child = run_cli_limited("campaign", "--scenario", str(path),
                             "--out-dir", str(tmp_path / "out"))
     assert (child.returncode, child.stderr) == (0, "")
@@ -1001,8 +1007,22 @@ def set_first_tx_power(db):
 
 def loss_out_of_range(field, loss):
     return (f"{field}: the path loss from transmitter 'tx1' to "
-            f"receiver_path_m[0] is {loss} dB, whose linear power is not a "
-            f"positive, normal float")
+            f"receiver_path_m[0] is {loss} dB, outside +-1000 dB")
+
+
+def set_noise_power(dbfs):
+    return lambda doc: doc.update(noise_power_dbfs=dbfs)
+
+
+def flat_loss(db):
+    """Every pair's path loss the reference loss, db: an exponent of
+    1e-300 leaves no distance term (the frequency walk has no walls)."""
+    return set_environment(reference_loss_db=db, path_loss_exponent=1e-300)
+
+
+# the next floats past either end of the power range
+PAST_LIMIT = math.nextafter(cp.POWER_LIMIT_DB, math.inf)
+PAST_MINUS_LIMIT = math.nextafter(-cp.POWER_LIMIT_DB, -math.inf)
 
 
 @pytest.mark.parametrize("command", ["validate", "campaign"])
@@ -1015,9 +1035,7 @@ def loss_out_of_range(field, loss):
     # the tap powers underflowed: "total tap power is zero", or, at a
     # lower power, every record flagged no_signal
     *[("indoor_wing_sliding", set_first_tx_power(db),
-       f"transmitters[0].tx_power_db: {db} dB less the 12 dB path loss to "
-       f"receiver_path_m[0] is {db - 12} dB, whose linear power is not a "
-       f"positive, normal float")
+       f"transmitters[0].tx_power_db: {db:.1f} dB is outside +-1000 dB")
       for db in (-3100, -4000, -5000, -6000, -6400)],
     # the first position was once named
     ("indoor_wing_sliding", set_environment(reference_distance_m=1e300),
@@ -1028,10 +1046,27 @@ def loss_out_of_range(field, loss):
      loss_out_of_range("environment.reference_distance_m", "-6252.08")),
     ("courtyard_frequency", set_environment(reference_distance_m=1e-300),
      loss_out_of_range("environment.reference_distance_m", "6347.92")),
+    # one float past either end of the range of each power
+    *[(name, set_first_tx_power(db),
+       f"transmitters[0].tx_power_db: {db!r} dB is outside +-1000 dB")
+      for name in ("indoor_wing_sliding", "courtyard_frequency")
+      for db in (PAST_LIMIT, PAST_MINUS_LIMIT)],
+    *[(name, set_noise_power(PAST_LIMIT),
+       f"noise_power_dbfs: {PAST_LIMIT!r} dBFS is above 1000 dBFS")
+      for name in ("indoor_wing_sliding", "courtyard_frequency")],
+    # a path loss past the range, the reference loss's by itself
+    *[("courtyard_frequency", flat_loss(db), loss_out_of_range(
+        "environment.reference_loss_db", f"{db:.6g}"))
+      for db in (PAST_LIMIT, PAST_MINUS_LIMIT)],
 ], ids=["pn-period", "tx-power-3100", "tx-power-4000", "tx-power-5000",
         "tx-power-6000", "tx-power-6400", "far-reference-sliding",
         "near-reference-sliding", "far-reference-frequency",
-        "near-reference-frequency"])
+        "near-reference-frequency", "sliding-tx-power-past-plus-limit",
+        "sliding-tx-power-past-minus-limit",
+        "frequency-tx-power-past-plus-limit",
+        "frequency-tx-power-past-minus-limit", "sliding-noise-past-limit",
+        "frequency-noise-past-limit", "path-loss-past-plus-limit",
+        "path-loss-past-minus-limit"])
 def test_input_out_of_float_range_exits_2_naming_its_field(
         tmp_path, capsys, command, name, edit, message):
     path = bundled_edit(tmp_path, name, edit)
@@ -1042,10 +1077,10 @@ def test_input_out_of_float_range_exits_2_naming_its_field(
 
 
 def test_quiet_transmitters_above_the_floor_measure_their_loss(tmp_path):
-    # -2975 dB less the walk's largest path loss, 100.9 dB, is just above
-    # the floor of a positive, normal power (-3076.5 dB)
+    # at -1000 dB, the floor of the power range, every record measures
+    # the loss that a 0 dB transmitter measures
     losses = {}
-    for db in (0.0, -2975.0):
+    for db in (0.0, -cp.POWER_LIMIT_DB):
         path = bundled_edit(tmp_path, "indoor_wing_sliding", set_tx_power(db))
         child = run_cli_limited("campaign", "--scenario", str(path),
                                 "--out-dir", str(tmp_path / f"out{db}"))
@@ -1053,11 +1088,17 @@ def test_quiet_transmitters_above_the_floor_measure_their_loss(tmp_path):
         records = strict_records(tmp_path / f"out{db}" / "records.jsonl")
         assert all(record["flags"] == [] for record in records)
         losses[db] = [record["wideband_path_loss_db"] for record in records]
-    assert losses[-2975.0] == pytest.approx(losses[0.0], abs=1e-6)
+    assert losses[-cp.POWER_LIMIT_DB] == pytest.approx(losses[0.0], abs=1e-6)
 
 
-def set_noise_power(dbfs):
-    return lambda doc: doc.update(noise_power_dbfs=dbfs)
+def capture_samples(name):
+    """The samples in one capture of a bundled scenario: its TDMA
+    period, or one carrier step."""
+    scenario = cp.load_scenario(BUNDLED / f"{name}.json")
+    if scenario.mode == cp.MODE_SLIDING:
+        return cp.prepare(scenario)[3].period_samples  # the schedule's
+    setup = scenario.frequency
+    return round(setup.step_duration_s * setup.sample_rate_hz)
 
 
 @pytest.mark.parametrize("command", ["validate", "campaign"])
@@ -1074,22 +1115,112 @@ def test_overflowing_noise_power_exits_2_naming_it(tmp_path, command, name,
     child = run_cli_limited(command, "--scenario", str(path),
                             "--out-dir", str(tmp_path / "out"))
     assert (child.returncode, child.stderr) == (
-        2, f"ValueError: noise_power_dbfs: {dbfs:g} dBFS summed over the "
-           f"{samples}-sample capture overflows a float\n")
+        2, f"ValueError: noise_power_dbfs: {dbfs!r} dBFS is above 1000 dBFS\n")
     assert not (tmp_path / "out" / "records.jsonl").exists()
+    # summed over one capture, the rejected noise power overflows a
+    # float, and the limit's stays far inside it
+    assert capture_samples(name) == samples
+    top = math.log10(sys.float_info.max)
+    assert dbfs / 10 + math.log10(samples) > top
+    assert cp.POWER_LIMIT_DB / 10 + math.log10(samples) < top - 200
 
 
-@pytest.mark.parametrize("name, dbfs", [("indoor_wing_sliding", 3030.0),
-                                        ("courtyard_frequency", 3045.0)])
+@pytest.mark.parametrize("name, dbfs", [
+    ("indoor_wing_sliding", cp.POWER_LIMIT_DB),
+    ("courtyard_frequency", cp.POWER_LIMIT_DB)])
 def test_loud_noise_below_the_ceiling_writes_strict_json(tmp_path, name, dbfs):
-    # the ceilings are 3030.4 dBFS over the sliding capture and 3045.6
-    # dBFS over one carrier step
+    # the ceiling is the power range's, 1000 dBFS, in either mode
     path = bundled_edit(tmp_path, name, set_noise_power(dbfs))
     child = run_cli_limited("campaign", "--scenario", str(path),
                             "--out-dir", str(tmp_path / "out"))
     assert (child.returncode, child.stderr) == (0, "")
     assert len(strict_records(tmp_path / "out" / "records.jsonl")) \
         == 2 * len(cut_bundled(name)["transmitters"])
+
+
+def edge_of_range(loud):
+    """An edit to the bundled scenarios that puts every power at one end
+    of the range: with loud, transmitters at +1000 dB, path losses near
+    -1000 dB, noise at +1000 dBFS and, in sliding mode, leakage in band;
+    else transmitters at -1000 dB and path losses near +1000 dB. The
+    walks' path losses span 12 to 101 dB (sliding, reference loss 40 dB)
+    and 47.9 to 70 dB (frequency, 38 dB)."""
+    def edit(doc):
+        sliding_mode = doc["mode"] == "sliding"
+        set_tx_power(cp.POWER_LIMIT_DB if loud else -cp.POWER_LIMIT_DB)(doc)
+        doc["environment"]["reference_loss_db"] = (
+            (-971.5 if sliding_mode else -1000.0) if loud
+            else (935.0 if sliding_mode else 967.5))
+        if loud:
+            doc["noise_power_dbfs"] = cp.POWER_LIMIT_DB
+            if sliding_mode:
+                doc["leakage"]["park_mode"] = "in_band"
+    return edit
+
+
+@pytest.mark.parametrize("name, edit", [
+    *[(name, edge_of_range(loud))
+      for name in ("indoor_wing_sliding", "courtyard_frequency")
+      for loud in (True, False)],
+    *[("courtyard_frequency", flat_loss(db))
+      for db in (cp.POWER_LIMIT_DB, -cp.POWER_LIMIT_DB)],
+], ids=["sliding-loud", "sliding-quiet", "frequency-loud", "frequency-quiet",
+        "path-loss-at-plus-limit", "path-loss-at-minus-limit"])
+def test_campaign_at_the_edge_of_the_power_range_writes_strict_json(
+        tmp_path, name, edit):
+    path = bundled_edit(tmp_path, name, edit)
+    child = run_cli_limited("campaign", "--scenario", str(path),
+                            "--out-dir", str(tmp_path / "out"))
+    assert (child.returncode, child.stderr) == (0, "")
+    records = strict_records(tmp_path / "out" / "records.jsonl")
+    assert len(records) == 2 * len(cut_bundled(name)["transmitters"])
+    assert all(record["wideband_path_loss_db"] is not None
+               for record in records)
+
+
+def leaky_and_noisy(doc):
+    """In-band leakage, -70 dBFS of noise and unequal transmit powers:
+    the near-far, no-signal and noise paths of a sliding campaign."""
+    doc["leakage"]["park_mode"] = "in_band"
+    doc["noise_power_dbfs"] = -70.0
+    for tx, db in zip(doc["transmitters"], (0.0, -6.0, -12.0)):
+        tx["tx_power_db"] = db
+
+
+# sha256 of every file that a campaign writes, per scenario: a change
+# that moves any of these bytes says which fields moved, and why, and
+# pins the new digests
+OUTPUT_DIGESTS = {
+    "indoor_wing_sliding": {
+        "records.jsonl": "87d7a2959b2c44426223e937e630d025df6f57bfdce3befcf4aa3df65949f6c9",
+        "heatmap_tx1.csv": "c8b4e2564074b62a623cf19796a12bc4aba753add41f181beefbeeda0ff38042",
+        "heatmap_tx2.csv": "87789a1e27d99c0cc4f14e8bfa08c57012a8f02ebe74ccf5a614359162202af5",
+        "heatmap_tx3.csv": "61dc79f94d73c4ed2a868e3a2892f44c96cb3b6203066946408dd8cfd197c299",
+    },
+    "courtyard_frequency": {
+        "records.jsonl": "a8e5aec4a315d882e9211b03ab44b8c5d44710993b7186b1fe0f72f0b69167d1",
+        "heatmap_tx1.csv": "8eccfcb5d1ae3ded46b7dcce26b2c8851186213d559f2133cc17ed9d22da71ee",
+        "heatmap_tx2.csv": "90c4c261e6a6930518eb792dc27bece1e263e8f0922f419d5acbc374bec5663c",
+    },
+    "leaky-and-noisy": {
+        "records.jsonl": "0727b1839f5e806b299923e2c2cc342e272068f9fcd18fa9a9c3325ace9fef48",
+        "heatmap_tx1.csv": "74f64217d70d9329c487b2ad1f1febe803afd3c147582070b53d9e6afe418b8d",
+        "heatmap_tx2.csv": "6e91e2999c8908e5a56f75354db359b38c3b926d2c8614b57adbffda0a2a8785",
+        "heatmap_tx3.csv": "bc440c331877a7bccb00c2541d9044faee42a03fe20137a5a1043e8507de9589",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_DIGESTS))
+def test_campaign_output_bytes_are_pinned(tmp_path, capsys, name):
+    path = (bundled_edit(tmp_path, "indoor_wing_sliding", leaky_and_noisy)
+            if name == "leaky-and-noisy" else BUNDLED / f"{name}.json")
+    code, _, err = run_cli(capsys, "campaign", "--scenario", str(path),
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == 0, err
+    written = {file.name: hashlib.sha256(file.read_bytes()).hexdigest()
+               for file in (tmp_path / "out").iterdir()}
+    assert written == OUTPUT_DIGESTS[name]
 
 
 def run_cli_forked(*argv, address_space=2 << 30, seconds=60):
@@ -1578,8 +1709,15 @@ def test_float_flags_exit_0_or_2_naming_the_flag(tmp_path_factory, drawn):
      "ValueError: --chip-period: must be finite, got inf"),
     # the mean of ten such losses overflowed to Infinity, with a warning
     ("sound-freq", "--tx-power-db", "1e308",
-     "ValueError: --tx-power-db: 1e+308 dB has no finite, nonzero linear "
-     "amplitude"),
+     "ValueError: --tx-power-db: 1e+308 dB is outside +-1000 dB"),
+    # the power range's ends, and one float past each
+    *[(command, "--tx-power-db", repr(db), None)
+      for command in ("sound-sliding", "sound-freq") for db in (1e3, -1e3)],
+    *[(command, "--tx-power-db", repr(db),
+       f"ValueError: --tx-power-db: {db!r} dB is outside +-1000 dB")
+      for command in ("sound-sliding", "sound-freq")
+      for db in (math.nextafter(1e3, math.inf),
+                 math.nextafter(-1e3, -math.inf))],
     # pi / (4 * rolloff) overflowed: "ValueError: math domain error"
     ("sound-sliding", "--rolloff", "1e-310", None),
 ])

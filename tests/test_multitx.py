@@ -276,44 +276,12 @@ def test_guard_core_power_ratio_matches_mean_of_squares(tdma_setup):
 REGIONS = {"head trim": 100, "core": 150, "tail trim": 195}
 
 
-@pytest.mark.parametrize("part", ["real", "imag"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("slot", [0, 1, 2])
-@pytest.mark.parametrize("region", sorted(REGIONS))
-def test_segmentation_rejects_a_non_finite_sample_in_any_region(
-        region, slot, value, part):
-    # the slot powers prove the capture finite; a NaN in one region must
-    # fail though max() passes over it, and an inf though its power is inf
-    samples = np.random.default_rng(3).normal(size=300) + 0j
-    k = REGIONS[region] + 100 * (slot - 1)
-    getattr(samples, part)[k] = value
-    with pytest.raises(ValueError, match="^samples must be finite$"):
-        multitx.segment_capture(samples, multitx.TdmaSchedule(3, 100, 10),
-                                1000.0)
-
-
-@pytest.mark.parametrize("k, length, guard", [(0, 300, 0), (150, 300, 0),
-                                              (299, 300, 0), (300, 301, 10),
-                                              (340, 350, 10)],
-                         ids=["no-guard-first", "no-guard-core",
-                              "no-guard-last", "past-the-period",
-                              "past-the-period-end"])
-def test_segmentation_checks_what_no_slot_power_covers(k, length, guard):
-    # with no guard no power is summed, and samples past the period are
-    # in no slot: the exact check reads them
-    samples = np.ones(length, dtype=np.complex128)
-    samples[k] = math.nan
-    with pytest.raises(ValueError, match="^samples must be finite$"):
-        multitx.segment_capture(samples, multitx.TdmaSchedule(3, 100, guard),
-                                1000.0)
-
-
 @pytest.mark.parametrize("region, ratio", [("core", 0.0),
                                            ("head trim", math.inf)])
 def test_segmentation_accepts_finite_samples_whose_squares_overflow(
         region, ratio):
-    # an inf power is no proof of a non-finite sample: the exact check
-    # decides, and passes these
+    # samples past the power range, whose squares overflow, are cut into
+    # segments without a warning; their power is inf in the ratio
     samples = np.ones(300, dtype=np.complex128)
     samples[REGIONS[region]] = 1e200 - 1e200j
     schedule = multitx.TdmaSchedule(3, 100, 10)

@@ -429,15 +429,19 @@ def test_read_iq_rejects_odd_float_count(tmp_path):
 
 
 def test_read_iq_checks_each_sample_once(tmp_path, monkeypatch):
-    # the scan of the raw floats proves the samples finite, so the signal
-    # is built without BasebandSignal's second pass over them
+    # the scan of the raw floats proves the samples finite, and is the
+    # only pass that checks them
     target = _iq_with_sidecar(tmp_path, 20)
+    scanned = []
+    isfinite = np.isfinite
 
-    def second_check(samples):
-        raise AssertionError("the samples were checked twice")
+    def counted(values, *args, **kwargs):
+        scanned.append(np.size(values))
+        return isfinite(values, *args, **kwargs)
 
-    monkeypatch.setattr(pulse, "check_finite", second_check)
+    monkeypatch.setattr(np, "isfinite", counted)
     loaded = pulse.read_iq(target)
+    assert scanned == [20]  # ten samples, each two floats
     assert loaded.samples.dtype == np.complex128
     npt.assert_array_equal(loaded.samples,
                            np.arange(0, 20, 2) + 1j * np.arange(1, 20, 2))

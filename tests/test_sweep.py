@@ -260,16 +260,6 @@ def test_sweep_rows_equal_per_step_oracle_bit_for_bit(plan):
             assert np.array_equal(got, want)
 
 
-def test_compose_sweep_capture_checks_its_rows_for_finiteness(plan):
-    # two transmitters of finite gain whose tones sum beyond a float
-    loud = ch.MultipathChannel(gains=[1e308], delays=[0.0])
-    tone = plan.tone_offsets_hz[0]
-    with np.errstate(over="ignore"), \
-            pytest.raises(ValueError, match="^samples must be finite$"):
-        sweep.compose_sweep_capture([(tone, loud), (tone, loud)], plan,
-                                    sweep.unit_tones(plan), steps(plan))
-
-
 def test_bin_power_reads_several_tones_from_one_fft(plan):
     bin_width = plan.sample_rate_hz / plan.fft_length
     tones = [k * bin_width for k in (-700, 102, 500)]
