@@ -30,9 +30,26 @@ def _out_dir(args) -> Path:
     return path
 
 
+def _polynomial(text: str | None) -> int | None:
+    """The --polynomial flag's integer literal (e.g. 0x409), or None."""
+    try:
+        return int(text, 0) if text else None
+    except ValueError:
+        raise ValueError(f"--polynomial: {text!r} is not an integer") from None
+
+
 def _cmd_gen_pn(args) -> dict:
-    polynomial = int(args.polynomial, 0) if args.polynomial else None
-    chips = pn.generate_glfsr(args.degree, polynomial, args.seed_state)
+    polynomial = _polynomial(args.polynomial)
+    if not 2 <= args.degree <= pn.MAX_DEGREE:
+        raise ValueError(f"--degree: must be in [2, {pn.MAX_DEGREE}]")
+    if not 0 < args.seed_state < 1 << args.degree:
+        raise ValueError(f"--seed-state: must be in [1, 2**{args.degree})")
+    try:
+        chips = pn.generate_glfsr(args.degree, polynomial, args.seed_state)
+    except ValueError as exc:
+        # the rest is the polynomial's fault, or a degree's with no default
+        flag = "--degree" if polynomial is None else "--polynomial"
+        raise ValueError(f"{flag}: {exc}") from None
     target = _out_dir(args) / args.name
     pn.save_chips(chips, target)
     return {"outputs": [str(target)], "period_length": chips.period_length}
@@ -62,7 +79,7 @@ def _read_step(path, frame: sweep.FrequencySetup) -> pulse.BasebandSignal:
 def _cmd_sound_sliding(args) -> dict:
     settings = {f.name: getattr(args, f.name)
                 for f in dataclasses.fields(sliding.SounderConfig)}
-    settings["polynomial"] = int(args.polynomial, 0) if args.polynomial else None
+    settings["polynomial"] = _polynomial(args.polynomial)
     config = sliding.SounderConfig(**settings)
     chips, taps = sliding.reference(config)
     if args.settle_periods < 0:

@@ -152,39 +152,43 @@ def build_schedule(setup: ScheduleSetup, transmitter_count: int,
     return TdmaSchedule(transmitter_count, slot, guard)
 
 
+def _arcs(start, length, n):
+    """The arc of `length` samples from sample `start` of a period of n
+    samples, as two (k, j, m) spans, samples [k, k + m) from j samples
+    into the arc: the part up to sample n - 1, and the part that wraps
+    to sample 0, empty if none."""
+    first = min(length, n - start)
+    return (start, 0, first), (0, first, length - first)
+
+
 def _place_by_slices(out, received: PeriodForm, offset_samples, slot_index,
                      schedule: TdmaSchedule, leak_gain):
-    """Add one transmitter's bursts and leakage to out, read from the
-    period form of its received waveform.
+    """Add one transmitter's burst and leakage to out, one period of the
+    receiver's clock, read from the period form of its received waveform.
 
-    Sample k is perceived at k + offset_samples, so the slot repeats at
-    capture samples slot_index * slot_samples - offset_samples (mod
-    period_samples), and each burst starts guard_samples into it.
-    Each sample gets the same single addend as mapping every sample
-    through its perceived slot position would give it, bit for bit.
+    Sample k is perceived at k + offset_samples, so the slot is the arc
+    of slot_samples from slot_index * slot_samples - offset_samples
+    (mod period_samples). The burst is the arc guard_samples into it,
+    cut at the slot's end. The leakage fills the rest of the period:
+    out[k] += leak_gain * waveform[(k + offset_samples) % received.length],
+    one span per wrap of the waveform, read from the period form times
+    leak_gain. Each sample gets the single addend that mapping it through
+    its perceived slot position gives it, bit for bit.
     """
-    n = len(out)
-    slot_samples = schedule.slot_samples
-    period_samples = schedule.period_samples
+    n, length = schedule.period_samples, received.length
+    slot, guard = schedule.slot_samples, schedule.guard_samples
+    start = (slot_index * slot - offset_samples) % n
+    for k, j, m in _arcs((start + guard) % n, min(length, slot - guard), n):
+        _add_span(out, k, received, received.samples, j, m)
     if leak_gain > 0.0:
         scaled = leak_gain * received.samples
-    first = (slot_index * slot_samples - offset_samples) % period_samples
-    if first + slot_samples > period_samples:
-        first -= period_samples  # a slot straddles sample 0
-    idle_from = 0
-    for slot_lo in range(first, n, period_samples):
-        lo = max(slot_lo, 0)
-        hi = min(slot_lo + slot_samples, n)
-        burst_lo = slot_lo + schedule.guard_samples
-        a = max(lo, burst_lo)
-        b = min(hi, burst_lo + received.length)
-        if b > a:
-            _add_span(out, a, received, received.samples, a - burst_lo, b - a)
-        if leak_gain > 0.0:
-            _add_wrapped(out, received, scaled, idle_from, lo, offset_samples)
-        idle_from = hi
-    if leak_gain > 0.0:
-        _add_wrapped(out, received, scaled, idle_from, n, offset_samples)
+        for k, _, m in _arcs((start + slot) % n, n - slot, n):
+            stop = k + m
+            while k < stop:
+                j = (k + offset_samples) % length
+                m = min(stop - k, length - j)
+                _add_span(out, k, received, scaled, j, m)
+                k += m
 
 
 def _add_span(out, k, received: PeriodForm, samples, j, m):
@@ -216,62 +220,28 @@ def _add_span(out, k, received: PeriodForm, samples, j, m):
         out[k:k + stop - j] += samples[j - tail + head:stop - tail + head]
 
 
-def _add_wrapped(out, received: PeriodForm, scaled, lo, hi, offset_samples):
-    """out[k] += leak_gain * waveform[(k + offset_samples) % received.length]
-    for lo <= k < hi, one span per wrap of the waveform, read from scaled,
-    the period form times leak_gain."""
-    length = received.length
-    k = lo
-    while k < hi:
-        j = (k + offset_samples) % length
-        m = min(hi - k, length - j)
-        _add_span(out, k, received, scaled, j, m)
-        k += m
-
-
 def compose_received(scene, schedule: TdmaSchedule, leak_gain: float = 0.0,
                      noise_power_dbfs: float | None = None,
                      seed: int = 0) -> np.ndarray:
     """Sum every transmitter's channel-filtered waveform over one TDMA
-    period of the receiver's clock, on the scene's sample rate. The
-    scene holds at most one transmitter per slot, all on one sample
-    rate, as a campaign builds it from one burst and its schedule.
+    period of the receiver's clock: a new complex128 array of
+    period_samples on the scene's sample rate, whose time axis is the
+    first waveform's.
 
-    Transmitter i bursts during its own (clock-perceived) slot i,
-    starting guard_samples into it; everywhere else it contributes a
-    periodically tiled copy scaled by leak_gain — the correlated leakage
-    that creates the near-far problem. One leak gain holds for the whole
-    scene: a scenario's LeakageModel.gain of its park mode, or 0.0 for
-    silent idle transmitters. The capture's time axis is the first
-    waveform's, so a burst that starts a segment keeps its own time
-    axis. Each burst is held in period form (pulse.PeriodForm), as
-    modulate makes it, and so is its received waveform, which
-    apply_channel forms from it. Bursts and leakage are added straight
-    from that received form: its head and tail by slices, its steady
-    state as whole periods in broadcast adds, the leakage from one
-    leak-scaled copy of that form. No capture-length tile and no
-    full-length burst or received waveform is built. Noise, when asked
-    for, is added in place by channel.add_noise from a generator seeded
-    with seed, through its buffer of at most NOISE_CHUNK floats, so the
-    capture is the one capture-length array made here.
+    The scene holds at most one transmitter per slot, each burst in
+    period form and all on one sample rate, as a campaign builds it.
+    Transmitter i bursts guard_samples into its clock-perceived slot i
+    and elsewhere leaks its waveform scaled by leak_gain (0.0 for silent
+    idle transmitters). Noise of noise_power_dbfs, unless None, is added
+    in place by channel.add_noise from a generator seeded with seed.
     """
-    n = schedule.period_samples
-    out = np.zeros(n, dtype=np.complex128)
+    out = np.zeros(schedule.period_samples, dtype=np.complex128)
     for i, tx in enumerate(scene):
         received = apply_channel(tx.waveform, tx.channel)
         _place_by_slices(out, received, tx.clock_offset_samples, i,
                          schedule, leak_gain)
     add_noise(out, noise_power_dbfs, seed)
     return out
-
-
-def _mean_power(samples: np.ndarray) -> float:
-    """mean(|x|^2) of a contiguous complex array: one sum of products
-    over its interleaved float parts, with no squared temporary. Not
-    np.vdot: that hands long vectors to the BLAS thread pool, whose
-    threads then take CPU time from the other campaign workers."""
-    parts = samples.view(np.float64)
-    return np.einsum("i,i->", parts, parts) / len(samples)
 
 
 def guard_core_power_ratio(samples: np.ndarray,
@@ -283,22 +253,27 @@ def guard_core_power_ratio(samples: np.ndarray,
     silent; once clock error pushes a burst past its guard, the ratio
     approaches one. Offsets that are exact multiples of the slot length
     move bursts whole slots and remain invisible here.
+
+    The first period's slots are the rows of one view of the capture.
+    Each mean power, mean(|x|^2) of a region of every row, is one sum of
+    products over the region's float parts, with no squared temporary;
+    not np.vdot, which hands long vectors to the BLAS thread pool, whose
+    threads then take CPU time from the other campaign workers.
     """
     trim = schedule.guard_samples
-    slot_samples = schedule.slot_samples
-    guard_power = 0.0
-    core_power = 0.0
-    if trim >= 1:
-        for i in range(schedule.transmitter_count):
-            lo = i * slot_samples
-            hi = lo + slot_samples
-            guard_power = max(guard_power, _mean_power(samples[lo:lo + trim]),
-                              _mean_power(samples[hi - trim:hi]))
-            core_power = max(core_power,
-                             _mean_power(samples[lo + trim:hi - trim]))
-    if core_power == 0.0:
+    if trim == 0:
         return 0.0
-    return float(guard_power / core_power)
+    slots = samples[:schedule.period_samples].reshape(
+        schedule.transmitter_count, -1)
+
+    def power(region):
+        parts = region.view(np.float64)
+        return np.einsum("ij,ij->i", parts, parts).max() / region.shape[1]
+
+    core = power(slots[:, trim:-trim])
+    if core == 0.0:
+        return 0.0
+    return float(max(power(slots[:, :trim]), power(slots[:, -trim:])) / core)
 
 
 def segment_capture(samples: np.ndarray, schedule: TdmaSchedule,
@@ -317,15 +292,12 @@ def segment_capture(samples: np.ndarray, schedule: TdmaSchedule,
     capture's first period, with its origin_time. Captures whose
     guard regions carry slot-core-level power are flagged as misaligned.
     """
-    ratio = guard_core_power_ratio(samples, schedule)
-    slot_samples, trim = schedule.slot_samples, schedule.guard_samples
+    trim = schedule.guard_samples
     segments = samples[:schedule.period_samples].reshape(
-        schedule.transmitter_count, slot_samples)[:, trim:slot_samples - trim]
+        schedule.transmitter_count, -1)[:, trim:schedule.slot_samples - trim]
     segments.flags.writeable = False
-    return SegmentedCapture(
-        segments=BasebandSignal(segments, sample_rate, origin_time),
-        misaligned=ratio > 0.25,
-    )
+    return SegmentedCapture(BasebandSignal(segments, sample_rate, origin_time),
+                            guard_core_power_ratio(samples, schedule) > 0.25)
 
 
 def build_frequency_plan(setup: FrequencySetup,

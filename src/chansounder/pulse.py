@@ -242,29 +242,24 @@ def modulate(chips: ChipSequence, repetitions: int, taps: FilterTaps,
 
     Periodic by construction: with P = N * sps samples per chip period
     and L filter taps, waveform[L - 1:length - (L - 1)] repeats every P
-    samples exactly. Only the ramp-in, one steady-state period and the
-    ramp-out are shaped, from the fewest periods that hold them; the
-    rest is that period again. The form holds the first L - 1 + 2 * P
-    samples and the last P + L - 1, so that a channel whose taps are at
-    most P samples late reads its whole output's head and tail from it
-    (channel.apply_channel). A burst too short to repeat anything
-    between them is held whole, with period 0.
+    samples exactly. The form holds the first L - 1 + 2 * P samples and
+    the last P + L - 1, so that a channel whose taps are at most P
+    samples late reads its whole output's head and tail from it
+    (channel.apply_channel). Both are slices of the chip train shaped
+    over min(repetitions, 3 + ceil((L - 1) / P)) periods, which holds
+    them, and is every period whenever the burst is too short to repeat
+    anything between them: such a burst is held whole, with period 0.
     """
     period, ramp = burst_period_and_ramp(chips, taps)
-    shaped = min(repetitions, 1 + -(-ramp // period))
+    shaped = min(repetitions, 3 + -(-ramp // period))
     short = shape_symbols(np.tile(chips.chips, shaped), taps, chip_period)
     length = repetitions * period + ramp
     head, tail = ramp + 2 * period, length - period - ramp
-    if tail <= head:
+    if tail <= head:  # then shaped == repetitions
         head = tail = length
-    index = np.r_[:head, tail:length]
-    if shaped < repetitions:  # the shaped period repeats between the ramps
-        index = np.where(index < ramp + period, index,
-                         np.where(index < length - ramp,
-                                  ramp + (index - ramp) % period,
-                                  index - length + len(short)))
-    return PeriodForm(short.samples[index], head,
-                      period if head < tail else 0, length,
+    samples = np.concatenate((short.samples[:head],
+                              short.samples[len(short) - (length - tail):]))
+    return PeriodForm(samples, head, period if head < tail else 0, length,
                       short.sample_rate, short.origin_time)
 
 
@@ -448,9 +443,9 @@ def _phase_scores(rails: np.ndarray) -> np.ndarray:
     (N + 1) * sum|y|^2 - |sum y|^2.
 
     The score splits into one term per rail. The power sums are sums of
-    products, as in multitx._mean_power; not np.vdot, which wakes the
-    BLAS thread pool. A block's scores do not depend on the blocks
-    stacked with it.
+    products, as in multitx.guard_core_power_ratio; not np.vdot, which
+    wakes the BLAS thread pool. A block's scores do not depend on the
+    blocks stacked with it.
     """
     n = rails.shape[-2]
     power = np.einsum("...rkp,...rkp->...rp", rails, rails)

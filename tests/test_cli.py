@@ -63,6 +63,51 @@ def test_gen_pn_bad_polynomial(tmp_path, capsys):
     assert "not primitive" in err
 
 
+# bad pn arguments of gen-pn and sound-sliding, each with its flag
+PN_ARGUMENT_ERRORS = [
+    (("gen-pn", "--polynomial", "xyz"), "--polynomial"),
+    (("gen-pn", "--polynomial", "0x403"), "--polynomial"),
+    (("gen-pn", "--degree", "4", "--polynomial", "0x14"), "--polynomial"),
+    (("gen-pn", "--degree", "4", "--polynomial", "0x409"), "--polynomial"),
+    (("gen-pn", "--seed-state", "0"), "--seed-state"),
+    (("gen-pn", "--seed-state", "1024"), "--seed-state"),
+    (("gen-pn", "--degree", "4", "--polynomial", "0x15",
+      "--seed-state", "0"), "--seed-state"),
+    (("gen-pn", "--degree", "1"), "--degree"),
+    (("gen-pn", "--degree", "-3", "--seed-state", "0"), "--degree"),
+    (("gen-pn", "--degree", "25", "--polynomial", "0x409"), "--degree"),
+    (("gen-pn", "--degree", "13"), "--degree"),
+    (("sound-sliding", "--capture", "absent.iq", "--polynomial", "0x40g"),
+     "--polynomial"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", PN_ARGUMENT_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in PN_ARGUMENT_ERRORS])
+def test_pn_argument_errors_name_their_flag(tmp_path, capsys, argv, flag):
+    # one line naming the flag at fault, whichever of gen-pn's arguments
+    # is bad, and nothing written
+    code, _, err = run_cli(capsys, *argv, "--out-dir", str(tmp_path))
+    assert code == 2
+    assert re.fullmatch(f"ValueError: {flag}: [^\n]+\n", err), err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("sliding_block, message", [
+    ({"polynomial": 0x403}, "polynomial 0x403 is not primitive: register "
+                            "period 889 != 1023"),
+    ({"pn_degree": 13},
+     "no default polynomial for degree 13; pass one explicitly"),
+], ids=["polynomial", "pn_degree"])
+def test_scenario_polynomial_errors_keep_their_field(tmp_path, capsys,
+                                                     sliding_block, message):
+    # the flag names are gen-pn's; a scenario's message names its field once
+    path = bundled_edit(tmp_path, "indoor_wing_sliding",
+                        lambda doc: doc["sliding"].update(sliding_block))
+    code, _, err = run_cli(capsys, "validate", "--scenario", str(path))
+    assert (code, err) == (2, f"ValueError: sliding.polynomial: {message}\n")
+
+
 def test_unknown_flag(capsys):
     assert main(["gen-pn", "--frobnicate"]) != 0
 
@@ -1187,6 +1232,31 @@ def leaky_and_noisy(doc):
         tx["tx_power_db"] = db
 
 
+def averaging(periods):
+    """leaky_and_noisy at `periods` averaging periods: a burst of
+    periods + 2 PN periods, held whole at 1 and with its steady-state
+    period from 2 on. The noise keeps the two apart: a noiseless fold of
+    equal periods is exact, whatever their number."""
+    def edit(doc):
+        leaky_and_noisy(doc)
+        doc["sliding"]["averaging_periods"] = periods
+    return edit
+
+
+def wrapped_offsets(doc):
+    """In-band leakage, tx1's clock about half a 54616-sample slot ahead
+    and tx3's as far behind: both slots and both bursts wrap across
+    sample 0 of the period."""
+    doc["leakage"]["park_mode"] = "in_band"
+    doc["clocks"]["tx_offsets_s"] = [4.1e-4, 0.0, -4.1e-4]
+
+
+# the bundled sliding scenario's edits that OUTPUT_DIGESTS pins
+BUNDLED_EDITS = {"leaky-and-noisy": leaky_and_noisy,
+                 "one-period": averaging(1), "two-periods": averaging(2),
+                 "wrapped-offsets": wrapped_offsets}
+
+
 # sha256 of every file that a campaign writes, per scenario: a change
 # that moves any of these bytes says which fields moved, and why, and
 # pins the new digests
@@ -1208,13 +1278,31 @@ OUTPUT_DIGESTS = {
         "heatmap_tx2.csv": "6e91e2999c8908e5a56f75354db359b38c3b926d2c8614b57adbffda0a2a8785",
         "heatmap_tx3.csv": "bc440c331877a7bccb00c2541d9044faee42a03fe20137a5a1043e8507de9589",
     },
+    "one-period": {
+        "records.jsonl": "1a03fededc275cc18f1492395200fbc07c10640499b9fc5bb5818bb80a5477c2",
+        "heatmap_tx1.csv": "3b7be36a3b0a9b19b605da11668d33fae23eb4ffb3ef2f1ec835fd0aa440e3d4",
+        "heatmap_tx2.csv": "183bd20f645d837e69f8cab561740bd1bd8042b83b9e31b17e3567fb3c1b4615",
+        "heatmap_tx3.csv": "d776750fc75eb7032ac04849fffc47fc6a18b78b69e1204899761f7c241be2b8",
+    },
+    "two-periods": {
+        "records.jsonl": "b288808ed6c7569cc4de2dc4f93b069b6fffded17c58702245cd83bdc833f6fc",
+        "heatmap_tx1.csv": "b2f091204cf7c6144c77db3134937c1721f2a1719e1839d1c35651d1b03fee27",
+        "heatmap_tx2.csv": "caa5346f9f9cd5638aa2b67db8a793bcdbab1443ad74249886038bac8581dbfe",
+        "heatmap_tx3.csv": "3e0c4b675af805e32a17bbcc083fcb8a560b58fbd7436138cdf27da598b6f03e",
+    },
+    "wrapped-offsets": {
+        "records.jsonl": "7e6471dc6c2b7ecc7e138feec8de138bdb9f813b8a1ad89b84bfa0a217086c8d",
+        "heatmap_tx1.csv": "214cb79f4554a297f5eedd28a438f446e3bec0b094d9193e6c23bb6bda6303ae",
+        "heatmap_tx2.csv": "4f132659b011ae4bae039f3045cc9686d77622814367c53050eead065196f16e",
+        "heatmap_tx3.csv": "9695982cf2af5b85c04f29c6fdfea23283fb5858ac999b13ed23f80620d8d1f6",
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(OUTPUT_DIGESTS))
 def test_campaign_output_bytes_are_pinned(tmp_path, capsys, name):
-    path = (bundled_edit(tmp_path, "indoor_wing_sliding", leaky_and_noisy)
-            if name == "leaky-and-noisy" else BUNDLED / f"{name}.json")
+    path = (bundled_edit(tmp_path, "indoor_wing_sliding", BUNDLED_EDITS[name])
+            if name in BUNDLED_EDITS else BUNDLED / f"{name}.json")
     code, _, err = run_cli(capsys, "campaign", "--scenario", str(path),
                            "--out-dir", str(tmp_path / "out"))
     assert code == 0, err

@@ -343,32 +343,41 @@ def test_leakage_monotonicity(tdma_setup, chips10, rrc_taps):
 @pytest.mark.parametrize("leak_db", [math.inf, 30.0])
 def test_slice_placement_matches_per_sample_mapping(leak_db):
     # slice placement must agree bit for bit with mapping every sample
-    # through its perceived slot position
+    # through its perceived slot position, for 1 to 4 transmitters (one
+    # owns the whole period and leaks nowhere); every transmitter takes
+    # every shift, so the first slot's and the last slot's bursts wrap
+    # across sample 0 as well as their slots, by either piece
     rate, slot = 1000.0, 100
     leak_gain = multitx.LeakageModel(
         parked_leakage_db=math.inf,
         inband_null_leakage_db=leak_db).gain(multitx.PARK_IN_BAND)
-    rng = np.random.default_rng(17)
-    period = 3 * slot
-    shifts = [0, 3, -3, 7, -11, slot, -slot + 5, 2 * slot - 2, -4 * slot - 1,
-              period, 5 * period + 13]
-    for burst_len, guard in ((60, 20), (95, 30), (130, 10), (40, 0)):
-        schedule = multitx.TdmaSchedule(3, slot, guard)
-        for _ in range(3):
-            offsets = rng.choice(shifts, size=3)
-            scene = []
-            for i, shift in enumerate(offsets):
-                rng_tx = np.random.default_rng(i)
-                waveform = whole(pulse.BasebandSignal(
-                    rng_tx.normal(size=burst_len)
-                    + 1j * rng_tx.normal(size=burst_len), rate))
-                scene.append(multitx.SceneTransmitter(
-                    waveform, flat_channel(6.0 * i), int(shift)))
-            sliced = multitx.compose_received(scene, schedule,
-                                              leak_gain=leak_gain)
-            mapped = per_sample_compose(scene, schedule, leak_gain)
-            assert np.array_equal(sliced, mapped), \
-                (burst_len, guard, offsets)
+    shifts = [0, 3, -3, 7, -11, 25, -25, slot // 2, -slot // 2, 85, -85,
+              slot, -slot + 5, 2 * slot - 2, -4 * slot - 1, 5 * 12 * slot + 13]
+    wrapped = 0
+    for count in (1, 2, 3, 4):
+        period = count * slot
+        for burst_len, guard in ((60, 20), (95, 30), (130, 10), (40, 0)):
+            schedule = multitx.TdmaSchedule(count, slot, guard)
+            for first in range(len(shifts)):
+                offsets = [shifts[(first + i) % len(shifts)]
+                           for i in range(count)]
+                scene = []
+                for i, shift in enumerate(offsets):
+                    rng_tx = np.random.default_rng(i)
+                    waveform = whole(pulse.BasebandSignal(
+                        rng_tx.normal(size=burst_len)
+                        + 1j * rng_tx.normal(size=burst_len), rate))
+                    scene.append(multitx.SceneTransmitter(
+                        waveform, flat_channel(6.0 * i), shift))
+                    burst_lo = (i * slot - shift) % period + guard
+                    wrapped += burst_lo < period < burst_lo + min(
+                        burst_len, slot - guard)
+                sliced = multitx.compose_received(scene, schedule,
+                                                  leak_gain=leak_gain)
+                mapped = per_sample_compose(scene, schedule, leak_gain)
+                assert np.array_equal(sliced, mapped), \
+                    (count, burst_len, guard, offsets)
+    assert wrapped > 100
 
 
 def test_compose_matches_tiled_leakage_and_complex_noise_oracle():

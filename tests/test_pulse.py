@@ -300,6 +300,25 @@ def test_modulate_repeats_exactly_between_its_ramps(degree, sps, span,
     npt.assert_allclose(signal.samples, full.samples, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("repetitions", range(3, 9))
+@pytest.mark.parametrize("degree,sps,span", [(2, 2, 12), (5, 3, 6)])
+def test_modulate_form_slices_the_burst_shaped_whole(degree, sps, span,
+                                                    repetitions):
+    # the form's head and tail are slices of the chip train shaped over
+    # all its periods, bit for bit, whether the ramp is longer than a
+    # period (degree 2: P = 6, ramp = 24) or shorter (degree 5: P = 93,
+    # ramp = 18), and whether the burst is held whole or not
+    taps = _taps_at(sps, span)
+    chips = pn.generate_glfsr(degree)
+    form = pulse.modulate(chips, repetitions, taps, CHIP_PERIOD)
+    full = pulse.shape_symbols(np.tile(chips.chips, repetitions), taps,
+                               CHIP_PERIOD).samples
+    tail = len(form.samples) - form.head
+    assert len(full) == len(form)
+    assert np.array_equal(form.samples[:form.head], full[:form.head])
+    assert np.array_equal(form.samples[form.head:], full[len(full) - tail:])
+
+
 @pytest.mark.parametrize("repetitions", [1, 2, 3, 4, 5, 12])
 @pytest.mark.parametrize("degree,sps,span", [(10, 4, 12), (2, 2, 12),
                                              (3, 8, 4), (5, 3, 6)])
