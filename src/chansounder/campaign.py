@@ -37,6 +37,8 @@ MODE_FREQUENCY = "frequency"
 
 FLAG_NO_SIGNAL = "no_signal"
 FLAG_MISALIGNED = "misaligned"
+# the guard/core power ratio above which a location is misaligned
+_MISALIGNED_RATIO = 0.25
 
 # The range of every power in dB: transmit powers, path losses and the
 # noise. Received amplitudes then stay within 1e+-100, so no sum of
@@ -235,10 +237,6 @@ def _prepare_sliding(scenario: Scenario) -> tuple:
         raise schema.nested("sliding", sliding.SounderConfig, exc) from None
     # a tap one PN period late aliases onto lag 0 of the correlator
     pn_period_s = chips.period_length * config.chip_period_s
-    if not math.isfinite(pn_period_s):
-        raise ValueError(
-            f"sliding.chip_period_s: {config.chip_period_s} s makes a PN "
-            f"period of {chips.period_length} chips longer than a float holds")
     if scenario.environment.delay_spread_scale_s >= pn_period_s:
         raise ValueError(
             f"environment.delay_spread_scale_s: "
@@ -269,12 +267,13 @@ def _run_sliding(scenario: Scenario, prepared: tuple, locations: range) -> list:
     # a tap later than this spills into the next slot's segment
     room = schedule.slot_samples - len(waveforms[0])
     leak_gain = scenario.leakage.gain(scenario.park_mode)
+    powers = [tx.tx_power_db for tx in scenario.transmitters]
     records = []
     for loc_index in locations:
         position = scenario.receiver_path[loc_index]
-        scene = []
+        channels = []
         seeds = []
-        for tx, waveform, offset in zip(scenario.transmitters, waveforms, offsets):
+        for tx in scenario.transmitters:
             seed = derive_seed(scenario.master_seed, "chan", loc_index, tx.id)
             seeds.append(seed)
             chan, _ = synthesize_channel(scenario.environment, tx.position,
@@ -292,20 +291,18 @@ def _run_sliding(scenario: Scenario, prepared: tuple, locations: range) -> list:
                     f"environment.delay_spread_scale_s: the channel drawn for "
                     f"transmitter {tx.id!r} at receiver_path_m[{loc_index}] "
                     f"has a tap {late} s late, {bound}")
-            scene.append(multitx.SceneTransmitter(
-                waveform=waveform, channel=chan, clock_offset_samples=offset))
+            channels.append(chan)
         capture = multitx.compose_received(
-            scene, schedule, leak_gain=leak_gain,
+            waveforms, channels, offsets, schedule, leak_gain=leak_gain,
             noise_power_dbfs=scenario.noise_power_dbfs,
             seed=_noise_seed(scenario, "noise", loc_index))
-        segmented = multitx.segment_capture(capture, schedule, rate,
-                                            waveforms[0].origin_time)
-        location_flags = (FLAG_MISALIGNED,) if segmented.misaligned else ()
-        profiles = sliding.measure_sliding(
-            segmented.segments, chips, taps, config,
-            [tx.tx_power_db for tx in scenario.transmitters])
+        segments = multitx.segment_capture(capture, schedule, rate,
+                                           waveforms[0].origin_time)
+        ratio = multitx.guard_core_power_ratio(capture, schedule)
+        location_flags = (FLAG_MISALIGNED,) if ratio > _MISALIGNED_RATIO else ()
+        profiles = sliding.measure_sliding(segments, chips, taps, config, powers)
         # one capture at a time: this one goes before the next draws
-        del capture, segmented
+        del capture, segments
         for tx, profile, seed in zip(scenario.transmitters, profiles, seeds):
             if isinstance(profile, NoSignalError):
                 records.append(_record(scenario, loc_index, tx, seed,
@@ -413,6 +410,9 @@ def prepare(scenario: Scenario):
 
 
 def _run_frequency(scenario: Scenario, frames: list, locations: range) -> list:
+    powers = [tx.tx_power_db for tx in scenario.transmitters]
+    # transmitter k sends the k-th tone of the frames taken in order
+    tones = [tone for frame, _ in frames for tone in frame.tone_offsets_hz]
     records = []
     rows = None
     for loc_index in locations:
@@ -428,22 +428,18 @@ def _run_frequency(scenario: Scenario, frames: list, locations: range) -> list:
             channels.append(replace(chan, gains=chan.gains
                                     * 10.0 ** (tx.tx_power_db / 20.0)))
 
-        tones, losses = [], []
+        losses = []
         for frame_index, (frame, units) in enumerate(frames):
-            members = range(len(tones), len(tones) + len(frame.tone_offsets_hz))
-            entries = [(tone, channels[k])
-                       for tone, k in zip(frame.tone_offsets_hz, members)]
+            sent = slice(len(losses), len(losses) + len(frame.tone_offsets_hz))
             step_seeds = [_noise_seed(scenario, "cap", loc_index, frame_index,
                                       step)
                           for step in range(len(frame.carriers_hz))]
             # every frame has one shape, so one frame's rows take them all
             rows = sweep.compose_sweep_capture(
-                entries, frame, units, step_seeds,
+                channels[sent], frame, units, step_seeds,
                 noise_power_dbfs=scenario.noise_power_dbfs, out=rows)
             losses += sweep.narrowband_losses(
-                rows, frame, frame.tone_offsets_hz,
-                [scenario.transmitters[k].tx_power_db for k in members])
-            tones += frame.tone_offsets_hz
+                rows, frame, frame.tone_offsets_hz, powers[sent])
 
         for tx, tone, loss, seed in zip(scenario.transmitters, tones, losses, seeds):
             if None in loss:

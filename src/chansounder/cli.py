@@ -80,8 +80,16 @@ def _cmd_sound_sliding(args) -> dict:
     settings = {f.name: getattr(args, f.name)
                 for f in dataclasses.fields(sliding.SounderConfig)}
     settings["polynomial"] = _polynomial(args.polynomial)
-    config = sliding.SounderConfig(**settings)
-    chips, taps = sliding.reference(config)
+    try:
+        config = sliding.SounderConfig(**settings)
+        chips, taps = sliding.reference(config)
+    except ValueError as exc:
+        # each message starts with its field; the flag that set it is named
+        field, message = str(exc).split(": ", 1)
+        if field == "polynomial" and settings["polynomial"] is None:
+            field = "pn_degree"  # a degree with no default polynomial
+        flags = {name: flag for flag, name, _ in _CONFIG_FLAGS}
+        raise ValueError(f"{flags[field]}: {message}") from None
     if args.settle_periods < 0:
         raise ValueError(f"--settle-periods: must be >= 0, "
                          f"got {args.settle_periods}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from chansounder.channel import MultipathChannel, add_noise, apply_channel
+from chansounder.channel import add_noise, apply_channel
 from chansounder.pulse import BasebandSignal, PeriodForm
 from chansounder.sweep import FrequencySetup
 
@@ -89,27 +89,6 @@ class LeakageModel:
         att = (self.parked_leakage_db if park_mode == PARK_OFF_BAND
                else self.inband_null_leakage_db)
         return 0.0 if att == math.inf else 10.0 ** (-att / 20.0)
-
-
-@dataclass(frozen=True)
-class SceneTransmitter:
-    """One transmitter's contribution to a composed capture: its burst,
-    in period form, and its channel. Its clock runs clock_offset_samples
-    ahead of the receiver's: it perceives capture sample k as sample
-    k + clock_offset_samples of the period."""
-
-    waveform: PeriodForm
-    channel: MultipathChannel
-    clock_offset_samples: int = 0
-
-
-@dataclass(frozen=True)
-class SegmentedCapture:
-    """One TDMA period cut into its slots' segments: a stack with one row
-    per transmitter, and whether its guard/core power ratio flags it."""
-
-    segments: BasebandSignal
-    misaligned: bool
 
 
 def build_schedule(setup: ScheduleSetup, transmitter_count: int,
@@ -220,25 +199,29 @@ def _add_span(out, k, received: PeriodForm, samples, j, m):
         out[k:k + stop - j] += samples[j - tail + head:stop - tail + head]
 
 
-def compose_received(scene, schedule: TdmaSchedule, leak_gain: float = 0.0,
+def compose_received(waveforms, channels, offsets, schedule: TdmaSchedule,
+                     leak_gain: float = 0.0,
                      noise_power_dbfs: float | None = None,
                      seed: int = 0) -> np.ndarray:
     """Sum every transmitter's channel-filtered waveform over one TDMA
     period of the receiver's clock: a new complex128 array of
-    period_samples on the scene's sample rate, whose time axis is the
+    period_samples on the waveforms' sample rate, whose time axis is the
     first waveform's.
 
-    The scene holds at most one transmitter per slot, each burst in
-    period form and all on one sample rate, as a campaign builds it.
-    Transmitter i bursts guard_samples into its clock-perceived slot i
-    and elsewhere leaks its waveform scaled by leak_gain (0.0 for silent
-    idle transmitters). Noise of noise_power_dbfs, unless None, is added
-    in place by channel.add_noise from a generator seeded with seed.
+    Transmitter i sends waveforms[i], a burst in period form, through
+    channels[i], with at most one transmitter per slot and all on one
+    sample rate, as a campaign prepares them. Its clock runs offsets[i]
+    samples ahead of the receiver's: it perceives capture sample k as
+    sample k + offsets[i] of the period. It bursts guard_samples into its
+    clock-perceived slot i and elsewhere leaks its waveform scaled by
+    leak_gain (0.0 for silent idle transmitters). Noise of
+    noise_power_dbfs, unless None, is added in place by channel.add_noise
+    from a generator seeded with seed.
     """
     out = np.zeros(schedule.period_samples, dtype=np.complex128)
-    for i, tx in enumerate(scene):
-        received = apply_channel(tx.waveform, tx.channel)
-        _place_by_slices(out, received, tx.clock_offset_samples, i,
+    for i, (waveform, channel, offset) in enumerate(
+            zip(waveforms, channels, offsets, strict=True)):
+        _place_by_slices(out, apply_channel(waveform, channel), offset, i,
                          schedule, leak_gain)
     add_noise(out, noise_power_dbfs, seed)
     return out
@@ -278,7 +261,7 @@ def guard_core_power_ratio(samples: np.ndarray,
 
 def segment_capture(samples: np.ndarray, schedule: TdmaSchedule,
                     sample_rate: float,
-                    origin_time: float = 0.0) -> SegmentedCapture:
+                    origin_time: float = 0.0) -> BasebandSignal:
     """Split one TDMA period of capture samples (compose_received's) on
     sample_rate, sample 0 at origin_time, into per-transmitter segments.
 
@@ -289,15 +272,13 @@ def segment_capture(samples: np.ndarray, schedule: TdmaSchedule,
     where transmitter i's burst starts when its clock agrees with the
     receiver's. The segments are one stack, a read-only
     (transmitter_count, slot_samples - 2 * guard_samples) view of the
-    capture's first period, with its origin_time. Captures whose
-    guard regions carry slot-core-level power are flagged as misaligned.
+    capture's first period, with its origin_time.
     """
     trim = schedule.guard_samples
     segments = samples[:schedule.period_samples].reshape(
         schedule.transmitter_count, -1)[:, trim:schedule.slot_samples - trim]
     segments.flags.writeable = False
-    return SegmentedCapture(BasebandSignal(segments, sample_rate, origin_time),
-                            guard_core_power_ratio(samples, schedule) > 0.25)
+    return BasebandSignal(segments, sample_rate, origin_time)
 
 
 def build_frequency_plan(setup: FrequencySetup,

@@ -36,7 +36,9 @@ class SounderConfig:
     The PN chips and the RRC taps follow from the config through
     reference(), which also checks the polynomial and the pulse fields.
     The filter length, span_symbols * samples_per_symbol + 1 taps, is
-    bounded here, before design_rrc allocates its O(L^2) matrices.
+    bounded here, before design_rrc allocates its O(L^2) matrices, and so
+    are the PN period and the sample rate, samples_per_symbol /
+    chip_period_s, to finite floats.
     """
 
     chip_period_s: float = 60e-9
@@ -67,6 +69,15 @@ class SounderConfig:
             raise ValueError(
                 f"{name}: a filter of span_symbols * samples_per_symbol + 1 "
                 f"= {taps} taps is above the {MAX_FILTER_TAPS}-tap limit")
+        # the PN period and the sample rate must be floats; an sps that
+        # design_rrc rejects, and that may be past any float, is not read
+        chips, chip_s = 2 ** self.pn_degree - 1, self.chip_period_s
+        if not math.isfinite(chips * chip_s):
+            raise ValueError(f"chip_period_s: {chip_s} s makes a PN period of "
+                             f"{chips} chips longer than a float holds")
+        if min(span, sps) > 0 and not math.isfinite(sps / chip_s):
+            raise ValueError(f"chip_period_s: {chip_s} s at {sps} samples per "
+                             f"chip is a sample rate above a float's range")
 
 
 def reference(config: SounderConfig) -> tuple[ChipSequence, FilterTaps]:

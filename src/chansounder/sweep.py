@@ -124,17 +124,15 @@ def narrowband_losses(rows: np.ndarray, frame: FrequencySetup, tones,
     return losses
 
 
-def unit_tones(frame: FrequencySetup) -> dict:
-    """Per tone offset of the frame, the read-only unit tone
-    exp(j*2*pi*tone_offset*t) over one step's samples. A campaign
-    computes them once per frame, before the first location."""
+def unit_tones(frame: FrequencySetup) -> np.ndarray:
+    """The frame's read-only unit tones, one row per tone offset in the
+    frame's order: exp(j*2*pi*tone_offset*t) over one step's samples. A
+    campaign computes them once per frame, before the first location."""
     n = int(round(frame.step_duration_s * frame.sample_rate_hz))
     t = np.arange(n) / frame.sample_rate_hz
-    tones = {}
-    for tone_offset in frame.tone_offsets_hz:
-        tone = np.exp(2j * np.pi * tone_offset * t)
-        tone.flags.writeable = False
-        tones[tone_offset] = tone
+    tones = np.stack([np.exp(2j * np.pi * tone_offset * t)
+                      for tone_offset in frame.tone_offsets_hz])
+    tones.flags.writeable = False
     return tones
 
 
@@ -161,15 +159,15 @@ def received_tone(channel: MultipathChannel, carrier: float, tone_offset: float,
     return out
 
 
-def compose_sweep_capture(entries, frame: FrequencySetup, units: dict, seeds,
-                          noise_power_dbfs: float | None = None,
+def compose_sweep_capture(channels, frame: FrequencySetup, units: np.ndarray,
+                          seeds, noise_power_dbfs: float | None = None,
                           out: np.ndarray | None = None) -> np.ndarray:
     """One sweep frame's captures, one row per carrier step: the received
     tones of several simultaneous transmitters, superposed.
 
-    entries: list of (tone_offset, channel) pairs, at least one, one per
-    transmitter; units holds the frame's unit tones (unit_tones). Tones
-    are transmitted at unit amplitude; any level difference between
+    channels: one per tone of the frame, at least one; channels[k] carries
+    the frame's k-th tone, whose unit tone is row k of units (unit_tones).
+    Tones are transmitted at unit amplitude; any level difference between
     transmitters lives in the channel gains. Each row is written in
     place: the first tone straight into it, each further one formed in
     its own buffer and then added. Noise, when asked for, is added to
@@ -180,16 +178,16 @@ def compose_sweep_capture(entries, frame: FrequencySetup, units: dict, seeds,
     holds one frame's rows, and the allocator has none to free and map
     again at every location.
     """
-    n = len(units[entries[0][0]])
+    n = units.shape[1]
     rows = (np.empty((len(frame.carriers_hz), n), dtype=np.complex128)
             if out is None else out)
     scratch = np.empty(n, dtype=np.complex128)
     other = np.empty(n, dtype=np.complex128)
     for row, carrier, seed in zip(rows, frame.carriers_hz, seeds, strict=True):
-        for k, (tone_offset, chan) in enumerate(entries):
-            tone = received_tone(chan, float(carrier), tone_offset,
-                                 units[tone_offset], out=other if k else row,
-                                 scratch=scratch)
+        for k, (chan, tone_offset, unit) in enumerate(
+                zip(channels, frame.tone_offsets_hz, units, strict=True)):
+            tone = received_tone(chan, float(carrier), tone_offset, unit,
+                                 out=other if k else row, scratch=scratch)
             if k:
                 row += tone
         add_noise(row, noise_power_dbfs, seed)

@@ -163,7 +163,7 @@ def add_noise(signal, noise_power_dbfs, seed):
     schedule = multitx.TdmaSchedule(1, len(signal), 0)
     unit = ch.MultipathChannel(gains=[1.0], delays=[0.0])
     samples = multitx.compose_received(
-        [multitx.SceneTransmitter(whole(signal), unit)], schedule,
+        [whole(signal)], [unit], [0], schedule,
         noise_power_dbfs=noise_power_dbfs, seed=seed)
     return pulse.BasebandSignal(samples, signal.sample_rate, signal.origin_time)
 
@@ -245,13 +245,14 @@ def default_plan():
 def static_sweep_losses(channel, frame, tx_power_db=0.0, tone=None,
                         noise_power_dbfs=None, seed=0):
     """Narrowband losses of one tone of frame (its first by default)
-    through one static channel, on the campaign's sweep path: the
-    frame's rows from compose_sweep_capture, step k's noise seeded with
-    seed + k, read by narrowband_losses."""
+    through one static channel, on the campaign's sweep path: the rows
+    of the frame cut to that tone from compose_sweep_capture, step k's
+    noise seeded with seed + k, read by narrowband_losses."""
     tone = frame.tone_offsets_hz[0] if tone is None else tone
+    frame = replace(frame, tone_offsets_hz=(tone,))
     seeds = [seed + step for step in range(len(frame.carriers_hz))]
     rows = sweep.compose_sweep_capture(
-        [(tone, channel)], frame, sweep.unit_tones(frame), seeds,
+        [channel], frame, sweep.unit_tones(frame), seeds,
         noise_power_dbfs=noise_power_dbfs)
     [losses] = sweep.narrowband_losses(rows, frame, [tone], [tx_power_db])
     return np.asarray(losses)
@@ -363,14 +364,15 @@ def oracle_bin_power(capture, frame, tone_offsets):
              / length) ** 2 for f in tone_offsets]
 
 
-def oracle_compose_sweep_capture(entries, frame, step, noise_power_dbfs=None,
+def oracle_compose_sweep_capture(channels, frame, step, noise_power_dbfs=None,
                                  seed=0):
-    """compose_sweep_capture seeding its generator up front, every time."""
+    """compose_sweep_capture seeding its generator up front, every time:
+    channels[k] carries the frame's k-th tone."""
     n = int(round(frame.step_duration_s * frame.sample_rate_hz))
     rng = np.random.default_rng(seed)
     acc = np.zeros(n, dtype=np.complex128)
     carrier = float(frame.carriers_hz[step])
-    for tone_offset, chan in entries:
+    for chan, tone_offset in zip(channels, frame.tone_offsets_hz, strict=True):
         acc += oracle_received_tone(chan, carrier, tone_offset, frame)
     if noise_power_dbfs is not None and noise_power_dbfs != -math.inf:
         sigma = math.sqrt(10.0 ** (noise_power_dbfs / 10.0) / 2.0)
@@ -378,13 +380,13 @@ def oracle_compose_sweep_capture(entries, frame, step, noise_power_dbfs=None,
     return pulse.BasebandSignal(samples=acc, sample_rate=frame.sample_rate_hz)
 
 
-def oracle_sweep_rows(entries, frame, units, seeds, noise_power_dbfs=None,
+def oracle_sweep_rows(channels, frame, units, seeds, noise_power_dbfs=None,
                       out=None):
     """compose_sweep_capture as one oracle_compose_sweep_capture per
     carrier step, stacked into a new array; the unit tones and out are
     not read."""
     return np.stack([oracle_compose_sweep_capture(
-        entries, frame, step, noise_power_dbfs, seed).samples
+        channels, frame, step, noise_power_dbfs, seed).samples
         for step, seed in enumerate(seeds)])
 
 
@@ -402,8 +404,8 @@ def use_oracle_sweep(monkeypatch):
     monkeypatch.setattr(sweep, "compose_sweep_capture", oracle_sweep_rows)
 
 
-def oracle_compose_received(scene, schedule, leak_gain, noise_power_dbfs=None,
-                            seed=0):
+def oracle_compose_received(waveforms, channels, offsets, schedule, leak_gain,
+                            noise_power_dbfs=None, seed=0):
     """compose_received with a capture-length leakage tile per transmitter
     and complex A + 1j * B noise: the earlier composition that the
     wrapped-slice leakage and per-rail noise must match byte for byte.
@@ -411,9 +413,9 @@ def oracle_compose_received(scene, schedule, leak_gain, noise_power_dbfs=None,
     slot = schedule.slot_samples
     n = period = schedule.period_samples
     out = np.zeros(n, dtype=np.complex128)
-    for i, tx in enumerate(scene):
-        received = direct_sum(tx.waveform, tx.channel)
-        offset = tx.clock_offset_samples
+    for i, (waveform, channel, offset) in enumerate(
+            zip(waveforms, channels, offsets, strict=True)):
+        received = direct_sum(waveform, channel)
         if leak_gain > 0.0:
             tiled = np.resize(np.roll(received, -offset), n)
         first = (i * slot - offset) % period
@@ -438,14 +440,15 @@ def oracle_compose_received(scene, schedule, leak_gain, noise_power_dbfs=None,
     return out
 
 
-def per_sample_compose(scene, schedule, leak_gain):
+def per_sample_compose(waveforms, channels, offsets, schedule, leak_gain):
     """Noise-free compose_received that maps every sample through its
     perceived slot position: the reference for slice placement."""
     slot, period = schedule.slot_samples, schedule.period_samples
     out = np.zeros(period, dtype=np.complex128)
-    for i, tx in enumerate(scene):
-        received = direct_sum(tx.waveform, tx.channel)
-        perceived = np.arange(period) + tx.clock_offset_samples
+    for i, (waveform, channel, offset) in enumerate(
+            zip(waveforms, channels, offsets, strict=True)):
+        received = direct_sum(waveform, channel)
+        perceived = np.arange(period) + offset
         local = perceived % period - i * slot
         active = (local >= 0) & (local < slot)
         burst_index = local - schedule.guard_samples

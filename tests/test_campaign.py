@@ -205,8 +205,9 @@ def scenarios(draw):
         draw(st.none() | positive))
     mode = draw(st.sampled_from([cp.MODE_SLIDING, cp.MODE_FREQUENCY]))
     blocks = {
+        # a chip period whose PN period of up to 4095 chips is a float
         "sliding": st.builds(
-            sliding.SounderConfig, positive, st.integers(2, 12),
+            sliding.SounderConfig, st.floats(1e-12, 1e300), st.integers(2, 12),
             st.none() | st.integers(0, 1 << 13), st.integers(1, 20), positive,
             nonnegative, st.integers(1, 16), st.integers(1, 8)),
         "frequency": frequency_blocks(),
@@ -559,7 +560,7 @@ def count_tone_evaluations(monkeypatch) -> list:
 
     def counting(frame):
         tones = unit_tones(frame)
-        computed.extend(tones)
+        computed.extend(frame.tone_offsets_hz)
         return tones
 
     monkeypatch.setattr(sweep, "unit_tones", counting)
@@ -647,7 +648,7 @@ def test_a_sweep_location_holds_one_frame_of_rows():
                                                    fft_length=1024))
     prepared = cp.prepare(scenario)
     [(frame, units)] = prepared
-    rows_bytes = len(frame.carriers_hz) * len(units[frame.tone_offsets_hz[0]]) * 16
+    rows_bytes = len(frame.carriers_hz) * units.shape[1] * 16
     assert traced_peak_bytes(scenario, prepared) < 1.5 * rows_bytes
 
 

@@ -79,6 +79,13 @@ PN_ARGUMENT_ERRORS = [
     (("gen-pn", "--degree", "13"), "--degree"),
     (("sound-sliding", "--capture", "absent.iq", "--polynomial", "0x40g"),
      "--polynomial"),
+    # sound-sliding named the SounderConfig field, or blamed the
+    # polynomial for a degree with no default one
+    (("sound-sliding", "--capture", "absent.iq", "--degree", "1"), "--degree"),
+    (("sound-sliding", "--capture", "absent.iq", "--degree", "13"),
+     "--degree"),
+    (("sound-sliding", "--capture", "absent.iq", "--polynomial", "0x403"),
+     "--polynomial"),
 ]
 
 
@@ -91,6 +98,21 @@ def test_pn_argument_errors_name_their_flag(tmp_path, capsys, argv, flag):
     assert code == 2
     assert re.fullmatch(f"ValueError: {flag}: [^\n]+\n", err), err
     assert not any(tmp_path.iterdir())
+
+
+# sound-sliding's other SounderConfig flags, each bad, which named the
+# field; a subnormal chip period blamed the capture's sample rate
+SOUNDER_FLAG_ERRORS = [
+    (("sound-sliding", "--capture", "absent.iq", flag, value), flag)
+    for flag, value in (("--sps", "1"), ("--span", "3"), ("--rolloff", "2"),
+                        ("--periods", "0"), ("--threshold-db", "-1"),
+                        ("--chip-period", "-1"), ("--chip-period", "1e-310"))]
+
+
+@pytest.mark.parametrize("argv, flag", SOUNDER_FLAG_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in SOUNDER_FLAG_ERRORS])
+def test_sounder_config_errors_name_their_flag(tmp_path, capsys, argv, flag):
+    test_pn_argument_errors_name_their_flag(tmp_path, capsys, argv, flag)
 
 
 @pytest.mark.parametrize("sliding_block, message", [
@@ -153,8 +175,8 @@ def sweep_capture_files(tmp_path):
     [frame] = multitx.build_frequency_plan(sweep.FrequencySetup(), 1)
     chan = ch.MultipathChannel(gains=[0.5], delays=[0.0])
     steps = range(len(frame.carriers_hz))
-    rows = sweep.compose_sweep_capture([(frame.tone_offsets_hz[0], chan)],
-                                       frame, sweep.unit_tones(frame), steps)
+    rows = sweep.compose_sweep_capture([chan], frame, sweep.unit_tones(frame),
+                                       steps)
     capture_paths = []
     for step, row in zip(steps, rows):
         path = tmp_path / f"step{step}.iq"
@@ -855,14 +877,14 @@ def test_oversized_filter_exits_2_before_allocating(tmp_path, change, field,
                                                     taps):
     path = bundled_edit(tmp_path, "indoor_wing_sliding",
                         lambda doc: doc["sliding"].update(change))
-    message = (f"{field}: a filter of span_symbols * samples_per_symbol + 1 "
+    message = (f"a filter of span_symbols * samples_per_symbol + 1 "
                f"= {taps} taps is above the {pulse.MAX_FILTER_TAPS}-tap "
                f"limit\n")
     for argv in (["validate"], ["campaign", "--out-dir", str(tmp_path / "out")]):
         child = run_cli_limited(*argv, "--scenario", str(path),
                                 address_space=1 << 30)
         assert (child.returncode, child.stderr) == (
-            2, f"ValueError: sliding.{message}")
+            2, f"ValueError: sliding.{field}: {message}")
     assert not (tmp_path / "out" / "records.jsonl").exists()
     flags = {"samples_per_symbol": "--sps", "span_symbols": "--span"}
     argv = [option for name, value in change.items()
@@ -871,7 +893,8 @@ def test_oversized_filter_exits_2_before_allocating(tmp_path, change, field,
                             str(sliding_capture_file(tmp_path)), *argv,
                             "--out-dir", str(tmp_path / "out"),
                             address_space=1 << 30)
-    assert (child.returncode, child.stderr) == (2, f"ValueError: {message}")
+    assert (child.returncode, child.stderr) == (
+        2, f"ValueError: {flags[field]}: {message}")
     assert not (tmp_path / "out" / "profile.json").exists()
 
 
@@ -1065,6 +1088,14 @@ def flat_loss(db):
     return set_environment(reference_loss_db=db, path_loss_exponent=1e-300)
 
 
+def subnormal_chip_period(chip_s):
+    """A subnormal chip period, with no delay spread for it to exceed."""
+    def edit(doc):
+        doc["sliding"]["chip_period_s"] = chip_s
+        doc["environment"]["delay_spread_scale_s"] = 0.0
+    return edit
+
+
 # the next floats past either end of the power range
 PAST_LIMIT = math.nextafter(cp.POWER_LIMIT_DB, math.inf)
 PAST_MINUS_LIMIT = math.nextafter(-cp.POWER_LIMIT_DB, -math.inf)
@@ -1077,6 +1108,11 @@ PAST_MINUS_LIMIT = math.nextafter(-cp.POWER_LIMIT_DB, -math.inf)
      lambda doc: doc["sliding"].update(chip_period_s=1.7e308),
      "sliding.chip_period_s: 1.7e+308 s makes a PN period of 1023 chips "
      "longer than a float holds"),
+    # the sample rate is inf Hz; the receiver's clock offset was blamed
+    *[("indoor_wing_sliding", subnormal_chip_period(chip_s),
+       f"sliding.chip_period_s: {chip_s!r} s at 4 samples per chip is a "
+       f"sample rate above a float's range")
+      for chip_s in (1e-310, 5e-324)],
     # the tap powers underflowed: "total tap power is zero", or, at a
     # lower power, every record flagged no_signal
     *[("indoor_wing_sliding", set_first_tx_power(db),
@@ -1103,8 +1139,8 @@ PAST_MINUS_LIMIT = math.nextafter(-cp.POWER_LIMIT_DB, -math.inf)
     *[("courtyard_frequency", flat_loss(db), loss_out_of_range(
         "environment.reference_loss_db", f"{db:.6g}"))
       for db in (PAST_LIMIT, PAST_MINUS_LIMIT)],
-], ids=["pn-period", "tx-power-3100", "tx-power-4000", "tx-power-5000",
-        "tx-power-6000", "tx-power-6400", "far-reference-sliding",
+], ids=["pn-period", "subnormal-1e-310", "subnormal-5e-324", "tx-power-3100",
+        "tx-power-4000", "tx-power-5000", "tx-power-6000", "tx-power-6400", "far-reference-sliding",
         "near-reference-sliding", "far-reference-frequency",
         "near-reference-frequency", "sliding-tx-power-past-plus-limit",
         "sliding-tx-power-past-minus-limit",
@@ -1251,10 +1287,31 @@ def wrapped_offsets(doc):
     doc["clocks"]["tx_offsets_s"] = [4.1e-4, 0.0, -4.1e-4]
 
 
-# the bundled sliding scenario's edits that OUTPUT_DIGESTS pins
-BUNDLED_EDITS = {"leaky-and-noisy": leaky_and_noisy,
-                 "one-period": averaging(1), "two-periods": averaging(2),
-                 "wrapped-offsets": wrapped_offsets}
+def frames_and_noise(doc):
+    """A third transmitter at -6 dB, a 300 kHz guard band and -60 dBFS
+    of noise: a plan of two sweep frames, of two tones and of one."""
+    doc["transmitters"].append({"id": "tx3", "position_m": [15.0, 10.0, 2.0],
+                                "tx_power_db": -6.0})
+    doc["frequency"]["guard_band_hz"] = 300e3
+    doc["noise_power_dbfs"] = -60.0
+
+
+def explicit_tones(doc):
+    """Explicit tones in the reverse of the order that a 300 kHz guard
+    band packs them in, and -60 dBFS of noise."""
+    doc["frequency"]["tone_offsets_hz"] = [100097.65625, -199951.171875]
+    doc["noise_power_dbfs"] = -60.0
+
+
+# the edits of a bundled scenario that OUTPUT_DIGESTS pins
+BUNDLED_EDITS = {
+    "leaky-and-noisy": ("indoor_wing_sliding", leaky_and_noisy),
+    "one-period": ("indoor_wing_sliding", averaging(1)),
+    "two-periods": ("indoor_wing_sliding", averaging(2)),
+    "wrapped-offsets": ("indoor_wing_sliding", wrapped_offsets),
+    "frames-and-noise": ("courtyard_frequency", frames_and_noise),
+    "explicit-tones": ("courtyard_frequency", explicit_tones),
+}
 
 
 # sha256 of every file that a campaign writes, per scenario: a change
@@ -1296,12 +1353,23 @@ OUTPUT_DIGESTS = {
         "heatmap_tx2.csv": "4f132659b011ae4bae039f3045cc9686d77622814367c53050eead065196f16e",
         "heatmap_tx3.csv": "9695982cf2af5b85c04f29c6fdfea23283fb5858ac999b13ed23f80620d8d1f6",
     },
+    "frames-and-noise": {
+        "records.jsonl": "9044d6c6ec38c9d696d80581cf2260ff97e2c9f945d11984146386d8bf9dd17b",
+        "heatmap_tx1.csv": "6cdd2b200dae1ac6684c9ab75fb33083c1b60292b4c86b5365e1c9472eab4add",
+        "heatmap_tx2.csv": "b9f9b5149c219654fa833bbad4579c00f18678cca72e89e628f579fdcfdd2499",
+        "heatmap_tx3.csv": "4d4112d745117aaa6df44b4ee553d997ede9ce3ae75a9105d762332723b9879c",
+    },
+    "explicit-tones": {
+        "records.jsonl": "aee79cbc3370eb80e9da259829cea4b2e32a87daf70936451ebca2ba1b68b2f0",
+        "heatmap_tx1.csv": "b6bb948211a672f4e837bc6aa3f52eee96ad2b099ded8448d0599bb171d69a55",
+        "heatmap_tx2.csv": "cb0bead5333719fde15d9b322035ea9e247dbc4feb04fa58d837b9528ff5b18b",
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(OUTPUT_DIGESTS))
 def test_campaign_output_bytes_are_pinned(tmp_path, capsys, name):
-    path = (bundled_edit(tmp_path, "indoor_wing_sliding", BUNDLED_EDITS[name])
+    path = (bundled_edit(tmp_path, *BUNDLED_EDITS[name])
             if name in BUNDLED_EDITS else BUNDLED / f"{name}.json")
     code, _, err = run_cli(capsys, "campaign", "--scenario", str(path),
                            "--out-dir", str(tmp_path / "out"))
@@ -1412,8 +1480,8 @@ def test_sound_freq_reproduces_campaign_losses(tmp_path, capsys, monkeypatch):
     compose = sweep.compose_sweep_capture
     paths = []
 
-    def compose_and_write(entries, frame, units, seeds, **kwargs):
-        rows = compose(entries, frame, units, seeds, **kwargs)
+    def compose_and_write(channels, frame, units, seeds, **kwargs):
+        rows = compose(channels, frame, units, seeds, **kwargs)
         # the file holds float32 I/Q, so the campaign reads what the files
         # will hold
         rows = rows.astype(np.complex64).astype(np.complex128)
@@ -1784,7 +1852,7 @@ def test_float_flags_exit_0_or_2_naming_the_flag(tmp_path_factory, drawn):
     ("sound-sliding", "--tx-power", "-1e3", None),
     ("sound-freq", "--tone-offset", f"{PLAN_TONE:.11e}", None),
     ("sound-sliding", "--chip-period", "-6e-8",
-     "ValueError: chip_period_s: must be positive"),
+     "ValueError: --chip-period: must be positive"),
     # these reached profile.json, losses.json and the status line as NaN
     # or Infinity, or were blamed on something else
     ("sound-sliding", "--tx-power-db", "nan",

@@ -42,8 +42,7 @@ def test_schedule_slot_ownership():
     # slot i without its two 10-sample guards
     schedule = multitx.TdmaSchedule(3, 100, 10)
     assert schedule.period_samples == 300
-    segments = multitx.segment_capture(np.arange(300.0), schedule,
-                                       1000.0).segments
+    segments = multitx.segment_capture(np.arange(300.0), schedule, 1000.0)
     assert segments.samples.shape == (3, 80)
     for i, segment in enumerate(segments.samples):
         npt.assert_array_equal(segment,
@@ -54,7 +53,7 @@ def test_segments_are_one_view_of_the_capture():
     # the stack shares the capture's checked samples, read-only
     samples = np.arange(300.0).astype(np.complex128)
     segments = multitx.segment_capture(
-        samples, multitx.TdmaSchedule(3, 100, 10), 1000.0, 2.0).segments
+        samples, multitx.TdmaSchedule(3, 100, 10), 1000.0, 2.0)
     assert np.shares_memory(segments.samples, samples)
     assert not segments.samples.flags.writeable
     assert (segments.sample_rate, segments.origin_time) == (1000.0, 2.0)
@@ -65,10 +64,10 @@ def test_single_transmitter_owns_everything():
     # whole capture
     schedule = multitx.TdmaSchedule(1, 200, 0)
     assert schedule.period_samples == 200
-    segmented = multitx.segment_capture(np.arange(200.0), schedule, 1000.0)
-    [segment] = segmented.segments.samples
+    capture = np.arange(200.0)
+    [segment] = multitx.segment_capture(capture, schedule, 1000.0).samples
     npt.assert_array_equal(segment, np.arange(200.0))
-    assert not segmented.misaligned
+    assert not multitx.guard_core_power_ratio(capture, schedule) > 0.25
 
 
 def test_slot_tiling_partitions_each_period():
@@ -77,7 +76,7 @@ def test_slot_tiling_partitions_each_period():
     capture = np.arange(100.0)
     for guard in range(13):
         schedule = multitx.TdmaSchedule(4, 25, guard)
-        segments = multitx.segment_capture(capture, schedule, 1000.0).segments
+        segments = multitx.segment_capture(capture, schedule, 1000.0)
         pieces = []
         for i, segment in enumerate(segments.samples):
             lo, hi = 25 * i, 25 * (i + 1)
@@ -146,8 +145,8 @@ def test_segment_distinct_constants():
     schedule = multitx.TdmaSchedule(3, 100, 5)
     samples = np.concatenate([np.full(100, 1.0), np.full(100, 2.0),
                               np.full(100, 3.0)]).astype(np.complex128)
-    segmented = multitx.segment_capture(samples, schedule, rate)
-    for i, segment in enumerate(segmented.segments.samples):
+    segments = multitx.segment_capture(samples, schedule, rate)
+    for i, segment in enumerate(segments.samples):
         npt.assert_array_equal(segment, i + 1.0)
         assert len(segment) == 90
 
@@ -157,8 +156,7 @@ def test_compose_single_tx_matches_apply_channel(tdma_setup):
     chan = ch.MultipathChannel(gains=[0.5, 0.25j],
                                delays=[0.0, 12 / burst.sample_rate])
     schedule = multitx.TdmaSchedule(1, len(burst) + 64, 0)
-    scene = [multitx.SceneTransmitter(burst, chan)]
-    capture = multitx.compose_received(scene, schedule)
+    capture = multitx.compose_received([burst], [chan], [0], schedule)
     direct = expand(ch.apply_channel(burst, chan))
     overlap = min(len(capture), len(direct))
     npt.assert_array_equal(capture[:overlap], direct[:overlap])
@@ -175,10 +173,9 @@ def test_segment_starts_at_its_bursts_first_sample(tdma_setup, chips10,
     chan = ch.MultipathChannel(gains=[0.5, 0.25j],
                                delays=[0.0, 12 / burst.sample_rate])
     schedule = multitx.TdmaSchedule(1, len(burst) + 2 * guard + 16, guard)
-    capture = multitx.compose_received(
-        [multitx.SceneTransmitter(burst, chan)], schedule)
+    capture = multitx.compose_received([burst], [chan], [0], schedule)
     segments = multitx.segment_capture(capture, schedule, burst.sample_rate,
-                                       burst.origin_time).segments
+                                       burst.origin_time)
     [segment] = segments.samples
     received = expand(ch.apply_channel(burst, chan))
     assert len(segment) == len(received) + 4
@@ -195,10 +192,10 @@ def test_compose_leakage_off_is_exactly_isolated(tdma_setup):
     burst, schedule, _ = tdma_setup
     slot_samples, guard = schedule.slot_samples, schedule.guard_samples
     channels = [flat_channel(0.0), flat_channel(20.0), flat_channel(40.0)]
-    scene = [multitx.SceneTransmitter(burst, c) for c in channels]
     leak_gain = multitx.LeakageModel().gain(multitx.PARK_OFF_BAND)
     assert leak_gain == 0.0
-    capture = multitx.compose_received(scene, schedule, leak_gain=leak_gain)
+    capture = multitx.compose_received([burst] * 3, channels, [0] * 3,
+                                       schedule, leak_gain=leak_gain)
     for i, chan in enumerate(channels):
         segment = capture[i * slot_samples:(i + 1) * slot_samples]
         received = expand(ch.apply_channel(burst, chan))
@@ -214,17 +211,13 @@ def test_small_clock_offset_keeps_sounding_bit_identical(tdma_setup, chips10,
     chan = ch.MultipathChannel(gains=[1.0, 0.3], delays=[0.0, 2 * config.chip_period_s])
 
     def profile_with_offset(offset_samples):
-        scene = [multitx.SceneTransmitter(burst, chan,
-                                          clock_offset_samples=offset_samples),
-                 multitx.SceneTransmitter(burst, flat_channel(30.0),
-                                          clock_offset_samples=offset_samples),
-                 multitx.SceneTransmitter(burst, flat_channel(35.0),
-                                          clock_offset_samples=offset_samples)]
-        capture = multitx.compose_received(scene, schedule)
-        segmented = multitx.segment_capture(capture, schedule,
-                                            burst.sample_rate)
-        assert not segmented.misaligned
-        return sliding.measure_sliding(segmented.segments, chips10,
+        capture = multitx.compose_received(
+            [burst] * 3, [chan, flat_channel(30.0), flat_channel(35.0)],
+            [offset_samples] * 3, schedule)
+        segments = multitx.segment_capture(capture, schedule,
+                                           burst.sample_rate)
+        assert not multitx.guard_core_power_ratio(capture, schedule) > 0.25
+        return sliding.measure_sliding(segments, chips10,
                                        rrc_taps, config, [0.0] * 3)[0]
 
     base = profile_with_offset(0)
@@ -237,12 +230,9 @@ def test_small_clock_offset_keeps_sounding_bit_identical(tdma_setup, chips10,
 def test_gross_clock_offset_raises_flag(tdma_setup):
     burst, schedule, _ = tdma_setup
     offset = 3 * schedule.slot_samples // 2  # misattributes every segment
-    scene = [multitx.SceneTransmitter(burst, flat_channel(level),
-                                      clock_offset_samples=offset)
-             for level in (0.0, 3.0, 6.0)]
-    capture = multitx.compose_received(scene, schedule)
-    segmented = multitx.segment_capture(capture, schedule, burst.sample_rate)
-    assert segmented.misaligned
+    capture = multitx.compose_received(
+        [burst] * 3, [flat_channel(level) for level in (0.0, 3.0, 6.0)],
+        [offset] * 3, schedule)
     assert multitx.guard_core_power_ratio(capture, schedule) > 0.25
 
 
@@ -261,10 +251,9 @@ def test_guard_core_power_ratio_matches_mean_of_squares(tdma_setup):
         cases.append((samples, multitx.TdmaSchedule(count, slot, trim)))
     burst, schedule, _ = tdma_setup
     offset = 3 * schedule.slot_samples // 2
-    scene = [multitx.SceneTransmitter(burst, flat_channel(6.0 * k),
-                                      clock_offset_samples=offset)
-             for k in range(3)]
-    cases.append((multitx.compose_received(scene, schedule), schedule))
+    cases.append((multitx.compose_received(
+        [burst] * 3, [flat_channel(6.0 * k) for k in range(3)], [offset] * 3,
+        schedule), schedule))
     for samples, schedule in cases:
         want = oracle_guard_core_power_ratio(samples, schedule)
         got = multitx.guard_core_power_ratio(samples, schedule)
@@ -287,9 +276,9 @@ def test_segmentation_accepts_finite_samples_whose_squares_overflow(
     schedule = multitx.TdmaSchedule(3, 100, 10)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        segmented = multitx.segment_capture(samples, schedule, 1000.0)
+        segments = multitx.segment_capture(samples, schedule, 1000.0)
         assert multitx.guard_core_power_ratio(samples, schedule) == ratio
-    assert segmented.segments.samples[1, 40] == samples[150]
+    assert segments.samples[1, 40] == samples[150]
 
 
 def test_near_far_failure_and_mitigation(tdma_setup, chips10, rrc_taps):
@@ -299,15 +288,14 @@ def test_near_far_failure_and_mitigation(tdma_setup, chips10, rrc_taps):
     far = flat_channel(80.0)
 
     def far_loss(park_mode):
-        scene = [multitx.SceneTransmitter(burst, near),
-                 multitx.SceneTransmitter(burst, far)]
         leakage = multitx.LeakageModel(parked_leakage_db=math.inf,
                                        inband_null_leakage_db=30.0)
-        capture = multitx.compose_received(scene, schedule,
+        capture = multitx.compose_received([burst] * 2, [near, far], [0, 0],
+                                           schedule,
                                            leak_gain=leakage.gain(park_mode))
-        segmented = multitx.segment_capture(capture, schedule,
-                                            burst.sample_rate)
-        profile = sliding.measure_sliding(segmented.segments, chips10,
+        segments = multitx.segment_capture(capture, schedule,
+                                           burst.sample_rate)
+        profile = sliding.measure_sliding(segments, chips10,
                                           rrc_taps, config, [0.0] * 2)[1]
         return profile["path_loss_db"]
 
@@ -325,15 +313,13 @@ def test_leakage_monotonicity(tdma_setup, chips10, rrc_taps):
     third = flat_channel(60.0)
     errors = []
     for attenuation in (20.0, 30.0, 45.0, 60.0, 90.0):
-        scene = [multitx.SceneTransmitter(burst, near),
-                 multitx.SceneTransmitter(burst, third),
-                 multitx.SceneTransmitter(burst, far)]
         leakage = multitx.LeakageModel(inband_null_leakage_db=attenuation)
         capture = multitx.compose_received(
-            scene, schedule, leak_gain=leakage.gain(multitx.PARK_IN_BAND))
-        segmented = multitx.segment_capture(capture, schedule,
-                                            burst.sample_rate)
-        profile = sliding.measure_sliding(segmented.segments, chips10,
+            [burst] * 3, [near, third, far], [0] * 3, schedule,
+            leak_gain=leakage.gain(multitx.PARK_IN_BAND))
+        segments = multitx.segment_capture(capture, schedule,
+                                           burst.sample_rate)
+        profile = sliding.measure_sliding(segments, chips10,
                                           rrc_taps, config, [0.0] * 3)[2]
         errors.append(abs(profile["path_loss_db"] - 80.0))
     assert all(a >= b - 1e-9 for a, b in zip(errors, errors[1:]))
@@ -361,20 +347,19 @@ def test_slice_placement_matches_per_sample_mapping(leak_db):
             for first in range(len(shifts)):
                 offsets = [shifts[(first + i) % len(shifts)]
                            for i in range(count)]
-                scene = []
+                waveforms, channels = [], []
                 for i, shift in enumerate(offsets):
                     rng_tx = np.random.default_rng(i)
-                    waveform = whole(pulse.BasebandSignal(
+                    waveforms.append(whole(pulse.BasebandSignal(
                         rng_tx.normal(size=burst_len)
-                        + 1j * rng_tx.normal(size=burst_len), rate))
-                    scene.append(multitx.SceneTransmitter(
-                        waveform, flat_channel(6.0 * i), shift))
+                        + 1j * rng_tx.normal(size=burst_len), rate)))
+                    channels.append(flat_channel(6.0 * i))
                     burst_lo = (i * slot - shift) % period + guard
                     wrapped += burst_lo < period < burst_lo + min(
                         burst_len, slot - guard)
-                sliced = multitx.compose_received(scene, schedule,
-                                                  leak_gain=leak_gain)
-                mapped = per_sample_compose(scene, schedule, leak_gain)
+                scene = (waveforms, channels, offsets, schedule)
+                sliced = multitx.compose_received(*scene, leak_gain=leak_gain)
+                mapped = per_sample_compose(*scene, leak_gain)
                 assert np.array_equal(sliced, mapped), \
                     (count, burst_len, guard, offsets)
     assert wrapped > 100
@@ -397,17 +382,17 @@ def test_compose_matches_tiled_leakage_and_complex_noise_oracle():
             # the whole period
             for burst_len in (60, 95, 130, 700):
                 shifts = rng.integers(-4 * period, 4 * period, size=3)
-                scene = []
-                for i, shift in enumerate(shifts):
+                waveforms = []
+                for _ in shifts:
                     samples = rng.normal(size=burst_len) \
                         + 1j * rng.normal(size=burst_len)
-                    scene.append(multitx.SceneTransmitter(
-                        whole(pulse.BasebandSignal(samples, rate)),
-                        flat_channel(6.0 * i), int(shift)))
+                    waveforms.append(whole(pulse.BasebandSignal(samples, rate)))
+                scene = (waveforms, [flat_channel(6.0 * i) for i in range(3)],
+                         [int(shift) for shift in shifts], schedule)
                 kwargs = dict(leak_gain=leak_gain, noise_power_dbfs=noise,
                               seed=cases)
-                got = multitx.compose_received(scene, schedule, **kwargs)
-                expected = oracle_compose_received(scene, schedule, **kwargs)
+                got = multitx.compose_received(*scene, **kwargs)
+                expected = oracle_compose_received(*scene, **kwargs)
                 assert got.tobytes() == expected.tobytes(), \
                     (leak_db, noise, burst_len, shifts)
                 cases += 1
@@ -423,11 +408,10 @@ def test_compose_draws_the_whole_in_phase_rail_then_the_quadrature_rail(n):
     rng = np.random.default_rng(n)
     signal = pulse.BasebandSignal(rng.normal(size=n) + 1j * rng.normal(size=n),
                                   1000.0)
-    scene = [multitx.SceneTransmitter(whole(signal), flat_channel(0.0))]
-    schedule = multitx.TdmaSchedule(1, n, 0)
-    got = multitx.compose_received(scene, schedule, noise_power_dbfs=-17.0,
-                                   seed=n + 3)
-    expected = multitx.compose_received(scene, schedule)
+    scene = ([whole(signal)], [flat_channel(0.0)], [0],
+             multitx.TdmaSchedule(1, n, 0))
+    got = multitx.compose_received(*scene, noise_power_dbfs=-17.0, seed=n + 3)
+    expected = multitx.compose_received(*scene)
     draws = np.random.default_rng(n + 3)
     sigma = math.sqrt(10.0 ** (-17.0 / 10.0) / 2.0)
     expected.real += sigma * draws.standard_normal(n)
@@ -447,22 +431,23 @@ def test_compose_with_the_campaign_period_matches_the_oracles(
     rng = np.random.default_rng(seed)
     leak_gain = multitx.LeakageModel(
         inband_null_leakage_db=30.0).gain(multitx.PARK_IN_BAND)
-    scene = []
-    for i, offset in enumerate(offsets):
-        waveform = replace(burst, samples=burst.samples * 10.0 ** (-i / 2.0))
+    waveforms, channels = [], []
+    for i in range(len(offsets)):
+        waveforms.append(
+            replace(burst, samples=burst.samples * 10.0 ** (-i / 2.0)))
         tap_count = int(rng.integers(1, 7))
         lags = np.concatenate([[0], np.sort(rng.choice(
             np.arange(1, 1024), size=tap_count - 1, replace=False))])
-        channel = ch.MultipathChannel(
+        channels.append(ch.MultipathChannel(
             gains=rng.normal(size=tap_count) + 1j * rng.normal(size=tap_count),
-            delays=lags * 60e-9)
-        scene.append(multitx.SceneTransmitter(waveform, channel, offset))
+            delays=lags * 60e-9))
+    scene = (waveforms, channels, offsets, schedule)
     noisy = dict(leak_gain=leak_gain, noise_power_dbfs=-40.0, seed=seed)
-    got = multitx.compose_received(scene, schedule, **noisy)
-    expected = oracle_compose_received(scene, schedule, **noisy)
+    got = multitx.compose_received(*scene, **noisy)
+    expected = oracle_compose_received(*scene, **noisy)
     assert got.tobytes() == expected.tobytes()
-    got = multitx.compose_received(scene, schedule, leak_gain=leak_gain)
-    expected = per_sample_compose(scene, schedule, leak_gain)
+    got = multitx.compose_received(*scene, leak_gain=leak_gain)
+    expected = per_sample_compose(*scene, leak_gain)
     assert got.tobytes() == expected.tobytes()
 
 
@@ -493,8 +478,8 @@ def test_period_form_placement_matches_the_tiled_composer(
     schedule = multitx.TdmaSchedule(slots, slot, guard)
     leak_gain = multitx.LeakageModel(
         inband_null_leakage_db=leak_db).gain(multitx.PARK_IN_BAND)
-    scene = []
-    for offset in offsets[:slots]:
+    waveforms, channels = [], []
+    for _ in range(slots):
         burst = period_form(np.concatenate([
             noise_samples(ramp), np.tile(noise_samples(period), repetitions),
             noise_samples(ramp)]), period, ramp)
@@ -502,13 +487,14 @@ def test_period_form_placement_matches_the_tiled_composer(
         late = rng.choice(np.arange(1, latest + 1),
                           size=min(int(rng.integers(0, 4)), latest),
                           replace=False)
-        channel = ch.MultipathChannel(
+        waveforms.append(burst)
+        channels.append(ch.MultipathChannel(
             gains=noise_samples(len(late) + 1),
-            delays=np.concatenate([[0], np.sort(late)]))
-        scene.append(multitx.SceneTransmitter(burst, channel, offset))
+            delays=np.concatenate([[0], np.sort(late)])))
+    scene = (waveforms, channels, offsets[:slots], schedule)
     kwargs = dict(leak_gain=leak_gain, noise_power_dbfs=noise, seed=seed)
-    got = multitx.compose_received(scene, schedule, **kwargs)
-    expected = oracle_compose_received(scene, schedule, **kwargs)
+    got = multitx.compose_received(*scene, **kwargs)
+    expected = oracle_compose_received(*scene, **kwargs)
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 

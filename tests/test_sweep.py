@@ -116,13 +116,15 @@ def test_two_tones_stay_orthogonal(plan):
     both = replace(plan, tone_offsets_hz=(f1, f2))
     strong = ch.MultipathChannel(gains=[1.0], delays=[0.0])
     weak = ch.MultipathChannel(gains=[0.5], delays=[0.0])
-    units = sweep.unit_tones(both)
-    single_1 = sweep.compose_sweep_capture([(f1, strong)], both, units,
+    alone_1, alone_2 = (replace(plan, tone_offsets_hz=(f,)) for f in (f1, f2))
+    single_1 = sweep.compose_sweep_capture([strong], alone_1,
+                                           sweep.unit_tones(alone_1),
                                            steps(both))
-    single_2 = sweep.compose_sweep_capture([(f2, weak)], both, units,
+    single_2 = sweep.compose_sweep_capture([weak], alone_2,
+                                           sweep.unit_tones(alone_2),
                                            steps(both))
     combined = sweep.compose_sweep_capture(
-        [(f1, strong), (f2, weak)], both, units, steps(both))
+        [strong, weak], both, sweep.unit_tones(both), steps(both))
     for tone, single in ((f1, single_1), (f2, single_2)):
         alone = sweep.bin_power(single, both, [tone])
         together = sweep.bin_power(combined, both, [tone])
@@ -160,8 +162,9 @@ def test_narrowband_losses_mark_empty_bins_and_keep_tone_order(plan):
     bin_width = plan.sample_rate_hz / plan.fft_length
     tones = (-300 * bin_width, 600 * bin_width)
     frame = replace(plan, tone_offsets_hz=tones)
-    rows = sweep.compose_sweep_capture([(tones[1], UNIT)], frame,
-                                       sweep.unit_tones(frame), steps(frame))
+    second = replace(plan, tone_offsets_hz=tones[1:])
+    rows = sweep.compose_sweep_capture([UNIT], second,
+                                       sweep.unit_tones(second), steps(frame))
     # only the second tone is on the air; read in reverse tone order
     quiet, loud = sweep.narrowband_losses(rows, frame, tones[::-1],
                                           [3.0, -2.0])[::-1]
@@ -248,14 +251,16 @@ def test_sweep_rows_equal_per_step_oracle_bit_for_bit(plan):
     units = sweep.unit_tones(three)
     rng = np.random.default_rng(77)
     for noise in (None, -30.0):
-        entries = [(tone, random_sweep_channel(rng))
-                   for tone in three.tone_offsets_hz]
+        channels = [random_sweep_channel(rng) for _ in three.tone_offsets_hz]
         seeds = [int(seed) for seed in rng.integers(0, 2**62, 10)]
         for count in (1, 3):
-            got = sweep.compose_sweep_capture(entries[:count], three, units,
-                                              seeds, noise_power_dbfs=noise)
-            want = oracle_sweep_rows(entries[:count], three, units, seeds,
-                                     noise_power_dbfs=noise)
+            first = replace(three,
+                            tone_offsets_hz=three.tone_offsets_hz[:count])
+            got = sweep.compose_sweep_capture(channels[:count], first,
+                                              units[:count], seeds,
+                                              noise_power_dbfs=noise)
+            want = oracle_sweep_rows(channels[:count], first, units[:count],
+                                     seeds, noise_power_dbfs=noise)
             assert got.shape == (10, 5000)
             assert np.array_equal(got, want)
 
@@ -290,24 +295,26 @@ def test_unit_tone_is_cached_read_only(plan, monkeypatch):
                                      path_loss_exponent=2.1))
     [(frame, units)] = cp.prepare(scenario)
     t = np.arange(5000) / frame.sample_rate_hz
-    assert list(units) == list(frame.tone_offsets_hz)
-    for tone_offset, tone in units.items():
+    # one row per tone, in the frame's order, each the unit tone bit for bit
+    assert units.shape == (len(frame.tone_offsets_hz), 5000)
+    for tone_offset, tone in zip(frame.tone_offsets_hz, units, strict=True):
         assert not tone.flags.writeable
         with pytest.raises(ValueError):
             tone[0] = 0.0
         assert np.array_equal(tone, np.exp(2j * np.pi * tone_offset * t))
+    reversed_tones = replace(frame, tone_offsets_hz=frame.tone_offsets_hz[::-1])
+    assert np.array_equal(sweep.unit_tones(reversed_tones), units[::-1])
     seen = []
     compose = sweep.compose_sweep_capture
 
-    def recording(entries, frame, units, seeds, **kwargs):
+    def recording(channels, frame, units, seeds, **kwargs):
         seen.append(units)
-        return compose(entries, frame, units, seeds, **kwargs)
+        return compose(channels, frame, units, seeds, **kwargs)
 
     monkeypatch.setattr(sweep, "compose_sweep_capture", recording)
     cp.run_campaign(scenario)
     assert len(seen) == 3
-    for tone_offset in frame.tone_offsets_hz:
-        assert len({id(units[tone_offset]) for units in seen}) == 1
+    assert len({id(units) for units in seen}) == 1
 
 
 def test_noisy_sweep_matches_oracle(plan, monkeypatch):
