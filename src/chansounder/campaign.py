@@ -26,8 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from chansounder import multitx, schema, sliding, sweep
-from chansounder.channel import (EnvironmentModel, path_loss_db,
-                                 synthesize_channel, wall_term_db)
+from chansounder.channel import (POWER_LIMIT_DB, EnvironmentModel,
+                                 path_loss_db, synthesize_channel,
+                                 wall_term_db)
 from chansounder.exceptions import NoSignalError
 from chansounder.pulse import burst_period_and_ramp, modulate
 
@@ -39,11 +40,8 @@ FLAG_NO_SIGNAL = "no_signal"
 FLAG_MISALIGNED = "misaligned"
 # the guard/core power ratio above which a location is misaligned
 _MISALIGNED_RATIO = 0.25
-
-# The range of every power in dB: transmit powers, path losses and the
-# noise. Received amplitudes then stay within 1e+-100, so no sum of
-# squares over any capture, correlation or score leaves the normal floats.
-POWER_LIMIT_DB = 1000.0
+# the range of every coordinate, in metres: about an Earth radius
+COORDINATE_LIMIT_M = 1e7
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -64,25 +62,30 @@ def _noise_seed(scenario, *parts) -> int | None:
 @dataclass(frozen=True)
 class Transmitter:
     id: str
-    position: tuple[float, ...]
-    tx_power_db: float = 0.0
+    position: tuple[float, ...] = schema.within(
+        -COORDINATE_LIMIT_M, COORDINATE_LIMIT_M, "m")
+    tx_power_db: float = schema.within(-POWER_LIMIT_DB, POWER_LIMIT_DB, "dB",
+                                       default=0.0)
     antenna_height_note: str | None = None
 
     def __post_init__(self):
-        if not abs(self.tx_power_db) <= POWER_LIMIT_DB:
-            raise ValueError(f"tx_power_db: {self.tx_power_db} dB is "
-                             f"outside +-{POWER_LIMIT_DB:g} dB")
+        schema.check_ranges(self)
 
 
 @dataclass(frozen=True)
 class ClockSetup:
-    tx_offsets_s: tuple[float, ...] | None = None  # explicit per-transmitter offsets
-    offset_std_s: float = 0.0          # else drawn per node from this spread
-    rx_offset_s: float = 0.0
+    """Explicit per-transmitter clock offsets, else a spread to draw one
+    per node from, and the receiver's offset, each within a second:
+    free-running sounder clocks disagree by microseconds to
+    milliseconds."""
+
+    tx_offsets_s: tuple[float, ...] | None = schema.within(-1.0, 1.0, "s",
+                                                           default=None)
+    offset_std_s: float = schema.within(0.0, 1.0, "s", default=0.0)
+    rx_offset_s: float = schema.within(-1.0, 1.0, "s", default=0.0)
 
     def __post_init__(self):
-        if self.offset_std_s < 0:
-            raise ValueError("offset_std_s: must be nonnegative")
+        schema.check_ranges(self)
         if self.tx_offsets_s is not None and self.offset_std_s != 0:
             raise ValueError("offset_std_s: must be 0 when tx_offsets_s "
                              "gives the offsets")
@@ -92,7 +95,8 @@ class ClockSetup:
 class Scenario:
     mode: str
     transmitters: tuple[Transmitter, ...]
-    receiver_path: tuple[tuple[float, ...], ...]
+    receiver_path: tuple[tuple[float, ...], ...] = schema.within(
+        -COORDINATE_LIMIT_M, COORDINATE_LIMIT_M, "m")
     environment: EnvironmentModel
     master_seed: int = 0
     sliding: sliding.SounderConfig = field(default_factory=sliding.SounderConfig)
@@ -101,7 +105,8 @@ class Scenario:
     clocks: ClockSetup = field(default_factory=ClockSetup)
     leakage: multitx.LeakageModel = field(default_factory=multitx.LeakageModel)
     park_mode: str = multitx.PARK_OFF_BAND
-    noise_power_dbfs: float | None = None
+    noise_power_dbfs: float | None = schema.within(
+        -math.inf, POWER_LIMIT_DB, "dBFS", default=None)
     geo: tuple | None = None  # optional passthrough, aligned with the path
 
     def __post_init__(self):
@@ -120,10 +125,7 @@ class Scenario:
             moved = name == "leakage" and self.park_mode != multitx.PARK_OFF_BAND
             if moved or block != type(block)():
                 raise ValueError(f"{name}: not read by a {self.mode} scenario")
-        if not (self.noise_power_dbfs is None
-                or self.noise_power_dbfs <= POWER_LIMIT_DB):
-            raise ValueError(f"noise_power_dbfs: {self.noise_power_dbfs} "
-                             f"dBFS is above {POWER_LIMIT_DB:g} dBFS")
+        schema.check_ranges(self)
         if len(self.transmitters) < 1:
             raise ValueError("transmitters: at least one transmitter required")
         if len(self.receiver_path) < 1:
@@ -175,10 +177,7 @@ def _record(scenario: Scenario, loc_index: int, tx: Transmitter, seed: int,
 
 def _tx_clock_offsets(scenario: Scenario, sample_rate: float) -> list:
     """Each transmitter's clock offset from the receiver's, in whole
-    samples: explicit, or drawn once per node from its own seed. An
-    offset of more samples than a float holds raises, naming the
-    receiver's offset if that alone is too large, else the field that
-    gave the transmitter's."""
+    samples: explicit, or drawn once per node from its own seed."""
     clocks = scenario.clocks
     if clocks.tx_offsets_s is not None:
         if len(clocks.tx_offsets_s) != len(scenario.transmitters):
@@ -193,22 +192,9 @@ def _tx_clock_offsets(scenario: Scenario, sample_rate: float) -> list:
         ]
     else:
         offsets = [0.0] * len(scenario.transmitters)
-    samples = []
-    for k, off in enumerate(offsets):
-        # the receiver's own error shifts every transmitter the opposite way
-        shift = (off - clocks.rx_offset_s) * sample_rate
-        if not math.isfinite(shift):
-            name = ("clocks.rx_offset_s"
-                    if not math.isfinite(clocks.rx_offset_s * sample_rate)
-                    else f"clocks.tx_offsets_s[{k}]"
-                    if clocks.tx_offsets_s is not None
-                    else "clocks.offset_std_s")
-            raise ValueError(f"{name}: a clock offset of "
-                             f"{off - clocks.rx_offset_s:.6g} s is more "
-                             f"samples at {sample_rate:.6g} Hz than a "
-                             f"float holds")
-        samples.append(int(round(shift)))
-    return samples
+    # the receiver's own error shifts every transmitter the opposite way
+    return [int(round((off - clocks.rx_offset_s) * sample_rate))
+            for off in offsets]
 
 
 def _check_burst_samples(config: sliding.SounderConfig, chips, taps) -> None:
@@ -279,10 +265,10 @@ def _run_sliding(scenario: Scenario, prepared: tuple, locations: range) -> list:
             chan, _ = synthesize_channel(scenario.environment, tx.position,
                                          position, seed,
                                          delay_grid_s=config.chip_period_s)
-            # checked before any capture is built; an infinite delay
-            # is not below the PN period, and no lag is rounded from it
+            # checked before any capture is built
             late = chan.delays[-1]
-            if late >= pn_period_s or (lag := round(late * rate)) > room:
+            lag = round(late * rate)
+            if late >= pn_period_s or lag > room:
                 bound = (f"not below the {pn_period_s} s PN period"
                          if late >= pn_period_s else
                          f"{lag} samples, more than the {room} samples that "
@@ -316,24 +302,17 @@ def _run_sliding(scenario: Scenario, prepared: tuple, locations: range) -> list:
     return records
 
 
-def _check_step_samples(setup: sweep.FrequencySetup) -> None:
-    """Raise, before the unit tones are built, when a carrier step would
-    be longer than the longest slot: naming fft_length when even the
-    shortest step (one FFT window) is, else step_duration_s."""
-    for name, samples in (
-            ("fft_length", setup.fft_length),
-            ("step_duration_s", setup.step_duration_s * setup.sample_rate_hz)):
-        if samples > multitx.MAX_SLOT_SAMPLES:
-            raise ValueError(
-                f"{name}: a carrier step of {samples:.6g} samples is above "
-                f"the {multitx.MAX_SLOT_SAMPLES}-sample slot limit")
-
-
 def _prepare_frequency(scenario: Scenario) -> list:
     """The sweep frames, each with its unit tones: transmitter k sends
-    the k-th tone of the frames taken in order."""
+    the k-th tone of the frames taken in order. A carrier step longer
+    than the longest slot raises, naming step_duration_s, before the
+    unit tones are built; the FFT window's range keeps it within one."""
+    samples = scenario.frequency.step_samples
     try:
-        _check_step_samples(scenario.frequency)
+        if samples > multitx.MAX_SLOT_SAMPLES:
+            raise ValueError(
+                f"step_duration_s: a carrier step of {samples:.6g} samples "
+                f"is above the {multitx.MAX_SLOT_SAMPLES}-sample slot limit")
         frames = multitx.build_frequency_plan(scenario.frequency,
                                               len(scenario.transmitters))
     except ValueError as exc:
@@ -352,22 +331,15 @@ def _check_path_losses(scenario: Scenario) -> None:
     """Every (transmitter, location) pair's path loss must lie within
     +-POWER_LIMIT_DB.
 
-    The error names the environment coefficient that is out of that range
-    by itself (the reference loss, 10 * exponent dB per decade, the
-    10 * exponent * log10(reference distance) dB that the reference
-    distance takes off, or the loss of one wall). Else, where the pair's
-    wall term is out of range by itself, it names the wall grid spacing
-    if that is further from 1 m, in orders of magnitude, than the pair's
-    distance is. Else it names the reference loss if it weighs at least
-    as much as the distance and wall terms together, else the pair's
-    position farther from the origin.
+    Each environment coefficient's range keeps its own term within that
+    range. So where the pair's wall term is out of range by itself, the
+    error names the wall grid spacing if that is further from 1 m, in
+    orders of magnitude, than the pair's distance is. Else it names the
+    reference loss if it weighs at least as much as the distance and
+    wall terms together, else the pair's position farther from the
+    origin.
     """
     env = scenario.environment
-    coefficients = (("reference_loss_db", env.reference_loss_db),
-                    ("path_loss_exponent", 10.0 * env.path_loss_exponent),
-                    ("reference_distance_m", 10.0 * env.path_loss_exponent
-                     * math.log10(env.reference_distance_m)),
-                    ("wall_loss_db", env.wall_loss_db))
     for k, tx in enumerate(scenario.transmitters):
         for j, position in enumerate(scenario.receiver_path):
             try:
@@ -377,12 +349,8 @@ def _check_path_losses(scenario: Scenario) -> None:
                                  f"transmitters[{k}].position_m") from None
             if abs(loss_db) <= POWER_LIMIT_DB:
                 continue
-            culprits = [name for name, db in coefficients
-                        if not abs(db) <= POWER_LIMIT_DB]
             walls = wall_term_db(env, tx.position, position) > POWER_LIMIT_DB
-            if culprits:
-                field = f"environment.{culprits[0]}"
-            elif walls and abs(math.log10(env.wall_grid_spacing_m)) > abs(
+            if walls and abs(math.log10(env.wall_grid_spacing_m)) > abs(
                     math.log10(math.dist(tx.position, position))):
                 field = "environment.wall_grid_spacing_m"
             elif not walls and abs(env.reference_loss_db) >= abs(

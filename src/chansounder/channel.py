@@ -16,6 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from chansounder.pulse import PeriodForm
+from chansounder.schema import check_ranges, within
+
+# The range of every power in dB: transmit powers, path losses and the
+# noise. Received amplitudes then stay within 1e+-100, so no sum of
+# squares over any capture, correlation or score leaves the normal floats.
+POWER_LIMIT_DB = 1000.0
+
+# The longest TDMA slot or sweep carrier step, in samples: 64 MiB of
+# complex128, about 77 times the 54616-sample slot of the criterion-9
+# campaign.
+MAX_SLOT_SAMPLES = 2 ** 22
 
 # The most taps a drawn channel may have: each one is a pass over the
 # burst, or over every sweep step, at every location. It is four times
@@ -43,31 +54,25 @@ class MultipathChannel:
 
 @dataclass(frozen=True)
 class EnvironmentModel:
-    """Log-distance environment used to synthesize campaign channels."""
+    """Log-distance environment used to synthesize campaign channels.
+    Every coefficient's range holds its term of the path loss, and one
+    wall's loss, within +-POWER_LIMIT_DB; a spread is 0 (one tap) or at
+    least 1 ps, so no drawn delay over it leaves the floats."""
 
-    reference_loss_db: float
-    path_loss_exponent: float
-    reference_distance_m: float = 1.0
-    delay_spread_scale_s: float = 0.0
-    tap_count_range: tuple[int, int] = (1, 1)
-    wall_loss_db: float = 0.0
-    wall_grid_spacing_m: float | None = None
+    reference_loss_db: float = within(-POWER_LIMIT_DB, POWER_LIMIT_DB, "dB")
+    path_loss_exponent: float = within(0.0, 10.0)
+    reference_distance_m: float = within(1e-3, 1e4, "m", default=1.0)
+    delay_spread_scale_s: float = within(1e-12, 1.0, "s", default=0.0,
+                                         also=0.0)
+    tap_count_range: tuple[int, int] = within(1, MAX_TAPS, default=(1, 1))
+    wall_loss_db: float = within(0.0, POWER_LIMIT_DB, "dB", default=0.0)
+    wall_grid_spacing_m: float | None = within(1e-3, 1e7, "m", default=None)
 
     def __post_init__(self):
-        if self.path_loss_exponent <= 0:
-            raise ValueError("path_loss_exponent: must be positive")
-        if self.reference_distance_m <= 0:
-            raise ValueError("reference_distance_m: must be positive")
-        if self.delay_spread_scale_s < 0:
-            raise ValueError("delay_spread_scale_s: must be nonnegative")
+        check_ranges(self)
         lo, hi = self.tap_count_range
-        if not (1 <= lo <= hi <= MAX_TAPS):
-            raise ValueError(f"tap_count_range: bad range {self.tap_count_range}"
-                             f", not within [1, {MAX_TAPS}]")
-        if self.wall_loss_db < 0:
-            raise ValueError("wall_loss_db: must be nonnegative")
-        if self.wall_grid_spacing_m is not None and self.wall_grid_spacing_m <= 0:
-            raise ValueError("wall_grid_spacing_m: must be positive")
+        if lo > hi:
+            raise ValueError(f"tap_count_range: {lo} is above {hi}")
 
 
 def apply_channel(signal: PeriodForm, channel: MultipathChannel) -> PeriodForm:
@@ -123,11 +128,13 @@ NOISE_CHUNK = 2 ** 14
 
 
 def add_noise(samples: np.ndarray, noise_power_dbfs: float | None,
-              seed: int | None) -> None:
+              seed: int | None, length: int | None = None) -> None:
     """Add complex white Gaussian noise of noise_power_dbfs (dB relative
     to unit power) to samples in place. It is drawn from a generator
     seeded with seed: the whole in-phase rail, then the whole quadrature
-    rail, each filled NOISE_CHUNK values at a time into one reused
+    rail, each of length values (the samples' own length by default, at
+    least it otherwise), of which the first len(samples) are added. Each
+    rail is filled at most NOISE_CHUNK values at a time into one reused
     buffer that is scaled and added in place. Consecutive fills draw the
     same values as one fill of the rail's length, so the chunking moves
     no bits. None or -inf adds nothing and reads no seed."""
@@ -136,11 +143,13 @@ def add_noise(samples: np.ndarray, noise_power_dbfs: float | None,
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(10.0 ** (noise_power_dbfs / 10.0) / 2.0)
     buffer = np.empty(min(len(samples), NOISE_CHUNK))
+    drawn = len(samples) if length is None else length
     for part in (samples.real, samples.imag):
-        for start in range(0, len(part), NOISE_CHUNK):
-            piece = part[start:start + NOISE_CHUNK]
-            rail = buffer[:len(piece)]
+        for start in range(0, drawn, len(buffer)):
+            rail = buffer[:drawn - start]
             rng.standard_normal(out=rail)
+            piece = part[start:start + len(rail)]
+            rail = rail[:len(piece)]
             rail *= sigma
             piece += rail
 
@@ -157,28 +166,21 @@ def frequency_response(channel: MultipathChannel, frequency):
 
 def wall_term_db(env: EnvironmentModel, tx_position, rx_position) -> float:
     """The loss of the walls between two positions, in dB: wall_loss_db
-    per grid line crossed on the x and y axes, or inf where more lines
-    are crossed than a float counts."""
+    per grid line crossed on the x and y axes."""
     if env.wall_grid_spacing_m is None or env.wall_loss_db == 0.0:
         return 0.0
     g = env.wall_grid_spacing_m
-    try:
-        return env.wall_loss_db * sum(
-            abs(math.floor(rx_position[axis] / g)
-                - math.floor(tx_position[axis] / g)) for axis in (0, 1))
-    except OverflowError:
-        return math.inf
+    return env.wall_loss_db * sum(
+        abs(math.floor(rx_position[axis] / g)
+            - math.floor(tx_position[axis] / g)) for axis in (0, 1))
 
 
 def path_loss_db(env: EnvironmentModel, tx_position, rx_position) -> float:
     """Log-distance path loss plus wall losses between two positions, in
-    dB."""
+    dB. Raises ValueError where the positions coincide."""
     tx = np.asarray(tx_position, dtype=np.float64)
     rx = np.asarray(rx_position, dtype=np.float64)
-    # the norm's dot overflows to inf for coordinates beyond about 1e154;
-    # the campaign's path-loss check rejects that distance by field
-    with np.errstate(over="ignore"):
-        distance = float(np.linalg.norm(rx - tx))
+    distance = float(np.linalg.norm(rx - tx))
     if distance == 0.0:
         raise ValueError("transmitter and receiver positions coincide")
     return (env.reference_loss_db
@@ -219,9 +221,7 @@ def synthesize_channel(env: EnvironmentModel, tx_position, rx_position,
     delays = np.array(delays)
 
     if env.delay_spread_scale_s > 0.0:
-        # a tap so late that its ratio to the scale overflows has power 0
-        with np.errstate(over="ignore"):
-            powers = np.exp(-delays / env.delay_spread_scale_s)
+        powers = np.exp(-delays / env.delay_spread_scale_s)
     else:
         powers = np.ones(tap_count)
     powers *= 10.0 ** (-loss_db / 10.0) / powers.sum()

@@ -211,16 +211,13 @@ def _join_float_values(argv) -> list:
 
 
 def _check_float_flags(args) -> None:
-    """Raise naming the first float flag given a NaN or an infinity, or a
-    --tx-power-db outside +-campaign.POWER_LIMIT_DB, the range of a
-    scenario's tx_power_db."""
-    for flag, name in _FLOAT_FLAGS.items():
-        value = getattr(args, name, None)
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{flag}: must be finite, got {value}")
-    if not abs(getattr(args, "tx_power_db", 0.0)) <= campaign.POWER_LIMIT_DB:
-        raise ValueError(f"--tx-power-db: {args.tx_power_db} dB is "
-                         f"outside +-{campaign.POWER_LIMIT_DB:g} dB")
+    """Raise naming --tx-power-db when it is outside the range of a
+    scenario's tx_power_db. Every other float flag sets a ranged
+    SounderConfig field, or must be one of the plan's tones."""
+    if hasattr(args, "tx_power_db"):
+        [power] = [f for f in dataclasses.fields(campaign.Transmitter)
+                   if f.name == "tx_power_db"]
+        schema.check_range(power, args.tx_power_db, "--tx-power-db")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,33 +18,28 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from chansounder.channel import add_noise, apply_channel
+from chansounder.channel import (MAX_SLOT_SAMPLES, POWER_LIMIT_DB, add_noise,
+                                 apply_channel)
 from chansounder.pulse import BasebandSignal, PeriodForm
+from chansounder.schema import check_ranges, within
 from chansounder.sweep import FrequencySetup
 
 PARK_OFF_BAND = "off_band"
 PARK_IN_BAND = "in_band"
-
-# The longest TDMA slot or sweep carrier step, in samples: 64 MiB of
-# complex128, about 77 times the 54616-sample slot of the criterion-9
-# campaign.
-MAX_SLOT_SAMPLES = 2 ** 22
 
 
 @dataclass(frozen=True)
 class ScheduleSetup:
     """The scenario's schedule block, from which build_schedule sizes the
     slots: an explicit slot length, or None for the smallest slot that
-    holds the burst, and the share of the slot each guard may take."""
+    holds the burst, and the share of the slot each guard may take: at
+    most 45%, so that the burst has a tenth of its slot."""
 
-    slot_length_s: float | None = None
-    guard_fraction: float = 0.05
+    slot_length_s: float | None = within(1e-9, 1.0, "s", default=None)
+    guard_fraction: float = within(0.0, 0.45, default=0.05)
 
     def __post_init__(self):
-        if self.slot_length_s is not None and self.slot_length_s <= 0:
-            raise ValueError("slot_length_s: must be positive")
-        if not 0.0 <= self.guard_fraction < 0.5:
-            raise ValueError("guard_fraction: must be in [0, 0.5)")
+        check_ranges(self)
 
 
 @dataclass(frozen=True)
@@ -71,16 +66,17 @@ class TdmaSchedule:
 @dataclass(frozen=True)
 class LeakageModel:
     """Attenuation of a non-active transmitter's waveform, in dB below
-    its nominal power. Parked off-band (the mitigation) vs emitting a
-    null source in-band (the naive idle mode)."""
+    its nominal power, in the power range or inf where it leaks nothing:
+    parked off-band (the mitigation) vs emitting a null source in-band
+    (the naive idle mode)."""
 
-    parked_leakage_db: float = math.inf
-    inband_null_leakage_db: float = 30.0
+    parked_leakage_db: float = within(0.0, POWER_LIMIT_DB, "dB",
+                                      default=math.inf, also=math.inf)
+    inband_null_leakage_db: float = within(0.0, POWER_LIMIT_DB, "dB",
+                                           default=30.0, also=math.inf)
 
     def __post_init__(self):
-        for name in ("parked_leakage_db", "inband_null_leakage_db"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name}: must be nonnegative")
+        check_ranges(self)
 
     def gain(self, park_mode: str) -> float:
         """The amplitude gain of every idle transmitter parked in

@@ -67,7 +67,7 @@ class BasebandSignal:
     start at origin_time, such as segment_capture's segments or
     sound-sliding's capture with a new first axis. The samples are not
     checked here: read_iq proves a capture finite, and a composed one is
-    finite because every power is in campaign.POWER_LIMIT_DB's range.
+    finite because every power is in channel.POWER_LIMIT_DB's range.
     """
 
     samples: np.ndarray
@@ -272,12 +272,7 @@ def _origin_index(signal: BasebandSignal, taps: FilterTaps) -> int:
             f"the {len(taps.coefficients)}-tap filter span"
         )
     half = (len(taps.coefficients) - 1) / 2
-    origin = -signal.origin_time * signal.sample_rate + half
-    if not math.isfinite(origin):
-        raise CaptureWindowError(
-            f"origin_time {signal.origin_time!r} s puts t = 0 beyond any "
-            f"sample index at {signal.sample_rate!r} Hz")
-    return int(round(origin))
+    return int(round(-signal.origin_time * signal.sample_rate + half))
 
 
 def _zero_padded(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -456,19 +451,22 @@ def _phase_scores(rails: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IqSidecar:
-    """The JSON sidecar that describes a raw I/Q capture file."""
+    """The JSON sidecar that describes a raw I/Q capture file. Its rate
+    is one that a sweep plan or a sliding config can ask for, 1 kHz to
+    1 THz, and its origin time is within 1e12 s, which holds the epoch
+    timestamps (about 1.7e9 s) that UHD writes; t = 0 then falls on a
+    sample index well inside the floats."""
 
     format: str
-    sample_rate_hz: float
-    origin_time_s: float
-    sample_count: int
+    sample_rate_hz: float = schema.within(1e3, 1e12, "Hz")
+    origin_time_s: float = schema.within(-1e12, 1e12, "s")
+    sample_count: int = schema.within(0, math.inf)
 
     def __post_init__(self):
         if self.format != IQ_FORMAT:
             raise ValueError(f"format: {self.format!r} is not supported, "
                              f"only {IQ_FORMAT!r}")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz: must be positive")
+        schema.check_ranges(self)
 
 
 def read_iq(path) -> BasebandSignal:

@@ -5,7 +5,9 @@ loader over dataclasses.fields and the type hints. It rejects unknown
 keys, missing required fields, values that would need guessing (10.7
 for an int, true for a number, null for a string) and JSON's NaN and
 Infinity, and every error is a one-line ValueError that starts with the
-dotted path of the field.
+dotted path of the field. Each number field declares its closed
+physical range once (within), which its __post_init__ checks
+(check_ranges), so no code downstream guards the edges of the floats.
 """
 
 from __future__ import annotations
@@ -65,6 +67,53 @@ def from_json(kind, value, path: str = ""):
         if kind in (int, str) and isinstance(value, kind):
             return value
     raise ValueError(f"{path}: expected {kind.__name__}, got {value!r}")
+
+
+def within(lo, hi, unit: str = "", default=dataclasses.MISSING, also=None):
+    """A dataclass field whose value, or each number in it, lies in the
+    closed range [lo, hi] of unit, or equals also; None is not checked.
+    check_ranges reads the range from the field's metadata."""
+    return dataclasses.field(default=default,
+                             metadata={"range": (lo, hi, unit, also)})
+
+
+def _numbers(value, path: str):
+    """(path, number) for value, or for each number at any depth of a
+    tuple value."""
+    if isinstance(value, tuple):
+        for k, item in enumerate(value):
+            yield from _numbers(item, f"{path}[{k}]")
+    elif value is not None:
+        yield path, value
+
+
+def check_ranges(value) -> None:
+    """Raise one line naming the first field of the dataclass value, as
+    its file names it, that holds a number outside the field's range."""
+    for f in dataclasses.fields(value):
+        check_range(f, getattr(value, f.name), _JSON_NAMES.get(f.name, f.name))
+
+
+def check_range(field: dataclasses.Field, value, name: str) -> None:
+    """Raise one line naming name, or name[k] for an item of a tuple
+    value, where value holds a number outside the range that field
+    declares; a field that declares none takes any value."""
+    if "range" not in field.metadata:
+        return
+    lo, hi, unit, also = field.metadata["range"]
+    for path, number in _numbers(value, name):
+        if not (lo <= number <= hi or number == also):
+            unit = f" {unit}" if unit else ""
+            bound = (f"above {_g(hi)}" if lo == -math.inf
+                     else f"below {_g(lo)}" if hi == math.inf
+                     else f"outside +-{_g(hi)}" if lo == -hi
+                     else f"outside [{_g(lo)}, {_g(hi)}]")
+            alone = "" if also is None else f"not {_g(also)} and "
+            raise ValueError(f"{path}: {number!r}{unit} is {alone}{bound}{unit}")
+
+
+def _g(number) -> str:
+    return f"{number:g}" if isinstance(number, float) else str(number)
 
 
 def check_finite(value, path: str) -> None:

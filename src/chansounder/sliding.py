@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from chansounder.channel import MAX_SLOT_SAMPLES
 from chansounder.exceptions import NoSignalError
 from chansounder.pn import MAX_DEGREE, ChipSequence, circular_correlate, generate_glfsr
 from chansounder.pulse import (
@@ -24,6 +25,7 @@ from chansounder.pulse import (
     estimate_timing_phase,
     recover_symbols,
 )
+from chansounder.schema import check_ranges, within
 
 DETECTION_SIGMA_FACTOR = 5.0
 
@@ -34,50 +36,32 @@ class SounderConfig:
     the scenario file's sliding block, field for field.
 
     The PN chips and the RRC taps follow from the config through
-    reference(), which also checks the polynomial and the pulse fields.
+    reference(), which also checks the polynomial and the span's parity.
     The filter length, span_symbols * samples_per_symbol + 1 taps, is
-    bounded here, before design_rrc allocates its O(L^2) matrices, and so
-    are the PN period and the sample rate, samples_per_symbol /
-    chip_period_s, to finite floats.
+    bounded here, before design_rrc allocates its O(L^2) matrices. A chip
+    period of 1 ns to 1 ms, a chip rate of 1 GHz to 1 kHz, spans every
+    bandwidth that a receiver tuned from 1 MHz to 6 GHz sounds, and keeps
+    the PN period and the sample rate well inside the floats.
     """
 
-    chip_period_s: float = 60e-9
-    pn_degree: int = 10
+    chip_period_s: float = within(1e-9, 1e-3, "s", default=60e-9)
+    pn_degree: int = within(2, MAX_DEGREE, default=10)
     polynomial: int | None = None
-    averaging_periods: int = 10
-    detection_threshold_db: float = 30.0
-    rolloff: float = 0.35
-    span_symbols: int = 12
-    samples_per_symbol: int = 4
+    # more periods than a slot's samples never fit one
+    averaging_periods: int = within(1, MAX_SLOT_SAMPLES, default=10)
+    detection_threshold_db: float = within(1.0, 200.0, "dB", default=30.0)
+    rolloff: float = within(0.01, 1.0, default=0.35)
+    span_symbols: int = within(4, MAX_FILTER_TAPS // 2, default=12)
+    samples_per_symbol: int = within(2, MAX_FILTER_TAPS // 4, default=4)
 
     def __post_init__(self):
-        if self.chip_period_s <= 0:
-            raise ValueError("chip_period_s: must be positive")
-        if not 2 <= self.pn_degree <= MAX_DEGREE:
-            raise ValueError(f"pn_degree: must be in [2, {MAX_DEGREE}]")
-        if self.averaging_periods < 1:
-            raise ValueError("averaging_periods: must be >= 1")
-        if self.detection_threshold_db <= 0:
-            raise ValueError("detection_threshold_db: must be positive")
-        span, sps = self.span_symbols, self.samples_per_symbol
-        taps = span * sps + 1
-        if min(span, sps) > 0 and taps > MAX_FILTER_TAPS:
-            # samples_per_symbol is at fault when even the shortest span
-            # that design_rrc accepts, 4 symbols, is too long with it
-            name = ("samples_per_symbol" if 4 * sps + 1 > MAX_FILTER_TAPS
-                    else "span_symbols")
+        check_ranges(self)
+        taps = self.span_symbols * self.samples_per_symbol + 1
+        if taps > MAX_FILTER_TAPS:
+            # every samples_per_symbol fits at the shortest span, 4 symbols
             raise ValueError(
-                f"{name}: a filter of span_symbols * samples_per_symbol + 1 "
-                f"= {taps} taps is above the {MAX_FILTER_TAPS}-tap limit")
-        # the PN period and the sample rate must be floats; an sps that
-        # design_rrc rejects, and that may be past any float, is not read
-        chips, chip_s = 2 ** self.pn_degree - 1, self.chip_period_s
-        if not math.isfinite(chips * chip_s):
-            raise ValueError(f"chip_period_s: {chip_s} s makes a PN period of "
-                             f"{chips} chips longer than a float holds")
-        if min(span, sps) > 0 and not math.isfinite(sps / chip_s):
-            raise ValueError(f"chip_period_s: {chip_s} s at {sps} samples per "
-                             f"chip is a sample rate above a float's range")
+                f"span_symbols: a filter of span_symbols * samples_per_symbol "
+                f"+ 1 = {taps} taps is above the {MAX_FILTER_TAPS}-tap limit")
 
 
 def reference(config: SounderConfig) -> tuple[ChipSequence, FilterTaps]:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from chansounder.channel import MultipathChannel, add_noise
+from chansounder.channel import MAX_SLOT_SAMPLES, MultipathChannel, add_noise
+from chansounder.schema import check_ranges, within
 
 
 @dataclass(frozen=True)
@@ -25,22 +26,23 @@ class FrequencySetup:
     tone_offsets_hz names one tone per transmitter; left None, the tones
     are packed automatically (multitx.build_frequency_plan, which returns
     one copy per time frame with that frame's tones filled in). Every
-    check names its field.
+    check names its field. The carriers lie in the paper's 1 MHz to
+    6 GHz band, the rates are USRP-class, 1 kHz to 1 GHz, and a carrier
+    step of 1 us to 10 s holds at most 1e10 samples.
     """
 
-    carriers_hz: tuple[float, ...] = tuple(700e6 + 2e6 * k for k in range(10))
-    sample_rate_hz: float = 1e6
-    fft_length: int = 4096
-    guard_band_hz: float = 25e3
-    step_duration_s: float = 5e-3
-    tone_offsets_hz: tuple[float, ...] | None = None
+    carriers_hz: tuple[float, ...] = within(
+        1e6, 6e9, "Hz", default=tuple(700e6 + 2e6 * k for k in range(10)))
+    sample_rate_hz: float = within(1e3, 1e9, "Hz", default=1e6)
+    fft_length: int = within(2, MAX_SLOT_SAMPLES, default=4096)
+    guard_band_hz: float = within(0.0, 1e9, "Hz", default=25e3)
+    step_duration_s: float = within(1e-6, 10.0, "s", default=5e-3)
+    tone_offsets_hz: tuple[float, ...] | None = within(-5e8, 5e8, "Hz",
+                                                       default=None)
 
     def __post_init__(self):
+        check_ranges(self)
         rate, length = self.sample_rate_hz, self.fft_length
-        if not rate > 0:
-            raise ValueError(f"sample_rate_hz: must be positive, got {rate}")
-        if length < 2:
-            raise ValueError(f"fft_length: must be >= 2, got {length}")
         carriers = self.carriers_hz
         if len(carriers) < 1:
             raise ValueError("carriers_hz: need at least one carrier")
@@ -49,13 +51,10 @@ class FrequencySetup:
                              or np.max(np.abs(spacing - spacing[0])) > 1e-6 * abs(spacing[0])):
             raise ValueError("carriers_hz: must be strictly increasing with "
                              "uniform spacing")
-        step = self.step_duration_s * rate  # +-inf where the product overflows
-        if (step if math.isinf(step) else round(step)) < length:
+        if self.step_samples < length:
             raise ValueError(
                 f"step_duration_s: {self.step_duration_s} s is too short for "
                 f"one FFT window of {length} samples")
-        if not self.guard_band_hz >= 0:
-            raise ValueError("guard_band_hz: must be nonnegative")
         tones = self.tone_offsets_hz
         if tones is None:
             return
@@ -78,6 +77,11 @@ class FrequencySetup:
                         f"tone_offsets_hz: tones {j} and {k} are separated by "
                         f"{abs(tones[j] - tones[k])} Hz < guard band "
                         f"{self.guard_band_hz} Hz")
+
+    @property
+    def step_samples(self) -> int:
+        """The samples of one carrier step."""
+        return int(round(self.step_duration_s * self.sample_rate_hz))
 
     def has_tone(self, tone_offset: float) -> bool:
         return any(abs(f - tone_offset) < 1e-9 for f in self.tone_offsets_hz)
@@ -126,10 +130,10 @@ def narrowband_losses(rows: np.ndarray, frame: FrequencySetup, tones,
 
 def unit_tones(frame: FrequencySetup) -> np.ndarray:
     """The frame's read-only unit tones, one row per tone offset in the
-    frame's order: exp(j*2*pi*tone_offset*t) over one step's samples. A
-    campaign computes them once per frame, before the first location."""
-    n = int(round(frame.step_duration_s * frame.sample_rate_hz))
-    t = np.arange(n) / frame.sample_rate_hz
+    frame's order: exp(j*2*pi*tone_offset*t) over the step's first FFT
+    window, the samples that bin_power reads. A campaign computes them
+    once per frame, before the first location."""
+    t = np.arange(frame.fft_length) / frame.sample_rate_hz
     tones = np.stack([np.exp(2j * np.pi * tone_offset * t)
                       for tone_offset in frame.tone_offsets_hz])
     tones.flags.writeable = False
@@ -163,7 +167,8 @@ def compose_sweep_capture(channels, frame: FrequencySetup, units: np.ndarray,
                           seeds, noise_power_dbfs: float | None = None,
                           out: np.ndarray | None = None) -> np.ndarray:
     """One sweep frame's captures, one row per carrier step: the received
-    tones of several simultaneous transmitters, superposed.
+    tones of several simultaneous transmitters, superposed, over the
+    step's first FFT window (the width of units).
 
     channels: one per tone of the frame, at least one; channels[k] carries
     the frame's k-th tone, whose unit tone is row k of units (unit_tones).
@@ -171,7 +176,9 @@ def compose_sweep_capture(channels, frame: FrequencySetup, units: np.ndarray,
     transmitters lives in the channel gains. Each row is written in
     place: the first tone straight into it, each further one formed in
     its own buffer and then added. Noise, when asked for, is added to
-    row k by channel.add_noise from a generator seeded with seeds[k].
+    row k by channel.add_noise from a generator seeded with seeds[k],
+    drawn over the whole step, so each window holds the noise of the
+    step's first samples.
 
     out, when given, is a complex128 (steps, samples) array, such as an
     earlier frame's rows, that is overwritten and returned: a campaign
@@ -190,5 +197,5 @@ def compose_sweep_capture(channels, frame: FrequencySetup, units: np.ndarray,
                                  out=other if k else row, scratch=scratch)
             if k:
                 row += tone
-        add_noise(row, noise_power_dbfs, seed)
+        add_noise(row, noise_power_dbfs, seed, frame.step_samples)
     return rows

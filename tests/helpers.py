@@ -1,5 +1,6 @@
 """Shared helpers for the module and acceptance test suites."""
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -218,20 +219,56 @@ def oracle_guard_core_power_ratio(samples, schedule):
     return 0.0 if core_power == 0.0 else float(guard_power / core_power)
 
 
+def declared(kind, name):
+    """The field name of the dataclass kind."""
+    [field] = [f for f in dataclasses.fields(kind) if f.name == name]
+    return field
+
+
+def field_range(kind, name):
+    """(lo, hi, also) of the range that schema.within declares for the
+    field name of the dataclass kind."""
+    lo, hi, _, also = declared(kind, name).metadata["range"]
+    return lo, hi, also
+
+
+def ranged(kind, name, also=True, **bounds):
+    """Every number in the declared range of kind's field name, narrowed
+    by min_value and max_value where given, and with also its extra
+    value: integers for an integer range, else finite floats."""
+    lo, hi, extra = field_range(kind, name)
+    lo, hi = max(lo, bounds.get("min_value", lo)), min(hi, bounds.get("max_value", hi))
+    numbers = (st.integers(lo, hi) if isinstance(lo, int) and isinstance(hi, int)
+               else st.floats(lo, hi, allow_infinity=False))
+    return numbers | st.just(extra) if also and extra is not None else numbers
+
+
 @st.composite
 def frequency_blocks(draw, explicit_tones=True):
-    """Valid frequency blocks: 1-4 carriers on a 2 MHz grid, a guard band
-    from half a bin to 60% of the band, and the tones left to the packer
-    or, with explicit_tones, one tone on the bin grid."""
-    sample_rate = draw(st.sampled_from([250e3, 1e6, 2.5e6]))
-    fft_length = draw(st.sampled_from([64, 256, 1000, 4096]))
+    """Valid frequency blocks, each number drawn from its field's range:
+    1-4 carriers a uniform 1 kHz to 100 MHz apart, a step of at least two
+    samples, an FFT that fits it, a guard band from half a bin to 60% of
+    the band, and the tones left to the packer or, with explicit_tones,
+    one tone on the bin grid."""
+    kind = sweep.FrequencySetup
+    count = draw(st.integers(1, 4))
+    spacing = draw(st.floats(1e3, 1e8))
+    start = draw(ranged(kind, "carriers_hz",
+                        max_value=field_range(kind, "carriers_hz")[1]
+                        - spacing * (count - 1)))
+    sample_rate = draw(ranged(kind, "sample_rate_hz"))
+    step = draw(ranged(kind, "step_duration_s", min_value=2 / sample_rate))
+    fft_length = draw(ranged(kind, "fft_length",
+                             max_value=round(step * sample_rate)))
     bin_width = sample_rate / fft_length
     tone_bin = st.integers(-(fft_length // 2) + 1, fft_length // 2 - 1)
-    return sweep.FrequencySetup(
-        carriers_hz=tuple(700e6 + 2e6 * k for k in range(draw(st.integers(1, 4)))),
+    return kind(
+        carriers_hz=tuple(start + spacing * k for k in range(count)),
         sample_rate_hz=sample_rate, fft_length=fft_length,
-        guard_band_hz=draw(st.floats(0.5 * bin_width, 0.6 * sample_rate)),
-        step_duration_s=fft_length / sample_rate * draw(st.integers(1, 3)),
+        guard_band_hz=draw(ranged(kind, "guard_band_hz",
+                                  min_value=0.5 * bin_width,
+                                  max_value=0.6 * sample_rate)),
+        step_duration_s=step,
         tone_offsets_hz=draw(st.none() | tone_bin.map(lambda k: (k * bin_width,))
                              if explicit_tones else st.none()))
 

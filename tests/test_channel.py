@@ -103,11 +103,12 @@ def test_periodic_apply_channel_on_the_campaign_burst(chips10, rrc_taps, rng):
 def test_channel_invariants():
     # the channels that apply_channel and the sounders take: first delay
     # 0, strictly increasing finite delays on the grid, finite gains
-    # carrying the path loss's power. At a spread of 5e-324 s, or on a
-    # 1e301 s grid, a late tap's delay over the spread overflows and its
-    # power is 0, with no overflow warning (which once was printed)
-    for scale, grid in ((9e-8, 60e-9), (2.5e-7, 1e-9), (5e-324, 60e-9),
-                        (9e-8, 1e301)):
+    # carrying the path loss's power. At the least spread, 1 ps, on the
+    # longest chip period's grid, 1 ms, a late tap's delay is 1e9 spreads
+    # and its power 0, with no warning; the longest spread, 1 s, is drawn
+    # on the 1 ns grid of a frequency campaign
+    for scale, grid in ((9e-8, 60e-9), (2.5e-7, 1e-9), (1e-12, 1e-3),
+                        (1.0, 1e-9)):
         env = ch.EnvironmentModel(reference_loss_db=40.0,
                                   path_loss_exponent=2.8,
                                   delay_spread_scale_s=scale,
@@ -123,9 +124,11 @@ def test_channel_invariants():
             npt.assert_allclose(steps, np.round(steps), atol=1e-9)
             assert np.isfinite(chan.gains.view(np.float64)).all()
             assert chan.total_power() == pytest.approx(10 ** (-loss / 10))
-    with pytest.raises(ValueError, match=r"^tap_count_range: bad range "
-                                         r"\(1, 4097\), not within \[1, 4096\]$"):
+    with pytest.raises(ValueError, match=r"^tap_count_range\[1\]: 4097 is "
+                                         r"outside \[1, 4096\]$"):
         ch.EnvironmentModel(40.0, 2.0, tap_count_range=(1, ch.MAX_TAPS + 1))
+    with pytest.raises(ValueError, match=r"^tap_count_range: 5 is above 3$"):
+        ch.EnvironmentModel(40.0, 2.0, tap_count_range=(5, 3))
 
 
 def test_linearity_exact(rng):

@@ -28,8 +28,9 @@ from chansounder import cli, multitx, pulse, schema, sliding, sweep
 from chansounder.channel import EnvironmentModel
 from chansounder.cli import build_parser, main
 
-from helpers import (assert_no_child_left, bench_scenario, failing_channel_draw,
-                     modulated, received, save_document, write_iq)
+from helpers import (assert_no_child_left, bench_scenario, declared,
+                     failing_channel_draw, field_range, modulated, received,
+                     save_document, write_iq)
 
 
 def run_cli(capsys, *argv):
@@ -489,8 +490,8 @@ FREQUENCY_FIELD_CASES = [
         ("schedule", "guard_fraction", -0.1, "schedule.guard_fraction"),
         ("schedule", "slot_length_s", 0.0, "schedule.slot_length_s"),
         ("clocks", "tx_offsets_s", [True, False], "clocks.tx_offsets_s[0]"),
-        # offsets of more samples than a float holds, which once failed to
-        # round
+        # offsets outside the +-1 s clock range (more samples than a float
+        # holds once failed to round)
         ("clocks", "rx_offset_s", 1e301, "clocks.rx_offset_s"),
         ("clocks", "rx_offset_s", -1e301, "clocks.rx_offset_s"),
         ("clocks", "offset_std_s", 1e301, "clocks.offset_std_s"),
@@ -501,9 +502,9 @@ FREQUENCY_FIELD_CASES = [
         # more taps than a draw may have: 10**18 once asked for 8 EB, and
         # 2**63 failed in the generator naming no field
         ("environment", "tap_count_range", [2, 10**18],
-         "environment.tap_count_range"),
+         "environment.tap_count_range[1]"),
         ("environment", "tap_count_range", [2, 2**63],
-         "environment.tap_count_range"),
+         "environment.tap_count_range[1]"),
         # 0 once divided by zero counting walls, and -1 passed
         ("environment", "wall_grid_spacing_m", 0.0,
          "environment.wall_grid_spacing_m"),
@@ -712,53 +713,58 @@ def set_environment(**fields):
     return lambda doc: doc["environment"].update(fields)
 
 
+def loss_out_of_range(field, loss, location=0):
+    return (f"{field}: the path loss from transmitter 'tx1' to "
+            f"receiver_path_m[{location}] is {loss} dB, outside +-1000 dB")
+
+
 @pytest.mark.parametrize("command", ["validate", "campaign"])
-@pytest.mark.parametrize("name, edit, field, loss", [
+@pytest.mark.parametrize("name, edit, message", [
+    # each coefficient is out of its own range, which holds its term of
+    # the path loss within the power range; the path loss named it once
     ("indoor_wing_sliding", set_environment(reference_loss_db=-1e12),
-     "environment.reference_loss_db", "-1e+12 dB"),
+     "environment.reference_loss_db: -1000000000000.0 dB is outside "
+     "+-1000 dB"),
     ("courtyard_frequency", set_environment(reference_loss_db=-1e12),
-     "environment.reference_loss_db", "-1e+12 dB"),
+     "environment.reference_loss_db: -1000000000000.0 dB is outside "
+     "+-1000 dB"),
     ("indoor_wing_sliding", set_environment(path_loss_exponent=1e12),
-     "environment.path_loss_exponent", "-1e+13 dB"),
+     "environment.path_loss_exponent: 1000000000000.0 is outside [0, 10]"),
     ("courtyard_frequency", set_environment(path_loss_exponent=1e12),
-     "environment.path_loss_exponent", "dB"),
+     "environment.path_loss_exponent: 1000000000000.0 is outside [0, 10]"),
     # in range by itself, but 0.1 m from the transmitter the distance
     # term's -28 dB tips the loss over; the position was once named
     ("indoor_wing_sliding", set_environment(reference_loss_db=-990.0),
-     "environment.reference_loss_db", "-1018 dB"),
-    # 1.7e11 walls of 3 dB between the pair, 1e12 m apart: the position
-    # is further from 1 m than the 6 m grid spacing
+     loss_out_of_range("environment.reference_loss_db", "-1018")),
+    # 3.3e6 walls of 3 dB between the pair, 1e7 m apart, at the edge of
+    # the coordinate range: the position is further from 1 m than the
+    # 6 m grid spacing
     ("indoor_wing_sliding",
-     lambda doc: doc["transmitters"][0]["position_m"].__setitem__(0, 1e12),
-     "transmitters[0].position_m", "5e+11 dB"),
+     lambda doc: doc["transmitters"][0]["position_m"].__setitem__(0, 1e7),
+     loss_out_of_range("transmitters[0].position_m", "5.00023e+06")),
     ("indoor_wing_sliding",
-     lambda doc: doc["receiver_path_m"][1].__setitem__(1, -1e12),
-     "receiver_path_m[1]", "5e+11 dB"),
-    # more walls between the pair than a float counts: the grid spacing
-    # is 300 orders of magnitude from 1 m, the pair's distance 10, so
-    # the spacing is named, though the position is at fault too
+     lambda doc: doc["receiver_path_m"][1].__setitem__(1, -1e7),
+     loss_out_of_range("receiver_path_m[1]", "5.00024e+06", 1)),
+    # a grid finer than 1 mm is outside the spacing's range, so every
+    # wall count is a float
     ("indoor_wing_sliding",
      lambda doc: (doc["receiver_path_m"][1].__setitem__(1, -1e10),
                   doc["environment"].update(wall_grid_spacing_m=1e-300)),
-     "environment.wall_grid_spacing_m", "inf dB"),
-    # 3e300 walls between pairs a few metres apart; the position was
-    # once named
-    ("indoor_wing_sliding", set_environment(wall_grid_spacing_m=1e-300),
-     "environment.wall_grid_spacing_m", "9e+300 dB"),
+     "environment.wall_grid_spacing_m: 1e-300 m is outside [0.001, 1e+07] m"),
+    # 3000 walls of 3 dB between pairs a few metres apart on the finest
+    # grid, 1 mm; the position was once named
+    ("indoor_wing_sliding", set_environment(wall_grid_spacing_m=1e-3),
+     loss_out_of_range("environment.wall_grid_spacing_m", "9053.37", 1)),
 ], ids=["reference-sliding", "reference-frequency", "exponent-sliding",
         "exponent-frequency", "reference-near-transmitter",
         "transmitter-position", "receiver-position", "uncountable-walls",
         "tiny-wall-spacing"])
 def test_path_loss_outside_float_range_exits_2(tmp_path, capsys, command,
-                                               name, edit, field, loss):
+                                               name, edit, message):
     path = bundled_edit(tmp_path, name, edit)
     code, _, err = run_cli(capsys, command, "--scenario", str(path),
                            "--out-dir", str(tmp_path / "out"))
-    assert code == 2
-    assert len(err.strip().splitlines()) == 1
-    assert err.startswith(f"ValueError: {field}: the path loss from "
-                          f"transmitter 'tx1' to receiver_path_m[")
-    assert err.endswith(f"{loss}, outside +-1000 dB\n")
+    assert (code, err) == (2, f"ValueError: {message}\n")
     assert not (tmp_path / "out" / "records.jsonl").exists()
 
 
@@ -788,10 +794,11 @@ def run_cli_limited(*argv, address_space=2 << 30):
 
 
 def test_delay_spread_beyond_pn_period_exits_2(tmp_path, capsys):
-    # a 7 s spread once asked apply_channel for 16 GiB
+    # a 7 s spread once asked apply_channel for 16 GiB; 1 s, the top of
+    # the spread's range, is still far past the PN period
     path = bundled_edit(tmp_path, "indoor_wing_sliding",
-                        set_environment(delay_spread_scale_s=7.0))
-    expected = ("ValueError: environment.delay_spread_scale_s: 7.0 s is not "
+                        set_environment(delay_spread_scale_s=1.0))
+    expected = ("ValueError: environment.delay_spread_scale_s: 1.0 s is not "
                 "below the 6.138e-05 s PN period, the unambiguous delay "
                 "range\n")
     code, _, err = run_cli(capsys, "validate", "--scenario", str(path))
@@ -802,20 +809,30 @@ def test_delay_spread_beyond_pn_period_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "records.jsonl").exists()
 
 
-@pytest.mark.parametrize("change, field, samples", [
+def slot_too_long(field, samples):
+    return (f"{field}: a slot of {samples} samples is above the "
+            f"{multitx.MAX_SLOT_SAMPLES}-sample limit")
+
+
+@pytest.mark.parametrize("changes, message", [
     # 6.7e7 samples once asked for 2.98 GiB, 6.7e19 overran numpy's
-    # largest dimension, and a guard fraction near 1/2 for 10.7 TiB
-    ({"slot_length_s": 1.0}, "slot_length_s", "6.66667e+07"),
-    ({"slot_length_s": 1e12}, "slot_length_s", "6.66667e+19"),
-    ({"slot_length_s": 1e301}, "slot_length_s", "inf"),
-    ({"guard_fraction": 0.4999999}, "guard_fraction", "2.4576e+11"),
+    # largest dimension, and a guard fraction near 1/2 for 10.7 TiB; a
+    # slot of up to 1 s and guards of up to 45% are in range
+    ({"schedule": {"slot_length_s": 1.0}},
+     slot_too_long("schedule.slot_length_s", "6.66667e+07")),
+    ({"schedule": {"slot_length_s": 1e12}},
+     "schedule.slot_length_s: 1000000000000.0 s is outside [1e-09, 1] s"),
+    ({"schedule": {"slot_length_s": 1e301}},
+     "schedule.slot_length_s: 1e+301 s is outside [1e-09, 1] s"),
+    ({"schedule": {"guard_fraction": 0.45},
+      "sliding": {"averaging_periods": 101}},
+     slot_too_long("schedule.guard_fraction", "4.21524e+06")),
 ], ids=["one-second", "1e12-seconds", "overflowing", "guard-near-half"])
-def test_oversized_slot_exits_2_before_allocating(tmp_path, capsys, change,
-                                                  field, samples):
-    path = bundled_edit(tmp_path, "indoor_wing_sliding",
-                        lambda doc: doc["schedule"].update(change))
-    expected = (f"ValueError: schedule.{field}: a slot of {samples} samples "
-                f"is above the {multitx.MAX_SLOT_SAMPLES}-sample limit\n")
+def test_oversized_slot_exits_2_before_allocating(tmp_path, capsys, changes,
+                                                  message):
+    path = bundled_edit(tmp_path, "indoor_wing_sliding", lambda doc: [
+        doc[block].update(fields) for block, fields in changes.items()])
+    expected = f"ValueError: {message}\n"
     code, _, err = run_cli(capsys, "validate", "--scenario", str(path))
     assert (code, err) == (2, expected)
     child = run_cli_limited("campaign", "--scenario", str(path),
@@ -824,23 +841,27 @@ def test_oversized_slot_exits_2_before_allocating(tmp_path, capsys, change,
     assert not (tmp_path / "out" / "records.jsonl").exists()
 
 
-@pytest.mark.parametrize("change, field, samples", [
-    # a 5e9-sample unit tone once made validate ask numpy for 80 GB
-    ({"sample_rate_hz": 1e12}, "step_duration_s", "5e+09"),
-    ({"step_duration_s": 1e12}, "step_duration_s", "1e+18"),
-    ({"step_duration_s": 1e301, "sample_rate_hz": 1e301}, "step_duration_s",
-     "inf"),
-], ids=["rate-1e12", "step-1e12", "overflowing"])
+def step_too_long(samples):
+    return (f"frequency.step_duration_s: a carrier step of {samples} samples "
+            f"is above the {multitx.MAX_SLOT_SAMPLES}-sample slot limit")
+
+
+@pytest.mark.parametrize("change, message", [
+    # a 5e9-sample unit tone once made validate ask numpy for 80 GB; at
+    # the top of the rate's and of the step's range a step is still
+    # above the slot limit
+    ({"sample_rate_hz": 1e9}, step_too_long("5e+06")),
+    ({"step_duration_s": 10.0}, step_too_long("1e+07")),
+    ({"step_duration_s": 1e301, "sample_rate_hz": 1e301},
+     "frequency.sample_rate_hz: 1e+301 Hz is outside [1000, 1e+09] Hz"),
+], ids=["rate-1e9", "step-10s", "overflowing"])
 def test_oversized_carrier_step_exits_2_before_allocating(tmp_path, change,
-                                                          field, samples):
+                                                          message):
     path = bundled_edit(tmp_path, "courtyard_frequency",
                         lambda doc: doc["frequency"].update(change))
-    expected = (f"ValueError: frequency.{field}: a carrier step of {samples} "
-                f"samples is above the {multitx.MAX_SLOT_SAMPLES}-sample "
-                f"slot limit\n")
     for argv in (["validate"], ["campaign", "--out-dir", str(tmp_path / "out")]):
         child = run_cli_limited(*argv, "--scenario", str(path))
-        assert (child.returncode, child.stderr) == (2, expected)
+        assert (child.returncode, child.stderr) == (2, f"ValueError: {message}\n")
     assert not (tmp_path / "out" / "records.jsonl").exists()
 
 
@@ -864,22 +885,25 @@ def test_oversized_burst_exits_2_before_allocating(tmp_path, change, field,
     assert not (tmp_path / "out" / "records.jsonl").exists()
 
 
-@pytest.mark.parametrize("change, field, taps", [
-    # 24001 taps once made design_rrc ask for 2.15 GiB, 400001 for 596 GiB
-    ({"samples_per_symbol": 2000}, "samples_per_symbol", 24001),
-    ({"span_symbols": 100000}, "span_symbols", 400001),
+@pytest.mark.parametrize("change, field, message", [
+    # 24001 taps once made design_rrc ask for 2.15 GiB, 400001 for 596 GiB;
+    # the ranges hold either length to 1025 taps at the shortest span or
+    # the fewest samples per symbol
+    ({"samples_per_symbol": 2000}, "samples_per_symbol",
+     "2000 is outside [2, 256]"),
+    ({"span_symbols": 100000}, "span_symbols", "100000 is outside [4, 512]"),
     # 257 samples per symbol are too many at the shortest span, 4 symbols
     ({"samples_per_symbol": 257, "span_symbols": 4}, "samples_per_symbol",
-     1029),
-    ({"samples_per_symbol": 8, "span_symbols": 130}, "span_symbols", 1041),
+     "257 is outside [2, 256]"),
+    ({"samples_per_symbol": 8, "span_symbols": 130}, "span_symbols",
+     f"a filter of span_symbols * samples_per_symbol + 1 = 1041 taps is "
+     f"above the {pulse.MAX_FILTER_TAPS}-tap limit"),
 ], ids=["sps-2000", "span-100000", "sps-257-at-span-4", "span-130-at-sps-8"])
 def test_oversized_filter_exits_2_before_allocating(tmp_path, change, field,
-                                                    taps):
+                                                    message):
     path = bundled_edit(tmp_path, "indoor_wing_sliding",
                         lambda doc: doc["sliding"].update(change))
-    message = (f"a filter of span_symbols * samples_per_symbol + 1 "
-               f"= {taps} taps is above the {pulse.MAX_FILTER_TAPS}-tap "
-               f"limit\n")
+    message += "\n"
     for argv in (["validate"], ["campaign", "--out-dir", str(tmp_path / "out")]):
         child = run_cli_limited(*argv, "--scenario", str(path),
                                 address_space=1 << 30)
@@ -905,15 +929,22 @@ def test_longest_filter_is_accepted():
         == pulse.MAX_FILTER_TAPS
 
 
-@pytest.mark.parametrize("scale", [1e301, 5e-3])
+@pytest.mark.parametrize("scale, message", [
+    pytest.param(1e301, "1e+301 s is not 0 and outside [1e-12, 1] s",
+                 id="1e+301"),
+    pytest.param(5e-3, "0.005 s is not below the 0.005 s carrier step",
+                 id="0.005"),
+    pytest.param(1.0, "1.0 s is not below the 0.005 s carrier step",
+                 id="1.0"),
+])
 def test_delay_spread_beyond_the_carrier_step_exits_2(tmp_path, capsys,
-                                                      scale):
+                                                      scale, message):
     # a 1e301 s spread once ended in an OverflowError traceback from the
-    # delay grid snap
+    # delay grid snap; it is outside the spread's range, and the top of
+    # that range is past the carrier step
     path = bundled_edit(tmp_path, "courtyard_frequency",
                         set_environment(delay_spread_scale_s=scale))
-    expected = (f"ValueError: environment.delay_spread_scale_s: {scale} s "
-                f"is not below the 0.005 s carrier step\n")
+    expected = f"ValueError: environment.delay_spread_scale_s: {message}\n"
     for command in ("validate", "campaign"):
         code, _, err = run_cli(capsys, command, "--scenario", str(path),
                                "--out-dir", str(tmp_path / "out"))
@@ -922,20 +953,22 @@ def test_delay_spread_beyond_the_carrier_step_exits_2(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("name, edit", [
-    # a far tap's ratio to the spread overflows, and its power is 0
-    ("indoor_wing_sliding", set_environment(delay_spread_scale_s=5e-324)),
-    ("courtyard_frequency", set_environment(delay_spread_scale_s=5e-324)),
+    # at the least spread, 1 ps, a far tap's power is 0
+    ("indoor_wing_sliding", set_environment(delay_spread_scale_s=1e-12)),
+    ("courtyard_frequency", set_environment(delay_spread_scale_s=1e-12)),
+    # the longest chip period, 1 ms, draws taps on a 1 ms grid
     ("indoor_wing_sliding",
-     lambda doc: doc["sliding"].update(chip_period_s=1e301)),
-    # offsets of 1e12 s are whole samples, modulo the TDMA period
+     lambda doc: doc["sliding"].update(chip_period_s=1e-3)),
+    # offsets of +-1 s, the ends of their range, are whole samples, modulo
+    # the TDMA period
     ("indoor_wing_sliding", lambda doc: doc["clocks"].update(
-        tx_offsets_s=[1e12, -1e12, 0.0], rx_offset_s=1e12)),
+        tx_offsets_s=[1.0, -1.0, 0.0], rx_offset_s=1.0)),
 ], ids=["sliding-tiny-spread", "frequency-tiny-spread", "huge-chip-period",
         "huge-clock-offsets"])
 def test_extreme_draws_write_strict_json_without_warnings(tmp_path, name,
                                                            edit):
-    # the spreads and the chip period once printed an overflow
-    # RuntimeWarning; the clock offsets must keep running
+    # a 5e-324 s spread and a 1e301 s chip period once printed an overflow
+    # RuntimeWarning; the ends of their ranges must keep running
     path = bundled_edit(tmp_path, name, edit)
     child = run_cli_limited("campaign", "--scenario", str(path),
                             "--out-dir", str(tmp_path / "out"))
@@ -1073,11 +1106,6 @@ def set_first_tx_power(db):
     return lambda doc: doc["transmitters"][0].update(tx_power_db=db)
 
 
-def loss_out_of_range(field, loss):
-    return (f"{field}: the path loss from transmitter 'tx1' to "
-            f"receiver_path_m[0] is {loss} dB, outside +-1000 dB")
-
-
 def set_noise_power(dbfs):
     return lambda doc: doc.update(noise_power_dbfs=dbfs)
 
@@ -1088,8 +1116,8 @@ def flat_loss(db):
     return set_environment(reference_loss_db=db, path_loss_exponent=1e-300)
 
 
-def subnormal_chip_period(chip_s):
-    """A subnormal chip period, with no delay spread for it to exceed."""
+def chip_period(chip_s):
+    """A chip period of chip_s, with no delay spread for it to exceed."""
     def edit(doc):
         doc["sliding"]["chip_period_s"] = chip_s
         doc["environment"]["delay_spread_scale_s"] = 0.0
@@ -1103,30 +1131,23 @@ PAST_MINUS_LIMIT = math.nextafter(-cp.POWER_LIMIT_DB, -math.inf)
 
 @pytest.mark.parametrize("command", ["validate", "campaign"])
 @pytest.mark.parametrize("name, edit, message", [
-    # the PN period of 1023 chips is inf s; a drawn tap was once blamed
-    ("indoor_wing_sliding",
-     lambda doc: doc["sliding"].update(chip_period_s=1.7e308),
-     "sliding.chip_period_s: 1.7e+308 s makes a PN period of 1023 chips "
-     "longer than a float holds"),
-    # the sample rate is inf Hz; the receiver's clock offset was blamed
-    *[("indoor_wing_sliding", subnormal_chip_period(chip_s),
-       f"sliding.chip_period_s: {chip_s!r} s at 4 samples per chip is a "
-       f"sample rate above a float's range")
-      for chip_s in (1e-310, 5e-324)],
+    # a PN period of 1023 chips of inf s, and sample rates of inf Hz: a
+    # drawn tap and the receiver's clock offset were once blamed
+    *[("indoor_wing_sliding", chip_period(chip_s),
+       f"sliding.chip_period_s: {chip_s!r} s is outside [1e-09, 0.001] s")
+      for chip_s in (1.7e308, 1e-310, 5e-324)],
     # the tap powers underflowed: "total tap power is zero", or, at a
     # lower power, every record flagged no_signal
     *[("indoor_wing_sliding", set_first_tx_power(db),
        f"transmitters[0].tx_power_db: {db:.1f} dB is outside +-1000 dB")
       for db in (-3100, -4000, -5000, -6000, -6400)],
-    # the first position was once named
-    ("indoor_wing_sliding", set_environment(reference_distance_m=1e300),
-     loss_out_of_range("environment.reference_distance_m", "-8388")),
-    ("indoor_wing_sliding", set_environment(reference_distance_m=1e-300),
-     loss_out_of_range("environment.reference_distance_m", "8412")),
-    ("courtyard_frequency", set_environment(reference_distance_m=1e300),
-     loss_out_of_range("environment.reference_distance_m", "-6252.08")),
-    ("courtyard_frequency", set_environment(reference_distance_m=1e-300),
-     loss_out_of_range("environment.reference_distance_m", "6347.92")),
+    # path losses of -8388 to 8412 dB, for which the first position was
+    # once named
+    *[(name, set_environment(reference_distance_m=metres),
+       f"environment.reference_distance_m: {metres!r} m is outside "
+       f"[0.001, 10000] m")
+      for name in ("indoor_wing_sliding", "courtyard_frequency")
+      for metres in (1e300, 1e-300)],
     # one float past either end of the range of each power
     *[(name, set_first_tx_power(db),
        f"transmitters[0].tx_power_db: {db!r} dB is outside +-1000 dB")
@@ -1135,9 +1156,10 @@ PAST_MINUS_LIMIT = math.nextafter(-cp.POWER_LIMIT_DB, -math.inf)
     *[(name, set_noise_power(PAST_LIMIT),
        f"noise_power_dbfs: {PAST_LIMIT!r} dBFS is above 1000 dBFS")
       for name in ("indoor_wing_sliding", "courtyard_frequency")],
-    # a path loss past the range, the reference loss's by itself
-    *[("courtyard_frequency", flat_loss(db), loss_out_of_range(
-        "environment.reference_loss_db", f"{db:.6g}"))
+    # a reference loss past the power range, which the path loss once
+    # named
+    *[("courtyard_frequency", flat_loss(db),
+       f"environment.reference_loss_db: {db!r} dB is outside +-1000 dB")
       for db in (PAST_LIMIT, PAST_MINUS_LIMIT)],
 ], ids=["pn-period", "subnormal-1e-310", "subnormal-5e-324", "tx-power-3100",
         "tx-power-4000", "tx-power-5000", "tx-power-6000", "tx-power-6400", "far-reference-sliding",
@@ -1442,16 +1464,15 @@ def test_campaign_exits_0_or_2_with_one_line_naming_a_field(
 
 
 def test_far_position_exits_2_with_one_stderr_line(tmp_path):
-    # the distance's dot product overflows to inf; numpy once printed its
-    # RuntimeWarning and source line ahead of the one-line error
+    # the distance's dot product overflowed to inf, and numpy once printed
+    # its RuntimeWarning and source line ahead of the one-line error; the
+    # coordinate is outside the +-1e7 m range
     path = bundled_edit(tmp_path, "indoor_wing_sliding", lambda doc: doc[
         "transmitters"][0]["position_m"].__setitem__(0, 1e200))
     child = run_cli_limited("validate", "--scenario", str(path))
-    assert child.returncode == 2
-    assert child.stderr.count("\n") == 1
-    assert child.stderr.startswith(
-        "ValueError: transmitters[0].position_m: the path loss from "
-        "transmitter 'tx1' to receiver_path_m[0] is inf dB")
+    assert (child.returncode, child.stderr) == (
+        2, "ValueError: transmitters[0].position_m[0]: 1e+200 m is outside "
+           "+-1e+07 m\n")
 
 
 def test_sound_freq_rejects_a_plan_by_field(tmp_path, capsys):
@@ -1852,17 +1873,20 @@ def test_float_flags_exit_0_or_2_naming_the_flag(tmp_path_factory, drawn):
     ("sound-sliding", "--tx-power", "-1e3", None),
     ("sound-freq", "--tone-offset", f"{PLAN_TONE:.11e}", None),
     ("sound-sliding", "--chip-period", "-6e-8",
-     "ValueError: --chip-period: must be positive"),
+     "ValueError: --chip-period: -6e-08 s is outside [1e-09, 0.001] s"),
     # these reached profile.json, losses.json and the status line as NaN
-    # or Infinity, or were blamed on something else
+    # or Infinity, or were blamed on something else; each is outside the
+    # range of the field that its flag sets
     ("sound-sliding", "--tx-power-db", "nan",
-     "ValueError: --tx-power-db: must be finite, got nan"),
+     "ValueError: --tx-power-db: nan dB is outside +-1000 dB"),
     ("sound-freq", "--tx-power-db", "1e400",
-     "ValueError: --tx-power-db: must be finite, got inf"),
+     "ValueError: --tx-power-db: inf dB is outside +-1000 dB"),
     ("sound-sliding", "--threshold-db", "nan",
-     "ValueError: --threshold-db: must be finite, got nan"),
+     "ValueError: --threshold-db: nan dB is outside [1, 200] dB"),
     ("sound-sliding", "--chip-period", "inf",
-     "ValueError: --chip-period: must be finite, got inf"),
+     "ValueError: --chip-period: inf s is outside [1e-09, 0.001] s"),
+    ("sound-freq", "--tone-offset", "nan",
+     "ValueError: --tone-offset: tone offset nan Hz is not part of the plan"),
     # the mean of ten such losses overflowed to Infinity, with a warning
     ("sound-freq", "--tx-power-db", "1e308",
      "ValueError: --tx-power-db: 1e+308 dB is outside +-1000 dB"),
@@ -1874,8 +1898,11 @@ def test_float_flags_exit_0_or_2_naming_the_flag(tmp_path_factory, drawn):
       for command in ("sound-sliding", "sound-freq")
       for db in (math.nextafter(1e3, math.inf),
                  math.nextafter(-1e3, -math.inf))],
-    # pi / (4 * rolloff) overflowed: "ValueError: math domain error"
-    ("sound-sliding", "--rolloff", "1e-310", None),
+    # pi / (4 * rolloff) overflowed: "ValueError: math domain error"; a
+    # rolloff below 1% is outside its range
+    ("sound-sliding", "--rolloff", "1e-310",
+     "ValueError: --rolloff: 1e-310 is outside [0.01, 1]"),
+    ("sound-sliding", "--rolloff", "0.01", None),
 ])
 def test_float_flag_regressions(tmp_path, capsys, command, flag, value,
                                 error):
@@ -1961,6 +1988,11 @@ def test_sound_freq_names_a_non_finite_sample(tmp_path, value):
     # the real part of sample 77 of step 3's capture, inside its FFT
     # window, and one more sample past that window
     plan_path, capture_paths = sweep_capture_files(tmp_path)
+    # the fixture's captures hold one FFT window; step 3's holds a whole
+    # 5000-sample step
+    window = pulse.read_iq(capture_paths[3]).samples
+    write_iq(pulse.BasebandSignal(np.resize(window, 5000), 1e6),
+             capture_paths[3])
     raw = np.fromfile(capture_paths[3], dtype="<f4")
     raw[[2 * 77, 2 * 4500]] = value
     raw.tofile(capture_paths[3])
@@ -1968,3 +2000,143 @@ def test_sound_freq_names_a_non_finite_sample(tmp_path, value):
     assert (code, err) == (2, f"ValueError: {capture_paths[3]}: sample 77 is "
                               f"not finite\n")
     assert not (tmp_path / "out" / "losses.json").exists()
+
+
+def at(*keys):
+    """An edit that sets the value at keys of a scenario document."""
+    def set_value(doc, value):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return set_value
+
+
+# every ranged field of a scenario: the bundled scenarios that read it,
+# the dotted path that its range error names, and the edit that puts a
+# value there, alone (a list field's first item, or tap_count_range's
+# most taps)
+SHARED = ("indoor_wing_sliding", "courtyard_frequency")
+RANGE_SITES = {
+    (cp.Transmitter, "position"): (SHARED, "transmitters[0].position_m[0]",
+                                    at("transmitters", 0, "position_m", 0)),
+    (cp.Transmitter, "tx_power_db"): (SHARED, "transmitters[0].tx_power_db",
+                                      at("transmitters", 0, "tx_power_db")),
+    (cp.Scenario, "receiver_path"): (SHARED, "receiver_path_m[0][0]",
+                                     at("receiver_path_m", 0, 0)),
+    (cp.Scenario, "noise_power_dbfs"): (SHARED, "noise_power_dbfs",
+                                        at("noise_power_dbfs")),
+    **{(EnvironmentModel, name): (SHARED, f"environment.{name}",
+                                  at("environment", name))
+       for name in ("reference_loss_db", "path_loss_exponent",
+                    "reference_distance_m", "delay_spread_scale_s",
+                    "wall_loss_db", "wall_grid_spacing_m")},
+    (EnvironmentModel, "tap_count_range"): (
+        SHARED, "environment.tap_count_range[1]",
+        at("environment", "tap_count_range", 1)),
+    (cp.ClockSetup, "tx_offsets_s"): (
+        ("indoor_wing_sliding",), "clocks.tx_offsets_s[0]",
+        lambda doc, value: doc["clocks"].update(tx_offsets_s=[value, 0.0, 0.0])),
+    **{(kind, name): (("indoor_wing_sliding",), f"{block}.{name}",
+                      at(block, name))
+       for block, kind in (("clocks", cp.ClockSetup),
+                           ("sliding", sliding.SounderConfig),
+                           ("schedule", multitx.ScheduleSetup),
+                           ("leakage", multitx.LeakageModel))
+       for name in [f.name for f in dataclasses.fields(kind)
+                    if "range" in f.metadata and f.name != "tx_offsets_s"]},
+    **{(sweep.FrequencySetup, name): (("courtyard_frequency",),
+                                      f"frequency.{name}",
+                                      at("frequency", name))
+       for name in ("sample_rate_hz", "fft_length", "guard_band_hz",
+                    "step_duration_s")},
+    (sweep.FrequencySetup, "carriers_hz"): (
+        ("courtyard_frequency",), "frequency.carriers_hz[0]",
+        lambda doc, value: doc["frequency"].update(carriers_hz=[value])),
+    (sweep.FrequencySetup, "tone_offsets_hz"): (
+        ("courtyard_frequency",), "frequency.tone_offsets_hz[0]",
+        lambda doc, value: doc["frequency"].update(
+            tone_offsets_hz=[value, 0.0])),
+}
+
+
+def range_edges(kind, name):
+    """Each finite end of the field's range, or the one value it also
+    takes, with the next number past it."""
+    lo, hi, also = field_range(kind, name)
+    integers = isinstance(lo, int)
+    edges = []
+    for edge, outward in ((lo, -math.inf), (hi, math.inf), (also, math.inf)):
+        if edge is not None and math.isfinite(edge):
+            past = edge + (1 if outward > 0 else -1) if integers \
+                else math.nextafter(edge, outward)
+            edges.append((edge, past))
+    return edges
+
+
+EDGE_CASES = [pytest.param(declared(kind, field), name, path, edit, edge, past,
+                           id=f"{path}={edge!r}-{name}")
+              for (kind, field), (names, path, edit) in RANGE_SITES.items()
+              for edge, past in range_edges(kind, field) for name in names]
+
+
+def test_every_ranged_field_has_an_edge_case():
+    # a field that gains a range is edited here too, or in the sidecar
+    # test below
+    inputs = (cp.Transmitter, cp.ClockSetup, cp.Scenario, EnvironmentModel,
+              sliding.SounderConfig, multitx.ScheduleSetup,
+              multitx.LeakageModel, sweep.FrequencySetup, pulse.IqSidecar)
+    ranged = {(kind, f.name) for kind in inputs
+              for f in dataclasses.fields(kind) if "range" in f.metadata}
+    assert ranged == set(RANGE_SITES) | {
+        (pulse.IqSidecar, name) for name in SIDECAR_FIELDS[1:]}
+
+
+@pytest.mark.parametrize("field, name, path, edit, edge, past", EDGE_CASES)
+def test_a_field_at_its_range_edge_runs_and_past_it_fails(
+        tmp_path, capsys, field, name, path, edit, edge, past):
+    # the next number past an edge fails validate with one line naming
+    # the field and its range; the edge is in the range, and at it a
+    # two-location campaign writes strict JSON records with no warning,
+    # or fails on a check across fields, naming one
+    bad = bundled_edit(tmp_path, name, lambda doc: edit(doc, past))
+    code, _, err = run_cli(capsys, "validate", "--scenario", str(bad))
+    with pytest.raises(ValueError) as raised:
+        schema.check_range(field, past, path)
+    assert (code, err) == (2, f"ValueError: {raised.value}\n")
+    assert re.fullmatch(rf"{re.escape(path)}: {re.escape(repr(past))}( \S+)? "
+                        rf"is (not \S+ and )?(outside|above|below) .*",
+                        str(raised.value))
+    schema.check_range(field, edge, path)
+    scenario = bundled_edit(tmp_path, name, lambda doc: edit(doc, edge))
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "campaign", "--scenario", str(scenario),
+                           "--out-dir", str(out))
+    if code == 2:
+        assert ONE_LINE_ERROR.fullmatch(err), err
+        return
+    assert (code, err) == (0, "")
+    records = strict_records(out / "records.jsonl")
+    assert len(records) == 2 * len(cut_bundled(name)["transmitters"])
+
+
+@pytest.mark.parametrize("field, edge, past", [
+    pytest.param(name, edge, past, id=f"{name}={edge!r}")
+    for name in SIDECAR_FIELDS[1:]
+    for edge, past in range_edges(pulse.IqSidecar, name)])
+def test_a_sidecar_field_at_its_range_edge(tmp_path, field, edge, past):
+    # past the edge, one line naming the sidecar, the field and its
+    # range; the edge is in the range, and sound-sliding reads the
+    # capture or names a sidecar field
+    capture_path = sliding_capture_file(tmp_path)
+    sidecar = pathlib.Path(f"{capture_path}.json")
+    doc = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps(dict(doc, **{field: past})))
+    with pytest.raises(ValueError) as raised:
+        schema.check_range(declared(pulse.IqSidecar, field), past, field)
+    assert run_sound_sliding(capture_path, tmp_path / "out") == (
+        2, f"ValueError: {capture_path}.json: {raised.value}\n")
+    schema.check_range(declared(pulse.IqSidecar, field), edge, field)
+    sidecar.write_text(json.dumps(dict(doc, **{field: edge})))
+    code, err = run_sound_sliding(capture_path, tmp_path / "out")
+    assert code == 0 or sidecar_error(
+        capture_path, "|".join(SIDECAR_FIELDS)).fullmatch(err), err

@@ -121,9 +121,11 @@ def test_schedule_validation():
         multitx.build_schedule(setup, 3, 65, 4, 64e6)
     assert multitx.build_schedule(setup, 3, 64, 4, 64e6) \
         == multitx.TdmaSchedule(3, 64, 0)
-    with pytest.raises(ValueError, match="^slot_length_s: must be positive"):
+    with pytest.raises(ValueError, match=r"^slot_length_s: 0.0 s is outside "
+                                         r"\[1e-09, 1\] s$"):
         multitx.ScheduleSetup(slot_length_s=0.0)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match=r"^parked_leakage_db: -3.0 dB is not "
+                                         r"inf and outside \[0, 1000\] dB$"):
         multitx.LeakageModel(parked_leakage_db=-3.0)
 
 
