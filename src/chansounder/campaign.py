@@ -106,7 +106,7 @@ class Scenario:
     leakage: multitx.LeakageModel = field(default_factory=multitx.LeakageModel)
     park_mode: str = multitx.PARK_OFF_BAND
     noise_power_dbfs: float | None = schema.within(
-        -math.inf, POWER_LIMIT_DB, "dBFS", default=None)
+        -POWER_LIMIT_DB, POWER_LIMIT_DB, "dBFS", default=None)
     geo: tuple | None = None  # optional passthrough, aligned with the path
 
     def __post_init__(self):
@@ -221,13 +221,6 @@ def _prepare_sliding(scenario: Scenario) -> tuple:
         _check_burst_samples(config, chips, taps)
     except ValueError as exc:
         raise schema.nested("sliding", sliding.SounderConfig, exc) from None
-    # a tap one PN period late aliases onto lag 0 of the correlator
-    pn_period_s = chips.period_length * config.chip_period_s
-    if scenario.environment.delay_spread_scale_s >= pn_period_s:
-        raise ValueError(
-            f"environment.delay_spread_scale_s: "
-            f"{scenario.environment.delay_spread_scale_s} s is not below the "
-            f"{pn_period_s} s PN period, the unambiguous delay range")
     burst = modulate(chips, config.averaging_periods + 2, taps,
                      config.chip_period_s)
     sample_rate = burst.sample_rate
@@ -245,68 +238,61 @@ def _prepare_sliding(scenario: Scenario) -> tuple:
             _tx_clock_offsets(scenario, sample_rate))
 
 
-def _run_sliding(scenario: Scenario, prepared: tuple, locations: range) -> list:
-    config = scenario.sliding
-    chips, taps, waveforms, schedule, offsets = prepared
-    pn_period_s = chips.period_length * config.chip_period_s
-    rate = waveforms[0].sample_rate
-    # a tap later than this spills into the next slot's segment
+def _late_tap(tx: Transmitter, loc_index: int, late: float, bound: str):
+    """The error for a tap drawn late, past bound."""
+    return ValueError(
+        f"environment.delay_spread_scale_s: the channel drawn for "
+        f"transmitter {tx.id!r} at receiver_path_m[{loc_index}] has a tap "
+        f"{late} s late, {bound}")
+
+
+def _sound_sliding(scenario: Scenario, prepared: tuple, loc_index: int,
+                   channels: list) -> list:
+    """Compose one location's TDMA capture from its channels, then
+    measure it: (flags, measured fields) per transmitter."""
+    *receiver, offsets = prepared
+    _, _, waveforms, schedule = receiver
+    # a tap later than this spills into the next slot's segment; checked
+    # before the capture is built
     room = schedule.slot_samples - len(waveforms[0])
-    leak_gain = scenario.leakage.gain(scenario.park_mode)
-    powers = [tx.tx_power_db for tx in scenario.transmitters]
-    records = []
-    for loc_index in locations:
-        position = scenario.receiver_path[loc_index]
-        channels = []
-        seeds = []
-        for tx in scenario.transmitters:
-            seed = derive_seed(scenario.master_seed, "chan", loc_index, tx.id)
-            seeds.append(seed)
-            chan, _ = synthesize_channel(scenario.environment, tx.position,
-                                         position, seed,
-                                         delay_grid_s=config.chip_period_s)
-            # checked before any capture is built
-            late = chan.delays[-1]
-            lag = round(late * rate)
-            if late >= pn_period_s or lag > room:
-                bound = (f"not below the {pn_period_s} s PN period"
-                         if late >= pn_period_s else
-                         f"{lag} samples, more than the {room} samples that "
-                         f"its slot leaves after the burst")
-                raise ValueError(
-                    f"environment.delay_spread_scale_s: the channel drawn for "
-                    f"transmitter {tx.id!r} at receiver_path_m[{loc_index}] "
-                    f"has a tap {late} s late, {bound}")
-            channels.append(chan)
-        capture = multitx.compose_received(
-            waveforms, channels, offsets, schedule, leak_gain=leak_gain,
-            noise_power_dbfs=scenario.noise_power_dbfs,
-            seed=_noise_seed(scenario, "noise", loc_index))
-        segments = multitx.segment_capture(capture, schedule, rate,
-                                           waveforms[0].origin_time)
-        ratio = multitx.guard_core_power_ratio(capture, schedule)
-        location_flags = (FLAG_MISALIGNED,) if ratio > _MISALIGNED_RATIO else ()
-        profiles = sliding.measure_sliding(segments, chips, taps, config, powers)
-        # one capture at a time: this one goes before the next draws
-        del capture, segments
-        for tx, profile, seed in zip(scenario.transmitters, profiles, seeds):
-            if isinstance(profile, NoSignalError):
-                records.append(_record(scenario, loc_index, tx, seed,
-                                       location_flags + (FLAG_NO_SIGNAL,)))
-                continue
-            records.append(_record(
-                scenario, loc_index, tx, seed, location_flags,
-                wideband_path_loss_db=profile["path_loss_db"],
-                rms_delay_spread_s=profile["rms_delay_spread_s"],
-                delay_profile=profile))
-    return records
+    for tx, chan in zip(scenario.transmitters, channels):
+        lag = round(chan.delays[-1] * waveforms[0].sample_rate)
+        if lag > room:
+            raise _late_tap(tx, loc_index, chan.delays[-1],
+                            f"{lag} samples, more than the {room} samples "
+                            f"that its slot leaves after the burst")
+    capture = multitx.compose_received(
+        waveforms, channels, offsets, schedule,
+        leak_gain=scenario.leakage.gain(scenario.park_mode),
+        noise_power_dbfs=scenario.noise_power_dbfs,
+        seed=_noise_seed(scenario, "noise", loc_index))
+    return _receive_sliding(scenario, receiver, capture)
 
 
-def _prepare_frequency(scenario: Scenario) -> list:
-    """The sweep frames, each with its unit tones: transmitter k sends
-    the k-th tone of the frames taken in order. A carrier step longer
-    than the longest slot raises, naming step_duration_s, before the
-    unit tones are built; the FFT window's range keeps it within one."""
+def _receive_sliding(scenario: Scenario, receiver: list, capture) -> list:
+    """The receive half of a sliding location: the capture cut into its
+    slots, flagged misaligned by its guard/core power ratio, and each
+    slot measured, with no channel, seed or clock offset read."""
+    chips, taps, waveforms, schedule = receiver
+    segments = multitx.segment_capture(
+        capture, schedule, waveforms[0].sample_rate, waveforms[0].origin_time)
+    ratio = multitx.guard_core_power_ratio(capture, schedule)
+    flags = (FLAG_MISALIGNED,) if ratio > _MISALIGNED_RATIO else ()
+    profiles = sliding.measure_sliding(
+        segments, chips, taps, scenario.sliding,
+        [tx.tx_power_db for tx in scenario.transmitters])
+    return [(flags + (FLAG_NO_SIGNAL,), {}) if isinstance(profile, NoSignalError)
+            else (flags, dict(wideband_path_loss_db=profile["path_loss_db"],
+                              rms_delay_spread_s=profile["rms_delay_spread_s"],
+                              delay_profile=profile))
+            for profile in profiles]
+
+
+def _prepare_frequency(scenario: Scenario) -> tuple:
+    """The sweep frames, each with its unit tones, and one frame's rows.
+    A carrier step longer than the longest slot raises, naming
+    step_duration_s, before the unit tones are built; the FFT window's
+    range keeps it within one."""
     samples = scenario.frequency.step_samples
     try:
         if samples > multitx.MAX_SLOT_SAMPLES:
@@ -317,14 +303,49 @@ def _prepare_frequency(scenario: Scenario) -> list:
                                               len(scenario.transmitters))
     except ValueError as exc:
         raise schema.nested("frequency", sweep.FrequencySetup, exc) from None
-    # a tap one carrier step late is heard in the next step
-    step_s = scenario.frequency.step_duration_s
-    if scenario.environment.delay_spread_scale_s >= step_s:
-        raise ValueError(
-            f"environment.delay_spread_scale_s: "
-            f"{scenario.environment.delay_spread_scale_s} s is not below the "
-            f"{step_s} s carrier step")
-    return [(frame, sweep.unit_tones(frame)) for frame in frames]
+    frames = [(frame, sweep.unit_tones(frame)) for frame in frames]
+    # every frame has one shape, so one frame's rows, allocated once per
+    # process, take them all at every location
+    frame, units = frames[0]
+    return frames, np.empty((len(frame.carriers_hz), units.shape[1]),
+                            dtype=np.complex128)
+
+
+def _sound_frequency(scenario: Scenario, prepared: tuple, loc_index: int,
+                     channels: list) -> list:
+    """Compose and read each sweep frame of one location: (flags,
+    measured fields) per transmitter, the k-th of which sends the k-th
+    tone of the frames taken in order."""
+    frames, rows = prepared
+    # the tones are unit tones: the transmitter's level is a gain
+    channels = [replace(chan, gains=chan.gains * 10.0 ** (tx.tx_power_db / 20.0))
+                for tx, chan in zip(scenario.transmitters, channels)]
+    powers = [tx.tx_power_db for tx in scenario.transmitters]
+    tones = [tone for frame, _ in frames for tone in frame.tone_offsets_hz]
+    losses = []
+    for frame_index, (frame, units) in enumerate(frames):
+        sent = slice(len(losses), len(losses) + len(frame.tone_offsets_hz))
+        seeds = [_noise_seed(scenario, "cap", loc_index, frame_index, step)
+                 for step in range(len(frame.carriers_hz))]
+        rows = sweep.compose_sweep_capture(
+            channels[sent], frame, units, seeds,
+            noise_power_dbfs=scenario.noise_power_dbfs, out=rows)
+        losses += sweep.narrowband_losses(
+            rows, frame, frame.tone_offsets_hz, powers[sent])
+    return [((FLAG_NO_SIGNAL,), dict(tone_offset_hz=tone)) if None in loss
+            else ((), dict(wideband_path_loss_db=float(np.mean(loss)),
+                           narrowband_losses_db=list(loss), tone_offset_hz=tone))
+            for tone, loss in zip(tones, losses)]
+
+
+def _delay_axis(scenario: Scenario) -> tuple:
+    """The mode's delay grid and the delay that each drawn tap must stay
+    below, with its name: a tap one PN period late aliases onto lag 0 of
+    the correlator, and one a carrier step late is heard in the next."""
+    if scenario.mode == MODE_FREQUENCY:
+        return 1e-9, scenario.frequency.step_duration_s, "carrier step"
+    chip_s = scenario.sliding.chip_period_s
+    return chip_s, ((1 << scenario.sliding.pn_degree) - 1) * chip_s, "PN period"
 
 
 def _check_path_losses(scenario: Scenario) -> None:
@@ -368,60 +389,48 @@ def _check_path_losses(scenario: Scenario) -> None:
 
 def prepare(scenario: Scenario):
     """Everything a campaign derives from its scenario before the first
-    location: chips, taps, slot geometry and clock offsets, or the sweep
-    frames with their unit tones, once every pair's path loss is checked.
-    Raises ValueError naming the dotted field at fault."""
+    location, once every pair's path loss and the delay spread are
+    checked: chips, taps, slot geometry and clock offsets, or the sweep
+    frames and rows. Raises ValueError naming the dotted field at fault."""
     _check_path_losses(scenario)
+    _, bound_s, name = _delay_axis(scenario)
+    scale = scenario.environment.delay_spread_scale_s
+    if scale >= bound_s:
+        axis = (", the unambiguous delay range"
+                if scenario.mode == MODE_SLIDING else "")
+        raise ValueError(f"environment.delay_spread_scale_s: {scale} s is "
+                         f"not below the {bound_s} s {name}{axis}")
     if scenario.mode == MODE_SLIDING:
         return _prepare_sliding(scenario)
     return _prepare_frequency(scenario)
 
 
-def _run_frequency(scenario: Scenario, frames: list, locations: range) -> list:
-    powers = [tx.tx_power_db for tx in scenario.transmitters]
-    # transmitter k sends the k-th tone of the frames taken in order
-    tones = [tone for frame, _ in frames for tone in frame.tone_offsets_hz]
+def _run_block(scenario: Scenario, prepared: tuple, locations: range) -> list:
+    """The records of a block of locations. At each, every transmitter's
+    channel is drawn once, on the mode's delay grid, and its taps are
+    checked before the mode's sounder composes and measures."""
+    sound = _sound_sliding if scenario.mode == MODE_SLIDING else _sound_frequency
+    grid_s, bound_s, name = _delay_axis(scenario)
     records = []
-    rows = None
     for loc_index in locations:
-        position = scenario.receiver_path[loc_index]
-        channels = []
-        seeds = []
-        for tx in scenario.transmitters:
-            seed = derive_seed(scenario.master_seed, "chan", loc_index, tx.id)
-            seeds.append(seed)
-            chan, _ = synthesize_channel(scenario.environment, tx.position,
-                                         position, seed, delay_grid_s=1e-9)
-            # the tones are unit tones: the transmitter's level is a gain
-            channels.append(replace(chan, gains=chan.gains
-                                    * 10.0 ** (tx.tx_power_db / 20.0)))
-
-        losses = []
-        for frame_index, (frame, units) in enumerate(frames):
-            sent = slice(len(losses), len(losses) + len(frame.tone_offsets_hz))
-            step_seeds = [_noise_seed(scenario, "cap", loc_index, frame_index,
-                                      step)
-                          for step in range(len(frame.carriers_hz))]
-            # every frame has one shape, so one frame's rows take them all
-            rows = sweep.compose_sweep_capture(
-                channels[sent], frame, units, step_seeds,
-                noise_power_dbfs=scenario.noise_power_dbfs, out=rows)
-            losses += sweep.narrowband_losses(
-                rows, frame, frame.tone_offsets_hz, powers[sent])
-
-        for tx, tone, loss, seed in zip(scenario.transmitters, tones, losses, seeds):
-            if None in loss:
-                records.append(_record(scenario, loc_index, tx, seed,
-                                       (FLAG_NO_SIGNAL,), tone_offset_hz=tone))
-                continue
-            records.append(_record(
-                scenario, loc_index, tx, seed,
-                wideband_path_loss_db=float(np.mean(loss)),
-                narrowband_losses_db=list(loss), tone_offset_hz=tone))
+        seeds = [derive_seed(scenario.master_seed, "chan", loc_index, tx.id)
+                 for tx in scenario.transmitters]
+        channels = [synthesize_channel(
+            scenario.environment, tx.position, scenario.receiver_path[loc_index],
+            seed, delay_grid_s=grid_s)[0]
+            for tx, seed in zip(scenario.transmitters, seeds)]
+        for tx, chan in zip(scenario.transmitters, channels):
+            if chan.delays[-1] >= bound_s:
+                raise _late_tap(tx, loc_index, chan.delays[-1],
+                                f"not below the {bound_s} s {name}")
+        results = sound(scenario, prepared, loc_index, channels)
+        records += [_record(scenario, loc_index, tx, seed, flags, **measured)
+                    for tx, seed, (flags, measured)
+                    in zip(scenario.transmitters, seeds, results)]
     return records
 
 
-def _fork_block(run_block, scenario: Scenario, prepared: tuple,
+def _fork_block(scenario: Scenario, prepared: tuple,
                 locations: range) -> tuple:
     """Run one location block in a forked child, which inherits the
     prepared state and pickles its records, or the exception that
@@ -437,7 +446,7 @@ def _fork_block(run_block, scenario: Scenario, prepared: tuple,
         status = 1
         try:
             try:
-                outcome = (True, run_block(scenario, prepared, locations))
+                outcome = (True, _run_block(scenario, prepared, locations))
             except BaseException as exc:
                 outcome = (False, exc)
             data = pickle.dumps(outcome)
@@ -483,7 +492,6 @@ def run_campaign(scenario: Scenario, seed_override: int | None = None,
     if seed_override is not None:
         scenario = replace(scenario, master_seed=seed_override)
     prepared = prepare(scenario)
-    run_block = _run_sliding if scenario.mode == MODE_SLIDING else _run_frequency
     count = len(scenario.receiver_path)
     if not sys.platform.startswith("linux"):
         workers = 1
@@ -493,8 +501,8 @@ def run_campaign(scenario: Scenario, seed_override: int | None = None,
     children = []
     try:
         for block in blocks[1:]:
-            children.append(_fork_block(run_block, scenario, prepared, block))
-        records = run_block(scenario, prepared, blocks[0])
+            children.append(_fork_block(scenario, prepared, block))
+        records = _run_block(scenario, prepared, blocks[0])
         for (_, read_fd), block in zip(children, blocks[1:]):
             records += _receive_block(read_fd, block)
         return records

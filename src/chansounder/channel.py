@@ -92,8 +92,8 @@ def apply_channel(signal: PeriodForm, channel: MultipathChannel) -> PeriodForm:
     adds its scaled copy of the signal's samples to the output's head
     and to its tail as two direct slices, which the signal's head and
     tail hold for any delay of at most P samples. A campaign's taps are
-    all earlier than one PN period, P samples: _run_sliding rejects a
-    later one before any composition. Each sample of the waveform is
+    all earlier than one PN period, P samples: campaign._run_block
+    rejects a later one before any composition. Each sample of the waveform is
     then the same additions in the same order, so the same bits, as
     summing every sample. With period 0 the sum covers every sample.
     """
@@ -137,8 +137,8 @@ def add_noise(samples: np.ndarray, noise_power_dbfs: float | None,
     rail is filled at most NOISE_CHUNK values at a time into one reused
     buffer that is scaled and added in place. Consecutive fills draw the
     same values as one fill of the rail's length, so the chunking moves
-    no bits. None or -inf adds nothing and reads no seed."""
-    if noise_power_dbfs is None or noise_power_dbfs == -math.inf:
+    no bits. None adds nothing and reads no seed."""
+    if noise_power_dbfs is None:
         return
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(10.0 ** (noise_power_dbfs / 10.0) / 2.0)

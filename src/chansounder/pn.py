@@ -59,12 +59,9 @@ def generate_glfsr(degree: int = 10, polynomial: int | None = None,
     The register steps in Galois form; the output bit is mapped 1 -> -1,
     0 -> +1. Raises ValueError if the polynomial is not primitive (the
     state does not take exactly 2^degree - 1 steps to return to the seed)
-    or if the seed is zero.
+    or if the seed is zero. The degree lies in [2, MAX_DEGREE], as
+    SounderConfig.pn_degree and gen-pn --degree check first.
     """
-    if degree < 2:
-        raise ValueError("degree must be at least 2")
-    if degree > MAX_DEGREE:
-        raise ValueError(f"degree {degree} exceeds supported maximum {MAX_DEGREE}")
     if polynomial is None:
         try:
             polynomial = DEFAULT_POLYNOMIALS[degree]

@@ -20,12 +20,10 @@ import typing
 from pathlib import Path
 
 # Where the files differ from the dataclass fields: these keys are
-# renamed, these fields store infinity as null, these take the
-# -Infinity that json writes for -inf (every other number must be
-# finite), and tuples are lists.
+# renamed, these fields store infinity as null (every other number must
+# be finite), and tuples are lists.
 _JSON_NAMES = {"position": "position_m", "receiver_path": "receiver_path_m"}
 _INF_AS_NULL = {"parked_leakage_db"}
-_MINUS_INF_ALLOWED = {"noise_power_dbfs"}
 
 
 def to_json(value):
@@ -104,8 +102,7 @@ def check_range(field: dataclasses.Field, value, name: str) -> None:
     for path, number in _numbers(value, name):
         if not (lo <= number <= hi or number == also):
             unit = f" {unit}" if unit else ""
-            bound = (f"above {_g(hi)}" if lo == -math.inf
-                     else f"below {_g(lo)}" if hi == math.inf
+            bound = (f"below {_g(lo)}" if hi == math.inf
                      else f"outside +-{_g(hi)}" if lo == -hi
                      else f"outside [{_g(lo)}, {_g(hi)}]")
             alone = "" if also is None else f"not {_g(also)} and "
@@ -160,8 +157,6 @@ def _dataclass_from_json(kind, doc, path: str):
                 raise ValueError(f"{prefix}{key}: required field is missing")
         elif f.name in _INF_AS_NULL and doc[key] is None:
             kwargs[f.name] = math.inf
-        elif f.name in _MINUS_INF_ALLOWED and doc[key] == -math.inf:
-            kwargs[f.name] = -math.inf
         else:
             kwargs[f.name] = from_json(hints[f.name], doc[key], prefix + key)
     try:

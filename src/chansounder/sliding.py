@@ -36,12 +36,13 @@ class SounderConfig:
     the scenario file's sliding block, field for field.
 
     The PN chips and the RRC taps follow from the config through
-    reference(), which also checks the polynomial and the span's parity.
-    The filter length, span_symbols * samples_per_symbol + 1 taps, is
-    bounded here, before design_rrc allocates its O(L^2) matrices. A chip
-    period of 1 ns to 1 ms, a chip rate of 1 GHz to 1 kHz, spans every
-    bandwidth that a receiver tuned from 1 MHz to 6 GHz sounds, and keeps
-    the PN period and the sample rate well inside the floats.
+    reference(), which also checks the polynomial. The filter length,
+    span_symbols * samples_per_symbol + 1 taps, and the span's parity,
+    which design_rrc takes unchecked, are checked here, before design_rrc
+    allocates its O(L^2) matrices. A chip period of 1 ns to 1 ms, a chip
+    rate of 1 GHz to 1 kHz, spans every bandwidth that a receiver tuned
+    from 1 MHz to 6 GHz sounds, and keeps the PN period and the sample
+    rate well inside the floats.
     """
 
     chip_period_s: float = within(1e-9, 1e-3, "s", default=60e-9)
@@ -62,14 +63,16 @@ class SounderConfig:
             raise ValueError(
                 f"span_symbols: a filter of span_symbols * samples_per_symbol "
                 f"+ 1 = {taps} taps is above the {MAX_FILTER_TAPS}-tap limit")
+        if self.span_symbols % 2:
+            raise ValueError(f"span_symbols: {self.span_symbols} is not even")
 
 
 def reference(config: SounderConfig) -> tuple[ChipSequence, FilterTaps]:
     """The PN chip sequence and the RRC taps that config names.
 
-    A ValueError starts with the config field at fault: design_rrc's
-    arguments carry the field names, and the degree is checked already,
-    so a sequence that cannot be generated is the polynomial's fault.
+    A ValueError names the polynomial: the config has checked the
+    degree and design_rrc's arguments, so a sequence that cannot be
+    generated is the polynomial's fault.
     """
     try:
         chips = generate_glfsr(config.pn_degree, config.polynomial)

@@ -411,7 +411,7 @@ def oracle_compose_sweep_capture(channels, frame, step, noise_power_dbfs=None,
     carrier = float(frame.carriers_hz[step])
     for chan, tone_offset in zip(channels, frame.tone_offsets_hz, strict=True):
         acc += oracle_received_tone(chan, carrier, tone_offset, frame)
-    if noise_power_dbfs is not None and noise_power_dbfs != -math.inf:
+    if noise_power_dbfs is not None:
         sigma = math.sqrt(10.0 ** (noise_power_dbfs / 10.0) / 2.0)
         acc += rng.normal(scale=sigma, size=n) + 1j * rng.normal(scale=sigma, size=n)
     return pulse.BasebandSignal(samples=acc, sample_rate=frame.sample_rate_hz)
@@ -470,7 +470,7 @@ def oracle_compose_received(waveforms, channels, offsets, schedule, leak_gain,
             idle_from = hi
         if leak_gain > 0.0 and n > idle_from:
             out[idle_from:] += leak_gain * tiled[idle_from:]
-    if noise_power_dbfs is not None and noise_power_dbfs != -math.inf:
+    if noise_power_dbfs is not None:
         rng = np.random.default_rng(seed)
         sigma = math.sqrt(10.0 ** (noise_power_dbfs / 10.0) / 2.0)
         out += rng.normal(scale=sigma, size=n) + 1j * rng.normal(scale=sigma, size=n)

@@ -185,8 +185,8 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def sounder_configs(draw):
-    """A sliding block, each field drawn from its range, with a filter of
-    at most MAX_FILTER_TAPS taps."""
+    """A sliding block, each field drawn from its range, with an even span
+    and a filter of at most MAX_FILTER_TAPS taps."""
     kind = sliding.SounderConfig
     sps = draw(ranged(kind, "samples_per_symbol"))
     return kind(
@@ -195,7 +195,8 @@ def sounder_configs(draw):
         *(draw(ranged(kind, name)) for name in (
             "averaging_periods", "detection_threshold_db", "rolloff")),
         draw(ranged(kind, "span_symbols",
-                    max_value=(pulse.MAX_FILTER_TAPS - 1) // sps)), sps)
+                    max_value=(pulse.MAX_FILTER_TAPS - 1) // sps).map(
+                        lambda span: span - span % 2)), sps)
 
 
 @st.composite
@@ -565,7 +566,8 @@ def test_frequency_chain_matches_per_tap_oracle(monkeypatch):
                                       tap_count_range=(1, 8)),
         frequency=sweep.FrequencySetup(guard_band_hz=300e3),
         noise_power_dbfs=-90.0)
-    assert len(cp.prepare(scenario)) == 2
+    frames, _ = cp.prepare(scenario)
+    assert len(frames) == 2
     got = [json.dumps(r) for r in cp.run_campaign(scenario)]
     use_oracle_sweep(monkeypatch)
     want = [json.dumps(r) for r in cp.run_campaign(scenario)]
@@ -631,15 +633,46 @@ def test_noise_seeds_are_derived_only_with_noise(monkeypatch, mode):
     assert len(noisy) == len(records)
 
 
+def test_sliding_receive_half_reads_no_channel_seed_or_offset(monkeypatch):
+    # fed the captures that a campaign composed with clock offsets,
+    # in-band leakage and noise, the receive half measures the campaign's
+    # records, flags included, from the receiver's chips, taps, burst and
+    # schedule, under a scenario with another seed, no clock offsets and
+    # no noise
+    scenario = small_scenario(
+        clocks=cp.ClockSetup(tx_offsets_s=(2e-6, -3e-7)),
+        leakage=multitx.LeakageModel(inband_null_leakage_db=30.0),
+        park_mode=multitx.PARK_IN_BAND, noise_power_dbfs=-60.0)
+    captures = []
+    compose = multitx.compose_received
+
+    def kept(*args, **kwargs):
+        captures.append(compose(*args, **kwargs))
+        return captures[-1]
+
+    monkeypatch.setattr(multitx, "compose_received", kept)
+    records = cp.run_campaign(scenario)
+    *receiver, _ = cp.prepare(scenario)
+    blind = replace(scenario, master_seed=0, clocks=cp.ClockSetup(),
+                    noise_power_dbfs=None)
+    measured = [{**fields, "flags": list(flags)} for capture in captures
+                for flags, fields in cp._receive_sliding(blind, receiver,
+                                                         capture)]
+    assert len(measured) == len(records) == 6
+    # every location is misaligned, and one pair has no signal
+    assert [record["flags"] for record in records][:2] == [
+        [cp.FLAG_MISALIGNED], [cp.FLAG_MISALIGNED, cp.FLAG_NO_SIGNAL]]
+    assert [{**record, **fields} for record, fields in zip(records, measured)] \
+        == records
+
+
 def traced_peak_bytes(scenario, prepared):
     """The peak of traced memory while every location of scenario runs in
     this process from its prepared state, above what was traced before."""
-    run_block = (cp._run_sliding if scenario.mode == cp.MODE_SLIDING
-                 else cp._run_frequency)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        run_block(scenario, prepared, range(len(scenario.receiver_path)))
+        cp._run_block(scenario, prepared, range(len(scenario.receiver_path)))
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -661,16 +694,17 @@ def test_a_sliding_location_holds_one_capture():
 
 def test_a_sweep_location_holds_one_frame_of_rows():
     # a frame's rows, one FFT window of 1024 of each carrier step's 5000
-    # samples, and the bin read's one FFT of them: about two frames of
-    # rows at the peak, not the three of rows drawn anew at a location
+    # samples, are allocated once by prepare, so only the bin read's one
+    # FFT of them is traced: about one frame of rows at the peak, not the
+    # two of rows allocated at each location
     scenario = small_scenario(mode=cp.MODE_FREQUENCY, noise_power_dbfs=-40.0)
     scenario = replace(scenario, frequency=replace(scenario.frequency,
                                                    fft_length=1024))
     prepared = cp.prepare(scenario)
-    [(frame, units)] = prepared
+    [(frame, units)], _ = prepared
     rows_bytes = len(frame.carriers_hz) * units.shape[1] * 16
     assert units.shape[1] == 1024
-    assert traced_peak_bytes(scenario, prepared) < 2.5 * rows_bytes
+    assert traced_peak_bytes(scenario, prepared) < 1.5 * rows_bytes
 
 
 def prepared_bytes(scenario):
@@ -718,11 +752,11 @@ def test_fixture_scenarios_load(tmp_path):
 
 
 def test_silent_noise_floor_roundtrips(tmp_path):
-    # json writes -inf as -Infinity, the one non-finite number it loads
-    scenario = small_scenario(noise_power_dbfs=-math.inf)
+    # no noise is null, in strict JSON
+    scenario = small_scenario(noise_power_dbfs=None)
     target = tmp_path / "scenario.json"
     cp.save_scenario(scenario, target)
-    assert '"noise_power_dbfs": -Infinity' in target.read_text()
+    assert '"noise_power_dbfs": null' in target.read_text()
     assert cp.load_scenario(target) == scenario
 
 

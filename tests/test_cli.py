@@ -704,7 +704,7 @@ def test_sub_bin_guard_band_packs_tones_one_bin_apart(tmp_path, capsys):
         "frequency"].update(guard_band_hz=1e-12))
     code, _, err = run_cli(capsys, "validate", "--scenario", str(path))
     assert code == 0, err
-    [(frame, _)] = cp.prepare(cp.load_scenario(path))
+    [(frame, _)], _ = cp.prepare(cp.load_scenario(path))
     bin_width = frame.sample_rate_hz / frame.fft_length
     assert np.diff(frame.tone_offsets_hz).tolist() == [bin_width]
 
@@ -1020,6 +1020,39 @@ def test_drawn_tap_past_the_slot_room_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "records.jsonl").exists()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("scale, where, late", [
+    pytest.param(4e-3, "transmitter 'tx2' at receiver_path_m[0]",
+                 0.016120975000000003, id="4e-3"),
+    # the first late tap is in the second block of locations
+    pytest.param(5e-4, "transmitter 'tx1' at receiver_path_m[4]",
+                 0.006116397, id="5e-4"),
+])
+def test_drawn_tap_beyond_the_carrier_step_exits_2(tmp_path, capsys,
+                                                   monkeypatch, workers,
+                                                   scale, where, late):
+    # the spread is below the 5 ms carrier step, but a drawn delay is
+    # not: such a tap, up to 48.9 ms late on this walk, was once heard
+    # in a later step and recorded with no flag
+    scenario = bench_scenario("frequency-c9", 43, 5)
+    scenario = dataclasses.replace(
+        scenario, environment=dataclasses.replace(
+            scenario.environment, delay_spread_scale_s=scale))
+    path = tmp_path / "late.json"
+    cp.save_scenario(scenario, path)
+    code, _, err = run_cli(capsys, "validate", "--scenario", str(path))
+    assert code == 0, err
+    monkeypatch.setattr(cli, "_campaign_workers", lambda: workers)
+    code, _, err = run_cli(capsys, "campaign", "--scenario", str(path),
+                           "--out-dir", str(tmp_path / "out"))
+    assert (code, err) == (
+        2, f"ValueError: environment.delay_spread_scale_s: the channel drawn "
+           f"for {where} has a tap {late!r} s late, not below the 0.005 s "
+           f"carrier step\n")
+    assert not (tmp_path / "out" / "records.jsonl").exists()
+    assert_no_child_left()
+
+
 def test_near_float_limit_path_loss_runs_without_warnings(tmp_path):
     # a -971.5 dB reference loss puts the walk's path losses between
     # -999.5 and -911 dB, inside the power range, and gives taps near
@@ -1154,7 +1187,7 @@ PAST_MINUS_LIMIT = math.nextafter(-cp.POWER_LIMIT_DB, -math.inf)
       for name in ("indoor_wing_sliding", "courtyard_frequency")
       for db in (PAST_LIMIT, PAST_MINUS_LIMIT)],
     *[(name, set_noise_power(PAST_LIMIT),
-       f"noise_power_dbfs: {PAST_LIMIT!r} dBFS is above 1000 dBFS")
+       f"noise_power_dbfs: {PAST_LIMIT!r} dBFS is outside +-1000 dBFS")
       for name in ("indoor_wing_sliding", "courtyard_frequency")],
     # a reference loss past the power range, which the path loss once
     # named
@@ -1218,7 +1251,8 @@ def test_overflowing_noise_power_exits_2_naming_it(tmp_path, command, name,
     child = run_cli_limited(command, "--scenario", str(path),
                             "--out-dir", str(tmp_path / "out"))
     assert (child.returncode, child.stderr) == (
-        2, f"ValueError: noise_power_dbfs: {dbfs!r} dBFS is above 1000 dBFS\n")
+        2, f"ValueError: noise_power_dbfs: {dbfs!r} dBFS is outside +-1000 "
+           f"dBFS\n")
     assert not (tmp_path / "out" / "records.jsonl").exists()
     # summed over one capture, the rejected noise power overflows a
     # float, and the limit's stays far inside it
@@ -1401,6 +1435,44 @@ def test_campaign_output_bytes_are_pinned(tmp_path, capsys, name):
     assert written == OUTPUT_DIGESTS[name]
 
 
+# sha256 of every file that a campaign of each benchmark workload
+# writes, at the workload's own seed
+WORKLOAD_DIGESTS = {
+    ("sliding-c9", 42): {
+        "records.jsonl": "4984d88e006cd265746b997d9705e1f419110e63d836470999fab5f68dbb9473",
+        "heatmap_tx1.csv": "4f7b576355d02f4719ce03a89235610b8a1c6827212ed6f16a513812d5a0f1d5",
+        "heatmap_tx2.csv": "584f15060af26502cb00fc6ac2f8c7819663a426eb53fa0a22d88d4c674eabab",
+        "heatmap_tx3.csv": "554fdb59361fe176a6889740b0d24acb4924d21f75266a102148cf88cdaa15d3",
+    },
+    ("frequency-c9", 43): {
+        "records.jsonl": "71fe8508e5784d81ce5d5b0a0304c0b1086693fff9c9ce58ab008935ccf8f83a",
+        "heatmap_tx1.csv": "01d08dc1c87a6b19edb5404fa6bcd5a781adf8b63817450bb5fb0ed1454fe431",
+        "heatmap_tx2.csv": "c944570c74fe1435d9a043f1b93795097fe09a4dcb3bb9629e39087447bbac89",
+    },
+    ("sliding-nearfar", 44): {
+        "records.jsonl": "92b292bc957757dc19b9b511714114fc6709e4ed34d04532959b603ceafd98cb",
+        "heatmap_tx1.csv": "4c6f1afdeeefb0fb9a79421ab00ab43680f77d38cc415af814b82f0417e26af4",
+        "heatmap_tx2.csv": "3d6368e7e108eb28a113804d1a80d098cf5c5f770ab214fd7629ed7a49f580e3",
+        "heatmap_tx3.csv": "8382ec9afe802d65aac55cc5350511cf9c19329ee77d0c35fc4dff78867c319f",
+        "heatmap_tx4.csv": "0a490405aa93830ac1dc633fcb56ac2104ba6f011d117c9e2243e49b9a1b8aef",
+        "heatmap_tx5.csv": "17de0383781e314505eb1713a148a97a766de8820804f5129f8a84a7644c8629",
+        "heatmap_tx6.csv": "5dc310a15a709cdcca9859a775a6fca4d56887c13d1bd9669a833580de65b15f",
+    },
+}
+
+
+@pytest.mark.parametrize("workload, seed", sorted(WORKLOAD_DIGESTS))
+def test_workload_output_bytes_are_pinned(tmp_path, capsys, workload, seed):
+    path = tmp_path / "scenario.json"
+    cp.save_scenario(bench_scenario(workload, seed, None), path)
+    code, _, err = run_cli(capsys, "campaign", "--scenario", str(path),
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == 0, err
+    written = {file.name: hashlib.sha256(file.read_bytes()).hexdigest()
+               for file in (tmp_path / "out").iterdir()}
+    assert written == WORKLOAD_DIGESTS[workload, seed]
+
+
 def run_cli_forked(*argv, address_space=2 << 30, seconds=60):
     """cli.main in a forked child, its address space capped at
     address_space bytes above what it inherits and its run at seconds:
@@ -1497,7 +1569,7 @@ def test_sound_freq_reproduces_campaign_losses(tmp_path, capsys, monkeypatch):
         transmitters=(scenario.transmitters[0],
                       dataclasses.replace(scenario.transmitters[1],
                                           tx_power_db=-7.5)))
-    [(frame, _)] = cp.prepare(scenario)
+    [(frame, _)], _ = cp.prepare(scenario)
     compose = sweep.compose_sweep_capture
     paths = []
 

@@ -379,7 +379,7 @@ def test_compose_matches_tiled_leakage_and_complex_noise_oracle():
         leak_gain = multitx.LeakageModel(
             parked_leakage_db=math.inf,
             inband_null_leakage_db=leak_db).gain(multitx.PARK_IN_BAND)
-        for noise in (None, -math.inf, -20.0):
+        for noise in (None, -ch.POWER_LIMIT_DB, -20.0):
             # bursts shorter than the slot, past its end, and longer than
             # the whole period
             for burst_len in (60, 95, 130, 700):

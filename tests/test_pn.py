@@ -84,9 +84,11 @@ def test_non_primitive_polynomial_rejected():
 def test_bad_inputs_rejected():
     with pytest.raises(ValueError, match="seed"):
         pn.generate_glfsr(10, seed_state=0)
-    with pytest.raises(ValueError):
+    # degrees outside [2, MAX_DEGREE] are the callers' to reject: these
+    # have no default polynomial
+    with pytest.raises(ValueError, match="no default polynomial for degree 1;"):
         pn.generate_glfsr(1)
-    with pytest.raises(ValueError, match="maximum"):
+    with pytest.raises(ValueError, match="no default polynomial for degree 30;"):
         pn.generate_glfsr(30)
     with pytest.raises(ValueError, match="degree"):
         pn.generate_glfsr(10, polynomial=0b111)

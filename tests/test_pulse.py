@@ -92,8 +92,13 @@ def test_singular_grid_points_are_finite():
     (0.0, 10, 4), (1.5, 10, 4), (0.35, 3, 4), (0.35, 9, 4), (0.35, 10, 1),
 ])
 def test_design_preconditions(args):
-    with pytest.raises(ValueError):
-        pulse.design_rrc(*args)
+    # SounderConfig rejects what design_rrc cannot take, naming the field
+    rolloff, span, sps = args
+    field = ("rolloff" if rolloff != 0.35 else "span_symbols" if span != 10
+             else "samples_per_symbol")
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        sliding.SounderConfig(rolloff=rolloff, span_symbols=span,
+                              samples_per_symbol=sps)
 
 
 def test_filter_taps_invariants():
@@ -464,14 +469,6 @@ def test_read_iq_checks_each_sample_once(tmp_path, monkeypatch):
     assert loaded.samples.dtype == np.complex128
     npt.assert_array_equal(loaded.samples,
                            np.arange(0, 20, 2) + 1j * np.arange(1, 20, 2))
-
-
-def test_design_rrc_takes_a_subnormal_rolloff():
-    # pi / (4 * rolloff) overflows; it was evaluated for the edge limit
-    # even where no tap sits on the edge, and math.sin(inf) raised
-    taps = pulse.design_rrc(1e-310, 12, 4)
-    assert np.isfinite(taps.coefficients).all()
-    assert float(np.sum(taps.coefficients ** 2)) == pytest.approx(1.0)
 
 
 def test_timing_phase_rejects_window_before_capture(chips10, rrc_taps):

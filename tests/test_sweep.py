@@ -298,7 +298,7 @@ def test_unit_tone_is_cached_read_only(plan, monkeypatch):
         receiver_path=((2.0, 2.0, 0.9), (8.0, 2.0, 0.9), (14.0, 2.0, 0.9)),
         environment=EnvironmentModel(reference_loss_db=38.0,
                                      path_loss_exponent=2.1))
-    [(frame, units)] = cp.prepare(scenario)
+    [(frame, units)], _ = cp.prepare(scenario)
     t = np.arange(4096) / frame.sample_rate_hz
     # one row per tone, in the frame's order, each the unit tone bit for bit
     # over the first FFT window of a 5000-sample step
