@@ -250,8 +250,7 @@ def _sound_sliding(scenario: Scenario, prepared: tuple, loc_index: int,
                    channels: list) -> list:
     """Compose one location's TDMA capture from its channels, then
     measure it: (flags, measured fields) per transmitter."""
-    *receiver, offsets = prepared
-    _, _, waveforms, schedule = receiver
+    chips, taps, waveforms, schedule, offsets = prepared
     # a tap later than this spills into the next slot's segment; checked
     # before the capture is built
     room = schedule.slot_samples - len(waveforms[0])
@@ -266,17 +265,18 @@ def _sound_sliding(scenario: Scenario, prepared: tuple, loc_index: int,
         leak_gain=scenario.leakage.gain(scenario.park_mode),
         noise_power_dbfs=scenario.noise_power_dbfs,
         seed=_noise_seed(scenario, "noise", loc_index))
-    return _receive_sliding(scenario, receiver, capture)
+    return _receive_sliding(scenario, (chips, taps, schedule), capture)
 
 
-def _receive_sliding(scenario: Scenario, receiver: list, capture) -> list:
-    """The receive half of a sliding location: the capture cut into its
-    slots, flagged misaligned by its guard/core power ratio, and each
-    slot measured, with no channel, seed or clock offset read."""
-    chips, taps, waveforms, schedule = receiver
-    segments = multitx.segment_capture(
-        capture, schedule, waveforms[0].sample_rate, waveforms[0].origin_time)
-    ratio = multitx.guard_core_power_ratio(capture, schedule)
+def _receive_sliding(scenario: Scenario, receiver: tuple, capture) -> list:
+    """The receive half of a sliding location: the capture, a
+    BasebandSignal on its own rate and time axis, cut into its slots,
+    flagged misaligned by its guard/core power ratio, and each slot
+    measured. It reads the receiver's (chips, taps, schedule) and no
+    transmit burst, channel, seed or clock offset."""
+    chips, taps, schedule = receiver
+    segments = multitx.segment_capture(capture, schedule)
+    ratio = multitx.guard_core_power_ratio(capture.samples, schedule)
     flags = (FLAG_MISALIGNED,) if ratio > _MISALIGNED_RATIO else ()
     profiles = sliding.measure_sliding(
         segments, chips, taps, scenario.sliding,

@@ -198,11 +198,11 @@ def _add_span(out, k, received: PeriodForm, samples, j, m):
 def compose_received(waveforms, channels, offsets, schedule: TdmaSchedule,
                      leak_gain: float = 0.0,
                      noise_power_dbfs: float | None = None,
-                     seed: int = 0) -> np.ndarray:
+                     seed: int = 0) -> BasebandSignal:
     """Sum every transmitter's channel-filtered waveform over one TDMA
-    period of the receiver's clock: a new complex128 array of
-    period_samples on the waveforms' sample rate, whose time axis is the
-    first waveform's.
+    period of the receiver's clock: a capture of period_samples new
+    complex128 samples on the waveforms' sample rate, whose time axis is
+    the first waveform's.
 
     Transmitter i sends waveforms[i], a burst in period form, through
     channels[i], with at most one transmitter per slot and all on one
@@ -220,13 +220,16 @@ def compose_received(waveforms, channels, offsets, schedule: TdmaSchedule,
         _place_by_slices(out, apply_channel(waveform, channel), offset, i,
                          schedule, leak_gain)
     add_noise(out, noise_power_dbfs, seed)
-    return out
+    return BasebandSignal(out, waveforms[0].sample_rate,
+                          waveforms[0].origin_time)
 
 
 def guard_core_power_ratio(samples: np.ndarray,
                            schedule: TdmaSchedule) -> float:
     """Power in the guard trims relative to the busiest slot core, of a
-    contiguous complex128 capture.
+    contiguous complex128 capture: inf where a guard holds power and
+    every core is silent, and 0.0 for a silent capture or one with no
+    guard.
 
     Bursts sit inside the slot cores and leave the guard trims nearly
     silent; once clock error pushes a burst past its guard, the ratio
@@ -250,31 +253,30 @@ def guard_core_power_ratio(samples: np.ndarray,
         return np.einsum("ij,ij->i", parts, parts).max() / region.shape[1]
 
     core = power(slots[:, trim:-trim])
+    guard = max(power(slots[:, :trim]), power(slots[:, -trim:]))
     if core == 0.0:
-        return 0.0
-    return float(max(power(slots[:, :trim]), power(slots[:, -trim:])) / core)
+        return math.inf if guard > 0.0 else 0.0
+    return float(guard / core)
 
 
-def segment_capture(samples: np.ndarray, schedule: TdmaSchedule,
-                    sample_rate: float,
-                    origin_time: float = 0.0) -> BasebandSignal:
-    """Split one TDMA period of capture samples (compose_received's) on
-    sample_rate, sample 0 at origin_time, into per-transmitter segments.
+def segment_capture(capture: BasebandSignal,
+                    schedule: TdmaSchedule) -> BasebandSignal:
+    """Split one TDMA period of a capture into per-transmitter segments.
 
-    The capture, a contiguous complex128 array, must begin at a period
-    boundary of the receiver's clock and span at least one period, as
-    compose_received's does. The schedule's guard is discarded from both
+    The capture's samples, a contiguous complex128 array, must begin at a
+    period boundary of the receiver's clock and span at least one period,
+    as compose_received's do. The schedule's guard is discarded from both
     ends of every slot to absorb small clock offsets, so segment i starts
     where transmitter i's burst starts when its clock agrees with the
     receiver's. The segments are one stack, a read-only
     (transmitter_count, slot_samples - 2 * guard_samples) view of the
-    capture's first period, with its origin_time.
+    capture's first period, on the capture's sample rate and origin time.
     """
     trim = schedule.guard_samples
-    segments = samples[:schedule.period_samples].reshape(
+    segments = capture.samples[:schedule.period_samples].reshape(
         schedule.transmitter_count, -1)[:, trim:schedule.slot_samples - trim]
     segments.flags.writeable = False
-    return BasebandSignal(segments, sample_rate, origin_time)
+    return BasebandSignal(segments, capture.sample_rate, capture.origin_time)
 
 
 def build_frequency_plan(setup: FrequencySetup,
@@ -313,14 +315,10 @@ def build_frequency_plan(setup: FrequencySetup,
     spacing = max(math.ceil(guard_band / bin_width - 1e-9), 1) * bin_width
     start = max(math.ceil((-sample_rate / 2.0 + guard_band) / bin_width),
                 -((length - 1) // 2)) * bin_width
-    # how many tones actually fit between start and the Nyquist edge
+    # how many tones actually fit between start and the Nyquist edge: at
+    # least one, as the guard is at most half the band, so start <= 0
     fit = int(math.floor((sample_rate / 2.0 - bin_width - start) / spacing)) + 1
     capacity = math.floor(min(capacity, fit))
-    if capacity < 1:
-        raise ValueError(
-            f"guard_band_hz: no tone fits the {sample_rate} Hz band with "
-            f"guard {guard_band} Hz"
-        )
 
     tones = start + spacing * np.arange(min(transmitter_count, capacity))
     offsets = tuple(float(f) for f in tones)

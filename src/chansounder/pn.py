@@ -58,9 +58,11 @@ def generate_glfsr(degree: int = 10, polynomial: int | None = None,
 
     The register steps in Galois form; the output bit is mapped 1 -> -1,
     0 -> +1. Raises ValueError if the polynomial is not primitive (the
-    state does not take exactly 2^degree - 1 steps to return to the seed)
-    or if the seed is zero. The degree lies in [2, MAX_DEGREE], as
-    SounderConfig.pn_degree and gen-pn --degree check first.
+    state does not take exactly 2^degree - 1 steps to return to the
+    seed). The degree lies in [2, MAX_DEGREE], as SounderConfig.pn_degree
+    and gen-pn --degree check first, and the seed state in
+    [1, 2**degree), as gen-pn --seed-state checks first; a campaign and
+    sound-sliding seed the register with 1.
     """
     if polynomial is None:
         try:
@@ -75,10 +77,6 @@ def generate_glfsr(degree: int = 10, polynomial: int | None = None,
         )
     if polynomial & 1 != 1:
         raise ValueError("feedback polynomial must have a nonzero constant term")
-    if seed_state == 0:
-        raise ValueError("seed state must be nonzero")
-    if seed_state >> degree != 0:
-        raise ValueError(f"seed state 0x{seed_state:x} does not fit in {degree} bits")
 
     n = (1 << degree) - 1
     # Folding the x^degree..x^1 terms down one bit gives the state mask for

@@ -77,6 +77,10 @@ class FrequencySetup:
                         f"tone_offsets_hz: tones {j} and {k} are separated by "
                         f"{abs(tones[j] - tones[k])} Hz < guard band "
                         f"{self.guard_band_hz} Hz")
+                if self.bin_index(tones[j]) == self.bin_index(tones[k]):
+                    raise ValueError(
+                        f"tone_offsets_hz: tones {j} and {k} share FFT bin "
+                        f"{self.bin_index(tones[j])}")
 
     @property
     def step_samples(self) -> int:

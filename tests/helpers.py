@@ -163,10 +163,9 @@ def add_noise(signal, noise_power_dbfs, seed):
     transmitter owns the whole capture through a unit channel."""
     schedule = multitx.TdmaSchedule(1, len(signal), 0)
     unit = ch.MultipathChannel(gains=[1.0], delays=[0.0])
-    samples = multitx.compose_received(
+    return multitx.compose_received(
         [whole(signal)], [unit], [0], schedule,
         noise_power_dbfs=noise_power_dbfs, seed=seed)
-    return pulse.BasebandSignal(samples, signal.sample_rate, signal.origin_time)
 
 
 def bench_scenario(workload, seed, locations):
@@ -216,7 +215,9 @@ def oracle_guard_core_power_ratio(samples, schedule):
         core = np.mean(np.abs(samples[lo + trim:hi - trim]) ** 2)
         guard_power = max(guard_power, head, tail)
         core_power = max(core_power, core)
-    return 0.0 if core_power == 0.0 else float(guard_power / core_power)
+    if core_power == 0.0:
+        return math.inf if guard_power > 0.0 else 0.0
+    return float(guard_power / core_power)
 
 
 def declared(kind, name):

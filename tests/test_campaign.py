@@ -635,10 +635,11 @@ def test_noise_seeds_are_derived_only_with_noise(monkeypatch, mode):
 
 def test_sliding_receive_half_reads_no_channel_seed_or_offset(monkeypatch):
     # fed the captures that a campaign composed with clock offsets,
-    # in-band leakage and noise, the receive half measures the campaign's
-    # records, flags included, from the receiver's chips, taps, burst and
-    # schedule, under a scenario with another seed, no clock offsets and
-    # no noise
+    # in-band leakage and noise, each on its own rate and time axis, the
+    # receive half measures the campaign's records, flags included, from
+    # the receiver's chips, taps and schedule alone, with no transmit
+    # burst, under a scenario with another seed, no clock offsets and no
+    # noise
     scenario = small_scenario(
         clocks=cp.ClockSetup(tx_offsets_s=(2e-6, -3e-7)),
         leakage=multitx.LeakageModel(inband_null_leakage_db=30.0),
@@ -652,18 +653,35 @@ def test_sliding_receive_half_reads_no_channel_seed_or_offset(monkeypatch):
 
     monkeypatch.setattr(multitx, "compose_received", kept)
     records = cp.run_campaign(scenario)
-    *receiver, _ = cp.prepare(scenario)
+    chips, taps, _, schedule, _ = cp.prepare(scenario)
     blind = replace(scenario, master_seed=0, clocks=cp.ClockSetup(),
                     noise_power_dbfs=None)
     measured = [{**fields, "flags": list(flags)} for capture in captures
-                for flags, fields in cp._receive_sliding(blind, receiver,
-                                                         capture)]
+                for flags, fields in cp._receive_sliding(
+                    blind, (chips, taps, schedule), capture)]
     assert len(measured) == len(records) == 6
     # every location is misaligned, and one pair has no signal
     assert [record["flags"] for record in records][:2] == [
         [cp.FLAG_MISALIGNED], [cp.FLAG_MISALIGNED, cp.FLAG_NO_SIGNAL]]
     assert [{**record, **fields} for record, fields in zip(records, measured)] \
         == records
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_burst_held_in_a_guard_is_misaligned(workers):
+    # with guards of 0.45 of a 491524-sample slot, tx1's clock runs
+    # 110592 samples (half a guard) ahead, so its burst lies wholly in the
+    # receiver's head guard and the core is silent: once read as a ratio
+    # of 0.0, so that the records said only no_signal
+    bundled = cp.load_scenario(SCENARIO_DIR / "indoor_wing_sliding.json")
+    scenario = replace(
+        bundled, transmitters=bundled.transmitters[:1],
+        receiver_path=bundled.receiver_path[:2],
+        schedule=replace(bundled.schedule, guard_fraction=0.45),
+        clocks=cp.ClockSetup(tx_offsets_s=(0.00165888,)))
+    records = cp.run_campaign(scenario, workers=workers)
+    assert [record["flags"] for record in records] \
+        == [[cp.FLAG_MISALIGNED, cp.FLAG_NO_SIGNAL]] * 2
 
 
 def traced_peak_bytes(scenario, prepared):

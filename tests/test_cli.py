@@ -444,6 +444,29 @@ def test_validate_missing_file(tmp_path, capsys):
     assert "missing.json" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "campaign"])
+def test_scenario_file_holding_a_list_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]\n")
+    code, _, err = run_cli(capsys, command, "--scenario", str(path),
+                           "--out-dir", str(tmp_path / "out"))
+    assert (code, err) == (2, "ValueError: scenario: expected an object, "
+                              "got [1, 2]\n")
+
+
+@pytest.mark.parametrize("name, what", [("records.jsonl", "records"),
+                                        ("heatmap_tx2.csv", "heat map")])
+def test_campaign_output_that_is_a_directory_exits_2(tmp_path, capsys, name,
+                                                     what):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    code, _, err = run_cli(capsys, "campaign", "--scenario",
+                           str(scenario_file(tmp_path)), "--out-dir", str(out))
+    assert code == 2
+    assert re.fullmatch(f"OSError: cannot write {what} to "
+                        f"{re.escape(str(out / name))}: [^\n]+\n", err), err
+
+
 # frequency-block values in range of their type but not of the sweep
 FREQUENCY_FIELD_CASES = [
     ("frequency", "fft_length", 0, "frequency.fft_length"),
@@ -490,6 +513,8 @@ FREQUENCY_FIELD_CASES = [
         ("schedule", "guard_fraction", -0.1, "schedule.guard_fraction"),
         ("schedule", "slot_length_s", 0.0, "schedule.slot_length_s"),
         ("clocks", "tx_offsets_s", [True, False], "clocks.tx_offsets_s[0]"),
+        # one offset for two transmitters
+        ("clocks", "tx_offsets_s", [0.0], "clocks.tx_offsets_s"),
         # offsets outside the +-1 s clock range (more samples than a float
         # holds once failed to round)
         ("clocks", "rx_offset_s", 1e301, "clocks.rx_offset_s"),
@@ -1550,14 +1575,73 @@ def test_far_position_exits_2_with_one_stderr_line(tmp_path):
 def test_sound_freq_rejects_a_plan_by_field(tmp_path, capsys):
     plan_path, capture_paths = sweep_capture_files(tmp_path)
     doc = json.loads(plan_path.read_text())
+    # a guard band above half the sample rate leaves the packer no tone
     for key, value in (("fft_length", 0), ("sample_rate_hz", -1e6),
-                       ("tone_offsets_hz", [100e3])):
+                       ("tone_offsets_hz", [100e3]), ("guard_band_hz", 6e5)):
         plan_path.write_text(json.dumps(dict(doc, **{key: value})))
         code, _, err = run_cli(capsys, "sound-freq", "--plan", str(plan_path),
                                "--out-dir", str(tmp_path), *capture_paths)
         assert code == 2
         assert len(err.strip().splitlines()) == 1
         assert err.startswith(f"ValueError: {key}")
+
+
+# two tones in FFT bin 400 at no guard band: once accepted, so that both
+# transmitters read the sum of their two channels
+SHARED_TONES = [pytest.param([97656.25, 97656.25], id="one-tone"),
+                pytest.param([97656.25, 97656.2500001], id="one-bin")]
+
+
+@pytest.mark.parametrize("command", ["validate", "campaign"])
+@pytest.mark.parametrize("tones", SHARED_TONES)
+def test_two_scenario_tones_in_one_fft_bin_exit_2(tmp_path, capsys, command,
+                                                 tones):
+    path = bundled_edit(tmp_path, "courtyard_frequency",
+                        lambda doc: doc["frequency"].update(
+                            tone_offsets_hz=tones, guard_band_hz=0.0))
+    code, _, err = run_cli(capsys, command, "--scenario", str(path),
+                           "--out-dir", str(tmp_path / "out"))
+    assert (code, err) == (2, "ValueError: frequency.tone_offsets_hz: tones "
+                              "0 and 1 share FFT bin 400\n")
+    assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
+@pytest.mark.parametrize("tones", SHARED_TONES)
+def test_sound_freq_rejects_two_plan_tones_in_one_fft_bin(tmp_path, capsys,
+                                                          tones):
+    plan_path, capture_paths = sweep_capture_files(tmp_path)
+    doc = json.loads(plan_path.read_text())
+    plan_path.write_text(json.dumps(dict(doc, tone_offsets_hz=tones,
+                                         guard_band_hz=0.0)))
+    code, _, err = run_cli(capsys, "sound-freq", "--plan", str(plan_path),
+                           "--out-dir", str(tmp_path), *capture_paths)
+    assert (code, err) == (2, "ValueError: tone_offsets_hz: tones 0 and 1 "
+                              "share FFT bin 400\n")
+    assert not (tmp_path / "losses.json").exists()
+
+
+def test_sound_freq_on_silent_captures_exits_2(tmp_path, capsys):
+    plan_path, capture_paths = sweep_capture_files(tmp_path)
+    for path in capture_paths:
+        write_iq(pulse.BasebandSignal(np.zeros(4096), 1e6), path)
+    code, _, err = run_cli(capsys, "sound-freq", "--plan", str(plan_path),
+                           "--out-dir", str(tmp_path), *capture_paths)
+    assert (code, err) == (2, "NoSignalError: no power in the tone bin of "
+                              "step 0\n")
+    assert not (tmp_path / "losses.json").exists()
+
+
+def test_sound_sliding_on_a_silent_capture_exits_2(tmp_path, capsys):
+    capture_path = sliding_capture_file(tmp_path)
+    capture = pulse.read_iq(capture_path)
+    write_iq(dataclasses.replace(capture, samples=np.zeros(len(capture))),
+             capture_path)
+    code, _, err = run_cli(capsys, "sound-sliding", "--capture",
+                           str(capture_path), "--out-dir", str(tmp_path))
+    assert (code, err) == (2, "NoSignalError: capture is silent in the "
+                              "timing search window; no timing phase "
+                              "exists\n")
+    assert not (tmp_path / "profile.json").exists()
 
 
 def test_sound_freq_reproduces_campaign_losses(tmp_path, capsys, monkeypatch):

@@ -82,10 +82,9 @@ def test_non_primitive_polynomial_rejected():
 
 
 def test_bad_inputs_rejected():
-    with pytest.raises(ValueError, match="seed"):
-        pn.generate_glfsr(10, seed_state=0)
-    # degrees outside [2, MAX_DEGREE] are the callers' to reject: these
-    # have no default polynomial
+    # a seed state outside [1, 2**degree) and a degree outside
+    # [2, MAX_DEGREE] are the callers' to reject (gen-pn checks both flags
+    # first); these degrees have no default polynomial
     with pytest.raises(ValueError, match="no default polynomial for degree 1;"):
         pn.generate_glfsr(1)
     with pytest.raises(ValueError, match="no default polynomial for degree 30;"):
