@@ -38,8 +38,6 @@ MODE_FREQUENCY = "frequency"
 
 FLAG_NO_SIGNAL = "no_signal"
 FLAG_MISALIGNED = "misaligned"
-# the guard/core power ratio above which a location is misaligned
-_MISALIGNED_RATIO = 0.25
 # the range of every coordinate, in metres: about an Earth radius
 COORDINATE_LIMIT_M = 1e7
 
@@ -220,7 +218,7 @@ def _prepare_sliding(scenario: Scenario) -> tuple:
         chips, taps = sliding.reference(config)
         _check_burst_samples(config, chips, taps)
     except ValueError as exc:
-        raise schema.nested("sliding", sliding.SounderConfig, exc) from None
+        raise schema.nested("sliding", exc) from None
     burst = modulate(chips, config.averaging_periods + 2, taps,
                      config.chip_period_s)
     sample_rate = burst.sample_rate
@@ -229,7 +227,7 @@ def _prepare_sliding(scenario: Scenario) -> tuple:
             scenario.schedule, len(scenario.transmitters), len(burst),
             config.samples_per_symbol, sample_rate)
     except ValueError as exc:
-        raise schema.nested("schedule", multitx.ScheduleSetup, exc) from None
+        raise schema.nested("schedule", exc) from None
     # each transmitter's burst, in period form
     waveforms = [replace(burst, samples=burst.samples
                          * 10.0 ** (tx.tx_power_db / 20.0))
@@ -276,8 +274,8 @@ def _receive_sliding(scenario: Scenario, receiver: tuple, capture) -> list:
     transmit burst, channel, seed or clock offset."""
     chips, taps, schedule = receiver
     segments = multitx.segment_capture(capture, schedule)
-    ratio = multitx.guard_core_power_ratio(capture.samples, schedule)
-    flags = (FLAG_MISALIGNED,) if ratio > _MISALIGNED_RATIO else ()
+    flags = ((FLAG_MISALIGNED,) if multitx.misaligned(capture.samples, schedule)
+             else ())
     profiles = sliding.measure_sliding(
         segments, chips, taps, scenario.sliding,
         [tx.tx_power_db for tx in scenario.transmitters])
@@ -302,7 +300,7 @@ def _prepare_frequency(scenario: Scenario) -> tuple:
         frames = multitx.build_frequency_plan(scenario.frequency,
                                               len(scenario.transmitters))
     except ValueError as exc:
-        raise schema.nested("frequency", sweep.FrequencySetup, exc) from None
+        raise schema.nested("frequency", exc) from None
     frames = [(frame, sweep.unit_tones(frame)) for frame in frames]
     # every frame has one shape, so one frame's rows, allocated once per
     # process, take them all at every location

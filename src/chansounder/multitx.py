@@ -26,6 +26,8 @@ from chansounder.sweep import FrequencySetup
 
 PARK_OFF_BAND = "off_band"
 PARK_IN_BAND = "in_band"
+# the guard/core power ratio above which a capture is misaligned
+_MISALIGNED_RATIO = 0.25
 
 
 @dataclass(frozen=True)
@@ -224,12 +226,12 @@ def compose_received(waveforms, channels, offsets, schedule: TdmaSchedule,
                           waveforms[0].origin_time)
 
 
-def guard_core_power_ratio(samples: np.ndarray,
-                           schedule: TdmaSchedule) -> float:
-    """Power in the guard trims relative to the busiest slot core, of a
-    contiguous complex128 capture: inf where a guard holds power and
-    every core is silent, and 0.0 for a silent capture or one with no
-    guard.
+def misaligned(samples: np.ndarray, schedule: TdmaSchedule) -> bool:
+    """Whether the guard/core power ratio of a contiguous complex128
+    capture is above _MISALIGNED_RATIO: the mean power of the busiest
+    guard trim over that of the busiest slot core, inf where a guard
+    holds power and every core is silent, and 0 for a silent capture or
+    one with no guard.
 
     Bursts sit inside the slot cores and leave the guard trims nearly
     silent; once clock error pushes a burst past its guard, the ratio
@@ -237,26 +239,37 @@ def guard_core_power_ratio(samples: np.ndarray,
     move bursts whole slots and remain invisible here.
 
     The first period's slots are the rows of one view of the capture.
-    Each mean power, mean(|x|^2) of a region of every row, is one sum of
-    products over the region's float parts, with no squared temporary;
-    not np.vdot, which hands long vectors to the BLAS thread pool, whose
-    threads then take CPU time from the other campaign workers.
+    Each region's power, sum(|x|^2) per row, is one sum of products over
+    its float parts, with no squared temporary; not np.vdot, which hands
+    long vectors to the BLAS thread pool, whose threads then take CPU
+    time from the other campaign workers. The guards are summed first,
+    and a silent guard ends the test. Otherwise the first guard_samples
+    of each core are summed: a core's power is at least theirs, so where
+    they hold enough power the ratio is below the bound by more than
+    rounding, and no other sample is read. Only otherwise are the whole
+    cores summed.
     """
     trim = schedule.guard_samples
     if trim == 0:
-        return 0.0
+        return False
     slots = samples[:schedule.period_samples].reshape(
         schedule.transmitter_count, -1)
 
     def power(region):
         parts = region.view(np.float64)
-        return np.einsum("ij,ij->i", parts, parts).max() / region.shape[1]
+        return float(np.einsum("ij,ij->i", parts, parts).max())
 
-    core = power(slots[:, trim:-trim])
-    guard = max(power(slots[:, :trim]), power(slots[:, -trim:]))
+    guard = max(power(slots[:, :trim]), power(slots[:, -trim:])) / trim
+    if guard == 0.0:
+        return False
+    cores = slots[:, trim:-trim]
+    length = cores.shape[1]
+    if guard * length <= _MISALIGNED_RATIO * (1 - 1e-9) * power(cores[:, :trim]):
+        return False
+    core = power(cores) / length
     if core == 0.0:
-        return math.inf if guard > 0.0 else 0.0
-    return float(guard / core)
+        return True
+    return guard / core > _MISALIGNED_RATIO
 
 
 def segment_capture(capture: BasebandSignal,

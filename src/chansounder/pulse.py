@@ -28,11 +28,14 @@ IQ_FORMAT = "cf32_le"
 # symbol) took 1.4 s on a 2-CPU Xeon.
 MAX_FILTER_TAPS = 2 ** 10 + 1
 
-# Outputs per row of the timing search's filter-bank product.
+# Outputs per block of the timing search's polyphase filter bank: each
+# product is a (blocks, 16) @ (16, 16) dgemm over a contiguous rail.
 BANK_WIDTH = 16
-# The most multiply-adds, m * n * k, in one filter-bank product. OpenBLAS
-# runs a dgemm this small on the calling thread, so its thread pool
-# stays asleep and takes no CPU from the other campaign processes.
+# The most multiply-adds, m * n * k, in one filter-bank product, and
+# the most n * k in one of the phase sums' vector-matrix products.
+# OpenBLAS runs a product this small on the calling thread, so its
+# thread pool stays asleep and takes no CPU from the other campaign
+# processes.
 MAX_PRODUCT_MACS = 2 ** 18
 
 
@@ -45,15 +48,20 @@ class FilterTaps:
 
     @cached_property
     def bank(self) -> np.ndarray:
-        """The timing search's filter bank, built at its first use: a
-        (B + L - 1, B) matrix, B = BANK_WIDTH, whose column j holds the
-        reversed taps from row j on. A window of B + L - 1 samples times
-        it gives B consecutive outputs of the full convolution."""
+        """The timing search's polyphase filter bank, built at its first
+        use: Q = ceil((L + B - 1) / B) blocks of (B, B), B = BANK_WIDTH,
+        whose block q holds taps[j + q * B - m] at row m, column j, and
+        zero where that index is outside the taps. Output j of a block
+        of B outputs is the sum over q of the input block q blocks
+        before it times column j of block q."""
         span = len(self.coefficients)
-        bank = np.zeros((BANK_WIDTH + span - 1, BANK_WIDTH))
-        for j in range(BANK_WIDTH):
-            bank[j:j + span, j] = self.coefficients[::-1]
-        return bank
+        depth = -(-(span + BANK_WIDTH - 1) // BANK_WIDTH)
+        padded = np.zeros((depth + 1) * BANK_WIDTH)
+        padded[BANK_WIDTH:BANK_WIDTH + span] = self.coefficients
+        m = np.arange(BANK_WIDTH)
+        index = (BANK_WIDTH * np.arange(1, depth + 1)[:, None, None]
+                 + m - m[:, None])
+        return padded[index]
 
 
 @dataclass(frozen=True)
@@ -360,28 +368,38 @@ def _bank_rails(x: np.ndarray, taps: FilterTaps, start: int,
     row of the (rows, n) x, as a (rows, 2, stop - start) float array: the
     real rail, then the imaginary.
 
-    Output o is the dot of row[o - (L - 1):o + 1] with the reversed taps,
-    so B = BANK_WIDTH consecutive outputs are one window of B + L - 1
-    samples times taps.bank. The windows of both rails of every row, B
-    samples apart, are one sliding-window view of the rows' real and
-    imaginary rails, zero-padded where they run past either end of a
-    row; each product, a row's rail times the bank, has at most
-    MAX_PRODUCT_MACS multiply-adds. Requires 0 <= start and
-    stop <= n + L - 1.
+    Output o is the sum of row[o - i] * taps[i] over the L taps. The
+    rails of the rows' samples from start - (Q - 1) * B on, B =
+    BANK_WIDTH, are copied once into contiguous floats, zero where they
+    run past either end of a row, and read as blocks of B samples. Block
+    b of B outputs is then the sum over the Q blocks q of taps.bank of
+    input block b - q times bank[q]: Q products, each over one view of
+    every rail's blocks, added in order. Each product is one dgemm per
+    row and rail of at most MAX_PRODUCT_MACS multiply-adds. Requires
+    0 <= start and stop <= n + L - 1.
     """
     bank = taps.bank
-    rows, width = bank.shape
+    depth, width = len(bank), bank.shape[-1]
     blocks = -(-(stop - start) // width)
-    lo = start - (rows - width)
-    x = _zero_padded(x, lo, lo + (blocks - 1) * width + rows)
-    rails = x.view(np.float64).reshape(len(x), -1, 2).transpose(0, 2, 1)
-    windows = sliding_window_view(rails, rows, axis=2)[:, :, ::width]
+    lo = start - (depth - 1) * width
+    rails = np.zeros((len(x), 2, (blocks + depth - 1) * width))
+    a, b = max(lo, 0), min(lo + rails.shape[-1], x.shape[-1])
+    rails[:, 0, a - lo:b - lo] = x[:, a:b].real
+    rails[:, 1, a - lo:b - lo] = x[:, a:b].imag
+    rails = rails.reshape(len(x), 2, -1, width)
     out = np.empty((len(x), 2, blocks, width))
-    chunk = max(1, MAX_PRODUCT_MACS // (rows * width))
-    for first in range(0, blocks, chunk):
-        np.matmul(windows[:, :, first:first + chunk], bank,
-                  out=out[:, :, first:first + chunk])
-    return out.reshape(len(x), 2, blocks * width)[..., :stop - start]
+    step = MAX_PRODUCT_MACS // width**2
+    product = np.empty((len(x), 2, min(blocks, step), width))
+    for first in range(0, blocks, step):
+        outs = out[:, :, first:first + step]
+        count = outs.shape[2]
+        part = product[:, :, :count]
+        for q, block in enumerate(bank):
+            at = first + depth - 1 - q
+            np.matmul(rails[:, :, at:at + count], block, out=part if q else outs)
+            if q:
+                outs += part
+    return out.reshape(len(x), 2, -1)[..., :stop - start]
 
 
 def estimate_timing_phase(stack: BasebandSignal, chips: ChipSequence,
@@ -408,9 +426,11 @@ def estimate_timing_phase(stack: BasebandSignal, chips: ChipSequence,
 
     The matched-filter outputs of all rows come from the filter-bank
     products of _bank_rails, equal to np.convolve to rounding; only the
-    integer phases leave the search. A row whose matched-filter outputs
-    in the search window are all zero, however much power it holds
-    elsewhere, has no timing phase: its phase is -1.
+    integer phases leave the search. A row whose scores are all zero
+    has no timing phase: its phase is -1. By Cauchy-Schwarz a phase's
+    score is at least its sum|y|^2, so that is a row whose matched-filter
+    outputs in the search window are all zero, however much power it
+    holds elsewhere.
     """
     sps = taps.samples_per_symbol
     n = chips.period_length
@@ -424,7 +444,7 @@ def estimate_timing_phase(stack: BasebandSignal, chips: ChipSequence,
         )
     rails = _bank_rails(stack.samples, taps, start, stop)
     scores = _phase_scores(rails.reshape(-1, 2, n, sps))
-    return np.where(~rails.any(axis=(1, 2)), -1, np.argmax(scores, axis=1))
+    return np.where(scores.any(axis=1), np.argmax(scores, axis=1), -1)
 
 
 def _phase_scores(rails: np.ndarray) -> np.ndarray:
@@ -433,14 +453,19 @@ def _phase_scores(rails: np.ndarray) -> np.ndarray:
     rails[..., 1, :, p] in a (..., 2, N, sps) block:
     (N + 1) * sum|y|^2 - |sum y|^2.
 
-    The score splits into one term per rail. The power sums are sums of
-    products, as in multitx.guard_core_power_ratio; not np.vdot, which
-    wakes the BLAS thread pool. A block's scores do not depend on the
+    The score splits into one term per rail. The power and plain sums
+    are ones @ products over the symbols, at most MAX_PRODUCT_MACS // sps
+    symbols each, added in order. A block's scores do not depend on the
     blocks stacked with it.
     """
-    n = rails.shape[-2]
-    power = np.einsum("...rkp,...rkp->...rp", rails, rails)
-    total = np.einsum("...rkp->...rp", rails)
+    n, sps = rails.shape[-2:]
+    step = MAX_PRODUCT_MACS // sps
+    power = total = 0.0
+    for first in range(0, n, step):
+        part = rails[..., first:first + step, :]
+        ones = np.ones(part.shape[-2])
+        power = power + ones @ (part * part)
+        total = total + ones @ part
     scores = (n + 1) * power - total * total
     return scores[..., 0, :] + scores[..., 1, :]
 

@@ -162,22 +162,14 @@ def _dataclass_from_json(kind, doc, path: str):
     try:
         return kind(**kwargs)
     except ValueError as exc:
-        raise nested(path, kind, exc) from exc
+        raise nested(path, exc) from exc
 
 
-def nested(path: str, kind, exc: ValueError) -> ValueError:
-    """exc from a check of a kind object found at path, as one line.
-
-    A message that starts with a field of kind ("rolloff: ...") extends
-    the dotted path; any other message follows the path.
-    """
-    message = str(exc)
-    if not path:
-        return ValueError(message)
-    names = {_JSON_NAMES.get(f.name, f.name) for f in dataclasses.fields(kind)}
-    if message.split(":")[0].split("[")[0] in names:
-        return ValueError(f"{path}.{message}")
-    return ValueError(f"{path}: {message}")
+def nested(path: str, exc: ValueError) -> ValueError:
+    """exc from a check of an object found at path, as one line: its
+    message starts with a field of that object ("rolloff: ..."), which
+    extends the dotted path."""
+    return ValueError(f"{path}.{exc}" if path else str(exc))
 
 
 def read_json(path):

@@ -201,7 +201,8 @@ def failing_channel_draw(monkeypatch, position, error):
 
 
 def oracle_guard_core_power_ratio(samples, schedule):
-    """guard_core_power_ratio with np.mean(np.abs(x) ** 2) per region."""
+    """The guard/core power ratio that multitx.misaligned compares with
+    0.25, with np.mean(np.abs(x) ** 2) per region."""
     trim = schedule.guard_samples
     if trim < 1:
         return 0.0

@@ -168,6 +168,28 @@ def test_sound_sliding_roundtrip(tmp_path, capsys):
         -10 * np.log10(1.0 + 0.25**2), abs=0.05)
 
 
+def test_sound_sliding_exits_2_where_no_lag_clears_the_floor(tmp_path,
+                                                             capsys):
+    # 600 taps at 0.85 of the strongest, beside 422 empty lags: at
+    # --threshold-db 1 the relative floor, 0.89 of the peak, leaves them
+    # all off peak, and five times their spread, about 2.1 peaks, is the
+    # floor that no lag clears
+    config = sliding.SounderConfig()
+    chips, taps = sliding.reference(config)
+    chip = config.chip_period_s
+    planted = ch.MultipathChannel(gains=[0.85] * 600 + [1.0],
+                                  delays=np.arange(601) * chip)
+    capture_path = tmp_path / "capture.iq"
+    write_iq(received(pulse.modulate(chips, 12, taps, chip), planted),
+             capture_path)
+    code, _, err = run_cli(capsys, "sound-sliding", "--capture",
+                           str(capture_path), "--threshold-db", "1",
+                           "--out-dir", str(tmp_path))
+    assert (code, err) == (2, "NoSignalError: no correlation lag stands "
+                              "clear of the detection floor\n")
+    assert not (tmp_path / "profile.json").exists()
+
+
 def sweep_capture_files(tmp_path):
     """A default plan file and one flat-channel capture file per carrier
     step."""

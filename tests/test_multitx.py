@@ -70,7 +70,7 @@ def test_single_transmitter_owns_everything():
     [segment] = multitx.segment_capture(
         pulse.BasebandSignal(capture, 1000.0), schedule).samples
     npt.assert_array_equal(segment, np.arange(200.0))
-    assert not multitx.guard_core_power_ratio(capture, schedule) > 0.25
+    assert not multitx.misaligned(capture, schedule)
 
 
 def test_slot_tiling_partitions_each_period():
@@ -221,8 +221,7 @@ def test_small_clock_offset_keeps_sounding_bit_identical(tdma_setup, chips10,
             [burst] * 3, [chan, flat_channel(30.0), flat_channel(35.0)],
             [offset_samples] * 3, schedule)
         segments = multitx.segment_capture(capture, schedule)
-        assert not multitx.guard_core_power_ratio(capture.samples,
-                                                  schedule) > 0.25
+        assert not multitx.misaligned(capture.samples, schedule)
         return sliding.measure_sliding(segments, chips10,
                                        rrc_taps, config, [0.0] * 3)[0]
 
@@ -239,12 +238,13 @@ def test_gross_clock_offset_raises_flag(tdma_setup):
     capture = multitx.compose_received(
         [burst] * 3, [flat_channel(level) for level in (0.0, 3.0, 6.0)],
         [offset] * 3, schedule)
-    assert multitx.guard_core_power_ratio(capture.samples, schedule) > 0.25
+    assert multitx.misaligned(capture.samples, schedule)
 
 
-def test_guard_core_power_ratio_matches_mean_of_squares(tdma_setup):
-    # random slot counts, slot lengths, trims and per-sample levels, plus
-    # a real capture whose bursts spill into the guards
+def test_misaligned_is_the_mean_of_squares_ratio_above_a_quarter(tdma_setup):
+    # the flag is the oracle's guard/core ratio above 0.25: on random slot
+    # counts, slot lengths, trims and per-sample levels, and on captures
+    # that take either exit of the test
     rng = np.random.default_rng(11)
     cases = []
     for _ in range(300):
@@ -255,33 +255,84 @@ def test_guard_core_power_ratio_matches_mean_of_squares(tdma_setup):
         samples = ((rng.normal(size=n) + 1j * rng.normal(size=n))
                    * 10.0 ** rng.uniform(-4, 2, size=n))
         cases.append((samples, multitx.TdmaSchedule(count, slot, trim)))
-    # a silent capture (0.0), and power in a guard alone beside silent
-    # cores (inf, once read as 0.0 too)
+    three = multitx.TdmaSchedule(3, 100, 10)
+    guards = np.r_[0:10, 90:110, 190:210, 290:300]
+    # guards at 0.25 * (1 -+ 1e-12) of cores of unit power: each region
+    # holds one level, so the ratio is that level within 1e-14
+    for scale in (1 - 1e-12, 1 + 1e-12):
+        samples = np.ones(300, dtype=np.complex128)
+        samples[guards] = math.sqrt(0.25 * scale)
+        cases.append((samples, three))
+    # cores loud only past their first 10 samples: ratios 0.229 and 0.286,
+    # which the cores' first guard_samples cannot settle
+    for level in (0.2, 0.25):
+        samples = np.ones(300, dtype=np.complex128)
+        samples[guards] = math.sqrt(level)
+        samples[np.r_[10:20, 110:120, 210:220]] = 0.0
+        cases.append((samples, three))
+    # a silent capture (0.0), power in a guard alone beside silent cores
+    # (inf), and a loud capture with no guard (0.0)
     silent = np.zeros(300, dtype=np.complex128)
     guard_only = silent.copy()
     guard_only[195] = 1j
-    cases += [(silent, multitx.TdmaSchedule(3, 100, 10)),
-              (guard_only, multitx.TdmaSchedule(3, 100, 10))]
+    cases += [(silent, three), (guard_only, three),
+              (np.ones(300, dtype=np.complex128), replace(three, guard_samples=0))]
     burst, schedule, _ = tdma_setup
     offset = 3 * schedule.slot_samples // 2
     cases.append((multitx.compose_received(
         [burst] * 3, [flat_channel(6.0 * k) for k in range(3)], [offset] * 3,
         schedule).samples, schedule))
+    decisions = []
     for samples, schedule in cases:
-        want = oracle_guard_core_power_ratio(samples, schedule)
-        got = multitx.guard_core_power_ratio(samples, schedule)
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-    assert want > 0.25  # the spilled capture is misaligned either way
+        want = oracle_guard_core_power_ratio(samples, schedule) > 0.25
+        assert multitx.misaligned(samples, schedule) == want
+        decisions.append(want)
+    assert decisions[300:] == [False, True, False, True, False, True, False,
+                               True]
+    assert 0 < sum(decisions[:300]) < 300
+
+
+def test_misaligned_reads_the_whole_cores_only_when_their_heads_cannot_settle_it(
+        tdma_setup, monkeypatch):
+    # the columns of the slot rows that each power sum reads: a silent
+    # guard ends the test, a quiet one beside loud core heads ends it
+    # after one guard_samples of every core, and only a core whose head
+    # is quiet is read whole
+    burst, schedule, _ = tdma_setup
+    trim = schedule.guard_samples
+    read = []
+    einsum = np.einsum
+
+    def spy(subscripts, *operands):
+        read.append(operands[0].shape[1] // 2)  # float columns per sample
+        return einsum(subscripts, *operands)
+
+    monkeypatch.setattr(multitx.np, "einsum", spy)
+    channels = [flat_channel(3.0 * k) for k in range(3)]
+    for noise, want in ((None, [trim, trim]),
+                        (-60.0, [trim, trim, trim])):
+        read.clear()
+        capture = multitx.compose_received([burst] * 3, channels, [0] * 3,
+                                           schedule, noise_power_dbfs=noise,
+                                           seed=5).samples
+        assert not multitx.misaligned(capture, schedule)
+        assert read == want
+    # quiet guards beside cores loud only past their first guard_samples
+    samples = np.full(300, 0.1, dtype=np.complex128)
+    samples[np.r_[20:90, 120:190, 220:290]] = 1.0
+    read.clear()
+    assert not multitx.misaligned(samples, multitx.TdmaSchedule(3, 100, 10))
+    assert read == [10, 10, 10, 80]
 
 
 # sample k of each region of slot 1 of a TdmaSchedule(3, 100, 10)
 REGIONS = {"head trim": 100, "core": 150, "tail trim": 195}
 
 
-@pytest.mark.parametrize("region, ratio", [("core", 0.0),
-                                           ("head trim", math.inf)])
+@pytest.mark.parametrize("region, flagged", [("core", False),
+                                             ("head trim", True)])
 def test_segmentation_accepts_finite_samples_whose_squares_overflow(
-        region, ratio):
+        region, flagged):
     # samples past the power range, whose squares overflow, are cut into
     # segments without a warning; their power is inf in the ratio
     samples = np.ones(300, dtype=np.complex128)
@@ -291,7 +342,10 @@ def test_segmentation_accepts_finite_samples_whose_squares_overflow(
         warnings.simplefilter("error")
         segments = multitx.segment_capture(
             pulse.BasebandSignal(samples, 1000.0), schedule)
-        assert multitx.guard_core_power_ratio(samples, schedule) == ratio
+        assert multitx.misaligned(samples, schedule) == flagged
+    with np.errstate(over="ignore"):
+        assert flagged == (oracle_guard_core_power_ratio(samples, schedule)
+                           > 0.25)
     assert segments.samples[1, 40] == samples[150]
 
 

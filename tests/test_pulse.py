@@ -237,13 +237,13 @@ def test_folded_period_matches_filter_then_average_oracle(
        size=st.integers(1, 6000), first=st.floats(0.0, 1.0),
        last=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
        log_scale=st.floats(-6.0, 3.0))
-@example(sps=8, span=12, size=6000, first=0.0, last=1.0, seed=1,
+@example(sps=8, span=12, size=20000, first=0.0, last=1.0, seed=1,
          log_scale=0.0)  # more outputs than one product may take
 @settings(max_examples=200)
 def test_filter_bank_rails_match_full_convolution(sps, span, size, first,
                                                   last, seed, log_scale):
-    # the timing search's filter-bank product equals np.convolve to
-    # rounding on any output window, also where its sample windows run
+    # the timing search's polyphase filter-bank products equal np.convolve
+    # to rounding on any output window, also where its input blocks run
     # past either end of the signal and need zero padding
     taps = _taps_at(sps, span)
     h = taps.coefficients
@@ -280,6 +280,18 @@ def test_closed_form_phase_energies_match_fft_oracle(degree, sps, seed,
     runner_up, best = np.sort(expected)[-2:]
     if best - runner_up > 1e-9 * best:
         assert np.argmax(got) == np.argmax(expected)
+
+
+@pytest.mark.parametrize("sps", [2, 3, 8])
+def test_phase_scores_of_more_symbols_than_one_product_may_take(sps):
+    # past MAX_PRODUCT_MACS // sps symbols the power and plain sums are
+    # added from several products; they still equal one sum over all
+    n = pulse.MAX_PRODUCT_MACS // sps * 2 + 5
+    rails = np.random.default_rng(sps).normal(size=(2, n, sps))
+    power = np.einsum("rkp,rkp->rp", rails, rails)
+    total = rails.sum(axis=1)
+    expected = ((n + 1) * power - total * total).sum(axis=0)
+    npt.assert_allclose(pulse._phase_scores(rails), expected, rtol=1e-9)
 
 
 @given(degree=st.integers(2, 6), sps=st.integers(2, 8),
