@@ -190,7 +190,7 @@ def path_loss_db(env: EnvironmentModel, tx_position, rx_position) -> float:
 
 
 def synthesize_channel(env: EnvironmentModel, tx_position, rx_position,
-                       seed: int, delay_grid_s: float = 60e-9):
+                       seed: int, *, delay_grid_s: float):
     """Draw a multipath channel for a transmitter/receiver pair.
 
     Tap delays start at zero with exponential inter-arrivals snapped to

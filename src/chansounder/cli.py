@@ -30,26 +30,22 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _polynomial(text: str | None) -> int | None:
-    """The --polynomial flag's integer literal (e.g. 0x409), or None."""
-    try:
-        return int(text, 0) if text else None
-    except ValueError:
-        raise ValueError(f"--polynomial: {text!r} is not an integer") from None
+def _sounder_config(args) -> sliding.SounderConfig:
+    """The sliding block file at --config, or the block's defaults."""
+    return (sliding.SounderConfig() if args.config is None
+            else schema.load(sliding.SounderConfig, args.config))
 
 
 def _cmd_gen_pn(args) -> dict:
-    polynomial = _polynomial(args.polynomial)
-    if not 2 <= args.degree <= pn.MAX_DEGREE:
-        raise ValueError(f"--degree: must be in [2, {pn.MAX_DEGREE}]")
-    if not 0 < args.seed_state < 1 << args.degree:
-        raise ValueError(f"--seed-state: must be in [1, 2**{args.degree})")
+    config = _sounder_config(args)
+    degree = config.pn_degree
+    if not 0 < args.seed_state < 1 << degree:
+        raise ValueError(f"--seed-state: must be in [1, 2**{degree})")
     try:
-        chips = pn.generate_glfsr(args.degree, polynomial, args.seed_state)
+        chips = pn.generate_glfsr(degree, config.polynomial, args.seed_state)
     except ValueError as exc:
-        # the rest is the polynomial's fault, or a degree's with no default
-        flag = "--degree" if polynomial is None else "--polynomial"
-        raise ValueError(f"{flag}: {exc}") from None
+        # the block has checked the degree: the polynomial is at fault
+        raise ValueError(f"polynomial: {exc}") from None
     target = _out_dir(args) / args.name
     pn.save_chips(chips, target)
     return {"outputs": [str(target)], "period_length": chips.period_length}
@@ -77,19 +73,8 @@ def _read_step(path, frame: sweep.FrequencySetup) -> pulse.BasebandSignal:
 
 
 def _cmd_sound_sliding(args) -> dict:
-    settings = {f.name: getattr(args, f.name)
-                for f in dataclasses.fields(sliding.SounderConfig)}
-    settings["polynomial"] = _polynomial(args.polynomial)
-    try:
-        config = sliding.SounderConfig(**settings)
-        chips, taps = sliding.reference(config)
-    except ValueError as exc:
-        # each message starts with its field; the flag that set it is named
-        field, message = str(exc).split(": ", 1)
-        if field == "polynomial" and settings["polynomial"] is None:
-            field = "pn_degree"  # a degree with no default polynomial
-        flags = {name: flag for flag, name, _ in _CONFIG_FLAGS}
-        raise ValueError(f"{flags[field]}: {message}") from None
+    config = _sounder_config(args)
+    chips, taps = sliding.reference(config)
     if args.settle_periods < 0:
         raise ValueError(f"--settle-periods: must be >= 0, "
                          f"got {args.settle_periods}")
@@ -186,17 +171,8 @@ def _campaign_workers() -> int:
     return min(cpus, _MAX_CAMPAIGN_WORKERS)
 
 
-# sound-sliding's flag for each SounderConfig field, and the field's type
-_CONFIG_FLAGS = (
-    ("--degree", "pn_degree", int), ("--polynomial", "polynomial", str),
-    ("--chip-period", "chip_period_s", float), ("--rolloff", "rolloff", float),
-    ("--span", "span_symbols", int), ("--sps", "samples_per_symbol", int),
-    ("--periods", "averaging_periods", int),
-    ("--threshold-db", "detection_threshold_db", float))
-# every float flag, with the attribute it sets
-_FLOAT_FLAGS = {flag: name for flag, name, kind in _CONFIG_FLAGS
-                if kind is float} | {"--tx-power-db": "tx_power_db",
-                                     "--tone-offset": "tone_offset"}
+# every float flag
+_FLOAT_FLAGS = ("--tx-power-db", "--tone-offset")
 
 
 def _join_float_values(argv) -> list:
@@ -212,8 +188,8 @@ def _join_float_values(argv) -> list:
 
 def _check_float_flags(args) -> None:
     """Raise naming --tx-power-db when it is outside the range of a
-    scenario's tx_power_db. Every other float flag sets a ranged
-    SounderConfig field, or must be one of the plan's tones."""
+    scenario's tx_power_db. The other float flag, --tone-offset, must be
+    one of the plan's tones."""
     if hasattr(args, "tx_power_db"):
         [power] = [f for f in dataclasses.fields(campaign.Transmitter)
                    if f.name == "tx_power_db"]
@@ -230,22 +206,18 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out-dir", default=None,
                         help="output directory (default $CHANSOUNDER_OUT_DIR or .)")
     sub = parser.add_subparsers(dest="command", required=True)
+    config_help = "a scenario's sliding block as JSON (default: its defaults)"
 
     g = sub.add_parser("gen-pn", parents=[common],
                        help="emit one period of the PN chip sequence")
-    g.add_argument("--degree", type=int, default=10)
-    g.add_argument("--polynomial", default=None,
-                   help="feedback polynomial as an integer (e.g. 0x409)")
+    g.add_argument("--config", help=config_help)
     g.add_argument("--seed-state", type=int, default=1)
     g.add_argument("--name", default="chips.txt")
     g.set_defaults(handler=_cmd_gen_pn)
 
     s = sub.add_parser("sound-sliding", parents=[common], help="delay profile from one I/Q capture")
     s.add_argument("--capture", required=True)
-    # one flag per SounderConfig field, defaulting to the field's default
-    config = sliding.SounderConfig()
-    for flag, name, kind in _CONFIG_FLAGS:
-        s.add_argument(flag, dest=name, type=kind, default=getattr(config, name))
+    s.add_argument("--config", help=config_help)
     s.add_argument("--settle-periods", type=int, default=1)
     s.add_argument("--tx-power-db", type=float, default=0.0)
     s.add_argument("--name", default="profile.json")

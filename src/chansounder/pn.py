@@ -60,9 +60,9 @@ def generate_glfsr(degree: int = 10, polynomial: int | None = None,
     0 -> +1. Raises ValueError if the polynomial is not primitive (the
     state does not take exactly 2^degree - 1 steps to return to the
     seed). The degree lies in [2, MAX_DEGREE], as SounderConfig.pn_degree
-    and gen-pn --degree check first, and the seed state in
-    [1, 2**degree), as gen-pn --seed-state checks first; a campaign and
-    sound-sliding seed the register with 1.
+    checks first, and the seed state in [1, 2**degree), as gen-pn
+    --seed-state checks first; a campaign and sound-sliding seed the
+    register with 1.
     """
     if polynomial is None:
         try:

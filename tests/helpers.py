@@ -572,7 +572,7 @@ def oracle_sound_row(mean_period, profile, chips, config, tx_power_db):
 
 
 def oracle_synthesize_channel(env, tx_position, rx_position, seed,
-                              delay_grid_s=60e-9):
+                              delay_grid_s):
     """synthesize_channel with the delays summed by np.cumsum and snapped
     in a loop over numpy floats."""
     loss_db = ch.path_loss_db(env, tx_position, rx_position)

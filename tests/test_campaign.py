@@ -1,8 +1,10 @@
+import errno
 import json
 import math
 import os
 import pathlib
 import re
+import signal
 import sys
 import time
 import tracemalloc
@@ -360,6 +362,34 @@ def test_worker_that_sends_nothing_is_named(monkeypatch):
     with pytest.raises(ChildProcessError, match="^the worker for locations "
                        "2-4 ended without sending its records$"):
         cp.run_campaign(scenario, workers=2)
+    assert_no_child_left()
+
+
+def test_failed_fork_closes_its_pipe_and_kills_the_first_worker(
+        monkeypatch):
+    # the second of two forks fails: its pipe's two ends are closed, the
+    # worker forked first is killed and reaped, and the error propagates
+    scenario = SHARDED["sliding"]
+    fork, kill = os.fork, os.kill
+    forked, killed = [], []
+
+    def fork_once():
+        if forked:
+            raise OSError(errno.EAGAIN, "no process for the second worker")
+        forked.append(fork())
+        return forked[-1]
+
+    def recorded_kill(pid, signum):
+        killed.append((pid, signum))
+        kill(pid, signum)
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    monkeypatch.setattr(os, "kill", recorded_kill)
+    descriptors = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError, match="no process for the second worker"):
+        cp.run_campaign(scenario, workers=3)
+    assert len(os.listdir("/proc/self/fd")) == descriptors
+    assert killed == [(forked[0], signal.SIGKILL)]
     assert_no_child_left()
 
 

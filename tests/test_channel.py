@@ -13,6 +13,8 @@ from chansounder.pulse import BasebandSignal
 from helpers import (add_noise, direct_sum, expand, oracle_modulate,
                      oracle_synthesize_channel, period_form, whole)
 
+GRID_S = 60e-9  # the delay grid of the default chip period
+
 
 def make_signal(samples, rate=1e6):
     return BasebandSignal(np.asarray(samples, dtype=np.complex128), rate)
@@ -217,7 +219,8 @@ def test_frequency_response_matches_dft():
 def test_synthesize_log_distance_arithmetic():
     env = ch.EnvironmentModel(reference_loss_db=40.0, path_loss_exponent=2.0,
                               reference_distance_m=1.0)
-    chan, loss = ch.synthesize_channel(env, (0, 0, 0), (10.0, 0, 0), seed=5)
+    chan, loss = ch.synthesize_channel(env, (0, 0, 0), (10.0, 0, 0), seed=5,
+                                      delay_grid_s=GRID_S)
     assert loss == pytest.approx(60.0)
     assert chan.total_power() == pytest.approx(10 ** (-60.0 / 10.0), rel=1e-12)
 
@@ -225,8 +228,9 @@ def test_synthesize_log_distance_arithmetic():
 def test_synthesize_deterministic():
     env = ch.EnvironmentModel(reference_loss_db=40.0, path_loss_exponent=2.5,
                               delay_spread_scale_s=8e-8, tap_count_range=(2, 6))
-    one, _ = ch.synthesize_channel(env, (0, 0, 0), (7.0, 3.0, 1.0), seed=42)
-    two, _ = ch.synthesize_channel(env, (0, 0, 0), (7.0, 3.0, 1.0), seed=42)
+    one, two = [ch.synthesize_channel(env, (0, 0, 0), (7.0, 3.0, 1.0), seed=42,
+                                      delay_grid_s=GRID_S)[0]
+                for _ in range(2)]
     npt.assert_array_equal(one.gains, two.gains)
     npt.assert_array_equal(one.delays, two.delays)
 
@@ -237,7 +241,8 @@ def test_synthesize_monte_carlo_mean_power():
     target = None
     powers = []
     for seed in range(1000):
-        chan, loss = ch.synthesize_channel(env, (0, 0, 0), (5.0, 0, 0), seed=seed)
+        chan, loss = ch.synthesize_channel(env, (0, 0, 0), (5.0, 0, 0), seed=seed,
+                                          delay_grid_s=GRID_S)
         target = 10 ** (-loss / 10.0)
         powers.append(chan.total_power())
     mean_db = 10 * math.log10(np.mean(powers))
@@ -248,10 +253,10 @@ def test_synthesize_structure():
     env = ch.EnvironmentModel(reference_loss_db=40.0, path_loss_exponent=2.0,
                               delay_spread_scale_s=2e-7, tap_count_range=(4, 8))
     chan, _ = ch.synthesize_channel(env, (0, 0, 0), (3.0, 4.0, 0.0), seed=8,
-                                    delay_grid_s=60e-9)
+                                    delay_grid_s=GRID_S)
     assert chan.delays[0] == 0.0
     assert np.all(np.diff(chan.delays) > 0)
-    steps = chan.delays / 60e-9
+    steps = chan.delays / GRID_S
     npt.assert_allclose(steps, np.round(steps), atol=1e-9)
 
 
@@ -267,9 +272,10 @@ def test_synthesize_matches_the_cumsum_oracle_bit_for_bit(scale, taps):
     rng = np.random.default_rng(29)
     for seed in range(200):
         rx = tuple(rng.uniform(0.5, 40.0, size=3))
-        chan, loss = ch.synthesize_channel(env, (2.0, 2.0, 1.1), rx, seed)
+        chan, loss = ch.synthesize_channel(env, (2.0, 2.0, 1.1), rx, seed,
+                                           delay_grid_s=GRID_S)
         gains, delays, want = oracle_synthesize_channel(env, (2.0, 2.0, 1.1),
-                                                        rx, seed)
+                                                        rx, seed, GRID_S)
         assert chan.gains.tobytes() == gains.tobytes()
         assert chan.delays.tobytes() == delays.tobytes()
         assert loss == want
@@ -278,16 +284,19 @@ def test_synthesize_matches_the_cumsum_oracle_bit_for_bit(scale, taps):
 def test_synthesize_wall_losses():
     env = ch.EnvironmentModel(reference_loss_db=40.0, path_loss_exponent=2.0,
                               wall_loss_db=3.0, wall_grid_spacing_m=5.0)
-    _, through = ch.synthesize_channel(env, (1.0, 1.0, 0), (13.0, 1.0, 0), seed=0)
+    _, through = ch.synthesize_channel(env, (1.0, 1.0, 0), (13.0, 1.0, 0), seed=0,
+                                        delay_grid_s=GRID_S)
     open_env = ch.EnvironmentModel(reference_loss_db=40.0, path_loss_exponent=2.0)
-    _, free = ch.synthesize_channel(open_env, (1.0, 1.0, 0), (13.0, 1.0, 0), seed=0)
+    _, free = ch.synthesize_channel(open_env, (1.0, 1.0, 0), (13.0, 1.0, 0),
+                                     seed=0, delay_grid_s=GRID_S)
     assert through == pytest.approx(free + 2 * 3.0)
 
 
 def test_synthesize_coincident_positions():
     env = ch.EnvironmentModel(reference_loss_db=40.0, path_loss_exponent=2.0)
     with pytest.raises(ValueError, match="coincide"):
-        ch.synthesize_channel(env, (1.0, 2.0, 3.0), (1.0, 2.0, 3.0), seed=0)
+        ch.synthesize_channel(env, (1.0, 2.0, 3.0), (1.0, 2.0, 3.0), seed=0,
+                              delay_grid_s=GRID_S)
 
 
 

@@ -26,11 +26,11 @@ from chansounder import campaign as cp
 from chansounder import channel as ch
 from chansounder import cli, multitx, pulse, schema, sliding, sweep
 from chansounder.channel import EnvironmentModel
-from chansounder.cli import build_parser, main
+from chansounder.cli import main
 
 from helpers import (assert_no_child_left, bench_scenario, declared,
-                     failing_channel_draw, field_range, modulated, received,
-                     save_document, write_iq)
+                     failing_channel_draw, field_range, measure_one,
+                     modulated, received, save_document, write_iq)
 
 
 def run_cli(capsys, *argv):
@@ -40,8 +40,7 @@ def run_cli(capsys, *argv):
 
 
 def test_gen_pn(tmp_path, capsys):
-    code, out, err = run_cli(capsys, "gen-pn", "--degree", "10",
-                             "--out-dir", str(tmp_path))
+    code, out, err = run_cli(capsys, "gen-pn", "--out-dir", str(tmp_path))
     assert code == 0
     lines = (tmp_path / "chips.txt").read_text().splitlines()
     assert len(lines) == 1023
@@ -57,78 +56,93 @@ def test_gen_pn_json_mode(tmp_path, capsys):
     assert payload["period_length"] == 1023
 
 
-def test_gen_pn_bad_polynomial(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "gen-pn", "--degree", "4",
-                           "--polynomial", "0x15", "--out-dir", str(tmp_path))
-    assert code == 2
-    assert "not primitive" in err
+def sliding_block_file(tmp_path, change):
+    """The bundled sliding scenario, cut to two locations, with change
+    made to its sliding block, and that block alone as a --config file."""
+    scenario = bundled_edit(tmp_path, "indoor_wing_sliding",
+                            lambda doc: doc["sliding"].update(change))
+    block = tmp_path / "sliding.json"
+    block.write_text(json.dumps(json.loads(scenario.read_text())["sliding"]))
+    return scenario, block
 
 
-# bad pn arguments of gen-pn and sound-sliding, each with its flag
-PN_ARGUMENT_ERRORS = [
-    (("gen-pn", "--polynomial", "xyz"), "--polynomial"),
-    (("gen-pn", "--polynomial", "0x403"), "--polynomial"),
-    (("gen-pn", "--degree", "4", "--polynomial", "0x14"), "--polynomial"),
-    (("gen-pn", "--degree", "4", "--polynomial", "0x409"), "--polynomial"),
-    (("gen-pn", "--seed-state", "0"), "--seed-state"),
-    (("gen-pn", "--seed-state", "1024"), "--seed-state"),
-    (("gen-pn", "--degree", "4", "--polynomial", "0x15",
-      "--seed-state", "0"), "--seed-state"),
-    (("gen-pn", "--degree", "1"), "--degree"),
-    (("gen-pn", "--degree", "-3", "--seed-state", "0"), "--degree"),
-    (("gen-pn", "--degree", "25", "--polynomial", "0x409"), "--degree"),
-    (("gen-pn", "--degree", "13"), "--degree"),
-    (("sound-sliding", "--capture", "absent.iq", "--polynomial", "0x40g"),
-     "--polynomial"),
-    # sound-sliding named the SounderConfig field, or blamed the
-    # polynomial for a degree with no default one
-    (("sound-sliding", "--capture", "absent.iq", "--degree", "1"), "--degree"),
-    (("sound-sliding", "--capture", "absent.iq", "--degree", "13"),
-     "--degree"),
-    (("sound-sliding", "--capture", "absent.iq", "--polynomial", "0x403"),
-     "--polynomial"),
+# sliding blocks that gen-pn and sound-sliding reject, among them every
+# bad value their per-field flags once took: the polynomial (not
+# primitive, even, of another degree, or hex text), the degree (out of
+# range, or with no default polynomial) and each other field out of its
+# range, NaN and infinity included; each message names the field
+SLIDING_BLOCK_ERRORS = [
+    ({"polynomial": 0x403}, "polynomial: polynomial 0x403 is not primitive: "
+                            "register period 889 != 1023"),
+    ({"pn_degree": 4, "polynomial": 0x15},
+     "polynomial: polynomial 0x15 is not primitive: register period 6 != 15"),
+    ({"pn_degree": 4, "polynomial": 0x14},
+     "polynomial: feedback polynomial must have a nonzero constant term"),
+    ({"pn_degree": 4, "polynomial": 0x409},
+     "polynomial: polynomial 0x409 does not have degree 4"),
+    ({"polynomial": "0x409"}, "polynomial: expected int, got '0x409'"),
+    ({"pn_degree": 13},
+     "polynomial: no default polynomial for degree 13; pass one explicitly"),
+    ({"pn_degree": 1}, "pn_degree: 1 is outside [2, 24]"),
+    ({"pn_degree": -3}, "pn_degree: -3 is outside [2, 24]"),
+    ({"pn_degree": 25, "polynomial": 0x409}, "pn_degree: 25 is outside [2, 24]"),
+    ({"samples_per_symbol": 1}, "samples_per_symbol: 1 is outside [2, 256]"),
+    ({"span_symbols": 3}, "span_symbols: 3 is outside [4, 512]"),
+    ({"span_symbols": 13}, "span_symbols: 13 is not even"),
+    ({"rolloff": 2}, "rolloff: 2.0 is outside [0.01, 1]"),
+    # pi / (4 * rolloff) once overflowed: "ValueError: math domain error"
+    ({"rolloff": 1e-310}, "rolloff: 1e-310 is outside [0.01, 1]"),
+    ({"averaging_periods": 0}, "averaging_periods: 0 is outside [1, 4194304]"),
+    ({"detection_threshold_db": -1},
+     "detection_threshold_db: -1.0 dB is outside [1, 200] dB"),
+    ({"detection_threshold_db": math.nan},
+     "detection_threshold_db: must be finite, got nan"),
+    ({"chip_period_s": -1}, "chip_period_s: -1.0 s is outside [1e-09, 0.001] s"),
+    ({"chip_period_s": -6e-8},
+     "chip_period_s: -6e-08 s is outside [1e-09, 0.001] s"),
+    # a subnormal chip period was once blamed on the capture's rate
+    ({"chip_period_s": 1e-310},
+     "chip_period_s: 1e-310 s is outside [1e-09, 0.001] s"),
+    ({"chip_period_s": math.inf}, "chip_period_s: must be finite, got inf"),
 ]
 
 
-@pytest.mark.parametrize("argv, flag", PN_ARGUMENT_ERRORS,
-                         ids=[" ".join(argv) for argv, _ in PN_ARGUMENT_ERRORS])
-def test_pn_argument_errors_name_their_flag(tmp_path, capsys, argv, flag):
-    # one line naming the flag at fault, whichever of gen-pn's arguments
-    # is bad, and nothing written
-    code, _, err = run_cli(capsys, *argv, "--out-dir", str(tmp_path))
-    assert code == 2
-    assert re.fullmatch(f"ValueError: {flag}: [^\n]+\n", err), err
-    assert not any(tmp_path.iterdir())
+@pytest.mark.parametrize("change, message", SLIDING_BLOCK_ERRORS, ids=[
+    ",".join(f"{name}={value!r}" for name, value in change.items())
+    for change, _ in SLIDING_BLOCK_ERRORS])
+def test_sliding_block_errors_name_their_field(tmp_path, capsys, change,
+                                                message):
+    # validate names the field in the scenario's sliding block; either
+    # sliding command names it in its --config file, and writes nothing
+    scenario, block = sliding_block_file(tmp_path, change)
+    code, _, err = run_cli(capsys, "validate", "--scenario", str(scenario))
+    assert (code, err) == (2, f"ValueError: sliding.{message}\n")
+    for argv in (["gen-pn"], ["sound-sliding", "--capture", "absent.iq"]):
+        code, _, err = run_cli(capsys, *argv, "--config", str(block),
+                               "--out-dir", str(tmp_path / "out"))
+        assert (code, err) == (2, f"ValueError: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
-# sound-sliding's other SounderConfig flags, each bad, which named the
-# field; a subnormal chip period blamed the capture's sample rate
-SOUNDER_FLAG_ERRORS = [
-    (("sound-sliding", "--capture", "absent.iq", flag, value), flag)
-    for flag, value in (("--sps", "1"), ("--span", "3"), ("--rolloff", "2"),
-                        ("--periods", "0"), ("--threshold-db", "-1"),
-                        ("--chip-period", "-1"), ("--chip-period", "1e-310"))]
-
-
-@pytest.mark.parametrize("argv, flag", SOUNDER_FLAG_ERRORS,
-                         ids=[" ".join(argv) for argv, _ in SOUNDER_FLAG_ERRORS])
-def test_sounder_config_errors_name_their_flag(tmp_path, capsys, argv, flag):
-    test_pn_argument_errors_name_their_flag(tmp_path, capsys, argv, flag)
-
-
-@pytest.mark.parametrize("sliding_block, message", [
-    ({"polynomial": 0x403}, "polynomial 0x403 is not primitive: register "
-                            "period 889 != 1023"),
-    ({"pn_degree": 13},
-     "no default polynomial for degree 13; pass one explicitly"),
-], ids=["polynomial", "pn_degree"])
-def test_scenario_polynomial_errors_keep_their_field(tmp_path, capsys,
-                                                     sliding_block, message):
-    # the flag names are gen-pn's; a scenario's message names its field once
-    path = bundled_edit(tmp_path, "indoor_wing_sliding",
-                        lambda doc: doc["sliding"].update(sliding_block))
-    code, _, err = run_cli(capsys, "validate", "--scenario", str(path))
-    assert (code, err) == (2, f"ValueError: sliding.polynomial: {message}\n")
+@pytest.mark.parametrize("change, seed_state, message", [
+    ({}, "0", "--seed-state: must be in [1, 2**10)"),
+    ({}, "1024", "--seed-state: must be in [1, 2**10)"),
+    # the state is checked against the block's degree, before the
+    # polynomial, and after the block's own checks
+    ({"pn_degree": 4, "polynomial": 0x15}, "0",
+     "--seed-state: must be in [1, 2**4)"),
+    ({"pn_degree": 4, "polynomial": 0x15}, "16",
+     "--seed-state: must be in [1, 2**4)"),
+    ({"pn_degree": -3}, "0", "pn_degree: -3 is outside [2, 24]"),
+], ids=["0", "1024", "0-at-degree-4", "16-at-degree-4", "0-at-degree--3"])
+def test_gen_pn_seed_state_errors(tmp_path, capsys, change, seed_state,
+                                  message):
+    _, block = sliding_block_file(tmp_path, change)
+    code, _, err = run_cli(capsys, "gen-pn", "--config", str(block),
+                           "--seed-state", seed_state,
+                           "--out-dir", str(tmp_path / "out"))
+    assert (code, err) == (2, f"ValueError: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_flag(capsys):
@@ -137,7 +151,7 @@ def test_unknown_flag(capsys):
 
 def test_out_dir_from_environment(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CHANSOUNDER_OUT_DIR", str(tmp_path / "from_env"))
-    code, _, _ = run_cli(capsys, "gen-pn", "--degree", "6")
+    code, _, _ = run_cli(capsys, "gen-pn")
     assert code == 0
     assert (tmp_path / "from_env" / "chips.txt").exists()
 
@@ -168,13 +182,62 @@ def test_sound_sliding_roundtrip(tmp_path, capsys):
         -10 * np.log10(1.0 + 0.25**2), abs=0.05)
 
 
+def sliding_block(source, path):
+    """The sliding block that source names, written as a --config file
+    at path (None: no file, the block's defaults)."""
+    if source == "degree-9":
+        config = sliding.SounderConfig(
+            pn_degree=9, polynomial=529, samples_per_symbol=2, span_symbols=8,
+            rolloff=0.5, averaging_periods=4)
+        save_document(config, path)
+    elif source == "bundled":  # the scenario file's block, as it is there
+        config = cp.load_scenario(BUNDLED / "indoor_wing_sliding.json").sliding
+        path.write_text(json.dumps(cut_bundled("indoor_wing_sliding")["sliding"]))
+    elif source == "rolloff-0.01":  # the narrowest band the block takes
+        config = sliding.SounderConfig(rolloff=0.01)
+        path.write_text(json.dumps({"rolloff": 0.01}))
+    else:
+        return sliding.SounderConfig(), None
+    return config, path
+
+
+@pytest.mark.parametrize("source", ["degree-9", "bundled", "rolloff-0.01",
+                                    "none"])
+def test_one_sliding_block_drives_both_commands(tmp_path, capsys, source):
+    # gen-pn writes the chips of the block's reference, and sound-sliding
+    # measures a capture modulated from them as measure_sliding does in
+    # process, bit for bit
+    config, path = sliding_block(source, tmp_path / "sliding.json")
+    flags = [] if path is None else ["--config", str(path)]
+    chips, taps = sliding.reference(config)
+    code, _, err = run_cli(capsys, "gen-pn", *flags,
+                           "--out-dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    written = (tmp_path / "chips.txt").read_text().split()
+    assert [int(chip) for chip in written] == chips.chips.tolist()
+    planted = ch.MultipathChannel(
+        gains=[1.0, 0.25], delays=[0.0, 3 * config.chip_period_s])
+    burst = pulse.modulate(chips, config.averaging_periods + 2, taps,
+                           config.chip_period_s)
+    capture_path = tmp_path / "capture.iq"
+    write_iq(received(burst, planted), capture_path)
+    profile = measure_one(pulse.read_iq(capture_path), chips, taps, config)
+    code, _, err = run_cli(capsys, "sound-sliding", *flags,
+                           "--capture", str(capture_path),
+                           "--out-dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert (tmp_path / "profile.json").read_text() == \
+        json.dumps(profile, indent=2) + "\n"
+    assert [tap["lag"] for tap in profile["taps"]] == [0, 3]
+
+
 def test_sound_sliding_exits_2_where_no_lag_clears_the_floor(tmp_path,
                                                              capsys):
-    # 600 taps at 0.85 of the strongest, beside 422 empty lags: at
-    # --threshold-db 1 the relative floor, 0.89 of the peak, leaves them
-    # all off peak, and five times their spread, about 2.1 peaks, is the
-    # floor that no lag clears
-    config = sliding.SounderConfig()
+    # 600 taps at 0.85 of the strongest, beside 422 empty lags: at a
+    # detection_threshold_db of 1 the relative floor, 0.89 of the peak,
+    # leaves them all off peak, and five times their spread, about 2.1
+    # peaks, is the floor that no lag clears
+    config = sliding.SounderConfig(detection_threshold_db=1.0)
     chips, taps = sliding.reference(config)
     chip = config.chip_period_s
     planted = ch.MultipathChannel(gains=[0.85] * 600 + [1.0],
@@ -182,8 +245,10 @@ def test_sound_sliding_exits_2_where_no_lag_clears_the_floor(tmp_path,
     capture_path = tmp_path / "capture.iq"
     write_iq(received(pulse.modulate(chips, 12, taps, chip), planted),
              capture_path)
+    save_document(config, tmp_path / "sliding.json")
     code, _, err = run_cli(capsys, "sound-sliding", "--capture",
-                           str(capture_path), "--threshold-db", "1",
+                           str(capture_path), "--config",
+                           str(tmp_path / "sliding.json"),
                            "--out-dir", str(tmp_path))
     assert (code, err) == (2, "NoSignalError: no correlation lag stands "
                               "clear of the detection floor\n")
@@ -957,16 +1022,17 @@ def test_oversized_filter_exits_2_before_allocating(tmp_path, change, field,
         assert (child.returncode, child.stderr) == (
             2, f"ValueError: sliding.{field}: {message}")
     assert not (tmp_path / "out" / "records.jsonl").exists()
-    flags = {"samples_per_symbol": "--sps", "span_symbols": "--span"}
-    argv = [option for name, value in change.items()
-            for option in (flags[name], str(value))]
-    child = run_cli_limited("sound-sliding", "--capture",
-                            str(sliding_capture_file(tmp_path)), *argv,
-                            "--out-dir", str(tmp_path / "out"),
-                            address_space=1 << 30)
-    assert (child.returncode, child.stderr) == (
-        2, f"ValueError: {flags[field]}: {message}")
+    # the sliding commands name the field of their --config file
+    _, block = sliding_block_file(tmp_path, change)
+    for argv in (["gen-pn"], ["sound-sliding", "--capture",
+                              str(sliding_capture_file(tmp_path))]):
+        child = run_cli_limited(*argv, "--config", str(block),
+                                "--out-dir", str(tmp_path / "out"),
+                                address_space=1 << 30)
+        assert (child.returncode, child.stderr) == (
+            2, f"ValueError: {field}: {message}")
     assert not (tmp_path / "out" / "profile.json").exists()
+    assert not (tmp_path / "out" / "chips.txt").exists()
 
 
 def test_longest_filter_is_accepted():
@@ -1752,13 +1818,6 @@ def test_strict_sidecar_exits_2(tmp_path, capsys, change, name):
     assert f"step3.iq.json: {name}" in err
 
 
-def test_sound_sliding_defaults_are_the_config_defaults():
-    args = build_parser().parse_args(["sound-sliding", "--capture", "x.iq"])
-    settings = {f.name: getattr(args, f.name)
-                for f in dataclasses.fields(sliding.SounderConfig)}
-    assert sliding.SounderConfig(**settings) == sliding.SounderConfig()
-
-
 SIDECAR_FIELDS = ("format", "sample_rate_hz", "origin_time_s", "sample_count")
 
 
@@ -1963,14 +2022,16 @@ def test_sound_freq_plan_exits_0_or_2_naming_a_field(tmp_path_factory, edits):
             (directory / "losses.original").read_text())
 
 
-# each sound command's float flags, with the fields their values reach
-# and values in range: those of the default capture and plan among them
+# each sound command's float flags, and the float fields of sound-sliding's
+# --config file that replaced its other float flags, with the fields
+# their values reach and values in range: those of the default capture
+# and plan among them
 FLOAT_FLAGS = {
-    ("sound-sliding", "--chip-period"): (
+    ("sound-sliding", "chip_period_s"): (
         "chip_period_s|\\S+\\.iq\\.json: sample_rate_hz", ("6e-8", "60E-9")),
-    ("sound-sliding", "--rolloff"): ("rolloff", ("3.5e-1", "1e0", "0.5")),
-    ("sound-sliding", "--threshold-db"): ("detection_threshold_db",
-                                          ("3e1", "2.5E+1", "40")),
+    ("sound-sliding", "rolloff"): ("rolloff", ("3.5e-1", "1e0", "0.5")),
+    ("sound-sliding", "detection_threshold_db"): ("detection_threshold_db",
+                                                  ("3e1", "2.5E+1", "40")),
     ("sound-sliding", "--tx-power-db"): ("tx_power_db", ()),
     ("sound-freq", "--tx-power-db"): ("tx_power_db", ()),
     ("sound-freq", "--tone-offset"): ("tone_offset", (
@@ -1982,9 +2043,9 @@ NON_FINITE = ("nan", "NaN", "-nan", "inf", "+inf", "-inf", "Infinity",
 
 @st.composite
 def float_flag_values(draw):
-    """A sound command, one of its float flags and a value for it: in
-    exponent form with either sign, a spelling of NaN or infinity, a plain
-    number, or a value in the flag's range."""
+    """A sound command, one of its float flags or block fields and a
+    value for it: in exponent form with either sign, a spelling of NaN or
+    infinity, a plain number, or a value in the flag's range."""
     command, flag = draw(st.sampled_from(sorted(FLOAT_FLAGS)))
     exponent_form = st.builds(
         "{}{}{}{}".format, st.sampled_from(["", "-", "+"]),
@@ -2003,13 +2064,25 @@ def test_float_flags_exit_0_or_2_naming_the_flag(tmp_path_factory, drawn):
     # values argparse once took for options (-1e3, -inf) or passed on
     # unchecked (nan, inf, 1e400, which reached the outputs as NaN and
     # Infinity): strict JSON outputs, or one line naming the flag or the
-    # field its value reaches
+    # field its value reaches. A block field's value is the float that
+    # its spelling reads as, written by json.dumps, NaN and Infinity
+    # included, into a --config file
     command, flag, value = drawn
     directory = tmp_path_factory.getbasetemp() / "float-flags"
     if not directory.exists():
         directory.mkdir()
         sliding_capture_file(directory)
         sweep_capture_files(directory)
+    # a floor more than about 150 dB below the peak lets the float32
+    # capture's rounding through on more than half the lags: the row has
+    # no signal, and the line names the threshold
+    errors = ("ValueError|NoSignalError" if flag == "detection_threshold_db"
+              else "ValueError")
+    fields = FLOAT_FLAGS[command, flag][0]
+    if not flag.startswith("--"):
+        block = directory / "sliding.json"
+        block.write_text(json.dumps({flag: float(value)}))
+        flag, value = "--config", str(block)
     inputs = (["--capture", str(directory / "capture.iq")]
               if command == "sound-sliding" else
               ["--plan", str(directory / "plan.json"),
@@ -2034,12 +2107,6 @@ def test_float_flags_exit_0_or_2_naming_the_flag(tmp_path_factory, drawn):
         return
     assert status["status"] == "error"
     assert not target.exists()
-    # a floor more than about 150 dB below the peak lets the float32
-    # capture's rounding through on more than half the lags: the row has
-    # no signal, and the line names the threshold
-    errors = ("ValueError|NoSignalError" if flag == "--threshold-db"
-              else "ValueError")
-    fields = FLOAT_FLAGS[command, flag][0]
     assert re.fullmatch(
         rf"(?:{errors}): (?:{re.escape(flag)}|{fields}): .*\n",
         stderr.getvalue()), (value, stderr.getvalue())
@@ -2050,8 +2117,6 @@ def test_float_flags_exit_0_or_2_naming_the_flag(tmp_path_factory, drawn):
     ("sound-sliding", "--tx-power-db", "-1e3", None),
     ("sound-sliding", "--tx-power", "-1e3", None),
     ("sound-freq", "--tone-offset", f"{PLAN_TONE:.11e}", None),
-    ("sound-sliding", "--chip-period", "-6e-8",
-     "ValueError: --chip-period: -6e-08 s is outside [1e-09, 0.001] s"),
     # these reached profile.json, losses.json and the status line as NaN
     # or Infinity, or were blamed on something else; each is outside the
     # range of the field that its flag sets
@@ -2059,10 +2124,6 @@ def test_float_flags_exit_0_or_2_naming_the_flag(tmp_path_factory, drawn):
      "ValueError: --tx-power-db: nan dB is outside +-1000 dB"),
     ("sound-freq", "--tx-power-db", "1e400",
      "ValueError: --tx-power-db: inf dB is outside +-1000 dB"),
-    ("sound-sliding", "--threshold-db", "nan",
-     "ValueError: --threshold-db: nan dB is outside [1, 200] dB"),
-    ("sound-sliding", "--chip-period", "inf",
-     "ValueError: --chip-period: inf s is outside [1e-09, 0.001] s"),
     ("sound-freq", "--tone-offset", "nan",
      "ValueError: --tone-offset: tone offset nan Hz is not part of the plan"),
     # the mean of ten such losses overflowed to Infinity, with a warning
@@ -2076,11 +2137,6 @@ def test_float_flags_exit_0_or_2_naming_the_flag(tmp_path_factory, drawn):
       for command in ("sound-sliding", "sound-freq")
       for db in (math.nextafter(1e3, math.inf),
                  math.nextafter(-1e3, -math.inf))],
-    # pi / (4 * rolloff) overflowed: "ValueError: math domain error"; a
-    # rolloff below 1% is outside its range
-    ("sound-sliding", "--rolloff", "1e-310",
-     "ValueError: --rolloff: 1e-310 is outside [0.01, 1]"),
-    ("sound-sliding", "--rolloff", "0.01", None),
 ])
 def test_float_flag_regressions(tmp_path, capsys, command, flag, value,
                                 error):
@@ -2100,7 +2156,8 @@ def test_float_flag_regressions(tmp_path, capsys, command, flag, value,
 
 
 @pytest.mark.parametrize("change, field", [
-    # a rate that contradicts --sps / --chip-period once gave a profile
+    # a rate that contradicts samples_per_symbol / chip_period_s once
+    # gave a profile
     ({"sample_rate_hz": 0.5 * 4 / 60e-9}, "sample_rate_hz"),
     ({"sample_rate_hz": 2 * 4 / 60e-9}, "sample_rate_hz"),
     ({"sample_rate_hz": 1e-12}, "sample_rate_hz"),

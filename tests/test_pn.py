@@ -83,8 +83,9 @@ def test_non_primitive_polynomial_rejected():
 
 def test_bad_inputs_rejected():
     # a seed state outside [1, 2**degree) and a degree outside
-    # [2, MAX_DEGREE] are the callers' to reject (gen-pn checks both flags
-    # first); these degrees have no default polynomial
+    # [2, MAX_DEGREE] are the callers' to reject (SounderConfig checks the
+    # degree and gen-pn its seed state first); these degrees have no
+    # default polynomial
     with pytest.raises(ValueError, match="no default polynomial for degree 1;"):
         pn.generate_glfsr(1)
     with pytest.raises(ValueError, match="no default polynomial for degree 30;"):
