@@ -195,19 +195,23 @@ def _tx_clock_offsets(scenario: Scenario, sample_rate: float) -> list:
             for off in offsets]
 
 
-def _check_burst_samples(config: sliding.SounderConfig, chips, taps) -> None:
-    """Raise when the burst is longer than the longest slot, naming
-    pn_degree when even the shortest burst (averaging_periods 1) is, else
+def _burst_periods(config: sliding.SounderConfig, chips, taps) -> int:
+    """The PN periods of each transmitted burst: the receiver's settle
+    periods, the averaged periods and one trailing period. Raises when
+    the burst is longer than the longest slot, naming pn_degree when
+    even the shortest burst (averaging_periods 1) is, else
     averaging_periods. Checked before the schedule is built, which would
     blame its guard_fraction for the slot that such a burst needs."""
     period, ramp = burst_period_and_ramp(chips, taps)
-    for name, periods in (("pn_degree", 1 + 2),
-                          ("averaging_periods", config.averaging_periods + 2)):
+    for name, averaged in (("pn_degree", 1),
+                           ("averaging_periods", config.averaging_periods)):
+        periods = sliding.SETTLE_PERIODS + averaged + 1
         burst = periods * period + ramp
         if burst > multitx.MAX_SLOT_SAMPLES:
             raise ValueError(
                 f"{name}: a burst of {periods} PN periods is {burst} samples, "
                 f"above the {multitx.MAX_SLOT_SAMPLES}-sample slot limit")
+    return periods
 
 
 def _prepare_sliding(scenario: Scenario) -> tuple:
@@ -216,11 +220,10 @@ def _prepare_sliding(scenario: Scenario) -> tuple:
     config = scenario.sliding
     try:
         chips, taps = sliding.reference(config)
-        _check_burst_samples(config, chips, taps)
+        periods = _burst_periods(config, chips, taps)
     except ValueError as exc:
         raise schema.nested("sliding", exc) from None
-    burst = modulate(chips, config.averaging_periods + 2, taps,
-                     config.chip_period_s)
+    burst = modulate(chips, periods, taps, config.chip_period_s)
     sample_rate = burst.sample_rate
     try:
         schedule = multitx.build_schedule(
@@ -472,8 +475,7 @@ def _receive_block(read_fd: int, locations: range) -> list:
     return value
 
 
-def run_campaign(scenario: Scenario, seed_override: int | None = None,
-                 workers: int = 1) -> list:
+def run_campaign(scenario: Scenario, workers: int = 1) -> list:
     """Run the scenario and return its records, the JSON documents that
     export_records writes, in location-major order.
 
@@ -487,8 +489,6 @@ def run_campaign(scenario: Scenario, seed_override: int | None = None,
     (macOS's Accelerate is not fork-safe). workers is at least 1, as
     cli._campaign_workers gives it.
     """
-    if seed_override is not None:
-        scenario = replace(scenario, master_seed=seed_override)
     prepared = prepare(scenario)
     count = len(scenario.receiver_path)
     if not sys.platform.startswith("linux"):

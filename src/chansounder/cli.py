@@ -1,9 +1,9 @@
 """Command-line entry point for batch use.
 
 Subcommands: gen-pn, sound-sliding, sound-freq, campaign, validate.
-Every output lands inside the chosen output directory (flag --out-dir,
-else $CHANSOUNDER_OUT_DIR, else the working directory). With --json the
-final stdout line is a machine-readable status object.
+Every output lands inside the output directory that --out-dir names,
+else the working directory. With --json the final stdout line is a
+machine-readable status object.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from chansounder.exceptions import CaptureWindowError, NoSignalError
 
 
 def _out_dir(args) -> Path:
-    root = args.out_dir or os.environ.get("CHANSOUNDER_OUT_DIR") or "."
-    path = Path(root)
+    path = Path(args.out_dir or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -38,14 +37,7 @@ def _sounder_config(args) -> sliding.SounderConfig:
 
 def _cmd_gen_pn(args) -> dict:
     config = _sounder_config(args)
-    degree = config.pn_degree
-    if not 0 < args.seed_state < 1 << degree:
-        raise ValueError(f"--seed-state: must be in [1, 2**{degree})")
-    try:
-        chips = pn.generate_glfsr(degree, config.polynomial, args.seed_state)
-    except ValueError as exc:
-        # the block has checked the degree: the polynomial is at fault
-        raise ValueError(f"polynomial: {exc}") from None
+    chips = pn.generate_glfsr(config.pn_degree, config.polynomial)
     target = _out_dir(args) / args.name
     pn.save_chips(chips, target)
     return {"outputs": [str(target)], "period_length": chips.period_length}
@@ -75,21 +67,17 @@ def _read_step(path, frame: sweep.FrequencySetup) -> pulse.BasebandSignal:
 def _cmd_sound_sliding(args) -> dict:
     config = _sounder_config(args)
     chips, taps = sliding.reference(config)
-    if args.settle_periods < 0:
-        raise ValueError(f"--settle-periods: must be >= 0, "
-                         f"got {args.settle_periods}")
     capture = _read_capture(args.capture,
                             config.samples_per_symbol / config.chip_period_s,
                             "samples_per_symbol / chip_period_s")
     try:
         [profile] = sliding.measure_sliding(
             dataclasses.replace(capture, samples=capture.samples[np.newaxis]),
-            chips, taps, config, [args.tx_power_db],
-            settle_periods=args.settle_periods)
+            chips, taps, config, [args.tx_power_db])
     except CaptureWindowError as exc:
         # a capture shorter than the periods the receiver reads misses
         # them wherever it sits; a longer one misses them by its origin
-        periods = args.settle_periods + config.averaging_periods
+        periods = sliding.SETTLE_PERIODS + config.averaging_periods
         needed = periods * chips.period_length * config.samples_per_symbol
         field = "sample_count" if len(capture) < needed else "origin_time_s"
         raise ValueError(f"{args.capture}.json: {field}: {exc}") from None
@@ -132,8 +120,7 @@ def _cmd_sound_freq(args) -> dict:
 
 def _cmd_campaign(args) -> dict:
     scenario = campaign.load_scenario(args.scenario)
-    records = campaign.run_campaign(scenario, seed_override=args.seed,
-                                    workers=_campaign_workers())
+    records = campaign.run_campaign(scenario, workers=_campaign_workers())
     out = _out_dir(args)
     records_path = out / "records.jsonl"
     campaign.export_records(records, records_path)
@@ -204,21 +191,19 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true",
                         help="print a machine-readable status object")
     common.add_argument("--out-dir", default=None,
-                        help="output directory (default $CHANSOUNDER_OUT_DIR or .)")
+                        help="output directory (default .)")
     sub = parser.add_subparsers(dest="command", required=True)
     config_help = "a scenario's sliding block as JSON (default: its defaults)"
 
     g = sub.add_parser("gen-pn", parents=[common],
                        help="emit one period of the PN chip sequence")
     g.add_argument("--config", help=config_help)
-    g.add_argument("--seed-state", type=int, default=1)
     g.add_argument("--name", default="chips.txt")
     g.set_defaults(handler=_cmd_gen_pn)
 
     s = sub.add_parser("sound-sliding", parents=[common], help="delay profile from one I/Q capture")
     s.add_argument("--capture", required=True)
     s.add_argument("--config", help=config_help)
-    s.add_argument("--settle-periods", type=int, default=1)
     s.add_argument("--tx-power-db", type=float, default=0.0)
     s.add_argument("--name", default="profile.json")
     s.set_defaults(handler=_cmd_sound_sliding)
@@ -234,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("campaign", parents=[common], help="run a scenario end to end")
     c.add_argument("--scenario", required=True)
-    c.add_argument("--seed", type=int, default=None, help="master seed override")
     c.set_defaults(handler=_cmd_campaign)
 
     v = sub.add_parser("validate", parents=[common], help="lint a scenario file")

@@ -52,38 +52,34 @@ class ChipSequence:
         return spectrum
 
 
-def generate_glfsr(degree: int = 10, polynomial: int | None = None,
-                   seed_state: int = 1) -> ChipSequence:
+def generate_glfsr(degree: int = 10, polynomial: int | None = None) -> ChipSequence:
     """Generate one full period of a maximal-length sequence.
 
-    The register steps in Galois form; the output bit is mapped 1 -> -1,
-    0 -> +1. Raises ValueError if the polynomial is not primitive (the
-    state does not take exactly 2^degree - 1 steps to return to the
-    seed). The degree lies in [2, MAX_DEGREE], as SounderConfig.pn_degree
-    checks first, and the seed state in [1, 2**degree), as gen-pn
-    --seed-state checks first; a campaign and sound-sliding seed the
-    register with 1.
+    The register starts at 1 and steps in Galois form; the output bit is
+    mapped 1 -> -1, 0 -> +1. The degree lies in [2, MAX_DEGREE], as
+    SounderConfig.pn_degree checks first, so every ValueError names the
+    polynomial field ("polynomial: ..."): one with no default for the
+    degree, of another degree, with no constant term, or not primitive
+    (the state does not take exactly 2^degree - 1 steps to return to 1).
     """
+    if polynomial is None and degree not in DEFAULT_POLYNOMIALS:
+        raise ValueError(f"polynomial: no default polynomial for degree "
+                         f"{degree}; pass one explicitly")
     if polynomial is None:
-        try:
-            polynomial = DEFAULT_POLYNOMIALS[degree]
-        except KeyError:
-            raise ValueError(
-                f"no default polynomial for degree {degree}; pass one explicitly"
-            ) from None
+        polynomial = DEFAULT_POLYNOMIALS[degree]
     if polynomial >> degree != 1:
-        raise ValueError(
-            f"polynomial 0x{polynomial:x} does not have degree {degree}"
-        )
+        raise ValueError(f"polynomial: polynomial 0x{polynomial:x} does not "
+                         f"have degree {degree}")
     if polynomial & 1 != 1:
-        raise ValueError("feedback polynomial must have a nonzero constant term")
+        raise ValueError(
+            "polynomial: feedback polynomial must have a nonzero constant term")
 
     n = (1 << degree) - 1
     # Folding the x^degree..x^1 terms down one bit gives the state mask for
     # the right-shift Galois update.
     mask = polynomial >> 1
     bits = np.empty(n, dtype=np.uint8)
-    state = seed_state
+    state = 1
     period = 0
     for i in range(n):
         out = state & 1
@@ -91,13 +87,12 @@ def generate_glfsr(degree: int = 10, polynomial: int | None = None,
         state >>= 1
         if out:
             state ^= mask
-        if period == 0 and state == seed_state:
+        if period == 0 and state == 1:
             period = i + 1
     if period != n:
         raise ValueError(
-            f"polynomial 0x{polynomial:x} is not primitive: register period "
-            f"{period or '>' + str(n)} != {n}"
-        )
+            f"polynomial: polynomial 0x{polynomial:x} is not primitive: "
+            f"register period {period or '>' + str(n)} != {n}")
     chips = 1.0 - 2.0 * bits.astype(np.float64)
     return ChipSequence(chips=chips, period_length=n)
 

@@ -20,10 +20,13 @@ import typing
 from pathlib import Path
 
 # Where the files differ from the dataclass fields: these keys are
-# renamed, these fields store infinity as null (every other number must
-# be finite), and tuples are lists.
+# renamed, a field whose range also takes infinity stores it as null
+# (every other number must be finite), and tuples are lists.
 _JSON_NAMES = {"position": "position_m", "receiver_path": "receiver_path_m"}
-_INF_AS_NULL = {"parked_leakage_db"}
+
+
+def _inf_as_null(field: dataclasses.Field) -> bool:
+    return field.metadata.get("range", (None,) * 4)[3] == math.inf
 
 
 def to_json(value):
@@ -32,7 +35,7 @@ def to_json(value):
         doc = {}
         for f in dataclasses.fields(value):
             item = getattr(value, f.name)
-            if f.name in _INF_AS_NULL and item == math.inf:
+            if item == math.inf and _inf_as_null(f):
                 item = None
             doc[_JSON_NAMES.get(f.name, f.name)] = to_json(item)
         return doc
@@ -155,7 +158,7 @@ def _dataclass_from_json(kind, doc, path: str):
             if (f.default is dataclasses.MISSING
                     and f.default_factory is dataclasses.MISSING):
                 raise ValueError(f"{prefix}{key}: required field is missing")
-        elif f.name in _INF_AS_NULL and doc[key] is None:
+        elif doc[key] is None and _inf_as_null(f):
             kwargs[f.name] = math.inf
         else:
             kwargs[f.name] = from_json(hints[f.name], doc[key], prefix + key)
@@ -174,6 +177,8 @@ def nested(path: str, exc: ValueError) -> ValueError:
 
 def read_json(path):
     """The decoded JSON document of a file, with one-line errors."""
+    if not str(path):  # not Path(""), which is the working directory
+        raise OSError("cannot read '': the path is empty")
     path = Path(path)
     try:
         text = path.read_text()

@@ -28,6 +28,10 @@ from chansounder.pulse import (
 from chansounder.schema import check_ranges, within
 
 DETECTION_SIGMA_FACTOR = 5.0
+# the chip periods at the head of a capture that the receiver reads past
+# before its timing search and its averaged periods, so that the
+# filters' ramp-in stays out of them
+SETTLE_PERIODS = 1
 
 
 @dataclass(frozen=True)
@@ -70,16 +74,12 @@ class SounderConfig:
 def reference(config: SounderConfig) -> tuple[ChipSequence, FilterTaps]:
     """The PN chip sequence and the RRC taps that config names.
 
-    A ValueError names the polynomial: the config has checked the
-    degree and design_rrc's arguments, so a sequence that cannot be
-    generated is the polynomial's fault.
+    The config has checked the degree and design_rrc's arguments, so a
+    ValueError is generate_glfsr's, naming the polynomial.
     """
-    try:
-        chips = generate_glfsr(config.pn_degree, config.polynomial)
-    except ValueError as exc:
-        raise ValueError(f"polynomial: {exc}") from None
-    return chips, design_rrc(config.rolloff, config.span_symbols,
-                             config.samples_per_symbol)
+    return (generate_glfsr(config.pn_degree, config.polynomial),
+            design_rrc(config.rolloff, config.span_symbols,
+                       config.samples_per_symbol))
 
 
 def rms_delay_spread(lags, gains, chip_period: float) -> float:
@@ -230,21 +230,20 @@ def _sound_row(mean_period, profile, chips: ChipSequence,
 
 
 def measure_sliding(stack: BasebandSignal, chips: ChipSequence,
-                    taps: FilterTaps, config: SounderConfig, tx_powers_db,
-                    settle_periods: int = 1) -> list:
+                    taps: FilterTaps, config: SounderConfig, tx_powers_db) -> list:
     """Full receive chain over a stack of captures, one row per
     transmitter (multitx.segment_capture's segments, or one capture as a
     one-row stack): timing phase search, then symbol recovery averaged
     over the chip periods, then sound() with each row's transmitter
     power from tx_powers_db (dB).
 
-    Each row must hold settle_periods + averaging_periods chip periods
+    Each row must hold SETTLE_PERIODS + averaging_periods chip periods
     of shaped waveform; the leading settle keeps filter ramp-in out of
     the averaged window. Returns one entry per row: its delay-profile
     document, as sound() gives it, or a NoSignalError where the row has
     no timing phase or no tap.
     """
-    skip = settle_periods * chips.period_length
+    skip = SETTLE_PERIODS * chips.period_length
     phases = estimate_timing_phase(stack, chips, taps, skip_symbols=skip)
     means = recover_symbols(stack, chips, taps, np.maximum(phases, 0),
                             config.averaging_periods, skip_symbols=skip)
@@ -253,4 +252,3 @@ def measure_sliding(stack: BasebandSignal, chips: ChipSequence,
                 "capture is silent in the timing search window; no timing "
                 "phase exists")
             for phase, profile in zip(phases, profiles)]
-

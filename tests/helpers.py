@@ -116,12 +116,11 @@ def one_row(signal):
     return replace(signal, samples=signal.samples[np.newaxis])
 
 
-def measure_one(capture, chips, taps, config, tx_power_db=0.0,
-                settle_periods=1):
+def measure_one(capture, chips, taps, config, tx_power_db=0.0):
     """measure_sliding on capture as a one-row stack, as sound-sliding
     runs it: the row's profile, or its NoSignalError raised."""
     [profile] = sliding.measure_sliding(one_row(capture), chips, taps, config,
-                                        [tx_power_db], settle_periods)
+                                        [tx_power_db])
     if isinstance(profile, NoSignalError):
         raise profile
     return profile
@@ -234,15 +233,15 @@ def field_range(kind, name):
     return lo, hi, also
 
 
-def ranged(kind, name, also=True, **bounds):
+def ranged(kind, name, **bounds):
     """Every number in the declared range of kind's field name, narrowed
-    by min_value and max_value where given, and with also its extra
-    value: integers for an integer range, else finite floats."""
+    by min_value and max_value where given, and its extra value:
+    integers for an integer range, else finite floats."""
     lo, hi, extra = field_range(kind, name)
     lo, hi = max(lo, bounds.get("min_value", lo)), min(hi, bounds.get("max_value", hi))
     numbers = (st.integers(lo, hi) if isinstance(lo, int) and isinstance(hi, int)
                else st.floats(lo, hi, allow_infinity=False))
-    return numbers | st.just(extra) if also and extra is not None else numbers
+    return numbers if extra is None else numbers | st.just(extra)
 
 
 @st.composite
@@ -368,14 +367,13 @@ def oracle_folded_period(capture, taps, phase, period, periods,
     return symbols[:periods * period].reshape(periods, period).mean(axis=0)
 
 
-def oracle_measure_sliding(capture, chips, taps, config, tx_power_db=0.0,
-                           settle_periods=1):
+def oracle_measure_sliding(capture, chips, taps, config, tx_power_db=0.0):
     """measure_sliding on one full np.convolve matched filter per segment,
     averaged after filtering: the pre-fold receive chain, kept as the
     reference that the folded recovery must match to rounding.
     """
     n = chips.period_length
-    skip = settle_periods * n
+    skip = sliding.SETTLE_PERIODS * n
     phase = oracle_timing_phase(capture, chips, taps, skip)
     mean_period = oracle_folded_period(capture, taps, phase, n,
                                        config.averaging_periods, skip)

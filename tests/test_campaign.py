@@ -241,7 +241,7 @@ def scenarios(draw):
         "leakage": st.builds(
             multitx.LeakageModel,
             ranged(multitx.LeakageModel, "parked_leakage_db"),
-            ranged(multitx.LeakageModel, "inband_null_leakage_db", also=False)),
+            ranged(multitx.LeakageModel, "inband_null_leakage_db")),
         "park_mode": st.sampled_from([multitx.PARK_OFF_BAND,
                                       multitx.PARK_IN_BAND]),
         "noise_power_dbfs": st.none() | ranged(cp.Scenario, "noise_power_dbfs"),
@@ -393,13 +393,13 @@ def test_failed_fork_closes_its_pipe_and_kills_the_first_worker(
     assert_no_child_left()
 
 
-def test_seed_override_changes_output():
+def test_master_seed_changes_output():
     scenario = small_scenario(locations=2)
     base = cp.run_campaign(scenario)
-    overridden = cp.run_campaign(scenario, seed_override=99)
-    rerun = cp.run_campaign(scenario, seed_override=99)
-    assert overridden == rerun
-    assert base != overridden
+    reseeded = cp.run_campaign(replace(scenario, master_seed=99))
+    rerun = cp.run_campaign(replace(scenario, master_seed=99))
+    assert reseeded == rerun
+    assert base != reseeded
 
 
 # the fields of a records.jsonl line, in the order they are written
@@ -808,17 +808,25 @@ def test_silent_noise_floor_roundtrips(tmp_path):
     assert cp.load_scenario(target) == scenario
 
 
-def test_leakage_settings_roundtrip(tmp_path):
+@pytest.mark.parametrize("parked_db, inband_db", [(math.inf, 25.0),
+                                                 (12.0, math.inf)])
+def test_leakage_settings_roundtrip(tmp_path, parked_db, inband_db):
+    # either attenuation may be infinite, no leakage, which is saved as
+    # null in strict JSON; an infinite in-band one was once saved as
+    # Infinity, which the loader then rejected
     scenario = small_scenario(
-        leakage=multitx.LeakageModel(parked_leakage_db=math.inf,
-                                     inband_null_leakage_db=25.0),
+        leakage=multitx.LeakageModel(parked_leakage_db=parked_db,
+                                     inband_null_leakage_db=inband_db),
         park_mode=multitx.PARK_IN_BAND)
     target = tmp_path / "scenario.json"
     cp.save_scenario(scenario, target)
-    loaded = cp.load_scenario(target)
-    assert loaded.leakage.parked_leakage_db == math.inf
-    assert loaded.leakage.inband_null_leakage_db == 25.0
-    assert loaded.park_mode == multitx.PARK_IN_BAND
+    doc = json.loads(target.read_text(),
+                     parse_constant=lambda c: pytest.fail(f"{c} is not JSON"))
+    assert doc["leakage"] == {
+        "parked_leakage_db": None if parked_db == math.inf else parked_db,
+        "inband_null_leakage_db": None if inband_db == math.inf else inband_db,
+        "park_mode": multitx.PARK_IN_BAND}
+    assert cp.load_scenario(target) == scenario
 
 
 def test_receive_chain_matches_full_convolution_oracle(monkeypatch):

@@ -9,6 +9,7 @@ import os
 import pathlib
 import re
 import resource
+import shlex
 import shutil
 import signal
 import subprocess
@@ -124,36 +125,83 @@ def test_sliding_block_errors_name_their_field(tmp_path, capsys, change,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("change, seed_state, message", [
-    ({}, "0", "--seed-state: must be in [1, 2**10)"),
-    ({}, "1024", "--seed-state: must be in [1, 2**10)"),
-    # the state is checked against the block's degree, before the
-    # polynomial, and after the block's own checks
-    ({"pn_degree": 4, "polynomial": 0x15}, "0",
-     "--seed-state: must be in [1, 2**4)"),
-    ({"pn_degree": 4, "polynomial": 0x15}, "16",
-     "--seed-state: must be in [1, 2**4)"),
-    ({"pn_degree": -3}, "0", "pn_degree: -3 is outside [2, 24]"),
-], ids=["0", "1024", "0-at-degree-4", "16-at-degree-4", "0-at-degree--3"])
-def test_gen_pn_seed_state_errors(tmp_path, capsys, change, seed_state,
-                                  message):
-    _, block = sliding_block_file(tmp_path, change)
-    code, _, err = run_cli(capsys, "gen-pn", "--config", str(block),
-                           "--seed-state", seed_state,
-                           "--out-dir", str(tmp_path / "out"))
-    assert (code, err) == (2, f"ValueError: {message}\n")
-    assert not (tmp_path / "out").exists()
-
-
 def test_unknown_flag(capsys):
     assert main(["gen-pn", "--frobnicate"]) != 0
 
 
-def test_out_dir_from_environment(tmp_path, capsys, monkeypatch):
+# each command with a flag that it no longer takes: campaign's --seed
+# (the scenario's master_seed is the one seed), gen-pn's --seed-state
+# (the register starts at 1) and sound-sliding's --settle-periods (the
+# receiver settles for sliding.SETTLE_PERIODS)
+REMOVED_FLAGS = {
+    "campaign --seed": ("campaign", ["--seed", "7"]),
+    "gen-pn --seed-state": ("gen-pn", ["--seed-state", "3"]),
+    "sound-sliding --settle-periods": ("sound-sliding",
+                                       ["--settle-periods", "2"]),
+}
+
+
+@pytest.mark.parametrize("name", REMOVED_FLAGS)
+def test_removed_flags_exit_2_and_the_environment_names_no_out_dir(
+        tmp_path, capsys, monkeypatch, name):
+    command, removed = REMOVED_FLAGS[name]
+    command = [command, *{
+        "campaign": ["--scenario", str(scenario_file(tmp_path))],
+        "gen-pn": [],
+        "sound-sliding": ["--capture", str(sliding_capture_file(tmp_path))],
+    }[command]]
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
     monkeypatch.setenv("CHANSOUNDER_OUT_DIR", str(tmp_path / "from_env"))
-    code, _, _ = run_cli(capsys, "gen-pn")
-    assert code == 0
-    assert (tmp_path / "from_env" / "chips.txt").exists()
+    code, _, err = run_cli(capsys, *command, *removed,
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(removed)}\n")
+    assert not (tmp_path / "out").exists() and os.listdir(work) == []
+    # without the flag the command runs, and without --out-dir it writes
+    # to the working directory, whatever the environment says
+    code, _, err = run_cli(capsys, *command)
+    assert (code, err) == (0, "")
+    assert os.listdir(work) and not (tmp_path / "from_env").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--scenario"], ["campaign", "--scenario"],
+    ["sound-freq", "step0.iq", "--plan"], ["gen-pn", "--config"],
+    ["sound-sliding", "--capture", "absent.iq", "--config"],
+], ids=lambda argv: argv[0])
+def test_an_empty_path_is_named_empty(tmp_path, capsys, monkeypatch, argv):
+    # Path("") is the working directory: reading it once failed with
+    # "cannot read .: [Errno 21] Is a directory: '.'"
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, *argv, "", "--out-dir", "out")
+    assert (code, err) == (2, "OSError: cannot read '': the path is empty\n")
+    assert os.listdir(tmp_path) == []
+
+
+def readme_command_lines():
+    """The chansounder command lines of README's "Command line" block."""
+    text = (BUNDLED.parent / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines()
+            if line.startswith("chansounder ")]
+
+
+def test_readme_command_lines_parse():
+    # every example in the README's command-line block is one that the
+    # parser takes, and together they show every subcommand
+    parser = cli.build_parser()
+    commands = set()
+    for line in readme_command_lines():
+        try:
+            args = parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line}")
+        commands.add(args.command)
+    assert commands == {"gen-pn", "sound-sliding", "sound-freq", "campaign",
+                        "validate"}
 
 
 def sliding_capture_file(directory):
@@ -415,7 +463,7 @@ def test_campaign_and_reproducibility(tmp_path, capsys):
     for out in (out_a, out_b):
         code, _, err = run_cli(capsys, "campaign",
                                "--scenario", str(scenario_path),
-                               "--seed", "7", "--out-dir", str(out))
+                               "--out-dir", str(out))
         assert code == 0, err
     names = ["records.jsonl", "heatmap_tx1.csv", "heatmap_tx2.csv"]
     for name in names:
@@ -2179,17 +2227,6 @@ def test_sound_sliding_rejects_a_sidecar_by_field(tmp_path, change, field):
     assert code == 2
     assert sidecar_error(capture_path, field).fullmatch(err)
     assert not (tmp_path / "out" / "profile.json").exists()
-
-
-def test_sound_sliding_rejects_negative_settle_periods(tmp_path, capsys):
-    # a negative settle once put the search window before the capture and
-    # was blamed on the sidecar's origin_time_s
-    code, _, err = run_cli(capsys, "sound-sliding", "--capture",
-                           str(sliding_capture_file(tmp_path)),
-                           "--settle-periods", "-1", "--out-dir",
-                           str(tmp_path / "out"))
-    assert (code, err) == (2, "ValueError: --settle-periods: must be >= 0, "
-                              "got -1\n")
 
 
 def test_sound_sliding_names_sample_count_for_a_short_capture(tmp_path):
