@@ -2,8 +2,8 @@
 
 Subcommands: gen-pn, sound-sliding, sound-freq, campaign, validate.
 Every output lands inside the output directory that --out-dir names,
-else the working directory. With --json the final stdout line is a
-machine-readable status object.
+else the working directory; --name is a file name in it. With --json
+the final stdout line is a machine-readable status object.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def _cmd_sound_freq(args) -> dict:
     steps = len(frame.carriers_hz)
     if len(args.captures) != steps:
         raise ValueError(
-            f"need one capture per carrier step ({steps}), "
+            f"captures: need one capture per carrier step ({steps}), "
             f"got {len(args.captures)}"
         )
     tone = args.tone_offset if args.tone_offset is not None else frame.tone_offsets_hz[0]
@@ -173,14 +173,18 @@ def _join_float_values(argv) -> list:
             else token for token in tokens]
 
 
-def _check_float_flags(args) -> None:
+def _check_flags(args) -> None:
     """Raise naming --tx-power-db when it is outside the range of a
-    scenario's tx_power_db. The other float flag, --tone-offset, must be
-    one of the plan's tones."""
+    scenario's tx_power_db, and --name when it is not a file name, which
+    would write outside the output directory or nowhere. The other float
+    flag, --tone-offset, must be one of the plan's tones."""
     if hasattr(args, "tx_power_db"):
         [power] = [f for f in dataclasses.fields(campaign.Transmitter)
                    if f.name == "tx_power_db"]
         schema.check_range(power, args.tx_power_db, "--tx-power-db")
+    name = getattr(args, "name", None)
+    if name is not None and (name in ("", "..") or Path(name).name != name):
+        raise ValueError(f"--name: {name!r} is not a file name")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,7 +239,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _check_float_flags(args)
+        _check_flags(args)
         payload = args.handler(args)
     except (ValueError, OSError, NoSignalError) as exc:
         message = f"{type(exc).__name__}: {exc}"

@@ -362,44 +362,42 @@ def recover_symbols(stack: BasebandSignal, chips: ChipSequence,
     return out
 
 
-def _bank_rails(x: np.ndarray, taps: FilterTaps, start: int,
-                stop: int) -> np.ndarray:
+def _bank_rails(x: np.ndarray, taps: FilterTaps, start: int, stop: int):
     """np.convolve(row, taps.coefficients)[start:stop] to rounding for each
-    row of the (rows, n) x, as a (rows, 2, stop - start) float array: the
-    real rail, then the imaginary.
+    row of the (rows, n) x, one rail at a time: yields the real rail's
+    (rows, stop - start) floats, then the imaginary rail's, in one buffer
+    that the second overwrites.
 
     Output o is the sum of row[o - i] * taps[i] over the L taps. The
-    rails of the rows' samples from start - (Q - 1) * B on, B =
-    BANK_WIDTH, are copied once into contiguous floats, zero where they
-    run past either end of a row, and read as blocks of B samples. Block
-    b of B outputs is then the sum over the Q blocks q of taps.bank of
-    input block b - q times bank[q]: Q products, each over one view of
-    every rail's blocks, added in order. Each product is one dgemm per
-    row and rail of at most MAX_PRODUCT_MACS multiply-adds. Requires
-    0 <= start and stop <= n + L - 1.
+    rows' samples from start - (Q - 1) * B on, B = BANK_WIDTH, are read
+    through _zero_padded, and each rail in turn is copied into one
+    contiguous float buffer, read as blocks of B samples. Block b of B
+    outputs is then the sum over the Q blocks q of taps.bank of input
+    block b - q times bank[q]: Q products, each over one view of every
+    row's blocks, added in order. Each product is one dgemm per row of
+    at most MAX_PRODUCT_MACS multiply-adds. Requires 0 <= start and
+    stop <= n + L - 1.
     """
-    bank = taps.bank
-    depth, width = len(bank), bank.shape[-1]
+    depth, width, _ = taps.bank.shape
     blocks = -(-(stop - start) // width)
     lo = start - (depth - 1) * width
-    rails = np.zeros((len(x), 2, (blocks + depth - 1) * width))
-    a, b = max(lo, 0), min(lo + rails.shape[-1], x.shape[-1])
-    rails[:, 0, a - lo:b - lo] = x[:, a:b].real
-    rails[:, 1, a - lo:b - lo] = x[:, a:b].imag
-    rails = rails.reshape(len(x), 2, -1, width)
-    out = np.empty((len(x), 2, blocks, width))
+    rail = np.empty((len(x), blocks + depth - 1, width))
+    window = _zero_padded(x, lo, lo + rail.shape[1] * width).reshape(rail.shape)
+    out = np.empty((len(x), blocks, width))
     step = MAX_PRODUCT_MACS // width**2
-    product = np.empty((len(x), 2, min(blocks, step), width))
-    for first in range(0, blocks, step):
-        outs = out[:, :, first:first + step]
-        count = outs.shape[2]
-        part = product[:, :, :count]
-        for q, block in enumerate(bank):
-            at = first + depth - 1 - q
-            np.matmul(rails[:, :, at:at + count], block, out=part if q else outs)
-            if q:
-                outs += part
-    return out.reshape(len(x), 2, -1)[..., :stop - start]
+    product = np.empty((len(x), min(blocks, step), width))
+    for values in (window.real, window.imag):
+        rail[...] = values
+        for first in range(0, blocks, step):
+            outs = out[:, first:first + step]
+            count = outs.shape[1]
+            part = product[:, :count]
+            for q, block in enumerate(taps.bank):
+                at = first + depth - 1 - q
+                np.matmul(rail[:, at:at + count], block, out=part if q else outs)
+                if q:
+                    outs += part
+        yield out.reshape(len(x), -1)[:, :stop - start]
 
 
 def estimate_timing_phase(stack: BasebandSignal, chips: ChipSequence,
@@ -425,7 +423,9 @@ def estimate_timing_phase(stack: BasebandSignal, chips: ChipSequence,
     receiver can be handed.
 
     The matched-filter outputs of all rows come from the filter-bank
-    products of _bank_rails, equal to np.convolve to rounding; only the
+    products of _bank_rails, equal to np.convolve to rounding, one rail
+    at a time: each rail is scored before the next is filtered, and the
+    real rail's scores are added to the imaginary rail's. Only the
     integer phases leave the search. A row whose scores are all zero
     has no timing phase: its phase is -1. By Cauchy-Schwarz a phase's
     score is at least its sum|y|^2, so that is a row whose matched-filter
@@ -435,39 +435,40 @@ def estimate_timing_phase(stack: BasebandSignal, chips: ChipSequence,
     sps = taps.samples_per_symbol
     n = chips.period_length
     # the sps phases of one chip period are sps * n contiguous outputs;
-    # row k of each rail's (n, sps) reshape is symbol k at every phase
+    # row k of a rail's (n, sps) reshape is symbol k at every phase
     start = _origin_index(stack, taps) + skip_symbols * sps
     stop = start + sps * n
     if start < 0 or stop > stack.samples.shape[1] + len(taps.coefficients) - 1:
         raise CaptureWindowError(
             "signal does not contain a full chip period at every phase"
         )
-    rails = _bank_rails(stack.samples, taps, start, stop)
-    scores = _phase_scores(rails.reshape(-1, 2, n, sps))
+    scores = sum(_phase_scores(rail.reshape(-1, n, sps))
+                 for rail in _bank_rails(stack.samples, taps, start, stop))
     return np.where(scores.any(axis=1), np.argmax(scores, axis=1), -1)
 
 
-def _phase_scores(rails: np.ndarray) -> np.ndarray:
-    """N^2 times the correlation-profile energy of each phase p, whose
-    outputs y have real part rails[..., 0, :, p] and imaginary part
-    rails[..., 1, :, p] in a (..., 2, N, sps) block:
-    (N + 1) * sum|y|^2 - |sum y|^2.
+def _phase_scores(rail: np.ndarray) -> np.ndarray:
+    """One rail's term of N^2 times the correlation-profile energy of each
+    phase p, whose outputs y have real or imaginary part rail[..., :, p]
+    in a (..., N, sps) block: (N + 1) * sum y^2 - (sum y)^2. A phase's
+    score is its real rail's term plus its imaginary rail's.
 
-    The score splits into one term per rail. The power and plain sums
-    are ones @ products over the symbols, at most MAX_PRODUCT_MACS // sps
-    symbols each, added in order. A block's scores do not depend on the
-    blocks stacked with it.
+    The plain and power sums are ones @ products over the symbols, at
+    most MAX_PRODUCT_MACS // sps symbols each, added in order; each part
+    is squared in place after its plain sum, so the rail is left
+    squared. A block's scores do not depend on the blocks stacked with
+    it.
     """
-    n, sps = rails.shape[-2:]
+    n, sps = rail.shape[-2:]
     step = MAX_PRODUCT_MACS // sps
     power = total = 0.0
     for first in range(0, n, step):
-        part = rails[..., first:first + step, :]
+        part = rail[..., first:first + step, :]
         ones = np.ones(part.shape[-2])
-        power = power + ones @ (part * part)
         total = total + ones @ part
-    scores = (n + 1) * power - total * total
-    return scores[..., 0, :] + scores[..., 1, :]
+        part *= part
+        power = power + ones @ part
+    return (n + 1) * power - total * total
 
 
 @dataclass(frozen=True)
@@ -495,8 +496,9 @@ def read_iq(path) -> BasebandSignal:
     checked against its strictly loaded sidecar, the IqSidecar document
     at the capture's path plus ".json". A NaN or infinite part fails
     naming the file and the first sample that holds one."""
+    # an empty path stays empty, which schema.load refuses
+    sidecar_path = path and f"{Path(path)}.json"
     path = Path(path)
-    sidecar_path = str(path) + ".json"
     try:
         sidecar = schema.load(IqSidecar, sidecar_path)
     except ValueError as exc:

@@ -755,6 +755,35 @@ def test_a_sweep_location_holds_one_frame_of_rows():
     assert traced_peak_bytes(scenario, prepared) < 1.5 * rows_bytes
 
 
+def test_the_timing_search_holds_one_rail_at_a_time(monkeypatch):
+    # the search filters and scores the real rail, then the imaginary rail
+    # in the same buffers: a rail, the bank's outputs and one product,
+    # about 3.1 blocks of rows x N * sps floats at the peak on six
+    # transmitters' criterion-9 segments, not the 6.0 of both rails at once
+    transmitters = tuple(cp.Transmitter(f"tx{k}", (3.0 * k, 10.0 - k, 1.0))
+                         for k in range(6))
+    scenario = small_scenario(transmitters=transmitters, locations=1)
+    peaks = []  # in blocks
+
+    def traced(stack, chips, taps, **kwargs):
+        tracemalloc.start()
+        try:
+            phases = estimate_timing_phase(stack, chips, taps, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_bytes = len(stack) * chips.period_length \
+            * taps.samples_per_symbol * 8  # float64
+        peaks.append(peak / block_bytes)
+        return phases
+
+    monkeypatch.setattr(sliding, "estimate_timing_phase", traced)
+    records = cp.run_campaign(scenario, workers=1)
+    assert len(records) == 6 and not any(r["flags"] for r in records)
+    [blocks] = peaks
+    assert blocks <= 3.5
+
+
 def prepared_bytes(scenario):
     """The bytes that campaign.prepare holds for scenario, traced from
     before it starts to its return, and its traced peak, after an

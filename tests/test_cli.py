@@ -170,14 +170,52 @@ def test_removed_flags_exit_2_and_the_environment_names_no_out_dir(
     ["validate", "--scenario"], ["campaign", "--scenario"],
     ["sound-freq", "step0.iq", "--plan"], ["gen-pn", "--config"],
     ["sound-sliding", "--capture", "absent.iq", "--config"],
+    pytest.param(["sound-sliding", "--capture"], id="sound-sliding-capture"),
+    pytest.param(["sound-freq", "--plan", "{plan}"], id="sound-freq-capture"),
 ], ids=lambda argv: argv[0])
 def test_an_empty_path_is_named_empty(tmp_path, capsys, monkeypatch, argv):
     # Path("") is the working directory: reading it once failed with
-    # "cannot read .: [Errno 21] Is a directory: '.'"
-    monkeypatch.chdir(tmp_path)
+    # "cannot read .: [Errno 21] Is a directory: '.'", and an empty
+    # capture with "cannot read ..json", its sidecar read from Path("")
+    plan = tmp_path / "one-carrier.json"
+    save_document(sweep.FrequencySetup(carriers_hz=(700e6,)), plan)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    argv = [arg.format(plan=plan) for arg in argv]
     code, _, err = run_cli(capsys, *argv, "", "--out-dir", "out")
     assert (code, err) == (2, "OSError: cannot read '': the path is empty\n")
-    assert os.listdir(tmp_path) == []
+    assert os.listdir(work) == []
+
+
+@pytest.mark.parametrize("command", ["gen-pn", "sound-sliding", "sound-freq"])
+def test_name_is_a_file_name_in_the_output_directory(tmp_path, capsys,
+                                                    monkeypatch, command):
+    # "../escaped.txt" once wrote beside the output directory, an absolute
+    # name anywhere, and "" failed as "Is a directory: '.'"
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    plan, captures = sweep_capture_files(inputs)
+    argv = {
+        "gen-pn": [],
+        "sound-sliding": ["--capture", str(sliding_capture_file(inputs))],
+        "sound-freq": ["--plan", str(plan), *captures],
+    }[command]
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    for name in ("", ".", "..", "../escaped.txt", "sub/x.txt",
+                 str(tmp_path / "absolute.txt")):
+        code, _, err = run_cli(capsys, command, *argv, "--name", name,
+                               "--out-dir", "out")
+        assert (code, err) == (2, f"ValueError: --name: {name!r} is not a "
+                                  f"file name\n")
+    assert os.listdir(work) == [] and sorted(os.listdir(tmp_path)) \
+        == ["inputs", "work"]
+    # a plain file name is written inside the output directory
+    code, _, err = run_cli(capsys, command, *argv, "--name", "x.txt",
+                           "--out-dir", "out")
+    assert (code, err) == (0, "") and os.listdir(work / "out") == ["x.txt"]
 
 
 def readme_command_lines():
@@ -358,9 +396,9 @@ def test_sound_freq_wrong_capture_count(tmp_path, capsys):
     plan_path = tmp_path / "plan.json"
     save_document(sweep.FrequencySetup(), plan_path)
     code, _, err = run_cli(capsys, "sound-freq", "--plan", str(plan_path),
-                           "--out-dir", str(tmp_path), "only_one.iq")
-    assert code == 2
-    assert "per carrier step" in err
+                           "--out-dir", str(tmp_path), "one.iq", "two.iq")
+    assert (code, err) == (2, "ValueError: captures: need one capture per "
+                              "carrier step (10), got 2\n")
 
 
 def test_sound_freq_rejects_contradicting_sidecar(tmp_path, capsys):
