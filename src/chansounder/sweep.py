@@ -106,19 +106,27 @@ def bin_power(rows: np.ndarray, frame: FrequencySetup, tones) -> list:
     campaign reads the frame's own, and sound-freq checks --tone-offset.
     Each row holds at least L samples: a campaign's carrier step holds
     one FFT window (FrequencySetup), and sound-freq stacks exactly L.
+
+    The FFT is taken in place, so no second frame is held: the first L
+    samples of each row of rows, a complex128 array, are overwritten by
+    their spectrum, with the same bits as an out-of-place FFT. Both
+    callers read each frame once: a campaign's next frame overwrites
+    the rows, and sound-freq's rows are its own.
     """
     length = frame.fft_length
-    spectra = np.fft.fft(rows[:, :length], axis=1)
+    window = rows[:, :length]
+    np.fft.fft(window, axis=1, out=window)
     bins = [frame.bin_index(tone_offset) for tone_offset in tones]
     return [[(abs(spectrum[k]) / length) ** 2 for k in bins]
-            for spectrum in spectra]
+            for spectrum in window]
 
 
 def narrowband_losses(rows: np.ndarray, frame: FrequencySetup, tones,
                       tx_powers_db) -> list:
     """Per tone, its narrowband path loss at every carrier step.
 
-    rows holds one capture per carrier step, in carrier order. Tone k is
+    rows holds one capture per carrier step, in carrier order, and is
+    overwritten by the spectra that bin_power reads. Tone k is
     sent by a transmitter of tx_powers_db[k], so its loss at a step is
     tx_powers_db[k] - 10*log10(bin power), or None where its bin holds
     no power.

@@ -86,7 +86,8 @@ def test_bin_power_matches_dft_oracle(plan):
     tone_offset = plan.tone_offsets_hz[0]
     amplitude = 0.8
     tone = tone_capture(plan, tone_offset, amplitude)
-    [[got]] = sweep.bin_power(tone[np.newaxis], plan, [tone_offset])
+    # bin_power overwrites its rows with their spectra: it reads a copy
+    [[got]] = sweep.bin_power(tone[np.newaxis].copy(), plan, [tone_offset])
     oracle = dft_bin_oracle(tone, plan.fft_length,
                             plan.bin_index(tone_offset))
     assert got == pytest.approx(oracle, abs=1e-12)
@@ -125,9 +126,11 @@ def test_two_tones_stay_orthogonal(plan):
                                            steps(both))
     combined = sweep.compose_sweep_capture(
         [strong, weak], both, sweep.unit_tones(both), steps(both))
+    # bin_power overwrites its rows with their spectra: each read gets
+    # its own copy
     for tone, single in ((f1, single_1), (f2, single_2)):
-        alone = sweep.bin_power(single, both, [tone])
-        together = sweep.bin_power(combined, both, [tone])
+        alone = sweep.bin_power(single.copy(), both, [tone])
+        together = sweep.bin_power(combined.copy(), both, [tone])
         npt.assert_allclose(alone, together, rtol=0.0, atol=1e-9)
 
 
@@ -276,16 +279,45 @@ def test_bin_power_reads_several_tones_from_one_fft(plan):
     three = replace(plan, tone_offsets_hz=tuple(tones))
     rng = np.random.default_rng(8)
     rows = rng.normal(size=(5, 5000)) + 1j * rng.normal(size=(5, 5000))
-    got = sweep.bin_power(rows, three, tones)
+    # bin_power overwrites its rows with their spectra: each read gets
+    # its own copy
+    got = sweep.bin_power(rows.copy(), three, tones)
     assert len(got) == 5
     # the multi-row FFT reads each row's bins as a one-row FFT does
-    assert got == [sweep.bin_power(row[np.newaxis], three, tones)[0]
+    assert got == [sweep.bin_power(row[np.newaxis].copy(), three, tones)[0]
                    for row in rows]
     for powers, row in zip(got, rows, strict=True):
-        assert powers == [sweep.bin_power(row[np.newaxis], three, [f])[0][0]
-                          for f in tones]
+        assert powers == [
+            sweep.bin_power(row[np.newaxis].copy(), three, [f])[0][0]
+            for f in tones]
         capture = BasebandSignal(samples=row, sample_rate=plan.sample_rate_hz)
         assert powers == oracle_bin_power(capture, three, tones)
+
+
+@pytest.mark.parametrize("length, width", [
+    (999, 999), (999, 1500),  # odd
+    (1000, 1000), (1000, 5000),  # not a power of two
+    (1024, 1024), (4096, 5000),  # a power of two
+])
+def test_bin_power_transforms_its_rows_in_place(length, width):
+    # the FFT is taken in place over each row's first fft_length samples:
+    # the same bits as an out-of-place FFT of a copy, with the window left
+    # holding its spectrum and the samples past it untouched
+    bin_width = 1e6 / length
+    tones = tuple(k * bin_width for k in (-300, 40, 401))
+    frame = sweep.FrequencySetup(carriers_hz=(700e6, 702e6, 704e6),
+                                 fft_length=length, tone_offsets_hz=tones)
+    rng = np.random.default_rng(length + width)
+    rows = rng.normal(size=(3, width)) + 1j * rng.normal(size=(3, width))
+    before = rows.copy()
+    spectra = np.fft.fft(rows[:, :length].copy(), axis=1)
+    bins = [frame.bin_index(f) for f in tones]
+    assert bins[0] == length - 300
+    got = sweep.bin_power(rows, frame, tones)
+    assert got == [[(abs(spectrum[k]) / length) ** 2 for k in bins]
+                   for spectrum in spectra]
+    assert np.array_equal(rows[:, :length], spectra)
+    assert np.array_equal(rows[:, length:], before[:, length:])
 
 
 def test_unit_tone_is_cached_read_only(plan, monkeypatch):
