@@ -20,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from chansounder import campaign, multitx, pn, pulse, schema, sliding, sweep
-from chansounder.exceptions import CaptureWindowError, NoSignalError
+from chansounder.exceptions import NoSignalError
 
 
 def _out_dir(args) -> Path:
-    path = Path(args.out_dir or ".")
+    path = Path(args.out_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -74,13 +74,8 @@ def _cmd_sound_sliding(args) -> dict:
         [profile] = sliding.measure_sliding(
             dataclasses.replace(capture, samples=capture.samples[np.newaxis]),
             chips, taps, config, [args.tx_power_db])
-    except CaptureWindowError as exc:
-        # a capture shorter than the periods the receiver reads misses
-        # them wherever it sits; a longer one misses them by its origin
-        periods = sliding.SETTLE_PERIODS + config.averaging_periods
-        needed = periods * chips.period_length * config.samples_per_symbol
-        field = "sample_count" if len(capture) < needed else "origin_time_s"
-        raise ValueError(f"{args.capture}.json: {field}: {exc}") from None
+    except ValueError as exc:  # it names the sidecar field to blame
+        raise ValueError(f"{args.capture}.json: {exc}") from None
     if isinstance(profile, NoSignalError):
         raise profile
     target = _out_dir(args) / args.name
@@ -175,9 +170,10 @@ def _join_float_values(argv) -> list:
 
 def _check_flags(args) -> None:
     """Raise naming --tx-power-db when it is outside the range of a
-    scenario's tx_power_db, and --name when it is not a file name, which
-    would write outside the output directory or nowhere. The other float
-    flag, --tone-offset, must be one of the plan's tones."""
+    scenario's tx_power_db, --name when it is not a file name, which
+    would write outside the output directory or nowhere, and --out-dir
+    when it is empty. The other float flag, --tone-offset, must be one
+    of the plan's tones."""
     if hasattr(args, "tx_power_db"):
         [power] = [f for f in dataclasses.fields(campaign.Transmitter)
                    if f.name == "tx_power_db"]
@@ -185,6 +181,8 @@ def _check_flags(args) -> None:
     name = getattr(args, "name", None)
     if name is not None and (name in ("", "..") or Path(name).name != name):
         raise ValueError(f"--name: {name!r} is not a file name")
+    if getattr(args, "out_dir", None) == "":
+        raise ValueError("--out-dir: '' names no directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,25 +192,27 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="print a machine-readable status object")
-    common.add_argument("--out-dir", default=None,
+    # every command but validate writes its outputs into --out-dir
+    writes = argparse.ArgumentParser(add_help=False, parents=[common])
+    writes.add_argument("--out-dir", default=".",
                         help="output directory (default .)")
     sub = parser.add_subparsers(dest="command", required=True)
     config_help = "a scenario's sliding block as JSON (default: its defaults)"
 
-    g = sub.add_parser("gen-pn", parents=[common],
+    g = sub.add_parser("gen-pn", parents=[writes],
                        help="emit one period of the PN chip sequence")
     g.add_argument("--config", help=config_help)
     g.add_argument("--name", default="chips.txt")
     g.set_defaults(handler=_cmd_gen_pn)
 
-    s = sub.add_parser("sound-sliding", parents=[common], help="delay profile from one I/Q capture")
+    s = sub.add_parser("sound-sliding", parents=[writes], help="delay profile from one I/Q capture")
     s.add_argument("--capture", required=True)
     s.add_argument("--config", help=config_help)
     s.add_argument("--tx-power-db", type=float, default=0.0)
     s.add_argument("--name", default="profile.json")
     s.set_defaults(handler=_cmd_sound_sliding)
 
-    f = sub.add_parser("sound-freq", parents=[common], help="narrowband losses from sweep captures")
+    f = sub.add_parser("sound-freq", parents=[writes], help="narrowband losses from sweep captures")
     f.add_argument("--plan", required=True, help="sweep plan JSON")
     f.add_argument("--tone-offset", type=float, default=None)
     f.add_argument("--tx-power-db", type=float, default=0.0)
@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("captures", nargs="+", help="one I/Q capture per carrier step")
     f.set_defaults(handler=_cmd_sound_freq)
 
-    c = sub.add_parser("campaign", parents=[common], help="run a scenario end to end")
+    c = sub.add_parser("campaign", parents=[writes], help="run a scenario end to end")
     c.add_argument("--scenario", required=True)
     c.set_defaults(handler=_cmd_campaign)
 

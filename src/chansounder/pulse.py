@@ -17,7 +17,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from chansounder import schema
-from chansounder.exceptions import CaptureWindowError
 from chansounder.pn import ChipSequence
 
 IQ_FORMAT = "cf32_le"
@@ -267,28 +266,13 @@ def modulate(chips: ChipSequence, repetitions: int, taps: FilterTaps,
                       short.sample_rate, short.origin_time)
 
 
-def _origin_index(signal: BasebandSignal, taps: FilterTaps) -> int:
-    """Index of t = 0 on the symbol grid of the full matched-filter output
-    of each row of a stack."""
-    if signal.samples.shape[-1] < len(taps.coefficients):
-        raise CaptureWindowError(
-            f"signal of {signal.samples.shape[-1]} samples is shorter than "
-            f"the {len(taps.coefficients)}-tap filter span"
-        )
-    half = (len(taps.coefficients) - 1) / 2
-    return int(round(-signal.origin_time * signal.sample_rate + half))
-
-
 def _zero_padded(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """x[..., lo:hi], each row contiguous, with the indices past either
-    end of a row read as zero, as np.convolve reads them: a view of x
-    when lo:hi lies inside its rows, else a copy. No row reads another
-    row's samples."""
+    """x[..., lo:hi], with the indices past either end of a row read as
+    zero, as np.convolve reads them: a view of x when lo:hi lies inside
+    its rows, else a copy. No row reads another row's samples."""
     size = x.shape[-1]
     if 0 <= lo and hi <= size:
-        window = x[..., lo:hi]
-        contiguous = window.strides[-1] == window.itemsize
-        return window if contiguous else window.copy()
+        return x[..., lo:hi]
     out = np.zeros(x.shape[:-1] + (hi - lo,), dtype=x.dtype)
     a, b = max(lo, 0), min(hi, size)
     out[..., a - lo:b - lo] = x[..., a:b]
@@ -296,56 +280,40 @@ def _zero_padded(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 
 def recover_symbols(stack: BasebandSignal, chips: ChipSequence,
-                    taps: FilterTaps, phases, periods: int,
-                    skip_symbols: int = 0) -> np.ndarray:
-    """Per row of the stack, one chip period of symbols at that row's
-    sample phase, averaged coherently over `periods` consecutive
-    periods: a C-contiguous (rows, N) array, N = chips.period_length.
+                    taps: FilterTaps, first, periods: int) -> np.ndarray:
+    """Per row of the stack, one chip period of symbols averaged
+    coherently over `periods` consecutive periods: a C-contiguous
+    (rows, N) array, N = chips.period_length.
 
-    The symbol stream at a phase is the matched-filter output decimated
-    to symbol rate. It starts at the first symbol at or after t = 0 and
-    runs to the end of the filter tail; for a noiseless channel whose tap
-    delays are whole symbol periods, at the correct phase it is the chip
-    train convolved with the channel's symbol-spaced impulse response.
-    Its symbols from skip_symbols on are averaged period by period into
-    N outputs.
+    A row's symbols are its full matched-filter output decimated to
+    symbol rate from output first[row] on; for a noiseless channel whose
+    tap delays are whole symbol periods, at the correct phase they are
+    the chip train convolved with the channel's symbol-spaced impulse
+    response. Its first periods * N symbols are averaged period by
+    period into N outputs.
 
     Filtering and averaging are both linear, so the capture is folded
     first: the `periods` raw windows of N * sps + L - 1 samples, one
     period (N * sps samples) apart, are averaged. Every row is folded at
-    once over a window wide enough for all the rows' phases: the period
-    slices are added, in order, to zeros and the sum divided by
+    once over a window wide enough for all the rows' first outputs: the
+    period slices are added, in order, to zeros and the sum divided by
     `periods`, the bits of numpy's mean over them. Each row is then read
-    at its own phase. Samples beyond either end of a row read as zero,
-    as in np.convolve. Output k of a row is a (1, L) @ (L, 1) matmul of
-    its folded period's window folded[k * sps:k * sps + L] against the
-    reversed taps; numpy evaluates it with the same dtype dot that
-    np.convolve calls per output, so the N outputs equal
+    from its own first output. Samples beyond either end of a row read
+    as zero, as in np.convolve. Output k of a row is a (1, L) @ (L, 1)
+    matmul of its folded period's window folded[k * sps:k * sps + L]
+    against the reversed taps; numpy evaluates it with the same dtype
+    dot that np.convolve calls per output, so the N outputs equal
     np.convolve(folded, taps)[L - 1:L - 1 + N * sps:sps] bit for bit.
-    Raises CaptureWindowError when a row's stream ends before `periods`
-    periods.
 
-    One phase per row, each in [0, sps), as estimate_timing_phase finds
-    them; periods >= 1 and skip_symbols >= 0.
+    One output index per row and periods >= 1, as
+    sliding.measure_sliding picks and checks them.
     """
     sps = taps.samples_per_symbol
-    origin = _origin_index(stack, taps)
     x = stack.samples
-    first = origin + np.asarray(phases)
-    first = np.where(first < 0, first % sps, first)
     span = len(taps.coefficients)
     n = chips.period_length
-    # the stream's symbols from skip_symbols on: outputs first + k * sps
-    # below len(row) + L - 1, the length of the full convolution
-    last = int(first.max())
-    available = max(0, -(-(x.shape[1] + span - 1 - last) // sps) - skip_symbols)
-    if available < periods * n:
-        raise CaptureWindowError(
-            f"capture of {available} symbols is shorter than "
-            f"{periods} periods ({periods * n} symbols)"
-        )
     period = n * sps
-    lo = first + skip_symbols * sps - (span - 1)
+    lo = np.asarray(first) - (span - 1)
     base = int(lo.min())
     width = int(lo.max()) - base + period + span - 1
     x = _zero_padded(x, base, base + (periods - 1) * period + width)
@@ -401,17 +369,18 @@ def _bank_rails(x: np.ndarray, taps: FilterTaps, start: int, stop: int):
 
 
 def estimate_timing_phase(stack: BasebandSignal, chips: ChipSequence,
-                          taps: FilterTaps,
-                          skip_symbols: int = 0) -> np.ndarray:
+                          taps: FilterTaps, start: int) -> np.ndarray:
     """Per row of the stack, the decimation phase maximizing the
     correlation-profile energy, or -1 for a row with no signal.
 
     Searches all samples_per_symbol integer phases over one chip period
-    starting at skip_symbols. Total profile energy is strictly largest on
-    the symbol grid (off-grid sampling leaks energy out of the Nyquist
+    of each row's full matched-filter output, outputs start to
+    start + N * sps - 1. Total profile energy is strictly largest on the
+    symbol grid (off-grid sampling leaks energy out of the Nyquist
     pulse), and unlike the bare peak magnitude it cannot be fooled by
     adjacent taps whose mis-sampled tails add up. Ties break toward the
-    smallest phase.
+    smallest phase. Nothing is checked here: sliding.measure_sliding
+    picks start and checks that the window lies in the output.
 
     No correlation is formed. By Parseval, the profile energy of a phase's
     N outputs y is sum_k |C_k|^2 |Y_k|^2 / N^3, with C the chip spectrum
@@ -436,14 +405,8 @@ def estimate_timing_phase(stack: BasebandSignal, chips: ChipSequence,
     n = chips.period_length
     # the sps phases of one chip period are sps * n contiguous outputs;
     # row k of a rail's (n, sps) reshape is symbol k at every phase
-    start = _origin_index(stack, taps) + skip_symbols * sps
-    stop = start + sps * n
-    if start < 0 or stop > stack.samples.shape[1] + len(taps.coefficients) - 1:
-        raise CaptureWindowError(
-            "signal does not contain a full chip period at every phase"
-        )
-    scores = sum(_phase_scores(rail.reshape(-1, n, sps))
-                 for rail in _bank_rails(stack.samples, taps, start, stop))
+    scores = sum(_phase_scores(rail.reshape(-1, n, sps)) for rail in
+                 _bank_rails(stack.samples, taps, start, start + sps * n))
     return np.where(scores.any(axis=1), np.argmax(scores, axis=1), -1)
 
 

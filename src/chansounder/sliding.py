@@ -237,16 +237,47 @@ def measure_sliding(stack: BasebandSignal, chips: ChipSequence,
     over the chip periods, then sound() with each row's transmitter
     power from tx_powers_db (dB).
 
-    Each row must hold SETTLE_PERIODS + averaging_periods chip periods
-    of shaped waveform; the leading settle keeps filter ramp-in out of
-    the averaged window. Returns one entry per row: its delay-profile
+    This function alone decides which samples the receiver reads. A
+    row's symbols at a phase start at its first symbol at or after t = 0
+    in its full matched-filter output or, where t = 0 falls before the
+    row, at its first output on the phase's grid. The timing search
+    reads the chip period SETTLE_PERIODS periods after t = 0, and the
+    averaged periods start SETTLE_PERIODS periods into each row's
+    symbols at its phase, so the settle keeps filter ramp-in out of
+    both.
+
+    Raises a ValueError when a row is shorter than the filter span, or
+    its output does not hold the search period or the averaged periods.
+    Its message starts with the field to blame: sample_count when a row
+    holds fewer than SETTLE_PERIODS + averaging_periods chip periods of
+    samples, which miss the periods wherever they sit, else
+    origin_time_s. Returns one entry per row: its delay-profile
     document, as sound() gives it, or a NoSignalError where the row has
     no timing phase or no tap.
     """
-    skip = SETTLE_PERIODS * chips.period_length
-    phases = estimate_timing_phase(stack, chips, taps, skip_symbols=skip)
-    means = recover_symbols(stack, chips, taps, np.maximum(phases, 0),
-                            config.averaging_periods, skip_symbols=skip)
+    n, sps = chips.period_length, taps.samples_per_symbol
+    span, size = len(taps.coefficients), stack.samples.shape[1]
+    periods = config.averaging_periods
+    outputs = size + span - 1  # of each row's full matched-filter output
+    settle = SETTLE_PERIODS * n * sps
+    # t = 0 on the symbol grid of each row's full matched-filter output
+    origin = round(-stack.origin_time * stack.sample_rate + (span - 1) / 2)
+    field = ("sample_count" if size < (SETTLE_PERIODS + periods) * n * sps
+             else "origin_time_s")
+    if size < span:
+        raise ValueError(f"{field}: signal of {size} samples is shorter than "
+                         f"the {span}-tap filter span")
+    if not 0 <= origin + settle <= outputs - n * sps:
+        raise ValueError(f"{field}: signal does not contain a full chip "
+                         f"period at every phase")
+    phases = estimate_timing_phase(stack, chips, taps, origin + settle)
+    first = origin + np.maximum(phases, 0)
+    first = np.where(first < 0, first % sps, first) + settle
+    available = max(0, -(-(outputs - int(first.max())) // sps))
+    if available < periods * n:
+        raise ValueError(f"{field}: capture of {available} symbols is shorter "
+                         f"than {periods} periods ({periods * n} symbols)")
+    means = recover_symbols(stack, chips, taps, first, periods)
     profiles = sound(means, chips, config, tx_powers_db)
     return [profile if phase >= 0 else NoSignalError(
                 "capture is silent in the timing search window; no timing "

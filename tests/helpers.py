@@ -333,34 +333,43 @@ def random_planted_channel(rng, chip_period, max_taps=8, max_span=50,
     return ch.MultipathChannel(gains=gains, delays=lags * chip_period), lags
 
 
+def output_index(signal, taps, phase=0, symbols=0):
+    """The index, in the full matched-filter output of each row of
+    signal, of the output `symbols` symbols after the one at `phase`
+    past t = 0 on the symbol grid: the output index that
+    estimate_timing_phase and recover_symbols take, as measure_sliding
+    counts it where t = 0 does not fall before the row."""
+    half = (len(taps.coefficients) - 1) / 2
+    first = int(round(-signal.origin_time * signal.sample_rate + half)) + phase
+    assert first >= 0
+    return first + symbols * taps.samples_per_symbol
+
+
 def _oracle_filter(capture, taps):
     """The full np.convolve matched filter and the index of t = 0 in it."""
-    filtered = np.convolve(capture.samples, taps.coefficients)
-    half = (len(taps.coefficients) - 1) / 2
-    origin = int(round(-capture.origin_time * capture.sample_rate + half))
-    assert origin >= 0
-    return filtered, origin
+    return (np.convolve(capture.samples, taps.coefficients),
+            output_index(capture, taps))
 
 
-def oracle_timing_phase(capture, chips, taps, skip_symbols=0):
+def oracle_timing_phase(capture, chips, taps, skip=0):
     """estimate_timing_phase with one full np.convolve matched filter and
-    one 1-D FFT correlation per phase."""
+    one 1-D FFT correlation per phase, over the chip period `skip`
+    symbols past t = 0."""
     sps, n = taps.samples_per_symbol, chips.period_length
     filtered, origin = _oracle_filter(capture, taps)
-    start = origin + skip_symbols * sps
+    start = origin + skip * sps
     windows = filtered[start:start + n * sps].reshape(n, sps)
     return int(np.argmax(oracle_phase_energies(chips, windows)))
 
 
-def oracle_folded_period(capture, taps, phase, period, periods,
-                         skip_symbols=0):
+def oracle_folded_period(capture, taps, phase, period, periods, skip=0):
     """recover_symbols filtering first and averaging after: the full
     np.convolve matched filter, decimated at phase from the first symbol
-    at or after t = 0, and its symbols from skip_symbols on averaged over
+    at or after t = 0, and its symbols from `skip` on averaged over
     `periods` periods of `period` symbols by a reshape-mean."""
     sps = taps.samples_per_symbol
     filtered, origin = _oracle_filter(capture, taps)
-    symbols = filtered[origin + phase::sps][skip_symbols:]
+    symbols = filtered[origin + phase::sps][skip:]
     if len(symbols) < periods * period:
         raise ValueError(f"capture of {len(symbols)} symbols is shorter "
                          f"than {periods} periods")

@@ -25,8 +25,8 @@ from chansounder.pulse import (BasebandSignal, burst_period_and_ramp,
 
 from helpers import (assert_no_child_left, bench_scenario, failing_channel_draw,
                      frequency_blocks, oracle_measure_sliding,
-                     oracle_timing_phase, ranged, received, tap_gains,
-                     tap_lags, use_oracle_sweep)
+                     oracle_timing_phase, output_index, ranged, received,
+                     tap_gains, tap_lags, use_oracle_sweep)
 
 
 def small_environment(**overrides):
@@ -769,10 +769,10 @@ def test_the_timing_search_holds_one_rail_at_a_time(monkeypatch):
     scenario = small_scenario(transmitters=transmitters, locations=1)
     peaks = []  # in blocks
 
-    def traced(stack, chips, taps, **kwargs):
+    def traced(stack, chips, taps, start):
         tracemalloc.start()
         try:
-            phases = estimate_timing_phase(stack, chips, taps, **kwargs)
+            phases = estimate_timing_phase(stack, chips, taps, start)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -926,13 +926,15 @@ def searched_phases(monkeypatch, scenario) -> tuple:
     estimate = sliding.estimate_timing_phase
     phases = []
 
-    def checked(stack, chips, taps, skip_symbols=0):
-        found = estimate(stack, chips, taps, skip_symbols=skip_symbols)
+    def checked(stack, chips, taps, start):
+        # the search starts the settle periods after t = 0
+        skip = sliding.SETTLE_PERIODS * chips.period_length
+        assert start == output_index(stack, taps, symbols=skip)
+        found = estimate(stack, chips, taps, start)
         for row, phase in zip(stack.samples, found, strict=True):
             segment = BasebandSignal(row.copy(), stack.sample_rate,
                                      stack.origin_time)
-            assert phase == oracle_timing_phase(segment, chips, taps,
-                                                skip_symbols)
+            assert phase == oracle_timing_phase(segment, chips, taps, skip)
             phases.append(phase)
         return found
 
@@ -990,7 +992,7 @@ def test_blas_pool_stays_asleep(chips10, rrc_taps):
     # three rows, as a campaign location stacks its segments
     stack = replace(capture, samples=np.broadcast_to(
         capture.samples, (3, len(capture))))
-    skip = chips10.period_length
+    start = output_index(capture, rrc_taps, symbols=chips10.period_length)
     # OpenBLAS stops its pool before a fork and starts it again at the
     # first product large enough to share; that product's threads then
     # spin for a while before they sleep
@@ -1001,9 +1003,9 @@ def test_blas_pool_stays_asleep(chips10, rrc_taps):
     if len(before) < 2:
         pytest.skip("this process runs no thread besides the main one")
     for _ in range(200):
-        phases = estimate_timing_phase(stack, chips10, rrc_taps, skip)
-        recover_symbols(stack, chips10, rrc_taps, phases,
-                        config.averaging_periods, skip)
+        phases = estimate_timing_phase(stack, chips10, rrc_taps, start)
+        recover_symbols(stack, chips10, rrc_taps, start + phases,
+                        config.averaging_periods)
     cp.run_campaign(small_scenario(locations=4))
     after = thread_cpu_ticks()
     main = os.getpid()

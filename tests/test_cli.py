@@ -40,6 +40,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def out_dir_flag(command, path) -> list:
+    """--out-dir path for a command that writes, and nothing for validate,
+    which writes nothing and takes no --out-dir."""
+    return [] if command == "validate" else ["--out-dir", str(path)]
+
+
 def test_gen_pn(tmp_path, capsys):
     code, out, err = run_cli(capsys, "gen-pn", "--out-dir", str(tmp_path))
     assert code == 0
@@ -183,7 +189,7 @@ def test_an_empty_path_is_named_empty(tmp_path, capsys, monkeypatch, argv):
     work.mkdir()
     monkeypatch.chdir(work)
     argv = [arg.format(plan=plan) for arg in argv]
-    code, _, err = run_cli(capsys, *argv, "", "--out-dir", "out")
+    code, _, err = run_cli(capsys, *argv, "", *out_dir_flag(argv[0], "out"))
     assert (code, err) == (2, "OSError: cannot read '': the path is empty\n")
     assert os.listdir(work) == []
 
@@ -216,6 +222,39 @@ def test_name_is_a_file_name_in_the_output_directory(tmp_path, capsys,
     code, _, err = run_cli(capsys, command, *argv, "--name", "x.txt",
                            "--out-dir", "out")
     assert (code, err) == (0, "") and os.listdir(work / "out") == ["x.txt"]
+
+
+@pytest.mark.parametrize("command",
+                         ["gen-pn", "sound-sliding", "sound-freq", "campaign"])
+def test_an_empty_out_dir_exits_2(tmp_path, capsys, monkeypatch, command):
+    # gen-pn --out-dir "" once exited 0, writing into the working directory
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    plan, captures = sweep_capture_files(inputs)
+    argv = {
+        "gen-pn": [],
+        "sound-sliding": ["--capture", str(sliding_capture_file(inputs))],
+        "sound-freq": ["--plan", str(plan), *captures],
+        "campaign": ["--scenario", str(scenario_file(inputs))],
+    }[command]
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    code, _, err = run_cli(capsys, command, *argv, "--out-dir", "")
+    assert (code, err) == (2, "ValueError: --out-dir: '' names no directory\n")
+    assert os.listdir(work) == [] and sorted(os.listdir(tmp_path)) \
+        == ["inputs", "work"]
+
+
+def test_validate_takes_no_out_dir(tmp_path, capsys):
+    # validate writes nothing, so an --out-dir it ignored once exited 0
+    code, _, err = run_cli(capsys, "validate", "--scenario",
+                           str(scenario_file(tmp_path)),
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert err.endswith(f"error: unrecognized arguments: --out-dir "
+                        f"{tmp_path / 'out'}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def readme_command_lines():
@@ -590,8 +629,7 @@ def test_campaign_workers_follow_the_cpus_up_to_two(monkeypatch):
 def test_validate_good_scenario(tmp_path, capsys):
     scenario_path = scenario_file(tmp_path)
     code, out, _ = run_cli(capsys, "validate", "--scenario",
-                           str(scenario_path), "--json",
-                           "--out-dir", str(tmp_path))
+                           str(scenario_path), "--json")
     assert code == 0
     assert json.loads(out)["valid"] is True
 
@@ -603,16 +641,14 @@ def test_validate_guard_band_violation(tmp_path, capsys):
     doc["frequency"]["tone_offsets_hz"] = [0.0, 4 * bin_width]  # under guard
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    code, _, err = run_cli(capsys, "validate", "--scenario", str(bad),
-                           "--out-dir", str(tmp_path))
+    code, _, err = run_cli(capsys, "validate", "--scenario", str(bad))
     assert code == 2
     assert "guard band" in err
 
 
 def test_validate_missing_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "validate",
-                           "--scenario", str(tmp_path / "missing.json"),
-                           "--out-dir", str(tmp_path))
+                           "--scenario", str(tmp_path / "missing.json"))
     assert code == 2
     assert "missing.json" in err
 
@@ -622,7 +658,7 @@ def test_scenario_file_holding_a_list_exits_2(tmp_path, capsys, command):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]\n")
     code, _, err = run_cli(capsys, command, "--scenario", str(path),
-                           "--out-dir", str(tmp_path / "out"))
+                           *out_dir_flag(command, tmp_path / "out"))
     assert (code, err) == (2, "ValueError: scenario: expected an object, "
                               "got [1, 2]\n")
 
@@ -747,7 +783,7 @@ def test_strict_scenario_schema_exits_2(tmp_path, capsys, command, where,
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, command, "--scenario", str(bad),
-                           "--out-dir", str(tmp_path / "out"))
+                           *out_dir_flag(command, tmp_path / "out"))
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert err.startswith(f"ValueError: {name}: ")
@@ -766,7 +802,7 @@ def test_frequency_scenario_field_errors_exit_2(tmp_path, capsys, command,
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, command, "--scenario", str(bad),
-                           "--out-dir", str(tmp_path / "out"))
+                           *out_dir_flag(command, tmp_path / "out"))
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert err.startswith(f"ValueError: {name}: ")
@@ -797,7 +833,7 @@ def test_frequency_scenario_rejects_blocks_it_never_reads(
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, command, "--scenario", str(bad),
-                           "--out-dir", str(tmp_path / "out"))
+                           *out_dir_flag(command, tmp_path / "out"))
     assert code == 2
     assert err == f"ValueError: {block}: not read by a frequency scenario\n"
     assert not (tmp_path / "out" / "records.jsonl").exists()
@@ -961,7 +997,7 @@ def test_path_loss_outside_float_range_exits_2(tmp_path, capsys, command,
                                                name, edit, message):
     path = bundled_edit(tmp_path, name, edit)
     code, _, err = run_cli(capsys, command, "--scenario", str(path),
-                           "--out-dir", str(tmp_path / "out"))
+                           *out_dir_flag(command, tmp_path / "out"))
     assert (code, err) == (2, f"ValueError: {message}\n")
     assert not (tmp_path / "out" / "records.jsonl").exists()
 
@@ -1146,7 +1182,7 @@ def test_delay_spread_beyond_the_carrier_step_exits_2(tmp_path, capsys,
     expected = f"ValueError: environment.delay_spread_scale_s: {message}\n"
     for command in ("validate", "campaign"):
         code, _, err = run_cli(capsys, command, "--scenario", str(path),
-                               "--out-dir", str(tmp_path / "out"))
+                               *out_dir_flag(command, tmp_path / "out"))
         assert (code, err) == (2, expected)
     assert not (tmp_path / "out" / "records.jsonl").exists()
 
@@ -1315,7 +1351,7 @@ def test_overflowing_received_power_exits_2_naming_tx_power(tmp_path,
     # 0 with numpy warnings and wrote -Infinity and NaN into the records
     path = bundled_edit(tmp_path, "indoor_wing_sliding", set_tx_power(3200.0))
     child = run_cli_limited(command, "--scenario", str(path),
-                            "--out-dir", str(tmp_path / "out"))
+                            *out_dir_flag(command, tmp_path / "out"))
     assert (child.returncode, child.stderr) == (
         2, "ValueError: transmitters[0].tx_power_db: 3200.0 dB is outside "
            "+-1000 dB\n")
@@ -1406,7 +1442,7 @@ def test_input_out_of_float_range_exits_2_naming_its_field(
         tmp_path, capsys, command, name, edit, message):
     path = bundled_edit(tmp_path, name, edit)
     code, _, err = run_cli(capsys, command, "--scenario", str(path),
-                           "--out-dir", str(tmp_path / "out"))
+                           *out_dir_flag(command, tmp_path / "out"))
     assert (code, err) == (2, f"ValueError: {message}\n")
     assert not (tmp_path / "out" / "records.jsonl").exists()
 
@@ -1448,7 +1484,7 @@ def test_overflowing_noise_power_exits_2_naming_it(tmp_path, command, name,
     # exited 0 after RuntimeWarnings from slot power ratios of inf / inf
     path = bundled_edit(tmp_path, name, set_noise_power(dbfs))
     child = run_cli_limited(command, "--scenario", str(path),
-                            "--out-dir", str(tmp_path / "out"))
+                            *out_dir_flag(command, tmp_path / "out"))
     assert (child.returncode, child.stderr) == (
         2, f"ValueError: noise_power_dbfs: {dbfs!r} dBFS is outside +-1000 "
            f"dBFS\n")
@@ -1774,7 +1810,7 @@ def test_two_scenario_tones_in_one_fft_bin_exit_2(tmp_path, capsys, command,
                         lambda doc: doc["frequency"].update(
                             tone_offsets_hz=tones, guard_band_hz=0.0))
     code, _, err = run_cli(capsys, command, "--scenario", str(path),
-                           "--out-dir", str(tmp_path / "out"))
+                           *out_dir_flag(command, tmp_path / "out"))
     assert (code, err) == (2, "ValueError: frequency.tone_offsets_hz: tones "
                               "0 and 1 share FFT bin 400\n")
     assert not (tmp_path / "out" / "records.jsonl").exists()
@@ -2276,6 +2312,19 @@ def test_sound_sliding_names_sample_count_for_a_short_capture(tmp_path):
     code, err = run_sound_sliding(tmp_path / "capture.iq", tmp_path / "out")
     assert code == 2
     assert sidecar_error(tmp_path / "capture.iq", "sample_count").fullmatch(err)
+
+
+def test_sound_capture_too_short(tmp_path):
+    # the settle period plus nine, where ten are averaged
+    config = sliding.SounderConfig()
+    chips, taps = sliding.reference(config)
+    write_iq(modulated(chips, 10, taps, config.chip_period_s),
+             tmp_path / "capture.iq")
+    code, err = run_sound_sliding(tmp_path / "capture.iq", tmp_path / "out")
+    assert (code, err) == (2, f"ValueError: {tmp_path / 'capture.iq'}.json: "
+                              f"sample_count: capture of 9219 symbols is "
+                              f"shorter than 10 periods (10230 symbols)\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])

@@ -11,23 +11,27 @@ from hypothesis import strategies as st
 from chansounder import pn, pulse, sliding
 
 from helpers import (expand, modulated, one_row, oracle_folded_period,
-                     oracle_modulate, oracle_phase_energies, write_iq)
+                     oracle_modulate, oracle_phase_energies, output_index,
+                     write_iq)
 
 CHIP_PERIOD = sliding.SounderConfig().chip_period_s
 
 
-def recover_one(signal, chips, taps, phase, periods, skip_symbols=0):
-    """recover_symbols on signal as a one-row stack: that row's symbols."""
-    [symbols] = pulse.recover_symbols(one_row(signal), chips, taps, [phase],
-                                      periods, skip_symbols=skip_symbols)
+def recover_one(signal, chips, taps, phase, periods, skip=0):
+    """recover_symbols on signal as a one-row stack, from the symbol
+    `skip` symbols past the first at phase at or after t = 0: that row's
+    symbols."""
+    [symbols] = pulse.recover_symbols(
+        one_row(signal), chips, taps,
+        [output_index(signal, taps, phase, skip)], periods)
     return symbols
 
 
-def phase_of(signal, chips, taps, skip_symbols=0):
-    """estimate_timing_phase on signal as a one-row stack: its phase, or
-    -1 for no signal."""
+def phase_of(signal, chips, taps):
+    """estimate_timing_phase on signal as a one-row stack, over the chip
+    period from t = 0: its phase, or -1 for no signal."""
     [phase] = pulse.estimate_timing_phase(one_row(signal), chips, taps,
-                                          skip_symbols=skip_symbols)
+                                          output_index(signal, taps))
     return phase
 
 
@@ -141,8 +145,7 @@ def test_modulate_middle_period_is_periodic(chips10, rrc_taps):
 def test_roundtrip_error_below_budget(chips10, span):
     taps = pulse.design_rrc(0.35, span, 4)
     signal = modulated(chips10, 3, taps, CHIP_PERIOD)
-    middle = recover_one(signal, chips10, taps, 0, 1,
-                         skip_symbols=1023)
+    middle = recover_one(signal, chips10, taps, 0, 1, skip=1023)
     assert np.max(np.abs(middle - chips10.chips)) < 1e-6
 
 
@@ -152,8 +155,7 @@ def test_recover_single_delayed_tap(chips10, rrc_taps):
     signal = modulated(chips10, 4, rrc_taps, CHIP_PERIOD)
     delayed = np.concatenate([np.zeros(12), 0.5 * signal.samples])
     shifted = pulse.BasebandSignal(delayed, signal.sample_rate, signal.origin_time)
-    window = recover_one(shifted, chips10, rrc_taps, 0, 1,
-                         skip_symbols=1023)
+    window = recover_one(shifted, chips10, rrc_taps, 0, 1, skip=1023)
     train = np.tile(chips10.chips, 4)
     npt.assert_allclose(window, 0.5 * train[1020:2043], atol=1e-6)
 
@@ -163,8 +165,7 @@ def test_recover_two_tap_superposition(chips10, rrc_taps):
     delayed = np.concatenate([signal.samples, np.zeros(12)])
     delayed[12:] += 0.5 * signal.samples
     mixed = pulse.BasebandSignal(delayed, signal.sample_rate, signal.origin_time)
-    window = recover_one(mixed, chips10, rrc_taps, 0, 1,
-                         skip_symbols=1023)
+    window = recover_one(mixed, chips10, rrc_taps, 0, 1, skip=1023)
     train = np.tile(chips10.chips, 4)
     expected = train[1023:2046] + 0.5 * train[1020:2043]
     npt.assert_allclose(window, expected, atol=1e-6)
@@ -174,28 +175,6 @@ def test_recover_zero_signal(chips10, rrc_taps):
     signal = pulse.BasebandSignal(np.zeros(4096), 1e6)
     npt.assert_array_equal(recover_one(signal, chips10, rrc_taps,
                                        0, 1), 0.0)
-
-
-def test_recover_too_short(chips10, rrc_taps):
-    signal = pulse.BasebandSignal(np.zeros(10), 1e6)
-    with pytest.raises(ValueError, match="shorter"):
-        recover_one(signal, chips10, rrc_taps, 0, 1)
-    # a stream that ends one symbol before the last averaged period does,
-    # also where the filter tail overhangs the capture's end
-    sps, span = rrc_taps.samples_per_symbol, len(rrc_taps.coefficients)
-    origin = (span - 1) // 2
-    last = origin + (3 * 1023 + 2 * 1023 - 1) * sps
-    for tail in (0, -(span - 1)):
-        enough = pulse.BasebandSignal(np.ones(last + 1 + tail), 1.0)
-        assert len(recover_one(enough, chips10, rrc_taps, 0, 2,
-                               skip_symbols=3 * 1023)) == 1023
-    short = pulse.BasebandSignal(np.ones(last + 1 - span), 1.0)
-    with pytest.raises(ValueError, match=r"^capture of 2045 symbols is "
-                       r"shorter than 2 periods \(2046 symbols\)$"):
-        recover_one(short, chips10, rrc_taps, 0, 2,
-                    skip_symbols=3 * 1023)
-    with pytest.raises(ValueError, match="shorter"):
-        oracle_folded_period(short, rrc_taps, 0, 1023, 2, 3 * 1023)
 
 
 @functools.lru_cache(maxsize=32)
@@ -226,8 +205,7 @@ def test_folded_period_matches_filter_then_average_oracle(
     samples = rng.normal(size=size) + 1j * rng.normal(size=size)
     half = (span - 1) // 2
     signal = pulse.BasebandSignal(samples, 1.0, origin_time=half - origin)
-    got = recover_one(signal, chips, taps, phase, periods,
-                      skip_symbols=skip)
+    got = recover_one(signal, chips, taps, phase, periods, skip=skip)
     expected = oracle_folded_period(signal, taps, phase, n, periods, skip)
     assert got.shape == (n,)
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
@@ -488,16 +466,6 @@ def test_read_iq_checks_each_sample_once(tmp_path, monkeypatch):
                            np.arange(0, 20, 2) + 1j * np.arange(1, 20, 2))
 
 
-def test_timing_phase_rejects_window_before_capture(chips10, rrc_taps):
-    # sample 0 sits 1500 chips after t = 0, so the timing window starts
-    # at a negative index; it must not wrap to the capture's tail
-    base = modulated(chips10, 4, rrc_taps, CHIP_PERIOD)
-    early = pulse.BasebandSignal(np.tile(base.samples, 3), base.sample_rate,
-                                 origin_time=1500 * CHIP_PERIOD)
-    with pytest.raises(ValueError, match="full chip period"):
-        phase_of(early, chips10, rrc_taps)
-
-
 @pytest.mark.parametrize("span,sps", [(12, 4), (4, 2), (6, 3), (4, 8)])
 def test_matched_filter_equals_full_convolution_bit_for_bit(span, sps):
     # the recovery's decimating filter must reproduce np.convolve exactly,
@@ -524,7 +492,7 @@ def test_matched_filter_equals_full_convolution_bit_for_bit(span, sps):
                     signal = pulse.BasebandSignal(
                         x, 1.0, origin_time=(length - 1) // 2 - origin)
                     got = recover_one(signal, chips, taps, phase, 1,
-                                      skip_symbols=skip)
+                                      skip=skip)
                     first = origin + phase + skip * sps
                     assert np.array_equal(
                         got, full[first:first + n * sps:sps]), \

@@ -15,7 +15,8 @@ from chansounder.exceptions import NoSignalError
 
 from helpers import (add_noise, expand, measure_one, measured_correlation_gain,
                      modulated, one_row, oracle_detect_taps,
-                     oracle_measure_sliding, oracle_sound_row, planted_capture,
+                     oracle_folded_period, oracle_measure_sliding,
+                     oracle_sound_row, output_index, planted_capture,
                      random_planted_channel, tap_gains, tap_lags)
 
 
@@ -54,6 +55,47 @@ def _arriving_late(capture, samples):
         capture.sample_rate, capture.origin_time)
 
 
+def _cut(capture, head, end=None):
+    """capture's samples head:end, its origin_time advanced to match: the
+    capture of a receiver that started recording head samples late."""
+    return pulse.BasebandSignal(capture.samples[head:end].copy(),
+                                capture.sample_rate,
+                                capture.origin_time + head / capture.sample_rate)
+
+
+def test_a_capture_that_begins_after_t0_gives_the_uncut_profile(
+        chips10, rrc_taps, sounder_config):
+    # past a head cut of L - 1 samples t = 0 falls before the row, and its
+    # symbols are counted from output 0 on the phase's grid: the averaged
+    # periods move by whole periods, so the profile keeps every bit
+    period = chips10.period_length * rrc_taps.samples_per_symbol
+    span = len(rrc_taps.coefficients)
+    planted = ch.MultipathChannel(
+        gains=[1.0, 0.4 - 0.2j, 0.1j],
+        delays=np.array([0, 3, 9]) * sounder_config.chip_period_s)
+    # the settle period, the ten averaged and three more
+    capture = planted_capture(chips10, rrc_taps, planted, sounder_config,
+                              extra_periods=3)
+    uncut = measure_one(capture, chips10, rrc_taps, sounder_config)
+    for head in (0, 1, span - 2, span - 1, span, period - 1, period,
+                 period + span - 1):
+        assert measure_one(_cut(capture, head), chips10, rrc_taps,
+                           sounder_config) == uncut, head
+    # then the search period starts before the row, which still holds
+    # the settle and averaged periods' samples
+    for head in (period + span, 2 * period):
+        with pytest.raises(ValueError, match="^origin_time_s: "):
+            measure_one(_cut(capture, head), chips10, rrc_taps,
+                        sounder_config)
+    # a row a filter span shorter than those periods misses them wherever
+    # it sits
+    needed = (sliding.SETTLE_PERIODS + sounder_config.averaging_periods) \
+        * period
+    with pytest.raises(ValueError, match="^sample_count: "):
+        measure_one(_cut(capture, 0, needed - span), chips10, rrc_taps,
+                    sounder_config)
+
+
 @given(seed=st.integers(0, 2**32 - 1), offset=st.integers(0, 15),
        shift=st.integers(1, 15))
 @settings(max_examples=60)
@@ -71,9 +113,9 @@ def test_planted_channel_recovery_property(chips10, rrc_taps, seed, offset,
     capture = _arriving_late(planted_capture(chips10, rrc_taps, planted, config),
                              offset)
     sps = rrc_taps.samples_per_symbol
+    start = output_index(capture, rrc_taps, symbols=chips10.period_length)
     assert pulse.estimate_timing_phase(one_row(capture), chips10, rrc_taps,
-                                       skip_symbols=chips10.period_length) \
-        == [offset % sps]
+                                       start) == [offset % sps]
     profile = measure_one(capture, chips10, rrc_taps, config)
     npt.assert_array_equal(tap_lags(profile), lags)
     ratio = tap_gains(profile) / planted.gains
@@ -253,9 +295,10 @@ def test_sound_deterministic(chips10, rrc_taps, sounder_config):
     period = sounder_config.chip_period_s
     planted = ch.MultipathChannel(gains=[1.0, 0.2], delays=[0.0, 4 * period])
     capture = planted_capture(chips10, rrc_taps, planted, sounder_config)
-    mean_period = pulse.recover_symbols(one_row(capture), chips10, rrc_taps,
-                                        [0], sounder_config.averaging_periods,
-                                        skip_symbols=1023)
+    mean_period = pulse.recover_symbols(
+        one_row(capture), chips10, rrc_taps,
+        [output_index(capture, rrc_taps, symbols=1023)],
+        sounder_config.averaging_periods)
     [one] = sliding.sound(mean_period, chips10, sounder_config, [0.0])
     [two] = sliding.sound(mean_period, chips10, sounder_config, [0.0])
     npt.assert_array_equal(tap_gains(one), tap_gains(two))
@@ -264,12 +307,54 @@ def test_sound_deterministic(chips10, rrc_taps, sounder_config):
     assert one["rms_delay_spread_s"] == two["rms_delay_spread_s"]
 
 
-def test_sound_capture_too_short(chips10, rrc_taps, sounder_config):
-    # the settle period plus nine, where ten are averaged
-    capture = modulated(chips10, 10, rrc_taps, sounder_config.chip_period_s)
-    with pytest.raises(ValueError, match=r"symbols is shorter than 10 "
-                       r"periods \(10230 symbols\)"):
-        measure_one(capture, chips10, rrc_taps, sounder_config)
+def test_recover_too_short(chips10, rrc_taps):
+    # measure_sliding checks the whole receive window, naming the field to
+    # blame: a row shorter than the filter span
+    one_period = sliding.SounderConfig(averaging_periods=1)
+    signal = pulse.BasebandSignal(np.zeros(10), 1e6)
+    with pytest.raises(ValueError, match=r"^sample_count: signal of 10 "
+                       r"samples is shorter than the 49-tap filter span$"):
+        measure_one(signal, chips10, rrc_taps, one_period)
+    # and a stream that ends one symbol before the last averaged period
+    # does, also where the filter tail overhangs the row's end
+    config = sliding.SounderConfig(averaging_periods=2)
+    sps, span = rrc_taps.samples_per_symbol, len(rrc_taps.coefficients)
+
+    def ones(size):
+        """size samples of 1, t = 0 two periods into them: the averaged
+        periods start three periods in."""
+        return pulse.BasebandSignal(np.ones(size), 1.0, -2 * 1023 * sps)
+
+    # the search window lies inside each row below, so every one finds the
+    # phase that this one does, and the averaged periods start at it
+    long = ones(6 * 1023 * sps)
+    [phase] = pulse.estimate_timing_phase(
+        one_row(long), chips10, rrc_taps,
+        output_index(long, rrc_taps, symbols=1023))
+    last = output_index(long, rrc_taps, phase, 1023 + 2 * 1023 - 1)
+    for tail in (0, -(span - 1)):
+        assert len(sliding.measure_sliding(one_row(ones(last + 1 + tail)),
+                                           chips10, rrc_taps, config,
+                                           [0.0])) == 1
+    short = ones(last + 1 - span)
+    with pytest.raises(ValueError, match=r"^origin_time_s: capture of 2045 "
+                       r"symbols is shorter than 2 periods \(2046 symbols\)$"):
+        measure_one(short, chips10, rrc_taps, config)
+    with pytest.raises(ValueError, match="shorter"):
+        oracle_folded_period(short, rrc_taps, phase, 1023, 2, 1023)
+
+
+def test_timing_phase_rejects_window_before_capture(chips10, rrc_taps,
+                                                    sounder_config):
+    # sample 0 sits 1500 chips after t = 0, so the timing window starts
+    # at a negative index; it must not wrap to the capture's tail
+    base = modulated(chips10, 4, rrc_taps, sounder_config.chip_period_s)
+    early = pulse.BasebandSignal(
+        np.tile(base.samples, 3), base.sample_rate,
+        origin_time=1500 * sounder_config.chip_period_s)
+    with pytest.raises(ValueError, match=r"^origin_time_s: signal does not "
+                       r"contain a full chip period at every phase$"):
+        measure_one(early, chips10, rrc_taps, sounder_config)
 
 
 def test_sound_pure_noise_is_no_signal(chips10, sounder_config, rng):
@@ -388,8 +473,9 @@ def test_stacked_chain_matches_the_per_segment_oracle_row_for_row(chips10,
     stack = pulse.BasebandSignal(capture.reshape(4, slot)[:, guard:slot - guard],
                                  burst.sample_rate, burst.origin_time)
     profiles = sliding.measure_sliding(stack, chips10, rrc_taps, config, powers)
-    assert pulse.estimate_timing_phase(stack, chips10, rrc_taps, 1023).tolist() \
-        == [0, -1, 3, 1]
+    start = output_index(stack, rrc_taps, symbols=1023)
+    assert pulse.estimate_timing_phase(stack, chips10, rrc_taps, start) \
+        .tolist() == [0, -1, 3, 1]
     for row, power, got in zip(stack.samples, powers, profiles, strict=True):
         alone = pulse.BasebandSignal(row.copy(), stack.sample_rate,
                                      stack.origin_time)
